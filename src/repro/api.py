@@ -1,9 +1,7 @@
 """:mod:`repro.api` — the single supported analysis entry surface.
 
-PRs 1–9 grew one callable per capability (``run_query``, ``diff_runs``,
-``diff_archives``, ``run_whatif``, raw :class:`Frame` plumbing, …), each
-with its own spelling for "which run".  This facade replaces that
-scatter with one handle::
+One handle per stored run, one spelling for "which run" (an archive
+path or a registry run id), every analysis verb on it::
 
     import repro.api as api
 
@@ -13,12 +11,11 @@ scatter with one handle::
         run.viz("heatmap")                        # LOD-backed SVG
         frame = run.frame("physical")
 
-    api.diff("a.aptrc", "b.aptrc")                # module-level peers
-    api.whatif(workload, sweeps=[("net", [0.5])])
+    api.diff("a.aptrc", "traces/", n_pes=16)      # module-level peers;
+    api.whatif(workload, sweeps=[("net", [0.5])]) # diff also takes dirs/ids
 
-The legacy functions still work but emit :class:`DeprecationWarning`
-and delegate here; ``core/cli.py``, the serve handlers, and the
-examples all go through this module.
+``core/cli.py``, the serve handlers, and the examples all go through
+this module.
 """
 
 from __future__ import annotations
@@ -38,14 +35,15 @@ _VIEWS = ("gantt", "heatmap", "timeline")
 
 def _resolve(path_or_id: str | Path,
              registry: RunRegistry | str | Path | None) -> tuple[Path, str]:
-    """Resolve a facade run reference to ``(archive path, run id)``.
+    """Resolve a facade run reference to ``(path, run id)``.
 
-    An existing file wins; anything else is treated as a registry run
+    An existing path (archive file, or trace directory for
+    :func:`diff`) wins; anything else is treated as a registry run
     id (or unambiguous id prefix) against ``registry`` (defaulting to
     ``$ACTORPROF_RUNS`` / ``~/.actorprof/runs``).
     """
     path = Path(path_or_id)
-    if path.is_file():
+    if path.exists():
         return path, path.stem
     if registry is None or isinstance(registry, (str, Path)):
         registry = RunRegistry(registry if registry is not None
@@ -59,7 +57,7 @@ class Run:
 
     Obtained from :func:`open_run`; usable as a context manager.  All
     methods operate on the archive's columnar sections — no full trace
-    objects are materialized unless a legacy path demands it.
+    objects are materialized.
     """
 
     def __init__(self, archive: Archive, *, run_id: str | None = None)\
@@ -118,14 +116,12 @@ class Run:
 
     def diff(self, other: "Run | str | Path", *,
              label_a: str | None = None, label_b: str | None = None) -> str:
-        """Side-by-side comparison report against another run."""
-        from repro.core.diffing import _diff_runs
-
-        other_path = other.path if isinstance(other, Run) else Path(other)
-        return _diff_runs(self.path, other_path,
-                          label_a=label_a if label_a is not None
-                          else self.run_id,
-                          label_b=label_b)
+        """Side-by-side comparison report against another run; both
+        sides are labelled by run id unless told otherwise."""
+        if label_b is None and isinstance(other, Run):
+            label_b = other.run_id
+        return diff(self, other, label_b=label_b,
+                    label_a=label_a if label_a is not None else self.run_id)
 
     def whatif(self, workload=None, **kwargs) -> dict:
         """Causal what-if analysis of this run's workload.
@@ -196,13 +192,15 @@ def open_run(path_or_id: str | Path, *,
 
 def diff(a: str | Path | Run, b: str | Path | Run, *,
          n_pes: int | None = None, label_a: str | None = None,
-         label_b: str | None = None) -> str:
-    """Compare two stored runs (archives or paper-format trace
-    directories; ``n_pes`` only needed for directories)."""
+         label_b: str | None = None,
+         registry: RunRegistry | str | Path | None = None) -> str:
+    """Compare two stored runs: opened :class:`Run` handles, archives,
+    paper-format trace directories (``n_pes`` needed only for those) or
+    registry run ids, resolved as :func:`open_run` resolves them."""
     from repro.core.diffing import _diff_runs
 
-    pa = a.path if isinstance(a, Run) else Path(a)
-    pb = b.path if isinstance(b, Run) else Path(b)
+    pa = a.path if isinstance(a, Run) else _resolve(a, registry)[0]
+    pb = b.path if isinstance(b, Run) else _resolve(b, registry)[0]
     return _diff_runs(pa, pb, n_pes, label_a, label_b)
 
 

@@ -33,7 +33,7 @@ from repro.core.overall import OverallProfile, parse_overall_file
 from repro.core.papi_trace import PAPITrace, parse_papi_dir
 from repro.core.physical import PhysicalTrace, parse_physical_file
 from repro.core.profiler import ActorProf
-from repro.core.query import query_trace, run_query
+from repro.core.query import query_trace
 from repro.core.store import (
     Archive,
     ArchiveWriter,
@@ -69,6 +69,5 @@ __all__ = [
     "balance_model",
     "find_stragglers",
     "query_trace",
-    "run_query",
     "top_pairs",
 ]

@@ -79,25 +79,6 @@ from repro.core.viz.stacked import stacked_bar_graph
 from repro.core.viz.violin import violin_svg
 
 
-class _DeprecatedFlag(argparse.Action):
-    """A hidden alias for a renamed flag.
-
-    Stores into the canonical destination and prints a one-line
-    deprecation note, so old spellings (``--export-archive``,
-    ``--report``) keep working while every subcommand documents the
-    normalized names (``--out``, ``--jobs``, ``--cache``).
-    """
-
-    def __init__(self, *args, canonical: str = "--out", **kwargs) -> None:
-        self.canonical = canonical
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"note: {option_string} is deprecated; use {self.canonical}",
-              file=sys.stderr)
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actorprof",
@@ -322,28 +303,19 @@ def _render(args, archive, out, emitted, say) -> int:
         say(physical_report(trace))
 
     if args.compare is not None:
-        from repro.core.diffing import (
-            LogicalDiff,
-            OverallDiff,
-            PhysicalDiff,
-            compare_report,
-            load_traces,
-        )
+        from repro.core.diffing import compare_sides, open_traces
 
-        logical_d = overall_d = physical_d = None
         try:
-            other = load_traces(args.compare, args.num_pes)
-            if args.logical and other.logical is not None:
-                logical_d = LogicalDiff.of(load("logical"), other.logical)
-            if args.overall and other.overall is not None:
-                overall_d = OverallDiff.of(load("overall"), other.overall)
-            if args.physical and other.physical is not None:
-                physical_d = PhysicalDiff.of(load("physical"), other.physical)
+            mine = {kind: load(kind)
+                    for kind in ("logical", "overall", "physical")
+                    if getattr(args, kind)}
+            with open_traces(args.compare, args.num_pes) as other:
+                text = compare_sides(str(args.trace_dir), str(args.compare),
+                                     mine, other)
         except (FileNotFoundError, ValueError) as exc:
             print(f"compare failed: {exc}", file=sys.stderr)
             return 2
-        print(compare_report(str(args.trace_dir), str(args.compare),
-                             logical_d, overall_d, physical_d))
+        print(text)
 
     if args.query:
         from repro.core.query import QueryError, query_trace
@@ -659,9 +631,6 @@ def _run_parser() -> argparse.ArgumentParser:
                              "required to salvage a failing run; with "
                              "--sweep, PATH is a directory that receives "
                              "one APP-TAG.aptrc per sweep point")
-    parser.add_argument("--export-archive", dest="export_archive", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--sweep", action="append", default=[],
                         metavar="PARAM=V1,V2,...",
                         help="sweep a parameter over several values "
@@ -866,7 +835,7 @@ def _run_main(argv: list[str]) -> int:
     print(f"run failed: {type(failure).__name__}: {first_line}",
           file=sys.stderr)
     if args.export_archive is None:
-        print("no --export-archive given; traces were not salvaged",
+        print("no --out given; traces were not salvaged",
               file=sys.stderr)
         return 1
     try:
@@ -928,9 +897,6 @@ def _check_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="write the machine-readable JSON verdict(s) "
                              "to PATH")
-    parser.add_argument("--report", dest="report", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--keep-archives", type=Path, default=None,
                         metavar="DIR",
                         help="keep every schedule's .aptrc archive in DIR "
@@ -1112,9 +1078,6 @@ def _whatif_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable JSON report to PATH")
-    parser.add_argument("--report", dest="report", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--keep-archives", type=Path, default=None,
                         metavar="DIR",
                         help="keep the baseline and per-point .aptrc "
@@ -1368,36 +1331,14 @@ def _diff_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_run(ref: str, registry_root: Path | None) -> Path:
-    """A run reference: an existing path, else a registry run id."""
-    path = Path(ref)
-    if path.is_dir() or is_archive(path):
-        return path
-    from repro.core.store.registry import (
-        RegistryError,
-        RunRegistry,
-        default_registry_root,
-    )
-
-    registry = RunRegistry(registry_root or default_registry_root())
-    try:
-        return registry.resolve(ref).path
-    except RegistryError:
-        raise FileNotFoundError(
-            f"{ref!r} is not a trace directory, a .aptrc archive, or a "
-            f"registered run id in {registry.root}"
-        ) from None
-
-
 def _diff_main(argv: list[str]) -> int:
     import repro.api as api
 
     args = _diff_parser().parse_args(argv)
     try:
-        path_a = _resolve_run(args.run_a, args.registry)
-        path_b = _resolve_run(args.run_b, args.registry)
-        report = api.diff(path_a, path_b, n_pes=args.num_pes,
-                          label_a=args.run_a, label_b=args.run_b)
+        report = api.diff(args.run_a, args.run_b, n_pes=args.num_pes,
+                          label_a=args.run_a, label_b=args.run_b,
+                          registry=args.registry)
     except (FileNotFoundError, ValueError) as exc:
         print(f"diff failed: {exc}", file=sys.stderr)
         return 2

@@ -5,18 +5,19 @@ The paper's analysis is intrinsically comparative — 1D Cyclic *versus*
 given two runs' traces, compute the per-PE and aggregate deltas and render
 a side-by-side report.  The CLI exposes it as ``--compare OTHER_DIR`` and
 as ``actorprof diff RUN_A RUN_B``, where each run may be a paper-format
-trace directory or a ``.aptrc`` archive (:func:`diff_runs`).
+trace directory or a ``.aptrc`` archive (:func:`repro.api.diff`).
 
-When *both* runs are archives, the comparison rides the columnar
+Every comparison rides the columnar
 :class:`~repro.core.store.frame.Frame` layer: send matrices are
-scatter-summed straight from decoded columns and byte totals come from
-footer chunk sums where available, so no full trace objects (and no
-per-route Python dicts) are ever materialized.  Directory or mixed
-comparisons keep the materializing path.
+scatter-summed straight from columns and byte totals come from footer
+chunk sums where available.  An archive contributes its sections as
+they are (no trace objects, no per-route Python dicts); a parsed trace
+directory contributes in-memory sections over its traces' columns.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,15 +27,14 @@ from repro.core.analysis import imbalance_ratio
 from repro.core.logical import LogicalTrace, parse_logical_dir
 from repro.core.overall import OverallProfile, parse_overall_file
 from repro.core.physical import PhysicalTrace, parse_physical_file
+from repro.core.query import query_trace
 from repro.core.store.archive import (
     Archive,
-    RunTraces,
     Section,
     is_archive,
     load_overall,
-    load_run,
 )
-from repro.core.store.frame import Frame, group_sum, scatter_matrix
+from repro.core.store.frame import Frame, as_section, scatter_matrix
 
 
 def _ratio(a: float, b: float) -> float:
@@ -54,13 +54,11 @@ class LogicalDiff:
     moved_messages: int             # |A - B| matrix mass (same shape only)
 
     @classmethod
-    def of(cls, a: LogicalTrace, b: LogicalTrace) -> "LogicalDiff":
-        return cls.from_matrices(a.matrix(), b.matrix())
-
-    @classmethod
-    def from_matrices(cls, ma: np.ndarray, mb: np.ndarray) -> "LogicalDiff":
-        """Diff two per-PE send-count matrices directly (the archive
-        path builds these from columns without a trace object)."""
+    def of(cls, a: LogicalTrace | Section,
+           b: LogicalTrace | Section) -> "LogicalDiff":
+        """Diff two logical traces, each a trace object or an archive
+        section, by their per-PE send-count matrices."""
+        ma, mb = _logical_matrix(a), _logical_matrix(b)
         moved = int(np.abs(ma - mb).sum()) if ma.shape == mb.shape else -1
         return cls(
             total_sends_a=int(ma.sum()),
@@ -108,42 +106,36 @@ class PhysicalDiff:
     bytes_ratio: float
 
     @classmethod
-    def of(cls, a: PhysicalTrace, b: PhysicalTrace) -> "PhysicalDiff":
+    def of(cls, a: PhysicalTrace | Section,
+           b: PhysicalTrace | Section) -> "PhysicalDiff":
+        """Diff two physical traces, each a trace object or an archive
+        section: per-kind operation counts and total wire bytes (footer
+        sums when available) are two queries per side."""
+        a, b = as_section(a), as_section(b)
+
+        def ops(section: Section) -> dict[str, int]:
+            return {str(kind): n for kind, n in
+                    query_trace(section, "ops group by kind")}
+
         return cls(
-            ops_a=a.counts_by_type(),
-            ops_b=b.counts_by_type(),
-            bytes_ratio=_ratio(int(a.bytes_matrix().sum()),
-                               int(b.bytes_matrix().sum())),
+            ops_a=ops(a),
+            ops_b=ops(b),
+            bytes_ratio=_ratio(query_trace(a, "bytes"),
+                               query_trace(b, "bytes")),
         )
 
-    @classmethod
-    def from_sections(cls, a: Section, b: Section) -> "PhysicalDiff":
-        """Diff two archive physical sections without rebuilding traces."""
-        return cls(
-            ops_a=_ops_by_type(a),
-            ops_b=_ops_by_type(b),
-            bytes_ratio=_ratio(_wire_bytes(a), _wire_bytes(b)),
-        )
 
+def _logical_matrix(trace: LogicalTrace | Section) -> np.ndarray:
+    """Per-PE send-count matrix straight from logical columns.
 
-def _ops_by_type(section: Section) -> dict[str, int]:
-    """Operation counts per send-type name, from kind/count columns."""
+    Streamed partial aggregates (duplicate src/dst keys across chunks)
+    merge by summing in the scatter-add, exactly as trace loading would.
+    """
+    section = as_section(trace)
+    n_pes = int(section.attrs["nodes"]) * int(section.attrs["pes_per_node"])
     frame = Frame(section)
-    names = [str(s) for s in section.attrs.get("send_types", ())]
-    uniq, sums = group_sum(frame.column("kind"), frame.column("count"))
-    return {
-        (names[k] if 0 <= k < len(names) else str(k)): int(n)
-        for k, n in zip(uniq.tolist(), sums.tolist())
-    }
-
-
-def _wire_bytes(section: Section) -> int:
-    """Total ``count * size`` bytes; footer sums when available."""
-    frame = Frame(section)
-    total = frame.weighted_total()
-    if total is None:
-        total = int((frame.column("count") * frame.column("size")).sum())
-    return total
+    return scatter_matrix(frame.column("src"), frame.column("dst"),
+                          frame.column("count"), (n_pes, n_pes))
 
 
 def compare_report(
@@ -199,16 +191,26 @@ def compare_report(
 # whole-run comparison over directories or archives
 # ----------------------------------------------------------------------
 
-def load_traces(path: str | Path, n_pes: int | None = None) -> RunTraces:
-    """Load whatever traces exist at ``path``.
+@contextmanager
+def open_traces(path: str | Path, n_pes: int | None = None):
+    """The comparable traces stored at ``path``, as a dict by kind.
 
     ``path`` is either a ``.aptrc`` archive (self-describing, ``n_pes``
-    ignored) or a paper-format trace directory, for which ``n_pes`` is
-    required to parse the per-PE CSV files.
+    ignored), which yields its logical/physical sections as they are —
+    only the small per-PE overall section is materialized — and stays
+    open for the ``with`` body; or a paper-format trace directory, for
+    which ``n_pes`` is required to parse the per-PE CSV files.
     """
     path = Path(path)
     if is_archive(path):
-        return load_run(path)
+        with Archive(path) as archive:
+            side = {kind: archive.section(kind)
+                    for kind in ("logical", "physical")
+                    if archive.has_section(kind)}
+            if archive.has_section("overall"):
+                side["overall"] = load_overall(archive)
+            yield side
+        return
     if not path.is_dir():
         raise FileNotFoundError(
             f"{path} is neither a trace directory nor a .aptrc archive"
@@ -217,66 +219,26 @@ def load_traces(path: str | Path, n_pes: int | None = None) -> RunTraces:
         raise ValueError(
             f"--num-pes is required to read the trace directory {path}"
         )
-    out = RunTraces()
-    try:
-        out.logical = parse_logical_dir(path, n_pes)
-    except FileNotFoundError:
-        pass
-    try:
-        out.physical = parse_physical_file(path, n_pes)
-    except FileNotFoundError:
-        pass
-    try:
-        out.overall = parse_overall_file(path)
-    except FileNotFoundError:
-        pass
-    return out
+    side = {}
+    for kind, parse in (("logical", lambda: parse_logical_dir(path, n_pes)),
+                        ("physical", lambda: parse_physical_file(path, n_pes)),
+                        ("overall", lambda: parse_overall_file(path))):
+        try:
+            side[kind] = parse()
+        except FileNotFoundError:
+            pass
+    yield side
 
 
-def _logical_matrix(section: Section, n_pes: int) -> np.ndarray:
-    """Per-PE send-count matrix straight from archive columns.
-
-    Streamed partial aggregates (duplicate src/dst keys across chunks)
-    merge by summing in the scatter-add, exactly as trace loading would.
-    """
-    frame = Frame(section)
-    return scatter_matrix(frame.column("src"), frame.column("dst"),
-                          frame.column("count"), (n_pes, n_pes))
-
-
-def _diff_archives(
-    path_a: str | Path,
-    path_b: str | Path,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Compare two ``.aptrc`` archives column-wise (no trace objects).
-
-    Logical send matrices are scatter-summed from src/dst/count columns,
-    physical op counts and wire bytes come from the frame layer (footer
-    chunk sums when present), and only the small per-PE overall section
-    is materialized.  Output is identical to the trace-based path.
-    """
-    with Archive(path_a) as a, Archive(path_b) as b:
-        logical = overall = physical = None
-        if a.has_section("logical") and b.has_section("logical"):
-            logical = LogicalDiff.from_matrices(
-                _logical_matrix(a.section("logical"), a.n_pes),
-                _logical_matrix(b.section("logical"), b.n_pes),
-            )
-        if a.has_section("overall") and b.has_section("overall"):
-            overall = OverallDiff.of(load_overall(a), load_overall(b))
-        if a.has_section("physical") and b.has_section("physical"):
-            physical = PhysicalDiff.from_sections(
-                a.section("physical"), b.section("physical")
-            )
-        return compare_report(
-            label_a if label_a is not None else str(path_a),
-            label_b if label_b is not None else str(path_b),
-            logical=logical,
-            overall=overall,
-            physical=physical,
-        )
+def compare_sides(label_a: str, label_b: str, a: dict, b: dict) -> str:
+    """Render the report over the trace kinds both sides carry; each
+    side maps kind → trace object, archive section or overall profile."""
+    return compare_report(label_a, label_b, **{
+        kind: cls.of(a[kind], b[kind])
+        for kind, cls in (("logical", LogicalDiff), ("overall", OverallDiff),
+                          ("physical", PhysicalDiff))
+        if kind in a and kind in b
+    })
 
 
 def _diff_runs(
@@ -289,61 +251,11 @@ def _diff_runs(
     """Compare two stored runs and render the side-by-side report.
 
     Each path may be a trace directory or a ``.aptrc`` archive; only the
-    trace kinds present in *both* runs are compared.  Two archives are
-    diffed column-wise via :func:`_diff_archives`; directories (or a
-    mixed pair) go through full trace loading.
-
-    The supported entry points are :func:`repro.api.diff` and
-    :meth:`repro.api.Run.diff`; :func:`diff_runs` / :func:`diff_archives`
-    are the deprecated legacy spellings.
+    trace kinds present in *both* runs are compared.  The supported
+    entry points are :func:`repro.api.diff` and
+    :meth:`repro.api.Run.diff`.
     """
-    if is_archive(path_a) and is_archive(path_b):
-        return _diff_archives(path_a, path_b, label_a, label_b)
-    a = load_traces(path_a, n_pes)
-    b = load_traces(path_b, n_pes)
-    logical = (LogicalDiff.of(a.logical, b.logical)
-               if a.logical is not None and b.logical is not None else None)
-    overall = (OverallDiff.of(a.overall, b.overall)
-               if a.overall is not None and b.overall is not None else None)
-    physical = (PhysicalDiff.of(a.physical, b.physical)
-                if a.physical is not None and b.physical is not None else None)
-    return compare_report(
-        label_a if label_a is not None else str(path_a),
-        label_b if label_b is not None else str(path_b),
-        logical=logical,
-        overall=overall,
-        physical=physical,
-    )
-
-
-def _deprecated(old: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"{old}() is deprecated; use repro.api.diff() or "
-        "repro.api.open_run(...).diff()",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def diff_archives(
-    path_a: str | Path,
-    path_b: str | Path,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Deprecated alias; use :func:`repro.api.diff`."""
-    _deprecated("diff_archives")
-    return _diff_archives(path_a, path_b, label_a, label_b)
-
-
-def diff_runs(
-    path_a: str | Path,
-    path_b: str | Path,
-    n_pes: int | None = None,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Deprecated alias; use :func:`repro.api.diff`."""
-    _deprecated("diff_runs")
-    return _diff_runs(path_a, path_b, n_pes, label_a, label_b)
+    with open_traces(path_a, n_pes) as a, open_traces(path_b, n_pes) as b:
+        return compare_sides(
+            label_a if label_a is not None else str(path_a),
+            label_b if label_b is not None else str(path_b), a, b)

@@ -11,12 +11,12 @@ that make multi-million-row scans cheap:
 * **stats-only aggregation** — un-predicated sums (``sends``, ``bytes``)
   are answered straight from the footer sums, decoding nothing at all.
 
-Both the query layer (:mod:`repro.core.query`) and archive-vs-archive
-diffing (:mod:`repro.core.diffing`) sit on this frame, so neither
-materializes full trace objects.  Archives written before the stats
-extension (or with stats disabled) degrade gracefully: pruning becomes a
-no-op and every read falls back to full column decoding — results are
-identical either way.
+Both the query layer (:mod:`repro.core.query`) and run diffing
+(:mod:`repro.core.diffing`) sit on this frame.  Sections without chunk
+stats — archives written before the stats extension or with stats
+disabled, and in-memory traces viewed through :class:`MemorySection` —
+degrade gracefully: pruning becomes a no-op and every read falls back
+to full column decoding — results are identical either way.
 """
 
 from __future__ import annotations
@@ -24,6 +24,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.store.archive import Section
+
+
+class MemorySection(Section):
+    """An in-memory trace's ``to_columns()`` output dressed as an archive
+    section: one row group, no chunk stats, every column already decoded
+    — so a :class:`Frame` over it takes the stats-unavailable path."""
+
+    def __init__(self, columns: dict[str, np.ndarray], attrs: dict) -> None:
+        rows = len(next(iter(columns.values())))
+        super().__init__(None, "memory", {
+            "attrs": attrs, "rows": rows,
+            "columns": {col: [(0, 0, "memory", rows)] for col in columns},
+        })
+        self._cache.update(columns)
+
+
+def as_section(source) -> Section:
+    """``source`` itself when it is a section, else a
+    :class:`MemorySection` over a trace object's ``to_columns()``."""
+    if isinstance(source, Section):
+        return source
+    return MemorySection(*source.to_columns())
 
 
 def interval_may_match(lo: int, hi: int, op: str, value: int) -> bool:

@@ -37,6 +37,7 @@ from repro.serve.artifacts import ArtifactStore
 from repro.serve.http import (
     HttpError,
     TruncatedBody,
+    discard_unread,
     read_request,
     send_json,
 )
@@ -179,7 +180,13 @@ class Arbiter:
                                   request.method, request.path)
                     await self._send_error(
                         writer, HttpError(500, "internal server error"))
-                if not request.body_consumed or not request.keep_alive():
+                if not request.body_consumed:
+                    # replied without reading the whole body: let the
+                    # reply reach the client before the close resets it
+                    await discard_unread(
+                        reader, self.config.ingest.max_archive_bytes)
+                    break
+                if not request.keep_alive():
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass

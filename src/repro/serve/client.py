@@ -65,14 +65,24 @@ class ServeClient:
         wire_head = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
         with socket.create_connection((self.host, self.port),
                                       timeout=self.timeout) as sock:
-            sock.sendall(wire_head)
-            if chunks is not None:
-                for chunk in chunks:
-                    if chunk:
-                        sock.sendall(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-                sock.sendall(b"0\r\n\r\n")
-            elif body is not None:
-                sock.sendall(body)
+            try:
+                sock.sendall(wire_head)
+                if chunks is not None:
+                    for chunk in chunks:
+                        if chunk:
+                            sock.sendall(
+                                b"%x\r\n" % len(chunk) + chunk + b"\r\n")
+                    sock.sendall(b"0\r\n\r\n")
+                elif body is not None:
+                    sock.sendall(body)
+            except (BrokenPipeError, ConnectionResetError) as send_error:
+                # the server stopped reading — it has answered early
+                # (429 at admission, 413) and closed: stop sending and
+                # go read that answer; only without one is this fatal
+                try:
+                    return self._read_response(sock)
+                except (ServeError, OSError):
+                    raise send_error from None
             return self._read_response(sock)
 
     def _read_response(self, sock: socket.socket

@@ -22,6 +22,8 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_HEAD_BYTES = 64 * 1024
 #: Largest single chunk-size line we accept in a chunked body.
 _MAX_CHUNK_LINE = 256
+#: Longest an early-reply connection lingers discarding the unread body.
+_LINGER_SECONDS = 2.0
 
 REASONS = {
     200: "OK", 201: "Created", 204: "No Content",
@@ -185,6 +187,31 @@ async def iter_body(reader: asyncio.StreamReader, request: Request,
             remaining -= len(data)
             yield data
     request.body_consumed = True
+
+
+async def discard_unread(reader: asyncio.StreamReader,
+                         max_bytes: int) -> None:
+    """Swallow what the peer is still sending, before an early close.
+
+    A reply sent before the request body was read (429 at admission, 413
+    on a declared length) is followed by a close; closing a socket with
+    unread bytes makes the kernel answer with RST, which can destroy the
+    reply before the client — still busy sending — ever reads it.  So
+    read and drop the rest, until the peer closes, ``max_bytes`` have
+    gone by, or :data:`_LINGER_SECONDS` have passed.
+    """
+    async def discard() -> None:
+        remaining = max_bytes
+        while remaining > 0:
+            data = await reader.read(min(remaining, 1 << 16))
+            if not data:
+                return
+            remaining -= len(data)
+
+    try:
+        await asyncio.wait_for(discard(), timeout=_LINGER_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 async def read_body(reader: asyncio.StreamReader, request: Request,

@@ -5,8 +5,7 @@ addressable, JSON-serializable kwargs and return values) so one
 function body serves every execution mode: inline in a dispatch
 thread, or crash-isolated in a spawned worker process, with the
 artifact store's content-addressed key riding along as the spec's
-``cache_key``.  All three go through the :mod:`repro.api` facade —
-the serve layer carries no legacy call sites.
+``cache_key``.  All three go through the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations

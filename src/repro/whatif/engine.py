@@ -1,6 +1,6 @@
 """The what-if engine: baseline → DAG analysis → replayed speedup points.
 
-:func:`run_whatif` runs the workload once in-process with the DAG
+:func:`_run_whatif` runs the workload once in-process with the DAG
 recorder attached, builds the happens-before DAG, extracts the critical
 path and a ranked set of *predicted* virtual speedups (each plausible
 target sped up by ``candidate_factor``), then fans any requested replay
@@ -183,8 +183,7 @@ def _run_whatif(workload: Workload, *,
     built :class:`EventDag` (for tests and programmatic callers).
 
     The supported entry points are :func:`repro.api.whatif` and
-    :meth:`repro.api.Run.whatif`; :func:`run_whatif` is the deprecated
-    legacy spelling.
+    :meth:`repro.api.Run.whatif`.
     """
     reject_crash_plans(fault_plan)
     tmp: TemporaryDirectory | None = None
@@ -299,15 +298,3 @@ def _run_whatif(workload: Workload, *,
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-
-def run_whatif(workload: Workload, **kwargs) -> dict:
-    """Deprecated alias of the engine; use :func:`repro.api.whatif`."""
-    import warnings
-
-    warnings.warn(
-        "run_whatif() is deprecated; use repro.api.whatif() or "
-        "repro.api.open_run(...).whatif()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_whatif(workload, **kwargs)

@@ -1,9 +1,8 @@
 """Tests for the :mod:`repro.api` facade.
 
 Parity is the contract: every facade call must return byte-for-byte
-what the legacy entry point it replaces returns, and every legacy entry
-point must keep working — emitting a :class:`DeprecationWarning` that
-names its facade replacement.
+what the entry point it replaced returned (pinned here as golden text
+or computed through the layer below), without emitting a warning.
 """
 
 import warnings
@@ -11,7 +10,7 @@ import warnings
 import pytest
 
 import repro.api as api
-from repro.core.query import query_trace, run_query
+from repro.core.query import query_trace
 from repro.core.store.archive import Archive
 from repro.core.store.registry import RunRegistry
 
@@ -83,45 +82,49 @@ def test_facade_query_physical_section():
     assert facade == _legacy_query(HIST, "ops group by kind", "physical")
 
 
-def test_run_query_wrapper_warns_and_matches():
-    with Archive(HIST) as archive:
-        section = archive.section("logical")
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            legacy = run_query(section, "sends group by dst")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # facade path must not warn
-            new = query_trace(section, "sends group by dst")
-    assert legacy == new
-
-
 # ----------------------------------------------------------------------
 # diff parity
 # ----------------------------------------------------------------------
 
-def test_facade_diff_matches_legacy_byte_for_byte():
-    from repro.core.diffing import diff_runs
+#: What the pre-facade trace-object diff printed for the two golden archives.
+LEGACY_DIFF = """\
+== comparing 'histogram' (A) vs 'triangle' (B) ==
+logical: sends A=800 B=1,743; hottest-sender ratio 0.21x, hottest-receiver ratio 0.29x
+logical: send imbalance A=1.00 B=2.19
+logical: |A−B| matrix mass = 1,273 messages
+overall: total-time ratio A/B = 0.24 (A faster)
+overall: shares A MAIN/COMM/PROC = 5%/74%/21%; B = 4%/75%/21%
+physical ops (A vs B): local_send: 12 vs 23; nonblock_progress: 6 vs 13; nonblock_send: 8 vs 19
+physical wire bytes ratio A/B = 0.33"""
 
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = diff_runs(HIST, TRI, label_a="histogram",
-                           label_b="triangle")
+
+def test_facade_diff_matches_legacy_byte_for_byte():
     with api.open_run(HIST) as run:
-        facade = run.diff(TRI, label_b="triangle")
-    assert facade == legacy
+        assert run.diff(TRI, label_b="triangle") == LEGACY_DIFF
     assert api.diff(HIST, TRI, label_a="histogram",
-                    label_b="triangle") == legacy
+                    label_b="triangle") == LEGACY_DIFF
 
 
 def test_run_diff_accepts_run_objects():
     with api.open_run(HIST) as a, api.open_run(TRI) as b:
-        assert a.diff(b) == a.diff(TRI)
+        # both sides are labelled by run id, not by side B's raw path
+        assert a.diff(b) == LEGACY_DIFF
+        assert a.diff(b, label_b=str(TRI)) == a.diff(TRI)
 
 
-def test_diff_archives_wrapper_warns():
-    from repro.core.diffing import diff_archives
+def test_diff_resolves_ids_and_directories_like_open_run(tmp_path):
+    from repro.core.store.archive import load_run
 
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        report = diff_archives(HIST, HIST, "a", "b")
-    assert "comparing" in report
+    registry = RunRegistry(tmp_path / "reg")
+    registry.add(HIST, run_id="golden-hist")
+    traces = load_run(TRI)
+    traces.logical.write(tmp_path / "tri")
+    traces.physical.write(tmp_path / "tri")
+    traces.overall.write(tmp_path / "tri")
+    assert api.diff("golden-hist", tmp_path / "tri",
+                    n_pes=traces.logical.spec.n_pes,
+                    label_a="histogram", label_b="triangle",
+                    registry=tmp_path / "reg") == LEGACY_DIFF
 
 
 # ----------------------------------------------------------------------
@@ -131,14 +134,13 @@ def test_diff_archives_wrapper_warns():
 def test_facade_whatif_matches_legacy():
     from repro.check.workloads import HistogramWorkload
     from repro.machine.spec import MachineSpec
-    from repro.whatif import run_whatif
+    from repro.whatif.engine import _run_whatif
 
     def workload():
         return HistogramWorkload(updates=150, table_size=32,
                                  machine=MachineSpec(2, 2), seed=0)
 
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = run_whatif(workload())
+    legacy = _run_whatif(workload())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         facade = api.whatif(workload())

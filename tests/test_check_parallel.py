@@ -69,8 +69,8 @@ def test_cli_jobs_flag_report_is_byte_identical(tmp_path):
             "--updates", "60", "--table-size", "16", "--schedules", "2",
             "--skip-store-check", "--quiet"]
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main([*args, "--report", str(r1), "--jobs", "1"]) == 0
-    assert main([*args, "--report", str(r2), "--jobs", "2"]) == 0
+    assert main([*args, "--out", str(r1), "--jobs", "1"]) == 0
+    assert main([*args, "--out", str(r2), "--jobs", "2"]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 

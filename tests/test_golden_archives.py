@@ -91,7 +91,7 @@ def test_stats_disabled_rebuild_matches_prestats_golden(
 def test_prestats_golden_queries_match_new_format(name):
     """Stat-less archives answer queries identically to new-format ones
     (via the full-decode fallback — there are no footer stats to use)."""
-    from repro.core.query import run_query
+    from repro.core.query import query_trace
     from repro.core.store.archive import Archive
 
     queries = ["sends", "bytes", "sends where src == 0",
@@ -103,19 +103,19 @@ def test_prestats_golden_queries_match_new_format(name):
                        for ref in section.chunk_refs("count")) \
                 == (section is new.section("logical"))
         for query in queries:
-            assert run_query(old.section("logical"), query) \
-                == run_query(new.section("logical"), query)
+            assert query_trace(old.section("logical"), query) \
+                == query_trace(new.section("logical"), query)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_prestats_golden_diffs_match_new_format(name):
     """Column-wise archive diffing treats both footer layouts the same."""
-    from repro.core.diffing import diff_archives
+    from repro.api import diff
 
     new = GOLDEN_DIR / f"{name}.aptrc"
     old = GOLDEN_DIR / f"{name}-nostats.aptrc"
-    report_new = diff_archives(new, new, "a", "b")
-    report_old = diff_archives(old, old, "a", "b")
+    report_new = diff(new, new, label_a="a", label_b="b")
+    report_old = diff(old, old, label_a="a", label_b="b")
     assert report_new == report_old
 
 

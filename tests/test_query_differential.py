@@ -1,15 +1,17 @@
-"""Differential tests: one query language, four equivalent evaluators.
+"""Differential tests: one vectorized evaluator, one row-walk oracle.
 
-Every valid query must return identical results on
+Every valid query must return what the reference row walk
+(``tests/query_oracle.py``) returns, on every input the single
+columnar evaluator accepts, with ``pushdown`` on and off:
 
-1. the in-memory trace objects (row-walk over aggregated routes),
-2. a stats-carrying archive with pushdown (chunk pruning + footer sums),
-3. the same archive with ``pushdown=False`` (full column decode),
-4. a stat-less archive (pre-extension footer; full-decode fallback),
+1. the in-memory trace objects (a stat-less in-memory section),
+2. a stats-carrying archive (chunk pruning + footer sums),
+3. a stat-less archive (pre-extension footer; full-decode fallback),
+4. a multi-chunk archive whose section holds *partial* aggregates
+   with duplicate route keys.
 
-including multi-chunk archives whose sections hold *partial* aggregates
-with duplicate route keys.  Hypothesis drives random traces and a
-grammar walk over the query surface.
+Hypothesis drives random traces and a grammar walk over the query
+surface.
 
 The second half pins the vectorized varint codec to its scalar oracle:
 byte-identical encodes, identical decodes, and identical rejection of
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from repro.conveyors.hooks import SEND_TYPES
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
-from repro.core.query import run_query
+from repro.core.query import query_trace
 from repro.core.store.archive import Archive
 from repro.core.store.codec import (
     CodecError,
@@ -36,6 +38,8 @@ from repro.core.store.codec import (
 )
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
+
+from tests.query_oracle import row_walk_query
 
 SETTINGS = settings(
     max_examples=25,
@@ -126,7 +130,10 @@ def _export_chunked(path, name, columns_of, attrs, rows, n_chunks, stats):
 def test_differential_logical(tmp_path, run, data):
     spec, logical, physical = run
     query = data.draw(queries(_LOGICAL_FIELDS))
-    expected = run_query(logical, query)
+    expected = row_walk_query(logical, query)
+    for pushdown in (True, False):
+        got = query_trace(logical, query, pushdown=pushdown)
+        assert got == expected, ("in-memory", pushdown, query)
 
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", logical=logical),
@@ -148,7 +155,7 @@ def test_differential_logical(tmp_path, run, data):
         with Archive(path) as archive:
             section = archive.section("logical")
             for pushdown in (True, False):
-                got = run_query(section, query, pushdown=pushdown)
+                got = query_trace(section, query, pushdown=pushdown)
                 assert got == expected, (label, pushdown, query)
 
 
@@ -157,17 +164,26 @@ def test_differential_logical(tmp_path, run, data):
 def test_differential_physical(tmp_path, run, data):
     spec, logical, physical = run
     query = data.draw(queries(_PHYSICAL_FIELDS))
-    expected = run_query(physical, query)
+    expected = row_walk_query(physical, query)
+    for pushdown in (True, False):
+        got = query_trace(physical, query, pushdown=pushdown)
+        assert got == expected, ("in-memory", pushdown, query)
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", physical=physical),
         "nostats": export_run(tmp_path / "n.aptrc", physical=physical,
                               stats=False),
     }
+    # multi-chunk: the aggregated rows split across row groups
+    columns, attrs = physical.to_columns()
+    flavors["chunked"] = _export_chunked(
+        tmp_path / "c.aptrc", "physical", tuple(columns), attrs,
+        list(zip(*(col.tolist() for col in columns.values()))),
+        n_chunks=3, stats=True)
     for label, path in flavors.items():
         with Archive(path) as archive:
             section = archive.section("physical")
             for pushdown in (True, False):
-                got = run_query(section, query, pushdown=pushdown)
+                got = query_trace(section, query, pushdown=pushdown)
                 assert got == expected, (label, pushdown, query)
 
 
@@ -189,7 +205,7 @@ def test_pruning_skips_chunks_but_not_answers(tmp_path):
                 return _real(*args, **kw)
 
             archive._decode_chunk = counting
-            results[pushdown] = run_query(
+            results[pushdown] = query_trace(
                 archive.section("logical"),
                 "sends where src == 3 group by dst", pushdown=pushdown)
     assert results[True] == results[False]

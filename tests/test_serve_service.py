@@ -281,6 +281,28 @@ def test_push_retries_through_backpressure(tmp_path):
         assert len(client.runs()) == 6
 
 
+def test_push_storm_never_loses_the_early_429(tmp_path):
+    # the gate answers 429 at admission and closes while the client is
+    # still sending its body; the reply must survive that (no RST from
+    # the server, no EPIPE out of the client), every time — twenty
+    # six-pusher storms against a single ingest slot
+    config = ServerConfig(data_dir=tmp_path / "srv", port=0,
+                          allow_shutdown=True,
+                          ingest=IngestLimits(max_active=1,
+                                              retry_after=0.02))
+    with ServerThread(config) as server:
+        client = server.client()
+        for storm in range(20):
+            archives = [make_archive(tmp_path / f"s{storm}-{i}.aptrc",
+                                     seed=6 * storm + i) for i in range(6)]
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                replies = list(pool.map(
+                    lambda a: client.push(a, retries=50), archives))
+            assert len({r["run"] for r in replies}) == 6
+        assert len(client.runs()) == 120
+        assert client.stats()["ingest"]["rejected_backpressure"] > 0
+
+
 def test_concurrent_ingest_storm_matches_serial_application(tmp_path):
     # acceptance criterion: after a concurrent storm the registry holds
     # exactly what serially registering the same archives would produce

@@ -8,7 +8,7 @@ from repro.core.logical import LogicalTrace
 from repro.core.overall import OverallProfile
 from repro.core.papi_trace import PAPITrace
 from repro.core.physical import PhysicalTrace
-from repro.core.query import run_query
+from repro.core.query import query_trace
 from repro.core.store.archive import (
     Archive,
     ArchiveError,
@@ -22,6 +22,8 @@ from repro.core.store.archive import (
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
+
+from tests.query_oracle import row_walk_query
 
 
 # ----------------------------------------------------------------------
@@ -299,28 +301,30 @@ QUERIES_PHYSICAL = [
 def test_archive_query_matches_in_memory_logical(profiled_run, query):
     ap, path = profiled_run
     with Archive(path) as archive:
-        assert run_query(archive.section("logical"), query) \
-            == run_query(ap.logical, query)
+        assert query_trace(archive.section("logical"), query) \
+            == query_trace(ap.logical, query) \
+            == row_walk_query(ap.logical, query)
 
 
 @pytest.mark.parametrize("query", QUERIES_PHYSICAL)
 def test_archive_query_matches_in_memory_physical(profiled_run, query):
     ap, path = profiled_run
     with Archive(path) as archive:
-        assert run_query(archive.section("physical"), query) \
-            == run_query(ap.physical, query)
+        assert query_trace(archive.section("physical"), query) \
+            == query_trace(ap.physical, query) \
+            == row_walk_query(ap.physical, query)
 
 
 def test_query_reads_only_needed_columns(profiled_run):
     """The acceptance criterion: untouched sections stay un-decoded."""
     _ap, path = profiled_run
     with Archive(path) as archive:
-        assert run_query(archive.section("logical"), "sends") > 0
-        assert run_query(archive.section("logical"), "bytes") > 0
+        assert query_trace(archive.section("logical"), "sends") > 0
+        assert query_trace(archive.section("logical"), "bytes") > 0
         # un-predicated aggregates are answered from footer chunk sums:
         # no payload bytes decoded at all
         assert archive.decoded_columns == set()
-        run_query(archive.section("logical"), "sends where src == 0")
+        query_trace(archive.section("logical"), "sends where src == 0")
         assert archive.decoded_columns == {("logical", "count"),
                                            ("logical", "src")}
         # physical / papi / overall sections were never touched
@@ -335,8 +339,8 @@ def test_pushdown_off_matches_pushdown_on(profiled_run):
                                 ("physical", QUERIES_PHYSICAL)):
             for query in queries:
                 section = archive.section(target)
-                assert run_query(section, query, pushdown=False) \
-                    == run_query(section, query)
+                assert query_trace(section, query, pushdown=False) \
+                    == query_trace(section, query)
 
 
 def test_query_on_archive_object_is_an_error(profiled_run):
@@ -345,7 +349,7 @@ def test_query_on_archive_object_is_an_error(profiled_run):
     _ap, path = profiled_run
     with Archive(path) as archive:
         with pytest.raises(QueryError, match="section"):
-            run_query(archive, "sends")
+            query_trace(archive, "sends")
 
 
 def test_kind_field_missing_on_logical_section(profiled_run):
@@ -354,7 +358,7 @@ def test_kind_field_missing_on_logical_section(profiled_run):
     _ap, path = profiled_run
     with Archive(path) as archive:
         with pytest.raises(QueryError, match="does not exist"):
-            run_query(archive.section("logical"), "sends where kind == local_send")
+            query_trace(archive.section("logical"), "sends where kind == local_send")
 
 
 # ----------------------------------------------------------------------

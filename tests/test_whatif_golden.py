@@ -1,7 +1,7 @@
 """Golden what-if reports.
 
 ``tests/golden/whatif_*.json`` pin the full report of
-:func:`repro.whatif.run_whatif` — critical-path breakdown, ranked
+:func:`repro.api.whatif` — critical-path breakdown, ranked
 predictions, and replayed speedup points — for the two case-study
 workloads at fixed seeds.  The tests rebuild each report from scratch
 and assert *byte identity* of the JSON serialization the CLI writes, so
@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import whatif
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.machine.spec import MachineSpec
-from repro.whatif import Scales, run_whatif
+from repro.whatif import Scales
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -33,7 +34,7 @@ GOLDEN_WORKLOADS = {
 
 
 def _build_report(name: str) -> dict:
-    return run_whatif(
+    return whatif(
         GOLDEN_WORKLOADS[name](),
         scale_sets=[Scales({"proc": 0.5})],
         sweeps=[("net.latency", [0.5, 2.0])],
@@ -41,7 +42,7 @@ def _build_report(name: str) -> dict:
 
 
 def _serialize(report: dict) -> str:
-    # exactly what `actorprof whatif --report` writes
+    # exactly what `actorprof whatif --out` writes
     return json.dumps(report, indent=2) + "\n"
 
 
