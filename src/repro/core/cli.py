@@ -14,27 +14,35 @@ PEs (``num_PEs``) is a required input for text trace directories.  SVG
 charts land next to the traces (or in ``--out``); text summaries print
 to stdout.
 
-Beyond the paper scripts, the CLI fronts the binary trace store
-(:mod:`repro.core.store`):
+A ``.aptrc`` archive (:mod:`repro.core.store`) works wherever a trace
+directory does: ``--archive`` forces that reading of the positional
+path, ``--num-pes`` becomes optional because archives are
+self-describing, and ``--export-archive PATH`` re-packs a text trace
+directory into one.
 
-* the positional trace path may be a ``.aptrc`` archive instead of a
-  directory (``--archive`` forces that interpretation; ``--num-pes``
-  becomes optional because archives are self-describing),
-* ``--export-archive PATH`` re-packs a text trace directory into one
-  ``.aptrc`` file,
-* ``actorprof runs list|show|add|rm`` manages the on-disk run registry,
-* ``actorprof diff RUN_A RUN_B`` compares two stored runs (directories,
+Any other first word names a subcommand, each with its own ``--help``:
+
+* ``actorprof runs list|show|add|rm`` — the on-disk run registry,
+* ``actorprof diff RUN_A RUN_B`` — compare two stored runs (directories,
   archives, or registered run ids),
-* ``actorprof faults template|check`` authors deterministic fault plans
+* ``actorprof faults template|check`` — author deterministic fault plans
   (:mod:`repro.sim.faults`),
-* ``actorprof run APP`` executes a built-in app under the profiler —
-  optionally under ``--fault-plan`` — archiving the traces; a run that
-  dies mid-execution is salvaged into a degraded archive (exit code 3)
-  instead of losing everything,
-* ``actorprof serve`` runs the long-lived trace service
+* ``actorprof run APP`` — execute a built-in app under the profiler,
+  optionally under ``--fault-plan`` and/or as a ``--sweep``, archiving
+  the traces; a run that dies mid-execution is salvaged into a degraded
+  archive (exit code 3) instead of losing everything,
+* ``actorprof check WORKLOAD`` — the ActorCheck determinism auditor
+  (:mod:`repro.check`),
+* ``actorprof whatif WORKLOAD`` — critical path and virtual speedups
+  (:mod:`repro.whatif`),
+* ``actorprof serve`` — the long-lived trace service
   (:mod:`repro.serve`): streaming archive ingest with backpressure plus
-  registry/query/diff over HTTP; ``actorprof push RUN.aptrc`` uploads
-  an archive to it.
+  registry/query/diff/viz over HTTP,
+* ``actorprof push RUN.aptrc`` — upload an archive to that service,
+* ``actorprof query RUN EXPR`` — one declarative query against a stored
+  run,
+* ``actorprof viz RUN`` — LOD-pyramid gantt/heatmap/timeline as a
+  standalone (or live pan/zoom) HTML page.
 
 Examples::
 
@@ -46,6 +54,7 @@ Examples::
     actorprof faults template plan.json
     actorprof run histogram --fault-plan plan.json -o crashed.aptrc
     actorprof diff crashed.aptrc healthy.aptrc
+    actorprof viz healthy.aptrc
 """
 
 from __future__ import annotations
@@ -79,12 +88,27 @@ from repro.core.viz.stacked import stacked_bar_graph
 from repro.core.viz.violin import violin_svg
 
 
+class _BadArguments(Exception):
+    """An option value a shared helper rejects; :func:`main` prints the
+    message and exits 2."""
+
+
+def _registry_options() -> argparse.ArgumentParser:
+    """``--registry``, for every subcommand that resolves run ids."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--registry", type=Path, default=None,
+                        help="run registry directory, where run ids "
+                             "resolve (default: $ACTORPROF_RUNS or "
+                             "~/.actorprof/runs)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actorprof",
         description="ActorProf trace visualizer for FA-BSP executions",
-        epilog="subcommands: 'actorprof runs …' manages the run registry; "
-               "'actorprof diff A B' compares two stored runs",
+        epilog="subcommands, each with its own --help: "
+               + ", ".join(_COMMANDS),
     )
     parser.add_argument("trace_dir", type=Path,
                         help="directory containing the trace files, or a "
@@ -132,26 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "runs":
-        return _runs_main(argv[1:])
-    if argv and argv[0] == "diff":
-        return _diff_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "run":
-        return _run_main(argv[1:])
-    if argv and argv[0] == "check":
-        return _check_main(argv[1:])
-    if argv and argv[0] == "whatif":
-        return _whatif_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "push":
-        return _push_main(argv[1:])
-    if argv and argv[0] == "query":
-        return _query_main(argv[1:])
-    if argv and argv[0] == "viz":
-        return _viz_main(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _COMMANDS[argv[0]](argv[1:])
+        except _BadArguments as exc:
+            print(exc, file=sys.stderr)
+            return 2
     args = build_parser().parse_args(argv)
     if not (args.logical or args.papi or args.overall or args.physical
             or args.timeline or args.query or args.export_archive):
@@ -329,24 +339,12 @@ def _render(args, archive, out, emitted, say) -> int:
                       f"'physical: EXPR'", file=sys.stderr)
                 return 2
             try:
-                if archive is not None:
-                    # column-pruned evaluation straight off the archive
-                    result = query_trace(archive.section(target), expr)
-                else:
-                    if target == "logical":
-                        trace = parse_logical_dir(args.trace_dir, args.num_pes)
-                    else:
-                        # node layout isn't in physical.txt; borrow the
-                        # logical trace's machine spec when it's present
-                        spec = None
-                        try:
-                            spec = parse_logical_dir(
-                                args.trace_dir, args.num_pes).spec
-                        except (FileNotFoundError, ValueError):
-                            pass
-                        trace = parse_physical_file(
-                            args.trace_dir, args.num_pes, spec=spec)
-                    result = query_trace(trace, expr)
+                # column-pruned evaluation straight off the archive; a
+                # text directory's traces are parsed first (physical.txt
+                # borrows the logical trace's node layout, see `load`)
+                result = query_trace(
+                    archive.section(target) if archive is not None
+                    else load(target), expr)
             except (QueryError, FileNotFoundError, ValueError,
                     ArchiveError) as exc:
                 print(f"query failed: {exc}", file=sys.stderr)
@@ -411,10 +409,7 @@ def _render(args, archive, out, emitted, say) -> int:
 # ----------------------------------------------------------------------
 
 def _runs_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--registry", type=Path, default=None,
-                        help="registry directory (default: $ACTORPROF_RUNS "
-                             "or ~/.actorprof/runs)")
+    common = _registry_options()
     parser = argparse.ArgumentParser(
         prog="actorprof runs",
         description="manage the on-disk registry of .aptrc trace archives",
@@ -482,8 +477,9 @@ def _runs_main(argv: list[str]) -> int:
 
                 lod = pyramid_info(archive)
                 if lod is None:
-                    print("lod pyramid: none (backfill with "
-                          "'actorprof viz RUN --backfill')")
+                    print("lod pyramid: none (viz falls back to a flat "
+                          "in-memory one; to store it, 'actorprof viz "
+                          "COPY.aptrc --backfill' a copy and 'runs add' it)")
                 else:
                     widths = "/".join(str(w) for w in lod.widths)
                     buckets = "/".join(str(b) for b in lod.buckets)
@@ -582,6 +578,99 @@ def _faults_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
+# options and helpers shared by `actorprof run`, `check` and `whatif`
+# ----------------------------------------------------------------------
+
+def _workload_options(*, updates: int, table_size: int, scale: int,
+                      scale_flag: str = "--scale") -> argparse.ArgumentParser:
+    """Machine, problem-size, seed and fault-plan options.
+
+    The three commands differ only in their default sizes, and in how
+    ``whatif`` spells the R-MAT scale (its ``--scale`` is a cost factor).
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int, default=0,
+                        help="root seed of the workload's RNG streams and "
+                             "of any schedule jitter (default 0)")
+    parent.add_argument("--nodes", type=int, default=2,
+                        help="simulated nodes (default 2)")
+    parent.add_argument("--pes-per-node", type=int, default=2,
+                        help="PEs per node (default 2)")
+    parent.add_argument("--updates", type=int, default=updates,
+                        help=f"histogram: updates per PE (default {updates})")
+    parent.add_argument("--table-size", type=int, default=table_size,
+                        help="histogram: table slots per PE "
+                             f"(default {table_size})")
+    parent.add_argument(scale_flag, dest="rmat_scale", type=int,
+                        default=scale, metavar="SCALE",
+                        help=f"triangle: R-MAT scale (default {scale})")
+    parent.add_argument("--distribution", default="cyclic",
+                        choices=("cyclic", "range", "block"),
+                        help="triangle: row distribution (default cyclic)")
+    parent.add_argument("--fault-plan", type=Path, default=None,
+                        metavar="PLAN.json",
+                        help="inject the faults described in this plan "
+                             "(see 'actorprof faults'); check and whatif "
+                             "reject plans that crash a PE")
+    return parent
+
+
+def _jobs_options() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="spread the independent runs (sweep points, "
+                             "schedules, replay points) across N worker "
+                             "processes (default 1: in-process); the "
+                             "output is byte-identical either way")
+    return parent
+
+
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise _BadArguments(f"--jobs must be >= 1: {args.jobs}")
+
+
+def _load_fault_plan(args):
+    """The :class:`FaultPlan` named by ``--fault-plan``, or None."""
+    if args.fault_plan is None:
+        return None
+    from repro.sim.faults import FaultPlan
+
+    try:
+        return FaultPlan.load(args.fault_plan)
+    except (ValueError, OSError) as exc:
+        raise _BadArguments(f"bad fault plan: {exc}") from exc
+
+
+def _workload(args, index: int = 0):
+    """The auditable workload ``check``/``whatif`` were asked for
+    (``index`` picks the generated program)."""
+    from repro.check import (
+        GeneratedWorkload,
+        HistogramWorkload,
+        TriangleWorkload,
+        generate_spec,
+    )
+    from repro.machine.spec import MachineSpec
+
+    spec = MachineSpec(args.nodes, args.pes_per_node)
+    if args.workload == "histogram":
+        return HistogramWorkload(
+            updates=args.updates, table_size=args.table_size,
+            machine=spec, seed=args.seed,
+        )
+    if args.workload == "triangle":
+        return TriangleWorkload(
+            scale=args.rmat_scale, distribution=args.distribution,
+            machine=spec, seed=args.seed,
+        )
+    return GeneratedWorkload(
+        generate_spec(args.seed, index), machine=spec, seed=args.seed,
+        name=f"generated-{index}",
+    )
+
+
+# ----------------------------------------------------------------------
 # `actorprof run` — execute a built-in app under the profiler
 # ----------------------------------------------------------------------
 
@@ -603,28 +692,11 @@ def _run_parser() -> argparse.ArgumentParser:
         description="run a built-in FA-BSP app under ActorProf, optionally "
                     "under a fault plan; traces are archived even when the "
                     "run dies (degraded archive, exit code 3)",
+        parents=[_workload_options(updates=2000, table_size=512, scale=8),
+                 _jobs_options()],
     )
     parser.add_argument("app", choices=("histogram", "triangle"),
                         help="which app to run")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=2000,
-                        help="histogram: updates per PE (default 2000)")
-    parser.add_argument("--table-size", type=int, default=512,
-                        help="histogram: table slots per PE (default 512)")
-    parser.add_argument("--scale", type=int, default=8,
-                        help="triangle: R-MAT scale (default 8)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="per-PE RNG seed (default 0)")
-    parser.add_argument("--fault-plan", type=Path, default=None,
-                        metavar="PLAN.json",
-                        help="inject the faults described in this plan "
-                             "(see 'actorprof faults')")
     parser.add_argument("-o", "--out", dest="export_archive", type=Path,
                         default=None, metavar="PATH",
                         help="archive the run's traces to PATH (.aptrc); "
@@ -636,9 +708,6 @@ def _run_parser() -> argparse.ArgumentParser:
                         help="sweep a parameter over several values "
                              "(repeatable; points are the cartesian "
                              "product).  Sweepable: " + ", ".join(_SWEEPABLE))
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run sweep points across N worker processes "
-                             "(default 1)")
     parser.add_argument("--sweep-report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable sweep outcome "
@@ -674,8 +743,9 @@ def _parse_sweeps(items: list[str]) -> dict[str, list]:
     return sweeps
 
 
-def _run_sweep(args, plan) -> int:
-    """Execute the cartesian sweep through the :mod:`repro.exec` engine."""
+def _run_sweep(args, base: dict) -> int:
+    """Execute the cartesian sweep of ``base`` (one point's
+    ``run_app_point`` arguments) through the :mod:`repro.exec` engine."""
     import itertools
     import json
 
@@ -686,21 +756,7 @@ def _run_sweep(args, plan) -> int:
     except ValueError as exc:
         print(f"bad sweep: {exc}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1: {args.jobs}", file=sys.stderr)
-        return 2
-
-    base = {
-        "app": args.app,
-        "nodes": args.nodes,
-        "pes_per_node": args.pes_per_node,
-        "updates": args.updates,
-        "table_size": args.table_size,
-        "scale": args.scale,
-        "distribution": args.distribution,
-        "seed": args.seed,
-        "fault_plan": plan.to_dict() if plan is not None else None,
-    }
+    _check_jobs(args)
     out_dir = args.export_archive  # a *directory* in sweep mode
     specs = []
     names = list(sweeps)
@@ -762,91 +818,50 @@ def _run_sweep(args, plan) -> int:
 
 
 def _run_main(argv: list[str]) -> int:
-    import contextlib
-
-    from repro.core.profiler import ActorProf
-    from repro.machine.spec import MachineSpec
-    from repro.sim.errors import SimulationError
-    from repro.sim.faults import FaultPlan, use_plan
-
     args = _run_parser().parse_args(argv)
-    try:
-        plan = (FaultPlan.load(args.fault_plan)
-                if args.fault_plan is not None else None)
-    except ValueError as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
-        return 2
+    plan = _load_fault_plan(args)
+    point = {
+        "app": args.app,
+        "nodes": args.nodes,
+        "pes_per_node": args.pes_per_node,
+        "updates": args.updates,
+        "table_size": args.table_size,
+        "scale": args.rmat_scale,
+        "distribution": args.distribution,
+        "seed": args.seed,
+        "fault_plan": plan.to_dict() if plan is not None else None,
+    }
     if args.sweep:
         # machine validation is per-point (nodes/pes_per_node may sweep)
-        return _run_sweep(args, plan)
-    spec = MachineSpec(args.nodes, args.pes_per_node)
+        return _run_sweep(args, point)
+    # a plain run is a one-point sweep executed in-process
+    from repro.exec.apptask import run_app_point
+    from repro.machine.spec import MachineSpec
+
     if plan is not None:
         try:
-            plan.validate(spec.n_pes)
+            plan.validate(MachineSpec(args.nodes, args.pes_per_node).n_pes)
         except ValueError as exc:
             print(f"fault plan does not fit this machine: {exc}",
                   file=sys.stderr)
             return 2
-    from repro.core.flags import ProfileFlags
-
-    # the timeline feeds the LOD pyramid, so `actorprof viz` gets
-    # time-resolved (zoomable) views of archives made by `actorprof run`
-    profiler = ActorProf(ProfileFlags.all(enable_timeline=True))
-    meta = {"app": args.app, "seed": args.seed}
-    if plan is not None:
-        meta["fault_plan"] = plan.to_dict()
-    scope = use_plan(plan) if plan is not None else contextlib.nullcontext()
-    failure: BaseException | None = None
-    summary = ""
-    try:
-        with scope:
-            if args.app == "histogram":
-                from repro.apps.histogram import histogram
-
-                res = histogram(
-                    args.updates, args.table_size, machine=spec,
-                    profiler=profiler, seed=args.seed,
-                )
-                summary = (f"histogram: {res.total_updates:,} "
-                           f"updates delivered")
-                meta.update(updates=args.updates, table_size=args.table_size)
-            else:
-                from repro.apps.triangle import count_triangles
-                from repro.experiments.casestudy import case_study_graph
-
-                graph = case_study_graph(args.scale, seed=args.seed)
-                res = count_triangles(
-                    graph, spec, args.distribution, profiler=profiler,
-                    seed=args.seed,
-                )
-                summary = f"triangle: {res.triangles:,} triangles"
-                meta.update(scale=args.scale, distribution=args.distribution)
-    except SimulationError as exc:
-        failure = exc
-    if failure is None:
-        print(f"{summary} on {spec.nodes}x{spec.pes_per_node} PEs "
+    out = args.export_archive
+    outcome = run_app_point(
+        out.parent if out is not None else Path("."),
+        archive_name=out.name if out is not None else None, **point)
+    if outcome["exit_code"] == 0:
+        print(f"{outcome['summary']} on {args.nodes}x{args.pes_per_node} PEs "
               f"(seed {args.seed})")
-        if args.export_archive is not None:
-            path = profiler.export_archive(args.export_archive, meta=meta,
-                                           lod=True)
-            print(f"archived traces → {path} ({path.stat().st_size:,} bytes)")
+        if out is not None:
+            print(f"archived traces → {out} ({out.stat().st_size:,} bytes)")
         return 0
-    first_line = str(failure).splitlines()[0]
-    print(f"run failed: {type(failure).__name__}: {first_line}",
-          file=sys.stderr)
-    if args.export_archive is None:
-        print("no --out given; traces were not salvaged",
-              file=sys.stderr)
-        return 1
-    try:
-        path = profiler.salvage_archive(args.export_archive, failure=failure,
-                                        meta=meta, lod=True)
-    except (ValueError, OSError) as exc:
-        print(f"salvage failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"salvaged degraded traces → {path} "
-          f"({path.stat().st_size:,} bytes)", file=sys.stderr)
-    return 3
+    print(f"run failed: {outcome['error']}", file=sys.stderr)
+    if out is None:
+        print("no --out given; traces were not salvaged", file=sys.stderr)
+    elif outcome["exit_code"] == 3:
+        print(f"salvaged degraded traces → {out} "
+              f"({out.stat().st_size:,} bytes)", file=sys.stderr)
+    return outcome["exit_code"]
 
 
 # ----------------------------------------------------------------------
@@ -863,6 +878,8 @@ def _check_parser() -> argparse.ArgumentParser:
                     "Exit 0 = deterministic, 4 = confirmed nondeterminism, "
                     "5 = invariant violation, 6 = a run failed or its "
                     "worker died.",
+        parents=[_workload_options(updates=400, table_size=64, scale=6),
+                 _jobs_options()],
     )
     parser.add_argument("workload", choices=("histogram", "triangle",
                                              "generated"),
@@ -870,29 +887,9 @@ def _check_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schedules", type=int, default=8, metavar="K",
                         help="number of perturbed schedules (default 8; "
                              "schedule 0 is the default policy)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for the workload AND the schedule "
-                             "jitter streams (default 0)")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=400,
-                        help="histogram: updates per PE (default 400)")
-    parser.add_argument("--table-size", type=int, default=64,
-                        help="histogram: table slots per PE (default 64)")
-    parser.add_argument("--scale", type=int, default=6,
-                        help="triangle: R-MAT scale (default 6)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
     parser.add_argument("--programs", type=int, default=2, metavar="N",
                         help="generated: audit N random actor programs "
                              "(default 2)")
-    parser.add_argument("--fault-plan", type=Path, default=None,
-                        metavar="PLAN.json",
-                        help="audit under a non-fatal fault plan (drop/"
-                             "delay/duplicate/slow; crashes are rejected)")
     parser.add_argument("--out", dest="report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable JSON verdict(s) "
@@ -904,10 +901,6 @@ def _check_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skip-store-check", action="store_true",
                         help="skip the archive/CSV round-trip invariant "
                              "(faster for large sweeps)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan the K schedule runs across N worker "
-                             "processes (default 1: in-process); the "
-                             "verdict is byte-identical either way")
     parser.add_argument("--cache", type=Path, default=None, metavar="DIR",
                         help="result cache directory: schedule runs whose "
                              "(workload, seed, schedule) fingerprint is "
@@ -920,49 +913,16 @@ def _check_parser() -> argparse.ArgumentParser:
 def _check_main(argv: list[str]) -> int:
     import json
 
-    from repro.check import (
-        GeneratedWorkload,
-        HistogramWorkload,
-        TriangleWorkload,
-        audit,
-        generate_spec,
-    )
-    from repro.machine.spec import MachineSpec
+    from repro.check import audit
 
     args = _check_parser().parse_args(argv)
     if args.schedules < 1:
         print(f"--schedules must be >= 1: {args.schedules}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1: {args.jobs}", file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.sim.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (ValueError, OSError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    workloads = []
-    if args.workload == "histogram":
-        workloads.append(HistogramWorkload(
-            updates=args.updates, table_size=args.table_size,
-            machine=spec, seed=args.seed,
-        ))
-    elif args.workload == "triangle":
-        workloads.append(TriangleWorkload(
-            scale=args.scale, distribution=args.distribution,
-            machine=spec, seed=args.seed,
-        ))
-    else:
-        for i in range(args.programs):
-            workloads.append(GeneratedWorkload(
-                generate_spec(args.seed, i), machine=spec, seed=args.seed,
-                name=f"generated-{i}",
-            ))
+    _check_jobs(args)
+    fault_plan = _load_fault_plan(args)
+    n_workloads = args.programs if args.workload == "generated" else 1
+    workloads = [_workload(args, i) for i in range(n_workloads)]
     reports = []
     try:
         for workload in workloads:
@@ -1030,25 +990,13 @@ def _whatif_parser() -> argparse.ArgumentParser:
                     "Scale factors multiply the target's COST: "
                     "proc=0.5x means PROC work runs twice as fast. "
                     "Exit 0 = ok, 2 = bad arguments, 6 = a replay failed.",
+        parents=[_workload_options(updates=400, table_size=64, scale=6,
+                                   scale_flag="--scale-rmat"),
+                 _jobs_options()],
     )
     parser.add_argument("workload", choices=("histogram", "triangle",
                                              "generated"),
                         help="which workload to analyze")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default 0)")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=400,
-                        help="histogram: updates per PE (default 400)")
-    parser.add_argument("--table-size", type=int, default=64,
-                        help="histogram: table slots per PE (default 64)")
-    parser.add_argument("--scale-rmat", type=int, default=6, metavar="S",
-                        help="triangle: R-MAT scale (default 6)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
     parser.add_argument("--program", type=int, default=0, metavar="N",
                         help="generated: which generated program (default 0)")
     parser.add_argument("--scale", action="append", default=[],
@@ -1064,14 +1012,6 @@ def _whatif_parser() -> argparse.ArgumentParser:
                         metavar="F",
                         help="factor used for the ranked single-target "
                              "predictions (default 0.5 = a 2x speedup)")
-    parser.add_argument("--fault-plan", type=Path, default=None,
-                        metavar="PLAN.json",
-                        help="analyze under a non-fatal fault plan "
-                             "(crashing plans are rejected)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan replay points across N worker processes "
-                             "(default 1: in-process); the report is "
-                             "byte-identical either way")
     parser.add_argument("--cache", type=Path, default=None, metavar="DIR",
                         help="result cache directory for replay points "
                              "(keys include the scale factors)")
@@ -1090,21 +1030,12 @@ def _whatif_parser() -> argparse.ArgumentParser:
 def _whatif_main(argv: list[str]) -> int:
     import json
 
-    from repro.check import (
-        GeneratedWorkload,
-        HistogramWorkload,
-        TriangleWorkload,
-        generate_spec,
-    )
     import repro.api as api
     from repro.core.report import whatif_report
-    from repro.machine.spec import MachineSpec
     from repro.whatif import Scales, parse_sweep
 
     args = _whatif_parser().parse_args(argv)
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1: {args.jobs}", file=sys.stderr)
-        return 2
+    _check_jobs(args)
     try:
         scale_sets = []
         if args.scale:
@@ -1119,34 +1050,10 @@ def _whatif_main(argv: list[str]) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.sim.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (ValueError, OSError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    if args.workload == "histogram":
-        workload = HistogramWorkload(
-            updates=args.updates, table_size=args.table_size,
-            machine=spec, seed=args.seed,
-        )
-    elif args.workload == "triangle":
-        workload = TriangleWorkload(
-            scale=args.scale_rmat, distribution=args.distribution,
-            machine=spec, seed=args.seed,
-        )
-    else:
-        workload = GeneratedWorkload(
-            generate_spec(args.seed, args.program), machine=spec,
-            seed=args.seed, name=f"generated-{args.program}",
-        )
+    fault_plan = _load_fault_plan(args)
     try:
         report = api.whatif(
-            workload,
+            _workload(args, args.program),
             scale_sets=scale_sets,
             sweeps=sweeps,
             jobs=args.jobs,
@@ -1318,6 +1225,7 @@ def _diff_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actorprof diff",
         description="compare two stored runs (the cyclic-vs-range workflow)",
+        parents=[_registry_options()],
     )
     parser.add_argument("run_a", help="trace directory, .aptrc archive, or "
                                       "registered run id (run A)")
@@ -1325,9 +1233,6 @@ def _diff_parser() -> argparse.ArgumentParser:
                                       "registered run id (run B)")
     parser.add_argument("--num-pes", type=int, default=None,
                         help="PE count (required only for trace directories)")
-    parser.add_argument("--registry", type=Path, default=None,
-                        help="registry to resolve run ids against (default: "
-                             "$ACTORPROF_RUNS or ~/.actorprof/runs)")
     return parser
 
 
@@ -1355,6 +1260,7 @@ def _query_parser() -> argparse.ArgumentParser:
         prog="actorprof query",
         description="evaluate one declarative trace query against a "
                     "stored run (archive path or registered run id)",
+        parents=[_registry_options()],
     )
     parser.add_argument("run", help=".aptrc archive or registered run id")
     parser.add_argument("expr", help="query text, e.g. "
@@ -1362,9 +1268,6 @@ def _query_parser() -> argparse.ArgumentParser:
     parser.add_argument("--section", default="logical",
                         choices=("logical", "physical"),
                         help="which trace section to query (default logical)")
-    parser.add_argument("--registry", type=Path, default=None,
-                        help="registry to resolve run ids against (default: "
-                             "$ACTORPROF_RUNS or ~/.actorprof/runs)")
     return parser
 
 
@@ -1400,6 +1303,7 @@ def _viz_parser() -> argparse.ArgumentParser:
                     "of a stored run into a standalone HTML page; with "
                     "--server the page pans/zooms against a live "
                     "'actorprof serve' instance's /runs/{id}/viz endpoints",
+        parents=[_registry_options()],
     )
     parser.add_argument("run", help=".aptrc archive or registered run id")
     parser.add_argument("--view", action="append", default=[],
@@ -1422,10 +1326,8 @@ def _viz_parser() -> argparse.ArgumentParser:
                              "pan/zoom controls in the HTML")
     parser.add_argument("--backfill", action="store_true",
                         help="first backfill LOD pyramid sections into the "
-                             "archive in place (no-op if already present)")
-    parser.add_argument("--registry", type=Path, default=None,
-                        help="registry to resolve run ids against (default: "
-                             "$ACTORPROF_RUNS or ~/.actorprof/runs)")
+                             "archive in place (no-op if already present); "
+                             "RUN must be a path, not a registered run id")
     return parser
 
 
@@ -1438,6 +1340,13 @@ def _viz_main(argv: list[str]) -> int:
     args = _viz_parser().parse_args(argv)
     if args.res is not None and args.res < 1:
         print(f"--res must be >= 1: {args.res}", file=sys.stderr)
+        return 2
+    if args.backfill and not Path(args.run).exists():
+        # the registry keys dedup and artifact caches on the fingerprint
+        # it recorded, so a registered archive is never rewritten
+        print("--backfill rewrites the archive file, so RUN must be a path, "
+              "not a registered run id: backfill a copy and 'actorprof runs "
+              "add' it (viz on the id works without it)", file=sys.stderr)
         return 2
     views = list(dict.fromkeys(args.view)) or ["gantt", "heatmap",
                                                "timeline"]
@@ -1467,6 +1376,20 @@ def _viz_main(argv: list[str]) -> int:
     out.write_text(page)
     print(f"wrote {out} ({len(views)} view(s), horizon {horizon:,} cycles)")
     return 0
+
+
+_COMMANDS = {
+    "runs": _runs_main,
+    "diff": _diff_main,
+    "faults": _faults_main,
+    "run": _run_main,
+    "check": _check_main,
+    "whatif": _whatif_main,
+    "serve": _serve_main,
+    "push": _push_main,
+    "query": _query_main,
+    "viz": _viz_main,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -302,23 +302,6 @@ class ActorProf:
             lod=lod,
         )
 
-    def _degraded_meta(self, failure: BaseException | None) -> dict:
-        """Footer metadata describing how a failed run went down."""
-        degraded: dict = {"degraded": True}
-        if failure is not None:
-            degraded["failure"] = f"{type(failure).__name__}: {failure}"
-        world = self.world
-        if world is not None:
-            crashed = getattr(world.scheduler, "crashed", {})
-            if crashed:
-                degraded["crashed_pes"] = {
-                    str(r): t for r, t in sorted(crashed.items())
-                }
-            faults = getattr(world, "faults", None)
-            if faults is not None:
-                degraded["fault_schedule"] = faults.schedule_rows()
-        return degraded
-
     def salvage_archive(self, path: str | Path, failure: BaseException | None = None,
                         meta: dict | None = None, *, lod: bool = False) -> Path:
         """Export whatever was traced before a failed run into ``path``.
@@ -331,6 +314,8 @@ class ActorProf:
         PEs' data is intact and the archive loads, queries, and diffs
         like any other.
         """
-        degraded = self._degraded_meta(failure)
-        degraded.update(meta or {})
-        return self.export_archive(path, meta=degraded, lod=lod)
+        from repro.core.store.writer import degraded_meta
+
+        return self.export_archive(
+            path, meta={**degraded_meta(self.world, failure), **(meta or {})},
+            lod=lod)

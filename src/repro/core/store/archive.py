@@ -238,9 +238,14 @@ class Archive:
                 f"{self.path}: unsupported format version {version!r}"
             )
         self.meta: dict = footer.get("meta", {})
+        #: End of the chunk-payload region, i.e. the footer's file offset.
+        self.data_end: int = foot_off
+        #: The footer's section index as stored — what a writer that
+        #: extends this archive must carry over unchanged.
+        self.section_index: dict = footer.get("sections", {})
         self._sections: dict[str, Section] = {
             name: Section(self, name, idx)
-            for name, idx in footer.get("sections", {}).items()
+            for name, idx in self.section_index.items()
         }
 
     @property

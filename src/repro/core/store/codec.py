@@ -12,9 +12,9 @@ classic columnar recipe applies:
 4. **zlib** (optional): only kept when it actually shrinks the payload.
 
 The varint encode/decode hot paths are numpy-vectorized (masked passes
-over ``frombuffer`` byte arrays); the original per-byte Python loops are
-kept as ``encode_uvarints_scalar``/``decode_uvarints_scalar`` reference
-oracles for the property tests, and produce byte-identical streams.
+over ``frombuffer`` byte arrays); the original per-byte Python loops
+live on as the reference oracles of the property tests
+(``tests/codec_oracle.py``) and produce byte-identical streams.
 
 The encoding actually applied is returned as a ``+``-joined token string
 (e.g. ``"delta+varint+zlib"``) and stored in the archive footer, so the
@@ -59,50 +59,6 @@ def unzigzag(values: np.ndarray) -> np.ndarray:
 # varint (LEB128, unsigned)
 # ----------------------------------------------------------------------
 
-def encode_uvarints_scalar(values: np.ndarray) -> bytes:
-    """Per-value reference encoder (the oracle for the vectorized path)."""
-    out = bytearray()
-    append = out.append
-    for v in values.tolist():
-        while v >= 0x80:
-            append((v & 0x7F) | 0x80)
-            v >>= 7
-        append(v)
-    return bytes(out)
-
-
-def decode_uvarints_scalar(data: bytes, count: int) -> np.ndarray:
-    """Per-byte reference decoder (the oracle for the vectorized path)."""
-    out = np.empty(count, dtype=np.uint64)
-    pos = 0
-    end = len(data)
-    for i in range(count):
-        value = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise CodecError(
-                    f"varint stream truncated at value {i} of {count}"
-                )
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise CodecError(f"varint at value {i} overflows 64 bits")
-        if value > 0xFFFFFFFFFFFFFFFF:
-            raise CodecError(f"varint at value {i} overflows 64 bits")
-        out[i] = value
-    if pos != end:
-        raise CodecError(
-            f"varint stream has {end - pos} trailing bytes after "
-            f"{count} values"
-        )
-    return out
-
-
 #: Value thresholds where a LEB128 varint grows by one byte: a value
 #: ``v`` takes ``1 + sum(v >= t for t in thresholds)`` bytes (max 10).
 _WIDTH_THRESHOLDS = tuple(np.uint64(1) << np.uint64(7 * k)
@@ -114,8 +70,8 @@ def encode_uvarints(values: np.ndarray) -> bytes:
 
     Vectorized: byte widths come from threshold comparisons, then one
     masked pass per byte position (≤ 10) scatters payload bytes with the
-    continuation bit.  Output is byte-identical to
-    :func:`encode_uvarints_scalar`.
+    continuation bit.  Output is byte-identical to the per-value loop
+    ``tests/codec_oracle.py::encode_uvarints_scalar``.
     """
     v = np.ascontiguousarray(values, dtype=np.uint64)
     n = len(v)
@@ -143,7 +99,8 @@ def decode_uvarints(data: bytes, count: int) -> np.ndarray:
     (≤ 10), so cost scales with the widest value actually present —
     delta+zigzag trace columns are overwhelmingly 1–2 bytes wide, and a
     pure single-byte stream short-circuits to one cast.  Accepts and
-    rejects exactly the streams :func:`decode_uvarints_scalar` does.
+    rejects exactly the streams the per-byte loop
+    ``tests/codec_oracle.py::decode_uvarints_scalar`` does.
     """
     b = np.frombuffer(data, dtype=np.uint8)
     if count == 0:

@@ -31,32 +31,26 @@ only aggregate traces) get a degenerate *flat* pyramid: one level, one
 bucket spanning the whole run, ``time_resolved=False`` in the section
 attrs.  Viewport queries still work; they just cannot zoom.
 
-:func:`backfill_pyramid` retrofits existing archives in place-or-copy:
-the original data region is copied verbatim (chunk offsets stay valid,
-so the pre-existing bytes are untouched), pyramid chunks are appended,
-and an extended footer is written.  Backfilling is deterministic —
-backfilling the same archive twice produces identical bytes.
+:func:`backfill_pyramid` retrofits existing archives in place-or-copy
+through an :class:`~repro.core.store.writer.ArchiveWriter` that extends
+the archive: the original data region is copied verbatim (chunk offsets
+stay valid, so the pre-existing bytes are untouched), pyramid chunks are
+appended, and an extended footer is written.  Backfilling is
+deterministic — backfilling the same archive twice produces identical
+bytes.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.store.archive import (
-    MAGIC,
-    TAIL_MAGIC,
-    TRAILER,
-    Archive,
-    ArchiveError,
-)
-from repro.core.store.codec import encode_column
-from repro.core.store.frame import Frame
+from repro.core.store.archive import Archive, ArchiveError, load_overall
+from repro.core.store.frame import Frame, as_section, scatter_matrix
+from repro.core.store.writer import ArchiveWriter
 
 #: Section names; unknown to pre-pyramid readers, which ignore them.
 PE_SECTION = "lod_pe"
@@ -229,8 +223,7 @@ def _empty_edge() -> dict[str, np.ndarray]:
     return {"bucket": z, "src": z, "dst": z, "count": z, "bytes": z}
 
 
-def build_pyramid(timeline, *, base: int = DEFAULT_BASE,
-                  floor: int = DEFAULT_FLOOR) -> Pyramid:
+def build_pyramid(timeline) -> Pyramid:
     """Full time-resolved pyramid from a
     :class:`~repro.core.timeline.TimelineTrace`.
 
@@ -242,7 +235,7 @@ def build_pyramid(timeline, *, base: int = DEFAULT_BASE,
     """
     n_pes = timeline.n_pes
     horizon = max(timeline.end_time(), 1)
-    widths = level_widths(horizon, base, floor)
+    widths = level_widths(horizon)
     w0 = widths[0]
     nb0 = -(-horizon // w0)
 
@@ -281,85 +274,71 @@ def build_pyramid(timeline, *, base: int = DEFAULT_BASE,
     return Pyramid(horizon, n_pes, widths, True, pe_levels, edge_levels)
 
 
-def build_flat_pyramid(*, n_pes: int, horizon: int,
-                       overall=None,
-                       edge_count: np.ndarray | None = None,
-                       edge_bytes: np.ndarray | None = None) -> Pyramid:
+def build_flat_pyramid(*, n_pes: int, overall=None, edges=None) -> Pyramid:
     """Single-bucket pyramid from aggregate traces (no timestamps).
 
-    ``overall`` supplies per-PE T_MAIN/T_PROC/T_COMM; the edge matrices
-    (``n_pes`` × ``n_pes``) supply traffic.  Used by the backfill path
-    and by one-shot exports that ran without a timeline.
+    ``overall`` supplies per-PE T_MAIN/T_PROC/T_COMM and the horizon;
+    ``edges`` — a logical or physical trace, or an archive section of
+    either — supplies traffic.  Used by the backfill path and by
+    one-shot exports that ran without a timeline.
     """
-    horizon = max(int(horizon), 1)
+    horizon = 1
+    pe0 = _empty_pe()
     if overall is not None:
+        horizon = max(int(np.max(overall.t_total)), 1)
         main = np.asarray(overall.t_main, dtype=np.int64)
         proc = np.asarray(overall.t_proc, dtype=np.int64)
         comm = np.maximum(
             np.asarray(overall.t_total, dtype=np.int64) - main - proc, 0)
         pe0 = _pe_dense_to_columns(main[:, None], proc[:, None],
                                    comm[:, None])
-    else:
-        pe0 = _empty_pe()
-    if edge_count is not None:
-        edge_count = np.asarray(edge_count, dtype=np.int64)
-        if edge_bytes is None:
-            edge_bytes = np.zeros_like(edge_count)
+    edge0 = _empty_edge()
+    if edges is not None:
+        section = as_section(edges)
+        src, dst = section.column("src"), section.column("dst")
+        count, size = section.column("count"), section.column("size")
+        # duplicate (src, dst) rows — other sizes or kinds, streamed
+        # partial aggregates — sum into one edge
+        edge_count = scatter_matrix(src, dst, count, (n_pes, n_pes))
+        edge_bytes = scatter_matrix(src, dst, count * size, (n_pes, n_pes))
         src, dst = np.nonzero(edge_count > 0)
         edge0 = {
             "bucket": np.zeros(len(src), dtype=np.int64),
             "src": src.astype(np.int64),
             "dst": dst.astype(np.int64),
             "count": edge_count[src, dst],
-            "bytes": np.asarray(edge_bytes, dtype=np.int64)[src, dst],
+            "bytes": edge_bytes[src, dst],
         }
-    else:
-        edge0 = _empty_edge()
     return Pyramid(horizon, n_pes, [horizon], False, [pe0], [edge0])
 
 
 def build_pyramid_for_export(*, timeline=None, overall=None, physical=None,
-                             logical=None, base: int = DEFAULT_BASE,
-                             floor: int = DEFAULT_FLOOR) -> Pyramid | None:
+                             logical=None) -> Pyramid | None:
     """The pyramid for one run's in-memory traces, or None if no source.
 
     A timeline gives the full multi-level pyramid; otherwise the
     aggregate traces degrade to a flat (single-bucket) one.
     """
     if timeline is not None and (timeline.span_count() or timeline.net_events()):
-        return build_pyramid(timeline, base=base, floor=floor)
-    n_pes = None
-    edge_count = edge_bytes = None
-    if physical is not None:
-        n_pes = physical.n_pes
-        edge_count = physical.matrix()
-        edge_bytes = physical.bytes_matrix()
-    elif logical is not None:
-        n_pes = logical.spec.n_pes
-        edge_count = logical.matrix()
-        edge_bytes = logical.bytes_matrix()
-    if overall is not None:
-        n_pes = overall.n_pes if n_pes is None else n_pes
-    if n_pes is None:
+        return build_pyramid(timeline)
+    edges = physical if physical is not None else logical
+    if edges is None and overall is None:
         return None
-    horizon = int(np.max(overall.t_total)) if overall is not None else 1
-    return build_flat_pyramid(n_pes=n_pes, horizon=horizon, overall=overall,
-                              edge_count=edge_count, edge_bytes=edge_bytes)
+    return build_flat_pyramid(
+        n_pes=edges.n_pes if edges is not None else overall.n_pes,
+        overall=overall, edges=edges)
 
 
 class StreamingEdgeLod:
     """Streaming bucketed edge accumulator for :class:`TraceArchiver`.
 
     Holds one dict entry per (bucket, src, dst) seen at the *current*
-    bucket width; when the run outgrows ``base`` buckets the width
-    doubles and the buckets fold pairwise — O(log horizon) folds total,
-    so memory stays O(base × live edges) for a run of any length.
+    bucket width; when the run outgrows :data:`DEFAULT_BASE` buckets the
+    width doubles and the buckets fold pairwise — O(log horizon) folds
+    total, so memory stays O(base × live edges) for a run of any length.
     """
 
-    def __init__(self, base: int = DEFAULT_BASE) -> None:
-        if base < 1 or base & (base - 1):
-            raise ValueError(f"base must be a power of two, got {base}")
-        self.base = base
+    def __init__(self) -> None:
         self.width = 1
         self.horizon = 0
         self._acc: dict[tuple[int, int, int], list[int]] = {}
@@ -367,7 +346,7 @@ class StreamingEdgeLod:
     def add(self, t: int, src: int, dst: int, nbytes: int) -> None:
         if t >= self.horizon:
             self.horizon = t + 1
-        while t // self.width >= self.base:
+        while t // self.width >= DEFAULT_BASE:
             self._fold()
         key = (t // self.width, src, dst)
         entry = self._acc.get(key)
@@ -390,10 +369,10 @@ class StreamingEdgeLod:
                 entry[1] += nbytes
         self._acc = folded
 
-    def to_pyramid(self, n_pes: int, *, floor: int = DEFAULT_FLOOR) -> Pyramid:
+    def to_pyramid(self, n_pes: int) -> Pyramid:
         """Finalize into an edge-only pyramid (empty per-PE levels)."""
         horizon = max(self.horizon, 1)
-        widths = level_widths(horizon, self.base, floor)
+        widths = level_widths(horizon)
         while self.width < widths[0]:
             self._fold()
         keys = sorted(self._acc)
@@ -504,9 +483,7 @@ def read_level(archive: Archive, kind: str, level: int) -> dict[str, np.ndarray]
 # backfill
 # ----------------------------------------------------------------------
 
-def build_pyramid_from_archive(archive: Archive, *,
-                               base: int = DEFAULT_BASE,
-                               floor: int = DEFAULT_FLOOR) -> Pyramid:
+def build_pyramid_from_archive(archive: Archive) -> Pyramid:
     """A flat pyramid from an archive's aggregate sections.
 
     ``.aptrc`` archives store no per-event timestamps, so the backfill
@@ -514,79 +491,15 @@ def build_pyramid_from_archive(archive: Archive, *,
     per-PE occupancy comes from ``overall`` and edges from ``physical``
     (falling back to ``logical``).
     """
-    from repro.core.store.archive import load_overall
-    from repro.core.store.frame import scatter_matrix
-
-    n_pes = archive.n_pes
     overall = (load_overall(archive) if archive.has_section("overall")
                else None)
-    edge_count = edge_bytes = None
-    for name in ("physical", "logical"):
-        if not archive.has_section(name):
-            continue
-        frame = Frame(archive.section(name))
-        src, dst = frame.column("src"), frame.column("dst")
-        count, size = frame.column("count"), frame.column("size")
-        edge_count = scatter_matrix(src, dst, count, (n_pes, n_pes))
-        edge_bytes = scatter_matrix(src, dst, count * size, (n_pes, n_pes))
-        break
-    horizon = int(np.max(overall.t_total)) if overall is not None else 1
-    return build_flat_pyramid(n_pes=n_pes, horizon=horizon, overall=overall,
-                              edge_count=edge_count, edge_bytes=edge_bytes)
+    edges = next((archive.section(name) for name in ("physical", "logical")
+                  if archive.has_section(name)), None)
+    return build_flat_pyramid(n_pes=archive.n_pes, overall=overall,
+                              edges=edges)
 
 
-def _split_archive(path: Path) -> tuple[bytes, dict]:
-    """Read an archive's raw data region (magic + chunks) and footer."""
-    raw = path.read_bytes()
-    tail_len = TRAILER.size + len(TAIL_MAGIC)
-    if len(raw) < len(MAGIC) + tail_len or not raw.startswith(MAGIC) \
-            or not raw.endswith(TAIL_MAGIC):
-        raise ArchiveError(f"{path}: not a .aptrc archive")
-    foot_off, foot_len = TRAILER.unpack(
-        raw[len(raw) - tail_len:len(raw) - len(TAIL_MAGIC)])
-    if foot_off + foot_len > len(raw) - tail_len:
-        raise ArchiveError(f"{path}: footer index out of bounds")
-    footer = json.loads(zlib.decompress(raw[foot_off:foot_off + foot_len]))
-    return raw[:foot_off], footer
-
-
-def _encode_appended_sections(pyramid: Pyramid, start: int) -> tuple[bytes, dict]:
-    """Encode pyramid chunks for appending at file offset ``start``.
-
-    Mirrors :class:`SectionWriter`'s footer entry layout exactly
-    (``[offset, length, encoding, count, [min, max, sum]]``) so
-    backfilled and writer-emitted pyramids read identically.
-    """
-    attrs = pyramid.attrs()
-    buf = bytearray()
-    sections: dict[str, dict] = {}
-    for name, columns, levels in (
-        (PE_SECTION, PE_COLUMNS, pyramid.pe_levels),
-        (EDGE_SECTION, EDGE_COLUMNS, pyramid.edge_levels),
-    ):
-        chunks: dict[str, list] = {c: [] for c in columns}
-        rows = 0
-        for level, cols in enumerate(levels):
-            n = len(cols["bucket"])
-            if n == 0:
-                continue
-            full = {"level": np.full(n, level, dtype=np.int64), **cols}
-            for c in columns:
-                arr = np.asarray(full[c], dtype=np.int64).ravel()
-                payload, encoding = encode_column(arr)
-                offset = start + len(buf)
-                buf += payload
-                chunks[c].append([offset, len(payload), encoding, n,
-                                  [int(arr.min()), int(arr.max()),
-                                   int(arr.sum(dtype=np.int64))]])
-            rows += n
-        sections[name] = {"attrs": attrs, "rows": rows, "columns": chunks}
-    return bytes(buf), sections
-
-
-def backfill_pyramid(path: str | Path, out: str | Path | None = None, *,
-                     base: int = DEFAULT_BASE,
-                     floor: int = DEFAULT_FLOOR) -> Path:
+def backfill_pyramid(path: str | Path, out: str | Path | None = None) -> Path:
     """Add pyramid sections to an existing archive (in place by default).
 
     The original data region is copied byte-for-byte — existing chunk
@@ -597,25 +510,16 @@ def backfill_pyramid(path: str | Path, out: str | Path | None = None, *,
     """
     path = Path(path)
     out_path = Path(out) if out is not None else path
-    data, footer = _split_archive(path)
-    if PE_SECTION in footer.get("sections", {}) \
-            or EDGE_SECTION in footer.get("sections", {}):
-        if out_path != path:
-            shutil.copyfile(path, out_path)
-        return out_path
-    with Archive(path) as archive:
-        pyramid = build_pyramid_from_archive(archive, base=base, floor=floor)
-    appended, new_sections = _encode_appended_sections(pyramid, len(data))
-    footer.setdefault("sections", {}).update(new_sections)
-    payload = zlib.compress(
-        json.dumps(footer, separators=(",", ":")).encode("utf-8"), 6)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = out_path.with_name(out_path.name + ".lod-tmp")
-    with tmp.open("wb") as f:
-        f.write(data)
-        f.write(appended)
-        f.write(payload)
-        f.write(TRAILER.pack(len(data) + len(appended), len(payload)))
-        f.write(TAIL_MAGIC)
+    with Archive(path) as archive:
+        if has_pyramid(archive):
+            if out_path != path:
+                shutil.copyfile(path, out_path)
+            return out_path
+        pyramid = build_pyramid_from_archive(archive)
+        # chunk stats always: level reads prune on them, whatever the
+        # archive's own sections carry
+        with ArchiveWriter(tmp, stats=True, extend=archive) as writer:
+            write_pyramid(writer, pyramid)
     tmp.replace(out_path)
     return out_path

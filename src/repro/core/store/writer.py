@@ -32,6 +32,7 @@ from repro.core.store.archive import (
     MAGIC,
     TAIL_MAGIC,
     TRAILER,
+    Archive,
     ArchiveError,
 )
 from repro.core.store.codec import encode_column
@@ -125,20 +126,35 @@ class ArchiveWriter:
     recorded in the footer index (``None`` → module default
     :data:`WRITE_CHUNK_STATS`).  Stats only extend the footer JSON; the
     chunk payload bytes are identical either way.
+
+    ``extend`` starts from an open :class:`Archive` instead of an empty
+    file: its data region is copied byte-for-byte (chunk offsets stay
+    valid), its metadata and section index are carried over as stored,
+    and new sections append after it.  ``path`` must not be the
+    archive's own file.
     """
 
     def __init__(self, path: str | Path, meta: dict | None = None,
-                 stats: bool | None = None) -> None:
+                 stats: bool | None = None,
+                 extend: Archive | None = None) -> None:
         self.path = Path(path)
         self.meta = dict(meta or {})
         self.stats = WRITE_CHUNK_STATS if stats is None else bool(stats)
+        self._open: dict[str, SectionWriter] = {}
+        #: Footer index entries of the finished sections, by name.
+        self._done: dict[str, dict] = {}
+        self._closed = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("wb")
-        self._file.write(MAGIC)
-        self._pos = len(MAGIC)
-        self._open: dict[str, SectionWriter] = {}
-        self._done: dict[str, SectionWriter] = {}
-        self._closed = False
+        if extend is None:
+            self._file.write(MAGIC)
+            self._pos = len(MAGIC)
+        else:
+            self.meta = {**extend.meta, **self.meta}
+            self._done.update(extend.section_index)
+            with extend.path.open("rb") as source:
+                self._file.write(source.read(extend.data_end))
+            self._pos = extend.data_end
 
     # -- context manager -------------------------------------------------
 
@@ -180,7 +196,7 @@ class ArchiveWriter:
 
     def _finish_section(self, section: SectionWriter) -> None:
         self._open.pop(section.name, None)
-        self._done[section.name] = section
+        self._done[section.name] = section._index()
 
     # -- finalization ----------------------------------------------------
 
@@ -193,7 +209,7 @@ class ArchiveWriter:
         footer = {
             "version": FORMAT_VERSION,
             "meta": self.meta,
-            "sections": {n: s._index() for n, s in self._done.items()},
+            "sections": self._done,
         }
         payload = zlib.compress(
             json.dumps(footer, separators=(",", ":")).encode("utf-8"), 6
@@ -210,6 +226,34 @@ class ArchiveWriter:
 # one-shot export
 # ----------------------------------------------------------------------
 
+def machine_meta(spec) -> dict:
+    """Footer metadata describing the simulated machine."""
+    return {
+        "nodes": spec.nodes,
+        "pes_per_node": spec.pes_per_node,
+        "machine_name": spec.name,
+        "n_pes": spec.n_pes,
+    }
+
+
+def degraded_meta(world, failure: BaseException | None) -> dict:
+    """Footer stamp of a run that died: the failure, which PEs had
+    crashed when, and the injected-fault schedule."""
+    degraded: dict = {"degraded": True}
+    if failure is not None:
+        degraded["failure"] = f"{type(failure).__name__}: {failure}"
+    if world is not None:
+        crashed = getattr(world.scheduler, "crashed", {})
+        if crashed:
+            degraded["crashed_pes"] = {
+                str(r): t for r, t in sorted(crashed.items())
+            }
+        faults = getattr(world, "faults", None)
+        if faults is not None:
+            degraded["fault_schedule"] = faults.schedule_rows()
+    return degraded
+
+
 def _base_meta(logical=None, physical=None, papi=None, overall=None) -> dict:
     """Machine metadata inferred from whichever traces are present."""
     spec = None
@@ -218,12 +262,7 @@ def _base_meta(logical=None, physical=None, papi=None, overall=None) -> dict:
     elif papi is not None:
         spec = papi.spec
     if spec is not None:
-        return {
-            "nodes": spec.nodes,
-            "pes_per_node": spec.pes_per_node,
-            "machine_name": spec.name,
-            "n_pes": spec.n_pes,
-        }
+        return machine_meta(spec)
     n_pes = None
     if physical is not None:
         n_pes = physical.n_pes
@@ -344,26 +383,18 @@ class TraceArchiver:
         self._spec = world.spec
         self._world = world
         self._ticks = [0] * world.spec.n_pes
-        meta = {
-            "nodes": world.spec.nodes,
-            "pes_per_node": world.spec.pes_per_node,
-            "machine_name": world.spec.name,
-            "n_pes": world.spec.n_pes,
-        }
-        meta.update(self._meta)
-        self._writer = ArchiveWriter(self._path, meta=meta)
+        self._writer = ArchiveWriter(
+            self._path, meta={**machine_meta(world.spec), **self._meta})
         self._log_section = self._writer.begin_section(
             "logical", self.LOGICAL_COLUMNS
         )
         self._phys_section = self._writer.begin_section(
             "physical", self.PHYSICAL_COLUMNS,
-            attrs={
-                "n_pes": world.spec.n_pes,
-                "send_types": list(SEND_TYPES),
-                "nodes": world.spec.nodes,
-                "pes_per_node": world.spec.pes_per_node,
-                "machine_name": world.spec.name,
-            },
+            # n_pes first: PhysicalTrace.to_columns' attr order, which
+            # the merge keeps because the key is already present
+            attrs={"n_pes": world.spec.n_pes,
+                   "send_types": list(SEND_TYPES),
+                   **machine_meta(world.spec)},
         )
         return self, self
 
@@ -445,21 +476,8 @@ class TraceArchiver:
         """
         if self._writer is None:
             raise ArchiveError("TraceArchiver is not attached to a run")
-        degraded: dict = {"degraded": True}
-        if failure is not None:
-            degraded["failure"] = f"{type(failure).__name__}: {failure}"
-        world = self._world
-        if world is not None:
-            crashed = getattr(world.scheduler, "crashed", {})
-            if crashed:
-                degraded["crashed_pes"] = {
-                    str(r): t for r, t in sorted(crashed.items())
-                }
-            faults = getattr(world, "faults", None)
-            if faults is not None:
-                degraded["fault_schedule"] = faults.schedule_rows()
-        degraded.update(meta or {})
-        self._writer.meta.update(degraded)
+        self._writer.meta.update(degraded_meta(self._world, failure))
+        self._writer.meta.update(meta or {})
         return self.close()
 
     # -- RuntimeHooks (forwarding + accumulation) --------------------------

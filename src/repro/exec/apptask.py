@@ -1,11 +1,12 @@
-"""Worker function for ``actorprof run`` sweeps and benchmark repeats.
+"""The body of ``actorprof run``: one profiled app execution.
 
-One call = one profiled app execution = one sweep point.  The function
+A plain ``actorprof run APP`` calls :func:`run_app_point` once in
+process; ``--sweep`` fans one call per point through :mod:`repro.exec`
+— so both write the same archive for the same arguments.  The function
 is engine-friendly: module-level, JSON-serializable inputs and outputs,
-artifacts dropped in ``out_dir``.  Failure semantics mirror the
-single-run CLI: a run that dies under a fault plan is *salvaged* into a
-degraded archive when an archive name was requested (per-point exit
-code 3), otherwise it is a plain failure (exit code 1).
+artifacts dropped in ``out_dir``.  A run that dies under a fault plan is
+*salvaged* into a degraded archive when an archive name was requested
+(exit code 3), otherwise it is a plain failure (exit code 1).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ def run_app_point(
     archive_name: str | None = None,
 ) -> dict:
     """Run one built-in app once; return a JSON-serializable outcome."""
+    from repro.core.flags import ProfileFlags
     from repro.core.profiler import ActorProf
     from repro.exec.cache import file_sha256
     from repro.machine.spec import MachineSpec
@@ -43,7 +45,11 @@ def run_app_point(
         plan.validate(spec.n_pes)
 
     params = {"nodes": nodes, "pes_per_node": pes_per_node, "seed": seed}
-    profiler = ActorProf()
+    # the timeline is the LOD pyramid's source (`actorprof viz` zooms
+    # what it recorded) and nothing else reads it, so it is recorded
+    # exactly when an archive will be written
+    profiler = ActorProf(ProfileFlags.all(
+        enable_timeline=archive_name is not None))
     meta: dict = {"app": app, "seed": seed}
     if plan is not None:
         meta["fault_plan"] = plan.to_dict()
@@ -86,7 +92,8 @@ def run_app_point(
     out_dir = Path(out_dir)
     if failure is None:
         if archive_name is not None:
-            path = profiler.export_archive(out_dir / archive_name, meta=meta)
+            path = profiler.export_archive(out_dir / archive_name, meta=meta,
+                                           lod=True)
             outcome.update(archive=archive_name,
                            archive_sha256=file_sha256(path),
                            artifacts=[archive_name])
@@ -98,8 +105,13 @@ def run_app_point(
     if archive_name is None:
         outcome["exit_code"] = 1
         return outcome
-    path = profiler.salvage_archive(out_dir / archive_name, failure=failure,
-                                   meta=meta)
+    try:
+        path = profiler.salvage_archive(out_dir / archive_name,
+                                        failure=failure, meta=meta, lod=True)
+    except (ValueError, OSError) as exc:
+        outcome["error"] += f"\nsalvage failed: {exc}"
+        outcome["exit_code"] = 1
+        return outcome
     outcome.update(exit_code=3, archive=archive_name,
                    archive_sha256=file_sha256(path), artifacts=[archive_name])
     return outcome

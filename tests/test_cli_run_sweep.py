@@ -104,3 +104,18 @@ def test_sweep_aggregates_failure_exit_codes(tmp_path, capsys):
     for point in data["points"]:
         assert (tmp_path / "archives" / point["archive"]).exists()
     assert "exit codes 3" in capsys.readouterr().err
+
+
+def test_one_point_sweep_archive_equals_the_plain_run(tmp_path):
+    """`run` without `--sweep` is a one-point sweep: the same arguments
+    write the same bytes either way, LOD pyramid included."""
+    from repro.core.store.archive import Archive
+    from repro.core.store.lod import pyramid_info
+
+    single = tmp_path / "a.aptrc"
+    assert main([*BASE, "--seed", "0", "-o", str(single)]) == 0
+    assert main([*BASE, "--sweep", "seed=0", "-o", str(tmp_path / "d")]) == 0
+    swept = tmp_path / "d" / "histogram-seed0.aptrc"
+    assert swept.read_bytes() == single.read_bytes()
+    with Archive(swept) as archive:
+        assert pyramid_info(archive).time_resolved

@@ -71,6 +71,35 @@ def test_viz_backfill_then_render_legacy_archive(tmp_path, capsys):
         assert has_pyramid(archive)
 
 
+def test_viz_backfill_refuses_a_registered_run(tmp_path, capsys):
+    """A registered archive's fingerprint is its identity: rewriting the
+    file in place would leave the manifest describing bytes that are
+    gone, so `--backfill` on a run id is refused — viz itself works."""
+    from repro.core.store.registry import RunRegistry
+
+    registry = tmp_path / "reg"
+    assert main(["runs", "add", str(GOLDEN_DIR / "histogram.aptrc"),
+                 "--registry", str(registry)]) == 0
+    info = RunRegistry(registry).resolve("histogram")
+    stored = info.path.read_bytes()
+    capsys.readouterr()
+
+    out = tmp_path / "page.html"
+    rc = main(["viz", "histogram", "--backfill", "--registry", str(registry),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--backfill" in err and "runs add" in err and "copy" in err
+    assert not out.exists()
+    assert info.path.read_bytes() == stored
+    assert RunRegistry(registry).resolve("histogram") == info
+    assert info.size_bytes == len(stored)
+
+    assert main(["viz", "histogram", "--registry", str(registry),
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_viz_errors_exit_2(tmp_path, capsys):
     rc = main(["viz", str(tmp_path / "missing.aptrc")])
     assert rc == 2

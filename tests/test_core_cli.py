@@ -293,3 +293,17 @@ def test_run_rejects_misfit_plan(tmp_path, capsys):
     rc = main(["run", "histogram", "--fault-plan", str(plan_path)])
     assert rc == 2
     assert "does not fit" in capsys.readouterr().err
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    from repro.core.cli import _COMMANDS
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    epilog = capsys.readouterr().out.split("subcommands")[-1]
+    for name in _COMMANDS:
+        assert name in epilog.replace(",", " ").split(), name
+    # any other first word is the visualizer's trace path
+    assert main(["frobnicate"]) == 2
+    assert "nothing to do" in capsys.readouterr().err

@@ -144,3 +144,21 @@ def test_streaming_archiver_salvage(tmp_path):
 def test_salvage_requires_attachment(tmp_path):
     with pytest.raises(Exception, match="not attached"):
         TraceArchiver(tmp_path / "x.aptrc").salvage()
+
+
+def test_both_salvage_paths_stamp_the_same_footer(tmp_path):
+    """One crashed run, salvaged through the in-memory profiler and
+    through the streaming archiver wrapped around it: same stamp."""
+    ap = ActorProf(ProfileFlags.all())
+    arch = TraceArchiver(tmp_path / "stream.aptrc", inner=ap, spill_every=100)
+    with use_plan(FaultPlan.single_crash(2, 20_000)):
+        with pytest.raises(SimulationError) as exc_info:
+            run_spmd(_actor_program, machine=MachineSpec(2, 4),
+                     profiler=arch, seed=3)
+    streamed = arch.salvage(failure=exc_info.value)
+    in_memory = ap.salvage_archive(tmp_path / "memory.aptrc",
+                                   failure=exc_info.value)
+    with Archive(streamed) as a, Archive(in_memory) as b:
+        for key in ("degraded", "failure", "crashed_pes", "fault_schedule"):
+            assert a.meta[key] == b.meta[key], key
+        assert a.meta["crashed_pes"] == {"2": 20_000}

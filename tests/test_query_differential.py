@@ -32,13 +32,15 @@ from repro.core.store.archive import Archive
 from repro.core.store.codec import (
     CodecError,
     decode_uvarints,
-    decode_uvarints_scalar,
     encode_uvarints,
-    encode_uvarints_scalar,
 )
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
 
+from tests.codec_oracle import (
+    decode_uvarints_scalar,
+    encode_uvarints_scalar,
+)
 from tests.query_oracle import row_walk_query
 
 SETTINGS = settings(

@@ -129,6 +129,59 @@ def test_truncated_archive_raises(tmp_path):
         Archive(clipped)
 
 
+def test_writer_extends_an_archive_without_touching_it(tmp_path):
+    """``ArchiveWriter(extend=archive)``: old chunks stay where they
+    were, meta and index carry over, new sections append; the source is
+    only ever read — also when the ``with`` body raises."""
+    source = tmp_path / "a.aptrc"
+    with ArchiveWriter(source, meta={"app": "demo"}) as w:
+        w.add_section("s", {"x": list(range(100))})
+    before = source.read_bytes()
+    with Archive(source) as archive:
+        with ArchiveWriter(tmp_path / "b.aptrc", extend=archive) as w:
+            w.add_section("extra", {"y": [7, 8, 9]})
+            with pytest.raises(ArchiveError, match="duplicate"):
+                w.begin_section("s", ("x",))
+        with pytest.raises(RuntimeError):
+            with ArchiveWriter(tmp_path / "c.aptrc", extend=archive) as w:
+                w.add_section("extra", {"y": [1]})
+                raise RuntimeError("boom")
+        data_end = archive.data_end
+    assert source.read_bytes() == before
+    assert (tmp_path / "b.aptrc").read_bytes()[:data_end] == before[:data_end]
+    with Archive(tmp_path / "b.aptrc") as extended:
+        assert extended.meta == {"app": "demo"}
+        assert extended.sections == ("s", "extra")
+        assert extended.section("s").column("x").tolist() == list(range(100))
+        assert extended.section("extra").column("y").tolist() == [7, 8, 9]
+    with pytest.raises(ArchiveError):
+        Archive(tmp_path / "c.aptrc")  # never got its footer
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-an-archive"])
+def test_extending_a_bad_input_creates_no_output(tmp_path, damage):
+    """The extending writer starts from an *open* archive, so a bad
+    input is rejected before any output file exists."""
+    from repro.core.store.lod import backfill_pyramid
+
+    bad = tmp_path / "bad.aptrc"
+    if damage == "truncated":
+        with ArchiveWriter(tmp_path / "ok.aptrc") as w:
+            w.add_section("s", {"x": list(range(100))})
+        bad.write_bytes((tmp_path / "ok.aptrc").read_bytes()[:-5])
+    else:
+        bad.write_text("this is not an archive, it only dresses like one")
+    before = bad.read_bytes()
+    with pytest.raises(ArchiveError):
+        backfill_pyramid(bad, tmp_path / "out" / "filled.aptrc")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ArchiveError):
+        backfill_pyramid(bad)
+    assert bad.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name != "ok.aptrc") \
+        == ["bad.aptrc"]
+
+
 def test_is_archive_by_suffix_and_magic(tmp_path):
     path = ArchiveWriter(tmp_path / "a.aptrc").close()
     assert is_archive(path)

@@ -9,6 +9,8 @@ data region is copied byte-for-byte, so pre-pyramid readers see the
 exact same sections.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,14 @@ def test_export_with_lod_is_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+BACKFILLED = {
+    "histogram":
+        "a7b1c05ed30ec4e4309318b66cb2e440669a4add39cb85a9d01661117f7b7261",
+    "triangle":
+        "2c26b0ba1656ab00d81b6a79ba5533cce3a7f07a6de917923d3d23396c44ab38",
+}
+
+
 @pytest.mark.parametrize("name", ["histogram", "triangle"])
 def test_backfill_golden_is_deterministic(name, tmp_path):
     golden = GOLDEN_DIR / f"{name}.aptrc"
@@ -176,12 +186,12 @@ def test_backfill_golden_is_deterministic(name, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     # the original bytes minus footer+trailer are a strict prefix: old
     # readers' chunk offsets stay valid
-    original = golden.read_bytes()
-    from repro.core.store.lod import _split_archive
-
-    data, _ = _split_archive(golden)
-    assert original.startswith(data)
+    with Archive(golden) as archive:
+        data = golden.read_bytes()[:archive.data_end]
     assert out_a.read_bytes().startswith(data)
+    # and the bytes are pinned: the writer that extends an archive must
+    # keep producing what the first backfill implementation produced
+    assert hashlib.sha256(out_a.read_bytes()).hexdigest() == BACKFILLED[name]
 
 
 def test_backfill_is_idempotent(tmp_path):
@@ -281,3 +291,25 @@ def test_refine_drills_into_one_bucket(lod_archive):
         child = view.refine(vp, bucket=0, res=8)
         assert child.level <= vp.level
         assert child.t0 >= vp.t0 and child.t1 <= vp.t1
+
+
+def test_flat_pyramid_is_the_same_from_traces_and_from_sections(tmp_path):
+    """One flat builder, two entrances: exporting a timeline-less run
+    with ``lod=True`` and backfilling its ``lod=False`` twin store the
+    same pyramid."""
+    ap = ActorProf(ProfileFlags.all())  # no timeline → flat pyramid
+    histogram(300, 64, MachineSpec(2, 2), profiler=ap)
+    exported = ap.export_archive(tmp_path / "lod.aptrc", lod=True)
+    filled = backfill_pyramid(
+        ap.export_archive(tmp_path / "plain.aptrc", lod=False))
+    with Archive(exported) as a, Archive(filled) as b:
+        assert pyramid_info(a) == pyramid_info(b)
+        assert not pyramid_info(a).time_resolved
+        for kind in ("pe", "edge"):
+            got, want = read_level(b, kind, 0), read_level(a, kind, 0)
+            assert set(got) == set(want)
+            for column in want:
+                np.testing.assert_array_equal(got[column], want[column])
+        assert read_level(a, "edge", 0)["count"].sum() > 0
+    # same sections in the same order through either door
+    assert exported.read_bytes() == filled.read_bytes()
