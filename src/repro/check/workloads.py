@@ -30,6 +30,7 @@ from repro.check.policies import PerturbedSchedule
 from repro.conveyors.conveyor import ConveyorConfig
 from repro.core.flags import ProfileFlags
 from repro.core.profiler import ActorProf
+from repro.exec.cache import file_sha256
 from repro.hclib.actor import Selector
 from repro.hclib.world import RunResult, run_spmd
 from repro.machine.cost import CostModel
@@ -41,14 +42,6 @@ def fingerprint(data: Any) -> str:
     """Stable sha256 over a JSON-serializable result structure."""
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass
@@ -175,7 +168,7 @@ class Workload:
             profiler=profiler,
             run=run,
             archive_path=path,
-            archive_sha256=_file_sha256(path),
+            archive_sha256=file_sha256(path),
             receipts=receipts,
             received_per_pe=received,
             group_stats=_collect_group_stats(run),

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.hclib.hooks import ForwardingHooks
+
 
 @dataclass(frozen=True)
 class LiveSnapshot:
@@ -40,11 +42,12 @@ class _LiveState:
     sends: np.ndarray
     handled: np.ndarray
     open_per_pe: np.ndarray
+    total_sends: int = 0
     open_finishes: int = 0
     snapshots: list[LiveSnapshot] = field(default_factory=list)
 
 
-class LiveMonitor:
+class LiveMonitor(ForwardingHooks):
     """Streaming statistics over the runtime hook events.
 
     Decorates an inner profiler (or ``None`` for monitoring without full
@@ -54,26 +57,22 @@ class LiveMonitor:
     def __init__(self, inner=None, snapshot_every: int = 1000) -> None:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        self.inner = inner
+        super().__init__(inner)
         self.snapshot_every = snapshot_every
         self._state: _LiveState | None = None
-        self._hooks = None
-        self._n_pes = 0
 
     # -- profiler protocol -------------------------------------------------
 
     def attach(self, world):
         """Wire into the world; returns (hooks, tracer) like ActorProf."""
-        tracer = None
-        if self.inner is not None:
-            self._hooks, tracer = self.inner.attach(world)
-        self._n_pes = world.spec.n_pes
+        attached = super().attach(world)
+        n_pes = world.spec.n_pes
         self._state = _LiveState(
-            sends=np.zeros(self._n_pes, dtype=np.int64),
-            handled=np.zeros(self._n_pes, dtype=np.int64),
-            open_per_pe=np.zeros(self._n_pes, dtype=np.int64),
+            sends=np.zeros(n_pes, dtype=np.int64),
+            handled=np.zeros(n_pes, dtype=np.int64),
+            open_per_pe=np.zeros(n_pes, dtype=np.int64),
         )
-        return self, tracer
+        return attached
 
     # -- live accessors ------------------------------------------------------
 
@@ -86,7 +85,7 @@ class LiveMonitor:
         st = self._require_state()
         return LiveSnapshot(
             seq=len(st.snapshots),
-            total_sends=int(st.sends.sum()),
+            total_sends=st.total_sends,
             sends_per_pe=tuple(int(x) for x in st.sends),
             handled_per_pe=tuple(int(x) for x in st.handled),
             open_finishes=st.open_finishes,
@@ -97,22 +96,23 @@ class LiveMonitor:
             raise RuntimeError("LiveMonitor is not attached to a run")
         return self._state
 
-    def _maybe_snapshot(self) -> None:
+    def _sent(self, pe: int, n: int) -> None:
+        st = self._require_state()
+        st.sends[pe] += n
+        st.total_sends += n
         # A single send_batch can cross several snapshot_every boundaries
         # at once; emit one snapshot per crossed boundary so the snapshot
         # cadence stays uniform regardless of batch size.
-        st = self._require_state()
-        while int(st.sends.sum()) // self.snapshot_every > len(st.snapshots):
+        while st.total_sends // self.snapshot_every > len(st.snapshots):
             st.snapshots.append(self.current())
 
-    # -- RuntimeHooks (forwarding + accounting) --------------------------------
+    # -- observed RuntimeHooks (the rest forward untouched) ---------------------
 
     def finish_start(self, pe: int) -> None:
         st = self._require_state()
         st.open_per_pe[pe] += 1
         st.open_finishes += 1
-        if self._hooks is not None:
-            self._hooks.finish_start(pe)
+        super().finish_start(pe)
 
     def finish_end(self, pe: int) -> None:
         st = self._require_state()
@@ -123,34 +123,16 @@ class LiveMonitor:
             )
         st.open_per_pe[pe] -= 1
         st.open_finishes -= 1
-        if self._hooks is not None:
-            self._hooks.finish_end(pe)
-
-    def main_enter(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.main_enter(pe)
-
-    def main_exit(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.main_exit(pe)
-
-    def proc_enter(self, pe: int, mailbox: int) -> None:
-        if self._hooks is not None:
-            self._hooks.proc_enter(pe, mailbox)
+        super().finish_end(pe)
 
     def proc_exit(self, pe: int, mailbox: int, n_items: int) -> None:
         self._require_state().handled[pe] += n_items
-        if self._hooks is not None:
-            self._hooks.proc_exit(pe, mailbox, n_items)
+        super().proc_exit(pe, mailbox, n_items)
 
     def send(self, pe: int, mailbox: int, dst: int, nbytes: int) -> None:
-        self._require_state().sends[pe] += 1
-        if self._hooks is not None:
-            self._hooks.send(pe, mailbox, dst, nbytes)
-        self._maybe_snapshot()
+        super().send(pe, mailbox, dst, nbytes)
+        self._sent(pe, 1)
 
     def send_batch(self, pe: int, mailbox: int, dsts, nbytes: int) -> None:
-        self._require_state().sends[pe] += len(dsts)
-        if self._hooks is not None:
-            self._hooks.send_batch(pe, mailbox, dsts, nbytes)
-        self._maybe_snapshot()
+        super().send_batch(pe, mailbox, dsts, nbytes)
+        self._sent(pe, len(dsts))

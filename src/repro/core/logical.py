@@ -81,6 +81,11 @@ class LogicalTrace:
             key = (int(dst), msg_size)
             c[key] = c.get(key, 0) + int(cnt)
 
+    def clear(self) -> None:
+        """Drop the aggregated rows (after a streaming spill); ticks stay."""
+        for per_src in self._counts:
+            per_src.clear()
+
     # ------------------------------------------------------------------
     # analysis accessors
     # ------------------------------------------------------------------

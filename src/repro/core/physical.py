@@ -56,6 +56,10 @@ class PhysicalTrace:
         key = (send_type, nbytes, src_pe, dst_pe)
         self._counts[key] = self._counts.get(key, 0) + 1
 
+    def clear(self) -> None:
+        """Drop the aggregated rows (after a streaming spill)."""
+        self._counts.clear()
+
     # ------------------------------------------------------------------
     # analysis accessors
     # ------------------------------------------------------------------

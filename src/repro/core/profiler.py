@@ -86,7 +86,8 @@ class ActorProf:
     def attach(self, world) -> tuple[object | None, TraceSink | None]:
         """Wire into a World; returns (runtime hooks, physical tracer)."""
         if self.world is not None:
-            raise SimulationError("an ActorProf instance profiles exactly one run")
+            raise SimulationError(
+                f"a {type(self).__name__} instance profiles exactly one run")
         self.world = world
         spec = world.spec
         flags = self.flags

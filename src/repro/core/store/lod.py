@@ -99,7 +99,7 @@ class Pyramid:
 
     ``pe_levels[k]`` / ``edge_levels[k]`` hold the level-``k`` columns
     (without the ``level`` column, which is added at write time).  The
-    per-PE side may be empty (streaming writers without a timeline).
+    per-PE side may be empty (a flat pyramid without an overall profile).
     """
 
     horizon: int
@@ -327,71 +327,6 @@ def build_pyramid_for_export(*, timeline=None, overall=None, physical=None,
     return build_flat_pyramid(
         n_pes=edges.n_pes if edges is not None else overall.n_pes,
         overall=overall, edges=edges)
-
-
-class StreamingEdgeLod:
-    """Streaming bucketed edge accumulator for :class:`TraceArchiver`.
-
-    Holds one dict entry per (bucket, src, dst) seen at the *current*
-    bucket width; when the run outgrows :data:`DEFAULT_BASE` buckets the
-    width doubles and the buckets fold pairwise — O(log horizon) folds
-    total, so memory stays O(base × live edges) for a run of any length.
-    """
-
-    def __init__(self) -> None:
-        self.width = 1
-        self.horizon = 0
-        self._acc: dict[tuple[int, int, int], list[int]] = {}
-
-    def add(self, t: int, src: int, dst: int, nbytes: int) -> None:
-        if t >= self.horizon:
-            self.horizon = t + 1
-        while t // self.width >= DEFAULT_BASE:
-            self._fold()
-        key = (t // self.width, src, dst)
-        entry = self._acc.get(key)
-        if entry is None:
-            self._acc[key] = [1, nbytes]
-        else:
-            entry[0] += 1
-            entry[1] += nbytes
-
-    def _fold(self) -> None:
-        self.width *= 2
-        folded: dict[tuple[int, int, int], list[int]] = {}
-        for (b, src, dst), (count, nbytes) in self._acc.items():
-            key = (b // 2, src, dst)
-            entry = folded.get(key)
-            if entry is None:
-                folded[key] = [count, nbytes]
-            else:
-                entry[0] += count
-                entry[1] += nbytes
-        self._acc = folded
-
-    def to_pyramid(self, n_pes: int) -> Pyramid:
-        """Finalize into an edge-only pyramid (empty per-PE levels)."""
-        horizon = max(self.horizon, 1)
-        widths = level_widths(horizon)
-        while self.width < widths[0]:
-            self._fold()
-        keys = sorted(self._acc)
-        edge0 = {
-            "bucket": np.array([k[0] for k in keys], dtype=np.int64),
-            "src": np.array([k[1] for k in keys], dtype=np.int64),
-            "dst": np.array([k[2] for k in keys], dtype=np.int64),
-            "count": np.array([self._acc[k][0] for k in keys],
-                              dtype=np.int64),
-            "bytes": np.array([self._acc[k][1] for k in keys],
-                              dtype=np.int64),
-        }
-        if not keys:
-            edge0 = _empty_edge()
-        edge_levels = [edge0]
-        for _ in widths[1:]:
-            edge_levels.append(_fold_edge(edge_levels[-1], n_pes))
-        pe_levels = [_empty_pe() for _ in widths]
-        return Pyramid(horizon, n_pes, widths, True, pe_levels, edge_levels)
 
 
 # ----------------------------------------------------------------------

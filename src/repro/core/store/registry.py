@@ -59,14 +59,6 @@ class RegistryError(ValueError):
     """Raised for unknown run ids or a corrupt registry."""
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @contextmanager
 def file_lock(path: Path):
     """Hold an exclusive advisory lock on ``path`` (created if absent).
@@ -272,13 +264,17 @@ class RunRegistry:
         The decision is made under the target shard's file lock, so two
         concurrent identical uploads register exactly one entry.
         """
+        # imported here: repro.exec pulls in multiprocessing, which a
+        # process that only reads the registry never needs
+        from repro.exec.cache import file_sha256
+
         archive_path = Path(archive_path)
         try:
             with Archive(archive_path) as archive:
                 meta = dict(archive.meta)
         except (OSError, ArchiveError) as exc:
             raise RegistryError(f"cannot register {archive_path}: {exc}") from exc
-        fingerprint = _sha256_file(archive_path)
+        fingerprint = file_sha256(archive_path)
         base = _ID_RE.sub("-", run_id or archive_path.stem).strip("-") or "run"
         explicit = run_id is not None
         candidate, n = base, 1

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.conveyors.hooks import SEND_TYPES
+from repro.core.logical import LogicalTrace
+from repro.core.physical import PhysicalTrace
 from repro.core.store.archive import (
     FORMAT_VERSION,
     MAGIC,
@@ -36,6 +37,7 @@ from repro.core.store.archive import (
     ArchiveError,
 )
 from repro.core.store.codec import encode_column
+from repro.hclib.hooks import ForwardingHooks
 
 #: Process-wide default for recording per-chunk stats (min/max/sum and
 #: the count×size weighted sums) in the footer.  The stats feed query
@@ -326,7 +328,7 @@ def export_run(
 # streaming spill (profiler decorator)
 # ----------------------------------------------------------------------
 
-class TraceArchiver:
+class TraceArchiver(ForwardingHooks):
     """Spill logical + physical traces to an archive incrementally.
 
     Decorates an inner profiler (or ``None``) exactly like
@@ -336,133 +338,79 @@ class TraceArchiver:
         run_spmd(program, machine=spec, profiler=arch)
         arch.close()                       # finalizes run.aptrc
 
-    Between spills only a *partial* aggregate (one dict entry per
-    distinct route seen since the last spill) is held in memory; every
-    ``spill_every`` recorded events it is encoded, appended to the
-    archive, and dropped.  If the inner profiler recorded PAPI or
-    overall data, those (small) traces are added at :meth:`close`.
+    Events go into a :class:`LogicalTrace` and a :class:`PhysicalTrace`
+    (the aggregators :class:`ActorProf` uses), so between spills only a
+    *partial* aggregate — one entry per distinct route seen since the
+    last spill — is in memory; every ``spill_every`` recorded events
+    their ``to_columns()`` is encoded, appended, and dropped.  PAPI or
+    overall data the inner profiler recorded is added at :meth:`close`.
+    A pyramid comes from :func:`~repro.core.store.lod.backfill_pyramid`.
     """
 
-    LOGICAL_COLUMNS = ("src", "dst", "size", "count")
-    PHYSICAL_COLUMNS = ("kind", "size", "src", "dst", "count")
-
     def __init__(self, path: str | Path, inner=None,
-                 spill_every: int = 250_000, meta: dict | None = None,
-                 lod: bool = False) -> None:
+                 spill_every: int = 250_000, meta: dict | None = None) -> None:
         if spill_every < 1:
             raise ValueError("spill_every must be >= 1")
-        self.inner = inner
+        super().__init__(inner)
         self.spill_every = spill_every
         self._path = Path(path)
         self._meta = dict(meta or {})
         self._writer: ArchiveWriter | None = None
-        self._hooks = None
-        self._tracer = None
-        self._spec = None
-        self._world = None
-        self._logical: dict[tuple[int, int, int], int] = {}
-        self._physical: dict[tuple[int, int, int, int], int] = {}
-        self._ticks: list[int] = []
+        self._streams: tuple[tuple[SectionWriter, object], ...] = ()
         self._pending = 0
         self.spills = 0
-        self._lod = bool(lod)
-        self._edge_lod = None
-        if self._lod:
-            from repro.core.store.lod import StreamingEdgeLod
-
-            self._edge_lod = StreamingEdgeLod()
 
     # -- profiler protocol -----------------------------------------------
 
     def attach(self, world):
         """Wire into the world; returns (hooks, tracer) like ActorProf."""
-        if self._writer is not None:
-            raise ArchiveError("a TraceArchiver archives exactly one run")
-        if self.inner is not None:
-            self._hooks, self._tracer = self.inner.attach(world)
-        self._spec = world.spec
-        self._world = world
-        self._ticks = [0] * world.spec.n_pes
+        super().attach(world)
+        spec = world.spec
+        self._logical = LogicalTrace(spec)
+        self._physical = PhysicalTrace(spec.n_pes, spec=spec)
         self._writer = ArchiveWriter(
-            self._path, meta={**machine_meta(world.spec), **self._meta})
-        self._log_section = self._writer.begin_section(
-            "logical", self.LOGICAL_COLUMNS
-        )
-        self._phys_section = self._writer.begin_section(
-            "physical", self.PHYSICAL_COLUMNS,
-            # n_pes first: PhysicalTrace.to_columns' attr order, which
-            # the merge keeps because the key is already present
-            attrs={"n_pes": world.spec.n_pes,
-                   "send_types": list(SEND_TYPES),
-                   **machine_meta(world.spec)},
-        )
+            self._path, meta={**machine_meta(spec), **self._meta})
+        self._streams = tuple(
+            (self._writer.begin_section(name, trace.to_columns()[0]), trace)
+            for name, trace in (("logical", self._logical),
+                                ("physical", self._physical)))
         return self, self
+
+    def _attached_writer(self) -> ArchiveWriter:
+        if self._writer is None:
+            raise ArchiveError("TraceArchiver is not attached to a run")
+        return self._writer
 
     # -- spilling ----------------------------------------------------------
 
-    def _maybe_spill(self) -> None:
+    def _recorded(self, n: int) -> None:
+        self._pending += n
         if self._pending >= self.spill_every:
             self.spill()
 
     def spill(self) -> None:
         """Flush the current partial aggregates to the archive."""
-        if self._writer is None:
-            raise ArchiveError("TraceArchiver is not attached to a run")
-        if self._logical:
-            keys = sorted(self._logical)
-            self._log_section.write_chunk({
-                "src": [k[0] for k in keys],
-                "dst": [k[1] for k in keys],
-                "size": [k[2] for k in keys],
-                "count": [self._logical[k] for k in keys],
-            })
-            self._logical.clear()
-        if self._physical:
-            keys = sorted(self._physical)
-            self._phys_section.write_chunk({
-                "kind": [k[0] for k in keys],
-                "size": [k[1] for k in keys],
-                "src": [k[2] for k in keys],
-                "dst": [k[3] for k in keys],
-                "count": [self._physical[k] for k in keys],
-            })
-            self._physical.clear()
+        self._attached_writer()
+        for section, trace in self._streams:
+            section.write_chunk(trace.to_columns()[0])  # empty: ignored
+            trace.clear()
         self._pending = 0
         self.spills += 1
 
     def close(self) -> Path:
-        """Spill the remainder, add inner PAPI/overall traces, finalize."""
-        if self._writer is None:
-            raise ArchiveError("TraceArchiver is not attached to a run")
+        """Spill the remainder, add inner PAPI/overall traces, finalize
+        (idempotent: a second call only returns the path)."""
+        writer = self._attached_writer()
+        if writer._closed:
+            return writer.path
         self.spill()
-        self._log_section.end(attrs={
-            "nodes": self._spec.nodes,
-            "pes_per_node": self._spec.pes_per_node,
-            "machine_name": self._spec.name,
-            "sample_interval": 1,
-            "ticks": list(self._ticks),
-        })
-        self._phys_section.end()
-        papi = getattr(self.inner, "papi_trace", None)
-        if papi is not None:
-            columns, attrs = papi.to_columns()
-            self._writer.add_section("papi", columns, attrs)
-        overall = getattr(self.inner, "overall", None)
-        if overall is not None:
-            columns, attrs = overall.to_columns()
-            self._writer.add_section("overall", columns, attrs)
-        if self._lod:
-            from repro.core.store.lod import build_pyramid, write_pyramid
-
-            timeline = getattr(self.inner, "timeline", None)
-            if timeline is not None and timeline.span_count():
-                # the timeline carries the same net-event stream record()
-                # saw, plus the region spans the streamed path lacks
-                pyramid = build_pyramid(timeline)
-            else:
-                pyramid = self._edge_lod.to_pyramid(self._spec.n_pes)
-            write_pyramid(self._writer, pyramid)
-        return self._writer.close()
+        for section, trace in self._streams:
+            section.end(attrs=trace.to_columns()[1])
+        for name, attr in (("papi", "papi_trace"), ("overall", "overall")):
+            trace = getattr(self.inner, attr, None)
+            if trace is not None:
+                writer.add_section(name, *trace.to_columns())
+        return writer.close()
 
     def salvage(self, failure: BaseException | None = None,
                 meta: dict | None = None) -> Path:
@@ -472,72 +420,29 @@ class TraceArchiver:
         close, everything spilled before the failure is already on disk;
         salvaging just stamps the footer metadata ``degraded`` (plus the
         failure and any injected-fault schedule) and closes normally.
-        The result is a fully loadable ``.aptrc``.
+        The result is a fully loadable ``.aptrc``.  After :meth:`close`
+        this only returns the path.
         """
-        if self._writer is None:
-            raise ArchiveError("TraceArchiver is not attached to a run")
-        self._writer.meta.update(degraded_meta(self._world, failure))
-        self._writer.meta.update(meta or {})
+        writer = self._attached_writer()
+        if not writer._closed:
+            writer.meta.update(degraded_meta(self._world, failure))
+            writer.meta.update(meta or {})
         return self.close()
 
-    # -- RuntimeHooks (forwarding + accumulation) --------------------------
-
-    def finish_start(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.finish_start(pe)
-
-    def finish_end(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.finish_end(pe)
-
-    def main_enter(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.main_enter(pe)
-
-    def main_exit(self, pe: int) -> None:
-        if self._hooks is not None:
-            self._hooks.main_exit(pe)
-
-    def proc_enter(self, pe: int, mailbox: int) -> None:
-        if self._hooks is not None:
-            self._hooks.proc_enter(pe, mailbox)
-
-    def proc_exit(self, pe: int, mailbox: int, n_items: int) -> None:
-        if self._hooks is not None:
-            self._hooks.proc_exit(pe, mailbox, n_items)
+    # -- observed events (everything else forwards untouched) --------------
 
     def send(self, pe: int, mailbox: int, dst: int, nbytes: int) -> None:
-        self._ticks[pe] += 1
-        key = (pe, dst, nbytes)
-        self._logical[key] = self._logical.get(key, 0) + 1
-        self._pending += 1
-        if self._hooks is not None:
-            self._hooks.send(pe, mailbox, dst, nbytes)
-        self._maybe_spill()
+        self._logical.record(pe, dst, nbytes)
+        super().send(pe, mailbox, dst, nbytes)
+        self._recorded(1)
 
     def send_batch(self, pe: int, mailbox: int, dsts, nbytes: int) -> None:
-        dsts = np.asarray(dsts)
-        self._ticks[pe] += len(dsts)
-        uniq, counts = np.unique(dsts, return_counts=True)
-        log = self._logical
-        for dst, cnt in zip(uniq.tolist(), counts.tolist()):
-            key = (pe, int(dst), nbytes)
-            log[key] = log.get(key, 0) + int(cnt)
-        self._pending += len(dsts)
-        if self._hooks is not None:
-            self._hooks.send_batch(pe, mailbox, dsts, nbytes)
-        self._maybe_spill()
-
-    # -- Conveyors TraceSink ----------------------------------------------
+        self._logical.record_batch(pe, dsts, nbytes)
+        super().send_batch(pe, mailbox, dsts, nbytes)
+        self._recorded(len(dsts))
 
     def record(self, send_type: str, nbytes: int, src_pe: int, dst_pe: int,
                time: int) -> None:
-        kind = SEND_TYPES.index(send_type)
-        key = (kind, nbytes, src_pe, dst_pe)
-        self._physical[key] = self._physical.get(key, 0) + 1
-        self._pending += 1
-        if self._edge_lod is not None:
-            self._edge_lod.add(time, src_pe, dst_pe, nbytes)
-        if self._tracer is not None:
-            self._tracer.record(send_type, nbytes, src_pe, dst_pe, time)
-        self._maybe_spill()
+        self._physical.record(send_type, nbytes, src_pe, dst_pe, time)
+        super().record(send_type, nbytes, src_pe, dst_pe, time)
+        self._recorded(1)

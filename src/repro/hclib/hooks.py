@@ -26,6 +26,8 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.sim.errors import SimulationError
+
 
 class RuntimeHooks(Protocol):
     """Receiver of HClib-Actor runtime events (implemented by ActorProf)."""
@@ -81,3 +83,61 @@ class NullHooks:
 
     def send_batch(self, pe: int, mailbox: int, dsts: np.ndarray, nbytes: int) -> None:  # noqa: D102
         pass
+
+
+class ForwardingHooks:
+    """Base of the profiler decorators: forwards everything to ``inner``.
+
+    Attaches the inner profiler (or none) exactly once and forwards every
+    runtime hook and the Conveyors ``record`` unmodified; a subclass
+    overrides only the events it observes and passes them on via
+    ``super()``.
+    """
+
+    def __init__(self, inner=None) -> None:
+        self.inner = inner
+        self._world = None
+        self._hooks = NullHooks()
+        self._tracer = None
+
+    def attach(self, world):
+        """Wire into the world; returns (hooks, tracer) like ActorProf."""
+        if self._world is not None:
+            raise SimulationError(
+                f"a {type(self).__name__} instance profiles exactly one run")
+        self._world = world
+        if self.inner is not None:
+            hooks, self._tracer = self.inner.attach(world)
+            if hooks is not None:
+                self._hooks = hooks
+        return self, self._tracer
+
+    def finish_start(self, pe: int) -> None:  # noqa: D102
+        self._hooks.finish_start(pe)
+
+    def finish_end(self, pe: int) -> None:  # noqa: D102
+        self._hooks.finish_end(pe)
+
+    def main_enter(self, pe: int) -> None:  # noqa: D102
+        self._hooks.main_enter(pe)
+
+    def main_exit(self, pe: int) -> None:  # noqa: D102
+        self._hooks.main_exit(pe)
+
+    def proc_enter(self, pe: int, mailbox: int) -> None:  # noqa: D102
+        self._hooks.proc_enter(pe, mailbox)
+
+    def proc_exit(self, pe: int, mailbox: int, n_items: int) -> None:  # noqa: D102
+        self._hooks.proc_exit(pe, mailbox, n_items)
+
+    def send(self, pe: int, mailbox: int, dst: int, nbytes: int) -> None:  # noqa: D102
+        self._hooks.send(pe, mailbox, dst, nbytes)
+
+    def send_batch(self, pe: int, mailbox: int, dsts: np.ndarray, nbytes: int) -> None:  # noqa: D102
+        self._hooks.send_batch(pe, mailbox, dsts, nbytes)
+
+    def record(self, send_type: str, nbytes: int, src_pe: int, dst_pe: int,
+               time: int) -> None:
+        """Conveyors ``TraceSink``: forward to the inner tracer, if any."""
+        if self._tracer is not None:
+            self._tracer.record(send_type, nbytes, src_pe, dst_pe, time)

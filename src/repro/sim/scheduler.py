@@ -23,26 +23,26 @@ predicate holds, no timed wakeups exist and the event queue is empty while
 some PE is still blocked, a :class:`~repro.sim.errors.DeadlockError` is
 raised with a per-PE wait report.
 
-Indexed core
-------------
-The default (``indexed``) core keeps every candidate's key in a flat numpy
-``int64`` vector (``_NO_KEY`` marks non-candidates), so one SIMD ``min`` +
-``flatnonzero`` replaces the historical O(n_pes) Python scan per handoff.
+Candidate index
+---------------
+Every candidate's key lives in a flat numpy ``int64`` vector (``_NO_KEY``
+marks non-candidates), so one SIMD ``min`` + ``flatnonzero`` replaces an
+O(n_pes) Python scan per handoff.
 Blocked predicates are **epoch-gated**: a PE that blocks on a predicate
 registers with the :class:`WaitChannel` s covering the state it waits on,
 and the predicate is only re-evaluated when one of those channels is
 notified (a conveyor buffer landed, a conveyor group's quiescence flipped,
 a collective released) or an event fired.  Blocks that pass no channels
-fall back to the historical conservative behaviour — re-evaluation at
-every handoff.  Due events are drained in batches
+fall back to the conservative behaviour — re-evaluation at every
+handoff.  Due events are drained in batches
 (:meth:`~repro.sim.events.EventQueue.pop_due`): every event at the firing
 timestamp — including events an action posts *at that same cycle* — fires
 in one pass before candidates are re-examined.
 
-The pre-index linear scan survives verbatim as ``core="linear"``
-(env ``ACTORPROF_SIM_CORE=linear``): it is the differential-testing oracle
-and the baseline the weak-scaling benchmark measures against.  Both cores
-produce byte-identical traces; the golden-archive suite pins this.
+The pre-index linear scan is the differential-testing oracle and lives
+with the tests (``tests/sched_oracle.py``: a subclass overriding only
+``_select_locked``).  Both produce byte-identical traces; the
+golden-archive suite pins this.
 
 Virtual time
 ------------
@@ -57,7 +57,6 @@ strictly conservative.
 from __future__ import annotations
 
 import enum
-import os
 import threading
 import time
 import traceback
@@ -141,9 +140,9 @@ class WaitChannel:
     :meth:`notify` whenever that state changes in a way that could flip a
     wait predicate — in either direction.  A PE that blocks with
     ``channels=(ch, ...)`` is only re-examined after one of its channels
-    fires; missing a notification would make the indexed core diverge
-    from the linear oracle, which the differential tests and golden
-    archives guard.
+    fires; missing a notification would make selection diverge from the
+    linear oracle (``tests/sched_oracle.py``), which the differential
+    tests and golden archives guard.
 
     ``notify`` is safe to call without the scheduler lock: only one PE
     thread executes at a time (the baton invariant), and event actions —
@@ -170,7 +169,7 @@ class SchedStats:
     handoffs: int = 0         # baton transfers to a different PE thread
     yield_fast: int = 0       # yields resolved without a thread handoff
     events_fired: int = 0     # event actions executed
-    event_batches: int = 0    # batched drains (indexed core)
+    event_batches: int = 0    # batched event drains
     pred_evals: int = 0       # blocked-predicate evaluations
     wall_s: float = 0.0       # wall-clock seconds spent inside run()
 
@@ -235,34 +234,16 @@ class CoopScheduler:
     policy:
         Tie-break / flush-order resolution; None means the default
         (byte-identical to historical behaviour).
-    core:
-        ``"indexed"`` (default) selects via the numpy candidate-key
-        vector with channel-gated predicate re-evaluation; ``"linear"``
-        is the pre-index full scan, kept as the differential oracle and
-        benchmark baseline.  Overridable via ``ACTORPROF_SIM_CORE``.
 
     Notes
     -----
     The scheduler is single-use: construct one per simulation run.
     """
 
-    def __init__(
-        self,
-        n_pes: int,
-        policy: SchedulePolicy | None = None,
-        core: str | None = None,
-    ) -> None:
+    def __init__(self, n_pes: int, policy: SchedulePolicy | None = None) -> None:
         if n_pes <= 0:
             raise ValueError(f"need at least one PE, got {n_pes}")
-        if core is None:
-            core = os.environ.get("ACTORPROF_SIM_CORE", "indexed")
-        if core not in ("indexed", "linear"):
-            raise ValueError(
-                f"unknown scheduler core {core!r}; want 'indexed' or 'linear'"
-            )
         self.n_pes = n_pes
-        self.core = core
-        self._indexed = core == "indexed"
         self.policy: SchedulePolicy = policy if policy is not None else DEFAULT_POLICY
         self.clocks: list[CycleClock] = [CycleClock() for _ in range(n_pes)]
         self.events = EventQueue()
@@ -273,7 +254,7 @@ class CoopScheduler:
         self._failure: PEFailure | None = None
         self._aborting = False
         self._started = False
-        # Indexed-core state.  _keys[r] is PE r's current candidate key
+        # Candidate index.  _keys[r] is PE r's current candidate key
         # (_NO_KEY when not selectable); _dirty holds ranks whose blocked
         # predicate must be re-evaluated before the next selection;
         # _always_dirty holds blocked ranks that gave no channels (the
@@ -317,13 +298,11 @@ class CoopScheduler:
             self._check_abort()
             rec = self._pes[rank]
             rec.state = PEState.RUNNABLE
-            if self._indexed:
-                self._keys[rank] = self.clocks[rank].now
+            self._keys[rank] = self.clocks[rank].now
             nxt = self._select_locked()
             if nxt is rec:
                 rec.state = PEState.RUNNING
-                if self._indexed:
-                    self._keys[rank] = _NO_KEY
+                self._keys[rank] = _NO_KEY
                 self.stats.yield_fast += 1
                 return
             # nxt can be None (everything else DONE) only when an event
@@ -352,9 +331,9 @@ class CoopScheduler:
 
         ``channels`` names the :class:`WaitChannel` s covering every piece
         of state the predicate reads that *other* PEs (or events) can
-        mutate; the indexed core then re-evaluates the predicate only when
-        one of them notifies.  An empty ``channels`` keeps the historical
-        conservative behaviour (re-evaluation at every handoff).
+        mutate; the predicate is then re-evaluated only when one of them
+        notifies.  An empty ``channels`` keeps the conservative behaviour
+        (re-evaluation at every handoff).
         """
         if predicate is None and wakeup_time is None:
             raise SimulationError(
@@ -369,8 +348,7 @@ class CoopScheduler:
             rec.wakeup_time = wakeup_time
             rec.reason = reason
             self._n_blocked += 1
-            if self._indexed:
-                self._index_block_locked(rec, channels)
+            self._index_block_locked(rec, channels)
             nxt = self._select_locked()
             if nxt is rec:
                 self._resume_locked(rec)
@@ -464,9 +442,8 @@ class CoopScheduler:
         self.clocks[rank].advance_to(at_cycle)
         if rec.state is PEState.BLOCKED:
             self._n_blocked -= 1
-        if self._indexed:
-            self._index_unblock_locked(rec)
-            self._keys[rank] = _NO_KEY
+        self._index_unblock_locked(rec)
+        self._keys[rank] = _NO_KEY
         rec.state = PEState.CRASHED
         rec.predicate = None
         rec.wakeup_time = None
@@ -492,8 +469,7 @@ class CoopScheduler:
             raise SimulationError("CoopScheduler.run may only be called once")
         self._started = True
         run_t0 = time.perf_counter()
-        if self._indexed:
-            self._keys[:] = collect_now(self.clocks)
+        self._keys[:] = collect_now(self.clocks)
         for rec in self._pes:
             rec.state = PEState.RUNNABLE
             rec.thread = threading.Thread(
@@ -609,21 +585,19 @@ class CoopScheduler:
                 if not pred_ok:
                     self.clocks[rec.rank].advance_to(rec.wakeup_time)
             self._n_blocked -= 1
-            if self._indexed:
-                self._index_unblock_locked(rec)
+            self._index_unblock_locked(rec)
         rec.state = PEState.RUNNING
         rec.predicate = None
         rec.wakeup_time = None
         rec.reason = ""
-        if self._indexed:
-            self._keys[rec.rank] = _NO_KEY
+        self._keys[rec.rank] = _NO_KEY
 
     def _safe_pred(self, rec: _PERecord) -> bool:
         assert rec.predicate is not None
         self.stats.pred_evals += 1
         return bool(rec.predicate())
 
-    # --- indexed-core bookkeeping ---------------------------------------
+    # --- candidate-index bookkeeping ------------------------------------
 
     def _index_block_locked(
         self, rec: _PERecord, channels: Iterable[WaitChannel]
@@ -637,14 +611,7 @@ class CoopScheduler:
                 rec.channels = chans
                 for ch in chans:
                     ch._waiters.add(rank)
-                now = self.clocks[rank].now
-                if self._safe_pred(rec):
-                    self._keys[rank] = now
-                elif rec.wakeup_time is not None:
-                    w = rec.wakeup_time
-                    self._keys[rank] = now if now > w else w
-                else:
-                    self._keys[rank] = _NO_KEY
+                self._keys[rank] = self._predicate_key(rec)
             else:
                 # No channels: conservative fallback.  The refresh at the
                 # top of every selection computes the key.
@@ -655,6 +622,16 @@ class CoopScheduler:
             w = rec.wakeup_time
             assert w is not None  # enforced by block()
             self._keys[rank] = now if now > w else w
+
+    def _predicate_key(self, rec: _PERecord) -> int:
+        """Evaluate a blocked PE's predicate; return its candidate key."""
+        now = self.clocks[rec.rank].now
+        if self._safe_pred(rec):
+            return now
+        w = rec.wakeup_time
+        if w is None:
+            return _NO_KEY
+        return now if now > w else w
 
     def _index_unblock_locked(self, rec: _PERecord) -> None:
         """Deregister a PE leaving the BLOCKED state from the index."""
@@ -681,16 +658,8 @@ class CoopScheduler:
         keys = self._keys
         for rank in ranks:
             rec = self._pes[rank]
-            if rec.state is not PEState.BLOCKED or rec.predicate is None:
-                continue
-            now = self.clocks[rank].now
-            if self._safe_pred(rec):
-                keys[rank] = now
-            elif rec.wakeup_time is not None:
-                w = rec.wakeup_time
-                keys[rank] = now if now > w else w
-            else:
-                keys[rank] = _NO_KEY
+            if rec.state is PEState.BLOCKED and rec.predicate is not None:
+                keys[rank] = self._predicate_key(rec)
 
     def _fire_due_locked(self, ev_time: int) -> None:
         """Batched event drain: fire every event due at ``ev_time``.
@@ -722,11 +691,6 @@ class CoopScheduler:
         PEs remain but nothing can make progress.
         """
         self.stats.selections += 1
-        if self._indexed:
-            return self._select_indexed_locked()
-        return self._select_linear_locked()
-
-    def _select_indexed_locked(self) -> _PERecord | None:
         keys = self._keys
         while True:
             if self._dirty or self._always_dirty:
@@ -750,55 +714,6 @@ class CoopScheduler:
                     f"which is not among the tied candidates {ranks}"
                 )
             if self._n_blocked:
-                raise DeadlockError(self._deadlock_report_locked())
-            # No runnable, no blocked, no events: everything is DONE/FAILED.
-            self._done.set()
-            return None
-
-    def _select_linear_locked(self) -> _PERecord | None:
-        """The pre-index selection loop, byte-for-byte (oracle/baseline)."""
-        while True:
-            best_time: int | None = None
-            tied: list[_PERecord] = []  # candidates at best_time, rank-ascending
-            any_blocked = False
-            for rec in self._pes:
-                if rec.state is PEState.RUNNABLE:
-                    t = self.clocks[rec.rank].now
-                elif rec.state is PEState.BLOCKED:
-                    any_blocked = True
-                    if rec.predicate is not None and self._safe_pred(rec):
-                        t = self.clocks[rec.rank].now
-                    elif rec.wakeup_time is not None:
-                        t = max(self.clocks[rec.rank].now, rec.wakeup_time)
-                    else:
-                        continue
-                else:
-                    continue
-                if best_time is None or t < best_time:
-                    best_time, tied = t, [rec]
-                elif t == best_time:
-                    tied.append(rec)
-            ev_time = self.events.next_time()
-            if ev_time is not None and (best_time is None or ev_time < best_time):
-                ev = self.events.pop_next()
-                assert ev is not None
-                ev.action()
-                self.stats.events_fired += 1
-                continue  # re-evaluate: the action may have changed the world
-            if tied:
-                if len(tied) == 1:
-                    return tied[0]
-                assert best_time is not None
-                ranks = [rec.rank for rec in tied]
-                chosen = self.policy.tie_break(best_time, ranks)
-                for rec in tied:
-                    if rec.rank == chosen:
-                        return rec
-                raise SimulationError(
-                    f"schedule policy {self.policy!r} picked PE {chosen}, "
-                    f"which is not among the tied candidates {ranks}"
-                )
-            if any_blocked:
                 raise DeadlockError(self._deadlock_report_locked())
             # No runnable, no blocked, no events: everything is DONE/FAILED.
             self._done.set()

@@ -8,6 +8,9 @@ byte-identical across two identically-seeded runs, and (d) diffs and
 queries against a healthy run through the normal CLI.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,20 @@ def test_streaming_archiver_salvage(tmp_path):
     assert traces.meta["app"] == "actors"
     assert traces.meta["crashed_pes"] == {"2": 20_000}
     assert traces.logical is not None and traces.logical.total_sends() > 0
+    # Same spilled bytes and footer index as the archiver wrote while it
+    # kept its own aggregate dicts (PR 13).  ``meta["failure"]`` ends in
+    # a traceback (absolute paths, scheduler line numbers), so only its
+    # headline is comparable across checkouts.
+    with Archive(path) as archive:
+        data = path.read_bytes()[:archive.data_end]
+        index = json.dumps(archive.section_index, sort_keys=True).encode()
+        headline = archive.meta["failure"].split("\n")[0]
+    assert hashlib.sha256(data).hexdigest() == (
+        "b9677feb0b70b772bee22705847935c244d957c2973718f0d34f025520541f9d")
+    assert hashlib.sha256(index).hexdigest() == (
+        "b3d41f3ecdc189430839568a37dbf4c8b8ff191e099eae0e9ceee0f6718153f4")
+    assert headline.startswith(
+        "PEFailure: PE 1 failed: DeadlockError('simulation deadlocked;")
 
 
 def test_salvage_requires_attachment(tmp_path):

@@ -25,6 +25,7 @@ import pytest
 from repro.check.policies import make_schedules
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.machine.spec import MachineSpec
+from tests.sched_oracle import LinearScheduler, use_scheduler
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -57,6 +58,16 @@ def test_rebuild_is_byte_identical_to_golden(name, tmp_path):
         f"execution or the archive format drifted; if intentional, "
         f"regenerate the goldens and call it out in the changelog"
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_rebuild_under_linear_oracle_is_byte_identical(
+        name, tmp_path, monkeypatch):
+    """The indexed selection and the O(n_pes) scan it replaced
+    (``tests/sched_oracle.py``) schedule the case studies identically."""
+    use_scheduler(monkeypatch, LinearScheduler)
+    rebuilt = _build(name, tmp_path / f"{name}.aptrc")
+    assert rebuilt.read_bytes() == (GOLDEN_DIR / f"{name}.aptrc").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))

@@ -1,14 +1,14 @@
-"""Tests for the indexed scheduler core and scheduler edge cases.
+"""Tests for the scheduler's indexed selection and scheduler edge cases.
 
 Three groups:
 
-* edge-case semantics that must hold on **both** cores (tie-break
-  validation, same-cycle event chains, crash-during-tie,
-  predicate-true-with-wakeup, failure attribution, thread-leak detection,
-  deadlock report contents);
+* edge-case semantics that must hold on the production scheduler **and**
+  the linear oracle (``tests/sched_oracle.py``): tie-break validation,
+  same-cycle event chains, crash-during-tie, predicate-true-with-wakeup,
+  failure attribution, thread-leak detection, deadlock report contents;
 * :class:`~repro.sim.scheduler.WaitChannel` epoch bookkeeping specific to
-  the indexed core (predicate evaluation is gated on notifications);
-* differential runs pinning the indexed core against the preserved linear
+  the indexed selection (predicate evaluation is gated on notifications);
+* differential runs pinning the production scheduler against the linear
   oracle on real workloads — default policy, jittered policies, and a
   crash fault plan.
 """
@@ -22,17 +22,19 @@ from repro.sim import CoopScheduler, DeadlockError, PECrashed, PEFailure
 from repro.sim.errors import SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.scheduler import PEState, SchedulePolicy
+from tests.sched_oracle import LinearScheduler, use_scheduler
 
-CORES = ["indexed", "linear"]
+CORES = {"indexed": CoopScheduler, "linear": LinearScheduler}
 
 
-@pytest.fixture(params=CORES)
+@pytest.fixture(params=sorted(CORES))
 def core(request):
-    return request.param
+    """The scheduler *class* under test."""
+    return CORES[request.param]
 
 
 # ---------------------------------------------------------------------------
-# Edge cases (both cores)
+# Edge cases (production scheduler and linear oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -44,7 +46,7 @@ class _NonCandidatePolicy(SchedulePolicy):
 
 
 def test_tie_break_non_candidate_raises_named_error(core):
-    s = CoopScheduler(3, policy=_NonCandidatePolicy(), core=core)
+    s = core(3, policy=_NonCandidatePolicy())
     # All three PEs tie at clock 0 on the initial selection, which happens
     # on the coordinating main thread.
     with pytest.raises(PEFailure) as ei:
@@ -56,7 +58,7 @@ def test_tie_break_non_candidate_raises_named_error(core):
 
 
 def test_main_thread_failure_not_blamed_on_pe0(core):
-    s = CoopScheduler(2, policy=_NonCandidatePolicy(), core=core)
+    s = core(2, policy=_NonCandidatePolicy())
     with pytest.raises(PEFailure) as ei:
         s.run(lambda rank: None)
     # The initial selection failed before any PE ran: the failure belongs
@@ -67,7 +69,7 @@ def test_main_thread_failure_not_blamed_on_pe0(core):
 
 
 def test_pe_failure_rank_still_reported(core):
-    s = CoopScheduler(4, core=core)
+    s = core(4)
 
     def prog(rank):
         if rank == 2:
@@ -82,7 +84,7 @@ def test_pe_failure_rank_still_reported(core):
 def test_same_cycle_event_chain_fires_in_one_drain(core):
     """An event action posting another event at the *same* cycle must have
     that event fire in the same drain, before any PE resumes."""
-    s = CoopScheduler(1, core=core)
+    s = core(1)
     fired = []
 
     def second():
@@ -104,7 +106,7 @@ def test_same_cycle_event_chain_fires_in_one_drain(core):
 
 
 def test_event_batches_counted_on_indexed_core():
-    s = CoopScheduler(1, core="indexed")
+    s = CoopScheduler(1)
     hits = []
 
     def prog(rank):
@@ -120,7 +122,7 @@ def test_event_batches_counted_on_indexed_core():
 
 def test_crash_during_tie(core):
     """A crash landing while several PEs are tied kills only the victim."""
-    s = CoopScheduler(4, core=core)
+    s = core(4)
     done = []
 
     def prog(rank):
@@ -142,7 +144,7 @@ def test_crash_during_tie(core):
 def test_predicate_true_with_wakeup_does_not_advance_clock(core):
     """_resume_locked must not apply the timed wakeup when the predicate
     is (already) true — the unblocking layer owns arrival accounting."""
-    s = CoopScheduler(1, core=core)
+    s = core(1)
     seen = []
 
     def prog(rank):
@@ -154,7 +156,7 @@ def test_predicate_true_with_wakeup_does_not_advance_clock(core):
 
 
 def test_pure_wakeup_still_advances_clock(core):
-    s = CoopScheduler(1, core=core)
+    s = core(1)
     seen = []
 
     def prog(rank):
@@ -179,7 +181,7 @@ def test_leaked_pe_thread_raises(core, monkeypatch):
             time.sleep(3.0)  # simulates a teardown that never finishes
 
     monkeypatch.setattr(sched_mod.CoopScheduler, "_pe_main", wedged)
-    s = CoopScheduler(2, core=core)
+    s = core(2)
     with pytest.raises(SimulationError) as ei:
         s.run(lambda rank: None, join_timeout=0.2)
     assert "sim-pe-1" in str(ei.value)
@@ -188,7 +190,7 @@ def test_leaked_pe_thread_raises(core, monkeypatch):
 
 def test_deadlock_report_includes_wakeups_and_pending_events(core):
     """Timed-wakeup and pending-event diagnostics in the deadlock text."""
-    s = CoopScheduler(2, core=core)
+    s = core(2)
     # White-box: construct the wedged state directly and render the
     # report.  (A live deadlock can never hold a timed wakeup or a
     # pending event — both would count as progress — so the reachable
@@ -208,7 +210,7 @@ def test_deadlock_report_includes_wakeups_and_pending_events(core):
 
 
 def test_deadlock_report_says_no_pending_events(core):
-    s = CoopScheduler(1, core=core)
+    s = core(1)
 
     def prog(rank):
         s.block(0, predicate=lambda: False, reason="stuck forever")
@@ -221,29 +223,15 @@ def test_deadlock_report_says_no_pending_events(core):
     assert "stuck forever" in str(cause)
 
 
-def test_unknown_core_rejected():
-    with pytest.raises(ValueError):
-        CoopScheduler(2, core="quantum")
-
-
-def test_core_env_override(monkeypatch):
-    monkeypatch.setenv("ACTORPROF_SIM_CORE", "linear")
-    assert CoopScheduler(2).core == "linear"
-    monkeypatch.setenv("ACTORPROF_SIM_CORE", "indexed")
-    assert CoopScheduler(2).core == "indexed"
-    # An explicit constructor argument beats the environment.
-    assert CoopScheduler(2, core="linear").core == "linear"
-
-
 # ---------------------------------------------------------------------------
-# WaitChannel epoch bookkeeping (indexed core)
+# WaitChannel epoch bookkeeping (indexed selection)
 # ---------------------------------------------------------------------------
 
 
 def test_channel_gates_predicate_reevaluation():
     """With a channel, the predicate is evaluated at block time and per
     notification — not at every handoff."""
-    s = CoopScheduler(3, core="indexed")
+    s = CoopScheduler(3)
     ch = s.channel()
     box = {"ready": False}
     evals = [0]
@@ -268,12 +256,12 @@ def test_channel_gates_predicate_reevaluation():
     s.run(prog)
     assert box["ready"]
     # One evaluation at block entry, one after the single notify.  (The
-    # linear core would have evaluated it at every selection — dozens.)
+    # linear oracle would have evaluated it at every selection — dozens.)
     assert evals[0] == 2
 
 
 def test_unchannelled_block_keeps_conservative_behaviour():
-    s = CoopScheduler(2, core="indexed")
+    s = CoopScheduler(2)
     evals = [0]
     box = {"ready": False}
 
@@ -299,7 +287,7 @@ def test_unchannelled_block_keeps_conservative_behaviour():
 def test_event_firing_dirties_channelled_waiters():
     """Event actions mutate arbitrary state, so they must re-dirty even
     channel-registered waiters (crash events rely on this)."""
-    s = CoopScheduler(1, core="indexed")
+    s = CoopScheduler(1)
     ch = s.channel()  # never notified
     box = {"ready": False}
 
@@ -316,7 +304,7 @@ def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
     observe a participant's crash and fail attributably, not deadlock."""
     from repro.hclib.world import run_spmd
 
-    monkeypatch.setenv("ACTORPROF_SIM_CORE", core)
+    use_scheduler(monkeypatch, core)
     plan = FaultPlan.single_crash(1, 1)
 
     def program(ctx):
@@ -334,20 +322,20 @@ def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Differential: indexed core vs the preserved linear oracle
+# Differential: production scheduler vs the linear oracle
 # ---------------------------------------------------------------------------
 
 
 def _run_histogram(monkeypatch, core, policy=None):
-    monkeypatch.setenv("ACTORPROF_SIM_CORE", core)
+    use_scheduler(monkeypatch, core)
     machine = MachineSpec(nodes=2, pes_per_node=2)
     res = histogram(200, 32, machine, seed=0, schedule_policy=policy)
     return res.per_pe_received, res.run.clocks
 
 
 def test_cores_agree_on_histogram_default_policy(monkeypatch):
-    a = _run_histogram(monkeypatch, "indexed")
-    b = _run_histogram(monkeypatch, "linear")
+    a = _run_histogram(monkeypatch, CoopScheduler)
+    b = _run_histogram(monkeypatch, LinearScheduler)
     assert a == b
 
 
@@ -357,8 +345,8 @@ def test_cores_agree_under_jittered_policies(monkeypatch, index):
     on exactly when and with which candidate sets the policy is invoked —
     must be identical across cores."""
     schedules = make_schedules(0, index + 1)
-    a = _run_histogram(monkeypatch, "indexed", policy=schedules[index].policy())
-    b = _run_histogram(monkeypatch, "linear", policy=schedules[index].policy())
+    a = _run_histogram(monkeypatch, CoopScheduler, policy=schedules[index].policy())
+    b = _run_histogram(monkeypatch, LinearScheduler, policy=schedules[index].policy())
     assert a == b
 
 
@@ -377,9 +365,9 @@ def test_cores_agree_under_crash_plan(monkeypatch):
         return ctx.rank
 
     def run_one(core):
-        monkeypatch.setenv("ACTORPROF_SIM_CORE", core)
+        use_scheduler(monkeypatch, core)
         with pytest.raises(PECrashed) as ei:
             run_spmd(program, machine=machine, fault_plan=plan)
         return str(ei.value)
 
-    assert run_one("indexed") == run_one("linear")
+    assert run_one(CoopScheduler) == run_one(LinearScheduler)

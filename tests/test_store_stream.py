@@ -6,8 +6,10 @@ import pytest
 from repro.core import ActorProf, LiveMonitor, ProfileFlags
 from repro.core.store.archive import Archive, ArchiveError, load_run
 from repro.core.store.writer import TraceArchiver
+from repro.exec.cache import file_sha256
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
+from repro.sim.errors import SimulationError
 
 
 class Inc(Actor):
@@ -88,11 +90,56 @@ def test_archiver_wrapping_live_monitor(tmp_path):
 
 
 def test_archiver_single_use(tmp_path):
+    """One rule, one message: the recorder and both decorators refuse a
+    second attach, and the refused call leaves the first run's state."""
     arch = TraceArchiver(tmp_path / "run.aptrc")
-    run_spmd(program, machine=MachineSpec(2, 4), profiler=arch, seed=3)
+    live = LiveMonitor(None, snapshot_every=100)
+    for profiler in (arch, live, ActorProf(ProfileFlags.all())):
+        run_spmd(program, machine=MachineSpec(2, 4), profiler=profiler, seed=3)
+        with pytest.raises(SimulationError, match=(
+                f"a {type(profiler).__name__} instance profiles exactly "
+                f"one run")):
+            profiler.attach(object())
     arch.close()
-    with pytest.raises(ArchiveError, match="exactly one run"):
-        arch.attach(object())
+    assert len(live.snapshots) == 4 and live.current().total_sends == 480
+
+
+def test_close_and_salvage_are_idempotent(tmp_path):
+    """A second close() — and a salvage() after close() — returns the
+    path and writes nothing, with or without inner PAPI/overall."""
+    for inner in (None, ActorProf(ProfileFlags.all())):
+        arch = TraceArchiver(tmp_path / f"inner-{inner is not None}.aptrc",
+                             inner=inner, spill_every=40)
+        run_spmd(program, machine=MachineSpec(2, 4), profiler=arch, seed=5)
+        path = arch.close()
+        written = (path.read_bytes(), arch.spills)
+        assert arch.close() == path
+        assert arch.salvage(failure=RuntimeError("too late")) == path
+        assert (path.read_bytes(), arch.spills) == written
+        assert not load_run(path).degraded
+
+
+#: sha256 of archives streamed by the archiver while it still kept its
+#: own aggregate dicts (PR 13): (spill_every, seed, inner ActorProf?).
+STREAMED_SHA256 = {
+    (25, 3, False):
+        "d4d2743d42418dc371298d871fe6d53b269f3c03327e90504c5465d4aa7ca1cd",
+    (50, 3, False):
+        "1bf2720cfccca9e4212802f1c4861289af44fba06663d855064584ac6015e719",
+    (40, 5, True):
+        "d6e23febb0dcd99c87545ffac83eba918428812fb2e3d1db17cafa04eea73a9e",
+}
+
+
+def test_streamed_archive_bytes_are_pinned(tmp_path):
+    """Recording through LogicalTrace/PhysicalTrace and spilling their
+    ``to_columns()`` keeps row order, attr order and chunking."""
+    for (spill_every, seed, with_inner), want in STREAMED_SHA256.items():
+        inner = ActorProf(ProfileFlags.all()) if with_inner else None
+        arch = TraceArchiver(tmp_path / f"s{spill_every}.aptrc", inner=inner,
+                             spill_every=spill_every)
+        run_spmd(program, machine=MachineSpec(2, 4), profiler=arch, seed=seed)
+        assert file_sha256(arch.close()) == want, (spill_every, seed, with_inner)
 
 
 def test_archiver_requires_attach(tmp_path):
