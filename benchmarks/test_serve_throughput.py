@@ -6,9 +6,15 @@ engaging under the constrained ingest gate without a single completed
 upload being dropped, and repeat queries served from the shared
 artifact store.
 
+A second, quiet phase pins that an artifact *miss* costs what its query
+costs, not a scan of the artifact store: the median of 40 one-at-a-time,
+never-repeated selective misses with ~400 artifacts stored must stay
+within 2x of the same with ~50 stored.  A ratio, not a timing, so it
+holds on any machine.
+
 Numbers land machine-readably in ``benchmarks/output/BENCH_serve.json``
-(requests/sec, ingest MB/s, cache-hit counts) so CI history can chart
-them.
+(requests/sec, ingest MB/s, cache-hit counts, miss medians) so CI
+history can chart them.
 
 Run with::
 
@@ -17,8 +23,10 @@ Run with::
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,6 +46,8 @@ QUERY_POOL = [
     "sends group by dst top 4",
     "bytes where src != dst group by src top 4",
 ]
+#: Quiet-miss phase: store sizes to measure at, and misses per median.
+SMALL_STORE, LARGE_STORE, MISSES = 50, 400, 40
 
 
 def make_archive(path, seed: int):
@@ -110,6 +120,38 @@ def test_serve_throughput_32_clients(tmp_path, outdir):
         assert hits >= done - len(run_ids) * len(QUERY_POOL)
         assert hits > 0
 
+        # -- quiet misses against a small and a large store -----------
+        texts = ((run, f"sends where src == {src} group by dst top {top}")
+                 for top, src, run in itertools.product(
+                     range(1, 17), range(16), run_ids[:8]))
+
+        stored = stores  # artifacts in the store: one per miss so far
+
+        def miss_ms() -> float:
+            nonlocal stored
+            run, text = next(texts)
+            t0 = time.perf_counter()
+            reply = client.query(run, text)
+            lap = time.perf_counter() - t0
+            assert reply["cached"] is False
+            stored += 1
+            return lap * 1e3
+
+        def median_miss_at(target: int) -> tuple[float, int]:
+            while stored < target:
+                miss_ms()
+            before = stored
+            return statistics.median(miss_ms() for _ in range(MISSES)), before
+
+        miss_small, n_small = median_miss_at(SMALL_STORE)
+        miss_large, n_large = median_miss_at(LARGE_STORE)
+        artifacts = client.stats()["artifacts"]
+        assert artifacts["entries"] == stored and artifacts["evictions"] == 0
+        assert miss_large <= 2 * miss_small, (
+            f"a miss got slower with the store: {miss_small:.2f} ms at "
+            f"{n_small} artifacts, {miss_large:.2f} ms at {n_large}"
+        )
+
     ingest_mb_s = total_bytes / t_ingest / 1e6
     query_rps = done / t_query
     bench = {
@@ -130,10 +172,18 @@ def test_serve_throughput_32_clients(tmp_path, outdir):
             "artifact_hits": hits,
             "artifact_stores": stores,
         },
+        "miss": {
+            "misses_per_median": MISSES,
+            "artifacts_small_store": n_small,
+            "artifacts_large_store": n_large,
+            "miss_ms_small_store": round(miss_small, 3),
+            "miss_ms_large_store": round(miss_large, 3),
+        },
     }
     out = outdir / "BENCH_serve.json"
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"\n{CLIENTS} clients: ingest {ingest_mb_s:.2f} MB/s "
           f"({CLIENTS / t_ingest:.1f} pushes/s, {rejected_429} x 429), "
-          f"queries {query_rps:.1f} req/s ({hits} cache hits) "
-          f"→ {out}")
+          f"queries {query_rps:.1f} req/s ({hits} cache hits), "
+          f"quiet miss {miss_small:.2f} ms at {n_small} artifacts / "
+          f"{miss_large:.2f} ms at {n_large} → {out}")

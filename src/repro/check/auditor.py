@@ -28,7 +28,6 @@ The resulting :class:`CheckReport` is machine-readable (``to_dict`` /
 from __future__ import annotations
 
 import json
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from repro.check.invariants import Violation
 from repro.check.parallel import record_run
 from repro.check.policies import PerturbedSchedule, make_schedules
 from repro.check.workloads import Workload
-from repro.exec import ResultCache, RunRecord, RunSpec, cache_key_for, execute
+from repro.exec import ResultCache, RunRecord, RunSpec, cache_key_for, execute, scratch
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ def _execute_units(
     store_equivalence: bool,
     fault_plan,
     jobs: int,
-    cache: ResultCache | None,
+    cache: ResultCache | str | Path | None,
 ) -> dict[str, RunRecord]:
     """Run every ``(schedule index, tag)`` unit; return records by tag.
 
@@ -308,19 +307,9 @@ def audit(
             "ActorCheck audits need complete runs; fault plans with PE "
             "crashes cannot be audited (drop/delay/duplicate/slow are fine)"
         )
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(Path(cache))
     plans = make_schedules(workload.seed, schedules)
     report = CheckReport(workload=workload.name, seed=workload.seed,
                          schedules=schedules)
-
-    tmp = None
-    if out_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="actorcheck-")
-        out_dir = Path(tmp.name)
-    else:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     # Replay the baseline — and one jittered schedule, if any — to
     # prove every (seed, schedule) pair is bit-stable on its own.
@@ -328,12 +317,9 @@ def audit(
     units = [(k, f"s{k}") for k in range(schedules)]
     units += [(k, f"s{k}-replay") for k in replay_indices]
 
-    try:
+    with scratch(out_dir, "actorcheck-") as out_dir:
         records = _execute_units(workload, plans, units, out_dir,
                                  store_equivalence, fault_plan, jobs, cache)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
 
     for i, (k, tag) in enumerate(units):
         rec = records[tag]

@@ -21,7 +21,7 @@ record instead of losing the whole batch.
 """
 
 from repro.exec.cache import ResultCache
-from repro.exec.pool import execute
+from repro.exec.pool import execute, scratch
 from repro.exec.runspec import RunRecord, RunSpec, cache_key_for, resolve_fn
 
 __all__ = [
@@ -31,4 +31,5 @@ __all__ = [
     "cache_key_for",
     "execute",
     "resolve_fn",
+    "scratch",
 ]

@@ -18,11 +18,15 @@ Layout::
 Writes are atomic (staged into a temp directory, then renamed), so a
 crashed or concurrent writer leaves either no entry or a whole one.
 
-The store may be size-bounded: with ``max_bytes`` set, every ``put``
-enforces the cap by evicting least-recently-used entries (a hit
-refreshes an entry's recency stamp) until the store fits.  The entry
-just stored is never the eviction victim, so a single oversized result
-still lands — the cap is a steady-state bound, not an admission filter.
+The store may be size-bounded: with ``max_bytes`` set, ``put`` adds the
+size of what it staged to a running byte total and, only once that total
+crosses the cap (or is unknown: a fresh instance, or after a same-key
+replace or a tamper-evict), walks the store and evicts least-recently-
+used entries (a hit refreshes an entry's recency stamp) until it fits.
+The entry just stored is never the eviction victim, so a single
+oversized result still lands — the cap is a steady-state bound kept by
+the one capped writer of a directory, not an admission filter; entries
+written by anyone else are counted at the next walk.
 """
 
 from __future__ import annotations
@@ -43,6 +47,12 @@ def file_sha256(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _tree_bytes(path: Path) -> int:
+    """Total size of every file under ``path`` (nested artifacts too)."""
+    return sum(os.path.getsize(os.path.join(d, name))
+               for d, _, names in os.walk(path) for name in names)
 
 
 @dataclass
@@ -80,7 +90,11 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         if self.max_bytes is not None and self.max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1: {self.max_bytes}")
-        self._cap_lock = threading.Lock()
+        self._cap_lock = threading.RLock()
+        #: Bytes on disk as far as this instance knows; ``None`` (fresh
+        #: instance, or a delta it cannot know) makes the next capped
+        #: ``put`` walk the store.
+        self._total: int | None = None
 
     def _entry_dir(self, key: str) -> Path:
         if len(key) < 3:
@@ -112,6 +126,7 @@ class ResultCache:
                                      f"mismatch")
                 staged.append((src, restore_dir / art["name"]))
             for src, dst in staged:
+                dst.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(src, dst)
         except (OSError, KeyError, ValueError):
             self.evict(key)
@@ -147,9 +162,14 @@ class ResultCache:
             (stage / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             )
-            if entry.exists():
-                shutil.rmtree(entry, ignore_errors=True)
-            stage.rename(entry)
+            size = _tree_bytes(stage)
+            with self._cap_lock:  # a walk sees the entry and its size, or neither
+                if entry.exists():
+                    shutil.rmtree(entry, ignore_errors=True)
+                    self._total = None
+                stage.rename(entry)
+                if self._total is not None:
+                    self._total += size
         except (OSError, TypeError, ValueError):
             shutil.rmtree(stage, ignore_errors=True)
             return False
@@ -159,7 +179,9 @@ class ResultCache:
         return True
 
     def evict(self, key: str) -> None:
-        shutil.rmtree(self._entry_dir(key), ignore_errors=True)
+        with self._cap_lock:
+            shutil.rmtree(self._entry_dir(key), ignore_errors=True)
+            self._total = None
         self.stats.bump("evictions")
 
     def __len__(self) -> int:
@@ -177,9 +199,8 @@ class ResultCache:
         for manifest in self.root.glob("??/*/manifest.json"):
             entry = manifest.parent
             try:
+                size = _tree_bytes(entry)  # 0 for a vanished entry; the stat raises
                 stamp = manifest.stat().st_mtime
-                size = sum(p.stat().st_size
-                           for p in entry.iterdir() if p.is_file())
             except OSError:
                 continue  # concurrently evicted
             out.append((entry.name, stamp, size))
@@ -191,10 +212,14 @@ class ResultCache:
     def _enforce_cap(self, protect: str | None = None) -> None:
         """Evict least-recently-used entries until the store fits.
 
-        ``protect`` (the entry just stored) is never evicted — otherwise
-        one result larger than the cap would thrash forever.
+        The store is walked only when the running total is unknown or
+        over the cap.  ``protect`` (the entry just stored) is never
+        evicted — otherwise one result larger than the cap would thrash
+        forever.
         """
         with self._cap_lock:
+            if self._total is not None and self._total <= self.max_bytes:
+                return
             ranked = sorted(self.entries(), key=lambda e: (e[1], e[0]))
             total = sum(size for _, _, size in ranked)
             for key, _, size in ranked:
@@ -204,3 +229,4 @@ class ResultCache:
                     continue
                 self.evict(key)
                 total -= size
+            self._total = total

@@ -146,6 +146,17 @@ def _run_pooled(specs: Sequence[RunSpec], jobs: int,
     return records
 
 
+@contextmanager
+def scratch(path: str | Path | None, prefix: str) -> Iterator[Path]:
+    """Yield ``path`` (created, kept) or a temp directory deleted on exit."""
+    if path is not None:
+        Path(path).mkdir(parents=True, exist_ok=True)
+        yield Path(path)
+    else:
+        with TemporaryDirectory(prefix=prefix) as tmp:
+            yield Path(tmp)
+
+
 def execute(
     specs: Sequence[RunSpec],
     jobs: int = 1,
@@ -180,15 +191,7 @@ def execute(
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(Path(cache))
 
-    tmp: TemporaryDirectory | None = None
-    if scratch_dir is None:
-        tmp = TemporaryDirectory(prefix="actorprof-exec-")
-        scratch_dir = Path(tmp.name)
-    else:
-        scratch_dir = Path(scratch_dir)
-        scratch_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+    with scratch(scratch_dir, "actorprof-exec-") as scratch_dir:
         records: dict[int, RunRecord] = {}
         pending: list[RunSpec] = []
         for spec in specs:
@@ -214,6 +217,3 @@ def execute(
                 if spec.cache_key and rec.ok and isinstance(rec.value, dict):
                     cache.put(spec.cache_key, rec.value, scratch_dir)
         return [records[s.index] for s in specs]
-    finally:
-        if tmp is not None:
-            tmp.cleanup()

@@ -20,7 +20,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.exec.cache import CacheStats, ResultCache
+from repro.exec.cache import ResultCache
 
 
 def _key(payload: dict) -> str:
@@ -63,14 +63,8 @@ class ArtifactStore:
     def __init__(self, root: str | Path, max_bytes: int | None = None) -> None:
         self.cache = ResultCache(Path(root), max_bytes=max_bytes)
 
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
     def to_dict(self) -> dict:
-        """Stats payload served by the ``/stats`` endpoint."""
-        payload = self.stats.to_dict()
-        payload["entries"] = len(self.cache)
-        payload["bytes"] = self.cache.total_bytes()
-        payload["max_bytes"] = self.cache.max_bytes
-        return payload
+        """Stats payload served by the ``/stats`` endpoint (one store walk)."""
+        sizes = [size for _, _, size in self.cache.entries()]
+        return {**self.cache.stats.to_dict(), "entries": len(sizes),
+                "bytes": sum(sizes), "max_bytes": self.cache.max_bytes}

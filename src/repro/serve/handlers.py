@@ -50,7 +50,7 @@ async def handle(arbiter, request: Request, reader, writer) -> None:
                    {"service": "actorprof", "endpoints": _ENDPOINTS})
         await send_json(writer, 200, payload)
     elif path == "/stats" and method == "GET":
-        await send_json(writer, 200, arbiter.stats())
+        await send_json(writer, 200, await asyncio.to_thread(arbiter.stats))
     elif path == "/runs" and method == "GET":
         await _list_runs(arbiter, writer)
     elif path == "/runs" and method == "POST":

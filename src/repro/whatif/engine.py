@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 from repro.check.workloads import Workload
-from repro.exec import ResultCache, RunSpec, execute
+from repro.exec import ResultCache, RunSpec, execute, scratch
 from repro.machine.cost import CostModel
 from repro.sim.faults import FaultPlan
 from repro.whatif.dag import DagRecorder, EventDag, build_dag
@@ -186,14 +185,7 @@ def _run_whatif(workload: Workload, *,
     :meth:`repro.api.Run.whatif`.
     """
     reject_crash_plans(fault_plan)
-    tmp: TemporaryDirectory | None = None
-    if out_dir is None:
-        tmp = TemporaryDirectory(prefix="actorprof-whatif-")
-        out_dir = Path(tmp.name)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+    with scratch(out_dir, "actorprof-whatif-") as out_dir:
         # -- baseline, in-process, with the DAG recorder attached -------
         recorder = DagRecorder()
         baseline_art = execute_point(
@@ -295,6 +287,3 @@ def _run_whatif(workload: Workload, *,
             "points": point_rows,
             "exit_code": 6 if failures else 0,
         }
-    finally:
-        if tmp is not None:
-            tmp.cleanup()

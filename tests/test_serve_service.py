@@ -128,6 +128,30 @@ def test_identical_queries_from_distinct_clients_share_artifacts(
     assert status == 200 and headers["x-cache"] == "hit"
 
 
+def test_stats_artifact_totals_match_a_fresh_scan(server, tmp_path):
+    # /stats reports what is on disk — one walk, off the event loop —
+    # whatever the store's own running total has or has not seen
+    from repro.exec.cache import ResultCache
+
+    client = server.client()
+    archive = make_archive(tmp_path / "a.aptrc", seed=3)
+    client.push(archive, run_id="alpha")
+    client.push(make_archive(tmp_path / "b.aptrc", seed=4), run_id="beta")
+    for src in range(4):
+        assert not client.query("alpha", f"sends where src == {src}")["cached"]
+    assert client.query("alpha", "sends where src == 0")["cached"]
+    assert not client.push(archive)["created_run"]  # re-push: deduped
+    client.diff("alpha", "beta")
+    assert client.query("alpha", "sends  WHERE src == 1")["cached"]
+
+    stats = client.stats()["artifacts"]
+    fresh = ResultCache(server.config.data_dir / "artifacts")
+    assert stats["entries"] == len(fresh) == stats["stores"] == 5
+    assert stats["bytes"] == fresh.total_bytes() > 0
+    assert stats["hits"] == 2 and stats["evictions"] == 0
+    assert stats["max_bytes"] == server.config.cache_max_bytes
+
+
 def test_duplicate_upload_dedups_by_fingerprint(server, tmp_path):
     client = server.client()
     archive = make_archive(tmp_path / "a.aptrc", seed=7)
