@@ -5,8 +5,8 @@ one line per send, so large runs emit millions of rows that must be fully
 re-parsed for every query, diff, or figure — the trace-size problem the
 paper's Section VI flags.  This package provides the compact alternative:
 
-* :mod:`~repro.core.store.codec` — per-column delta + varint encoding
-  with optional zlib compression,
+* :mod:`~repro.core.store.codec` — per-chunk bit-packing or delta +
+  varint (+ zlib) encoding, whichever is smaller,
 * :mod:`~repro.core.store.archive` — the single-file ``.aptrc`` binary
   columnar archive (header, sections, footer index) with lazy per-column
   reads,

@@ -15,7 +15,7 @@ Layout::
     +----------------------------+
 
 The footer JSON indexes every section and, per column, the list of
-chunks (offset, length, encoding, count) its data lives in.  A reader
+chunks (offset, length, encoding, count, stats) its data lives in.  A reader
 therefore seeks straight to the bytes of one column of one section and
 decodes nothing else — :class:`Archive` tracks exactly which columns
 have been decoded (:attr:`Archive.decoded_columns`) so tests can assert
@@ -40,9 +40,11 @@ constructors merge by summing duplicate keys.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +53,20 @@ from repro.core.logical import LogicalTrace
 from repro.core.overall import OverallProfile
 from repro.core.papi_trace import PAPITrace
 from repro.core.physical import PhysicalTrace
+from repro.core.store.codec import CodecError, decode_column
 from repro.machine.spec import MachineSpec
 
 MAGIC = b"APTRC01\n"
 TAIL_MAGIC = b"APTRCEND"
 TRAILER = struct.Struct("<QI")  # footer offset, footer length
-FORMAT_VERSION = 1
+#: Stamped by every writer; bumped whenever a file may hold something an
+#: older reader would misread (2 added ``pack`` chunks).
+FORMAT_VERSION = 2
+#: What this reader accepts (1: recipe chunks only, chunk stats optional).
+READABLE_VERSIONS = (1, 2)
+#: Most rows a reader accepts in one chunk: no payload bytes back a
+#: constant ``pack`` chunk's count, so a tiny file could ask for any size.
+MAX_CHUNK_ROWS = 2 ** 31
 
 #: Conventional file suffix for trace archives.
 SUFFIX = ".aptrc"
@@ -89,14 +99,9 @@ class Section:
     def __init__(self, archive: "Archive", name: str, index: dict) -> None:
         self._archive = archive
         self.name = name
+        self._index = index
         self.attrs: dict = index.get("attrs", {})
         self.rows: int = int(index.get("rows", 0))
-        self._chunks: dict[str, list[ChunkRef]] = {
-            col: [ChunkRef(int(c[0]), int(c[1]), str(c[2]), int(c[3]),
-                           tuple(int(s) for s in c[4]) if len(c) > 4 else None)
-                  for c in chunks]
-            for col, chunks in index.get("columns", {}).items()
-        }
         raw_bytes = index.get("chunk_bytes")
         #: Per row-group ``sum(count * size)``, when the writer stored it.
         self.chunk_bytes: list[int] | None = (
@@ -105,26 +110,45 @@ class Section:
         self._cache: dict[str, np.ndarray] = {}
         self._chunk_cache: dict[tuple[str, int], np.ndarray] = {}
 
+    @cached_property
+    def _chunks(self) -> dict[str, list[ChunkRef]]:
+        """The chunk table, built (and checked) on first use.
+
+        Every column has the same per-chunk row counts, summing to
+        :attr:`rows` — one row group spans all columns, which is what
+        makes chunk-level pruning sound — and every chunk lies inside
+        the archive's data region.
+        """
+        where = f"{self._archive.path}: section {self.name!r}"
+        table, col = {}, None
+        try:
+            for col, entries in self._index.get("columns", {}).items():
+                table[col] = [self._chunk_ref(entry) for entry in entries]
+        except (AttributeError, TypeError, ValueError, LookupError) as exc:
+            raise ArchiveError(f"{where} column {col!r} has a malformed "
+                               f"chunk entry: {exc}") from None
+        groups = {tuple(ref.count for ref in refs) for refs in table.values()}
+        if len(groups) > 1 or any(sum(g) != self.rows for g in groups):
+            raise ArchiveError(f"{where} row groups disagree across columns "
+                               f"or with its {self.rows} rows")
+        return table
+
+    def _chunk_ref(self, entry) -> ChunkRef:
+        offset, length, count = map(operator.index, (entry[0], entry[1], entry[3]))
+        stats = (tuple(map(operator.index, entry[4]))
+                 if len(entry) > 4 else None)
+        if (offset < 0 or length < 0
+                or offset + length > self._archive.data_end
+                or not 0 <= count <= MAX_CHUNK_ROWS
+                or not isinstance(entry[2], str)
+                or (stats is not None and len(stats) != 3)):
+            raise ValueError(f"{entry!r} out of bounds")
+        return ChunkRef(offset, length, entry[2], count, stats)
+
     @property
     def columns(self) -> tuple[str, ...]:
         """Names of the columns stored in this section."""
         return tuple(self._chunks)
-
-    @property
-    def chunks_aligned(self) -> bool:
-        """True when every column has the same per-chunk row counts.
-
-        Writers always produce aligned chunks (one row group spans all
-        columns); alignment is what makes chunk-level pruning sound.
-        """
-        counts = None
-        for refs in self._chunks.values():
-            these = [ref.count for ref in refs]
-            if counts is None:
-                counts = these
-            elif these != counts:
-                return False
-        return True
 
     @property
     def n_chunks(self) -> int:
@@ -163,11 +187,6 @@ class Section:
             out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         else:
             out = np.zeros(0, dtype=np.int64)
-        if len(out) != self.rows:
-            raise ArchiveError(
-                f"section {self.name!r} column {name!r} decodes to "
-                f"{len(out)} values, expected {self.rows}"
-            )
         self._cache[name] = out
         return out
 
@@ -230,12 +249,13 @@ class Archive:
         f.seek(foot_off)
         try:
             footer = json.loads(zlib.decompress(f.read(foot_len)))
-        except (zlib.error, json.JSONDecodeError) as exc:
+        except (zlib.error, ValueError) as exc:
             raise ArchiveError(f"{self.path}: footer corrupt: {exc}") from exc
-        version = footer.get("version")
-        if version != FORMAT_VERSION:
+        version = footer.get("version") if isinstance(footer, dict) else None
+        if version not in READABLE_VERSIONS:
             raise ArchiveError(
-                f"{self.path}: unsupported format version {version!r}"
+                f"{self.path}: unsupported format version {version!r} "
+                f"(this reader accepts {READABLE_VERSIONS})"
             )
         self.meta: dict = footer.get("meta", {})
         #: End of the chunk-payload region, i.e. the footer's file offset.
@@ -243,10 +263,15 @@ class Archive:
         #: The footer's section index as stored — what a writer that
         #: extends this archive must carry over unchanged.
         self.section_index: dict = footer.get("sections", {})
-        self._sections: dict[str, Section] = {
-            name: Section(self, name, idx)
-            for name, idx in self.section_index.items()
-        }
+        try:
+            self._sections: dict[str, Section] = {
+                name: Section(self, name, idx)
+                for name, idx in self.section_index.items()
+            }
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ArchiveError(
+                f"{self.path}: footer section index malformed: {exc}"
+            ) from None
 
     @property
     def sections(self) -> tuple[str, ...]:
@@ -266,8 +291,6 @@ class Archive:
             ) from None
 
     def _decode_chunk(self, section: str, column: str, ref: ChunkRef) -> np.ndarray:
-        from repro.core.store.codec import decode_column
-
         self._file.seek(ref.offset)
         payload = self._file.read(ref.length)
         if len(payload) != ref.length:
@@ -276,7 +299,13 @@ class Archive:
                 f"column {column!r}"
             )
         self.decoded_columns.add((section, column))
-        return decode_column(payload, ref.encoding, ref.count)
+        try:
+            return decode_column(payload, ref.encoding, ref.count)
+        except CodecError as exc:
+            raise ArchiveError(
+                f"{self.path}: section {section!r} column {column!r} "
+                f"chunk at offset {ref.offset} is corrupt: {exc}"
+            ) from exc
 
     # -- run metadata ----------------------------------------------------
 

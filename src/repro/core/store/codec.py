@@ -1,8 +1,13 @@
-"""Column codec for ``.aptrc`` archives: delta + varint (+ zlib).
+"""Column codec for ``.aptrc`` archives: bit-packing or delta + varint.
 
-Trace columns are integer sequences with strong local structure — sorted
-source PEs, repeated packet sizes, monotone cumulative counters — so the
-classic columnar recipe applies:
+Each chunk takes one of two encodings, picked from its own values by
+the rule in :func:`encode_column`.  **pack** is frame-of-reference
+bit-packing — every value is ``lo + stride * k`` (``lo`` the chunk
+minimum, ``stride`` the gcd of ``values - lo``) and ``k`` is a
+fixed-width bit field — so random PE ranks, 8-byte-multiple sizes and
+small counts cost their entropy and decode with one shift and one mask.
+Columns with strong local structure — sorted source PEs, monotone
+cumulative counters — keep the classic columnar recipe:
 
 1. **delta**: store ``v[0], v[1]-v[0], v[2]-v[1], …`` (turns sorted or
    slowly-varying columns into tiny values),
@@ -11,15 +16,15 @@ classic columnar recipe applies:
 3. **varint**: LEB128 — 7 value bits per byte, high bit = continuation,
 4. **zlib** (optional): only kept when it actually shrinks the payload.
 
-The varint encode/decode hot paths are numpy-vectorized (masked passes
-over ``frombuffer`` byte arrays); the original per-byte Python loops
-live on as the reference oracles of the property tests
-(``tests/codec_oracle.py``) and produce byte-identical streams.
+Both are numpy-vectorized; scalar Python loops producing byte-identical
+streams live on as the reference oracles of the property tests
+(``tests/codec_oracle.py``).
 
-The encoding actually applied is returned as a ``+``-joined token string
-(e.g. ``"delta+varint+zlib"``) and stored in the archive footer, so the
-decoder never guesses.  All values must fit in a signed 64-bit integer,
-matching the ``int64`` trace matrices used everywhere else in the repo.
+The encoding applied is returned as a string — ``+``-joined recipe
+tokens (``"delta+varint+zlib"``) or ``"pack:<lo>:<stride>:<width>"`` —
+and stored in the archive footer, so the decoder never guesses.  All
+values must fit in a signed 64-bit integer, matching the ``int64`` trace
+matrices used everywhere else in the repo.
 """
 
 from __future__ import annotations
@@ -28,8 +33,18 @@ import zlib
 
 import numpy as np
 
-#: Tokens that may appear in an encoding string, in application order.
+#: Tokens that may appear in a recipe encoding string, in application order.
 TOKENS = ("delta", "varint", "zlib")
+
+#: Widest field ``pack`` stores: eight 8-bit fields fill one uint64 word.
+PACK_MAX_WIDTH = 8
+
+#: Leading values :func:`encode_column` test-encodes with the varint
+#: recipe to decide whether packing the chunk is at least as small.
+PROBE_VALUES = 2048
+
+#: Lane index of each of a group's eight fields.
+_LANES = np.arange(8, dtype=np.uint64)
 
 #: Compression level used when zlib is applied (6 = zlib default).
 ZLIB_LEVEL = 6
@@ -155,19 +170,66 @@ def decode_uvarints(data: bytes, count: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# pack (fixed-width bit fields)
+# ----------------------------------------------------------------------
+
+def pack_fields(fields: np.ndarray, width: int) -> bytes:
+    """Pack uint64 ``fields`` (each ``< 2**width``, ``1 <= width <= 8``).
+
+    Field ``j`` of each group of eight sits at bit ``j * width`` of the
+    group's ``width``-byte little-endian integer; the last group is
+    zero-padded.  Byte-identical to ``tests/codec_oracle.py::pack_scalar``.
+    """
+    groups = -(-len(fields) // 8)
+    lanes = np.zeros((groups, 8), dtype=np.uint64)
+    lanes.ravel()[:len(fields)] = fields
+    # the fields do not overlap, so the weighted sum is their bitwise OR
+    words = lanes @ (np.uint64(1) << _LANES * np.uint64(width))
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(
+        groups, 8)[:, :width].tobytes()
+
+
+def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_fields`: ``count`` fields as uint64
+    (``width`` 0 stores nothing: every field is 0)."""
+    groups = -(-count // 8)
+    if len(payload) != groups * width:
+        raise CodecError(
+            f"pack payload is {len(payload)} bytes, expected {groups * width} "
+            f"for {count} values of {width} bits"
+        )
+    if width == 0:
+        return np.zeros(count, dtype=np.uint64)
+    words = np.zeros((groups, 8), dtype=np.uint8)
+    words[:, :width] = np.frombuffer(payload, np.uint8).reshape(groups, width)
+    lanes = words.view("<u8") >> _LANES * np.uint64(width)
+    lanes &= np.uint64((1 << width) - 1)
+    return lanes.ravel()[:count]
+
+
+def _decode_pack(payload: bytes, encoding: str, count: int) -> np.ndarray:
+    try:
+        lo, stride, width = (int(part) for part in encoding.split(":")[1:])
+    except ValueError:
+        raise CodecError(f"malformed pack encoding {encoding!r}") from None
+    if not (-(1 << 63) <= lo < 1 << 63 and 1 <= stride < 1 << 64
+            and 0 <= width <= PACK_MAX_WIDTH):
+        raise CodecError(f"pack encoding {encoding!r} out of range")
+    fields = unpack_fields(payload, width, count)
+    if stride != 1:
+        fields *= np.uint64(stride)
+    values = fields.view(np.int64)
+    values += lo  # wraps, like the encoder's subtraction
+    return values
+
+
+# ----------------------------------------------------------------------
 # column encode / decode
 # ----------------------------------------------------------------------
 
-def encode_column(
-    values, *, delta: bool = True, compress: bool = True
-) -> tuple[bytes, str]:
-    """Encode one integer column; returns ``(payload, encoding)``.
-
-    ``delta`` applies first-difference transformation before zigzag +
-    varint; ``compress`` additionally zlib-compresses the varint stream
-    when (and only when) that makes it smaller.
-    """
-    arr = np.asarray(values, dtype=np.int64).ravel()
+def _encode_varint(arr: np.ndarray, delta: bool, compress: bool
+                   ) -> tuple[bytes, str]:
+    """The delta + zigzag + varint (+ zlib) recipe over one int64 array."""
     tokens = []
     if delta and len(arr) > 1:
         work = np.empty_like(arr)
@@ -188,8 +250,54 @@ def encode_column(
     return payload, "+".join(tokens)
 
 
+def encode_column(
+    values, *, delta: bool = True, compress: bool = True,
+    bounds: tuple[int, int] | None = None,
+) -> tuple[bytes, str]:
+    """Encode one integer column; returns ``(payload, encoding)``.
+
+    The choice is a pure function of the values.  With ``lo``/``hi``
+    their min/max (``bounds``, when the caller already has them) and
+    ``stride`` the gcd of ``values - lo``: a constant column is
+    ``pack:<lo>:1:0`` with no payload; when ``(hi - lo) // stride`` fits
+    :data:`PACK_MAX_WIDTH` bits, the first :data:`PROBE_VALUES` values
+    are encoded with the varint recipe and the whole chunk is packed if
+    packing that prefix is no larger; everything else takes the recipe.
+    So up to ``PROBE_VALUES`` values get exactly the smaller of the two,
+    and a large incompressible chunk never reaches zlib.
+
+    ``delta`` and ``compress`` shape the recipe: first differences
+    before zigzag + varint, and zlib over the varint stream when (and
+    only when) that makes it smaller.
+    """
+    arr = np.asarray(values, dtype=np.int64).ravel()
+    n = len(arr)
+    if n == 0:
+        return _encode_varint(arr, delta, compress)
+    lo, hi = bounds if bounds is not None else (int(arr.min()), int(arr.max()))
+    if lo == hi:
+        return b"", f"pack:{lo}:1:0"
+    # int64 array arithmetic wraps, so reread as uint64 the offsets are
+    # exact even when ``hi - lo`` overflows int64
+    offsets = (arr - lo).view(np.uint64)
+    stride = int(np.gcd.reduce(offsets[:64]))
+    if stride != 1:  # a prefix gcd of 1 is the whole chunk's
+        stride = int(np.gcd.reduce(offsets))
+    width = ((hi - lo) // stride).bit_length()
+    if width > PACK_MAX_WIDTH:
+        return _encode_varint(arr, delta, compress)
+    probe = _encode_varint(arr[:PROBE_VALUES], delta, compress)
+    if -(-min(n, PROBE_VALUES) // 8) * width <= len(probe[0]):
+        if stride != 1:
+            offsets //= np.uint64(stride)
+        return pack_fields(offsets, width), f"pack:{lo}:{stride}:{width}"
+    return probe if n <= PROBE_VALUES else _encode_varint(arr, delta, compress)
+
+
 def decode_column(payload: bytes, encoding: str, count: int) -> np.ndarray:
     """Decode a column payload back into an int64 array of ``count``."""
+    if encoding.startswith("pack:"):
+        return _decode_pack(payload, encoding, count)
     tokens = encoding.split("+") if encoding else []
     unknown = set(tokens) - set(TOKENS)
     if unknown:

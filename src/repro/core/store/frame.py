@@ -13,8 +13,8 @@ that make multi-million-row scans cheap:
 
 Both the query layer (:mod:`repro.core.query`) and run diffing
 (:mod:`repro.core.diffing`) sit on this frame.  Sections without chunk
-stats — archives written before the stats extension or with stats
-disabled, and in-memory traces viewed through :class:`MemorySection` —
+stats — version-1 archives written before the stats extension, and
+in-memory traces viewed through :class:`MemorySection` —
 degrade gracefully: pruning becomes a no-op and every read falls back
 to full column decoding — results are identical either way.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.store.archive import Section
+from repro.core.store.archive import ChunkRef, Section
 
 
 class MemorySection(Section):
@@ -33,10 +33,9 @@ class MemorySection(Section):
 
     def __init__(self, columns: dict[str, np.ndarray], attrs: dict) -> None:
         rows = len(next(iter(columns.values())))
-        super().__init__(None, "memory", {
-            "attrs": attrs, "rows": rows,
-            "columns": {col: [(0, 0, "memory", rows)] for col in columns},
-        })
+        super().__init__(None, "memory", {"attrs": attrs, "rows": rows})
+        self._chunks = {col: [ChunkRef(0, 0, "memory", rows)]
+                        for col in columns}
         self._cache.update(columns)
 
 
@@ -77,9 +76,7 @@ class Frame:
         self.n_chunks = section.n_chunks
         #: Which row groups survive pruning so far.
         self.keep = np.ones(self.n_chunks, dtype=bool)
-        # Pruning is only sound when every column shares the same row
-        # grouping (writers guarantee this; hand-built archives might not).
-        self.use_stats = bool(use_stats) and section.chunks_aligned
+        self.use_stats = bool(use_stats)
         self._cache: dict[str, np.ndarray] = {}
 
     # -- stats access ----------------------------------------------------

@@ -452,9 +452,7 @@ def backfill_pyramid(path: str | Path, out: str | Path | None = None) -> Path:
                 shutil.copyfile(path, out_path)
             return out_path
         pyramid = build_pyramid_from_archive(archive)
-        # chunk stats always: level reads prune on them, whatever the
-        # archive's own sections carry
-        with ArchiveWriter(tmp, stats=True, extend=archive) as writer:
+        with ArchiveWriter(tmp, extend=archive) as writer:
             write_pyramid(writer, pyramid)
     tmp.replace(out_path)
     return out_path

@@ -39,12 +39,6 @@ from repro.core.store.archive import (
 from repro.core.store.codec import encode_column
 from repro.hclib.hooks import ForwardingHooks
 
-#: Process-wide default for recording per-chunk stats (min/max/sum and
-#: the count×size weighted sums) in the footer.  The stats feed query
-#: pushdown (`docs/TRACE_STORE.md`); flip off to write archives in the
-#: pre-stats footer layout (byte-identical to older writers).
-WRITE_CHUNK_STATS = True
-
 
 class SectionWriter:
     """Open section of an :class:`ArchiveWriter`; accepts chunks."""
@@ -84,18 +78,16 @@ class SectionWriter:
         n = counts.pop()
         if n == 0:
             return 0
-        stats = self._writer.stats
         for name in self.columns:
             arr = arrays[name]
-            payload, encoding = encode_column(arr)
+            lo, hi = int(arr.min()), int(arr.max())
+            payload, encoding = encode_column(arr, bounds=(lo, hi))
             offset = self._writer._append(payload)
-            entry = [offset, len(payload), encoding, n]
-            if stats:
-                # int64 accumulation, matching the query layer's sums
-                entry.append([int(arr.min()), int(arr.max()),
-                              int(arr.sum(dtype=np.int64))])
-            self._chunks[name].append(entry)
-        if stats and "count" in arrays and "size" in arrays:
+            # int64 accumulation, matching the query layer's sums
+            self._chunks[name].append(
+                [offset, len(payload), encoding, n,
+                 [lo, hi, int(arr.sum(dtype=np.int64))]])
+        if "count" in arrays and "size" in arrays:
             weighted = arrays["count"] * arrays["size"]
             self._chunk_bytes.append(int(weighted.sum(dtype=np.int64)))
         self.rows += n
@@ -124,24 +116,22 @@ class SectionWriter:
 class ArchiveWriter:
     """Streaming writer for a ``.aptrc`` file (append-only + footer).
 
-    ``stats`` controls whether per-chunk min/max/sum statistics are
-    recorded in the footer index (``None`` → module default
-    :data:`WRITE_CHUNK_STATS`).  Stats only extend the footer JSON; the
-    chunk payload bytes are identical either way.
+    Every chunk's min/max/sum (and, for ``count``/``size`` sections,
+    the weighted byte sum) goes into the footer index — the stats query
+    pushdown prunes on (``docs/TRACE_STORE.md``).
 
     ``extend`` starts from an open :class:`Archive` instead of an empty
     file: its data region is copied byte-for-byte (chunk offsets stay
     valid), its metadata and section index are carried over as stored,
-    and new sections append after it.  ``path`` must not be the
-    archive's own file.
+    and new sections append after it; the result is stamped with the
+    current format version whatever the archive's own.  ``path`` must
+    not be the archive's own file.
     """
 
     def __init__(self, path: str | Path, meta: dict | None = None,
-                 stats: bool | None = None,
                  extend: Archive | None = None) -> None:
         self.path = Path(path)
         self.meta = dict(meta or {})
-        self.stats = WRITE_CHUNK_STATS if stats is None else bool(stats)
         self._open: dict[str, SectionWriter] = {}
         #: Footer index entries of the finished sections, by name.
         self._done: dict[str, dict] = {}
@@ -285,14 +275,12 @@ def export_run(
     overall=None,
     timeline=None,
     meta: dict | None = None,
-    stats: bool | None = None,
     lod: bool = False,
 ) -> Path:
     """Write the given traces into a single ``.aptrc`` archive.
 
     Any subset of the four trace kinds may be supplied; ``meta`` entries
-    override the machine metadata inferred from the traces.  ``stats``
-    is forwarded to :class:`ArchiveWriter`.
+    override the machine metadata inferred from the traces.
 
     ``lod=True`` additionally computes and stores the level-of-detail
     summary pyramid (:mod:`repro.core.store.lod`) at finalize —
@@ -304,7 +292,7 @@ def export_run(
         raise ArchiveError("export_run needs at least one trace")
     full_meta = _base_meta(logical, physical, papi, overall)
     full_meta.update(meta or {})
-    with ArchiveWriter(path, meta=full_meta, stats=stats) as writer:
+    with ArchiveWriter(path, meta=full_meta) as writer:
         for name, trace in (("logical", logical), ("physical", physical),
                             ("papi", papi), ("overall", overall)):
             if trace is not None:

@@ -1,9 +1,11 @@
-"""Reference oracle for the varint column codec: per-byte Python loops.
+"""Reference oracles for the column codec: scalar Python loops.
 
-These are the encoder and decoder :mod:`repro.core.store.codec` used
-before its hot paths were vectorized; ``test_query_differential.py``
+The varint pair is the encoder and decoder :mod:`repro.core.store.codec`
+used before its hot paths were vectorized; ``test_query_differential.py``
 pins the numpy versions to them — same bytes out, same streams
-accepted, the same error for every stream rejected.
+accepted, the same error for every stream rejected.  The ``pack`` pair
+spells the bit layout of ``docs/TRACE_STORE.md`` one bit at a time;
+``test_store_properties.py`` pins the vectorized packer to it.
 """
 
 import numpy as np
@@ -53,3 +55,45 @@ def decode_uvarints_scalar(data: bytes, count: int) -> np.ndarray:
             f"{count} values"
         )
     return out
+
+
+def pack_scalar(fields, width: int) -> bytes:
+    """Bit-at-a-time reference for ``codec.pack_fields``: field ``i`` of
+    the stream occupies bits ``[j*width, (j+1)*width)``, ``j = i % 8``,
+    of group ``i // 8``'s ``width``-byte little-endian integer."""
+    out = bytearray(-(-len(fields) // 8) * width)
+    for i, value in enumerate(int(v) for v in fields):
+        base = (i // 8) * width * 8 + (i % 8) * width
+        for bit in range(width):
+            if value >> bit & 1:
+                out[(base + bit) // 8] |= 1 << (base + bit) % 8
+    return bytes(out)
+
+
+def unpack_scalar(data: bytes, width: int, count: int) -> list[int]:
+    """Bit-at-a-time reference for ``codec.unpack_fields``."""
+    if len(data) != -(-count // 8) * width:
+        raise CodecError("pack payload length mismatch")
+    out = []
+    for i in range(count):
+        base = (i // 8) * width * 8 + (i % 8) * width
+        out.append(sum((data[(base + bit) // 8] >> (base + bit) % 8 & 1) << bit
+                       for bit in range(width)))
+    return out
+
+
+def encode_column_v1(values) -> tuple[bytes, str]:
+    """What every format-version-1 writer stored for a chunk: delta,
+    zigzag, scalar varints, zlib when the stream is over 32 bytes and
+    shrinks."""
+    import zlib
+
+    values = [int(v) for v in values]
+    deltas = values[:1] + [b - a for a, b in zip(values, values[1:])]
+    payload = encode_uvarints_scalar(np.array(
+        [(d << 1) ^ (d >> 63) for d in deltas], dtype=object))
+    if len(payload) > 32:
+        squeezed = zlib.compress(payload, 6)
+        if len(squeezed) < len(payload):
+            return squeezed, "delta+varint+zlib"
+    return payload, "delta+varint"

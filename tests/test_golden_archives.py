@@ -6,18 +6,20 @@ rebuild each archive from scratch and assert *byte identity* — any drift
 in the RNG streams, the scheduler, the conveyor batching, the profiler,
 or the archive codec shows up here first.
 
-The ``*-nostats.aptrc`` twins are the same archives written with the
-chunk-stats footer extension disabled (the pre-extension footer layout).
-They pin two guarantees: writers with stats off still emit those exact
-bytes (stats only extend the footer JSON — payload encoding is
-untouched), and stat-less archives keep loading and answering queries
-identically to new-format ones via the full-decode fallback.
+``tests/golden/v1/`` holds the same runs as format-version-1 writers
+left them — with chunk stats and, as ``*-nostats.aptrc``, in the older
+stat-less footer layout.  No writer can produce those bytes any more;
+they are read-only fixtures (sha256 pinned below, never regenerated) for
+the reader's compatibility matrix: a v1 file, with or without stats,
+decodes, queries, diffs and backfills exactly like its v2 twin.
 
-Regenerate (only after an intentional format/behaviour change) with::
+Regenerate the v2 goldens (only after an intentional format/behaviour
+change) with::
 
     PYTHONPATH=src python tests/test_golden_archives.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -25,9 +27,26 @@ import pytest
 from repro.check.policies import make_schedules
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.machine.spec import MachineSpec
+from tests.archive_tools import read_footer, rewrite_footer
 from tests.sched_oracle import LinearScheduler, use_scheduler
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+V1_DIR = GOLDEN_DIR / "v1"
+
+#: The v1 fixtures, byte for byte as the last version-1 writer left them.
+V1_SHA256 = {
+    "histogram.aptrc":
+        "c794adca1c828417925cea250d899cb9872f3bd4a365c1b502a5b11a2c6011a6",
+    "histogram-nostats.aptrc":
+        "891b3eb9d3a151e672a59b256cba9b8b10d461d97139b6394727aef6ea0df85d",
+    "triangle.aptrc":
+        "214eb1f463181ecb893bee9642613824af1f4c2013771e4fdb5653f41949f1b5",
+    "triangle-nostats.aptrc":
+        "eae3d56e401d9ca18698645f9672a50985369c4146e2c46bd4e4a6613c219010",
+}
+
+QUERIES = ["sends", "bytes", "sends where src == 0",
+           "sends where src_node != dst_node", "sends group by dst top 3"]
 
 #: name -> workload factory; every golden archive is schedule 0, seed 0.
 GOLDEN_WORKLOADS = {
@@ -82,64 +101,113 @@ def test_golden_archives_load(name):
     assert run.meta["seed"] == 0
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
-def test_stats_disabled_rebuild_matches_prestats_golden(
-        name, tmp_path, monkeypatch):
-    """With stats off, the writer emits the pre-extension bytes exactly."""
-    from repro.core.store import writer
+def _flavors(name: str) -> dict[str, Path]:
+    """One run in every footer layout the reader accepts."""
+    return {"v2": GOLDEN_DIR / f"{name}.aptrc",
+            "v1+stats": V1_DIR / f"{name}.aptrc",
+            "v1 nostats": V1_DIR / f"{name}-nostats.aptrc"}
 
-    monkeypatch.setattr(writer, "WRITE_CHUNK_STATS", False)
-    rebuilt = _build(name, tmp_path / f"{name}.aptrc")
-    golden = GOLDEN_DIR / f"{name}-nostats.aptrc"
-    assert rebuilt.read_bytes() == golden.read_bytes(), (
-        f"stats-disabled rebuild of {name} differs from the pre-stats "
-        f"golden — the chunk payload encoding or base footer layout "
-        f"drifted, which breaks old-format compatibility"
-    )
+
+def _version(path: Path) -> int:
+    return read_footer(path)[1]["version"]
+
+
+def test_v1_fixtures_are_byte_untouched():
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in V1_DIR.iterdir()} == V1_SHA256
+    assert {_version(p) for p in V1_DIR.iterdir()} == {1}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_v2_golden_decodes_equal_to_v1(name):
+    """Same run, three footer layouts: every section, attr and column
+    value agrees; only v2 may hold ``pack`` chunks."""
+    from repro.core.store.archive import Archive
+
+    flavors = _flavors(name)
+    assert _version(flavors["v2"]) == 2
+    with Archive(flavors["v2"]) as new:
+        packed = [ref.encoding for s in new.sections
+                  for c in new.section(s).columns
+                  for ref in new.section(s).chunk_refs(c)
+                  if ref.encoding.startswith("pack:")]
+        assert packed
+        for label in ("v1+stats", "v1 nostats"):
+            with Archive(flavors[label]) as old:
+                assert old.meta == new.meta and old.sections == new.sections
+                for s in old.sections:
+                    a, b = old.section(s), new.section(s)
+                    assert (a.attrs, a.rows, a.columns) \
+                        == (b.attrs, b.rows, b.columns), (label, s)
+                    for c in a.columns:
+                        assert all("pack" not in ref.encoding
+                                   for ref in a.chunk_refs(c))
+                        assert a.column(c).tolist() == b.column(c).tolist(), \
+                            (label, s, c)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_prestats_golden_queries_match_new_format(name):
-    """Stat-less archives answer queries identically to new-format ones
-    (via the full-decode fallback — there are no footer stats to use)."""
+    """v1 archives answer queries identically to v2 ones — the stat-less
+    layout via the full-decode fallback (no footer stats to use)."""
     from repro.core.query import query_trace
     from repro.core.store.archive import Archive
 
-    queries = ["sends", "bytes", "sends where src == 0",
-               "sends where src_node != dst_node", "sends group by dst top 3"]
-    with Archive(GOLDEN_DIR / f"{name}.aptrc") as new, \
-            Archive(GOLDEN_DIR / f"{name}-nostats.aptrc") as old:
-        for section in old.section("logical"), new.section("logical"):
+    answers = {}
+    for label, path in _flavors(name).items():
+        with Archive(path) as archive:
+            section = archive.section("logical")
             assert all(ref.stats is not None
                        for ref in section.chunk_refs("count")) \
-                == (section is new.section("logical"))
-        for query in queries:
-            assert query_trace(old.section("logical"), query) \
-                == query_trace(new.section("logical"), query)
+                == (label != "v1 nostats")
+            answers[label] = [query_trace(section, q) for q in QUERIES]
+    assert answers["v1+stats"] == answers["v2"]
+    assert answers["v1 nostats"] == answers["v2"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_prestats_golden_diffs_match_new_format(name):
-    """Column-wise archive diffing treats both footer layouts the same."""
+    """Column-wise archive diffing treats every footer layout the same."""
     from repro.api import diff
 
-    new = GOLDEN_DIR / f"{name}.aptrc"
-    old = GOLDEN_DIR / f"{name}-nostats.aptrc"
-    report_new = diff(new, new, label_a="a", label_b="b")
-    report_old = diff(old, old, label_a="a", label_b="b")
-    assert report_new == report_old
+    reports = [diff(path, path, label_a="a", label_b="b")
+               for path in _flavors(name).values()]
+    assert reports[0] == reports[1] == reports[2]
 
 
-if __name__ == "__main__":  # golden regeneration entry point
-    from repro.core.store import writer
+@pytest.mark.parametrize("flavor", ["", "-nostats"])
+def test_backfilled_v1_fixture_is_a_v2_file_over_the_v1_bytes(
+        flavor, tmp_path):
+    """Extending a v1 archive keeps its data region byte for byte (old
+    chunk offsets and encodings stay valid) under a version-2 footer."""
+    from repro.core.store.archive import Archive, load_run
+    from repro.core.store.lod import backfill_pyramid, has_pyramid
 
+    fixture = V1_DIR / f"histogram{flavor}.aptrc"
+    filled = backfill_pyramid(fixture, tmp_path / "filled.aptrc")
+    assert _version(filled) == 2
+    with Archive(fixture) as old, Archive(filled) as new:
+        assert has_pyramid(new) and not has_pyramid(old)
+        assert filled.read_bytes()[:old.data_end] \
+            == fixture.read_bytes()[:old.data_end]
+        for s in old.sections:
+            assert new.section_index[s] == old.section_index[s]
+    assert load_run(filled).logical._counts \
+        == load_run(fixture).logical._counts
+
+
+def test_future_format_version_is_refused_by_name(tmp_path):
+    from repro.core.store.archive import Archive, ArchiveError
+
+    golden = GOLDEN_DIR / "histogram.aptrc"
+    path = rewrite_footer(golden, {**read_footer(golden)[1], "version": 3},
+                          out=tmp_path / "v3.aptrc")
+    with pytest.raises(ArchiveError, match="format version 3"):
+        Archive(path)
+
+
+if __name__ == "__main__":  # golden regeneration entry point (v2 only)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN_WORKLOADS):
         path = _build(name, GOLDEN_DIR / f"{name}.aptrc")
-        print(f"regenerated {path} ({path.stat().st_size:,} bytes)")
-        writer.WRITE_CHUNK_STATS = False
-        try:
-            path = _build(name, GOLDEN_DIR / f"{name}-nostats.aptrc")
-        finally:
-            writer.WRITE_CHUNK_STATS = True
         print(f"regenerated {path} ({path.stat().st_size:,} bytes)")

@@ -37,6 +37,7 @@ from repro.core.store.codec import (
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
 
+from tests.archive_tools import strip_chunk_stats
 from tests.codec_oracle import (
     decode_uvarints_scalar,
     encode_uvarints_scalar,
@@ -111,9 +112,9 @@ def queries(draw, fields):
     return " ".join(parts)
 
 
-def _export_chunked(path, name, columns_of, attrs, rows, n_chunks, stats):
+def _export_chunked(path, name, columns_of, attrs, rows, n_chunks):
     """Write one section in ``n_chunks`` row groups (partial aggregates)."""
-    with ArchiveWriter(path, meta=attrs, stats=stats) as writer:
+    with ArchiveWriter(path, meta=attrs) as writer:
         section = writer.begin_section(name, tuple(columns_of), attrs=attrs)
         bounds = np.linspace(0, len(rows), n_chunks + 1).astype(int)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -139,8 +140,8 @@ def test_differential_logical(tmp_path, run, data):
 
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", logical=logical),
-        "nostats": export_run(tmp_path / "n.aptrc", logical=logical,
-                              stats=False),
+        "nostats": strip_chunk_stats(
+            export_run(tmp_path / "n.aptrc", logical=logical)),
     }
     # multi-chunk: the same routes split across row groups
     rows = [(src, dst, size, n)
@@ -151,7 +152,7 @@ def test_differential_logical(tmp_path, run, data):
                  "n_pes": spec.n_pes}
         flavors["chunked"] = _export_chunked(
             tmp_path / "c.aptrc", "logical", ("src", "dst", "size", "count"),
-            attrs, rows, n_chunks=3, stats=True)
+            attrs, rows, n_chunks=3)
 
     for label, path in flavors.items():
         with Archive(path) as archive:
@@ -172,15 +173,15 @@ def test_differential_physical(tmp_path, run, data):
         assert got == expected, ("in-memory", pushdown, query)
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", physical=physical),
-        "nostats": export_run(tmp_path / "n.aptrc", physical=physical,
-                              stats=False),
+        "nostats": strip_chunk_stats(
+            export_run(tmp_path / "n.aptrc", physical=physical)),
     }
     # multi-chunk: the aggregated rows split across row groups
     columns, attrs = physical.to_columns()
     flavors["chunked"] = _export_chunked(
         tmp_path / "c.aptrc", "physical", tuple(columns), attrs,
         list(zip(*(col.tolist() for col in columns.values()))),
-        n_chunks=3, stats=True)
+        n_chunks=3)
     for label, path in flavors.items():
         with Archive(path) as archive:
             section = archive.section("physical")
@@ -195,7 +196,7 @@ def test_pruning_skips_chunks_but_not_answers(tmp_path):
     attrs = {"nodes": 1, "pes_per_node": 64, "n_pes": 64}
     path = _export_chunked(tmp_path / "p.aptrc", "logical",
                            ("src", "dst", "size", "count"), attrs,
-                           rows, n_chunks=8, stats=True)
+                           rows, n_chunks=8)
     decodes = {True: 0, False: 0}
     results = {}
     for pushdown in (True, False):

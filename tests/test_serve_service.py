@@ -386,6 +386,24 @@ def test_bad_query_and_unknown_run(server, tmp_path):
     assert excinfo.value.status == 400
 
 
+def test_corrupt_chunk_is_the_clients_fault_not_a_500(server, tmp_path):
+    """Push checks the footer only, so an archive whose chunk bytes the
+    codec refuses gets registered; querying it is a located 400."""
+    from tests.archive_tools import read_footer, rewrite_footer
+
+    path = make_archive(tmp_path / "a.aptrc")
+    _, footer = read_footer(path)
+    footer["sections"]["logical"]["columns"]["size"][0][1] -= 1
+    client = server.client()
+    client.push(rewrite_footer(path, footer), run_id="bent")
+    assert client.query("bent", "sends group by dst")["result"]  # no size
+    with pytest.raises(ServeError) as excinfo:
+        client.query("bent", "bytes group by dst")
+    assert excinfo.value.status == 400
+    assert "ArchiveError" in str(excinfo.value)
+    assert "column 'size' chunk at offset" in str(excinfo.value)
+
+
 def test_shutdown_endpoint_gated_and_clean(tmp_path):
     config = ServerConfig(data_dir=tmp_path / "srv", port=0,
                           allow_shutdown=False)

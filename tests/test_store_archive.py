@@ -23,6 +23,7 @@ from repro.core.store.writer import ArchiveWriter, export_run
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
 
+from tests.archive_tools import read_footer, rewrite_footer
 from tests.query_oracle import row_walk_query
 
 
@@ -180,6 +181,109 @@ def test_extending_a_bad_input_creates_no_output(tmp_path, damage):
     assert bad.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir() if p.name != "ok.aptrc") \
         == ["bad.aptrc"]
+
+
+def _two_chunk_archive(path):
+    """Section ``s``: ``x`` packed (random 5-bit values), ``y`` varint."""
+    rng = np.random.default_rng(0)
+    with ArchiveWriter(path) as w:
+        s = w.begin_section("s", ("x", "y"))
+        for lo in (0, 100):
+            s.write_chunk({"x": rng.integers(0, 32, 100),
+                           "y": np.arange(lo, lo + 100) ** 3})
+    return path
+
+
+@pytest.mark.parametrize("column, encoding", [
+    ("x", "pack:0:1:5"), ("y", "delta+varint+zlib")])
+def test_corrupt_chunk_is_an_archive_error_with_a_location(
+        tmp_path, column, encoding):
+    """A payload the codec refuses surfaces as ``ArchiveError`` naming
+    the file, section, column and chunk offset — never ``CodecError``."""
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    _, footer = read_footer(path)
+    entry = footer["sections"]["s"]["columns"][column][1]
+    assert entry[2] == encoding
+    entry[1] -= 1  # the chunk loses its last byte
+    rewrite_footer(path, footer)
+    with Archive(path) as archive:
+        section = archive.section("s")
+        assert section.read_chunk(column, 0).shape == (100,)
+        with pytest.raises(ArchiveError) as excinfo:
+            section.column(column)
+    message = str(excinfo.value)
+    assert all(part in message for part in (
+        str(path), "'s'", repr(column), f"offset {entry[0]}"))
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda e, end: e.__delitem__(slice(3, None)), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(0, "8"), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(3, 99.5), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(2, None), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(4, [0, 31]), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(0, -1), "out of bounds"),
+    (lambda e, end: e.__setitem__(1, end - e[0] + 1), "out of bounds"),
+    (lambda e, end: e.__setitem__(3, 2 ** 31 + 1), "out of bounds"),
+    (lambda e, end: e.__setitem__(3, 99), "row groups disagree"),
+])
+def test_malformed_chunk_table_is_an_archive_error(tmp_path, mutate, match):
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    data_end, footer = read_footer(path)
+    mutate(footer["sections"]["s"]["columns"]["x"][0], data_end)
+    rewrite_footer(path, footer)
+    with Archive(path) as archive:  # the table is checked on first use
+        with pytest.raises(ArchiveError, match=match):
+            archive.section("s").column("y")
+
+
+def test_tiny_file_cannot_request_a_huge_constant_column(tmp_path):
+    """A width-0 chunk's count is backed by no payload bytes: it must
+    agree with the section's rows and the other columns, and stay under
+    the reader's per-chunk cap, before anything is allocated."""
+    with ArchiveWriter(tmp_path / "a.aptrc") as w:
+        w.add_section("s", {"x": [7, 7, 7], "y": [1, 2, 3]})
+    _, footer = read_footer(tmp_path / "a.aptrc")
+    index = footer["sections"]["s"]
+    assert index["columns"]["x"][0][1:3] == [0, "pack:7:1:0"]
+    for rows, count, match in ((3, 2 ** 40, "out of bounds"),
+                               (2 ** 40, 2 ** 40, "out of bounds"),
+                               (3, 2 ** 30, "row groups disagree"),
+                               (2 ** 30, 2 ** 30, "row groups disagree")):
+        index["rows"], index["columns"]["x"][0][3] = rows, count
+        path = rewrite_footer(tmp_path / "a.aptrc", footer,
+                              out=tmp_path / f"{rows}-{count}.aptrc")
+        assert path.stat().st_size < 300
+        with Archive(path) as archive:
+            with pytest.raises(ArchiveError, match=match):
+                archive.section("s").column("x")
+
+
+def test_malformed_section_index_is_an_archive_error(tmp_path):
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    _, footer = read_footer(path)
+    for sections in ({"s": []}, {"s": {"rows": "many"}}, ["s"]):
+        bad = rewrite_footer(path, {**footer, "sections": sections},
+                             out=tmp_path / "bad.aptrc")
+        with pytest.raises(ArchiveError, match="section index malformed"):
+            Archive(bad)
+    for columns in (5, {"x": 5}, {"x": [5]}, {"x": [{}]}):
+        bad = rewrite_footer(path, {**footer, "sections": {
+            "s": {"rows": 0, "columns": columns}}}, out=tmp_path / "bad.aptrc")
+        with Archive(bad) as archive:
+            with pytest.raises(ArchiveError, match="malformed chunk entry"):
+                archive.section("s").columns
+
+
+def test_chunk_table_is_built_on_first_use(tmp_path):
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    with Archive(path) as archive:
+        section = archive.section("s")
+        assert "_chunks" not in vars(section)
+        assert section.rows == 200 and archive.sections == ("s",)
+        assert "_chunks" not in vars(section)
+        assert section.n_chunks == 2
+        assert "_chunks" in vars(section)
 
 
 def test_is_archive_by_suffix_and_magic(tmp_path):

@@ -119,3 +119,46 @@ def test_corrupt_zlib_payload_raises():
     assert "zlib" in encoding
     with pytest.raises(CodecError, match="zlib"):
         decode_column(payload[:-4] + b"\x00\x00\x00\x00", encoding, 5000)
+
+
+def test_pack_takes_random_small_range_columns():
+    rng = np.random.default_rng(3)
+    sizes = 8 * rng.integers(1, 65, 1000)  # 9 bits of range, 6 of lattice
+    payload, encoding, out = roundtrip(sizes)
+    assert encoding == "pack:8:8:6" and len(payload) == 125 * 6
+    assert out.dtype == np.int64 and (out == sizes).all()
+    assert roundtrip([7] * 1000)[:2] == (b"", "pack:7:1:0")
+    assert roundtrip([-5])[:2] == (b"", "pack:-5:1:0")
+
+
+@pytest.mark.parametrize("payload, encoding, match", [
+    (b"\x00" * 5, "pack:0:1:6", "expected 6"),        # one byte short
+    (b"\x00" * 7, "pack:0:1:6", "expected 6"),        # one byte over
+    (b"\x00", "pack:4:1:0", "expected 0"),            # constant + payload
+    (b"\x00" * 9, "pack:0:1:9", "out of range"),      # wider than the packer
+    (b"", "pack:0:1:-1", "out of range"),
+    (b"\x00" * 6, "pack:0:0:6", "out of range"),      # stride < 1
+    (b"\x00" * 6, "pack:0:-8:6", "out of range"),
+    (b"\x00" * 6, f"pack:0:{2**64}:6", "out of range"),
+    (b"\x00" * 6, f"pack:{2**63}:1:6", "out of range"),  # lo outside int64
+    (b"\x00" * 6, "pack:0:1", "malformed"),
+    (b"\x00" * 6, "pack:0:1:6:0", "malformed"),
+    (b"\x00" * 6, "pack:zero:1:6", "malformed"),
+    (b"\x00" * 6, "pack:0:1:6+zlib", "malformed"),
+])
+def test_pack_decode_rejects_what_the_packer_never_writes(
+        payload, encoding, match):
+    with pytest.raises(CodecError, match=match):
+        decode_column(payload, encoding, 8)
+
+
+def test_stride_is_the_gcd_of_the_whole_chunk_not_of_its_head():
+    rng = np.random.default_rng(5)
+    head = (16 * rng.integers(0, 100, 500)).tolist()  # any prefix says 16
+    head[:2] = [0, 16 * 99]
+    assert encode_column(head)[1] == "pack:0:16:7"
+    assert encode_column(head + [8])[1] == "pack:0:8:8"
+    _payload, encoding, out = roundtrip(head + [3])
+    assert "varint" in encoding and out[-1] == 3  # 11 bits at stride 1
+    _payload, encoding, out = roundtrip([h // 16 for h in head] + [3])
+    assert encoding == "pack:0:1:7" and out[-1] == 3

@@ -4,11 +4,14 @@ Hypothesis drives random machine shapes and random trace contents
 through `export_run` → `load_run`, checking that every stored quantity
 survives bit-for-bit — the logical matrix, physical records of all three
 send kinds, PAPI rows, and the overall cycle totals, including the
-``T_MAIN + T_COMM + T_PROC == T_TOTAL`` identity.
+``T_MAIN + T_COMM + T_PROC == T_TOTAL`` identity.  The codec properties
+pin the vectorized ``pack`` encoding to the bit-at-a-time oracle of
+``tests/codec_oracle.py`` and the per-chunk selection rule to the v1
+recipe it must never do worse than.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.conveyors.hooks import SEND_TYPES
@@ -16,10 +19,18 @@ from repro.core.logical import LogicalTrace
 from repro.core.overall import OverallProfile
 from repro.core.papi_trace import PAPITrace
 from repro.core.physical import PhysicalTrace
-from repro.core.store.codec import decode_column, encode_column
+from repro.core.store.codec import (
+    PACK_MAX_WIDTH,
+    PROBE_VALUES,
+    decode_column,
+    encode_column,
+    pack_fields,
+    unpack_fields,
+)
 from repro.core.store.writer import export_run
 from repro.core.store.archive import load_run
 from repro.machine import MachineSpec
+from tests.codec_oracle import encode_column_v1, pack_scalar, unpack_scalar
 
 SETTINGS = settings(
     max_examples=25,
@@ -111,6 +122,107 @@ def overall_profiles(draw):
 def test_codec_roundtrip_exact(values, delta, compress):
     payload, encoding = encode_column(values, delta=delta, compress=compress)
     assert decode_column(payload, encoding, len(values)).tolist() == values
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def packed_fields(draw, min_width=1):
+    """``(width, fields)``: any count (0, 1, not a multiple of 8, …)."""
+    width = draw(st.integers(min_width, PACK_MAX_WIDTH))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1),
+                                max_size=70))
+
+
+@given(packed_fields())
+@SETTINGS
+def test_pack_matches_bit_at_a_time_oracle(case):
+    width, fields = case
+    payload = pack_fields(np.array(fields, dtype=np.uint64), width)
+    assert payload == pack_scalar(fields, width)
+    assert unpack_fields(payload, width, len(fields)).tolist() \
+        == unpack_scalar(payload, width, len(fields)) == fields
+
+
+@given(packed_fields(min_width=0), st.integers(1, 2**40), st.data())
+@SETTINGS
+def test_pack_roundtrip_every_width_and_negative_lo(case, stride, data):
+    """``lo + stride * k`` for every accepted width (0 = constant), with
+    ``lo`` anywhere in int64 that keeps the top value representable."""
+    width, fields = case
+    top = stride * ((1 << width) - 1)
+    lo = data.draw(st.integers(INT64_MIN, INT64_MAX - top))
+    values = [lo + stride * k for k in fields]
+    payload = (pack_fields(np.array(fields, dtype=np.uint64), width)
+               if width else b"")
+    got = decode_column(payload, f"pack:{lo}:{stride}:{width}", len(values))
+    assert got.dtype == np.int64 and got.tolist() == values
+    again, encoding = encode_column(values)
+    assert decode_column(again, encoding, len(values)).tolist() == values
+    if len(set(values)) == 1:
+        assert (again, encoding) == (b"", f"pack:{values[0]}:1:0")
+
+
+@given(st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=40))
+@example([])  # two values 2**64 - 1 apart: stride 2**64 - 1, one bit
+@example([-1])  # no common stride: 64 bits wide, the recipe
+@SETTINGS
+def test_int64_extremes_roundtrip(values):
+    """``hi - lo`` itself overflows int64: the offsets are taken in
+    wrapping uint64, and a span with no coarse lattice takes the recipe
+    instead of a wrapped width."""
+    values = [INT64_MIN, *values, INT64_MAX]
+    payload, encoding = encode_column(values)
+    if values[1:-1] in ([], [-1]):
+        assert encoding == ("delta+varint" if values[1:-1]
+                            else f"pack:{INT64_MIN}:{2**64 - 1}:1")
+    assert decode_column(payload, encoding, len(values)).tolist() == values
+
+
+@given(st.lists(st.integers(0, 1 << PACK_MAX_WIDTH), max_size=40),
+       st.integers(INT64_MIN, INT64_MAX - (1 << PACK_MAX_WIDTH)))
+@SETTINGS
+def test_one_bit_too_wide_falls_back_to_varint(ks, lo):
+    values = [lo, lo + 1, lo + (1 << PACK_MAX_WIDTH), *(lo + k for k in ks)]
+    payload, encoding = encode_column(values)  # stride 1, one bit too many
+    assert "varint" in encoding
+    assert decode_column(payload, encoding, len(values)).tolist() == values
+
+
+@given(st.lists(st.integers(-40, 300), max_size=PROBE_VALUES),
+       st.sampled_from([1, 8, 1000]), st.integers(-(2**40), 2**40))
+@SETTINGS
+def test_selection_is_pure_and_never_larger_than_v1(ks, stride, lo):
+    """Same chunk → same bytes, and up to ``PROBE_VALUES`` values the
+    probe is the answer: a recipe chunk is byte-for-byte what a v1
+    writer stored, a packed one is no larger."""
+    values = [lo + stride * k for k in ks]
+    payload, encoding = encode_column(values)
+    assert (payload, encoding) == encode_column(np.array(values, np.int64))
+    if values:
+        assert (payload, encoding) == encode_column(
+            values, bounds=(min(values), max(values)))
+    v1 = encode_column_v1(values)
+    if encoding.startswith("pack:"):
+        assert len(payload) <= len(v1[0])
+    else:
+        assert (payload, encoding) == v1
+    assert decode_column(payload, encoding, len(values)).tolist() == values
+
+
+def test_big_incompressible_chunk_packs_and_big_sorted_chunk_does_not():
+    """Past ``PROBE_VALUES`` the probe decides for the whole chunk."""
+    rng = np.random.default_rng(0)
+    n = 4 * PROBE_VALUES + 3
+    noise = 8 * rng.integers(1, 65, n)
+    payload, encoding = encode_column(noise)
+    assert encoding == "pack:8:8:6" and len(payload) == -(-n // 8) * 6
+    assert (decode_column(payload, encoding, n) == noise).all()
+    ramp = np.arange(n) // 64
+    payload, encoding = encode_column(ramp)
+    assert encoding == "delta+varint+zlib"
+    assert (payload, encoding) == encode_column_v1(ramp)
 
 
 @given(logical_traces())

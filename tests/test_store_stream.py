@@ -119,15 +119,17 @@ def test_close_and_salvage_are_idempotent(tmp_path):
         assert not load_run(path).degraded
 
 
-#: sha256 of archives streamed by the archiver while it still kept its
-#: own aggregate dicts (PR 13): (spill_every, seed, inner ActorProf?).
+#: sha256 of streamed archives: (spill_every, seed, inner ActorProf?).
+#: Re-pinned when format version 2 changed the chunk bytes; every decoded
+#: column, attr, chunk count and stat was compared equal to the v1 pins'
+#: (written while the archiver still kept its own aggregate dicts, PR 13).
 STREAMED_SHA256 = {
     (25, 3, False):
-        "d4d2743d42418dc371298d871fe6d53b269f3c03327e90504c5465d4aa7ca1cd",
+        "33e84ce2d1c10aca2600ddfa14224b63de72d3c068ad34cf0b1ca40f7a287d50",
     (50, 3, False):
-        "1bf2720cfccca9e4212802f1c4861289af44fba06663d855064584ac6015e719",
+        "4a0120004fa63832dc17ff7ecca26fb3cd29f597d71e0c07f9b4496853b10f3a",
     (40, 5, True):
-        "d6e23febb0dcd99c87545ffac83eba918428812fb2e3d1db17cafa04eea73a9e",
+        "64cb196dd3db84a8720d2d1592479a71b8fa1622ec4121bb0de874f25010e6ec",
 }
 
 
