@@ -6,8 +6,10 @@ seconds".  This benchmark builds a 10M-row synthetic ``.aptrc`` archive
 have) and measures rows/sec through the one columnar evaluator, with
 and without chunk-stat pushdown:
 
-* **vectorized** — numpy LEB128 decode + bincount aggregation over the
-  full 10M-row archive, with chunk-stat pushdown disabled,
+* **vectorized** — numpy decode + per-row-group aggregation folded over
+  the full 10M-row archive, with chunk-stat pushdown disabled (a second,
+  untimed pass under ``tracemalloc`` records what the scan holds at its
+  peak: a row group, not the trace),
 * **pushdown** — the same archive and full row count, with footer chunk
   stats pruning row groups and answering un-predicated aggregates.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -84,6 +87,10 @@ def test_query_scale_10m_rows(tmp_path, outdir):
     vec_result, t_vec, _ = timed_query(path, FULL_SCAN_QUERY,
                                        pushdown=False)
     vec_rows_per_s = N_ROWS / t_vec
+    tracemalloc.start()
+    timed_query(path, FULL_SCAN_QUERY, pushdown=False)
+    peak_traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
     # each src owns N_CHUNKS / N_PES identically-shaped row groups
     per_src = (int(per_chunk_sizes[per_chunk_sizes >= 16].sum())
                * (N_CHUNKS // N_PES))
@@ -123,6 +130,7 @@ def test_query_scale_10m_rows(tmp_path, outdir):
             "rows": N_ROWS,
             "seconds": round(t_vec, 4),
             "rows_per_s": round(vec_rows_per_s),
+            "peak_traced_mb": round(peak_traced_mb, 1),
         },
         "pushdown": {
             "query": PRUNED_SCAN_QUERY,
@@ -141,7 +149,8 @@ def test_query_scale_10m_rows(tmp_path, outdir):
     out = outdir / "BENCH_query_scale.json"
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"\n{N_ROWS:,} rows: "
-          f"vectorized {vec_rows_per_s / 1e6:.2f} Mrows/s, "
+          f"vectorized {vec_rows_per_s / 1e6:.2f} Mrows/s "
+          f"(peak {peak_traced_mb:.0f} MB traced), "
           f"pushdown {pushdown_rows_per_s / 1e6:.1f} Mrows/s "
           f"({speedup:.0f}x), footer sums in {t_sums * 1e3:.1f} ms "
           f"→ {out}")

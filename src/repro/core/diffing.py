@@ -133,9 +133,10 @@ def _logical_matrix(trace: LogicalTrace | Section) -> np.ndarray:
     """
     section = as_section(trace)
     n_pes = int(section.attrs["nodes"]) * int(section.attrs["pes_per_node"])
-    frame = Frame(section)
-    return scatter_matrix(frame.column("src"), frame.column("dst"),
-                          frame.column("count"), (n_pes, n_pes))
+    return sum((scatter_matrix(src, dst, count, (n_pes, n_pes))
+                for src, dst, count
+                in Frame(section).groups("src", "dst", "count")),
+               np.zeros((n_pes, n_pes), dtype=np.int64))
 
 
 def compare_report(

@@ -39,25 +39,27 @@ ranks ``group by`` output; without a ``group by`` it is meaningless and
 is normalized away, so ``sends top 5`` and ``sends`` share one
 canonical spelling (and one cache key).
 
-Evaluation is columnar and vectorized, on one evaluator for every
-input.  An archive :class:`~repro.core.store.archive.Section` is read
-through a :class:`~repro.core.store.frame.Frame` — untouched columns
-(and sections) are never read from disk, footer chunk stats prune row
-groups that cannot match the conditions, and un-predicated aggregates
-are answered from footer sums with zero payload decode::
+Evaluation is one vectorized fold over row groups, for every input.  An
+archive :class:`~repro.core.store.archive.Section` is read through a
+:class:`~repro.core.store.frame.Frame` — untouched columns (and
+sections) are never read from disk, footer chunk stats prune row groups
+that cannot match the conditions, un-predicated aggregates are answered
+from footer sums with zero payload decode, and the rest is decoded one
+surviving row group at a time and folded into the running answer, so a
+query costs a row group of memory (plus its groups), not a trace::
 
     with Archive("run.aptrc") as a:
         query_trace(a.section("logical"), "sends where src == 0 group by dst")
 
 An in-memory :class:`LogicalTrace`/:class:`PhysicalTrace` rides the same
-frame over its aggregated ``to_columns()`` rows (no row expansion, so it
-is cheap even for billion-send traces).  Node fields
+fold as one row group: its aggregated ``to_columns()`` rows (no row
+expansion, so it is cheap even for billion-send traces).  Node fields
 (``src_node``/``dst_node``) need the machine layout; traces that do not
 carry one (e.g. a bare ``PhysicalTrace(n_pes)``) raise a clear
 :class:`QueryError`.
 
-Pass ``pushdown=False`` to ignore chunk stats and decode every column
-in full (identical results; used by the differential tests and
+Pass ``pushdown=False`` to ignore chunk stats and fold over every row
+group (identical results; used by the differential tests and
 benchmarks).
 """
 
@@ -271,12 +273,10 @@ def normalize(text: str) -> str:
     return parse(text).canonical()
 
 
-def _check_fields(q: Query, available: set[str]) -> None:
-    """Reject references to fields this trace cannot answer, up front.
-
-    Doing this before evaluation makes an empty trace reject unknown
-    field names exactly as a populated one does.
-    """
+def _check_fields(q: Query, available: set[str]) -> list[str]:
+    """Every field ``q`` reads, rejecting those this trace cannot
+    answer up front — so an empty trace rejects unknown field names
+    exactly as a populated one does."""
     names = []
     for c in q.conditions:
         names.append(c.field)
@@ -296,48 +296,56 @@ def _check_fields(q: Query, available: set[str]) -> None:
             f"field {name!r} does not exist on this trace "
             f"(have {sorted(available)})"
         )
+    return names
 
 
 def _evaluate(section: Section, q: Query, pushdown: bool = True):
-    """Vectorized evaluation over one section (archive or in-memory).
+    """Fold ``q`` over one section's row groups (archive or in-memory).
 
-    Only the columns the query actually references are decoded: the
-    ``count`` column always (it carries the aggregation weights),
-    ``size`` additionally for the ``bytes`` metric, plus whatever the
-    conditions and ``group by`` name.  Node fields are derived from
-    ``src``/``dst`` and the section's ``pes_per_node`` attr.
+    Only the columns the query references are decoded: ``count`` always
+    (the aggregation weights), ``size`` for the ``bytes`` metric, plus
+    whatever the conditions and ``group by`` name; node fields derive
+    from ``src``/``dst`` and the section's ``pes_per_node`` attr.  Each
+    row group is decoded, masked, weighted and summed into the running
+    answer before the next is read: memory is one row group plus the
+    groups found, never a column.  A group exists once any matching row
+    carries its key, even when its weights sum to 0.
 
     With ``pushdown`` (the default) the footer's per-chunk stats do two
     jobs first: row groups whose ``[min, max]`` intervals cannot satisfy
     the condition conjunction are skipped without touching their bytes,
     and un-predicated ungrouped aggregates are answered from the footer
-    sums with no payload decode at all.  Sections without stats (older
-    archives, in-memory traces) take the full-decode path and return
-    identical results.
+    sums, decoding nothing.  Sections without stats (older archives,
+    in-memory traces) fold over every row group — identical results.
     """
     send_types = [str(s) for s in section.attrs.get("send_types", ())]
     ppn = section.attrs.get("pes_per_node")
     available = set(section.columns) - {"count"}
     if ppn:
         available |= set(_NODE_FIELDS)
-    _check_fields(q, available)
+    fields = _check_fields(q, available)
 
-    def kind_code(name: str) -> int:
-        # unknown names match no row (so `kind != typo` matches
-        # everything)
-        return send_types.index(name) if name in send_types else -1
+    def stored(name: str) -> tuple[str, int | None]:
+        """The column a field reads and what floor-divides it."""
+        return (name[:3], int(ppn)) if name in _NODE_FIELDS else (name, None)
+
+    def values(cols: dict, name: str) -> np.ndarray:
+        name, divisor = stored(name)
+        return cols[name] if divisor is None else cols[name] // divisor
 
     frame = Frame(section, use_stats=pushdown)
+    checks = []  # (compare, field, int or field name)
     for cond in q.conditions:
         rhs = cond.value
         if isinstance(rhs, FieldRef):
-            continue  # field-to-field: no per-chunk interval to test
-        if cond.field in _NODE_FIELDS:
-            frame.prune(cond.field[:3], cond.op, int(rhs), divisor=int(ppn))
-        elif cond.field == "kind":
-            frame.prune("kind", cond.op, kind_code(rhs))
+            rhs = rhs.name  # field-to-field: no per-chunk interval to test
         else:
-            frame.prune(cond.field, cond.op, int(rhs))
+            if cond.field == "kind":
+                # unknown names match no row (`kind != typo`: every row)
+                rhs = send_types.index(rhs) if rhs in send_types else -1
+            name, divisor = stored(cond.field)
+            frame.prune(name, cond.op, int(rhs), divisor=divisor)
+        checks.append((_OPS[cond.op], cond.field, rhs))
 
     if not q.conditions and q.group_by is None:
         total = (frame.weighted_total() if q.metric == "bytes"
@@ -345,38 +353,37 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
         if total is not None:
             return total  # answered from footer sums: zero bytes decoded
 
-    def field_values(name: str) -> np.ndarray:
-        if name in _NODE_FIELDS:
-            return frame.column(name[:3]) // int(ppn)
-        return frame.column(name)
-
-    mask: np.ndarray | None = None
-    for cond in q.conditions:
-        lhs = field_values(cond.field)
-        rhs = cond.value
-        if isinstance(rhs, FieldRef):
-            rhs = field_values(rhs.name)
-        elif cond.field == "kind":
-            rhs = kind_code(rhs)
-        hit = _OPS[cond.op](lhs, rhs)
-        mask = hit if mask is None else (mask & hit)
-
-    weights = frame.column("count")
-    if q.metric == "bytes":
-        weights = weights * frame.column("size")
+    total, grouped = 0, None  # the running answer: an int, or (keys, sums)
+    weighing = ["count", "size"] if q.metric == "bytes" else ["count"]
+    names = tuple(dict.fromkeys(weighing + [stored(f)[0] for f in fields]))
+    for arrays in frame.groups(*names):
+        cols = dict(zip(names, arrays))
+        weights = cols["count"]
+        if q.metric == "bytes":
+            weights = weights * cols["size"]
+        mask = None
+        for compare, field, rhs in checks:
+            hit = compare(values(cols, field),
+                          values(cols, rhs) if isinstance(rhs, str) else rhs)
+            mask = hit if mask is None else mask & hit
+        if q.group_by is None:
+            total += int((weights if mask is None else weights[mask]).sum())
+        else:
+            keys = values(cols, q.group_by)
+            if mask is not None:
+                keys, weights = keys[mask], weights[mask]
+            part = group_sum(keys, weights)
+            # O(distinct keys) per row group: few, on aggregated routes
+            grouped = part if grouped is None else group_sum(
+                *(np.concatenate(pair) for pair in zip(grouped, part)))
 
     if q.group_by is None:
-        if mask is not None:
-            weights = weights * mask  # zero non-matches; no gather copy
-        return int(weights.sum())
-    uniq, sums = group_sum(field_values(q.group_by), weights, mask=mask)
+        return total
+    keys, sums = (a.tolist() for a in grouped) if grouped else ([], [])
     if q.group_by == "kind":
-        labels = [send_types[k] if 0 <= k < len(send_types) else int(k)
-                  for k in uniq.tolist()]
-    else:
-        labels = uniq.tolist()
-    ranked = sorted(zip(labels, sums.tolist()),
-                    key=lambda kv: (-kv[1], str(kv[0])))
+        keys = [send_types[k] if 0 <= k < len(send_types) else k
+                for k in keys]
+    ranked = sorted(zip(keys, sums), key=lambda kv: (-kv[1], str(kv[0])))
     return ranked[: q.top] if q.top is not None else ranked
 
 
@@ -388,7 +395,7 @@ def query_trace(trace: LogicalTrace | PhysicalTrace | Section, text: str,
     ``(group_value, amount)`` pairs sorted by amount (descending) for
     ``group by`` queries.  ``pushdown`` enables chunk-stat pruning and
     footer-sum fast paths where the section carries stats; disabling it
-    forces full column decoding — results are identical.
+    folds over every row group — results are identical.
     """
     q = parse(text)
     if isinstance(trace, Archive):

@@ -166,27 +166,27 @@ class Section:
             )
         return tuple(self._chunks[name])
 
+    def decode_chunk(self, name: str, ref: ChunkRef) -> np.ndarray:
+        """Read + decode one chunk of one column, uncached."""
+        return self._archive._decode_chunk(self.name, name, ref)
+
     def read_chunk(self, name: str, i: int) -> np.ndarray:
         """Read + decode one chunk of one column (cached)."""
         cached = self._chunk_cache.get((name, i))
         if cached is not None:
             return cached
-        ref = self.chunk_refs(name)[i]
-        out = self._archive._decode_chunk(self.name, name, ref)
+        out = self.decode_chunk(name, self.chunk_refs(name)[i])
         self._chunk_cache[(name, i)] = out
         return out
 
     def column(self, name: str) -> np.ndarray:
-        """Read + decode one column (cached); int64 array of ``rows``."""
+        """Read + decode one column (cached, its chunks not); int64 ``rows``."""
         cached = self._cache.get(name)
         if cached is not None:
             return cached
-        refs = self.chunk_refs(name)
-        parts = [self.read_chunk(name, i) for i in range(len(refs))]
-        if parts:
-            out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        else:
-            out = np.zeros(0, dtype=np.int64)
+        parts = [self.decode_chunk(name, ref) for ref in self.chunk_refs(name)]
+        out = parts[0] if len(parts) == 1 else np.concatenate(
+            parts or [np.zeros(0, dtype=np.int64)])
         self._cache[name] = out
         return out
 

@@ -1,7 +1,7 @@
-"""Columnar frame: pruned, lazy, vectorized access to archive sections.
+"""Columnar frame: pruned, streamed, vectorized access to archive sections.
 
 A :class:`Frame` wraps one archive
-:class:`~repro.core.store.archive.Section` and exposes the two tricks
+:class:`~repro.core.store.archive.Section` and exposes the three tricks
 that make multi-million-row scans cheap:
 
 * **chunk pruning** — the footer's per-chunk ``(min, max, sum)`` stats
@@ -9,17 +9,23 @@ that make multi-million-row scans cheap:
   every row group whose ``[min, max]`` interval cannot contain a match,
   before any payload byte is read;
 * **stats-only aggregation** — un-predicated sums (``sends``, ``bytes``)
-  are answered straight from the footer sums, decoding nothing at all.
+  are answered straight from the footer sums, decoding nothing at all;
+* **row-group streaming** — :meth:`Frame.groups` yields the surviving
+  row groups one at a time and caches nothing, so a scan holds one row
+  group of each column it reads, never a column.
 
-Both the query layer (:mod:`repro.core.query`) and run diffing
-(:mod:`repro.core.diffing`) sit on this frame.  Sections without chunk
+The query layer (:mod:`repro.core.query`), run diffing
+(:mod:`repro.core.diffing`) and the pyramid backfill
+(:mod:`repro.core.store.lod`) are folds over it.  Sections without chunk
 stats — version-1 archives written before the stats extension, and
-in-memory traces viewed through :class:`MemorySection` —
-degrade gracefully: pruning becomes a no-op and every read falls back
-to full column decoding — results are identical either way.
+in-memory traces viewed through :class:`MemorySection` — degrade
+gracefully: nothing is pruned, every row group is streamed, and results
+are identical either way.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -37,6 +43,9 @@ class MemorySection(Section):
         self._chunks = {col: [ChunkRef(0, 0, "memory", rows)]
                         for col in columns}
         self._cache.update(columns)
+
+    def decode_chunk(self, name: str, ref: ChunkRef) -> np.ndarray:
+        return self._cache[name]
 
 
 def as_section(source) -> Section:
@@ -77,7 +86,6 @@ class Frame:
         #: Which row groups survive pruning so far.
         self.keep = np.ones(self.n_chunks, dtype=bool)
         self.use_stats = bool(use_stats)
-        self._cache: dict[str, np.ndarray] = {}
 
     # -- stats access ----------------------------------------------------
 
@@ -87,9 +95,7 @@ class Frame:
         if not self.use_stats:
             return None
         stats = [ref.stats for ref in self._section.chunk_refs(name)]
-        if any(s is None for s in stats):
-            return None
-        return stats
+        return None if any(s is None for s in stats) else stats
 
     # -- pruning ---------------------------------------------------------
 
@@ -113,34 +119,28 @@ class Frame:
                 lo, hi = lo // divisor, hi // divisor
             if not interval_may_match(lo, hi, op, value):
                 self.keep[i] = False
-        self._cache.clear()
         return True
 
     # -- column access ---------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
         """The column's values across surviving row groups (int64)."""
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
         if bool(self.keep.all()):
-            out = self._section.column(name)
-        else:
-            parts = [self._section.read_chunk(name, i)
-                     for i in np.flatnonzero(self.keep)]
-            out = (np.concatenate(parts) if parts
-                   else np.zeros(0, dtype=np.int64))
-        self._cache[name] = out
-        return out
+            return self._section.column(name)
+        parts = [self._section.read_chunk(name, i)
+                 for i in np.flatnonzero(self.keep)]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
-    @property
-    def rows(self) -> int:
-        """Row count across surviving row groups (stats not needed)."""
-        if bool(self.keep.all()):
-            return self._section.rows
-        counts = [ref.count for ref in
-                  self._section.chunk_refs(self._section.columns[0])]
-        return int(sum(c for c, k in zip(counts, self.keep) if k))
+    def groups(self, *names: str) -> Iterator[tuple[np.ndarray, ...]]:
+        """The named columns of one surviving row group at a time: int64
+        arrays decoded for this iteration only, kept by neither frame nor
+        section, so a fold costs one row group of memory however long the
+        section is.  (An in-memory section yields the trace's own arrays.)"""
+        section = self._section
+        refs = [section.chunk_refs(name) for name in names]
+        for i in np.flatnonzero(self.keep):
+            yield tuple(section.decode_chunk(name, column[i])
+                        for name, column in zip(names, refs))
 
     # -- stats-only aggregation ------------------------------------------
 
@@ -185,37 +185,27 @@ def _bincount_exact(indices: np.ndarray, weights: np.ndarray,
                        minlength=length).astype(np.int64)
 
 
-def group_sum(keys: np.ndarray, weights: np.ndarray,
-              mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``weights`` per distinct key; returns ``(unique_keys, sums)``.
-
-    ``mask`` (boolean) restricts to matching rows — applied by zeroing
-    weights rather than gathering, which avoids two large copies.  Keys
-    of dense-enough span take a bincount; anything else falls back to
-    sort-based grouping (``np.unique`` + ``np.add.at``).
-    """
+def group_sum(keys: np.ndarray,
+              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``weights`` per distinct key; returns ``(unique_keys, sums)``,
+    keys ascending, one for every key present whatever its sum.  Keys of
+    dense-enough span take a bincount; anything else falls back to
+    sort-based grouping (``np.unique`` + ``np.add.at``)."""
     keys = np.asarray(keys)
     weights = np.asarray(weights, dtype=np.int64)
-    if mask is not None:
-        weights = weights * mask
     if len(keys) == 0:
         return keys[:0], weights[:0]
     lo, hi = int(keys.min()), int(keys.max())
+    if lo == hi:  # one key: a sorted run's row group, or a lone route
+        # (a copy: a view would keep the whole row group alive)
+        return keys[:1].copy(), weights.sum(keepdims=True)
     span = hi - lo + 1
-    if span <= max(1 << 20, 4 * len(keys)):
+    if span <= max(1 << 10, 4 * len(keys)):
         shifted = keys - lo
         sums = _bincount_exact(shifted, weights, span)
         if sums is not None:
-            if mask is None:
-                occupied = np.bincount(shifted, minlength=span) > 0
-            else:
-                occupied = np.bincount(
-                    shifted, weights=mask, minlength=span) > 0
-            present = np.flatnonzero(occupied)
+            present = np.flatnonzero(np.bincount(shifted, minlength=span))
             return present + lo, sums[present]
-    if mask is not None:
-        keys = keys[mask]
-        weights = weights[mask]
     uniq, inverse = np.unique(keys, return_inverse=True)
     sums = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(sums, inverse, weights)

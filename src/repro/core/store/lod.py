@@ -292,23 +292,24 @@ def build_flat_pyramid(*, n_pes: int, overall=None, edges=None) -> Pyramid:
             np.asarray(overall.t_total, dtype=np.int64) - main - proc, 0)
         pe0 = _pe_dense_to_columns(main[:, None], proc[:, None],
                                    comm[:, None])
-    edge0 = _empty_edge()
+    # one row group at a time; duplicate (src, dst) rows — other sizes or
+    # kinds, streamed partial aggregates — sum into one edge
+    edge_count = np.zeros((n_pes, n_pes), dtype=np.int64)
+    edge_bytes = np.zeros((n_pes, n_pes), dtype=np.int64)
     if edges is not None:
-        section = as_section(edges)
-        src, dst = section.column("src"), section.column("dst")
-        count, size = section.column("count"), section.column("size")
-        # duplicate (src, dst) rows — other sizes or kinds, streamed
-        # partial aggregates — sum into one edge
-        edge_count = scatter_matrix(src, dst, count, (n_pes, n_pes))
-        edge_bytes = scatter_matrix(src, dst, count * size, (n_pes, n_pes))
-        src, dst = np.nonzero(edge_count > 0)
-        edge0 = {
-            "bucket": np.zeros(len(src), dtype=np.int64),
-            "src": src.astype(np.int64),
-            "dst": dst.astype(np.int64),
-            "count": edge_count[src, dst],
-            "bytes": edge_bytes[src, dst],
-        }
+        for src, dst, count, size in Frame(as_section(edges)).groups(
+                "src", "dst", "count", "size"):
+            edge_count += scatter_matrix(src, dst, count, edge_count.shape)
+            edge_bytes += scatter_matrix(src, dst, count * size,
+                                         edge_count.shape)
+    src, dst = np.nonzero(edge_count > 0)
+    edge0 = {
+        "bucket": np.zeros(len(src), dtype=np.int64),
+        "src": src.astype(np.int64),
+        "dst": dst.astype(np.int64),
+        "count": edge_count[src, dst],
+        "bytes": edge_bytes[src, dst],
+    }
     return Pyramid(horizon, n_pes, [horizon], False, [pe0], [edge0])
 
 

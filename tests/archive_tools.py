@@ -8,8 +8,12 @@ region is kept byte for byte and only the JSON index changes.
 import json
 import zlib
 from pathlib import Path
+from unittest import mock
 
+from repro.core.store import writer
 from repro.core.store.archive import TAIL_MAGIC, TRAILER
+
+from tests.codec_oracle import encode_column_v1
 
 
 def read_footer(path) -> tuple[int, dict]:
@@ -41,3 +45,14 @@ def strip_chunk_stats(path) -> Path:
         index["columns"] = {col: [entry[:4] for entry in entries]
                             for col, entries in index["columns"].items()}
     return rewrite_footer(path, footer)
+
+
+def as_v1(write, path) -> Path:
+    """``write(path)`` as a format-version-1 writer would have left it:
+    every chunk in the delta + varint (+ zlib) recipe, footer stamped 1."""
+    with mock.patch.object(
+            writer, "encode_column",
+            lambda values, bounds=None: encode_column_v1(values)):
+        write(path)
+    _, footer = read_footer(path)
+    return rewrite_footer(path, {**footer, "version": 1})

@@ -1,4 +1,4 @@
-"""Differential tests: one vectorized evaluator, one row-walk oracle.
+"""Differential tests: one row-group fold, one row-walk oracle.
 
 Every valid query must return what the reference row walk
 (``tests/query_oracle.py``) returns, on every input the single
@@ -11,13 +11,21 @@ columnar evaluator accepts, with ``pushdown`` on and off:
    with duplicate route keys.
 
 Hypothesis drives random traces and a grammar walk over the query
-surface.
+surface.  The evaluator folds one row group at a time, so a second
+family splits the same rows into 1, 2, 7 and one-per-row row groups, in
+every footer layout the reader accepts, and pins what a fold can get
+wrong: a split changing the answer, keys or weights at the integer
+limits, memory growing with the number of row groups, a decode error
+losing its location.
 
 The second half pins the vectorized varint codec to its scalar oracle:
 byte-identical encodes, identical decodes, and identical rejection of
 truncated / trailing / overflowing streams — including the 10-byte
 encodings at the top of the uint64 range.
 """
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,16 +36,23 @@ from repro.conveyors.hooks import SEND_TYPES
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
 from repro.core.query import query_trace
-from repro.core.store.archive import Archive
+from repro.core.store.archive import Archive, ArchiveError
 from repro.core.store.codec import (
     CodecError,
     decode_uvarints,
     encode_uvarints,
 )
+from repro.core.store.frame import Frame
+from repro.core.store.lod import backfill_pyramid
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
 
-from tests.archive_tools import strip_chunk_stats
+from tests.archive_tools import (
+    as_v1,
+    read_footer,
+    rewrite_footer,
+    strip_chunk_stats,
+)
 from tests.codec_oracle import (
     decode_uvarints_scalar,
     encode_uvarints_scalar,
@@ -61,16 +76,16 @@ def machine_specs(draw):
 
 
 @st.composite
-def traced_runs(draw):
+def traced_runs(draw, min_rows=1, min_size=1):
     """A (logical, physical) pair over one machine, with shared routes."""
     spec = draw(machine_specs())
     logical = LogicalTrace(spec)
     physical = PhysicalTrace(spec.n_pes, spec=spec)
     pes = st.integers(0, spec.n_pes - 1)
     rows = draw(st.lists(
-        st.tuples(pes, pes, st.integers(1, 64), st.integers(1, 20),
+        st.tuples(pes, pes, st.integers(min_size, 64), st.integers(1, 20),
                   st.sampled_from(SEND_TYPES)),
-        min_size=1, max_size=40,
+        min_size=min_rows, max_size=40,
     ))
     for src, dst, size, count, kind in rows:
         key = (dst, size)
@@ -112,20 +127,22 @@ def queries(draw, fields):
     return " ".join(parts)
 
 
-def _export_chunked(path, name, columns_of, attrs, rows, n_chunks):
-    """Write one section in ``n_chunks`` row groups (partial aggregates)."""
+def _write_groups(path, name, columns, attrs, groups):
+    """One section with one row group per (non-empty) list of row tuples."""
     with ArchiveWriter(path, meta=attrs) as writer:
-        section = writer.begin_section(name, tuple(columns_of), attrs=attrs)
-        bounds = np.linspace(0, len(rows), n_chunks + 1).astype(int)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            section.write_chunk({
-                col: [r[i] for r in rows[lo:hi]]
-                for i, col in enumerate(columns_of)
-            })
+        section = writer.begin_section(name, tuple(columns), attrs=attrs)
+        for rows in groups:
+            if rows:
+                section.write_chunk(dict(zip(columns, zip(*rows))))
         section.end()
     return path
+
+
+def _export_chunked(path, name, columns_of, attrs, rows, n_chunks):
+    """Write one section in ``n_chunks`` row groups (partial aggregates)."""
+    bounds = np.linspace(0, len(rows), n_chunks + 1).astype(int)
+    return _write_groups(path, name, columns_of, attrs, [
+        rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 @given(traced_runs(), st.data())
@@ -215,6 +232,174 @@ def test_pruning_skips_chunks_but_not_answers(tmp_path):
     assert results[True] == [(d, 1) for d in range(4)]
     # src == 3 lives in 1 of 8 row groups; pushdown reads only that one
     assert decodes[True] < decodes[False]
+
+
+# ----------------------------------------------------------------------
+# the fold: split-invariant, exact, one row group of memory
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["logical", "physical"])
+@given(run=traced_runs(min_rows=0, min_size=0), data=st.data())
+@SETTINGS
+def test_fold_is_split_invariant(tmp_path, kind, run, data):
+    """However the rows are cut into row groups — one group, a few, one
+    per row (so most groups fail any predicate whole), none at all for
+    an empty trace — and whichever footer layout carries them, the fold
+    answers what the row walk answers.  Sizes may be 0: a key whose
+    matching rows sum to 0 bytes is still a group."""
+    trace = run[1] if kind == "logical" else run[2]
+    query = data.draw(queries(
+        _LOGICAL_FIELDS if kind == "logical" else _PHYSICAL_FIELDS))
+    expected = row_walk_query(trace, query)
+    columns, attrs = trace.to_columns()
+    rows = list(zip(*(col.tolist() for col in columns.values())))
+    for n_chunks in sorted({1, 2, 7, max(len(rows), 1)}):
+        def write(path):
+            return _export_chunked(path, kind, tuple(columns), attrs,
+                                   rows, n_chunks)
+        flavors = {
+            "v2": write(tmp_path / "v2.aptrc"),
+            "v1+stats": as_v1(write, tmp_path / "v1.aptrc"),
+            "v1 nostats": strip_chunk_stats(
+                as_v1(write, tmp_path / "v1n.aptrc")),
+        }
+        for label, path in flavors.items():
+            with Archive(path) as archive:
+                section = archive.section(kind)
+                assert section.n_chunks == min(n_chunks, len(rows))
+                for pushdown in (True, False):
+                    got = query_trace(section, query, pushdown=pushdown)
+                    assert got == expected, (label, n_chunks, pushdown, query)
+
+
+_ATTRS = {"nodes": 1, "pes_per_node": 4, "n_pes": 4}
+_COLUMNS = ("src", "dst", "size", "count")
+
+
+def _logical_groups(path, groups):
+    """A ``logical`` section with one row group per ``(src, dst, size,
+    count)`` row list."""
+    return _write_groups(path, "logical", _COLUMNS, _ATTRS, groups)
+
+
+def test_group_keys_at_int64_extremes_never_size_an_allocation(tmp_path):
+    """Keys 2**64 apart — in different row groups, and inside one — take
+    the sort-based grouping, per row group and in the merge: nothing is
+    ever allocated by key span."""
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    path = _logical_groups(tmp_path / "x.aptrc", [
+        [(0, 1, lo, 2), (0, 2, lo, 3)],
+        [(1, 1, hi, 5)],
+        [(2, 1, lo, 7), (2, 3, hi, 11), (2, 3, 0, 13)],
+    ])
+    with Archive(path) as archive:
+        section = archive.section("logical")
+        tracemalloc.start()
+        answers = [query_trace(section, "sends group by size", pushdown=p)
+                   for p in (True, False)]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert answers[0] == answers[1] == [(hi, 16), (0, 13), (lo, 12)]
+    assert peak < 1 << 20
+
+
+def test_weights_past_2_53_sum_exactly(tmp_path):
+    """``count * size`` of one row group past float64's integer range:
+    the bincount guard trips per group and ``np.add.at`` keeps the sums
+    exact to the last bit."""
+    big = 2 ** 26 + 1                       # big * big is odd, > 2**52
+    path = _logical_groups(tmp_path / "x.aptrc", [
+        [(0, 1, big, big), (0, 1, big, big), (0, 1, big, big),
+         (0, 2, big, big)],
+        [(1, 1, 3, 1), (1, 2, 8, 1)],
+    ])
+    assert 3 * big * big > 2 ** 53 and float(3 * big * big) != 3 * big * big
+    with Archive(path) as archive:
+        section = archive.section("logical")
+        for pushdown in (True, False):
+            assert query_trace(section, "bytes group by dst",
+                               pushdown=pushdown) \
+                == [(1, 3 * big * big + 3), (2, big * big + 8)]
+            assert query_trace(section, "bytes where dst == 1",
+                               pushdown=pushdown) == 3 * big * big + 3
+
+
+def _scan_archive(path, n_groups, rows_per_group=4096):
+    """``n_groups`` equal row groups, each holding every ``dst``."""
+    rng = np.random.default_rng(7)
+    return _logical_groups(path, [
+        list(zip([g % 4] * rows_per_group,
+                 rng.integers(0, 4, rows_per_group).tolist(),
+                 (8 * rng.integers(1, 65, rows_per_group)).tolist(),
+                 rng.integers(1, 5, rows_per_group).tolist()))
+        for g in range(n_groups)])
+
+
+def test_query_memory_is_one_row_group_not_the_section(tmp_path):
+    """Peak traced allocation (numpy reports its buffers to
+    ``tracemalloc``) of an unprunable group-by over 32 row groups stays
+    within 1.5x of the same query over 4 row groups of the same size,
+    and nothing the fold decoded outlives it."""
+    peaks = {}
+    for n_groups in (4, 32):
+        path = _scan_archive(tmp_path / f"{n_groups}.aptrc", n_groups)
+        with Archive(path) as archive:
+            section = archive.section("logical")
+            frame = Frame(section)
+            assert frame.prune("dst", "==", 3) and frame.keep.all()
+            tracemalloc.start()
+            got = query_trace(section, "bytes where dst == 3 group by src")
+            peaks[n_groups] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(got) == 4
+            assert archive.decoded_columns == {
+                ("logical", c) for c in ("src", "dst", "size", "count")}
+            assert not section._cache and not section._chunk_cache
+    assert peaks[32] <= 1.5 * peaks[4], peaks
+
+
+def test_corrupt_row_group_fails_inside_the_fold_with_its_location(tmp_path):
+    """The fold reaches row group *k* only after folding the ones before
+    it; a chunk there the codec refuses is still an ``ArchiveError``
+    naming file, section, column and offset."""
+    path = _scan_archive(tmp_path / "x.aptrc", 5, rows_per_group=64)
+    _, footer = read_footer(path)
+    entry = footer["sections"]["logical"]["columns"]["size"][3]
+    entry[1] -= 1  # the fourth row group's chunk loses its last byte
+    with Archive(rewrite_footer(path, footer)) as archive:
+        section = archive.section("logical")
+        assert query_trace(section, "sends group by dst")  # no size
+        assert query_trace(section, "bytes where src == 0")  # pruned away
+        for query in ("bytes group by dst", "bytes where dst == 1"):
+            with pytest.raises(ArchiveError) as excinfo:
+                query_trace(section, query, pushdown=False)
+            assert all(part in str(excinfo.value) for part in (
+                str(path), "'logical'", "'size'", f"offset {entry[0]}"))
+
+
+#: What the parent of the row-group fold (whole-column scatter) made of
+#: ``_scan_archive(path, 7, rows_per_group=50)``.
+CHUNKED_BACKFILL_SHA256 = (
+    "a9d166cf3a9c654425748d59ecceb3a1ec2b18ca7aedebf445e50216b77d147e")
+CHUNKED_DIFF_REPORT = (
+    "== comparing 'a' (A) vs 'b' (B) ==\n"
+    "logical: sends A=882 B=367; hottest-sender ratio 2.01x, "
+    "hottest-receiver ratio 2.71x\n"
+    "logical: send imbalance A=1.16 B=1.38\n"
+    "logical: |A−B| matrix mass = 515 messages")
+
+
+def test_chunked_backfill_and_diff_are_byte_identical_to_whole_column(
+        tmp_path):
+    from repro.api import diff
+
+    chunked = _scan_archive(tmp_path / "c.aptrc", 7, rows_per_group=50)
+    other = _scan_archive(tmp_path / "o.aptrc", 3, rows_per_group=50)
+    filled = backfill_pyramid(chunked, tmp_path / "filled.aptrc")
+    assert hashlib.sha256(filled.read_bytes()).hexdigest() \
+        == CHUNKED_BACKFILL_SHA256
+    assert diff(chunked, other, label_a="a", label_b="b") \
+        == CHUNKED_DIFF_REPORT
 
 
 # ----------------------------------------------------------------------

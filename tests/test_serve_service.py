@@ -388,15 +388,27 @@ def test_bad_query_and_unknown_run(server, tmp_path):
 
 def test_corrupt_chunk_is_the_clients_fault_not_a_500(server, tmp_path):
     """Push checks the footer only, so an archive whose chunk bytes the
-    codec refuses gets registered; querying it is a located 400."""
+    codec refuses gets registered; querying it is a located 400 — also
+    when the bad chunk sits in a later row group, which the evaluator
+    reaches only after folding the ones before it."""
+    from repro.core.store.writer import ArchiveWriter
     from tests.archive_tools import read_footer, rewrite_footer
 
-    path = make_archive(tmp_path / "a.aptrc")
+    layout = {"nodes": 1, "pes_per_node": 4, "n_pes": 4}
+    path = tmp_path / "a.aptrc"
+    with ArchiveWriter(path, meta=layout) as writer:
+        section = writer.begin_section(
+            "logical", ("src", "dst", "size", "count"), attrs=layout)
+        for src in range(3):
+            section.write_chunk({"src": [src] * 40, "dst": [1, 2] * 20,
+                                 "size": list(range(8, 48)),
+                                 "count": [1] * 40})
     _, footer = read_footer(path)
-    footer["sections"]["logical"]["columns"]["size"][0][1] -= 1
+    footer["sections"]["logical"]["columns"]["size"][2][1] -= 1
     client = server.client()
     client.push(rewrite_footer(path, footer), run_id="bent")
     assert client.query("bent", "sends group by dst")["result"]  # no size
+    assert client.query("bent", "bytes where src == 0")["result"]  # pruned
     with pytest.raises(ServeError) as excinfo:
         client.query("bent", "bytes group by dst")
     assert excinfo.value.status == 400

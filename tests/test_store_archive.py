@@ -318,6 +318,22 @@ def test_column_decode_is_cached(tmp_path):
         assert a is b
 
 
+def test_fully_read_column_is_held_once(tmp_path):
+    """``Section.column`` keeps the concatenation only: its per-chunk
+    parts used to stay in the chunk cache too, for the archive's life."""
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    with Archive(path) as archive:
+        section = archive.section("s")
+        first = section.read_chunk("x", 0)   # the pruned path's cache
+        whole = section.column("x")
+        assert list(section._cache) == ["x"] and section._cache["x"] is whole
+        assert list(section._chunk_cache) == [("x", 0)]
+        assert whole[:100].tolist() == first.tolist()
+        assert whole.tolist() == np.concatenate(
+            [section.decode_chunk("x", ref)
+             for ref in section.chunk_refs("x")]).tolist()
+
+
 # ----------------------------------------------------------------------
 # whole-run export / load
 # ----------------------------------------------------------------------

@@ -9,7 +9,10 @@ quantity:
   re-executes the workload under a perturbed cost model.
 
 Every example re-executes a simulated actor program, so example counts
-stay small (the deterministic substream derivation carries the load).
+stay small (the deterministic substream derivation carries the load);
+they scale with the active hypothesis profile's example budget
+(``tests/conftest.py``), which is how the nightly randomized run digs
+deeper than tier-1.
 
 The schedule-jitter property is deliberately *weaker* than "T_TOTAL is
 schedule-invariant": tie-break and flush-order jitter legally move real
@@ -18,7 +21,9 @@ by a few percent between legal schedules.  What must hold under every
 legal schedule is (1) the program's *result* is bit-identical (race
 freedom) and (2) the DAG rebuilt from that schedule's own observations
 explains that schedule's makespan exactly — the critical path is always
-a tight certificate for the run it was recorded from.
+a tight certificate for the run it was recorded from.  (2) is false
+today for two known programs under one schedule — ``KNOWN_GAPS`` pins
+them as strict expected failures (ROADMAP item 6a).
 """
 
 from pathlib import Path
@@ -47,6 +52,12 @@ from repro.whatif.dag import DagRecorder
 SPEEDUP_TARGETS = ("proc", "main", "comm", "net.latency", "net.bytes")
 
 
+def _examples(n: int) -> int:
+    """``n`` examples under the default budget of 100, scaled with the
+    active profile's."""
+    return max(n, n * settings.default.max_examples // 100)
+
+
 def _workload(seed: int, index: int) -> GeneratedWorkload:
     return GeneratedWorkload(generate_spec(seed, index),
                              machine=MachineSpec(2, 2), seed=seed)
@@ -72,7 +83,7 @@ def _baseline(workload, tmp_path: Path):
 # (a) work/span bracket: span <= T_TOTAL <= work
 # ----------------------------------------------------------------------
 
-@settings(max_examples=8, deadline=None,
+@settings(max_examples=_examples(8), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**20), index=st.integers(0, 20))
 def test_span_bounds_total_bounds_work(seed, index, tmp_path_factory):
@@ -92,7 +103,7 @@ def test_span_bounds_total_bounds_work(seed, index, tmp_path_factory):
 # (b) neutral replay is byte-identical to the baseline
 # ----------------------------------------------------------------------
 
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=_examples(6), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**20), index=st.integers(0, 20))
 def test_neutral_scales_replay_byte_identical(seed, index, tmp_path_factory):
@@ -111,7 +122,7 @@ def test_neutral_scales_replay_byte_identical(seed, index, tmp_path_factory):
 # (c) predicted vs replayed T_TOTAL for single-target speedups
 # ----------------------------------------------------------------------
 
-@settings(max_examples=8, deadline=None,
+@settings(max_examples=_examples(8), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**16),
@@ -142,36 +153,59 @@ def test_prediction_tracks_replay_for_speedups(seed, index, target, factor,
 # (d) schedule jitter: results invariant, critical path always tight
 # ----------------------------------------------------------------------
 
-@settings(max_examples=4, deadline=None,
+def _assert_critical_path_tight(workload, schedule, tmp: Path) -> str:
+    """Run ``workload`` under ``schedule``; the DAG rebuilt from that
+    run's own observations must explain its makespan exactly.  Returns
+    the result fingerprint."""
+    recorder = DagRecorder()
+    art = workload.run(
+        schedule, tmp / f"s{schedule.index}.aptrc",
+        profiler=WhatifProfiler(recorder=recorder),
+    )
+    dag = build_dag(
+        n_pes=workload.machine.n_pes,
+        clocks=art.clocks,
+        timeline=art.profiler.timeline,
+        recorder=recorder,
+        cost=CostModel(),
+    )
+    t_total = max(art.clocks)
+    assert sum(e.weight for e in dag.critical_path()) == t_total, (
+        f"critical path not tight under {schedule.describe()}"
+    )
+    assert round(dag.predict_total()) == t_total
+    return art.result_fingerprint
+
+
+@settings(max_examples=_examples(4), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), index=st.integers(0, 10))
 def test_critical_path_tight_under_schedule_jitter(seed, index,
                                                    tmp_path_factory):
     tmp = tmp_path_factory.mktemp("whatif-jitter")
     workload = _workload(seed, index)
-    fingerprints = set()
-    for schedule in make_schedules(workload.seed, 3):
-        recorder = DagRecorder()
-        art = workload.run(
-            schedule, tmp / f"s{schedule.index}.aptrc",
-            profiler=WhatifProfiler(recorder=recorder),
-        )
-        fingerprints.add(art.result_fingerprint)
-        dag = build_dag(
-            n_pes=workload.machine.n_pes,
-            clocks=art.clocks,
-            timeline=art.profiler.timeline,
-            recorder=recorder,
-            cost=CostModel(),
-        )
-        t_total = max(art.clocks)
-        assert sum(e.weight for e in dag.critical_path()) == t_total, (
-            f"critical path not tight under {schedule.describe()}"
-        )
-        assert round(dag.predict_total()) == t_total
     # race-free by construction: every legal schedule computes the same
     # result, even though the makespans legitimately differ
-    assert len(fingerprints) == 1
+    assert len({_assert_critical_path_tight(workload, schedule, tmp)
+                for schedule in make_schedules(workload.seed, 3)}) == 1
+
+
+#: ``(seed, index)`` falsifying examples of the property above that
+#: randomized runs drew.  Under schedule 2 (jitter, ``buffer_items=4``)
+#: the critical path falls short of the makespan — 35 700 vs 35 777 and
+#: 89 040 vs 93 407; schedules 0 and 1 are tight for both.
+KNOWN_GAPS = [(6, 6), (65535, 2)]
+
+
+@pytest.mark.parametrize("schedule", [0, 1, pytest.param(2, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP 6a: build_dag misses a happens-before edge under "
+           "jitter with buffer_items=4; un-pin when it is fixed"))])
+@pytest.mark.parametrize("seed,index", KNOWN_GAPS)
+def test_known_critical_path_gaps(seed, index, schedule, tmp_path):
+    workload = _workload(seed, index)
+    _assert_critical_path_tight(
+        workload, make_schedules(workload.seed, 3)[schedule], tmp_path)
 
 
 # ----------------------------------------------------------------------
