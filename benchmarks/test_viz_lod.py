@@ -10,7 +10,7 @@ pyramids, and times both paths rendering the same heatmap.
 Two full-decode baselines are timed: the *legacy* path (``load_run``
 trace materialization + ``matrix()`` — what rendering a heatmap from
 an archive cost before the pyramid existed) and the *vectorized* path
-(``Frame`` column decode + scatter, the best a non-LOD render can do
+(``Section.column`` decode + scatter, the best a non-LOD render can do
 today).  Acceptance bars asserted here:
 
 * at 1M rows the LOD render is >= 20x faster than the legacy
@@ -35,7 +35,7 @@ import numpy as np
 
 import repro.api as api
 from repro.core.store.archive import Archive
-from repro.core.store.frame import Frame, scatter_matrix
+from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import backfill_pyramid
 from repro.core.store.writer import ArchiveWriter
 from repro.core.viz import heatmap_svg
@@ -87,9 +87,9 @@ def timed_full_decode_render(path):
     then the same chart."""
     with Archive(path) as archive:
         t0 = time.perf_counter()
-        frame = Frame(archive.section("logical"))
-        src, dst = frame.column("src"), frame.column("dst")
-        count = frame.column("count")
+        section = archive.section("logical")
+        src, dst = section.column("src"), section.column("dst")
+        count = section.column("count")
         matrix = scatter_matrix(src, dst, count, (N_PES, N_PES))
         svg = heatmap_svg(matrix, title="full decode",
                           xlabel="destination PE", ylabel="source PE")

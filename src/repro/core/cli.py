@@ -63,25 +63,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.logical import parse_logical_dir
-from repro.core.overall import parse_overall_file
-from repro.core.papi_trace import parse_papi_dir
-from repro.core.physical import parse_physical_file
+from repro.core.diffing import compare_sides, open_traces
 from repro.core.report import (
     mosaic_report,
     overall_report,
     papi_report,
     physical_report,
 )
-from repro.core.store.archive import (
-    Archive,
-    ArchiveError,
-    is_archive,
-    load_logical,
-    load_overall,
-    load_papi,
-    load_physical,
-)
+from repro.core.store.archive import LOADERS, Archive, ArchiveError, is_archive
 from repro.core.viz.bars import grouped_bar_graph
 from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.stacked import stacked_bar_graph
@@ -204,45 +193,24 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    archive = None
     try:
-        if use_archive:
-            archive = Archive(args.trace_dir)
+        with (Archive(args.trace_dir) if use_archive
+              else open_traces(args.trace_dir, args.num_pes)) as source:
             if args.num_pes is None:
-                args.num_pes = archive.n_pes
-        return _render(args, archive, out, emitted, say)
+                args.num_pes = source.n_pes
+            return _render(args, source, out, emitted, say)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot read traces: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if archive is not None:
-            archive.close()
 
 
-def _render(args, archive, out, emitted, say) -> int:
-    def dir_machine_spec():
-        """The machine spec from the logical trace, if one is present."""
-        try:
-            return parse_logical_dir(args.trace_dir, args.num_pes).spec
-        except (FileNotFoundError, ValueError):
-            return None
+def _render(args, source, out, emitted, say) -> int:
+    # an open Archive, or open_traces' view of a text trace directory
+    archive = source if isinstance(source, Archive) else None
 
     def load(kind):
         """Load one trace kind from the archive or the text directory."""
-        if archive is not None:
-            return {
-                "logical": load_logical,
-                "physical": load_physical,
-                "papi": load_papi,
-                "overall": load_overall,
-            }[kind](archive)
-        return {
-            "logical": lambda: parse_logical_dir(args.trace_dir, args.num_pes),
-            "physical": lambda: parse_physical_file(
-                args.trace_dir, args.num_pes, spec=dir_machine_spec()),
-            "papi": lambda: parse_papi_dir(args.trace_dir, args.num_pes),
-            "overall": lambda: parse_overall_file(args.trace_dir),
-        }[kind]()
+        return source[kind] if archive is None else LOADERS[kind](archive)
 
     if args.logical:
         trace = load("logical")
@@ -298,8 +266,7 @@ def _render(args, archive, out, emitted, say) -> int:
             from repro.core.analysis import aggregate_to_nodes
 
             logical_spec = (archive.spec() if archive is not None
-                            else parse_logical_dir(args.trace_dir,
-                                                   args.num_pes).spec)
+                            else load("logical").spec)
             if logical_spec.nodes > 1:
                 node_m = aggregate_to_nodes(trace.matrix(), logical_spec)
                 path = out / "physical_heatmap_nodes.svg"
@@ -313,8 +280,6 @@ def _render(args, archive, out, emitted, say) -> int:
         say(physical_report(trace))
 
     if args.compare is not None:
-        from repro.core.diffing import compare_sides, open_traces
-
         try:
             mine = {kind: load(kind)
                     for kind in ("logical", "overall", "physical")
@@ -341,7 +306,7 @@ def _render(args, archive, out, emitted, say) -> int:
             try:
                 # column-pruned evaluation straight off the archive; a
                 # text directory's traces are parsed first (physical.txt
-                # borrows the logical trace's node layout, see `load`)
+                # borrows the logical trace's node layout, see open_traces)
                 result = query_trace(
                     archive.section(target) if archive is not None
                     else load(target), expr)
@@ -379,12 +344,9 @@ def _render(args, archive, out, emitted, say) -> int:
     if args.export_archive is not None:
         from repro.core.store.writer import export_run
 
-        traces = {}
-        for kind in ("logical", "physical", "papi", "overall"):
-            try:
-                traces[kind] = load(kind)
-            except FileNotFoundError:
-                pass
+        traces = {kind: source[kind]
+                  for kind in ("logical", "physical", "papi", "overall")
+                  if kind in source}
         if not traces:
             print(f"no traces found in {args.trace_dir} to export",
                   file=sys.stderr)

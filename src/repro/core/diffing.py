@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.analysis import imbalance_ratio
 from repro.core.logical import LogicalTrace, parse_logical_dir
 from repro.core.overall import OverallProfile, parse_overall_file
+from repro.core.papi_trace import parse_papi_dir
 from repro.core.physical import PhysicalTrace, parse_physical_file
 from repro.core.query import query_trace
 from repro.core.store.archive import (
@@ -35,6 +36,7 @@ from repro.core.store.archive import (
     load_overall,
 )
 from repro.core.store.frame import Frame, as_section, scatter_matrix
+from repro.machine.spec import MachineSpec
 
 
 def _ratio(a: float, b: float) -> float:
@@ -132,7 +134,7 @@ def _logical_matrix(trace: LogicalTrace | Section) -> np.ndarray:
     merge by summing in the scatter-add, exactly as trace loading would.
     """
     section = as_section(trace)
-    n_pes = int(section.attrs["nodes"]) * int(section.attrs["pes_per_node"])
+    n_pes = MachineSpec.from_attrs(section.attrs).n_pes
     return sum((scatter_matrix(src, dst, count, (n_pes, n_pes))
                 for src, dst, count
                 in Frame(section).groups("src", "dst", "count")),
@@ -192,15 +194,52 @@ def compare_report(
 # whole-run comparison over directories or archives
 # ----------------------------------------------------------------------
 
+class _TraceDir:
+    """Kind → trace of a paper-format trace directory.  A kind's files
+    are parsed on first use and at most once, with the parser's own
+    errors; ``kind in traces`` is False when the directory has no such
+    files."""
+
+    def __init__(self, path: Path, n_pes: int) -> None:
+        self.path, self.n_pes = path, n_pes
+        self._parsed: dict = {}
+
+    def __getitem__(self, kind: str):
+        if kind not in self._parsed:
+            self._parsed[kind] = self._parse(kind)
+        return self._parsed[kind]
+
+    def __contains__(self, kind: str) -> bool:
+        try:
+            self[kind]
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _parse(self, kind: str):
+        if kind == "logical":
+            return parse_logical_dir(self.path, self.n_pes)
+        if kind == "papi":
+            return parse_papi_dir(self.path, self.n_pes)
+        if kind == "overall":
+            return parse_overall_file(self.path)
+        try:  # physical.txt carries no node layout: the logical trace's
+            spec = self["logical"].spec
+        except (FileNotFoundError, ValueError):
+            spec = None
+        return parse_physical_file(self.path, self.n_pes, spec=spec)
+
+
 @contextmanager
 def open_traces(path: str | Path, n_pes: int | None = None):
-    """The comparable traces stored at ``path``, as a dict by kind.
+    """The traces stored at ``path``, indexable by kind.
 
     ``path`` is either a ``.aptrc`` archive (self-describing, ``n_pes``
     ignored), which yields its logical/physical sections as they are —
     only the small per-PE overall section is materialized — and stays
-    open for the ``with`` body; or a paper-format trace directory, for
-    which ``n_pes`` is required to parse the per-PE CSV files.
+    open for the ``with`` body; or a paper-format trace directory
+    (logical, physical, papi, overall), for which ``n_pes`` is required
+    to parse the per-PE CSV files.
     """
     path = Path(path)
     if is_archive(path):
@@ -220,15 +259,7 @@ def open_traces(path: str | Path, n_pes: int | None = None):
         raise ValueError(
             f"--num-pes is required to read the trace directory {path}"
         )
-    side = {}
-    for kind, parse in (("logical", lambda: parse_logical_dir(path, n_pes)),
-                        ("physical", lambda: parse_physical_file(path, n_pes)),
-                        ("overall", lambda: parse_overall_file(path))):
-        try:
-            side[kind] = parse()
-        except FileNotFoundError:
-            pass
-    yield side
+    yield _TraceDir(path, n_pes)
 
 
 def compare_sides(label_a: str, label_b: str, a: dict, b: dict) -> str:

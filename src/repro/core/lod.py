@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.store.archive import Archive
+from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import (
     LodError,
     Pyramid,
@@ -171,19 +172,14 @@ class LodView:
         """Communication count/bytes matrices over the viewport."""
         vp = self.viewport(t0, t1, res)
         cols = self._reader("edge", vp.level)
-        n = self.n_pes
-        count = np.zeros((n, n), dtype=np.int64)
-        nbytes = np.zeros((n, n), dtype=np.int64)
-        bucket = np.asarray(cols["bucket"], dtype=np.int64)
+        bucket = cols["bucket"]
         mask = (bucket >= vp.b0) & (bucket < vp.b1)
-        if mask.any():
-            src = np.asarray(cols["src"], dtype=np.int64)[mask]
-            dst = np.asarray(cols["dst"], dtype=np.int64)[mask]
-            np.add.at(count, (src, dst),
-                      np.asarray(cols["count"], dtype=np.int64)[mask])
-            np.add.at(nbytes, (src, dst),
-                      np.asarray(cols["bytes"], dtype=np.int64)[mask])
-        return EdgeWindow(viewport=vp, count=count, bytes=nbytes)
+        src, dst = cols["src"][mask], cols["dst"][mask]
+        shape = (self.n_pes, self.n_pes)
+        return EdgeWindow(
+            viewport=vp,
+            count=scatter_matrix(src, dst, cols["count"][mask], shape),
+            bytes=scatter_matrix(src, dst, cols["bytes"][mask], shape))
 
     def refine(self, vp: Viewport, bucket: int, res: int = 96) -> Viewport:
         """Drill down into one bucket of a prior viewport.

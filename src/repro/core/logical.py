@@ -160,9 +160,7 @@ class LogicalTrace:
             "count": np.asarray(counts, dtype=np.int64),
         }
         attrs = {
-            "nodes": self.spec.nodes,
-            "pes_per_node": self.spec.pes_per_node,
-            "machine_name": self.spec.name,
+            **self.spec.attrs(),
             "sample_interval": self.sample_interval,
             "ticks": list(self._ticks),
         }
@@ -175,11 +173,7 @@ class LogicalTrace:
         Duplicate ``(src, dst, size)`` keys — produced by streaming
         writers that spill partial aggregates — are merged by summing.
         """
-        spec = MachineSpec(
-            nodes=int(attrs["nodes"]),
-            pes_per_node=int(attrs["pes_per_node"]),
-            name=str(attrs.get("machine_name", "simulated-cluster")),
-        )
+        spec = MachineSpec.from_attrs(attrs)
         trace = cls(spec, sample_interval=int(attrs.get("sample_interval", 1)))
         n_pes = spec.n_pes
         for src, dst, size, n in zip(

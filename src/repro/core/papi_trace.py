@@ -123,9 +123,7 @@ class PAPITrace:
                 [r.values[i] for r in rows], dtype=np.int64
             )
         attrs = {
-            "nodes": self.spec.nodes,
-            "pes_per_node": self.spec.pes_per_node,
-            "machine_name": self.spec.name,
+            **self.spec.attrs(),
             "events": list(self.events),
             "main_totals": self.region_totals["MAIN"].tolist(),
             "proc_totals": self.region_totals["PROC"].tolist(),
@@ -135,11 +133,7 @@ class PAPITrace:
     @classmethod
     def from_columns(cls, columns: dict, attrs: dict) -> "PAPITrace":
         """Rebuild a trace from archive columns (inverse of to_columns)."""
-        spec = MachineSpec(
-            nodes=int(attrs["nodes"]),
-            pes_per_node=int(attrs["pes_per_node"]),
-            name=str(attrs.get("machine_name", "simulated-cluster")),
-        )
+        spec = MachineSpec.from_attrs(attrs)
         events = tuple(str(e) for e in attrs["events"])
         trace = cls(spec, events)
         event_cols = [columns[f"ev_{i}"].tolist() for i in range(len(events))]

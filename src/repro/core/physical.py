@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.conveyors.hooks import SEND_TYPES
+from repro.machine.spec import MachineSpec
 
 
 class PhysicalTrace:
@@ -119,9 +120,7 @@ class PhysicalTrace:
         }
         attrs = {"n_pes": self.n_pes, "send_types": list(SEND_TYPES)}
         if self.spec is not None:
-            attrs["nodes"] = self.spec.nodes
-            attrs["pes_per_node"] = self.spec.pes_per_node
-            attrs["machine_name"] = self.spec.name
+            attrs.update(self.spec.attrs())
         return columns, attrs
 
     @classmethod
@@ -134,13 +133,7 @@ class PhysicalTrace:
         send_types = [str(s) for s in attrs.get("send_types", SEND_TYPES)]
         spec = None
         if "pes_per_node" in attrs and "nodes" in attrs:
-            from repro.machine.spec import MachineSpec
-
-            spec = MachineSpec(
-                nodes=int(attrs["nodes"]),
-                pes_per_node=int(attrs["pes_per_node"]),
-                name=str(attrs.get("machine_name", "simulated-cluster")),
-            )
+            spec = MachineSpec.from_attrs(attrs)
         trace = cls(n_pes, spec=spec)
         for code, nb, src, dst, n in zip(
             columns["kind"].tolist(), columns["size"].tolist(),

@@ -108,7 +108,6 @@ class Section:
             [int(w) for w in raw_bytes] if raw_bytes is not None else None
         )
         self._cache: dict[str, np.ndarray] = {}
-        self._chunk_cache: dict[tuple[str, int], np.ndarray] = {}
 
     @cached_property
     def _chunks(self) -> dict[str, list[ChunkRef]]:
@@ -169,15 +168,6 @@ class Section:
     def decode_chunk(self, name: str, ref: ChunkRef) -> np.ndarray:
         """Read + decode one chunk of one column, uncached."""
         return self._archive._decode_chunk(self.name, name, ref)
-
-    def read_chunk(self, name: str, i: int) -> np.ndarray:
-        """Read + decode one chunk of one column (cached)."""
-        cached = self._chunk_cache.get((name, i))
-        if cached is not None:
-            return cached
-        out = self.decode_chunk(name, self.chunk_refs(name)[i])
-        self._chunk_cache[(name, i)] = out
-        return out
 
     def column(self, name: str) -> np.ndarray:
         """Read + decode one column (cached, its chunks not); int64 ``rows``."""
@@ -312,11 +302,7 @@ class Archive:
     def spec(self) -> MachineSpec:
         """The run's :class:`MachineSpec`, from footer metadata."""
         try:
-            return MachineSpec(
-                nodes=int(self.meta["nodes"]),
-                pes_per_node=int(self.meta["pes_per_node"]),
-                name=str(self.meta.get("machine_name", "simulated-cluster")),
-            )
+            return MachineSpec.from_attrs(self.meta)
         except KeyError as exc:
             raise ArchiveError(
                 f"{self.path}: footer metadata is missing {exc}"
@@ -360,7 +346,8 @@ def load_overall(archive: Archive) -> OverallProfile:
     return OverallProfile.from_columns(section.read(), section.attrs)
 
 
-_LOADERS = {
+#: Trace kind → the loader materializing it from an open archive.
+LOADERS = {
     "logical": load_logical,
     "physical": load_physical,
     "papi": load_papi,
@@ -395,7 +382,7 @@ def load_run(path: str | Path) -> RunTraces:
     """Open an archive and materialize every stored trace kind."""
     with Archive(path) as archive:
         out = RunTraces(meta=dict(archive.meta))
-        for kind, loader in _LOADERS.items():
+        for kind, loader in LOADERS.items():
             if archive.has_section(kind):
                 setattr(out, kind, loader(archive))
         return out

@@ -121,15 +121,7 @@ class Frame:
                 self.keep[i] = False
         return True
 
-    # -- column access ---------------------------------------------------
-
-    def column(self, name: str) -> np.ndarray:
-        """The column's values across surviving row groups (int64)."""
-        if bool(self.keep.all()):
-            return self._section.column(name)
-        parts = [self._section.read_chunk(name, i)
-                 for i in np.flatnonzero(self.keep)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    # -- row-group access ------------------------------------------------
 
     def groups(self, *names: str) -> Iterator[tuple[np.ndarray, ...]]:
         """The named columns of one surviving row group at a time: int64

@@ -393,7 +393,8 @@ def read_level(archive: Archive, kind: str, level: int) -> dict[str, np.ndarray]
     """Decode one level's columns of one pyramid side (``pe``/``edge``).
 
     Rides the :class:`Frame` chunk-stat pruning: with the one-chunk-
-    per-level layout only that level's payload bytes are read.
+    per-level layout only that level's row group is decoded — per call,
+    nothing is cached on the section.
     """
     name = {"pe": PE_SECTION, "edge": EDGE_SECTION}.get(kind)
     if name is None:
@@ -401,17 +402,14 @@ def read_level(archive: Archive, kind: str, level: int) -> dict[str, np.ndarray]
     if not archive.has_section(name):
         raise LodError(f"{archive.path}: archive has no {name!r} section "
                        "(backfill with `actorprof viz RUN --backfill`)")
-    section = archive.section(name)
     columns = PE_COLUMNS if kind == "pe" else EDGE_COLUMNS
-    frame = Frame(section)
+    frame = Frame(archive.section(name))
     frame.prune("level", "==", level)
-    levels = frame.column("level")
-    mask = levels == level
-    full = bool(mask.all())
-    out = {}
-    for c in columns[1:]:
-        values = frame.column(c)
-        out[c] = values if full else values[mask]
+    out = {c: np.zeros(0, dtype=np.int64) for c in columns[1:]}
+    for levels, *values in frame.groups(*columns):
+        mask = levels == level  # a stat-less group may hold other levels
+        for c, v in zip(out, values):
+            out[c] = np.concatenate((out[c], v[mask]))
     return out
 
 

@@ -220,20 +220,22 @@ class ArchiveWriter:
 
 def machine_meta(spec) -> dict:
     """Footer metadata describing the simulated machine."""
-    return {
-        "nodes": spec.nodes,
-        "pes_per_node": spec.pes_per_node,
-        "machine_name": spec.name,
-        "n_pes": spec.n_pes,
-    }
+    return {**spec.attrs(), "n_pes": spec.n_pes}
 
 
 def degraded_meta(world, failure: BaseException | None) -> dict:
-    """Footer stamp of a run that died: the failure, which PEs had
-    crashed when, and the injected-fault schedule."""
+    """Footer stamp of a run that died: the failure's headline and PE,
+    which PEs had crashed when, and the injected-fault schedule.
+
+    Only the first line of the message is stored: a ``PEFailure``
+    continues with a traceback, and source paths or scheduler line
+    numbers must not reach archive bytes (it stays on ``__cause__``)."""
     degraded: dict = {"degraded": True}
     if failure is not None:
-        degraded["failure"] = f"{type(failure).__name__}: {failure}"
+        headline = str(failure).partition("\n")[0]
+        degraded["failure"] = f"{type(failure).__name__}: {headline}"
+        if hasattr(failure, "rank"):
+            degraded["failure_pe"] = failure.rank
     if world is not None:
         crashed = getattr(world.scheduler, "crashed", {})
         if crashed:

@@ -79,6 +79,20 @@ class MachineSpec:
         if not 0 <= pe < self.n_pes:
             raise ValueError(f"PE {pe} out of range [0, {self.n_pes})")
 
+    def attrs(self) -> dict:
+        """The shape as trace-section attrs / archive footer metadata —
+        the one spelling of these keys (:meth:`from_attrs` reads it back)."""
+        return {"nodes": self.nodes, "pes_per_node": self.pes_per_node,
+                "machine_name": self.name}
+
+    @classmethod
+    def from_attrs(cls, attrs) -> "MachineSpec":
+        """Inverse of :meth:`attrs`; ``KeyError`` names a missing shape
+        key (``machine_name`` is optional)."""
+        return cls(nodes=int(attrs["nodes"]),
+                   pes_per_node=int(attrs["pes_per_node"]),
+                   name=str(attrs.get("machine_name", "simulated-cluster")))
+
     @classmethod
     def perlmutter_like(cls, nodes: int = 1, pes_per_node: int = 16) -> "MachineSpec":
         """The paper's experimental shapes: 1×16 and 2×16."""

@@ -5,11 +5,12 @@ This package provides the execution substrate every simulated runtime layer
 
 * :class:`~repro.sim.clock.CycleClock` — per-PE virtual cycle counters
   (the simulated ``rdtsc``).
-* :class:`~repro.sim.events.EventQueue` — a timed event queue used for
-  message arrivals and other future actions.
 * :class:`~repro.sim.scheduler.CoopScheduler` — a deterministic cooperative
   scheduler that runs one Python thread per simulated PE, with exactly one
-  thread executing at a time, selected by (virtual clock, rank).
+  thread executing at a time, selected by (virtual clock, rank).  What a
+  PE waits on — message arrivals, collectives — is a timed wakeup or a
+  :class:`~repro.sim.scheduler.WaitChannel` notification; the only other
+  scheduled future is an injected crash (:mod:`repro.sim.faults`).
 
 The kernel is deliberately independent of any networking or SPMD semantics;
 those live in the layers above.
@@ -23,7 +24,6 @@ from repro.sim.errors import (
     PEFailure,
     SimulationError,
 )
-from repro.sim.events import Event, EventQueue
 from repro.sim.faults import (
     CrashFault,
     EdgeFault,
@@ -49,8 +49,6 @@ __all__ = [
     "CoopScheduler",
     "DeadlockError",
     "EdgeFault",
-    "Event",
-    "EventQueue",
     "FaultError",
     "FaultEvent",
     "FaultInjector",

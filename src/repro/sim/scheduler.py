@@ -14,14 +14,15 @@ At every handoff the scheduler picks, among
 * RUNNABLE PEs (key = their virtual clock),
 * BLOCKED PEs whose wait predicate is already true (key = their clock),
 * BLOCKED PEs with a timed wakeup (key = max(clock, wakeup)),
-* pending events in the :class:`~repro.sim.events.EventQueue`,
 
-the candidate with the smallest (time, rank) key.  Firing an event runs its
-action inline (actions are plain data mutations — typically a message
-delivery — and may make predicates true).  If nothing is runnable, no
-predicate holds, no timed wakeups exist and the event queue is empty while
-some PE is still blocked, a :class:`~repro.sim.errors.DeadlockError` is
-raised with a per-PE wait report.
+the candidate with the smallest (time, rank) key.  Injected crashes
+(:meth:`CoopScheduler.schedule_crash`) are the only other scheduled
+futures: every crash due at a cycle fires, in ``schedule_crash`` order,
+strictly before any candidate at or after that cycle.  If nothing is
+runnable, no predicate holds, no timed wakeups exist and no crash is
+pending while some PE is still blocked, a
+:class:`~repro.sim.errors.DeadlockError` is raised with a per-PE wait
+report.
 
 Candidate index
 ---------------
@@ -32,12 +33,9 @@ Blocked predicates are **epoch-gated**: a PE that blocks on a predicate
 registers with the :class:`WaitChannel` s covering the state it waits on,
 and the predicate is only re-evaluated when one of those channels is
 notified (a conveyor buffer landed, a conveyor group's quiescence flipped,
-a collective released) or an event fired.  Blocks that pass no channels
+a collective released) or a crash fired.  Blocks that pass no channels
 fall back to the conservative behaviour — re-evaluation at every
-handoff.  Due events are drained in batches
-(:meth:`~repro.sim.events.EventQueue.pop_due`): every event at the firing
-timestamp — including events an action posts *at that same cycle* — fires
-in one pass before candidates are re-examined.
+handoff.
 
 The pre-index linear scan is the differential-testing oracle and lives
 with the tests (``tests/sched_oracle.py``: a subclass overriding only
@@ -60,14 +58,15 @@ import enum
 import threading
 import time
 import traceback
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.sim.clock import CycleClock, collect_now
 from repro.sim.errors import DeadlockError, PECrashed, PEFailure, SimulationError
-from repro.sim.events import EventQueue
 
 #: Candidate-key sentinel: this PE is not currently selectable.
 _NO_KEY = np.iinfo(np.int64).max
@@ -145,7 +144,7 @@ class WaitChannel:
     tests and golden archives guard.
 
     ``notify`` is safe to call without the scheduler lock: only one PE
-    thread executes at a time (the baton invariant), and event actions —
+    thread executes at a time (the baton invariant), and crash firings —
     the other mutation source — run under the lock inside selection.
     """
 
@@ -168,8 +167,8 @@ class SchedStats:
     selections: int = 0       # _select calls (every scheduling point)
     handoffs: int = 0         # baton transfers to a different PE thread
     yield_fast: int = 0       # yields resolved without a thread handoff
-    events_fired: int = 0     # event actions executed
-    event_batches: int = 0    # batched event drains
+    events_fired: int = 0     # injected crashes fired
+    event_batches: int = 0    # distinct cycles at which crashes fired
     pred_evals: int = 0       # blocked-predicate evaluations
     wall_s: float = 0.0       # wall-clock seconds spent inside run()
 
@@ -246,7 +245,9 @@ class CoopScheduler:
         self.n_pes = n_pes
         self.policy: SchedulePolicy = policy if policy is not None else DEFAULT_POLICY
         self.clocks: list[CycleClock] = [CycleClock() for _ in range(n_pes)]
-        self.events = EventQueue()
+        #: Pending injected crashes ``(at_cycle, rank, on_crash)``, by
+        #: cycle; ties keep ``schedule_crash`` call order.
+        self._crashes: list[tuple] = []
         self.stats = SchedStats()
         self._pes = [_PERecord(r) for r in range(n_pes)]
         self._lock = threading.Lock()
@@ -259,7 +260,7 @@ class CoopScheduler:
         # predicate must be re-evaluated before the next selection;
         # _always_dirty holds blocked ranks that gave no channels (the
         # conservative fallback); _blocked_pred tracks every blocked rank
-        # with a predicate (event firings dirty them all).
+        # with a predicate (a crash firing dirties them all).
         self._keys = np.full(n_pes, _NO_KEY, dtype=np.int64)
         self._dirty: set[int] = set()
         self._always_dirty: set[int] = set()
@@ -305,8 +306,8 @@ class CoopScheduler:
                 self._keys[rank] = _NO_KEY
                 self.stats.yield_fast += 1
                 return
-            # nxt can be None (everything else DONE) only when an event
-            # fired during selection crashed this very PE; _sleep below
+            # nxt can be None (everything else DONE) only when a crash
+            # fired during selection killed this very PE; _sleep below
             # then unwinds it.
             if nxt is not None:
                 self._wake_locked(nxt)
@@ -330,7 +331,7 @@ class CoopScheduler:
         responsible for arrival-time accounting).
 
         ``channels`` names the :class:`WaitChannel` s covering every piece
-        of state the predicate reads that *other* PEs (or events) can
+        of state the predicate reads that *other* PEs (or a crash) can
         mutate; the predicate is then re-evaluated only when one of them
         notifies.  An empty ``channels`` keeps the conservative behaviour
         (re-evaluation at every handoff).
@@ -387,15 +388,6 @@ class CoopScheduler:
             self.block(rank, predicate=predicate, wakeup_time=wk,
                        reason=reason, channels=channels)
 
-    def post(self, time: int, action: Callable[[], None]) -> None:
-        """Schedule ``action`` to fire at virtual ``time``.
-
-        Actions run inline during scheduling, under the scheduler lock:
-        they must be quick, non-blocking data mutations.
-        """
-        with self._lock:
-            self.events.schedule(time, action)
-
     def schedule_crash(
         self,
         rank: int,
@@ -419,17 +411,18 @@ class CoopScheduler:
             raise ValueError(f"cannot crash PE {rank}: only {self.n_pes} PEs")
         if at_cycle < 0:
             raise ValueError(f"crash cycle must be >= 0, got {at_cycle}")
-        self.post(at_cycle, lambda: self._crash_locked(rank, at_cycle, on_crash))
+        with self._lock:  # inserted after its equals: ties keep call order
+            insort(self._crashes, (at_cycle, rank, on_crash), key=itemgetter(0))
 
     def _crash_locked(
         self,
-        rank: int,
         at_cycle: int,
+        rank: int,
         on_crash: Callable[[int, int], None] | None,
     ) -> None:
-        """Event action: mark ``rank`` crashed (runs under the lock).
+        """Fire one pending crash: mark ``rank`` crashed (under the lock).
 
-        Event actions only ever fire inside selection, at which point no
+        Crashes only ever fire inside selection, at which point no
         PE is RUNNING — the victim is RUNNABLE or BLOCKED, i.e. its
         thread is parked in :meth:`_sleep`.  Setting its wake event makes
         that thread resume, observe the CRASHED state, and unwind via
@@ -661,30 +654,10 @@ class CoopScheduler:
             if rec.state is PEState.BLOCKED and rec.predicate is not None:
                 keys[rank] = self._predicate_key(rec)
 
-    def _fire_due_locked(self, ev_time: int) -> None:
-        """Batched event drain: fire every event due at ``ev_time``.
-
-        Events an action posts *at the same cycle* join the same drain
-        (the repeated :meth:`~repro.sim.events.EventQueue.pop_due`);
-        later-cycle events wait for the next selection pass, preserving
-        the events-fire-strictly-before-candidates rule across
-        timestamps.  Actions are arbitrary mutations, so every blocked
-        predicate is dirtied afterwards.
-        """
-        self.stats.event_batches += 1
-        batch = self.events.pop_due(ev_time)
-        while batch:
-            for ev in batch:
-                ev.action()
-                self.stats.events_fired += 1
-            batch = self.events.pop_due(ev_time)
-        if self._blocked_pred:
-            self._dirty.update(self._blocked_pred)
-
     # --- selection ------------------------------------------------------
 
     def _select_locked(self) -> _PERecord | None:
-        """Pick the next PE to run; fire due events as needed.
+        """Pick the next PE to run; fire due crashes as needed.
 
         Returns None when every PE is DONE (simulation complete — the done
         event is signalled).  Raises :class:`DeadlockError` when blocked
@@ -697,10 +670,18 @@ class CoopScheduler:
                 self._refresh_dirty_locked()
             best = int(np.argmin(keys))  # position of the FIRST minimum
             m = int(keys[best])
-            ev_time = self.events.next_time()
-            if ev_time is not None and (m == _NO_KEY or ev_time < m):
-                self._fire_due_locked(ev_time)
-                continue  # re-examine: actions may have changed the world
+            crashes = self._crashes
+            if crashes and (m == _NO_KEY or crashes[0][0] < m):
+                # every crash due at this cycle, in schedule_crash order;
+                # a dead PE changes which waits can end, so every blocked
+                # predicate is dirtied before candidates are re-examined
+                self.stats.event_batches += 1
+                at_cycle = crashes[0][0]
+                while crashes and crashes[0][0] == at_cycle:
+                    self._crash_locked(*crashes.pop(0))
+                    self.stats.events_fired += 1
+                self._dirty.update(self._blocked_pred)
+                continue
             if m != _NO_KEY:
                 if int(np.count_nonzero(keys == m)) == 1:
                     return self._pes[best]
@@ -715,7 +696,7 @@ class CoopScheduler:
                 )
             if self._n_blocked:
                 raise DeadlockError(self._deadlock_report_locked())
-            # No runnable, no blocked, no events: everything is DONE/FAILED.
+            # No runnable, no blocked, no crashes: everything is DONE/FAILED.
             self._done.set()
             return None
 
@@ -737,9 +718,9 @@ class CoopScheduler:
                 )
             else:
                 lines.append(f"  PE {rec.rank}: {rec.state.value}")
-        ev_time = self.events.next_time()
-        if ev_time is not None:
-            lines.append(f"  earliest pending event: cycle {ev_time}")
+        if self._crashes:
+            lines.append(
+                f"  earliest pending event: cycle {self._crashes[0][0]}")
         else:
             lines.append("  pending events: none")
         if self.fault_context is not None:

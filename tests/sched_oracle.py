@@ -2,8 +2,8 @@
 
 This is the selection loop :class:`~repro.sim.scheduler.CoopScheduler`
 ran before the numpy candidate index: every scheduling point walks all
-PE records, evaluates every blocked predicate, and pops events one at a
-time.  :class:`LinearScheduler` overrides only ``_select_locked`` — the
+PE records, evaluates every blocked predicate, and fires pending crashes
+one at a time.  :class:`LinearScheduler` overrides only ``_select_locked`` — the
 index bookkeeping in ``yield_pe``/``block``/``_resume_locked`` keeps
 running underneath and is simply never read — so the differential tests
 (``test_sim_scheduler_core.py``) and the golden-archive rebuilds
@@ -41,13 +41,11 @@ class LinearScheduler(CoopScheduler):
                     best_time, tied = t, [rec]
                 elif t == best_time:
                     tied.append(rec)
-            ev_time = self.events.next_time()
-            if ev_time is not None and (best_time is None or ev_time < best_time):
-                ev = self.events.pop_next()
-                assert ev is not None
-                ev.action()
+            if self._crashes and (best_time is None
+                                  or self._crashes[0][0] < best_time):
+                self._crash_locked(*self._crashes.pop(0))
                 self.stats.events_fired += 1
-                continue  # re-evaluate: the action may have changed the world
+                continue  # re-evaluate: the crash may have changed the world
             if tied:
                 if len(tied) == 1:
                     return tied[0]
@@ -63,7 +61,7 @@ class LinearScheduler(CoopScheduler):
                 )
             if any_blocked:
                 raise DeadlockError(self._deadlock_report_locked())
-            # No runnable, no blocked, no events: everything is DONE/FAILED.
+            # No runnable, no blocked, no crashes: everything is DONE/FAILED.
             self._done.set()
             return None
 

@@ -219,6 +219,34 @@ def test_physical_node_hotspot_chart(trace_dir, tmp_path):
     assert "node-level hotspots" in content
 
 
+@pytest.mark.parametrize("flags", [
+    ["-p"], ["-l", "-p"],
+    ["-l", "-p", "--query", "physical: ops group by src_node",
+     "--query", "logical: sends", "--export-archive", "OUT/run.aptrc"],
+])
+def test_trace_dir_files_are_parsed_once(trace_dir, tmp_path, monkeypatch,
+                                         flags):
+    """However many views, queries and exports want a text directory's
+    traces, each kind's files are parsed once per invocation (``-p``
+    alone used to parse ``PEi_send.csv`` twice, with ``-l`` three times)."""
+    from repro.core import diffing
+
+    calls = []
+    for name in ("parse_logical_dir", "parse_physical_file",
+                 "parse_papi_dir", "parse_overall_file"):
+        def spy(*args, _real=getattr(diffing, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(diffing, name, spy)
+    rc = main([str(trace_dir), "--num-pes", "8", "--quiet",
+               "--out", str(tmp_path)]
+              + [f.replace("OUT", str(tmp_path)) for f in flags])
+    assert rc == 0
+    assert (tmp_path / "physical_heatmap_nodes.svg").exists()
+    assert calls.count("parse_logical_dir") == 1
+    assert len(calls) == len(set(calls))
+
+
 # ----------------------------------------------------------------------
 # `actorprof faults` + `actorprof run`
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.diffing import (
     OverallDiff,
     PhysicalDiff,
     compare_report,
+    open_traces,
 )
 from repro.core.logical import LogicalTrace
 from repro.core.overall import OverallProfile
@@ -111,6 +112,13 @@ def test_cli_compare(tmp_path, capsys):
     assert "== comparing" in out
     assert "total-time ratio A/B" in out
     assert "physical ops (A vs B)" in out
+    # the one directory reader: physical.txt gets the logical trace's node
+    # layout for `diff` as for the visualizer; absent kinds are absent
+    (dirs["range"] / "overall.txt").unlink()
+    with open_traces(dirs["range"], 8) as side:
+        assert side["physical"].spec == side["logical"].spec
+        assert side["physical"].spec.nodes == 2
+        assert "papi" in side and "overall" not in side
 
 
 def test_cli_compare_missing_dir(tmp_path, capsys):

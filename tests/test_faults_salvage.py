@@ -10,6 +10,7 @@ queries against a healthy run through the normal CLI.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -144,19 +145,54 @@ def test_streaming_archiver_salvage(tmp_path):
     assert traces.logical is not None and traces.logical.total_sends() > 0
     # Spilled bytes and footer index are pinned (re-pinned for format
     # version 2 after comparing every decoded column and stat equal to
-    # the v1 pin's).  ``meta["failure"]`` ends in
-    # a traceback (absolute paths, scheduler line numbers), so only its
-    # headline is comparable across checkouts.
+    # the v1 pin's).
     with Archive(path) as archive:
         data = path.read_bytes()[:archive.data_end]
         index = json.dumps(archive.section_index, sort_keys=True).encode()
-        headline = archive.meta["failure"].split("\n")[0]
+        headline = archive.meta["failure"]
+        assert archive.meta["failure_pe"] == 1
     assert hashlib.sha256(data).hexdigest() == (
         "c44187ebf38e48202f212b536df1cb42604d5bbf07ae9f1f5401b339494d42d4")
     assert hashlib.sha256(index).hexdigest() == (
         "0478bf502382ff6fbb04dfb7287f1f024b11f3e72ae41a7d84b28eab416c3f6b")
-    assert headline.startswith(
+    assert "\n" not in headline and headline.startswith(
         "PEFailure: PE 1 failed: DeadlockError('simulation deadlocked;")
+
+
+def _fails_here(ctx):
+    _actor_program(ctx)
+    if ctx.rank == 1:
+        raise ValueError("boom")
+
+
+def _fails_there(ctx):
+    _actor_program(ctx)
+    if ctx.rank != 1:
+        return
+    raise ValueError("boom")
+
+
+def test_salvaged_bytes_carry_no_traceback(tmp_path):
+    """``meta["failure"]`` is the failure's headline: the same failing
+    program raised from two different source lines salvages to the same
+    bytes (the traceback stays on the in-process exception)."""
+    digests = set()
+    for i, program in enumerate((_fails_here, _fails_there)):
+        ap = ActorProf(ProfileFlags.all())
+        with pytest.raises(SimulationError) as exc_info:
+            run_spmd(program, machine=MachineSpec(1, 4), profiler=ap, seed=3)
+        assert "Traceback" in str(exc_info.value)
+        assert program.__name__ in str(exc_info.value)
+        path = ap.salvage_archive(tmp_path / f"{i}.aptrc",
+                                  failure=exc_info.value)
+        with Archive(path) as archive:
+            failure = archive.meta["failure"]
+            assert archive.meta["failure_pe"] == 1
+        assert failure == "PEFailure: PE 1 failed: ValueError('boom')"
+        assert not any(part in failure
+                       for part in ("Traceback", "\n", os.sep))
+        digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert len(digests) == 1, digests
 
 
 def test_salvage_requires_attachment(tmp_path):

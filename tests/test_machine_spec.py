@@ -66,6 +66,17 @@ def test_out_of_range_checks():
         spec.node_pes(2)
 
 
+def test_attrs_roundtrip_and_key_order():
+    spec = MachineSpec(2, 4, name="perlmutter-like")
+    assert MachineSpec.from_attrs(spec.attrs()) == spec
+    # archive footers are not key-sorted: the order is part of the bytes
+    assert list(spec.attrs()) == ["nodes", "pes_per_node", "machine_name"]
+    assert MachineSpec.from_attrs({"nodes": "2", "pes_per_node": 4}) \
+        == MachineSpec(2, 4)
+    with pytest.raises(KeyError, match="pes_per_node"):
+        MachineSpec.from_attrs({"nodes": 2})
+
+
 def test_perlmutter_like_defaults():
     spec = MachineSpec.perlmutter_like()
     assert (spec.nodes, spec.pes_per_node) == (1, 16)

@@ -354,7 +354,7 @@ def test_query_memory_is_one_row_group_not_the_section(tmp_path):
             assert len(got) == 4
             assert archive.decoded_columns == {
                 ("logical", c) for c in ("src", "dst", "size", "count")}
-            assert not section._cache and not section._chunk_cache
+            assert not section._cache
     assert peaks[32] <= 1.5 * peaks[4], peaks
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CoopScheduler, DeadlockError, PEFailure
+from repro.sim import CoopScheduler, DeadlockError, PECrashed, PEFailure
 from repro.sim.errors import SimulationError
 from repro.sim.scheduler import PEState
 
@@ -153,35 +153,36 @@ def test_pe_exception_propagates_as_pefailure():
 
 
 def test_posted_events_fire_when_nothing_runnable():
-    s = CoopScheduler(1)
-    box = {"delivered": False, "observed": None}
+    """A pending crash fires even when no PE is runnable and no timed
+    wakeup exists — it is the only thing that can still make progress."""
+    s = CoopScheduler(2)
+    box = {}
 
     def prog(rank):
-        s.post(1000, lambda: box.__setitem__("delivered", True))
-        s.block(0, predicate=lambda: box["delivered"], reason="await event")
-        box["observed"] = (box["delivered"], s.clocks[0].now)
+        s.block(rank, predicate=lambda: 1 in s.crashed, reason="await crash")
+        box["observed"] = (dict(s.crashed), s.clocks[0].now)
 
-    s.run(prog)
-    # The event fired; the clock does not advance for predicate wakes (the
-    # event owner is responsible for arrival stamping).
-    assert box["observed"][0] is True
+    s.schedule_crash(1, 1000)
+    with pytest.raises(PECrashed):
+        s.run(prog)
+    # The crash fired; the survivor's clock does not advance for a
+    # predicate wake, only the victim's is moved to the crash cycle.
+    assert box["observed"] == ({1: 1000}, 0)
+    assert s.clocks[1].now == 1000
 
 
 def test_events_fire_in_time_order_between_pe_steps():
-    s = CoopScheduler(1)
+    s = CoopScheduler(4)
     fired = []
 
     def prog(rank):
-        s.post(300, lambda: fired.append(300))
-        s.post(100, lambda: fired.append(100))
-        s.post(200, lambda: (fired.append(200), box.__setitem__("done", True)))
-        s.block(0, predicate=lambda: box["done"], reason="await all")
+        s.block(rank, predicate=lambda: len(fired) == 3, reason="await all")
 
-    box = {"done": False}
-    s.run(prog)
-    assert fired == [100, 200, 300] or fired == [100, 200]  # 300 may fire after release
-    # All events at or below the unblocking one fired in order.
-    assert fired[:2] == [100, 200]
+    for rank, t in ((3, 300), (1, 100), (2, 200)):  # scheduled out of order
+        s.schedule_crash(rank, t, on_crash=lambda r, t: fired.append((t, r)))
+    with pytest.raises(PECrashed):
+        s.run(prog)
+    assert fired == [(100, 1), (200, 2), (300, 3)]
 
 
 def test_determinism_across_runs():

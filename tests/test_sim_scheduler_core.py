@@ -4,7 +4,7 @@ Three groups:
 
 * edge-case semantics that must hold on the production scheduler **and**
   the linear oracle (``tests/sched_oracle.py``): tie-break validation,
-  same-cycle event chains, crash-during-tie, predicate-true-with-wakeup,
+  same-cycle crashes, crash-during-tie, predicate-true-with-wakeup,
   failure attribution, thread-leak detection, deadlock report contents;
 * :class:`~repro.sim.scheduler.WaitChannel` epoch bookkeeping specific to
   the indexed selection (predicate evaluation is gated on notifications);
@@ -81,43 +81,55 @@ def test_pe_failure_rank_still_reported(core):
     assert str(ei.value).startswith("PE 2 failed")
 
 
-def test_same_cycle_event_chain_fires_in_one_drain(core):
-    """An event action posting another event at the *same* cycle must have
-    that event fire in the same drain, before any PE resumes."""
-    s = core(1)
+def test_same_cycle_crashes_fire_in_plan_order(core):
+    """Crashes due at one cycle fire in ``schedule_crash`` call order
+    (fault-plan order), all before any PE resumes at that cycle."""
+    s = core(4)
     fired = []
 
-    def second():
-        fired.append("second")
-
-    def first():
-        fired.append("first")
-        s.events.schedule(1000, second)  # same cycle as `first`
-
     def prog(rank):
-        s.post(1000, first)
-        # Both events must fire while this PE is still blocked — the
-        # predicate only releases once the chain completed.
-        s.block(0, predicate=lambda: len(fired) == 2, reason="await chain")
-        fired.append(("resumed", s.clocks[0].now))
+        s.block(rank, predicate=lambda: False, wakeup_time=2_000, reason="nap")
+        fired.append(("resumed", rank))
 
-    s.run(prog)
-    assert fired == ["first", "second", ("resumed", 0)]
+    for rank in (3, 1, 2):  # call order, not rank order
+        s.schedule_crash(rank, 1_000, on_crash=lambda r, t: fired.append((r, t)))
+    with pytest.raises(PECrashed):
+        s.run(prog)
+    assert fired == [(3, 1_000), (1, 1_000), (2, 1_000), ("resumed", 0)]
 
 
 def test_event_batches_counted_on_indexed_core():
-    s = CoopScheduler(1)
+    s = CoopScheduler(5)
     hits = []
 
     def prog(rank):
-        for t in (100, 100, 100, 200):
-            s.post(t, lambda: hits.append(t))
-        s.block(0, predicate=lambda: len(hits) >= 4, reason="await events")
+        s.block(rank, predicate=lambda: len(hits) >= 4, reason="await crashes")
 
-    s.run(prog)
+    for rank, t in ((1, 100), (2, 100), (3, 100), (4, 200)):
+        s.schedule_crash(rank, t, on_crash=lambda r, t: hits.append(t))
+    with pytest.raises(PECrashed):
+        s.run(prog)
+    assert hits == [100, 100, 100, 200]
     assert s.stats.events_fired == 4
-    # 100/100/100 drain together; 200 is a later timestamp → its own batch.
+    # 100/100/100 fire together; 200 is a later cycle → its own batch.
     assert s.stats.event_batches == 2
+
+
+def test_crash_of_a_finished_pe_is_a_noop(core):
+    """A crash landing after its victim reached DONE changes nothing: the
+    run is healthy, and the crash still counts as fired."""
+    s = core(2)
+    hits = []
+
+    def prog(rank):
+        if rank == 1:
+            s.block(1, predicate=lambda: False, wakeup_time=900, reason="nap")
+
+    s.schedule_crash(0, 500, on_crash=lambda r, t: hits.append((r, t)))
+    s.run(prog)  # no PECrashed: PE 0 was DONE before cycle 500
+    assert hits == [] and s.crashed == {}
+    assert s.states() == [PEState.DONE, PEState.DONE]
+    assert s.stats.events_fired == 1
 
 
 def test_crash_during_tie(core):
@@ -193,7 +205,7 @@ def test_deadlock_report_includes_wakeups_and_pending_events(core):
     s = core(2)
     # White-box: construct the wedged state directly and render the
     # report.  (A live deadlock can never hold a timed wakeup or a
-    # pending event — both would count as progress — so the reachable
+    # pending crash — both would count as progress — so the reachable
     # reports always say "pending events: none"; the fields exist to
     # diagnose bookkeeping regressions.)
     rec = s._pes[0]
@@ -202,7 +214,7 @@ def test_deadlock_report_includes_wakeups_and_pending_events(core):
     rec.wakeup_time = 12345
     rec.reason = "waiting on nothing"
     s._pes[1].state = PEState.DONE
-    s.events.schedule(777, lambda: None)
+    s.schedule_crash(1, 777)
     report = s._deadlock_report_locked()
     assert "timed wakeup at cycle 12345" in report
     assert "earliest pending event: cycle 777" in report
@@ -285,18 +297,20 @@ def test_unchannelled_block_keeps_conservative_behaviour():
 
 
 def test_event_firing_dirties_channelled_waiters():
-    """Event actions mutate arbitrary state, so they must re-dirty even
-    channel-registered waiters (crash events rely on this)."""
-    s = CoopScheduler(1)
+    """A crash changes which waits can end, so its firing must re-dirty
+    even channel-registered waiters whose channel nobody notified (the
+    end-to-end form is test_crash_unblocks_channelled_collective_waiters)."""
+    s = CoopScheduler(2)
     ch = s.channel()  # never notified
-    box = {"ready": False}
 
     def prog(rank):
-        s.post(400, lambda: box.__setitem__("ready", True))
-        s.block(0, predicate=lambda: box["ready"], reason="via event",
+        s.block(rank, predicate=lambda: 1 in s.crashed, reason="via crash",
                 channels=(ch,))
 
-    s.run(prog)  # completes only if the event firing re-examined PE 0
+    s.schedule_crash(1, 400)
+    with pytest.raises(PECrashed):
+        s.run(prog)  # PE 0 finishes only if the firing re-examined it
+    assert s.states()[0] is PEState.DONE
 
 
 def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
@@ -351,23 +365,29 @@ def test_cores_agree_under_jittered_policies(monkeypatch, index):
 
 
 def test_cores_agree_under_crash_plan(monkeypatch):
-    """Crash events (the only event source in real runs) must produce the
-    same degraded outcome on both cores."""
+    """Crashes (the only scheduled futures) must produce the same degraded
+    outcome on both cores — two crashes, under a jittered tie-break."""
     from repro.hclib.world import run_spmd
+    from repro.sim.faults import CrashFault
 
-    plan = FaultPlan.single_crash(2, 50_000)
+    plan = FaultPlan(crashes=(CrashFault(2, 50_000), CrashFault(1, 80_000)))
     machine = MachineSpec(nodes=1, pes_per_node=4)
 
-    def program(ctx):
-        for _ in range(100):
-            ctx.compute(ins=1_000, loads=200, stores=100)
-            ctx.yield_pe()
-        return ctx.rank
-
     def run_one(core):
+        trail = []
+
+        def program(ctx):
+            for _ in range(100):
+                ctx.compute(ins=1_000, loads=200, stores=100)
+                ctx.yield_pe()
+                trail.append((ctx.rank, ctx.scheduler.now(ctx.rank)))
+
         use_scheduler(monkeypatch, core)
         with pytest.raises(PECrashed) as ei:
-            run_spmd(program, machine=machine, fault_plan=plan)
-        return str(ei.value)
+            run_spmd(program, machine=machine, fault_plan=plan,
+                     schedule_policy=make_schedules(0, 2)[1].policy())
+        return str(ei.value), trail
 
-    assert run_one(CoopScheduler) == run_one(LinearScheduler)
+    indexed = run_one(CoopScheduler)
+    assert indexed == run_one(LinearScheduler)
+    assert "PE 1" in indexed[0] and "PE 2" in indexed[0]

@@ -208,7 +208,10 @@ def test_corrupt_chunk_is_an_archive_error_with_a_location(
     rewrite_footer(path, footer)
     with Archive(path) as archive:
         section = archive.section("s")
-        assert section.read_chunk(column, 0).shape == (100,)
+        intact, corrupt = section.chunk_refs(column)
+        assert section.decode_chunk(column, intact).shape == (100,)
+        with pytest.raises(ArchiveError, match=f"offset {entry[0]}"):
+            section.decode_chunk(column, corrupt)
         with pytest.raises(ArchiveError) as excinfo:
             section.column(column)
     message = str(excinfo.value)
@@ -319,15 +322,18 @@ def test_column_decode_is_cached(tmp_path):
 
 
 def test_fully_read_column_is_held_once(tmp_path):
-    """``Section.column`` keeps the concatenation only: its per-chunk
-    parts used to stay in the chunk cache too, for the archive's life."""
+    """``Section.column`` keeps the concatenation only, ``decode_chunk``
+    nothing: one array of a fully read column lives on the section."""
     path = _two_chunk_archive(tmp_path / "a.aptrc")
     with Archive(path) as archive:
         section = archive.section("s")
-        first = section.read_chunk("x", 0)   # the pruned path's cache
+        first = section.decode_chunk("x", section.chunk_refs("x")[0])
+        assert not section._cache
         whole = section.column("x")
         assert list(section._cache) == ["x"] and section._cache["x"] is whole
-        assert list(section._chunk_cache) == [("x", 0)]
+        arrays = [a for v in vars(section).values() if isinstance(v, dict)
+                  for a in v.values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is whole
         assert whole[:100].tolist() == first.tolist()
         assert whole.tolist() == np.concatenate(
             [section.decode_chunk("x", ref)
@@ -377,6 +383,16 @@ def test_export_archive_meta(profiled_run):
         assert archive.spec().n_pes == 8
         assert set(archive.sections) == {"logical", "physical", "papi",
                                          "overall"}
+
+
+def test_spec_names_the_missing_footer_key(profiled_run, tmp_path):
+    _ap, path = profiled_run
+    _, footer = read_footer(path)
+    del footer["meta"]["nodes"]
+    with Archive(rewrite_footer(path, footer, tmp_path / "a.aptrc")) as archive:
+        with pytest.raises(ArchiveError, match="footer metadata is missing "
+                                               "'nodes'"):
+            archive.spec()
 
 
 def test_logical_roundtrip_exact(profiled_run):

@@ -18,7 +18,7 @@ from repro import ActorProf, ProfileFlags
 from repro.apps import histogram
 from repro.core.lod import DEFAULT_RES, LodView, open_lod
 from repro.core.store.archive import Archive, load_overall, load_run
-from repro.core.store.frame import Frame, scatter_matrix
+from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import (
     EDGE_SECTION,
     PE_SECTION,
@@ -108,12 +108,12 @@ def test_every_level_preserves_edge_totals(profiled):
 
 
 def test_pyramid_edges_match_full_decode_of_physical(lod_archive):
-    """Pyramid aggregates == full-decode Frame aggregation, per edge."""
+    """Pyramid aggregates == full-decode aggregation, per edge."""
     with Archive(lod_archive) as archive:
         n_pes = archive.n_pes
-        frame = Frame(archive.section("physical"))
-        src, dst = frame.column("src"), frame.column("dst")
-        count, size = frame.column("count"), frame.column("size")
+        section = archive.section("physical")
+        src, dst = section.column("src"), section.column("dst")
+        count, size = section.column("count"), section.column("size")
         full_count = scatter_matrix(src, dst, count, (n_pes, n_pes))
         full_bytes = scatter_matrix(src, dst, count * size, (n_pes, n_pes))
         for level in range(pyramid_info(archive).levels):
@@ -154,6 +154,31 @@ def test_read_level_decodes_only_lod_sections(lod_archive):
         read_level(archive, "edge", 2)
         touched = {section for section, _ in archive.decoded_columns}
         assert touched <= {PE_SECTION, EDGE_SECTION}
+
+
+@pytest.mark.parametrize("kind, name", [("pe", PE_SECTION),
+                                        ("edge", EDGE_SECTION)])
+def test_read_level_decodes_one_chunk_per_column_and_caches_nothing(
+        lod_archive, monkeypatch, kind, name):
+    """One level is one row group: a read decodes exactly that chunk of
+    each column — per call — and leaves nothing on the section."""
+    with Archive(lod_archive) as archive:
+        section = archive.section(name)
+        decoded = []
+        real = archive._decode_chunk
+
+        def spy(sec, column, ref):
+            decoded.append((sec, column, ref))
+            return real(sec, column, ref)
+
+        monkeypatch.setattr(archive, "_decode_chunk", spy)
+        for _ in range(2):  # the second read decodes again: no cache
+            decoded.clear()
+            read_level(archive, kind, 2)
+            assert sorted(decoded, key=lambda d: d[1]) == sorted(
+                ((name, c, section.chunk_refs(c)[2]) for c in section.columns),
+                key=lambda d: d[1])
+            assert not section._cache
 
 
 # ----------------------------------------------------------------------
