@@ -273,6 +273,7 @@ def _render(args, source, out, emitted, say) -> int:
                 path.write_text(heatmap_svg(
                     node_m, title="Physical trace: node-level hotspots",
                     xlabel="destination node", ylabel="source node",
+                    entity="node",
                 ))
                 emitted.append(path)
         except (FileNotFoundError, ValueError, ArchiveError):

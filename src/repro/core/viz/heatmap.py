@@ -4,13 +4,16 @@ Mirrors the paper's mosaic-style heatmaps: a source-PE × destination-PE
 grid colored by number of sends, with the last column showing each PE's
 total sends and the last row each PE's total recvs.  Cell tooltips carry
 the exact counts.
+
+Past :data:`MAX_CELLS` PEs a side, square blocks of PEs are drawn: colored
+by their sum, with a tooltip naming the PE ranges, the sum and the
+block's hottest pair — the SVG costs display cells, not PE pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.analysis import heat_with_totals
 from repro.core.viz.palette import normalize, sequential
 from repro.core.viz.svg import Canvas
 
@@ -21,6 +24,40 @@ _MARGIN_TOP = 70
 _MARGIN_RIGHT = 120
 _MARGIN_BOTTOM = 40
 
+#: Most grid cells per axis; larger matrices are drawn as block sums.
+MAX_CELLS = 256
+
+
+def _blocks(a: np.ndarray, factor: int) -> np.ndarray:
+    """``a`` zero-padded to whole ``factor``-wide blocks, each axis split
+    into (block, offset in block)."""
+    padded = np.pad(a, [(0, -s % factor) for s in a.shape])
+    return padded.reshape([d for s in padded.shape for d in (s // factor, factor)])
+
+
+def block_sum(a: np.ndarray, factor: int) -> np.ndarray:
+    """Sum ``a`` over ``factor``-wide blocks along every axis."""
+    if factor == 1:
+        return a
+    return _blocks(a, factor).sum(axis=tuple(range(1, 2 * a.ndim, 2)))
+
+
+def _cell_tips(matrix, grid, factor, names, noun) -> list[str]:
+    """Row-major tooltips of the grid; a block's also names its hottest
+    pair (the first in row-major order on ties)."""
+    tips = [f"{names[row]} → {names[col]}: {v} sends"
+            for row, values in enumerate(grid.tolist())
+            for col, v in enumerate(values)]
+    if factor == 1:
+        return tips
+    k = grid.shape[0]
+    members = _blocks(matrix, factor).transpose(0, 2, 1, 3).reshape(k * k, -1)
+    at, block = members.argmax(axis=1), np.arange(k * k)
+    rows = (block // k * factor + at // factor).tolist()
+    cols = (block % k * factor + at % factor).tolist()
+    return [f"{tip}; max {noun}{r} → {noun}{c}: {v}" if v else tip for tip, r, c, v
+            in zip(tips, rows, cols, members[block, at].tolist())]
+
 
 def heatmap_svg(
     matrix: np.ndarray,
@@ -29,18 +66,24 @@ def heatmap_svg(
     show_totals: bool = True,
     xlabel: str = "destination PE",
     ylabel: str = "source PE",
+    entity: str = "PE",
 ) -> str:
     """Render a communication matrix as a mosaic heatmap SVG.
 
     ``show_totals`` appends the total-send column / total-recv row (they
     are color-normalized separately so they don't wash out the grid).
+    ``entity`` names a row/column in tooltips: an abbreviation is
+    written against the number (``PE3``), a word apart from it
+    (``node 3`` for a node-level matrix).
     """
     matrix = np.asarray(matrix, dtype=np.int64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"square matrix required, got shape {matrix.shape}")
     n = matrix.shape[0]
-    full = heat_with_totals(matrix) if show_totals else matrix
-    cells = n + (1 if show_totals else 0)
+    factor = max(1, -(-n // MAX_CELLS))
+    grid = block_sum(matrix, factor)
+    k = grid.shape[0]
+    cells = k + (1 if show_totals else 0)
     grid_w = cells * (_CELL + _GAP)
     width = _MARGIN_LEFT + grid_w + _MARGIN_RIGHT
     height = _MARGIN_TOP + grid_w + _MARGIN_BOTTOM
@@ -49,67 +92,49 @@ def heatmap_svg(
     cv.text(_MARGIN_LEFT + grid_w / 2, _MARGIN_TOP - 28, xlabel, size=11, anchor="middle")
     cv.text(18, _MARGIN_TOP + grid_w / 2, ylabel, size=11, anchor="middle", rotate=-90)
 
-    body_norm = normalize(matrix, log=log_scale)
-    totals_col = full[:n, n] if show_totals else None
-    totals_row = full[n, :n] if show_totals else None
-    col_norm = normalize(totals_col, log=log_scale) if show_totals else None
-    row_norm = normalize(totals_row, log=log_scale) if show_totals else None
+    pos = np.arange(cells) * (_CELL + _GAP)
+    xs, ys = _MARGIN_LEFT + pos, _MARGIN_TOP + pos
+    noun = entity if entity.isupper() else f"{entity} "
+    names = []
+    for lo in range(0, n, factor):
+        hi = min(lo + factor, n) - 1
+        names.append(f"{noun}{lo}" if hi == lo else f"{noun}{lo}–{hi}")
 
-    def cell_xy(row: int, col: int) -> tuple[float, float]:
-        return (
-            _MARGIN_LEFT + col * (_CELL + _GAP),
-            _MARGIN_TOP + row * (_CELL + _GAP),
-        )
-
-    for row in range(n):
-        for col in range(n):
-            x, y = cell_xy(row, col)
-            v = int(matrix[row, col])
-            cv.rect(
-                x, y, _CELL, _CELL,
-                fill=sequential(body_norm[row, col]) if v else "#f2f2f2",
-                title=f"PE{row} → PE{col}: {v} sends",
-            )
+    fills = sequential(normalize(grid, log=log_scale))
+    fills[grid == 0] = "#f2f2f2"
+    cv.rects(np.tile(xs[:k], k), np.repeat(ys[:k], k), _CELL, _CELL,
+             fills.ravel(), _cell_tips(matrix, grid, factor, names, noun))
     if show_totals:
-        for row in range(n):
-            x, y = cell_xy(row, n)
-            cv.rect(
-                x + 4, y, _CELL, _CELL,
-                fill=sequential(col_norm[row]),
-                title=f"PE{row} total sends: {int(totals_col[row])}",
-            )
-        for col in range(n):
-            x, y = cell_xy(n, col)
-            cv.rect(
-                x, y + 4, _CELL, _CELL,
-                fill=sequential(row_norm[col]),
-                title=f"PE{col} total recvs: {int(totals_row[col])}",
-            )
-        xs, ys = cell_xy(n, n)
-        cv.text(xs + 4, ys + _CELL - 4, "Σ", size=12)
+        sends = block_sum(matrix.sum(axis=1), factor).tolist()
+        recvs = block_sum(matrix.sum(axis=0), factor).tolist()
+        cv.rects(xs[k] + 4, ys[:k], _CELL, _CELL,
+                 sequential(normalize(sends, log=log_scale)),
+                 [f"{name} total sends: {v}" for name, v in zip(names, sends)])
+        cv.rects(xs[:k], ys[k] + 4, _CELL, _CELL,
+                 sequential(normalize(recvs, log=log_scale)),
+                 [f"{name} total recvs: {v}" for name, v in zip(names, recvs)])
+        cv.text(xs[k] + 4, ys[k] + _CELL - 4, "Σ", size=12)
 
     # axis tick labels (decimated if crowded)
-    step = 1 if n <= 20 else max(1, n // 16)
-    for i in range(0, n, step):
-        x, y = cell_xy(0, i)
-        cv.text(x + _CELL / 2, _MARGIN_TOP - 8, str(i), size=9, anchor="middle")
-        x, y = cell_xy(i, 0)
-        cv.text(_MARGIN_LEFT - 8, y + _CELL / 2 + 3, str(i), size=9, anchor="end")
+    step = 1 if k <= 20 else max(1, k // 16)
+    for i in range(0, k, step):
+        label = str(i * factor)
+        cv.text(xs[i] + _CELL / 2, _MARGIN_TOP - 8, label, size=9, anchor="middle")
+        cv.text(_MARGIN_LEFT - 8, ys[i] + _CELL / 2 + 3, label, size=9, anchor="end")
     if show_totals:
-        x, _ = cell_xy(0, n)
-        cv.text(x + 4 + _CELL / 2, _MARGIN_TOP - 8, "send", size=9, anchor="middle")
-        _, y = cell_xy(n, 0)
-        cv.text(_MARGIN_LEFT - 8, y + 4 + _CELL / 2 + 3, "recv", size=9, anchor="end")
+        cv.text(xs[k] + 4 + _CELL / 2, _MARGIN_TOP - 8, "send", size=9, anchor="middle")
+        cv.text(_MARGIN_LEFT - 8, ys[k] + 4 + _CELL / 2 + 3, "recv", size=9, anchor="end")
 
     # color scale legend
     lx = _MARGIN_LEFT + grid_w + 24
-    for i in range(40):
-        cv.rect(lx, _MARGIN_TOP + (39 - i) * 3, 14, 3, fill=sequential(i / 39))
-    vmax = int(matrix.max())
-    cv.text(lx + 20, _MARGIN_TOP + 8, f"{vmax}", size=9)
+    steps = np.arange(40)
+    cv.rects(lx, _MARGIN_TOP + (39 - steps) * 3, 14, 3, sequential(steps / 39))
+    cv.text(lx + 20, _MARGIN_TOP + 8, f"{int(grid.max())}", size=9)
     cv.text(lx + 20, _MARGIN_TOP + 122, "0", size=9)
     scale_note = "log scale" if log_scale else "linear"
     cv.text(lx, _MARGIN_TOP + 140, scale_note, size=8)
+    if factor > 1:
+        cv.text(lx, _MARGIN_TOP + 154, f"{factor}×{factor} {entity} blocks", size=8)
     return cv.to_string()
 
 
@@ -123,23 +148,11 @@ def ascii_heatmap(matrix: np.ndarray, log_scale: bool = True, max_width: int = 6
     than ``max_width`` are decimated by summing blocks.
     """
     matrix = np.asarray(matrix, dtype=float)
+    matrix = block_sum(matrix, max(1, -(-matrix.shape[0] // max_width)))
     n = matrix.shape[0]
-    if n > max_width:
-        factor = -(-n // max_width)  # ceil division
-        pad = (-n) % factor
-        padded = np.pad(matrix, ((0, pad), (0, pad)))
-        k = padded.shape[0] // factor
-        matrix = padded.reshape(k, factor, k, factor).sum(axis=(1, 3))
-        n = k
-    norm = normalize(matrix, log=log_scale)
-    lines = []
-    header = "    " + "".join(str(j % 10) for j in range(n))
-    lines.append(header)
-    for i in range(n):
-        row = "".join(
-            _ASCII_RAMP[min(int(norm[i, j] * (len(_ASCII_RAMP) - 1) + 0.5),
-                            len(_ASCII_RAMP) - 1)]
-            for j in range(n)
-        )
-        lines.append(f"{i:>3} {row}")
+    ramp = len(_ASCII_RAMP) - 1
+    steps = np.minimum((normalize(matrix, log=log_scale) * ramp + 0.5).astype(int), ramp)
+    lines = ["    " + "".join(str(j % 10) for j in range(n))]
+    lines += [f"{i:>3} " + "".join(_ASCII_RAMP[s] for s in row)
+              for i, row in enumerate(steps.tolist())]
     return "\n".join(lines)

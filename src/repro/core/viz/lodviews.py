@@ -19,6 +19,8 @@ from __future__ import annotations
 import html
 import json
 
+import numpy as np
+
 from repro.core.lod import EdgeWindow, PeSeries
 from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.palette import REGION_COLORS
@@ -31,6 +33,7 @@ _MARGIN_TOP = 50
 _WIDTH = 900
 
 _REGIONS = ("MAIN", "PROC", "COMM")
+_FILLS = np.array([REGION_COLORS[r] for r in _REGIONS], dtype=object)
 
 
 def _axis(cv: Canvas, axis_y: float, plot_w: float, t0: int, t1: int) -> None:
@@ -45,11 +48,26 @@ def _axis(cv: Canvas, axis_y: float, plot_w: float, t0: int, t1: int) -> None:
             size=10, anchor="middle")
 
 
-def _legend(cv: Canvas) -> None:
-    for i, region in enumerate(_REGIONS):
+def _legend(cv: Canvas, regions=_REGIONS, faded: str = "") -> None:
+    for i, region in enumerate(regions):
         lx = _MARGIN_LEFT + 90 * i
-        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region])
+        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region],
+                opacity=0.35 if region == faded else 1.0)
         cv.text(lx + 14, 41, region, size=9)
+
+
+def _segments(occ: np.ndarray, tip):
+    """The positive entries of a ``(..., 3)`` MAIN/PROC/COMM array: their
+    index arrays in C order (cell-major, region-minor) and a tooltip for
+    each, ``tip(*cell_index, main, proc, comm)`` shared by a cell's
+    segments."""
+    positive = occ > 0
+    cells = positive.any(axis=-1)
+    index = np.nonzero(cells)
+    tips = [tip(*key, *values) for key, values in zip(
+        zip(*(i.tolist() for i in index)), occ[cells].tolist())]
+    per_cell = positive.sum(axis=-1)[cells]
+    return np.nonzero(positive), np.repeat(np.array(tips, dtype=object), per_cell)
 
 
 def lod_gantt_svg(series: PeSeries, title: str = "LOD gantt") -> str:
@@ -65,26 +83,28 @@ def lod_gantt_svg(series: PeSeries, title: str = "LOD gantt") -> str:
     _legend(cv)
     plot_w = _WIDTH - _MARGIN_LEFT - 30
     cell_w = plot_w / nb
-    for pe in range(n_pes):
+    occ = series.occ
+    # segments sit side by side from the bucket's left edge, in region order
+    w = np.where(occ > 0, cell_w * np.minimum(occ / vp.width, 1.0), 0.0)
+    x0 = np.broadcast_to(_MARGIN_LEFT + np.arange(nb) * cell_w, w.shape[:2])
+    x1 = x0 + w[..., 0]
+    x = np.stack([x0, x1, x1 + w[..., 1]], axis=-1)
+    (pe_of, b, r), tips = _segments(occ, lambda pe, b, main, proc, comm: (
+        f"PE{pe} bucket {vp.b0 + b}: "
+        f"MAIN {main:,} / PROC {proc:,} / COMM {comm:,}"))
+    x, w = x[pe_of, b, r].tolist(), np.maximum(w[pe_of, b, r], 0.4).tolist()
+    fills, tips = _FILLS[r].tolist(), tips.tolist()
+    ends = np.searchsorted(pe_of, np.arange(n_pes), side="right").tolist()
+    start = 0
+    for pe, end in enumerate(ends):
         y = _MARGIN_TOP + pe * (_LANE_H + _LANE_GAP)
         cv.rect(_MARGIN_LEFT, y, plot_w, _LANE_H, fill="#f0f0f0")
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9,
                 anchor="end")
-        for b in range(nb):
-            main, proc, comm = (int(v) for v in series.occ[pe, b])
-            if not (main or proc or comm):
-                continue
-            x = _MARGIN_LEFT + b * cell_w
-            tip = (f"PE{pe} bucket {vp.b0 + b}: "
-                   f"MAIN {main:,} / PROC {proc:,} / COMM {comm:,}")
-            for value, region in ((main, "MAIN"), (proc, "PROC"),
-                                  (comm, "COMM")):
-                if value <= 0:
-                    continue
-                w = cell_w * min(value / vp.width, 1.0)
-                cv.rect(x, y, max(w, 0.4), _LANE_H,
-                        fill=REGION_COLORS[region], title=tip)
-                x += w
+        if end > start:
+            cv.rects(x[start:end], y, w[start:end], _LANE_H,
+                     fills[start:end], tips[start:end])
+        start = end
     _axis(cv, _MARGIN_TOP + n_pes * (_LANE_H + _LANE_GAP) + 10,
           plot_w, vp.t0, vp.t1)
     return cv.to_string()
@@ -112,21 +132,16 @@ def lod_timeline_svg(series: PeSeries, title: str = "LOD timeline") -> str:
         y = base_y - plot_h * frac
         cv.line(_MARGIN_LEFT - 4, y, _MARGIN_LEFT, y, stroke="#404040")
         cv.text(_MARGIN_LEFT - 8, y + 3, f"{frac:.0%}", size=8, anchor="end")
-    for b in range(nb):
-        main, proc, comm = (int(v) for v in totals[b])
-        if not (main or proc or comm):
-            continue
-        x = _MARGIN_LEFT + b * cell_w
-        y = base_y
-        tip = (f"bucket {vp.b0 + b}: MAIN {main:,} / PROC {proc:,} / "
-               f"COMM {comm:,} of {capacity:,} PE-cycles")
-        for value, region in ((main, "MAIN"), (proc, "PROC"), (comm, "COMM")):
-            if value <= 0:
-                continue
-            h = plot_h * min(value / capacity, 1.0)
-            y -= h
-            cv.rect(x, y, max(cell_w - 0.5, 0.4), h,
-                    fill=REGION_COLORS[region], title=tip)
+    # segments stack upwards from the baseline, in region order
+    h = np.where(totals > 0, plot_h * np.minimum(totals / capacity, 1.0), 0.0)
+    y0 = base_y - h[:, 0]
+    y1 = y0 - h[:, 1]
+    y = np.stack([y0, y1, y1 - h[:, 2]], axis=-1)
+    (b, r), tips = _segments(totals, lambda b, main, proc, comm: (
+        f"bucket {vp.b0 + b}: MAIN {main:,} / PROC {proc:,} / "
+        f"COMM {comm:,} of {capacity:,} PE-cycles"))
+    cv.rects(_MARGIN_LEFT + b * cell_w, y[b, r], max(cell_w - 0.5, 0.4),
+             h[b, r], _FILLS[r], tips)
     _axis(cv, base_y + 10, plot_w, vp.t0, vp.t1)
     return cv.to_string()
 

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Viridis-like anchors, dark → bright.
-_SEQ_ANCHORS = (
+#: Viridis-like anchors (RGB rows), dark → bright.
+_SEQ_ANCHORS = np.array([
     (68, 1, 84),
     (59, 82, 139),
     (33, 145, 140),
     (94, 201, 98),
     (253, 231, 37),
-)
+], dtype=np.int64)
 
 #: Categorical series colors (stacked bars, violins, multi-series bars).
 CATEGORICAL = (
@@ -34,20 +34,27 @@ CATEGORICAL = (
 REGION_COLORS = {"MAIN": "#4c78a8", "COMM": "#bab0ac", "PROC": "#e45756"}
 
 
-def lerp(a: float, b: float, t: float) -> float:
-    return a + (b - a) * t
+def sequential(t):
+    """Map t ∈ [0, 1] to a hex color along the sequential map.
 
-
-def sequential(t: float) -> str:
-    """Map t ∈ [0, 1] to a hex color along the sequential map."""
-    t = min(1.0, max(0.0, float(t)))
-    pos = t * (len(_SEQ_ANCHORS) - 1)
-    i = min(int(pos), len(_SEQ_ANCHORS) - 2)
-    frac = pos - i
-    r = lerp(_SEQ_ANCHORS[i][0], _SEQ_ANCHORS[i + 1][0], frac)
-    g = lerp(_SEQ_ANCHORS[i][1], _SEQ_ANCHORS[i + 1][1], frac)
-    b = lerp(_SEQ_ANCHORS[i][2], _SEQ_ANCHORS[i + 1][2], frac)
-    return f"#{int(round(r)):02x}{int(round(g)):02x}{int(round(b)):02x}"
+    ``t`` is a number (→ one color string) or an array (→ an object
+    array of color strings, same shape).  Values below 0, NaN and -inf
+    map to the dark end, values above 1 and +inf to the bright end.
+    Each distinct value is interpolated once: a float64 lerp between
+    adjacent anchors, rounded half to even.
+    """
+    if np.ndim(t) == 0:
+        return sequential(np.array([t], dtype=np.float64))[0]
+    t = np.asarray(t, dtype=np.float64)
+    distinct, inverse = np.unique(
+        np.where(t > 0.0, np.minimum(t, 1.0), 0.0).ravel(), return_inverse=True)
+    pos = distinct * (len(_SEQ_ANCHORS) - 1)
+    i = np.minimum(pos.astype(np.int64), len(_SEQ_ANCHORS) - 2)
+    frac = (pos - i)[:, None]
+    lo, hi = _SEQ_ANCHORS[i], _SEQ_ANCHORS[i + 1]
+    rgb = np.rint(lo + (hi - lo) * frac).astype(np.int64).tolist()
+    hexes = np.array([f"#{r:02x}{g:02x}{b:02x}" for r, g, b in rgb], dtype=object)
+    return hexes[inverse].reshape(t.shape)
 
 
 def normalize(values: np.ndarray, log: bool = False) -> np.ndarray:

@@ -2,18 +2,50 @@
 
 Only what the ActorProf charts need: rectangles, lines, text, polygons and
 grouping, emitted as standalone SVG 1.1 with a white background.  All
-coordinates are user units (pixels).
+coordinates are user units (pixels).  Grid views emit their cells through
+:meth:`Canvas.rects`, which formats each distinct coordinate once.
 """
 
 from __future__ import annotations
 
 import html
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 
 def _fmt(v: float) -> str:
     """Compact numeric formatting for attribute values."""
     return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+def _fmts(values) -> str | list[str]:
+    """``_fmt`` of a scalar, or of every element of a sequence (each distinct
+    value is formatted once)."""
+    if isinstance(values, (int, float, np.number)):
+        return _fmt(values)
+    values = np.asarray(values, dtype=np.float64).ravel().tolist()
+    text = {v: _fmt(v) for v in set(values)}
+    return [text[v] for v in values]
+
+
+def _escape_all(texts) -> list[str]:
+    """``html.escape`` of every text (None → ""); one pass over the joined
+    texts finds the usual case, where nothing needs escaping."""
+    texts = [t or "" for t in texts]
+    joined = "".join(texts)
+    if len(html.escape(joined)) == len(joined):  # escaping only lengthens
+        return texts
+    return [html.escape(t) for t in texts]
+
+
+def _rect(x, y, w, h, fill, title, tail) -> str:
+    """The one ``<rect>`` template; every field arrives formatted."""
+    if title:
+        return (f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}" '
+                f'{tail}><title>{title}</title></rect>')
+    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}" {tail}/>'
 
 
 class Canvas:
@@ -34,18 +66,37 @@ class Canvas:
              stroke: str = "none", stroke_width: float = 1.0, opacity: float = 1.0,
              title: str | None = None) -> None:
         """Axis-aligned rectangle; ``title`` adds a hover tooltip."""
-        attrs = (
-            f'x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"'
-        )
-        if opacity != 1.0:
-            attrs += f' opacity="{_fmt(opacity)}"'
-        if title:
-            self._body.append(
-                f"<rect {attrs}><title>{html.escape(title)}</title></rect>"
-            )
+        self.rects(x, y, w, h, fill, title, stroke=stroke,
+                   stroke_width=stroke_width, opacity=opacity)
+
+    def rects(self, x, y, w, h, fill="#000000", title=None, *,
+              stroke: str = "none", stroke_width: float = 1.0,
+              opacity: float = 1.0) -> None:
+        """Many rectangles in one call, emitted in sequence order.
+
+        ``x``/``y``/``w``/``h`` are numbers or equal-length sequences,
+        ``fill`` a colour or a sequence of colours, ``title`` None, a
+        tooltip or a sequence of tooltips (empty ones are omitted); a
+        scalar applies to every rectangle.  Element ``i`` is exactly the
+        markup ``rect()`` emits for the ``i``-th values.
+        """
+        if title is None or isinstance(title, str):
+            title = html.escape(title) if title else ""
         else:
-            self._body.append(f"<rect {attrs}/>")
+            title = _escape_all(title)
+        tail = f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"'
+        if opacity != 1.0:
+            tail += f' opacity="{_fmt(opacity)}"'
+        cols = (_fmts(x), _fmts(y), _fmts(w), _fmts(h), fill, title, tail)
+        n = {len(c) for c in cols if not isinstance(c, str)}
+        if not n:  # one rectangle
+            self._body.append(_rect(*cols))
+            return
+        if len(n) > 1:
+            raise ValueError(f"rects: sequences of unequal lengths {sorted(n)}")
+        n = n.pop()
+        self._body.extend(map(_rect, *(
+            repeat(c, n) if isinstance(c, str) else c for c in cols)))
 
     def line(self, x1: float, y1: float, x2: float, y2: float,
              stroke: str = "#000000", stroke_width: float = 1.0,
@@ -101,7 +152,8 @@ class Canvas:
             f'height="{_fmt(self.height)}" viewBox="0 0 {_fmt(self.width)} '
             f'{_fmt(self.height)}">'
         )
-        return header + "\n" + "\n".join(self._body) + "\n</svg>\n"
+        # one join: concatenating a multi-MB body copies it again
+        return "\n".join([header, *(self._body or [""]), "</svg>\n"])
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

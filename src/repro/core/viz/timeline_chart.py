@@ -13,14 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.timeline import TimelineTrace
+from repro.core.viz.lodviews import (
+    _LANE_GAP,
+    _LANE_H,
+    _MARGIN_LEFT,
+    _MARGIN_TOP,
+    _WIDTH,
+    _axis,
+    _legend,
+)
 from repro.core.viz.palette import REGION_COLORS, normalize, sequential
 from repro.core.viz.svg import Canvas
-
-_LANE_H = 18
-_LANE_GAP = 4
-_MARGIN_LEFT = 60
-_MARGIN_TOP = 50
-_WIDTH = 900
 
 
 def timeline_svg(timeline: TimelineTrace, title: str = "Execution timeline",
@@ -44,33 +47,20 @@ def timeline_svg(timeline: TimelineTrace, title: str = "Execution timeline",
         cv.rect(_MARGIN_LEFT, y, plot_w, _LANE_H, fill=REGION_COLORS["COMM"],
                 opacity=0.35)
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9, anchor="end")
-        for i, span in enumerate(timeline.spans(pe)):
-            if span.region == "FINISH" or i % stride:
-                continue
-            x0, x1 = x_of(span.start), x_of(span.end)
-            cv.rect(x0, y, max(x1 - x0, 0.6), _LANE_H,
-                    fill=REGION_COLORS.get(span.region, "#888888"),
-                    title=f"PE{pe} {span.region}: [{span.start}, {span.end})")
+        spans = [s for i, s in enumerate(timeline.spans(pe))
+                 if s.region != "FINISH" and not i % stride]
+        if spans:
+            x0 = [x_of(s.start) for s in spans]
+            cv.rects(x0, y, [max(x_of(s.end) - x, 0.6) for s, x in zip(spans, x0)],
+                     _LANE_H, [REGION_COLORS.get(s.region, "#888888") for s in spans],
+                     [f"PE{pe} {s.region}: [{s.start}, {s.end})" for s in spans])
     # network event ticks under each source lane
     for ev in timeline.net_events():
         y = _MARGIN_TOP + ev.src * (_LANE_H + _LANE_GAP)
         cv.line(x_of(ev.time), y + _LANE_H, x_of(ev.time), y + _LANE_H + 3,
                 stroke="#303030")
-    # time axis
-    axis_y = _MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 10
-    cv.line(_MARGIN_LEFT, axis_y, _MARGIN_LEFT + plot_w, axis_y, stroke="#404040")
-    for frac in (0, 0.25, 0.5, 0.75, 1.0):
-        x = _MARGIN_LEFT + plot_w * frac
-        cv.line(x, axis_y, x, axis_y + 4, stroke="#404040")
-        cv.text(x, axis_y + 16, f"{int(horizon * frac):,}", size=8, anchor="middle")
-    cv.text(_MARGIN_LEFT + plot_w / 2, axis_y + 32, "cycles (rdtsc)", size=10,
-            anchor="middle")
-    # legend
-    for i, region in enumerate(("MAIN", "COMM", "PROC")):
-        lx = _MARGIN_LEFT + 90 * i
-        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region],
-                opacity=0.35 if region == "COMM" else 1.0)
-        cv.text(lx + 14, 41, region, size=9)
+    _axis(cv, _MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 10, plot_w, 0, horizon)
+    _legend(cv, ("MAIN", "COMM", "PROC"), faded="COMM")
     return cv.to_string()
 
 
@@ -91,14 +81,13 @@ def utilization_svg(timeline: TimelineTrace, buckets: int = 120,
     width = _MARGIN_LEFT + buckets * cell_w + 40
     cv = Canvas(width, height)
     cv.text(width / 2, 26, title, size=15, anchor="middle", bold=True)
-    norm = normalize(rows)
-    for pe in range(n):
+    fills = sequential(normalize(rows))
+    xs = _MARGIN_LEFT + np.arange(buckets) * cell_w
+    for pe, busy in enumerate(rows.tolist()):
         y = _MARGIN_TOP + pe * (_LANE_H + 2)
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9, anchor="end")
-        for b in range(buckets):
-            cv.rect(_MARGIN_LEFT + b * cell_w, y, cell_w, _LANE_H,
-                    fill=sequential(norm[pe, b]),
-                    title=f"PE{pe} bucket {b}: {rows[pe, b]:.0%} busy")
+        cv.rects(xs, y, cell_w, _LANE_H, fills[pe],
+                 [f"PE{pe} bucket {b}: {u:.0%} busy" for b, u in enumerate(busy)])
     cv.text(_MARGIN_LEFT, height - 14,
             f"bucket = {bucket_cycles:,} cycles; bright = busy (MAIN+PROC)",
             size=9, fill="#606060")

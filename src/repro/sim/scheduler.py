@@ -90,7 +90,8 @@ class SchedulePolicy:
 
     def tie_break(self, time: int, ranks: Sequence[int]) -> int:
         """Pick the PE to run among ``ranks`` (ascending, all eligible
-        at virtual ``time``).  Must return one of ``ranks``."""
+        at virtual ``time``).  Must return one of ``ranks``.  The
+        scheduler applies this base rule itself, without calling it."""
         return ranks[0]
 
     def flush_order(self, pe: int, hops: Sequence[int]) -> Sequence[int]:
@@ -244,6 +245,8 @@ class CoopScheduler:
             raise ValueError(f"need at least one PE, got {n_pes}")
         self.n_pes = n_pes
         self.policy: SchedulePolicy = policy if policy is not None else DEFAULT_POLICY
+        #: The base tie_break's pick is argmin's first minimum: no tie list.
+        self._lowest_rank_wins = type(self.policy).tie_break is SchedulePolicy.tie_break
         self.clocks: list[CycleClock] = [CycleClock() for _ in range(n_pes)]
         #: Pending injected crashes ``(at_cycle, rank, on_crash)``, by
         #: cycle; ties keep ``schedule_crash`` call order.
@@ -683,9 +686,9 @@ class CoopScheduler:
                 self._dirty.update(self._blocked_pred)
                 continue
             if m != _NO_KEY:
-                if int(np.count_nonzero(keys == m)) == 1:
+                if self._lowest_rank_wins or int(np.count_nonzero(keys == m)) == 1:
                     return self._pes[best]
-                ranks = [int(r) for r in np.flatnonzero(keys == m)]
+                ranks = np.flatnonzero(keys == m).tolist()
                 chosen = self.policy.tie_break(m, ranks)
                 for r in ranks:
                     if r == chosen:

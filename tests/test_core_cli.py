@@ -217,6 +217,10 @@ def test_physical_node_hotspot_chart(trace_dir, tmp_path):
     assert (tmp_path / "physical_heatmap_nodes.svg").exists()
     content = (tmp_path / "physical_heatmap_nodes.svg").read_text()
     assert "node-level hotspots" in content
+    # tooltips name nodes, not PEs
+    assert "<title>node 0 → node 1: " in content
+    assert "<title>node 1 total sends: " in content
+    assert "<title>PE" not in content
 
 
 @pytest.mark.parametrize("flags", [

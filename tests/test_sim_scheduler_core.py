@@ -16,7 +16,7 @@ Three groups:
 import pytest
 
 from repro.apps.histogram import histogram
-from repro.check.policies import make_schedules
+from repro.check.policies import JitterPolicy, make_schedules
 from repro.machine.spec import MachineSpec
 from repro.sim import CoopScheduler, DeadlockError, PECrashed, PEFailure
 from repro.sim.errors import SimulationError
@@ -362,6 +362,61 @@ def test_cores_agree_under_jittered_policies(monkeypatch, index):
     a = _run_histogram(monkeypatch, CoopScheduler, policy=schedules[index].policy())
     b = _run_histogram(monkeypatch, LinearScheduler, policy=schedules[index].policy())
     assert a == b
+
+
+def test_default_policy_never_calls_tie_break(monkeypatch):
+    """Under the base tie_break the lowest tied rank is argmin's first
+    minimum, so the indexed core returns it without asking the policy;
+    the linear oracle asks on every tie and runs the same schedule."""
+    calls = []
+    real = SchedulePolicy.tie_break
+
+    def spy(self, time, ranks):
+        calls.append(list(ranks))
+        return real(self, time, ranks)
+
+    monkeypatch.setattr(SchedulePolicy, "tie_break", spy)
+    indexed = _run_histogram(monkeypatch, CoopScheduler)
+    assert calls == []
+    assert _run_histogram(monkeypatch, LinearScheduler) == indexed
+    assert any(len(ranks) > 2 for ranks in calls)  # real ties happened
+
+
+class _Recording:
+    """Mixin: log every tie_break question before answering it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def tie_break(self, time, ranks):
+        assert all(type(r) is int for r in ranks)
+        self.asked.append((time, list(ranks)))
+        return super().tie_break(time, ranks)
+
+
+class _RecordingJitter(_Recording, JitterPolicy):
+    pass
+
+
+class _RecordingNonCandidate(_Recording, _NonCandidatePolicy):
+    pass
+
+
+def test_custom_policies_see_the_same_ties_on_both_cores(monkeypatch):
+    asked = {}
+    for name, core in CORES.items():
+        policy = _RecordingJitter(0, 1)
+        _run_histogram(monkeypatch, core, policy=policy)
+        asked[name] = policy.asked
+    assert asked["indexed"] == asked["linear"]
+    assert len(asked["indexed"]) > 1
+    for name, core in CORES.items():
+        policy = _RecordingNonCandidate()
+        with pytest.raises(PEFailure):
+            core(3, policy=policy).run(lambda rank: None)
+        asked[name] = policy.asked
+    assert asked["indexed"] == asked["linear"] == [(0, [0, 1, 2])]
 
 
 def test_cores_agree_under_crash_plan(monkeypatch):
