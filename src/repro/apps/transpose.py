@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.conveyors.conveyor import ConveyorConfig
 from repro.hclib.actor import Actor
@@ -92,6 +91,8 @@ def transpose(
     out = (np.array(gathered, dtype=np.int64).reshape(-1, 2)
            if gathered else np.empty((0, 2), dtype=np.int64))
     if validate:
+        from scipy import sparse
+
         data = np.ones(len(entries))
         m = sparse.coo_matrix((data, (entries[:, 0], entries[:, 1])),
                               shape=(n_rows, n_cols))

@@ -454,13 +454,24 @@ class Conveyor:
 
     def _ingest_visible(self) -> None:
         """Consume arrived buffers: deliver local items, forward the rest."""
-        ma = self._min_arrival
-        if ma is None or ma > self.perf.clock.now:
-            return  # nothing in flight, or nothing visible yet: O(1) probe
         now = self.perf.clock.now
-        visible = [b for b in self.inbound if b.arrival <= now]
-        self.inbound = [b for b in self.inbound if b.arrival > now]
-        self._min_arrival = min((b.arrival for b in self.inbound), default=None)
+        ma = self._min_arrival
+        if ma is None or ma > now:
+            return  # nothing in flight, or nothing visible yet: O(1) probe
+        # one pass splits the in-flight buffers and finds the next arrival
+        visible = []
+        pending = []
+        next_arrival = None
+        for buf in self.inbound:
+            arrival = buf.arrival
+            if arrival <= now:
+                visible.append(buf)
+            else:
+                pending.append(buf)
+                if next_arrival is None or arrival < next_arrival:
+                    next_arrival = arrival
+        self.inbound = pending
+        self._min_arrival = next_arrival
         cost = self.perf.cost
         forward_total = 0
         for buf in visible:
@@ -472,13 +483,17 @@ class Conveyor:
                 continue
             rows = buf.data
             mask = rows[:, COL_DST] == self.me
-            mine = rows[mask]
-            if len(mine):
-                self.ready.put(mine)
-            rest = rows[~mask]
-            if len(rest):
-                forward_total += len(rest)
-                self._route_rows(rest)
+            n_mine = int(np.count_nonzero(mask))
+            # the buffer's rows belong to this delivery alone, so a
+            # buffer that is all mine or all in transit moves uncopied
+            if n_mine == len(rows):
+                self.ready.put(rows)
+                continue
+            if n_mine:
+                self.ready.put(rows[mask])
+                rows = rows[~mask]
+            forward_total += len(rows)
+            self._route_rows(rows)
         if forward_total:
             self.stats.forwarded += forward_total
             self.perf.work(
@@ -602,10 +617,8 @@ class Conveyor:
     def _endgame_progress(self) -> None:
         """Final completion: once nothing remains buffered, ensure all
         outstanding puts are globally visible and signal their targets."""
-        if not self.outstanding:
-            return  # nothing to complete (common steady state in the drain)
-        if any(not b.empty for b in self.out.values()):
-            return
+        if not self.outstanding or self._out_total:
+            return  # nothing to complete, or items still buffered
         dests = sorted(d for d, c in self.outstanding.items() if c > 0)
         if not dests:
             return

@@ -45,11 +45,20 @@ class PAPITrace:
     def __init__(self, spec: MachineSpec, events: tuple[str, ...]) -> None:
         self.spec = spec
         self.events = tuple(events)
-        self._rows: list[list[PAPIRow]] = [[] for _ in range(spec.n_pes)]
-        # final per-PE, per-region counter totals, filled by the profiler
-        self.region_totals: dict[str, np.ndarray] = {
-            "MAIN": np.zeros((spec.n_pes, len(self.events)), dtype=np.int64),
-            "PROC": np.zeros((spec.n_pes, len(self.events)), dtype=np.int64),
+        # per PE: (dst, pkt_size, mailbox, num_sends, values) tuples;
+        # PAPIRow objects are built only when rows() is read
+        self._rows: list[list[tuple]] = [[] for _ in range(spec.n_pes)]
+        ne = len(self.events)
+        self._region_totals: dict[str, np.ndarray] = {
+            "MAIN": np.zeros((spec.n_pes, ne), dtype=np.int64),
+            "PROC": np.zeros((spec.n_pes, ne), dtype=np.int64),
+        }
+        #: Per region, per PE: plain-int counter deltas the profiler adds
+        #: in place at each region exit; :attr:`region_totals` folds them
+        #: into its arrays (and zeroes them) whenever it is read.
+        self.pending: dict[str, list[list[int]]] = {
+            region: [[0] * ne for _ in range(spec.n_pes)]
+            for region in self._region_totals
         }
 
     # ------------------------------------------------------------------
@@ -65,20 +74,25 @@ class PAPITrace:
     ) -> None:
         """Record one sampled send row."""
         self._rows[src].append(
-            PAPIRow(
-                src_node=self.spec.node_of(src),
-                src_pe=src,
-                dst_node=self.spec.node_of(dst),
-                dst_pe=dst,
-                pkt_size=pkt_size,
-                mailbox=mailbox,
-                num_sends=num_sends,
-                values=tuple(int(v) for v in values),
-            )
-        )
+            (dst, pkt_size, mailbox, num_sends, tuple(map(int, values))))
 
     def rows(self, pe: int) -> list[PAPIRow]:
-        return list(self._rows[pe])
+        """Sampled rows of ``pe`` in recording order."""
+        node_of = self.spec.node_of
+        src_node = node_of(pe)
+        return [PAPIRow(src_node, pe, node_of(dst), dst, pkt, mb, ns, vals)
+                for dst, pkt, mb, ns, vals in self._rows[pe]]
+
+    @property
+    def region_totals(self) -> dict[str, np.ndarray]:
+        """Final per-PE, per-region counter totals: ``(n_pes, n_events)``
+        int64 arrays keyed ``"MAIN"``/``"PROC"``, pending deltas folded in."""
+        for region, pending in self.pending.items():
+            if any(any(row) for row in pending):
+                self._region_totals[region] += np.asarray(pending, dtype=np.int64)
+                for row in pending:
+                    row[:] = [0] * len(row)
+        return self._region_totals
 
     @property
     def n_pes(self) -> int:
@@ -112,15 +126,16 @@ class PAPITrace:
         rows = [r for pe_rows in self._rows for r in pe_rows]
         ne = len(self.events)
         columns = {
-            "src": np.asarray([r.src_pe for r in rows], dtype=np.int64),
-            "dst": np.asarray([r.dst_pe for r in rows], dtype=np.int64),
-            "pkt_size": np.asarray([r.pkt_size for r in rows], dtype=np.int64),
-            "mailbox": np.asarray([r.mailbox for r in rows], dtype=np.int64),
-            "num_sends": np.asarray([r.num_sends for r in rows], dtype=np.int64),
+            "src": np.repeat(np.arange(self.n_pes, dtype=np.int64),
+                             [len(pe_rows) for pe_rows in self._rows]),
+            "dst": np.asarray([r[0] for r in rows], dtype=np.int64),
+            "pkt_size": np.asarray([r[1] for r in rows], dtype=np.int64),
+            "mailbox": np.asarray([r[2] for r in rows], dtype=np.int64),
+            "num_sends": np.asarray([r[3] for r in rows], dtype=np.int64),
         }
         for i in range(ne):
             columns[f"ev_{i}"] = np.asarray(
-                [r.values[i] for r in rows], dtype=np.int64
+                [r[4][i] for r in rows], dtype=np.int64
             )
         attrs = {
             **self.spec.attrs(),
@@ -170,7 +185,7 @@ class PAPITrace:
             path = directory / f"PE{pe}_PAPI.csv"
             with path.open("w") as f:
                 f.write(header)
-                for r in self._rows[pe]:
+                for r in self.rows(pe):
                     vals = ",".join(str(v) for v in r.values)
                     f.write(
                         f"{r.src_node},{r.src_pe},{r.dst_node},{r.dst_pe},"

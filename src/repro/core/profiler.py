@@ -12,6 +12,12 @@ Region measurement follows the paper:
 * MAIN and PROC are measured directly; COMM is derived,
 * PAPI counters are started/stopped at region boundaries so Conveyors and
   HClib internals are excluded from the user-region counts.
+
+Every hook runs inside the program it observes, so each one is a few
+plain-int operations: the clock is read directly, event sets subtract a
+baseline of their own few counters, and per-region counter deltas go
+into :attr:`PAPITrace.pending` lists that the trace folds into its
+arrays only when its totals are read.
 """
 
 from __future__ import annotations
@@ -35,27 +41,43 @@ class _PEProfState:
     """Per-PE measurement state."""
 
     __slots__ = (
+        "clock",
         "finish_start_tsc",
         "finish_depth",
         "main_start_tsc",
         "proc_start_tsc",
         "es_main",
         "es_proc",
+        "main_pending",
+        "proc_pending",
         "user_totals",
         "num_sends",
         "region",
     )
 
-    def __init__(self, n_events: int) -> None:
+    def __init__(self, clock, n_events: int) -> None:
+        self.clock = clock
         self.finish_start_tsc = 0
         self.finish_depth = 0
         self.main_start_tsc = 0
         self.proc_start_tsc = 0
         self.es_main: EventSet | None = None
         self.es_proc: EventSet | None = None
+        # this PE's rows of PAPITrace.pending["MAIN"/"PROC"]
+        self.main_pending: list[int] = []
+        self.proc_pending: list[int] = []
         self.user_totals = [0] * n_events
         self.num_sends: dict[int, int] = {}
         self.region = "COMM"
+
+
+def _accumulate(st: _PEProfState, pending: list[int], deltas: list[int]) -> None:
+    """Add one closed region's counter deltas to the PE's running user
+    totals and to its pending per-region row."""
+    user = st.user_totals
+    for i, delta in enumerate(deltas):
+        user[i] += delta
+        pending[i] += delta
 
 
 class ActorProf:
@@ -106,14 +128,18 @@ class ActorProf:
             self.timeline = TimelineTrace(
                 spec.n_pes, max_spans_per_pe=flags.timeline_max_spans
             )
-        self._pe_state = [_PEProfState(n_events) for _ in range(spec.n_pes)]
+        perf = world.shmem.perf
+        self._pe_state = [_PEProfState(perf[pe].clock, n_events)
+                          for pe in range(spec.n_pes)]
         if self._papi_on:
             for pe, st in enumerate(self._pe_state):
-                papi = PAPI(world.shmem.perf[pe])
+                papi = PAPI(perf[pe])
                 st.es_main = papi.create_eventset()
                 st.es_main.add_events(flags.papi_events)
                 st.es_proc = papi.create_eventset()
                 st.es_proc.add_events(flags.papi_events)
+                st.main_pending = self.papi_trace.pending["MAIN"][pe]
+                st.proc_pending = self.papi_trace.pending["PROC"][pe]
         hooks = (
             self
             if flags.enable_trace or flags.enable_tcomm_profiling
@@ -137,9 +163,6 @@ class ActorProf:
         if self.timeline is not None:
             self.timeline.add_net_event(time, send_type, src_pe, dst_pe, nbytes)
 
-    def _rdtsc(self, pe: int) -> int:
-        return self.world.shmem.perf[pe].rdtsc()
-
     # ------------------------------------------------------------------
     # RuntimeHooks implementation
     # ------------------------------------------------------------------
@@ -149,7 +172,7 @@ class ActorProf:
         # Nested finish scopes measure only the outermost span, so
         # T_TOTAL never double-counts.
         if st.finish_depth == 0:
-            st.finish_start_tsc = self._rdtsc(pe)
+            st.finish_start_tsc = st.clock.now
         st.finish_depth += 1
 
     def finish_end(self, pe: int) -> None:
@@ -157,11 +180,11 @@ class ActorProf:
         st.finish_depth -= 1
         if st.finish_depth > 0:
             return
+        now = st.clock.now
         if self.overall is not None:
-            self.overall.add_total(pe, self._rdtsc(pe) - st.finish_start_tsc)
+            self.overall.add_total(pe, now - st.finish_start_tsc)
         if self.timeline is not None:
-            self.timeline.add_span(pe, "FINISH", st.finish_start_tsc,
-                                   self._rdtsc(pe))
+            self.timeline.add_span(pe, "FINISH", st.finish_start_tsc, now)
         if self.papi_trace is not None:
             # Summary row (mailbox = -1): final user-region counter totals,
             # including PROC work done during the finish drain after the
@@ -175,43 +198,39 @@ class ActorProf:
     def main_enter(self, pe: int) -> None:
         st = self._pe_state[pe]
         st.region = "MAIN"
-        st.main_start_tsc = self._rdtsc(pe)
+        st.main_start_tsc = st.clock.now
         if st.es_main is not None:
             st.es_main.start()
 
     def main_exit(self, pe: int) -> None:
         st = self._pe_state[pe]
         st.region = "COMM"
+        now = st.clock.now
         if self.overall is not None:
-            self.overall.add_main(pe, self._rdtsc(pe) - st.main_start_tsc)
+            self.overall.add_main(pe, now - st.main_start_tsc)
         if self.timeline is not None:
-            self.timeline.add_span(pe, "MAIN", st.main_start_tsc, self._rdtsc(pe))
+            self.timeline.add_span(pe, "MAIN", st.main_start_tsc, now)
         if st.es_main is not None and st.es_main.running:
-            vals = st.es_main.stop()
-            st.user_totals = [t + v for t, v in zip(st.user_totals, vals)]
-            if self.papi_trace is not None:
-                self.papi_trace.region_totals["MAIN"][pe, :] += vals
+            _accumulate(st, st.main_pending, st.es_main.stop())
 
     def proc_enter(self, pe: int, mailbox: int) -> None:
         st = self._pe_state[pe]
         st.region = "PROC"
-        st.proc_start_tsc = self._rdtsc(pe)
+        st.proc_start_tsc = st.clock.now
         if st.es_proc is not None:
             st.es_proc.start()
 
     def proc_exit(self, pe: int, mailbox: int, n_items: int) -> None:
         st = self._pe_state[pe]
         st.region = "COMM"
+        now = st.clock.now
         if self.overall is not None:
-            self.overall.add_proc(pe, self._rdtsc(pe) - st.proc_start_tsc)
+            self.overall.add_proc(pe, now - st.proc_start_tsc)
         if self.timeline is not None:
-            self.timeline.add_span(pe, "PROC", st.proc_start_tsc,
-                                   self._rdtsc(pe), mailbox=mailbox)
+            self.timeline.add_span(pe, "PROC", st.proc_start_tsc, now,
+                                   mailbox=mailbox)
         if st.es_proc is not None and st.es_proc.running:
-            vals = st.es_proc.stop()
-            st.user_totals = [t + v for t, v in zip(st.user_totals, vals)]
-            if self.papi_trace is not None:
-                self.papi_trace.region_totals["PROC"][pe, :] += vals
+            _accumulate(st, st.proc_pending, st.es_proc.stop())
 
     def send(self, pe: int, mailbox: int, dst: int, nbytes: int) -> None:
         st = self._pe_state[pe]
@@ -240,14 +259,11 @@ class ActorProf:
 
     def _live_user_counters(self, st: _PEProfState) -> list[int]:
         """Cumulative user-region counters including the open region."""
-        totals = list(st.user_totals)
-        if st.region == "MAIN" and st.es_main is not None and st.es_main.running:
-            live = st.es_main.read()
-        elif st.region == "PROC" and st.es_proc is not None and st.es_proc.running:
-            live = st.es_proc.read()
-        else:
-            live = [0] * len(totals)
-        return [t + v for t, v in zip(totals, live)]
+        es = (st.es_main if st.region == "MAIN"
+              else st.es_proc if st.region == "PROC" else None)
+        if es is None or not es.running:
+            return st.user_totals
+        return [t + v for t, v in zip(st.user_totals, es.read())]
 
     # ------------------------------------------------------------------
     # output

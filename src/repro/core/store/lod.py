@@ -149,19 +149,31 @@ class PyramidInfo:
 # building
 # ----------------------------------------------------------------------
 
-def _spread_span(row: np.ndarray, start: int, end: int, width: int) -> None:
-    """Distribute the cycles of ``[start, end)`` across ``row`` buckets."""
-    if end <= start:
-        return
+def _spread_spans(rows: np.ndarray, start: np.ndarray, end: np.ndarray,
+                  width: int, n_rows: int, n_buckets: int) -> np.ndarray:
+    """Cycles of every span ``[start, end)`` spread over the buckets of
+    its row: an ``(n_rows, n_buckets)`` int64 occupancy matrix.
+
+    A span's first and last bucket get its partial overlap and every
+    bucket between them ``width``, through one difference array (``+x``
+    where a run of ``x`` per bucket starts, ``-x`` one past its end)
+    and a prefix sum: O(spans + cells) however long the spans are.
+    """
+    keep = end > start
+    rows, start, end = rows[keep], start[keep], end[keep]
     b0 = start // width
     b1 = (end - 1) // width
-    if b0 == b1:
-        row[b0] += end - start
-        return
-    row[b0] += (b0 + 1) * width - start
-    row[b1] += end - b1 * width
-    if b1 > b0 + 1:
-        row[b0 + 1:b1] += width
+    split = b1 > b0
+    head = np.where(split, (b0 + 1) * width, end) - start
+    tail = np.where(split, end - b1 * width, 0)
+    full = np.where(split, width, 0)
+    cols = n_buckets + 1  # b1 + 1 may be one past the last bucket
+    base = rows * cols
+    diff = np.zeros(n_rows * cols, dtype=np.int64)
+    for at, value in ((b0, head), (b0 + 1, full - head),
+                      (b1, tail - full), (b1 + 1, -tail)):
+        np.add.at(diff, base + at, value)
+    return np.cumsum(diff.reshape(n_rows, cols), axis=1)[:, :n_buckets]
 
 
 def _pe_dense_to_columns(main: np.ndarray, proc: np.ndarray,
@@ -239,29 +251,22 @@ def build_pyramid(timeline) -> Pyramid:
     w0 = widths[0]
     nb0 = -(-horizon // w0)
 
-    main = np.zeros((n_pes, nb0), dtype=np.int64)
-    proc = np.zeros((n_pes, nb0), dtype=np.int64)
-    total = np.zeros((n_pes, nb0), dtype=np.int64)
-    targets = {"MAIN": main, "PROC": proc, "FINISH": total}
-    for span in timeline.spans():
-        row = targets.get(span.region)
-        if row is not None:
-            _spread_span(row[span.pe], span.start, span.end, w0)
+    # one row per (region, pe): MAIN rows first, then PROC, then FINISH
+    pe, region, start, end = timeline.span_arrays()
+    target = np.full(len(pe), -1, dtype=np.int64)
+    for k, name in enumerate(("MAIN", "PROC", "FINISH")):
+        target[region == name] = k
+    known = target >= 0
+    occupied = _spread_spans(target[known] * n_pes + pe[known], start[known],
+                             end[known], w0, 3 * n_pes, nb0)
+    main, proc, total = occupied.reshape(3, n_pes, nb0)
     comm = np.maximum(total - main - proc, 0)
     pe0 = _pe_dense_to_columns(main, proc, comm)
 
-    events = timeline.net_events()
-    if events:
-        times = np.fromiter((e.time for e in events), dtype=np.int64,
-                            count=len(events))
-        srcs = np.fromiter((e.src for e in events), dtype=np.int64,
-                           count=len(events))
-        dsts = np.fromiter((e.dst for e in events), dtype=np.int64,
-                           count=len(events))
-        sizes = np.fromiter((e.nbytes for e in events), dtype=np.int64,
-                            count=len(events))
+    times, srcs, dsts, sizes = timeline.net_arrays()
+    if len(times):
         flat = (times // w0) * (n_pes * n_pes) + srcs * n_pes + dsts
-        edge0 = _edge_group(flat, np.ones(len(events), dtype=np.int64),
+        edge0 = _edge_group(flat, np.ones(len(times), dtype=np.int64),
                             sizes, n_pes)
     else:
         edge0 = _empty_edge()
@@ -320,7 +325,7 @@ def build_pyramid_for_export(*, timeline=None, overall=None, physical=None,
     A timeline gives the full multi-level pyramid; otherwise the
     aggregate traces degrade to a flat (single-bucket) one.
     """
-    if timeline is not None and (timeline.span_count() or timeline.net_events()):
+    if timeline is not None and (timeline.span_count() or timeline.net_count()):
         return build_pyramid(timeline)
     edges = physical if physical is not None else logical
     if edges is None and overall is None:

@@ -26,6 +26,13 @@ from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.palette import REGION_COLORS
 from repro.core.viz.svg import Canvas
 
+#: Names what these renderers draw for a given archive and viewport.
+#: Cached renders are keyed by it (``repro.serve.artifacts.viz_key``),
+#: so change it whenever any view's SVG bytes change: renders stored by
+#: an older renderer — such as the unbinned heatmaps of archives over
+#: 256 PEs — then stop being served.
+RENDERER = "blocks-256"
+
 _LANE_H = 18
 _LANE_GAP = 4
 _MARGIN_LEFT = 60

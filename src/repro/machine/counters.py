@@ -37,19 +37,14 @@ class CounterSnapshot:
     def __getitem__(self, name: str) -> int:
         return self.values.get(name, 0)
 
-    def delta(self, earlier: "CounterSnapshot") -> "CounterSnapshot":
-        """Counter increments between ``earlier`` and this snapshot."""
-        return CounterSnapshot(
-            {k: self.values.get(k, 0) - earlier.values.get(k, 0) for k in COUNTER_NAMES}
-        )
-
 
 class CounterBank:
     """Mutable counter state for one PE.
 
     Counters never decrease.  The bank does not know about regions or event
-    sets; that logic lives in :mod:`repro.papi`, which works with
-    snapshots/deltas of this bank, mirroring how real PAPI reads MSRs.
+    sets; that logic lives in :mod:`repro.papi`, which keeps its own
+    baseline of the few counters it measures and reads by subtraction,
+    mirroring how real PAPI reads MSRs.
     """
 
     __slots__ = ("_v",)
@@ -65,38 +60,14 @@ class CounterBank:
             raise KeyError(f"unknown counter {name!r}")
         self._v[name] += int(amount)
 
-    def charge_block(
-        self,
-        ins: int,
-        loads: int,
-        stores: int,
-        branches: int,
-        flops: int,
-        vec: int,
-        l1_misses: int,
-        l2_misses: int,
-        branch_misses: int,
-        cycles: int,
-    ) -> None:
-        """Bulk increment for one straight-line work block.
+    def live(self) -> dict[str, int]:
+        """The bank's own name → value dict, updated in place by charges.
 
-        Equivalent to eleven :meth:`add` calls; collapsed into one method
-        because per-call overhead dominates the simulator's hot charging
-        path.  Callers must pass non-negative amounts (``PerfCore.work``
-        validates its inputs before charging).
+        For the hot readers and writers (``PerfCore`` charging, event-set
+        baselines, the profiler's region hooks) that must not pay for a
+        method call or a copy per access.  Readers must not write to it.
         """
-        v = self._v
-        v["PAPI_TOT_INS"] += int(ins)
-        v["PAPI_LST_INS"] += int(loads) + int(stores)
-        v["PAPI_LD_INS"] += int(loads)
-        v["PAPI_SR_INS"] += int(stores)
-        v["PAPI_BR_INS"] += int(branches)
-        v["PAPI_FP_OPS"] += int(flops)
-        v["PAPI_VEC_INS"] += int(vec)
-        v["PAPI_L1_DCM"] += int(l1_misses)
-        v["PAPI_L2_DCM"] += int(l2_misses)
-        v["PAPI_BR_MSP"] += int(branch_misses)
-        v["PAPI_TOT_CYC"] += int(cycles)
+        return self._v
 
     def read(self, name: str) -> int:
         """Current value of counter ``name``."""

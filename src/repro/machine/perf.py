@@ -9,6 +9,11 @@ Synthetic micro-architectural events (cache misses, branch mispredictions)
 are derived deterministically from the charged loads/branches using
 fractional-residue accumulation — no randomness, so identical programs
 yield identical counter values.
+
+A charge is the simulator's most frequent operation, so it touches only
+the counters its block changes: a zero field costs one comparison, and
+no intermediate object is built.  ``tests/perf_oracle.py`` keeps the
+eleven-counter bulk charge as the differential reference.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ class PerfCore:
         "cost",
         "counters",
         "rate",
+        "_count",
         "_l1_resid",
         "_l2_resid",
         "_br_resid",
@@ -43,6 +49,7 @@ class PerfCore:
         self.clock = clock
         self.cost = cost
         self.counters = CounterBank()
+        self._count = self.counters.live()
         #: Cycle-time multiplier for this core (slow-PE fault injection:
         #: a throttled core retires the same instructions in more cycles).
         #: Applied to computed work and memcpy, never to ``stall_until`` —
@@ -72,30 +79,56 @@ class PerfCore:
 
         ``ins`` is the *total* instruction count of the block (loads,
         stores, branches, flops and vector instructions are categorised
-        subsets, not additions).  Returns the cycles charged.
+        subsets, not additions).  Amounts are Python ints; they are added
+        to the counters as given.  Returns the cycles charged.
         """
-        if min(ins, loads, stores, branches, flops, vec, extra_cycles) < 0:
+        if (ins < 0 or loads < 0 or stores < 0 or branches < 0 or flops < 0
+                or vec < 0 or extra_cycles < 0):
             raise ValueError("work amounts must be non-negative")
         cost = self.cost
-        self._l1_resid += loads * cost.l1_miss_rate
-        l1 = int(self._l1_resid)
-        self._l1_resid -= l1
-        self._l2_resid += loads * cost.l2_miss_rate
-        l2 = int(self._l2_resid)
-        self._l2_resid -= l2
-        self._br_resid += branches * cost.branch_misp_rate
-        br = int(self._br_resid)
-        self._br_resid -= br
-        cycles = cost.ins_cycles(ins) + extra_cycles
-        cycles += int(round(loads * cost.load_fraction_penalty))
+        count = self._count
+        cycles = int(round(ins * cost.cpi)) + extra_cycles
+        if ins:
+            count["PAPI_TOT_INS"] += ins
+        # A zero field leaves its counters and residues exactly as they
+        # were (the residues stay in [0, 1), so adding 0.0 truncates to 0).
+        if loads:
+            count["PAPI_LD_INS"] += loads
+            count["PAPI_LST_INS"] += loads
+            resid = self._l1_resid + loads * cost.l1_miss_rate
+            misses = int(resid)
+            self._l1_resid = resid - misses
+            if misses:
+                count["PAPI_L1_DCM"] += misses
+            resid = self._l2_resid + loads * cost.l2_miss_rate
+            misses = int(resid)
+            self._l2_resid = resid - misses
+            if misses:
+                count["PAPI_L2_DCM"] += misses
+            penalty = cost.load_fraction_penalty
+            if penalty:
+                cycles += int(round(loads * penalty))
+        if stores:
+            count["PAPI_SR_INS"] += stores
+            count["PAPI_LST_INS"] += stores
+        if branches:
+            count["PAPI_BR_INS"] += branches
+            resid = self._br_resid + branches * cost.branch_misp_rate
+            misses = int(resid)
+            self._br_resid = resid - misses
+            if misses:
+                count["PAPI_BR_MSP"] += misses
+        if flops:
+            count["PAPI_FP_OPS"] += flops
+        if vec:
+            count["PAPI_VEC_INS"] += vec
         if self.rate != 1.0:
             cycles = int(round(cycles * self.rate))
-        self.counters.charge_block(
-            ins, loads, stores, branches, flops, vec, l1, l2, br, cycles
-        )
-        # Direct bump instead of CycleClock.advance: cycles is validated
-        # non-negative above, and this is the simulator's hottest line.
-        self.clock._now += cycles
+        if cycles:
+            count["PAPI_TOT_CYC"] += cycles
+            # Direct bump instead of CycleClock.advance: cycles is
+            # validated non-negative above, and this is the hottest line.
+            self.clock._now += cycles
         return cycles
 
     def stall(self, cycles: int) -> int:
@@ -120,18 +153,18 @@ class PerfCore:
         if nbytes < 0:
             raise ValueError(f"negative memcpy size: {nbytes}")
         line = self.cost.cache_line_bytes
-        touches = max(1, (nbytes + line - 1) // line)
+        touches = int(max(1, (nbytes + line - 1) // line))
         # A streaming copy retires roughly one load+store pair per line.
-        cycles = self._scaled(self.cost.memcpy_cycles(nbytes))
-        self.counters.charge_block(
-            2 * touches, touches, touches, 0, 0, 0, 0, 0, 0, cycles
-        )
-        self.clock.advance(cycles)
-        return cycles
-
-    def _scaled(self, cycles: int) -> int:
+        cycles = self.cost.memcpy_cycles(nbytes)
         if self.rate != 1.0:
-            return int(round(cycles * self.rate))
+            cycles = int(round(cycles * self.rate))
+        count = self._count
+        count["PAPI_TOT_INS"] += 2 * touches
+        count["PAPI_LST_INS"] += 2 * touches
+        count["PAPI_LD_INS"] += touches
+        count["PAPI_SR_INS"] += touches
+        count["PAPI_TOT_CYC"] += cycles
+        self.clock.advance(cycles)
         return cycles
 
     def _advance(self, cycles: int) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.machine.counters import CounterBank, CounterSnapshot
+from repro.machine.counters import CounterBank
 from repro.papi.events import is_preset
 
 #: "ActorProf only allows up to four concurrent recording events with the
@@ -27,10 +27,12 @@ class EventSet:
     """
 
     def __init__(self, bank: CounterBank) -> None:
-        self._bank = bank
+        self._counters = bank.live()
         self._events: list[str] = []
         self._running = False
-        self._base: CounterSnapshot | None = None
+        #: Values of this set's own events at start/accum/reset: a read
+        #: subtracts it, so nothing else of the bank is ever copied.
+        self._base: list[int] = []
 
     @property
     def events(self) -> tuple[str, ...]:
@@ -65,38 +67,38 @@ class EventSet:
             raise PAPIError("event set already running")
         if not self._events:
             raise PAPIError("cannot start an empty event set")
-        self._base = self._bank.snapshot()
+        self._rebase()
         self._running = True
 
     def read(self) -> list[int]:
         """Current deltas since start without stopping (``PAPI_read``)."""
-        if not self._running or self._base is None:
+        if not self._running:
             raise PAPIError("event set is not running")
-        snap = self._bank.snapshot().delta(self._base)
-        return [snap[e] for e in self._events]
+        counters = self._counters
+        return [counters[e] - b for e, b in zip(self._events, self._base)]
 
     def accum(self, values: list[int]) -> list[int]:
         """Add deltas into ``values`` and reset the baseline (``PAPI_accum``)."""
-        if not self._running or self._base is None:
-            raise PAPIError("event set is not running")
         deltas = self.read()
         if len(values) != len(deltas):
             raise PAPIError(
                 f"accum buffer has {len(values)} entries for {len(deltas)} events"
             )
-        out = [v + d for v, d in zip(values, deltas)]
-        self._base = self._bank.snapshot()
-        return out
+        self._rebase()
+        return [v + d for v, d in zip(values, deltas)]
 
     def stop(self) -> list[int]:
         """Stop counting and return deltas since start (``PAPI_stop``)."""
         values = self.read()
         self._running = False
-        self._base = None
         return values
 
     def reset(self) -> None:
         """Zero the counting baseline (``PAPI_reset``)."""
         if not self._running:
             raise PAPIError("event set is not running")
-        self._base = self._bank.snapshot()
+        self._rebase()
+
+    def _rebase(self) -> None:
+        counters = self._counters
+        self._base = [counters[e] for e in self._events]

@@ -45,10 +45,14 @@ def viz_key(fingerprint: str, view: str, t0: int | None, t1: int | None,
 
     ``None`` window/resolution values key distinctly from explicit
     ones: the defaults depend on the archive's pyramid shape, which the
-    fingerprint already pins.
+    fingerprint already pins.  The renderer tag
+    (:data:`~repro.core.viz.lodviews.RENDERER`) makes renders stored by
+    an older renderer misses.
     """
+    from repro.core.viz.lodviews import RENDERER  # only viz requests need it
+
     return _key({"kind": "viz", "fingerprint": fingerprint, "view": view,
-                 "t0": t0, "t1": t1, "res": res})
+                 "t0": t0, "t1": t1, "res": res, "renderer": RENDERER})
 
 
 class ArtifactStore:

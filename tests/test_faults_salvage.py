@@ -95,6 +95,30 @@ def test_salvaged_archives_are_byte_identical(tmp_path, crash_cycle):
     assert a == b
 
 
+def test_salvaged_papi_totals_keep_the_open_finish(tmp_path, crash_cycle):
+    """A crash in the middle of the finish: the region totals the trace
+    folds in when read, and every PE's CSV including its finish summary
+    row, are the values the per-exit-array profiler recorded."""
+    assert crash_cycle == 76610
+    ap, failure = crashed_triangle(crash_cycle)
+    path = ap.salvage_archive(tmp_path / "crashed.aptrc", failure=failure)
+    with Archive(path) as archive:
+        attrs = archive.section("papi").attrs
+    assert attrs["events"] == ["PAPI_TOT_INS", "PAPI_LST_INS"]
+    assert attrs["main_totals"] == [[10494, 6678], [3498, 2226],
+                                    [4257, 2709], [924, 588]]
+    assert attrs["proc_totals"] == [[43920, 11712], [21360, 5696],
+                                    [28080, 7488], [7980, 2128]]
+    digest = hashlib.sha256()
+    for csv in ap.papi_trace.write(tmp_path / "csv"):
+        digest.update(csv.read_bytes())
+    assert digest.hexdigest() == (
+        "0312de8292ce3d00de2684eda33c7f588e3befc8023b65cd026115e21091b8c4")
+    # the crashed PE's summary row: MAIN + PROC at the failure
+    last = (tmp_path / "csv" / "PE1_PAPI.csv").read_text().splitlines()[-1]
+    assert last == "0,1,0,1,0,-1,318,24858,7922"
+
+
 def test_cli_queries_and_diffs_degraded_archive(tmp_path, capsys, crash_cycle):
     ap_h = ActorProf(ProfileFlags.all())
     healthy_triangle(profiler=ap_h)

@@ -1,10 +1,16 @@
 """Tests for R-MAT generation, lower-triangular matrices and distributions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import matrix as matrix_module
 from repro.graphs import (
     BlockDistribution,
     CyclicDistribution,
@@ -125,6 +131,53 @@ def test_triangle_count_reference_known_graphs():
     # path graph has none
     path = LowerTriangular.from_edges(np.array([[1, 0], [2, 1], [3, 2]]))
     assert path.triangle_count_reference() == 0
+
+
+def _scipy_triangles(L):
+    """``((Lᵀ L) ∘ L).sum()`` through scipy.sparse: the formula the
+    bitset reference computes by other arithmetic."""
+    M = L.to_scipy()
+    return int((M.T @ M).multiply(M).sum())
+
+
+def _with_reference_blocks(span, edges, fn):
+    """Run ``fn`` with the reference's bitset span / edge block patched."""
+    saved = matrix_module.REFERENCE_SPAN, matrix_module.REFERENCE_EDGES
+    matrix_module.REFERENCE_SPAN, matrix_module.REFERENCE_EDGES = span, edges
+    try:
+        return fn()
+    finally:
+        matrix_module.REFERENCE_SPAN, matrix_module.REFERENCE_EDGES = saved
+
+
+@given(st.integers(2, 200),
+       st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199)),
+                max_size=600))
+def test_triangle_reference_equals_scipy_formula(n, pairs):
+    edges = sorted({(max(a % n, b % n), min(a % n, b % n)) for a, b in pairs
+                    if a % n != b % n})
+    L = LowerTriangular.from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                                   n_vertices=n)
+    want = _scipy_triangles(L)
+    # default blocks, then spans and edge blocks far smaller than the graph
+    for span, block in ((matrix_module.REFERENCE_SPAN,
+                         matrix_module.REFERENCE_EDGES), (64, 7), (3, 1)):
+        assert _with_reference_blocks(
+            span, block, L.triangle_count_reference) == want, (span, block)
+
+
+@pytest.mark.parametrize("scale", [6, 7, 8, 9, 10])
+def test_triangle_reference_equals_scipy_on_graph500(scale):
+    L = LowerTriangular.from_edges(graph500_input(scale, 12, seed=scale))
+    assert L.triangle_count_reference() == _scipy_triangles(L)
+
+
+def test_case_study_imports_load_no_scipy():
+    code = ("import sys, repro.api, repro.apps; "
+            "sys.exit('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 def test_triangle_count_matches_networkx():

@@ -42,18 +42,6 @@ def test_snapshot_is_immutable_copy():
     assert bank.read("PAPI_TOT_INS") == 10
 
 
-def test_snapshot_delta():
-    bank = CounterBank()
-    bank.add("PAPI_TOT_INS", 100)
-    before = bank.snapshot()
-    bank.add("PAPI_TOT_INS", 42)
-    bank.add("PAPI_LST_INS", 9)
-    delta = bank.snapshot().delta(before)
-    assert delta["PAPI_TOT_INS"] == 42
-    assert delta["PAPI_LST_INS"] == 9
-    assert delta["PAPI_TOT_CYC"] == 0
-
-
 def test_missing_key_in_snapshot_reads_zero():
     from repro.machine import CounterSnapshot
 

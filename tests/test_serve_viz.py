@@ -7,10 +7,14 @@ pan/zoom client steers by (``X-Lod-Level``, ``X-Viewport``,
 ``X-Horizon``).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import ActorProf, ProfileFlags
 from repro.apps import histogram
+from repro.exec.cache import ResultCache
 from repro.machine.spec import MachineSpec
 from repro.serve import ServeError, ServerConfig, ServerThread
 
@@ -59,6 +63,30 @@ def test_second_fetch_hits_the_artifact_cache(client):
     # a different viewport is a different artifact
     _, headers_c = client.viz("demo", "heatmap", t0=0, t1=1000)
     assert headers_c["x-cache"] == "miss"
+
+
+def _untagged_viz_key(fingerprint, view, t0, t1, res):
+    """The viz cache key before it named the renderer."""
+    blob = json.dumps({"kind": "viz", "fingerprint": fingerprint,
+                       "view": view, "t0": t0, "t1": t1, "res": res},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_render_cached_without_a_renderer_tag_is_not_served(
+        server, client, tmp_path):
+    """A store filled by an older renderer (say, unbinned heatmaps) keeps
+    its entries, but they are never answered as hits."""
+    fingerprint = client.show("demo")["fingerprint"]
+    stale = {"svg": "<svg>stale unbinned heatmap</svg>", "level": 0,
+             "width": 1, "t0": 0, "t1": 1, "horizon": 1,
+             "time_resolved": True}
+    store = ResultCache(server.config.data_dir / "artifacts")
+    assert store.put(_untagged_viz_key(fingerprint, "heatmap", None, None,
+                                       None), stale, tmp_path)
+    svg, headers = client.viz("demo", "heatmap")
+    assert headers["x-cache"] == "miss"
+    assert svg != stale["svg"] and "<svg" in svg
 
 
 def test_zoom_refines_the_lod_level(client):

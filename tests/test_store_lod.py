@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ActorProf, ProfileFlags
 from repro.apps import histogram
@@ -30,6 +32,7 @@ from repro.core.store.lod import (
     pyramid_info,
     read_level,
 )
+from repro.core.timeline import TimelineTrace
 from repro.machine.spec import MachineSpec
 
 from tests.test_golden_archives import GOLDEN_DIR
@@ -95,6 +98,45 @@ def test_every_level_preserves_pe_occupancy_totals(profiled):
     for k in range(1, pyramid.levels):
         np.testing.assert_array_equal(
             _pe_totals(pyramid.pe_levels[k], pyramid.n_pes), base)
+
+
+def _spread_span_scalar(row, start, end, width):
+    """Cycles of one span into one row's buckets, bucket by bucket (the
+    per-span loop build_pyramid's vectorised pass replaced)."""
+    if end <= start:
+        return
+    b0, b1 = start // width, (end - 1) // width
+    if b0 == b1:
+        row[b0] += end - start
+        return
+    row[b0] += (b0 + 1) * width - start
+    row[b1] += end - b1 * width
+    row[b0 + 1:b1] += width
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from(("MAIN", "PROC", "FINISH", "IDLE")),
+    st.integers(0, 5000), st.one_of(st.integers(0, 3), st.integers(0, 3000))),
+    max_size=40))
+def test_level_zero_occupancy_matches_per_span_spreading(n_pes, spans):
+    timeline = TimelineTrace(n_pes)
+    for pe, region, start, length in spans:
+        timeline.add_span(pe % n_pes, region, start, start + length)
+    pyramid = build_pyramid(timeline)
+    width, n_buckets = pyramid.widths[0], pyramid.buckets()[0]
+    want = {region: np.zeros((n_pes, n_buckets), dtype=np.int64)
+            for region in ("MAIN", "PROC", "FINISH")}
+    for span in timeline.spans():
+        if span.region in want:
+            _spread_span_scalar(want[span.region][span.pe], span.start,
+                                span.end, width)
+    want["COMM"] = np.maximum(want["FINISH"] - want["MAIN"] - want["PROC"], 0)
+    cols = pyramid.pe_levels[0]
+    for region, column in (("MAIN", "t_main"), ("PROC", "t_proc"),
+                           ("COMM", "t_comm")):
+        got = np.zeros((n_pes, n_buckets), dtype=np.int64)
+        got[cols["pe"], cols["bucket"]] = cols[column]
+        np.testing.assert_array_equal(got, want[region], err_msg=region)
 
 
 def test_every_level_preserves_edge_totals(profiled):
