@@ -27,7 +27,7 @@ BUFFER = 8
 def conveyors_histogram(skew, seed=2):
     cfg = ConveyorConfig(buffer_items=BUFFER)
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(64, dtype=np.int64)
 
         class A(Actor):
@@ -42,7 +42,7 @@ def conveyors_histogram(skew, seed=2):
         n = skew[ctx.my_pe]
         dsts = ctx.rng.integers(0, ctx.n_pes, n)
         idxs = ctx.rng.integers(0, 64, n)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d, i in zip(dsts, idxs):
                 ctx.compute(ins=8, loads=2, stores=1)

@@ -60,7 +60,7 @@ def _run_once(fn):
     """One run of ``fn``: ``(sim_wall, full_wall, result)``.
 
     ``sim_wall`` is the scheduler's own ``stats.wall_s`` (the simulation
-    phase: thread spawn through completion, excluding world construction
+    phase: first resumption through completion, excluding world construction
     and result collection) — the denominator of handoff/event throughput.
     """
     t0 = time.perf_counter()

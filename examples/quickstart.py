@@ -31,11 +31,11 @@ class MyActor(Actor):
         self.larray[idx] += 1  # runtime delivers one message at a time
 
 
-def program(ctx):
+async def program(ctx):
     """Listing 1: allocate, start, send asynchronously, done, finish."""
     larray = np.zeros(TABLE_SIZE, dtype=np.int64)
     actor = MyActor(ctx, larray)
-    with ctx.finish():
+    async with ctx.finish():
         actor.start()
         for i in range(N_UPDATES):
             dst = int(ctx.rng.integers(0, ctx.n_pes))

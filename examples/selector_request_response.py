@@ -21,7 +21,7 @@ KEYS_PER_PE = 64
 LOOKUPS_PER_PE = 200
 
 
-def program(ctx):
+async def program(ctx):
     n_pes = ctx.n_pes
     # each PE owns keys k with k % n_pes == my_pe (cyclic layout)
     store = {int(k): int(k) * 10 + ctx.my_pe
@@ -44,7 +44,7 @@ def program(ctx):
     sel.mb[RESPONSE].process = on_response
 
     keys = ctx.rng.integers(0, KEYS_PER_PE * n_pes, LOOKUPS_PER_PE)
-    with ctx.finish():
+    async with ctx.finish():
         sel.start()
         for slot, key in enumerate(keys):
             sel.send(REQUEST, (int(key), slot), int(key) % n_pes)

@@ -30,10 +30,10 @@ Quickstart::
         def process(self, idx, sender_rank):
             self.larray[idx] += 1          # no atomics (Listing 2)
 
-    def program(ctx):
+    async def program(ctx):                 # SPMD programs are coroutines
         larray = np.zeros(64, dtype=np.int64)
         actor = MyActor(ctx, larray)
-        with ctx.finish():                  # Listing 1
+        async with ctx.finish():            # Listing 1
             actor.start()
             for i in range(100):
                 actor.send(i % 64, int(ctx.rng.integers(ctx.n_pes)))

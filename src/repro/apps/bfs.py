@@ -88,7 +88,7 @@ def bfs(
         dist = distribution
     indptr, indices = graph.symmetric_csr()
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         levels_local: dict[int, int] = {}
         frontier: list[int] = []
@@ -102,7 +102,7 @@ def bfs(
             actor = _BFSActor(ctx, levels_local, next_frontier, level_box,
                               conveyor_config)
             level_box[0] = level
-            with ctx.finish():
+            async with ctx.finish():
                 actor.start()
                 for v in frontier:
                     neigh = indices[indptr[v] : indptr[v + 1]]
@@ -110,7 +110,7 @@ def bfs(
                     if len(neigh):
                         actor.send_batch(dist.owner_array(neigh), neigh)
                 actor.done()
-            total_next = ctx.shmem.allreduce(len(next_frontier), "sum")
+            total_next = await ctx.shmem.allreduce(len(next_frontier), "sum")
             frontier = next_frontier
             level += 1
             if total_next == 0:

@@ -74,7 +74,7 @@ def histogram_exstack(
     counts = list(updates_per_pe)
     group_box: list = [None]
 
-    def program(ctx):
+    async def program(ctx):
         if group_box[0] is None:  # symmetric, first PE constructs
             group_box[0] = ExstackGroup(ctx.world.shmem, payload_words=1,
                                         buffer_items=buffer_items)
@@ -89,13 +89,13 @@ def histogram_exstack(
             while i < n and ex.push(int(idxs[i]), int(dsts[i])):
                 ctx.compute(ins=8, loads=2, stores=1)
                 i += 1
-            alive = ex.exchange(done=(i == n))
+            alive = await ex.exchange(done=(i == n))
             while (item := ex.pull()) is not None:
                 _src, idx = item
                 ctx.compute(ins=6, loads=1, stores=1)
                 larray[idx] += 1
         received = int(larray.sum())
-        total = ctx.shmem.allreduce(received, "sum")
+        total = await ctx.shmem.allreduce(received, "sum")
         return {"received": received, "total": total}
 
     run = _run(program, machine=machine, seed=seed)
@@ -130,14 +130,14 @@ def histogram(
     if table_size < 1:
         raise ValueError(f"table must have at least one slot: {table_size}")
 
-    def program(ctx):
+    async def program(ctx):
         larray = np.zeros(table_size, dtype=np.int64)  # Listing 1 line 2
         actor = _HistogramActor(ctx, larray, conveyor_config)
         if not batch:
             actor.mb[0].process_batch = None
         dsts = ctx.rng.integers(0, ctx.n_pes, n_updates)
         idxs = ctx.rng.integers(0, table_size, n_updates)
-        with ctx.finish():  # Listing 1 line 4
+        async with ctx.finish():  # Listing 1 line 4
             actor.start()
             if batch:
                 actor.send_batch(dsts, idxs)
@@ -146,7 +146,7 @@ def histogram(
                     actor.send(int(idx), int(dst))  # asynchronous SEND
             actor.done()
         received = int(larray.sum())
-        total = ctx.shmem.allreduce(received, "sum")
+        total = await ctx.shmem.allreduce(received, "sum")
         return {"received": received, "total": total}
 
     run = run_spmd(program, machine=machine, cost=cost, profiler=profiler,

@@ -51,7 +51,7 @@ def index_gather(
     n_pes = machine.n_pes
     global_size = table_size_per_pe * n_pes
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         # cyclic table layout: global g lives at (g % P, g // P)
         local_globals = np.arange(table_size_per_pe) * n_pes + me
@@ -74,7 +74,7 @@ def index_gather(
         sel.mb[RESPONSE].process = on_response
 
         indices = ctx.rng.integers(0, global_size, requests_per_pe)
-        with ctx.finish():
+        async with ctx.finish():
             sel.start()
             for slot, g in enumerate(indices):
                 owner = int(g % n_pes)

@@ -147,13 +147,13 @@ def influence_spread(
         dist = distribution
     indptr, indices = graph.symmetric_csr()
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         active: dict[tuple[int, int], bool] = {}
         counts = np.zeros(rounds, dtype=np.int64)
         actor = _CascadeActor(ctx, dist, indptr, indices, p, salt, active,
                               counts, conveyor_config)
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             # every round's seed activations enter from the seeds' owners
             for r in range(rounds):
@@ -162,7 +162,7 @@ def influence_spread(
                         ctx.compute(ins=6, loads=2)
                         actor.send((s, r), me)
             actor.done()
-        return ctx.shmem.allreduce(counts, "sum")
+        return await ctx.shmem.allreduce(counts, "sum")
 
     run = run_spmd(program, machine=machine, profiler=profiler,
                    conveyor_config=conveyor_config, seed=seed)

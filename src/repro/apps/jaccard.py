@@ -111,7 +111,7 @@ def jaccard(
     indptr, indices = graph.symmetric_csr()
     full_deg = np.diff(indptr)
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         # shared-edge-array trick is not SPMD-safe: accumulate locally and
         # reduce at the end instead.
@@ -134,7 +134,7 @@ def jaccard(
             ks_parts.append(neigh[a_idx])
         js = np.concatenate(js_parts) if js_parts else np.empty(0, np.int64)
         ks = np.concatenate(ks_parts) if ks_parts else np.empty(0, np.int64)
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             if len(js):
                 ctx.compute(ins=8 * len(js), loads=2 * len(js))
@@ -145,7 +145,7 @@ def jaccard(
                     for j, k in zip(js, ks):
                         actor.send((int(j), int(k)), dist.owner(int(j)))
             actor.done()
-        total_common = ctx.shmem.allreduce(edge_common, "sum")
+        total_common = await ctx.shmem.allreduce(edge_common, "sum")
         return total_common
 
     run = run_spmd(program, machine=machine, profiler=profiler,

@@ -99,7 +99,7 @@ def pagerank(
     deg = np.diff(indptr)
     n = graph.n_vertices
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         mine = dist.local_rows(me)
         local_of = {int(v): i for i, v in enumerate(mine)}
@@ -109,7 +109,7 @@ def pagerank(
             acc = np.zeros(len(mine), dtype=np.int64)
             actor = _RankActor(ctx, acc, local_of, conveyor_config)
             dangling_local = int(ranks[deg[mine] == 0].sum())
-            with ctx.finish():
+            async with ctx.finish():
                 actor.start()
                 for i, v in enumerate(mine):
                     d = int(deg[v])
@@ -127,7 +127,7 @@ def pagerank(
                     )
                     actor.send_batch(cached, payload)
                 actor.done()
-            dangling = ctx.shmem.allreduce(dangling_local, "sum") // n
+            dangling = await ctx.shmem.allreduce(dangling_local, "sum") // n
             base = int((1 - damping) * _FP) // n
             ranks = base + (damping * (acc + dangling)).astype(np.int64)
         return {int(v): int(r) for v, r in zip(mine, ranks)}

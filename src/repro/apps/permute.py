@@ -65,7 +65,7 @@ def permute(
     # the run seed, independent of per-PE streams.
     perm = pe_rng(seed, 0).permutation(total)
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         out = np.zeros(elements_per_pe, dtype=np.int64)
         actor = _PermuteActor(ctx, out, conveyor_config)
@@ -76,7 +76,7 @@ def permute(
         targets = perm[my_globals]
         owners = targets // elements_per_pe
         slots = targets % elements_per_pe
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             if batch:
                 actor.send_batch(owners, np.stack([slots, values], axis=1))

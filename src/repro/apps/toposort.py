@@ -96,7 +96,7 @@ def toposort(
     for r, c in entries.tolist():
         col_rows.setdefault(c, []).append(r)
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         # per-owned-row state
         my_rows = entries[entries[:, 0] % n_pes == me]
@@ -141,7 +141,7 @@ def toposort(
                     retire_pivot(r2, rowsum[r2])
 
         sel.mb[0].process = handler
-        with ctx.finish():
+        async with ctx.finish():
             sel.start()
             for r, cnt in list(rowcnt.items()):
                 if cnt == 1:

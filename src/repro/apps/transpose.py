@@ -64,14 +64,14 @@ def transpose(
         raise ValueError("entry index out of bounds")
     n_pes = machine.n_pes
 
-    def program(ctx):
+    async def program(ctx):
         me = ctx.my_pe
         mine = entries[entries[:, 0] % n_pes == me]
         collected: list[tuple[int, int]] = []
         actor = _TransposeActor(ctx, collected, conveyor_config)
         if not batch:
             actor.mb[0].process_batch = None
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             if len(mine):
                 ctx.compute(ins=4 * len(mine), loads=2 * len(mine))

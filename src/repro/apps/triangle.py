@@ -109,7 +109,7 @@ def triangle_program(graph: LowerTriangular, dist: Distribution,
                      conveyor_config: ConveyorConfig | None = None):
     """Build the per-PE SPMD program of Algorithm 1."""
 
-    def program(ctx) -> dict[str, Any]:
+    async def program(ctx) -> dict[str, Any]:
         counter = np.zeros(1, dtype=np.int64)
         actor = _TriangleActor(ctx, graph, counter, conveyor_config)
         if not batch:
@@ -118,7 +118,7 @@ def triangle_program(graph: LowerTriangular, dist: Distribution,
             actor.mb[0].process_batch = None
         rows = dist.local_rows(ctx.my_pe)
         sends = 0
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             if batch:
                 js, ks = _wedges_for_rows(graph, rows)
@@ -137,7 +137,7 @@ def triangle_program(graph: LowerTriangular, dist: Distribution,
                             actor.send((j, k), dist.owner(j))
                             sends += 1
             actor.done()
-        total = ctx.shmem.allreduce(int(counter[0]), "sum")
+        total = await ctx.shmem.allreduce(int(counter[0]), "sum")
         return {"local": int(counter[0]), "total": total, "sends": sends}
 
     return program

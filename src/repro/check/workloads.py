@@ -314,7 +314,7 @@ class GeneratedWorkload(Workload):
     """A generated mailbox-chain program, fully instrumented for audit.
 
     Handlers count every receipt into a shared ``(src, dst)`` matrix
-    (safe: the simulator runs one handler at a time on one OS thread), so
+    (safe: the simulator runs one handler at a time, one PE at a time), so
     the invariant engine can check *exact* per-PE-pair conservation of
     logical sends into physical deliveries.
     """
@@ -342,7 +342,7 @@ class GeneratedWorkload(Workload):
         acc = np.zeros(n_pes, dtype=np.int64)
         order_state = np.zeros(n_pes, dtype=np.int64)
 
-        def program(ctx):
+        async def program(ctx):
             me = ctx.rank
             sel = Selector(ctx, mailboxes=spec.mailboxes,
                            payload_words=list(spec.payload_words),
@@ -377,14 +377,14 @@ class GeneratedWorkload(Workload):
                 sel.mb[i].process = make_handler(i)
             values = ctx.rng.integers(0, 1 << 20, spec.sends_per_pe)
             pad0 = (0,) * (spec.payload_words[0] - 2)
-            with ctx.finish():
+            async with ctx.finish():
                 sel.start()
                 for v in values:
                     value = int(v)
                     dst = (value * spec.mult + me) % n_pes
                     sel.send(0, (value, 0) + pad0, dst)
                 sel.done(0)
-            total = ctx.shmem.allreduce(int(acc[me]), "sum")
+            total = await ctx.shmem.allreduce(int(acc[me]), "sum")
             return {"local": int(acc[me]), "total": total}
 
         run = run_spmd(program, machine=self.machine, cost=cost,

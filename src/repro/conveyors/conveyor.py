@@ -137,14 +137,16 @@ class ConveyorGroup:
     def n_pes(self) -> int:
         return self.runtime.spec.n_pes
 
+    @property
     def quiescent(self) -> bool:
         """True when no endpoint will push again and every item was pulled.
 
-        O(1): ``done`` flags are counted as they flip (:meth:`mark_done`)
-        instead of re-scanned per call — this sits inside every
+        A flag read: :meth:`add_live`, :meth:`drop_live` and
+        :meth:`mark_done` — the only mutators of ``live`` and the done
+        count — keep it current, because it sits inside every
         ``advance()`` poll and every drain predicate.
         """
-        return self.live == 0 and self._done_count == len(self.done)
+        return self._quiescent
 
     def add_live(self, n: int) -> None:
         """Account ``n`` newly pushed items (may revoke quiescence)."""
@@ -356,7 +358,7 @@ class Conveyor:
         self._flush(partial=self.done_requested)
         if self.done_requested:
             self._endgame_progress()
-        return not self.group.quiescent()
+        return not self.group._quiescent
 
     def has_visible_inbound(self) -> bool:
         """True when a delivered buffer is visible at the current clock."""
@@ -379,7 +381,7 @@ class Conveyor:
 
     def is_complete(self) -> bool:
         """True when the whole conveyor group is quiescent."""
-        return self.group.quiescent()
+        return self.group._quiescent
 
     # ------------------------------------------------------------------
     # internals
@@ -532,9 +534,9 @@ class Conveyor:
         if count == 0:
             return
         nbytes = self.group.config.wire_bytes(count)
-        spec = self.group.runtime.spec
+        ppn = self.group.runtime.spec.pes_per_node
         duplicated = False
-        if spec.same_node(self.me, hop):
+        if self.me // ppn == hop // ppn:  # same node (both ranks are valid)
             # Intra-node delivery is a memcpy through shared memory;
             # injected network faults do not apply to it.
             kind = "local_send"

@@ -12,7 +12,7 @@ API shape follows bale's exstack:
 
 * ``push(payload, dst)`` — False when the buffer toward ``dst`` is full;
   the caller must reach the next collective ``exchange``.
-* ``exchange(done)`` — **collective**: swaps every PE's outgoing buffers
+* ``await exchange(done)`` — **collective**: swaps every PE's outgoing buffers
   (an alltoallv), after which ``pull`` drains the received items.
   Returns False once every PE has signalled done and nothing moved.
 * ``pull()`` — next ``(source_pe, payload)`` or None.
@@ -93,7 +93,7 @@ class Exstack:
         self.pushes += 1
         return True
 
-    def exchange(self, done: bool = False) -> bool:
+    async def exchange(self, done: bool = False) -> bool:
         """Collective buffer swap; False when the whole group is finished.
 
         Every PE must call this the same number of times (it is a
@@ -136,7 +136,7 @@ class Exstack:
             stores=8 + 2 * n_pes,
             extra_cycles=n_pes * self.perf.cost.put_issue_cycles,
         )
-        result = self.group.runtime.rendezvous(
+        result = await self.group.runtime.rendezvous(
             self.me, "exstack_exchange", contribution, combine
         )
         mine = result["delivered"][self.me]

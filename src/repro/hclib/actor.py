@@ -300,29 +300,6 @@ class Selector:
 
     # drain-loop helpers --------------------------------------------------
 
-    def _has_visible_work(self) -> bool:
-        """Actionable work right now: ingestable buffers, or ready
-        messages whose mailbox guard currently permits handling."""
-        return any(
-            mb.conveyor.has_visible_inbound()
-            or (mb.conveyor.ready_count > 0 and mb.enabled())
-            for mb in self.mb
-        )
-
-    def _has_any_inbound(self) -> bool:
-        """True when anything is headed here (even future-stamped), or
-        queued messages just became handleable (a guard flipped true).
-
-        Guard-disabled ready messages do NOT count — treating them as
-        wakeup-worthy would livelock the drain; if a guard never enables,
-        the scheduler's deadlock detector reports it instead.
-        """
-        return any(
-            mb.conveyor.has_inbound()
-            or (mb.conveyor.ready_count > 0 and mb.enabled())
-            for mb in self.mb
-        )
-
     def _cascade_pending(self) -> bool:
         """True when a chained done is ready to fire (progress needed)."""
         return any(
@@ -331,15 +308,6 @@ class Selector:
             and self.mb[i].conveyor.is_complete()
             for i in range(len(self.mb) - 1)
         )
-
-    def _next_arrival(self) -> int | None:
-        times = [
-            t for mb in self.mb if (t := mb.conveyor.next_arrival_time()) is not None
-        ]
-        return min(times, default=None)
-
-    def _undone_mailboxes(self) -> list[int]:
-        return [mb.index for mb in self.mb if not mb.done_called]
 
 
 class Actor(Selector):

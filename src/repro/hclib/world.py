@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Coroutine, Sequence
 
 import numpy as np
 
@@ -136,46 +136,97 @@ class World:
         self._slots.append(slot)
         return slot
 
-    def run(self, program: Callable[["PEContext"], Any]) -> list[Any]:
-        """Execute ``program(ctx)`` on every PE; returns per-PE results."""
-        results: list[Any] = [None] * self.spec.n_pes
-
-        def entry(rank: int) -> None:
-            results[rank] = program(self.contexts[rank])
-
-        self.scheduler.run(entry)
-        return results
+    def run(self, program: Callable[["PEContext"], Coroutine[Any, Any, Any]]) -> list[Any]:
+        """Execute the ``async def`` ``program(ctx)`` on every PE; returns
+        per-PE results.  A program that does not return a coroutine is a
+        :class:`SimulationError` naming the PE."""
+        contexts = self.contexts
+        return self.scheduler.run(lambda rank: program(contexts[rank]))
 
 
 class FinishScope:
-    """``hclib::finish``: waits for all sends to land and be processed."""
+    """``hclib::finish``: waits for all sends to land and be processed.
+
+    An async context manager: ``async with ctx.finish():`` — leaving the
+    body awaits the drain.
+    """
 
     def __init__(self, ctx: "PEContext") -> None:
         self.ctx = ctx
         self.selectors: list = []
         self._tasks: list = []
-        self._active = False
-        self._chan_cache: tuple = ()
-        self._chan_cache_for = -1
+        self._refresh()
 
-    def _drain_channels(self) -> tuple:
-        """WaitChannels covering everything the drain predicates read.
+    def _refresh(self) -> None:
+        """Rebuild the flat views of the registered selectors the drain
+        predicates read.  Handlers can register new selectors mid-drain,
+        so every reader rebuilds them whenever the selector count moved.
 
-        Per selector mailbox: the conveyor group's quiescence channel
-        (``all_complete`` / ``_cascade_pending``) and this PE's endpoint
-        delivery channel (``visible`` / ``_has_any_inbound``).  Handlers
-        can register new selectors mid-drain, so the tuple is rebuilt
-        whenever the selector count changes.
+        ``_mailboxes`` holds every selector mailbox, ``_groups`` their
+        conveyor groups, ``_chained`` the selectors with more than one
+        mailbox (only those can have a chained done pending), and
+        ``_channels`` the WaitChannels covering everything the predicates
+        read: per mailbox, the group's quiescence channel and this PE's
+        endpoint delivery channel.
         """
-        if self._chan_cache_for != len(self.selectors):
-            chans = []
-            for s in self.selectors:
-                for mb in s.mb:
-                    chans.append(mb.conveyor.group.wake)
-                    chans.append(mb.conveyor.inbox_wake)
-            self._chan_cache = tuple(chans)
-            self._chan_cache_for = len(self.selectors)
-        return self._chan_cache
+        sels = self.selectors
+        self._mailboxes = tuple(mb for s in sels for mb in s.mb)
+        self._groups = tuple(mb.conveyor.group for mb in self._mailboxes)
+        self._chained = tuple(s for s in sels if len(s.mb) > 1)
+        self._channels = tuple(
+            ch for mb in self._mailboxes
+            for ch in (mb.conveyor.group.wake, mb.conveyor.inbox_wake))
+        self._flat_for = len(sels)
+
+    def _all_complete(self) -> bool:
+        """Every registered selector's conveyors are globally quiescent."""
+        if self._flat_for != len(self.selectors):
+            self._refresh()
+        for group in self._groups:
+            if not group.quiescent:
+                return False
+        return True
+
+    def _visible(self) -> bool:
+        """Actionable work now: an inbound buffer visible at this PE's
+        clock, a ready message its mailbox guard admits, or a chained done
+        ready to fire."""
+        if self._flat_for != len(self.selectors):
+            self._refresh()
+        now = self.ctx.perf.clock.now
+        for mb in self._mailboxes:
+            cv = mb.conveyor
+            arrival = cv._min_arrival
+            if arrival is not None and arrival <= now:
+                return True
+            if cv.ready._count and mb.enabled():
+                return True
+        for s in self._chained:
+            if s._cascade_pending():
+                return True
+        return False
+
+    def _arrived(self) -> bool:
+        """Wake predicate while buffers are in flight to this PE."""
+        return self._all_complete() or self._visible()
+
+    def _idle_over(self) -> bool:
+        """Wake predicate while nothing is in flight to this PE: anything
+        delivered here (even future-stamped — the drain then re-blocks
+        with its arrival time), a ready message its guard now admits
+        (guard-disabled ones do not count: waking for them would livelock
+        the drain, and the deadlock report names a guard that never
+        opens), global quiescence, or a chained done ready to fire."""
+        if self._all_complete():
+            return True
+        for mb in self._mailboxes:
+            cv = mb.conveyor
+            if cv.inbound or (cv.ready._count and mb.enabled()):
+                return True
+        for s in self._chained:
+            if s._cascade_pending():
+                return True
+        return False
 
     def _register(self, selector) -> None:
         self.selectors.append(selector)
@@ -194,28 +245,28 @@ class FinishScope:
             ran += 1
         return ran
 
-    def __enter__(self) -> "FinishScope":
+    async def __aenter__(self) -> "FinishScope":
         ctx = self.ctx
         ctx._finish_stack.append(self)
-        self._active = True
         ctx.world.hooks.finish_start(ctx.rank)
         ctx._enter_main()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    async def __aexit__(self, exc_type, exc, tb) -> None:
         ctx = self.ctx
         ctx._exit_main()
-        self._active = False
         try:
             if exc_type is None:
-                self._drain()
+                await self._drain()
         finally:
             ctx._finish_stack.pop()
             ctx.world.hooks.finish_end(ctx.rank)
 
-    def _drain(self) -> None:
+    async def _drain(self) -> None:
         """Run handlers until every registered selector is complete."""
         ctx = self.ctx
+        rank = ctx.rank
+        scheduler = ctx.scheduler
         sels = self.selectors
         # Async tasks deferred in the body run first — they may send and
         # may be the ones calling done() (the HClib async idiom).
@@ -227,58 +278,44 @@ class FinishScope:
         ]
         if missing:
             raise SimulationError(
-                f"PE {ctx.rank}: finish scope ended but done() was never called "
+                f"PE {rank}: finish scope ended but done() was never called "
                 f"on mailbox 0 of selector(s) {missing}; the finish would wait "
                 "forever"
             )
-
-        def all_complete() -> bool:
-            return all(s.is_complete() for s in sels)
-
-        def visible() -> bool:
-            return any(
-                s._has_visible_work() or s._cascade_pending() for s in sels
-            )
-
-        while not all_complete() or self._tasks:
+        while not self._all_complete() or self._tasks:
             handled = self._run_pending_tasks()  # handlers may spawn tasks
             for s in sels:
                 handled += s._progress()
-            if all_complete() and not self._tasks:
+            if self._all_complete() and not self._tasks:
                 break
-            if handled == 0 and not visible():
-                arrivals = [t for s in sels if (t := s._next_arrival()) is not None]
+            if handled == 0 and not self._visible():
+                arrivals = [t for mb in self._mailboxes
+                            if (t := mb.conveyor._min_arrival) is not None]
                 if arrivals:
                     # Buffers are in flight to us: sleep until the earliest
                     # lands (or something becomes visible / all complete).
-                    ctx.scheduler.block(
-                        ctx.rank,
-                        predicate=lambda: all_complete() or visible(),
+                    await scheduler.block(
+                        rank,
+                        predicate=self._arrived,
                         wakeup_time=min(arrivals),
                         reason="finish drain (awaiting arrival)",
-                        channels=self._drain_channels(),
+                        channels=self._channels,
                     )
                 else:
-                    # Nothing in flight to us yet: wake when anything is
-                    # delivered here (even future-stamped — the next loop
-                    # iteration re-blocks with its arrival time), when the
-                    # conveyors quiesce globally, or when a chained done
-                    # becomes ready to fire.  The cascade clause matters:
-                    # group completion needs done() from EVERY endpoint,
-                    # so an idle PE must wake to cascade its own — without
-                    # this, a PE that drained its messages before the
-                    # predecessor mailbox completed globally sleeps
-                    # forever and the finish deadlocks.
-                    ctx.scheduler.block(
-                        ctx.rank,
-                        predicate=lambda: all_complete()
-                        or any(s._has_any_inbound() for s in sels)
-                        or any(s._cascade_pending() for s in sels),
+                    # Nothing in flight to us yet.  The cascade clause of
+                    # the wake predicate matters: group completion needs
+                    # done() from EVERY endpoint, so an idle PE must wake
+                    # to cascade its own — without it, a PE that drained
+                    # its messages before the predecessor mailbox completed
+                    # globally sleeps forever and the finish deadlocks.
+                    await scheduler.block(
+                        rank,
+                        predicate=self._idle_over,
                         reason="finish drain (idle)",
-                        channels=self._drain_channels(),
+                        channels=self._channels,
                     )
             else:
-                ctx.scheduler.yield_pe(ctx.rank)
+                await scheduler.yield_pe(rank)
 
 
 class PEContext:
@@ -311,7 +348,7 @@ class PEContext:
     # --- structured parallelism -------------------------------------------
 
     def finish(self) -> FinishScope:
-        """Open a finish scope (use as a context manager)."""
+        """Open a finish scope: ``async with ctx.finish():``."""
         return FinishScope(self)
 
     def async_(self, fn: Callable[[], Any]) -> None:
@@ -319,8 +356,8 @@ class PEContext:
         enclosing finish completes.
 
         Tasks register with the *innermost* enclosing finish (HClib
-        semantics) and run cooperatively on the PE's single thread at the
-        finish drain, FIFO, inside the MAIN region.  Tasks may send
+        semantics) and run on this PE at the finish drain, FIFO, inside the
+        MAIN region.  A task is a plain callable: it never blocks.  Tasks may send
         messages, spawn further tasks, and call ``done()`` — the finish
         waits for all of it.
         """
@@ -366,14 +403,14 @@ class PEContext:
         self.perf.work(ins=ins, loads=loads, stores=stores,
                        branches=branches, flops=flops, vec=vec)
 
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         """Convenience pass-through to ``shmem_barrier_all``."""
         with self._runtime_section():
-            self.shmem.barrier_all()
+            await self.shmem.barrier_all()
 
-    def yield_pe(self) -> None:
+    async def yield_pe(self) -> None:
         """Cooperatively offer the simulated CPU to other PEs."""
-        self.scheduler.yield_pe(self.rank)
+        await self.scheduler.yield_pe(self.rank)
 
 
 @dataclass
@@ -406,7 +443,9 @@ def run_spmd(
     Parameters
     ----------
     program:
-        Callable executed once per PE with a :class:`PEContext`.
+        ``async def`` function executed once per PE with a
+        :class:`PEContext`; every blocking call inside it (finish scopes,
+        collectives, ``yield_pe``) is awaited.
     machine:
         Cluster shape; defaults to 1 node × 4 PEs.
     cost:

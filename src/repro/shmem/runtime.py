@@ -137,7 +137,8 @@ class ShmemRuntime:
     def unregister_observer(self, observer: Callable[[ShmemCall], None]) -> None:
         self._observers.remove(observer)
 
-    def rendezvous(self, rank: int, kind: str, value: Any, combine: Callable[[dict[int, Any]], Any]) -> Any:
+    async def rendezvous(self, rank: int, kind: str, value: Any,
+                         combine: Callable[[dict[int, Any]], Any]) -> Any:
         """Generic blocking collective.
 
         Every PE calls with the same ``kind`` at the same collective
@@ -181,7 +182,7 @@ class ShmemRuntime:
                 return any(r not in state.arrived for r in self.scheduler.crashed)
 
             if not broken():
-                self.scheduler.block(
+                await self.scheduler.block(
                     rank,
                     predicate=lambda: state.released or broken(),
                     reason=f"collective {kind} #{seq}",
@@ -384,7 +385,7 @@ class ShmemContext:
         self.runtime.log("shmem_atomic_compare_swap", self.rank, target_pe, arr.itemsize)
         return old
 
-    def wait_until(self, arr: SymmetricArray, offset: int, predicate) -> None:
+    async def wait_until(self, arr: SymmetricArray, offset: int, predicate) -> None:
         """``shmem_wait_until``: block until ``predicate(local_value)``.
 
         The predicate is evaluated over this PE's own copy (the usual
@@ -392,7 +393,7 @@ class ShmemContext:
         """
         mine = arr.local(self.rank).reshape(-1)
         self.perf.work(ins=10, loads=2)
-        self.runtime.scheduler.wait_until(
+        await self.runtime.scheduler.wait_until(
             self.rank,
             predicate=lambda: bool(predicate(int(mine[offset]))),
             reason="shmem_wait_until",
@@ -401,22 +402,22 @@ class ShmemContext:
 
     # --- collectives -------------------------------------------------------
 
-    def barrier_all(self) -> None:
+    async def barrier_all(self) -> None:
         """``shmem_barrier_all``."""
         self.perf.work(ins=20, extra_cycles=self.runtime.cost.barrier_cycles)
-        self.runtime.rendezvous(self.rank, "barrier", None, lambda a: None)
+        await self.runtime.rendezvous(self.rank, "barrier", None, lambda a: None)
         self.runtime.log("shmem_barrier_all", self.rank, self.rank, 0)
 
-    def broadcast(self, value: Any, root: int = 0) -> Any:
+    async def broadcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast ``value`` from ``root``; other PEs pass anything."""
 
         def combine(arrived: dict[int, Any]) -> Any:
             return arrived[root]
 
         self.perf.work(ins=30, loads=5, stores=5)
-        return self.runtime.rendezvous(self.rank, f"broadcast:{root}", value, combine)
+        return await self.runtime.rendezvous(self.rank, f"broadcast:{root}", value, combine)
 
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
+    async def allreduce(self, value: Any, op: str = "sum") -> Any:
         """All-reduce a scalar or ndarray with ``op`` in {sum, max, min}."""
         reducer = _REDUCERS.get(op)
         if reducer is None:
@@ -426,9 +427,9 @@ class ShmemContext:
             return reducer([arrived[r] for r in sorted(arrived)])
 
         self.perf.work(ins=40, loads=8, stores=8)
-        return self.runtime.rendezvous(self.rank, f"allreduce:{op}", value, combine)
+        return await self.runtime.rendezvous(self.rank, f"allreduce:{op}", value, combine)
 
-    def exscan(self, value: int, op: str = "sum") -> int:
+    async def exscan(self, value: int, op: str = "sum") -> int:
         """Exclusive prefix reduction over ranks (rank 0 gets the identity).
 
         The staple collective of bale kernels (e.g. assigning global slots
@@ -447,10 +448,10 @@ class ShmemContext:
             return prefix
 
         self.perf.work(ins=35, loads=6, stores=6)
-        prefixes = self.runtime.rendezvous(self.rank, "exscan:sum", int(value), combine)
+        prefixes = await self.runtime.rendezvous(self.rank, "exscan:sum", int(value), combine)
         return prefixes[rank]
 
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
+    async def alltoall(self, values: Sequence[Any]) -> list[Any]:
         """All-to-all exchange: PE ``p`` receives ``[contrib[j][p] for j]``."""
         if len(values) != self.n_pes:
             raise ValueError(
@@ -463,5 +464,5 @@ class ShmemContext:
             return {r: list(v) for r, v in arrived.items()}
 
         self.perf.work(ins=50, loads=10, stores=10)
-        matrix = self.runtime.rendezvous(self.rank, "alltoall", list(values), combine)
+        matrix = await self.runtime.rendezvous(self.rank, "alltoall", list(values), combine)
         return [matrix[j][rank] for j in range(self.n_pes)]

@@ -6,8 +6,9 @@ This package provides the execution substrate every simulated runtime layer
 * :class:`~repro.sim.clock.CycleClock` — per-PE virtual cycle counters
   (the simulated ``rdtsc``).
 * :class:`~repro.sim.scheduler.CoopScheduler` — a deterministic cooperative
-  scheduler that runs one Python thread per simulated PE, with exactly one
-  thread executing at a time, selected by (virtual clock, rank).  What a
+  scheduler that drives one ``async def`` coroutine per simulated PE from
+  a single loop, resuming one PE at a time, selected by (virtual clock,
+  rank).  What a
   PE waits on — message arrivals, collectives — is a timed wakeup or a
   :class:`~repro.sim.scheduler.WaitChannel` notification; the only other
   scheduled future is an injected crash (:mod:`repro.sim.faults`).

@@ -10,7 +10,7 @@ class SimulationError(RuntimeError):
 class DeadlockError(SimulationError):
     """All PEs are blocked and no future event can unblock any of them.
 
-    Raised by the scheduler when every PE thread is waiting on a predicate
+    Raised by the scheduler when every PE is waiting on a predicate
     that is false, there are no timed wakeups, and the event queue is empty.
     The message includes a per-PE description of what each PE was waiting
     for, which is usually enough to diagnose a missing ``done()`` call or an
@@ -23,8 +23,9 @@ class PEFailure(SimulationError):
 
     The original exception is available as ``__cause__`` and the failing
     rank as :attr:`rank`.  A negative rank is the scheduler's sentinel for
-    the coordinating main thread (e.g. the initial selection failed before
-    any PE ran) — labelled as such rather than blamed on a real PE.
+    its own loop, which runs on the caller's (main) thread — e.g. the
+    initial selection failed before any PE ran — and is labelled as such
+    rather than blamed on a real PE.
     """
 
     def __init__(self, rank: int, message: str) -> None:

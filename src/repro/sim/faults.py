@@ -24,9 +24,9 @@ Injection points (wired in by :class:`~repro.hclib.world.World`):
 
 =================  ====================================================
 crash              :meth:`~repro.sim.scheduler.CoopScheduler.schedule_crash`
-                   — the PE's thread unwinds at its next scheduling
-                   point past the crash cycle; the rest of the
-                   simulation continues.
+                   — the PE's coroutine is closed at its next
+                   scheduling point past the crash cycle; the rest
+                   of the simulation continues.
 drop/dup/delay     the Conveyors buffer-send boundary
                    (:meth:`repro.conveyors.conveyor.Conveyor._flush_buffer`)
                    — dropped buffer puts are retried with exponential

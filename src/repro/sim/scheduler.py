@@ -1,11 +1,15 @@
 """Deterministic cooperative scheduler for simulated PEs.
 
-Each simulated PE runs in its own Python thread, but **exactly one thread
-executes at a time**: control is passed baton-style at explicit scheduling
-points (``yield_pe`` / ``block`` / PE completion).  This gives SPMD layer
-code the luxury of writing straight-line blocking operations (barriers,
-conveyor advances, finish scopes) while keeping execution fully
-deterministic.
+Each simulated PE runs its SPMD program as a coroutine (``async def``),
+and :meth:`CoopScheduler.run` drives all of them from **one plain loop**
+— no threads, no event-loop library.  Control changes hands only at
+explicit scheduling points (``await`` on :meth:`~CoopScheduler.yield_pe`
+/ :meth:`~CoopScheduler.block`, or PE completion): the PE at the point
+runs the selection itself, keeps running if it won, and otherwise parks
+on a one-slot awaitable while the loop resumes the winner with
+``coro.send(None)``.  SPMD layer code keeps straight-line blocking
+operations (barriers, finish scopes) — each is one ``await`` — and
+execution stays fully deterministic.
 
 Scheduling rule
 ---------------
@@ -18,9 +22,12 @@ At every handoff the scheduler picks, among
 the candidate with the smallest (time, rank) key.  Injected crashes
 (:meth:`CoopScheduler.schedule_crash`) are the only other scheduled
 futures: every crash due at a cycle fires, in ``schedule_crash`` order,
-strictly before any candidate at or after that cycle.  If nothing is
-runnable, no predicate holds, no timed wakeups exist and no crash is
-pending while some PE is still blocked, a
+strictly before any candidate at or after that cycle.  A crash only
+marks its victim; the loop closes the victim's coroutine the next time
+it holds control — before any other PE resumes — so the
+victim's ``finally`` blocks (``finish_end`` and friends) run at that
+fixed point.  If nothing is runnable, no predicate holds, no timed
+wakeups exist and no crash is pending while some PE is still blocked, a
 :class:`~repro.sim.errors.DeadlockError` is raised with a per-PE wait
 report.
 
@@ -40,7 +47,8 @@ handoff.
 The pre-index linear scan is the differential-testing oracle and lives
 with the tests (``tests/sched_oracle.py``: a subclass overriding only
 ``_select_locked``).  Both produce byte-identical traces; the
-golden-archive suite pins this.
+golden-archive suite pins this.  (There is no lock: the ``_locked``
+suffix marks the methods that run between two resumptions.)
 
 Virtual time
 ------------
@@ -55,13 +63,13 @@ strictly conservative.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 import traceback
 from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from types import CoroutineType
+from typing import Any, Callable, Coroutine, Iterable, Sequence
 
 import numpy as np
 
@@ -116,19 +124,18 @@ class PEState(enum.Enum):
     CRASHED = "crashed"
 
 
-class _Abort(BaseException):
-    """Internal: unwinds a PE thread when the simulation is torn down."""
+class _Park:
+    """The one-slot awaitable a PE suspends on; ``send(None)`` resumes it."""
+
+    __slots__ = ()
+
+    def __await__(self):
+        yield
 
 
-class _CrashUnwind(BaseException):
-    """Internal: unwinds a PE thread killed by an injected crash fault.
+_PARK = _Park()
 
-    Unlike :class:`_Abort` this does not abort the simulation — the
-    remaining PEs keep running.
-    """
-
-
-_MAIN = -1  # sentinel "rank" for the coordinating main thread
+_MAIN = -1  # sentinel "rank" for the scheduler loop itself
 
 
 class WaitChannel:
@@ -144,9 +151,8 @@ class WaitChannel:
     linear oracle (``tests/sched_oracle.py``), which the differential
     tests and golden archives guard.
 
-    ``notify`` is safe to call without the scheduler lock: only one PE
-    thread executes at a time (the baton invariant), and crash firings —
-    the other mutation source — run under the lock inside selection.
+    Only one PE executes at a time, and crash firings — the other
+    mutation source — run inside selection, so ``notify`` needs no lock.
     """
 
     __slots__ = ("_sched", "_waiters")
@@ -166,66 +172,28 @@ class SchedStats:
     """Operation counters for the scheduler hot path (benchmark food)."""
 
     selections: int = 0       # _select calls (every scheduling point)
-    handoffs: int = 0         # baton transfers to a different PE thread
-    yield_fast: int = 0       # yields resolved without a thread handoff
+    handoffs: int = 0         # control transfers to a different PE
+    yield_fast: int = 0       # yields resolved without a handoff
     events_fired: int = 0     # injected crashes fired
     event_batches: int = 0    # distinct cycles at which crashes fired
     pred_evals: int = 0       # blocked-predicate evaluations
     wall_s: float = 0.0       # wall-clock seconds spent inside run()
 
 
-class _Baton:
-    """One-token thread parking primitive (a pre-acquired raw lock).
-
-    Semantically a ``threading.Event`` whose :meth:`wait` also consumes the
-    signal, but built on one uncontended lock acquire/release pair instead
-    of the Event/Condition machinery — the baton handoff is the scheduler's
-    per-context-switch floor, so the cheap primitive is worth having.
-    ``set`` is idempotent like ``Event.set`` (the abort broadcast in
-    ``_fail_locked`` may signal a PE the selection loop already woke).
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lock.acquire()  # start unsignalled
-
-    def set(self) -> None:
-        try:
-            self._lock.release()
-        except RuntimeError:
-            pass  # already signalled
-
-    def wait(self) -> None:
-        self._lock.acquire()
-
-
 class _PERecord:
-    __slots__ = (
-        "rank",
-        "state",
-        "wake",
-        "predicate",
-        "wakeup_time",
-        "reason",
-        "thread",
-        "channels",
-    )
+    __slots__ = ("rank", "state", "predicate", "wakeup_time", "reason", "channels")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.state = PEState.NEW
-        self.wake = _Baton()
         self.predicate: Callable[[], bool] | None = None
         self.wakeup_time: int | None = None
         self.reason = ""
-        self.thread: threading.Thread | None = None
         self.channels: tuple[WaitChannel, ...] = ()
 
 
 class CoopScheduler:
-    """Runs ``n_pes`` copies of an SPMD entry point cooperatively.
+    """Runs ``n_pes`` SPMD coroutines cooperatively from one loop.
 
     Parameters
     ----------
@@ -253,11 +221,11 @@ class CoopScheduler:
         self._crashes: list[tuple] = []
         self.stats = SchedStats()
         self._pes = [_PERecord(r) for r in range(n_pes)]
-        self._lock = threading.Lock()
-        self._done = threading.Event()
-        self._failure: PEFailure | None = None
-        self._aborting = False
         self._started = False
+        #: The PE the loop resumes when the running one parks (None: nobody).
+        self._next: _PERecord | None = None
+        #: Crashed PEs whose coroutines the loop has yet to close, in firing order.
+        self._doomed: list[int] = []
         # Candidate index.  _keys[r] is PE r's current candidate key
         # (_NO_KEY when not selectable); _dirty holds ranks whose blocked
         # predicate must be re-evaluated before the next selection;
@@ -276,12 +244,12 @@ class CoopScheduler:
         self.fault_context: Callable[[], str] | None = None
         #: Optional ``(rank, start, end, reason)`` callback fired whenever a
         #: :meth:`block` call resumes with the PE's clock advanced (i.e. the
-        #: PE genuinely waited).  Pure observation: it runs on the PE's own
-        #: thread after the baton handoff and must not charge cycles.
+        #: PE genuinely waited).  Pure observation: it runs in the PE's own
+        #: coroutine after it resumed and must not charge cycles.
         self.wait_observer: Callable[[int, int, int, str], None] | None = None
 
     # ------------------------------------------------------------------
-    # Public API used by layer code running *inside* PE threads
+    # Public API used by layer code running *inside* PE coroutines
     # ------------------------------------------------------------------
 
     def now(self, rank: int) -> int:
@@ -292,31 +260,26 @@ class CoopScheduler:
         """Create a :class:`WaitChannel` bound to this scheduler."""
         return WaitChannel(self)
 
-    def yield_pe(self, rank: int) -> None:
-        """Offer the baton to any PE that is further behind in virtual time.
+    async def yield_pe(self, rank: int) -> None:
+        """Offer control to any PE that is further behind in virtual time.
 
-        Returns immediately (without a thread handoff) when the caller is
-        still the minimum-time candidate.
+        Returns without suspending when the caller is still the
+        minimum-time candidate.
         """
-        with self._lock:
-            self._check_abort()
-            rec = self._pes[rank]
-            rec.state = PEState.RUNNABLE
-            self._keys[rank] = self.clocks[rank].now
-            nxt = self._select_locked()
-            if nxt is rec:
-                rec.state = PEState.RUNNING
-                self._keys[rank] = _NO_KEY
-                self.stats.yield_fast += 1
-                return
-            # nxt can be None (everything else DONE) only when a crash
-            # fired during selection killed this very PE; _sleep below
-            # then unwinds it.
-            if nxt is not None:
-                self._wake_locked(nxt)
-        self._sleep(rank)
+        rec = self._pes[rank]
+        rec.state = PEState.RUNNABLE
+        self._keys[rank] = self.clocks[rank].now
+        nxt = self._select_locked()
+        if nxt is rec:
+            rec.state = PEState.RUNNING
+            self._keys[rank] = _NO_KEY
+            self.stats.yield_fast += 1
+            return
+        # nxt can be None (everything else DONE) only when a crash fired
+        # during selection killed this very PE; the loop then closes it.
+        await self._park(nxt)
 
-    def block(
+    async def block(
         self,
         rank: int,
         predicate: Callable[[], bool] | None = None,
@@ -344,35 +307,24 @@ class CoopScheduler:
                 f"PE {rank} tried to block forever ({reason or 'no reason given'})"
             )
         entered_at = self.clocks[rank].now
-        with self._lock:
-            self._check_abort()
-            rec = self._pes[rank]
-            rec.state = PEState.BLOCKED
-            rec.predicate = predicate
-            rec.wakeup_time = wakeup_time
-            rec.reason = reason
-            self._n_blocked += 1
-            self._index_block_locked(rec, channels)
-            nxt = self._select_locked()
-            if nxt is rec:
-                self._resume_locked(rec)
-                self._note_wait(rank, entered_at, reason)
-                return
-            if nxt is not None:
-                self._wake_locked(nxt)
-        self._sleep(rank)
-        self._note_wait(rank, entered_at, reason)
+        rec = self._pes[rank]
+        rec.state = PEState.BLOCKED
+        rec.predicate = predicate
+        rec.wakeup_time = wakeup_time
+        rec.reason = reason
+        self._n_blocked += 1
+        self._index_block_locked(rec, channels)
+        nxt = self._select_locked()
+        if nxt is rec:
+            self._resume_locked(rec)
+        else:
+            await self._park(nxt)
+        if self.wait_observer is not None:
+            now = self.clocks[rank].now
+            if now > entered_at:
+                self.wait_observer(rank, entered_at, now, reason)
 
-    def _note_wait(self, rank: int, entered_at: int, reason: str) -> None:
-        """Report a completed :meth:`block` interval to the wait observer."""
-        observer = self.wait_observer
-        if observer is None:
-            return
-        now = self.clocks[rank].now
-        if now > entered_at:
-            observer(rank, entered_at, now, reason)
-
-    def wait_until(
+    async def wait_until(
         self,
         rank: int,
         predicate: Callable[[], bool],
@@ -388,8 +340,8 @@ class CoopScheduler:
         """
         while not predicate():
             wk = wakeup_fn() if wakeup_fn is not None else None
-            self.block(rank, predicate=predicate, wakeup_time=wk,
-                       reason=reason, channels=channels)
+            await self.block(rank, predicate=predicate, wakeup_time=wk,
+                             reason=reason, channels=channels)
 
     def schedule_crash(
         self,
@@ -399,23 +351,23 @@ class CoopScheduler:
     ) -> None:
         """Kill PE ``rank`` at its first scheduling point >= ``at_cycle``.
 
-        The crash does **not** abort the simulation: the victim's thread
-        unwinds silently and every other PE keeps running (to completion,
-        to a broken collective, or to a deadlock).  :meth:`run` raises
-        :class:`~repro.sim.errors.PECrashed` afterwards so callers know
-        the run is degraded; collected traces stay readable.
+        The crash does **not** abort the simulation: the victim's coroutine
+        is closed (its ``finally`` blocks run) and every other PE keeps
+        running (to completion, to a broken collective, or to a deadlock).
+        :meth:`run` raises :class:`~repro.sim.errors.PECrashed` afterwards
+        so callers know the run is degraded; collected traces stay readable.
 
         A PE that reaches DONE/FAILED before cycle ``at_cycle`` survives —
         the same way a SIGKILL delivered after ``exit()`` changes nothing.
-        ``on_crash(rank, cycle)`` (if given) runs under the scheduler lock
-        the moment the crash fires; it must be a quick data mutation.
+        ``on_crash(rank, cycle)`` (if given) runs inside selection the
+        moment the crash fires; it must be a quick data mutation.
         """
         if not 0 <= rank < self.n_pes:
             raise ValueError(f"cannot crash PE {rank}: only {self.n_pes} PEs")
         if at_cycle < 0:
             raise ValueError(f"crash cycle must be >= 0, got {at_cycle}")
-        with self._lock:  # inserted after its equals: ties keep call order
-            insort(self._crashes, (at_cycle, rank, on_crash), key=itemgetter(0))
+        # inserted after its equals: ties keep call order
+        insort(self._crashes, (at_cycle, rank, on_crash), key=itemgetter(0))
 
     def _crash_locked(
         self,
@@ -423,14 +375,13 @@ class CoopScheduler:
         rank: int,
         on_crash: Callable[[int, int], None] | None,
     ) -> None:
-        """Fire one pending crash: mark ``rank`` crashed (under the lock).
+        """Fire one pending crash: mark ``rank`` crashed.
 
-        Crashes only ever fire inside selection, at which point no
-        PE is RUNNING — the victim is RUNNABLE or BLOCKED, i.e. its
-        thread is parked in :meth:`_sleep`.  Setting its wake event makes
-        that thread resume, observe the CRASHED state, and unwind via
-        :class:`_CrashUnwind` without ever re-entering user code; the
-        selection loop simply skips it from now on.
+        Crashes only ever fire inside selection, so the victim is parked
+        (RUNNABLE or BLOCKED) or is the PE running that very selection.
+        Either way it is only marked here and queued on ``_doomed``; the
+        loop closes its coroutine the next time it holds control, before
+        any other PE resumes, so the victim never re-enters user code.
         """
         rec = self._pes[rank]
         if rec.state in (PEState.DONE, PEState.FAILED, PEState.CRASHED):
@@ -447,63 +398,77 @@ class CoopScheduler:
         self.crashed[rank] = at_cycle
         if on_crash is not None:
             on_crash(rank, at_cycle)
-        rec.wake.set()
+        self._doomed.append(rank)
 
     # ------------------------------------------------------------------
     # Running the simulation
     # ------------------------------------------------------------------
 
-    def run(self, entry: Callable[[int], None], join_timeout: float = 30.0) -> None:
-        """Execute ``entry(rank)`` once per PE to completion.
+    def run(self, entry: Callable[[int], Coroutine[Any, Any, Any]]) -> list[Any]:
+        """Drive the coroutine ``entry(rank)`` of every PE to completion.
 
-        Raises :class:`PEFailure` if any PE's program raised, and
-        :class:`DeadlockError` if the simulation wedged.  ``join_timeout``
-        bounds the *total* teardown wait for PE threads; threads still
-        alive afterwards are a leak and raise :class:`SimulationError`.
+        Returns the per-PE return values.  Raises :class:`PEFailure` if any
+        PE's program raised or the simulation wedged (the cause is then a
+        :class:`DeadlockError`) — every other PE's coroutine is closed
+        first, in rank order — and :class:`PECrashed` after a run that
+        completed around injected crashes.
         """
         if self._started:
             raise SimulationError("CoopScheduler.run may only be called once")
         self._started = True
+        coros = []
+        for rank in range(self.n_pes):
+            coro = entry(rank)
+            if not isinstance(coro, CoroutineType):
+                for started in coros:
+                    started.close()
+                raise SimulationError(
+                    f"PE {rank}: the program returned {type(coro).__name__}, "
+                    "not a coroutine — SPMD programs are `async def` functions"
+                )
+            coros.append(coro)
+        results: list[Any] = [None] * self.n_pes
+        doomed = self._doomed
+        rank = _MAIN
         run_t0 = time.perf_counter()
         self._keys[:] = collect_now(self.clocks)
         for rec in self._pes:
             rec.state = PEState.RUNNABLE
-            rec.thread = threading.Thread(
-                target=self._pe_main,
-                args=(rec.rank, entry),
-                name=f"sim-pe-{rec.rank}",
-                daemon=True,
-            )
-        for rec in self._pes:
-            assert rec.thread is not None
-            rec.thread.start()
-        # Hand the baton to the first PE.
-        with self._lock:
-            try:
-                nxt = self._select_locked()
-            except SimulationError as exc:
-                self._fail_locked(_MAIN, exc)
-                nxt = None
+        try:
+            nxt = self._select_locked()
             if nxt is not None:
                 self._wake_locked(nxt)
-        self._done.wait()
+            while True:
+                while doomed:  # crashed since the loop last held control
+                    rank = doomed.pop(0)
+                    coros[rank].close()
+                if nxt is None:
+                    break
+                rank = nxt.rank
+                try:
+                    coros[rank].send(None)
+                except StopIteration as stop:
+                    results[rank] = stop.value
+                    nxt.state = PEState.DONE
+                    nxt = self._select_locked()
+                    if nxt is not None:
+                        self._wake_locked(nxt)
+                else:
+                    nxt = self._next
+        except Exception as exc:  # noqa: BLE001 - report any PE failure
+            self.stats.wall_s = time.perf_counter() - run_t0
+            if rank >= 0:
+                self._pes[rank].state = PEState.FAILED
+            for coro in coros:  # unwind every suspended PE, in rank order
+                try:
+                    coro.close()
+                except Exception:  # noqa: BLE001 - the first failure wins
+                    pass
+            # rank < 0 is the scheduler loop itself (_MAIN): PEFailure
+            # labels it as such instead of blaming PE 0.
+            tb = "".join(traceback.format_exception(exc))
+            raise PEFailure(rank, f"{exc!r}\n{tb}") from exc
         self.stats.wall_s = time.perf_counter() - run_t0
-        deadline = time.monotonic() + join_timeout
-        for rec in self._pes:
-            assert rec.thread is not None
-            rec.thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self._failure is not None:
-            raise self._failure
-        leaked = [rec.thread.name for rec in self._pes
-                  if rec.thread is not None and rec.thread.is_alive()]
-        if leaked:
-            shown = ", ".join(leaked[:8])
-            if len(leaked) > 8:
-                shown += f", ... ({len(leaked) - 8} more)"
-            raise SimulationError(
-                f"simulation ended but {len(leaked)} PE thread(s) failed to "
-                f"exit within {join_timeout:g}s: {shown}"
-            )
         if self.crashed:
             # The run completed around the dead PE(s); report the first
             # crash so callers know the result is degraded.  Traces
@@ -516,56 +481,23 @@ class CoopScheduler:
                 )
                 extra = f"also crashed: {others}"
             raise PECrashed(rank, self.crashed[rank], extra)
+        return results
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _pe_main(self, rank: int, entry: Callable[[int], None]) -> None:
-        rec = self._pes[rank]
-        try:
-            self._sleep(rank)  # wait until the baton first reaches us
-            entry(rank)
-        except _Abort:
-            return
-        except _CrashUnwind:
-            # Injected crash: this thread just dies.  The crash action
-            # already removed us from scheduling; whoever holds the baton
-            # carries on.
-            return
-        except BaseException as exc:  # noqa: BLE001 - report any PE failure
-            with self._lock:
-                self._fail_locked(rank, exc)
-            return
-        # Normal completion: mark done and pass the baton on.
-        with self._lock:
-            rec.state = PEState.DONE
-            if self._aborting:
-                return
-            try:
-                nxt = self._select_locked()
-            except SimulationError as exc:
-                self._fail_locked(rank, exc)
-                return
-            if nxt is not None:
-                self._wake_locked(nxt)
-
-    def _sleep(self, rank: int) -> None:
-        rec = self._pes[rank]
-        rec.wake.wait()  # consumes the signal
-        if rec.state is PEState.CRASHED:
-            raise _CrashUnwind()
-        if self._aborting and rec.state is not PEState.RUNNING:
-            raise _Abort()
-
-    def _check_abort(self) -> None:
-        if self._aborting:
-            raise _Abort()
+    def _park(self, nxt: _PERecord | None) -> _Park:
+        """Hand control to ``nxt`` (None: nobody is left to run) and return
+        the awaitable the calling PE suspends on."""
+        if nxt is not None:
+            self._wake_locked(nxt)
+        self._next = nxt
+        return _PARK
 
     def _wake_locked(self, rec: _PERecord) -> None:
         self._resume_locked(rec)
         self.stats.handoffs += 1
-        rec.wake.set()
 
     def _resume_locked(self, rec: _PERecord) -> None:
         """Transition a selected PE to RUNNING, applying timed-wakeup time.
@@ -662,16 +594,16 @@ class CoopScheduler:
     def _select_locked(self) -> _PERecord | None:
         """Pick the next PE to run; fire due crashes as needed.
 
-        Returns None when every PE is DONE (simulation complete — the done
-        event is signalled).  Raises :class:`DeadlockError` when blocked
-        PEs remain but nothing can make progress.
+        Returns None when every PE is DONE (simulation complete).  Raises
+        :class:`DeadlockError` when blocked PEs remain but nothing can make
+        progress.
         """
         self.stats.selections += 1
         keys = self._keys
         while True:
             if self._dirty or self._always_dirty:
                 self._refresh_dirty_locked()
-            best = int(np.argmin(keys))  # position of the FIRST minimum
+            best = int(keys.argmin())  # position of the FIRST minimum
             m = int(keys[best])
             crashes = self._crashes
             if crashes and (m == _NO_KEY or crashes[0][0] < m):
@@ -700,7 +632,6 @@ class CoopScheduler:
             if self._n_blocked:
                 raise DeadlockError(self._deadlock_report_locked())
             # No runnable, no blocked, no crashes: everything is DONE/FAILED.
-            self._done.set()
             return None
 
     def _deadlock_report_locked(self) -> str:
@@ -729,24 +660,6 @@ class CoopScheduler:
         if self.fault_context is not None:
             lines.append(self.fault_context())
         return "\n".join(lines)
-
-    def _fail_locked(self, rank: int, exc: BaseException) -> None:
-        if self._failure is None:
-            tb = "".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            )
-            # rank < 0 is the coordinating main thread (_MAIN), not a PE;
-            # PEFailure labels it accordingly instead of blaming PE 0.
-            failure = PEFailure(rank, f"{exc!r}\n{tb}")
-            failure.__cause__ = exc
-            self._failure = failure
-        self._aborting = True
-        if 0 <= rank < self.n_pes:
-            self._pes[rank].state = PEState.FAILED
-        for rec in self._pes:
-            if rec.state not in (PEState.DONE, PEState.FAILED, PEState.CRASHED):
-                rec.wake.set()
-        self._done.set()
 
     # Debug helpers -----------------------------------------------------
 

@@ -62,7 +62,6 @@ class LinearScheduler(CoopScheduler):
             if any_blocked:
                 raise DeadlockError(self._deadlock_report_locked())
             # No runnable, no blocked, no crashes: everything is DONE/FAILED.
-            self._done.set()
             return None
 
 

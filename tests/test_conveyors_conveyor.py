@@ -18,7 +18,7 @@ def run_conveyor(spec, config, body):
     return grp
 
 
-def drain(rank, cv, sched, sink):
+async def drain(rank, cv, sched, sink):
     """Standard endgame loop: advance(done) + pull until complete."""
     while cv.advance(done=True):
         while (item := cv.pull()) is not None:
@@ -26,14 +26,14 @@ def drain(rank, cv, sched, sink):
         if not cv.is_complete() and not cv.has_visible_inbound() and cv.ready_count == 0:
             arrival = cv.next_arrival_time()
             if arrival is not None:
-                sched.block(
+                await sched.block(
                     rank,
                     predicate=lambda: cv.has_visible_inbound() or cv.is_complete(),
                     wakeup_time=arrival,
                     reason="test drain (awaiting arrival)",
                 )
             else:
-                sched.block(
+                await sched.block(
                     rank,
                     predicate=lambda: cv.has_inbound() or cv.is_complete(),
                     reason="test drain (idle)",
@@ -46,7 +46,7 @@ def exchange_all(spec, config, n_msgs, batch=False):
     """Every PE sends n_msgs messages round-robin; returns received dict."""
     received = {r: [] for r in range(spec.n_pes)}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         if batch:
             dsts = np.array([(rank + 1 + i) % spec.n_pes for i in range(n_msgs)])
             payloads = np.array([rank * 10_000 + i for i in range(n_msgs)])
@@ -61,7 +61,7 @@ def exchange_all(spec, config, n_msgs, batch=False):
                     cv.advance()
                     while (item := cv.pull()) is not None:
                         received[rank].append(item)
-        drain(rank, cv, sched, received[rank])
+        await drain(rank, cv, sched, received[rank])
 
     grp = run_conveyor(spec, config, body)
     return grp, received
@@ -73,7 +73,7 @@ def test_all_messages_delivered(spec, topology):
     grp, received = exchange_all(spec, ConveyorConfig(buffer_items=8, topology=topology), 40)
     total = sum(len(v) for v in received.values())
     assert total == 40 * spec.n_pes
-    assert grp.quiescent()
+    assert grp.quiescent
 
 
 def test_payload_and_source_preserved():
@@ -136,7 +136,7 @@ def test_push_fails_when_buffer_full():
     spec = MachineSpec(1, 2)
     fails = {}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         if rank == 0:
             ok = [cv.push(i, 1) for i in range(5)]
             # capacity 4: first four succeed, fifth fails
@@ -144,7 +144,7 @@ def test_push_fails_when_buffer_full():
             fails["push_fails"] = cv.stats.push_fails
             cv.advance()
             assert cv.push(99, 1)
-        drain(rank, cv, sched, [])
+        await drain(rank, cv, sched, [])
 
     run_conveyor(spec, ConveyorConfig(buffer_items=4), body)
     assert fails["push_fails"] == 1
@@ -156,12 +156,12 @@ def test_push_after_done_is_permitted_at_conveyor_level():
     spec = MachineSpec(1, 2)
     out = {}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             cv.advance(done=True)
             assert cv.push(1, 1)
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         out[rank] = sink
 
     run_conveyor(spec, ConveyorConfig(), body)
@@ -174,13 +174,13 @@ def test_self_send_goes_through_buffers_by_default():
     spec = MachineSpec(1, 2)
     out = {}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             for i in range(10):
                 assert cv.push(i, 0)  # self-sends fit in one buffer (cap 16)
             assert cv.ready_count == 0  # not delivered until a flush
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         out[rank] = sink
 
     grp = run_conveyor(spec, ConveyorConfig(buffer_items=16), body)
@@ -192,13 +192,13 @@ def test_self_send_bypass_ablation():
     spec = MachineSpec(1, 2)
     out = {}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             for i in range(10):
                 assert cv.push(i, 0)
             assert cv.ready_count == 10  # bypassed: immediately pullable
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         out[rank] = sink
 
     grp = run_conveyor(spec, ConveyorConfig(buffer_items=16, self_send_bypass=True), body)
@@ -210,12 +210,12 @@ def test_mesh_forwarding_counts():
     """In a 2-node mesh, cross-node+cross-column messages are forwarded."""
     spec = MachineSpec(2, 4)
     # PE 0 sends to PE 5 (node 1, column 1): route 0 → 1 → 5.
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             while not cv.push(7, 5):
                 cv.advance()
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         if rank == 5:
             assert sink == [(0, 7)]
 
@@ -231,7 +231,7 @@ def test_double_buffering_triggers_progress():
     spec = MachineSpec(2, 1)  # PEs 0 and 1 on different nodes
     cfg = ConveyorConfig(buffer_items=2, slots=2, topology="mesh")
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             sent = 0
@@ -240,7 +240,7 @@ def test_double_buffering_triggers_progress():
                     sent += 1
                 else:
                     cv.advance()
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         if rank == 1:
             assert len(sink) == 12
 
@@ -269,7 +269,7 @@ def test_invalid_configs_rejected():
 def test_invalid_destination_rejected():
     spec = MachineSpec(1, 2)
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         cv.push(1, 99)
 
     with pytest.raises(PEFailure):
@@ -279,7 +279,7 @@ def test_invalid_destination_rejected():
 def test_wrong_payload_width_rejected():
     spec = MachineSpec(1, 2)
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         cv.push((1, 2, 3), 0)
 
     with pytest.raises(PEFailure):
@@ -290,12 +290,12 @@ def test_multi_word_payloads_roundtrip():
     spec = MachineSpec(2, 2)
     out = {}
 
-    def body(rank, cv, sched):
+    async def body(rank, cv, sched):
         sink = []
         if rank == 0:
             while not cv.push((10, 20), 3):
                 cv.advance()
-        drain(rank, cv, sched, sink)
+        await drain(rank, cv, sched, sink)
         out[rank] = sink
 
     run_conveyor(spec, ConveyorConfig(payload_words=2, buffer_items=4), body)

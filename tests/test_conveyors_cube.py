@@ -20,12 +20,12 @@ def test_cube_delivers_all_messages(spec):
         def process(self, idx, sender):
             self.arr[idx] += 1
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(16, dtype=np.int64)
         a = A(ctx, arr)
         dsts = ctx.rng.integers(0, ctx.n_pes, 60)
         idxs = ctx.rng.integers(0, 16, 60)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d, i in zip(dsts, idxs):
                 a.send(int(i), int(d))
@@ -51,11 +51,11 @@ def test_cube_matches_linear_results():
             def process(self, idx, sender):
                 self.arr[idx] += 1
 
-        def program(ctx):
+        async def program(ctx):
             arr = np.zeros(8, dtype=np.int64)
             a = A(ctx, arr)
             dsts = ctx.rng.integers(0, ctx.n_pes, 50)
-            with ctx.finish():
+            async with ctx.finish():
                 a.start()
                 for d in dsts:
                     a.send(int(d) % 8, int(d))
@@ -87,9 +87,9 @@ def test_cube_local_hops_precede_remote(monkeypatch):
         def process(self, payload, sender):
             self.seen += 1
 
-    def program(ctx):
+    async def program(ctx):
         a = A(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for dst in range(ctx.n_pes):
                 a.send(1, dst)

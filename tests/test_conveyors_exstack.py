@@ -18,7 +18,7 @@ def run_exstack(spec, body, payload_words=1, buffer_items=8):
     return grp
 
 
-def standard_loop(ex, to_send):
+async def standard_loop(ex, to_send):
     """Push/exchange/pull until the group finishes; returns received."""
     received = []
     i = 0
@@ -26,7 +26,7 @@ def standard_loop(ex, to_send):
     while alive:
         while i < len(to_send) and ex.push(to_send[i][0], to_send[i][1]):
             i += 1
-        alive = ex.exchange(done=(i == len(to_send)))
+        alive = await ex.exchange(done=(i == len(to_send)))
         while (item := ex.pull()) is not None:
             received.append(item)
     assert i == len(to_send)
@@ -37,9 +37,9 @@ def test_all_items_delivered():
     spec = MachineSpec(2, 2)
     got = {}
 
-    def body(rank, ex):
+    async def body(rank, ex):
         msgs = [(rank * 100 + i, (rank + i) % spec.n_pes) for i in range(20)]
-        got[rank] = standard_loop(ex, msgs)
+        got[rank] = await standard_loop(ex, msgs)
 
     grp = run_exstack(spec, body)
     total = sum(len(v) for v in got.values())
@@ -56,10 +56,10 @@ def test_exchange_counts_are_collective():
     spec = MachineSpec(1, 4)
     counts = {}
 
-    def body(rank, ex):
+    async def body(rank, ex):
         # only PE 0 sends; buffer of 2 forces many exchange rounds
         msgs = [(i, 1) for i in range(10)] if rank == 0 else []
-        standard_loop(ex, msgs)
+        await standard_loop(ex, msgs)
         counts[rank] = ex.exchanges
 
     run_exstack(spec, body, buffer_items=2)
@@ -70,14 +70,14 @@ def test_exchange_counts_are_collective():
 def test_push_fails_when_buffer_full():
     spec = MachineSpec(1, 2)
 
-    def body(rank, ex):
+    async def body(rank, ex):
         if rank == 0:
             assert all(ex.push(i, 1) for i in range(4))
             assert not ex.push(99, 1)  # full
         alive = True
         done = False
         while alive:
-            alive = ex.exchange(done=True) if not done else ex.exchange(done=True)
+            alive = await ex.exchange(done=True) if not done else await ex.exchange(done=True)
             done = True
             while ex.pull() is not None:
                 pass
@@ -88,13 +88,13 @@ def test_push_fails_when_buffer_full():
 def test_push_validation():
     spec = MachineSpec(1, 2)
 
-    def body(rank, ex):
+    async def body(rank, ex):
         ex.push(1, 99)
 
     with pytest.raises(PEFailure):
         run_exstack(spec, body)
 
-    def body2(rank, ex):
+    async def body2(rank, ex):
         ex.push((1, 2), 0)
 
     with pytest.raises(PEFailure):
@@ -113,9 +113,9 @@ def test_multiword_payloads():
     spec = MachineSpec(2, 2)
     got = {}
 
-    def body(rank, ex):
+    async def body(rank, ex):
         msgs = [((rank, i), (rank + 1) % spec.n_pes) for i in range(3)]
-        got[rank] = standard_loop(ex, msgs)
+        got[rank] = await standard_loop(ex, msgs)
 
     run_exstack(spec, body, payload_words=2)
     assert got[1][0] == (0, (0, 0))
@@ -154,7 +154,7 @@ def test_global_synchronization_cost():
     from repro.conveyors import ConveyorConfig
     from repro.hclib import Actor, run_spmd
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(64, dtype=np.int64)
 
         class A(Actor):
@@ -169,7 +169,7 @@ def test_global_synchronization_cost():
         n = skew[ctx.my_pe]
         dsts = ctx.rng.integers(0, ctx.n_pes, n)
         idxs = ctx.rng.integers(0, 64, n)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d, i in zip(dsts, idxs):
                 ctx.compute(ins=8, loads=2, stores=1)

@@ -23,10 +23,10 @@ def trace_dir(tmp_path_factory):
         def process(self, idx, sender):
             self.arr[idx] += 1
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = A(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for i in range(30):
                 a.send(int(ctx.rng.integers(0, 8)),
@@ -124,10 +124,10 @@ def test_timeline_flag(tmp_path):
         def process(self, idx, sender):
             self.arr[idx] += 1
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(4, dtype=np.int64)
         a = A(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for i in range(10):
                 a.send(i % 4, (ctx.my_pe + i) % ctx.n_pes)

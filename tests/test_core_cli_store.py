@@ -23,10 +23,10 @@ class A(Actor):
         self.arr[idx] += 1
 
 
-def program(ctx):
+async def program(ctx):
     arr = np.zeros(8, dtype=np.int64)
     a = A(ctx, arr)
-    with ctx.finish():
+    async with ctx.finish():
         a.start()
         for i in range(30):
             a.send(int(ctx.rng.integers(0, 8)),

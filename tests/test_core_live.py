@@ -19,11 +19,11 @@ class A(Actor):
 
 
 def run_with_monitor(monitor, n_sends=50, machine=MachineSpec(2, 4), seed=2):
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = A(ctx, arr)
         dsts = ctx.rng.integers(0, ctx.n_pes, n_sends)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d in dsts:
                 a.send(int(d) % 8, int(d))
@@ -89,11 +89,11 @@ def test_wrapped_and_bare_runs_agree():
 def test_batch_sends_counted():
     live = LiveMonitor(snapshot_every=10)
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = A(ctx, arr)
         dsts = ctx.rng.integers(0, ctx.n_pes, 25)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send_batch(dsts, dsts % 8)
             a.done()
@@ -111,11 +111,11 @@ def test_large_batch_emits_one_snapshot_per_boundary():
     # snapshot_every=10 must land 48 snapshots (480 sends / 10), not 4.
     live = LiveMonitor(snapshot_every=10)
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = A(ctx, arr)
         dsts = ctx.rng.integers(0, ctx.n_pes, 120)  # batch >> snapshot_every
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send_batch(dsts, dsts % 8)
             a.done()

@@ -23,12 +23,12 @@ def run_profiled(machine=MachineSpec(2, 4), n_sends=40, flags=None, seed=2,
                  batch=False):
     ap = ActorProf(flags or ProfileFlags.all())
 
-    def program(ctx):
+    async def program(ctx):
         larray = np.zeros(16, dtype=np.int64)
         a = CountingActor(ctx, larray)
         dsts = ctx.rng.integers(0, ctx.n_pes, n_sends)
         idxs = ctx.rng.integers(0, 16, n_sends)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             if batch:
                 a.send_batch(dsts, idxs)
@@ -170,12 +170,12 @@ def test_profiling_does_not_change_results():
     _, res_profiled = run_profiled(n_sends=35)
     ap = None
 
-    def program(ctx):
+    async def program(ctx):
         larray = np.zeros(16, dtype=np.int64)
         a = CountingActor(ctx, larray)
         dsts = ctx.rng.integers(0, ctx.n_pes, 35)
         idxs = ctx.rng.integers(0, 16, 35)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d, i in zip(dsts, idxs):
                 a.send(int(i), int(d))

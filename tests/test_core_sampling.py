@@ -98,11 +98,11 @@ def test_estimate_accuracy_on_real_run():
             self.arr[idx] += 1
 
     def make_program():
-        def program(ctx):
+        async def program(ctx):
             arr = np.zeros(8, dtype=np.int64)
             a = A(ctx, arr)
             dsts = ctx.rng.integers(0, ctx.n_pes, 400)
-            with ctx.finish():
+            async with ctx.finish():
                 a.start()
                 a.send_batch(dsts, dsts % 8)
                 a.done()

@@ -88,10 +88,10 @@ def profiled_run():
         def process(self, idx, sender):
             self.arr[idx] += 1
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = A(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for i in range(30):
                 a.send(int(ctx.rng.integers(0, 8)),

@@ -141,10 +141,10 @@ class _Inc(Actor):
         self.arr[idx] += 1
 
 
-def _actor_program(ctx):
+async def _actor_program(ctx):
     arr = np.zeros(8, dtype=np.int64)
     a = _Inc(ctx, arr)
-    with ctx.finish():
+    async with ctx.finish():
         a.start()
         for _ in range(200):
             a.send(int(ctx.rng.integers(0, 8)),
@@ -183,14 +183,14 @@ def test_streaming_archiver_salvage(tmp_path):
         "PEFailure: PE 1 failed: DeadlockError('simulation deadlocked;")
 
 
-def _fails_here(ctx):
-    _actor_program(ctx)
+async def _fails_here(ctx):
+    await _actor_program(ctx)
     if ctx.rank == 1:
         raise ValueError("boom")
 
 
-def _fails_there(ctx):
-    _actor_program(ctx)
+async def _fails_there(ctx):
+    await _actor_program(ctx)
     if ctx.rank != 1:
         return
     raise ValueError("boom")

@@ -21,14 +21,14 @@ class HistogramActor(Actor):
 
 
 def histogram_program(n_updates, machine, seed=3, conveyor=None, batch=False):
-    def program(ctx):
+    async def program(ctx):
         larray = np.zeros(64, dtype=np.int64)
         actor = HistogramActor(ctx, larray)
         # Draw destinations/indices identically for scalar and batch modes
         # so the two paths are comparable message-for-message.
         dsts = ctx.rng.integers(0, ctx.n_pes, n_updates)
         idxs = ctx.rng.integers(0, 64, n_updates)
-        with ctx.finish():
+        async with ctx.finish():
             actor.start()
             if batch:
                 actor.send_batch(dsts, idxs)
@@ -66,7 +66,7 @@ def test_actor_subclass_process_autowired():
     """Overriding Actor.process wires the handler without explicit mb[0]."""
     out = {}
 
-    def program(ctx):
+    async def program(ctx):
         class P(Actor):
             def __init__(self, ctx):
                 super().__init__(ctx)
@@ -76,7 +76,7 @@ def test_actor_subclass_process_autowired():
                 self.got.append((payload, sender_rank))
 
         a = P(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(ctx.my_pe * 100, (ctx.my_pe + 1) % ctx.n_pes)
             a.done()
@@ -91,11 +91,11 @@ def test_actor_subclass_process_autowired():
 def test_lambda_style_mailbox_assignment():
     """Listing 2 style: assign mb[0].process in the constructor."""
 
-    def program(ctx):
+    async def program(ctx):
         larray = np.zeros(8, dtype=np.int64)
         a = Actor(ctx)
         a.mb[0].process = lambda idx, sender: larray.__setitem__(idx, larray[idx] + 1)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for i in range(8):
                 a.send(i, (ctx.my_pe + i) % ctx.n_pes)
@@ -109,12 +109,12 @@ def test_lambda_style_mailbox_assignment():
 def test_selector_multiple_mailboxes():
     """A 2-mailbox selector routes messages to distinct handlers."""
 
-    def program(ctx):
+    async def program(ctx):
         hits = {"a": 0, "b": 0}
         s = Selector(ctx, mailboxes=2, payload_words=1)
         s.mb[0].process = lambda p, src: hits.__setitem__("a", hits["a"] + 1)
         s.mb[1].process = lambda p, src: hits.__setitem__("b", hits["b"] + p)
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             for i in range(10):
                 s.send(0, i, (ctx.my_pe + i) % ctx.n_pes)
@@ -132,7 +132,7 @@ def test_selector_multiple_mailboxes():
 def test_handler_may_send_further_messages():
     """Multi-hop actor chains (BFS-style wavefronts) terminate correctly."""
 
-    def program(ctx):
+    async def program(ctx):
         count = [0]
 
         class Chain(Actor):
@@ -142,7 +142,7 @@ def test_handler_may_send_further_messages():
                     self.send(hops_left - 1, (ctx.my_pe + 1) % ctx.n_pes)
 
         a = Chain(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             if ctx.my_pe == 0:
                 a.send(10, 1)  # a chain of 11 handler invocations
@@ -154,9 +154,9 @@ def test_handler_may_send_further_messages():
 
 
 def test_missing_done_raises_cleanly():
-    def program(ctx):
+    async def program(ctx):
         a = HistogramActor(ctx, np.zeros(4, dtype=np.int64))
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(0, 0)
             # done() forgotten
@@ -167,7 +167,7 @@ def test_missing_done_raises_cleanly():
 
 
 def test_start_outside_finish_rejected():
-    def program(ctx):
+    async def program(ctx):
         a = HistogramActor(ctx, np.zeros(4, dtype=np.int64))
         a.start()
 
@@ -176,7 +176,7 @@ def test_start_outside_finish_rejected():
 
 
 def test_send_before_start_rejected():
-    def program(ctx):
+    async def program(ctx):
         a = HistogramActor(ctx, np.zeros(4, dtype=np.int64))
         a.send(0, 0)
 
@@ -185,9 +185,9 @@ def test_send_before_start_rejected():
 
 
 def test_send_after_done_rejected():
-    def program(ctx):
+    async def program(ctx):
         a = HistogramActor(ctx, np.zeros(4, dtype=np.int64))
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.done()
             a.send(0, 0)
@@ -197,9 +197,9 @@ def test_send_after_done_rejected():
 
 
 def test_done_twice_rejected():
-    def program(ctx):
+    async def program(ctx):
         a = HistogramActor(ctx, np.zeros(4, dtype=np.int64))
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.done()
             a.done()
@@ -209,10 +209,10 @@ def test_done_twice_rejected():
 
 
 def test_divergent_selector_construction_rejected():
-    def program(ctx):
+    async def program(ctx):
         mailboxes = 1 if ctx.my_pe == 0 else 2
         s = Selector(ctx, mailboxes=mailboxes)
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             for i in range(s.n_mailboxes):
                 s.done(i)
@@ -222,12 +222,12 @@ def test_divergent_selector_construction_rejected():
 
 
 def test_two_sequential_finish_scopes():
-    def program(ctx):
+    async def program(ctx):
         total = 0
         for round_ in range(2):
             larray = np.zeros(4, dtype=np.int64)
             a = HistogramActor(ctx, larray)
-            with ctx.finish():
+            async with ctx.finish():
                 a.start()
                 a.send(round_, (ctx.my_pe + 1) % ctx.n_pes)
                 a.done()
@@ -241,13 +241,13 @@ def test_two_sequential_finish_scopes():
 def test_batch_handler_preferred_and_equivalent():
     machine = MachineSpec(2, 4)
 
-    def program_batched(ctx):
+    async def program_batched(ctx):
         larray = np.zeros(64, dtype=np.int64)
         a = Actor(ctx)
         a.mb[0].process_batch = lambda payloads, senders: np.add.at(
             larray, payloads[:, 0], 1
         )
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             dsts = ctx.rng.integers(0, ctx.n_pes, 100)
             idxs = ctx.rng.integers(0, 64, 100)

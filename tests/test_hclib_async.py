@@ -19,9 +19,9 @@ class Inc(Actor):
 
 
 def test_async_runs_before_finish_exits():
-    def program(ctx):
+    async def program(ctx):
         ran = []
-        with ctx.finish():
+        async with ctx.finish():
             ctx.async_(lambda: ran.append("task"))
             ran.append("body")
         ran.append("after")
@@ -32,9 +32,9 @@ def test_async_runs_before_finish_exits():
 
 
 def test_async_fifo_order():
-    def program(ctx):
+    async def program(ctx):
         order = []
-        with ctx.finish():
+        async with ctx.finish():
             for i in range(5):
                 ctx.async_(lambda i=i: order.append(i))
         return order
@@ -44,7 +44,7 @@ def test_async_fifo_order():
 
 
 def test_async_tasks_can_spawn_tasks():
-    def program(ctx):
+    async def program(ctx):
         depth = []
 
         def spawn(level):
@@ -52,7 +52,7 @@ def test_async_tasks_can_spawn_tasks():
             if level < 3:
                 ctx.async_(lambda: spawn(level + 1))
 
-        with ctx.finish():
+        async with ctx.finish():
             ctx.async_(lambda: spawn(0))
         return depth
 
@@ -63,7 +63,7 @@ def test_async_tasks_can_spawn_tasks():
 def test_async_idiom_sends_and_done():
     """The HClib idiom: the whole send loop lives inside an async task."""
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = Inc(ctx, arr)
 
@@ -72,7 +72,7 @@ def test_async_idiom_sends_and_done():
                 a.send(i % 8, (ctx.my_pe + i) % ctx.n_pes)
             a.done()
 
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             ctx.async_(send_all)
         return int(arr.sum())
@@ -82,7 +82,7 @@ def test_async_idiom_sends_and_done():
 
 
 def test_handler_spawned_tasks_run_within_finish():
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(4, dtype=np.int64)
         followups = []
 
@@ -92,7 +92,7 @@ def test_handler_spawned_tasks_run_within_finish():
                 ctx.async_(lambda: followups.append(int(idx)))
 
         a = A(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(ctx.my_pe % 4, (ctx.my_pe + 1) % ctx.n_pes)
             a.done()
@@ -103,7 +103,7 @@ def test_handler_spawned_tasks_run_within_finish():
 
 
 def test_async_outside_finish_rejected():
-    def program(ctx):
+    async def program(ctx):
         ctx.async_(lambda: None)
 
     with pytest.raises(PEFailure):
@@ -111,11 +111,11 @@ def test_async_outside_finish_rejected():
 
 
 def test_async_registers_with_innermost_finish():
-    def program(ctx):
+    async def program(ctx):
         order = []
-        with ctx.finish():
+        async with ctx.finish():
             ctx.async_(lambda: order.append("outer-task"))
-            with ctx.finish():
+            async with ctx.finish():
                 ctx.async_(lambda: order.append("inner-task"))
             order.append("between")
         return order
@@ -128,8 +128,8 @@ def test_async_registers_with_innermost_finish():
 def test_async_task_time_counts_as_main():
     ap = ActorProf(ProfileFlags(enable_tcomm_profiling=True))
 
-    def program(ctx):
-        with ctx.finish():
+    async def program(ctx):
+        async with ctx.finish():
             ctx.async_(lambda: ctx.compute(ins=5000))
         return True
 
@@ -140,8 +140,8 @@ def test_async_task_time_counts_as_main():
 
 
 def test_async_exception_propagates():
-    def program(ctx):
-        with ctx.finish():
+    async def program(ctx):
+        async with ctx.finish():
             ctx.async_(lambda: (_ for _ in ()).throw(ValueError("task bug")))
 
     with pytest.raises(PEFailure):

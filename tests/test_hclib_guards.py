@@ -13,7 +13,7 @@ def test_guard_defers_processing_until_enabled():
     the classic guarded-mailbox ordering idiom."""
     order = {}
 
-    def program(ctx):
+    async def program(ctx):
         log = []
         state = {"header_seen": False}
         s = Selector(ctx, mailboxes=2, payload_words=1)
@@ -30,7 +30,7 @@ def test_guard_defers_processing_until_enabled():
         s.mb[0].process = on_header
         s.mb[1].process = on_data
         s.mb[1].guard = lambda: state["header_seen"]
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             # send data BEFORE the header: guard must hold it back
             s.send(1, 100 + ctx.my_pe, (ctx.my_pe + 1) % ctx.n_pes)
@@ -50,12 +50,12 @@ def test_guard_defers_processing_until_enabled():
 def test_guard_true_behaves_like_no_guard():
     counts = {}
 
-    def program(ctx):
+    async def program(ctx):
         n = [0]
         s = Selector(ctx, mailboxes=1, payload_words=1)
         s.mb[0].process = lambda p, src: n.__setitem__(0, n[0] + 1)
         s.mb[0].guard = lambda: True
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             for i in range(5):
                 s.send(0, i, (ctx.my_pe + i) % ctx.n_pes)
@@ -71,13 +71,13 @@ def test_guard_flipped_by_remote_put_unblocks_drain():
     """A guard over a symmetric flag written by another PE wakes the
     blocked drain when the put lands."""
 
-    def program(ctx):
+    async def program(ctx):
         flag = ctx.shmem.malloc(1, np.int64)
         handled = [0]
         s = Selector(ctx, mailboxes=1, payload_words=1)
         s.mb[0].process = lambda p, src: handled.__setitem__(0, handled[0] + 1)
         s.mb[0].guard = lambda: int(ctx.shmem.mine(flag)[0]) == 1
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             s.send(0, 1, (ctx.my_pe + 1) % ctx.n_pes)
             s.done(0)
@@ -90,11 +90,11 @@ def test_guard_flipped_by_remote_put_unblocks_drain():
 
 
 def test_permanently_false_guard_deadlocks_cleanly():
-    def program(ctx):
+    async def program(ctx):
         s = Selector(ctx, mailboxes=1, payload_words=1)
         s.mb[0].process = lambda p, src: None
         s.mb[0].guard = lambda: False
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             s.send(0, 1, (ctx.my_pe + 1) % ctx.n_pes)
             s.done(0)
@@ -105,7 +105,7 @@ def test_permanently_false_guard_deadlocks_cleanly():
 
 
 def test_guard_with_batch_handler():
-    def program(ctx):
+    async def program(ctx):
         total = [0]
         gate = [False]
         s = Selector(ctx, mailboxes=2, payload_words=1)
@@ -113,7 +113,7 @@ def test_guard_with_batch_handler():
         s.mb[1].process_batch = lambda payloads, srcs: total.__setitem__(
             0, total[0] + len(payloads))
         s.mb[1].guard = lambda: gate[0]
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             dsts = np.arange(8) % ctx.n_pes
             s.send_batch(1, dsts, np.zeros(8, dtype=np.int64))

@@ -21,15 +21,15 @@ class Inc(Actor):
 def test_nested_finish_scopes():
     """An inner finish completes before the outer body continues."""
 
-    def program(ctx):
+    async def program(ctx):
         outer = np.zeros(4, dtype=np.int64)
         inner = np.zeros(4, dtype=np.int64)
         a_out = Inc(ctx, outer)
-        with ctx.finish():
+        async with ctx.finish():
             a_out.start()
             a_out.send(0, (ctx.my_pe + 1) % ctx.n_pes)
             a_in = Inc(ctx, inner)
-            with ctx.finish():
+            async with ctx.finish():
                 a_in.start()
                 a_in.send(1, (ctx.my_pe + 2) % ctx.n_pes)
                 a_in.done()
@@ -49,14 +49,14 @@ def test_nested_finish_scopes():
 def test_nested_finish_profiling_counts_outer_span_once():
     ap = ActorProf(ProfileFlags.all())
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(4, dtype=np.int64)
         a = Inc(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(0, (ctx.my_pe + 1) % ctx.n_pes)
             b = Inc(ctx, arr)
-            with ctx.finish():
+            async with ctx.finish():
                 b.start()
                 b.send(1, ctx.my_pe)
                 b.done()
@@ -73,12 +73,12 @@ def test_nested_finish_profiling_counts_outer_span_once():
 
 
 def test_two_selectors_in_one_finish():
-    def program(ctx):
+    async def program(ctx):
         a_arr = np.zeros(4, dtype=np.int64)
         b_arr = np.zeros(4, dtype=np.int64)
         a = Inc(ctx, a_arr)
         b = Inc(ctx, b_arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             b.start()
             for i in range(6):
@@ -93,10 +93,10 @@ def test_two_selectors_in_one_finish():
 
 
 def test_single_pe_machine_works_end_to_end():
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(4, dtype=np.int64)
         a = Inc(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for i in range(10):
                 a.send(i % 4, 0)  # everything is a self-send
@@ -110,9 +110,9 @@ def test_single_pe_machine_works_end_to_end():
 def test_empty_finish_with_started_actor():
     """start + done with zero sends still terminates cleanly."""
 
-    def program(ctx):
+    async def program(ctx):
         a = Inc(ctx, np.zeros(2, dtype=np.int64))
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.done()
         return "ok"
@@ -122,8 +122,8 @@ def test_empty_finish_with_started_actor():
 
 
 def test_finish_without_selectors():
-    def program(ctx):
-        with ctx.finish():
+    async def program(ctx):
+        async with ctx.finish():
             ctx.compute(ins=100)
         return ctx.perf.clock.now
 
@@ -132,9 +132,9 @@ def test_finish_without_selectors():
 
 
 def test_exception_in_finish_body_propagates():
-    def program(ctx):
+    async def program(ctx):
         a = Inc(ctx, np.zeros(2, dtype=np.int64))
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             raise RuntimeError("user bug")
 
@@ -148,9 +148,9 @@ def test_exception_in_handler_propagates():
         def process(self, payload, sender):
             raise ValueError("handler bug")
 
-    def program(ctx):
+    async def program(ctx):
         a = Bad(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(1, (ctx.my_pe + 1) % ctx.n_pes)
             a.done()
@@ -162,10 +162,10 @@ def test_exception_in_handler_propagates():
 def test_uneven_send_counts_terminate():
     """Only PE0 sends; the others just drain."""
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(4, dtype=np.int64)
         a = Inc(ctx, arr)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             if ctx.my_pe == 0:
                 for i in range(40):
@@ -181,10 +181,10 @@ def test_wide_payloads_roundtrip():
     """4-word payloads flow through send/process intact."""
     got = {}
 
-    def program(ctx):
+    async def program(ctx):
         s = Selector(ctx, mailboxes=1, payload_words=4)
         s.mb[0].process = lambda p, src: got.setdefault(ctx.my_pe, []).append((p, src))
-        with ctx.finish():
+        async with ctx.finish():
             s.start()
             s.send(0, (1, 2, 3, ctx.my_pe), (ctx.my_pe + 1) % ctx.n_pes)
             s.done(0)
@@ -197,17 +197,17 @@ def test_wide_payloads_roundtrip():
 def test_interleaved_shmem_and_actor_use():
     """Collectives between finishes and puts after finishes coexist."""
 
-    def program(ctx):
+    async def program(ctx):
         arr = ctx.shmem.malloc(4, np.int64)
         larr = np.zeros(4, dtype=np.int64)
         a = Inc(ctx, larr)
-        ctx.barrier()
-        with ctx.finish():
+        await ctx.barrier()
+        async with ctx.finish():
             a.start()
             a.send(ctx.my_pe % 4, (ctx.my_pe + 1) % ctx.n_pes)
             a.done()
         ctx.shmem.put(arr, [int(larr.sum())], 0, offset=ctx.my_pe)
-        ctx.barrier()
+        await ctx.barrier()
         if ctx.my_pe == 0:
             return int(ctx.shmem.mine(arr).sum())
         return 0

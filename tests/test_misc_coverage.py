@@ -18,7 +18,7 @@ def test_top_level_exports():
 
 
 def test_run_result_clocks_match_world():
-    def program(ctx):
+    async def program(ctx):
         ctx.compute(ins=100 * (ctx.my_pe + 1))
         return ctx.perf.clock.now
 
@@ -27,10 +27,10 @@ def test_run_result_clocks_match_world():
 
 
 def test_yield_and_barrier_helpers():
-    def program(ctx):
-        ctx.yield_pe()
-        ctx.barrier()
-        ctx.yield_pe()
+    async def program(ctx):
+        await ctx.yield_pe()
+        await ctx.barrier()
+        await ctx.yield_pe()
         return ctx.perf.clock.now
 
     res = run_spmd(program, machine=MachineSpec(1, 4))
@@ -40,7 +40,7 @@ def test_yield_and_barrier_helpers():
 def test_cost_model_override_flows_to_run():
     slow = CostModel().scaled(cpi=10.0)
 
-    def program(ctx):
+    async def program(ctx):
         ctx.compute(ins=100)
         return ctx.perf.clock.now
 
@@ -72,9 +72,9 @@ def test_profiler_with_no_papi_events():
         def process(self, p, s):
             pass
 
-    def program(ctx):
+    async def program(ctx):
         a = A(ctx)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.send(1, (ctx.my_pe + 1) % ctx.n_pes)
             a.done()
@@ -97,10 +97,10 @@ def test_conveyor_config_defaults_propagate_from_run_spmd():
         def process(self, p, s):
             pass
 
-    def program(ctx):
+    async def program(ctx):
         a = A(ctx)
         seen[ctx.my_pe] = a.mb[0].conveyor.group.config.buffer_items
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             a.done()
         return True
@@ -116,10 +116,10 @@ def test_sequential_profiled_finishes_accumulate():
         def process(self, p, s):
             pass
 
-    def program(ctx):
+    async def program(ctx):
         for _ in range(3):
             a = A(ctx)
-            with ctx.finish():
+            async with ctx.finish():
                 a.start()
                 a.send(1, (ctx.my_pe + 1) % ctx.n_pes)
                 a.done()

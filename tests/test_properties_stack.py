@@ -33,12 +33,12 @@ def run_histogram(nodes, ppn, topology, buffer_items, n_msgs, seed,
                          self_send_bypass=self_send_bypass)
     ap = ActorProf(flags) if flags else None
 
-    def program(ctx):
+    async def program(ctx):
         arr = np.zeros(8, dtype=np.int64)
         a = CountingActor(ctx, arr, cfg)
         dsts = ctx.rng.integers(0, ctx.n_pes, n_msgs)
         idxs = ctx.rng.integers(0, 8, n_msgs)
-        with ctx.finish():
+        async with ctx.finish():
             a.start()
             for d, i in zip(dsts, idxs):
                 a.send(int(i), int(d))

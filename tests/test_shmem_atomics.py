@@ -18,11 +18,11 @@ def run_spmd(spec, body):
 def test_atomic_add_accumulates():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         counter = ctx.malloc(1, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         ctx.atomic_add(counter, ctx.my_pe + 1, 0)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             out["total"] = int(ctx.mine(counter)[0])
 
@@ -33,12 +33,12 @@ def test_atomic_add_accumulates():
 def test_atomic_fetch_add_returns_unique_slots():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         counter = ctx.malloc(1, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         slot = ctx.atomic_fetch_add(counter, 1, 0)
         out[ctx.my_pe] = slot
-        ctx.barrier_all()
+        await ctx.barrier_all()
 
     run_spmd(MachineSpec(1, 4), body)
     # fetch-add hands out distinct consecutive slots
@@ -48,12 +48,12 @@ def test_atomic_fetch_add_returns_unique_slots():
 def test_atomic_compare_swap():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         flag = ctx.malloc(1, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         old = ctx.atomic_compare_swap(flag, 0, ctx.my_pe + 10, 0)
         out[ctx.my_pe] = old
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             out["final"] = int(ctx.mine(flag)[0])
 
@@ -67,10 +67,10 @@ def test_atomic_compare_swap():
 def test_wait_until_unblocks_on_remote_put():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         flag = ctx.malloc(1, np.int64)
         if ctx.my_pe == 0:
-            ctx.wait_until(flag, 0, lambda v: v == 42)
+            await ctx.wait_until(flag, 0, lambda v: v == 42)
             out["seen"] = int(ctx.mine(flag)[0])
         else:
             ctx.perf.stall(5000)
@@ -81,13 +81,13 @@ def test_wait_until_unblocks_on_remote_put():
 
 
 def test_wait_until_with_atomic_signal():
-    def body(ctx):
+    async def body(ctx):
         arrived = ctx.malloc(1, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         ctx.atomic_add(arrived, 1, 0)
         if ctx.my_pe == 0:
-            ctx.wait_until(arrived, 0, lambda v: v >= ctx.n_pes)
-        ctx.barrier_all()
+            await ctx.wait_until(arrived, 0, lambda v: v >= ctx.n_pes)
+        await ctx.barrier_all()
 
     run_spmd(MachineSpec(2, 2), body)  # completes without deadlock
 
@@ -95,8 +95,8 @@ def test_wait_until_with_atomic_signal():
 def test_exscan_sum():
     out = {}
 
-    def body(ctx):
-        out[ctx.my_pe] = ctx.exscan(ctx.my_pe + 1)
+    async def body(ctx):
+        out[ctx.my_pe] = await ctx.exscan(ctx.my_pe + 1)
 
     run_spmd(MachineSpec(1, 4), body)
     # values 1,2,3,4 → exclusive prefixes 0,1,3,6
@@ -107,10 +107,10 @@ def test_exscan_slot_assignment_idiom():
     """The bale idiom: exscan of per-PE counts gives global offsets."""
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         my_count = (ctx.my_pe % 3) + 1
-        offset = ctx.exscan(my_count)
-        total = ctx.allreduce(my_count, "sum")
+        offset = await ctx.exscan(my_count)
+        total = await ctx.allreduce(my_count, "sum")
         out[ctx.my_pe] = (offset, my_count, total)
 
     run_spmd(MachineSpec(1, 5), body)

@@ -16,19 +16,20 @@ def run_spmd(spec, body):
 
 
 def test_barrier_aligns_clocks():
-    _, sched = run_spmd(
-        MachineSpec(1, 4),
-        lambda ctx: (ctx.perf.stall(ctx.my_pe * 1000), ctx.barrier_all()),
-    )
+    async def body(ctx):
+        ctx.perf.stall(ctx.my_pe * 1000)
+        await ctx.barrier_all()
+
+    _, sched = run_spmd(MachineSpec(1, 4), body)
     assert len({c.now for c in sched.clocks}) == 1
 
 
 def test_barrier_release_is_after_last_arrival():
     times = {}
 
-    def body(ctx):
+    async def body(ctx):
         ctx.perf.stall(ctx.my_pe * 1000)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         times[ctx.my_pe] = ctx.perf.clock.now
 
     run_spmd(MachineSpec(1, 4), body)
@@ -38,8 +39,8 @@ def test_barrier_release_is_after_last_arrival():
 def test_allreduce_sum():
     out = {}
 
-    def body(ctx):
-        out[ctx.my_pe] = ctx.allreduce(ctx.my_pe + 1, "sum")
+    async def body(ctx):
+        out[ctx.my_pe] = await ctx.allreduce(ctx.my_pe + 1, "sum")
 
     run_spmd(MachineSpec(1, 4), body)
     assert set(out.values()) == {10}
@@ -48,8 +49,9 @@ def test_allreduce_sum():
 def test_allreduce_max_min():
     out = {}
 
-    def body(ctx):
-        out[ctx.my_pe] = (ctx.allreduce(ctx.my_pe, "max"), ctx.allreduce(ctx.my_pe, "min"))
+    async def body(ctx):
+        out[ctx.my_pe] = (await ctx.allreduce(ctx.my_pe, "max"),
+                          await ctx.allreduce(ctx.my_pe, "min"))
 
     run_spmd(MachineSpec(2, 2), body)
     assert set(out.values()) == {(3, 0)}
@@ -58,9 +60,9 @@ def test_allreduce_max_min():
 def test_allreduce_arrays():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         v = np.full(3, ctx.my_pe, dtype=np.int64)
-        out[ctx.my_pe] = ctx.allreduce(v, "sum").tolist()
+        out[ctx.my_pe] = (await ctx.allreduce(v, "sum")).tolist()
 
     run_spmd(MachineSpec(1, 3), body)
     assert all(v == [3, 3, 3] for v in out.values())
@@ -74,9 +76,9 @@ def test_allreduce_unknown_op_rejected():
 def test_broadcast_from_nonzero_root():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         val = {"payload": 42} if ctx.my_pe == 2 else None
-        out[ctx.my_pe] = ctx.broadcast(val, root=2)
+        out[ctx.my_pe] = await ctx.broadcast(val, root=2)
 
     run_spmd(MachineSpec(1, 4), body)
     assert all(v == {"payload": 42} for v in out.values())
@@ -85,9 +87,9 @@ def test_broadcast_from_nonzero_root():
 def test_alltoall_exchanges_columns():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         contrib = [ctx.my_pe * 10 + j for j in range(ctx.n_pes)]
-        out[ctx.my_pe] = ctx.alltoall(contrib)
+        out[ctx.my_pe] = await ctx.alltoall(contrib)
 
     run_spmd(MachineSpec(1, 3), body)
     # PE p receives [j*10 + p for each source j]
@@ -102,11 +104,11 @@ def test_alltoall_wrong_length_rejected():
 
 
 def test_mismatched_collectives_detected():
-    def body(ctx):
+    async def body(ctx):
         if ctx.my_pe == 0:
-            ctx.barrier_all()
+            await ctx.barrier_all()
         else:
-            ctx.allreduce(1, "sum")
+            await ctx.allreduce(1, "sum")
 
     with pytest.raises(PEFailure):
         run_spmd(MachineSpec(1, 2), body)
@@ -115,11 +117,11 @@ def test_mismatched_collectives_detected():
 def test_sequential_collectives_keep_working():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         total = 0
         for i in range(5):
-            total += ctx.allreduce(i, "sum")
-        ctx.barrier_all()
+            total += await ctx.allreduce(i, "sum")
+        await ctx.barrier_all()
         out[ctx.my_pe] = total
 
     run_spmd(MachineSpec(1, 3), body)

@@ -25,7 +25,7 @@ def test_spec_mismatch_rejected():
 def test_identity_properties():
     seen = {}
 
-    def body(ctx):
+    async def body(ctx):
         seen[ctx.my_pe] = ctx.n_pes
 
     run_spmd(MachineSpec(1, 4), body)
@@ -35,11 +35,11 @@ def test_identity_properties():
 def test_put_writes_remote_array():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(ctx.n_pes, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         ctx.put(arr, [ctx.my_pe * 10], 0, offset=ctx.my_pe)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             out["data"] = ctx.mine(arr).tolist()
 
@@ -50,10 +50,10 @@ def test_put_writes_remote_array():
 def test_get_reads_remote_array():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(4, np.int64)
         ctx.mine(arr)[:] = ctx.my_pe + 1
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 3:
             out["got"] = ctx.get(arr, 1).tolist()
 
@@ -64,10 +64,10 @@ def test_get_reads_remote_array():
 def test_ptr_same_node_gives_view_other_node_none():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(2, np.int64)
         ctx.mine(arr)[:] = ctx.my_pe
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             same = ctx.ptr(arr, 1)  # same node (2 PEs/node)
             other = ctx.ptr(arr, 2)  # next node
@@ -82,9 +82,9 @@ def test_ptr_same_node_gives_view_other_node_none():
 def test_putmem_nbi_then_quiet_waits_for_completion():
     waits = {}
 
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(64, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             before = ctx.perf.clock.now
             ctx.putmem_nbi(arr, np.arange(64), 3, offset=0)
@@ -93,7 +93,7 @@ def test_putmem_nbi_then_quiet_waits_for_completion():
             waits["issue"] = issue_done - before
             waits["waited"] = waited
             waits["pending_after"] = ctx.pending_put_count()
-        ctx.barrier_all()
+        await ctx.barrier_all()
 
     rt = run_spmd(MachineSpec(2, 2), body)
     # Non-blocking issue is much cheaper than the transfer itself.
@@ -105,7 +105,7 @@ def test_putmem_nbi_then_quiet_waits_for_completion():
 def test_quiet_with_nothing_pending_is_cheap():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         if ctx.my_pe == 0:
             out["waited"] = ctx.quiet()
 
@@ -116,13 +116,13 @@ def test_quiet_with_nothing_pending_is_cheap():
 def test_nbi_put_data_lands():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(4, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 1:
             ctx.putmem_nbi(arr, [9, 9, 9, 9], 0)
             ctx.quiet()
-        ctx.barrier_all()
+        await ctx.barrier_all()
         if ctx.my_pe == 0:
             out["data"] = ctx.mine(arr).tolist()
 
@@ -131,11 +131,11 @@ def test_nbi_put_data_lands():
 
 
 def test_call_log_records_operations():
-    def body(ctx):
+    async def body(ctx):
         arr = ctx.malloc(2, np.int64)
-        ctx.barrier_all()
+        await ctx.barrier_all()
         ctx.put(arr, [1], (ctx.my_pe + 1) % ctx.n_pes)
-        ctx.barrier_all()
+        await ctx.barrier_all()
 
     rt = run_spmd(MachineSpec(1, 2), body, log_calls=True)
     ops = [c.op for c in rt.calls]
@@ -144,15 +144,15 @@ def test_call_log_records_operations():
 
 
 def test_call_log_disabled_by_default():
-    def body(ctx):
-        ctx.barrier_all()
+    async def body(ctx):
+        await ctx.barrier_all()
 
     rt = run_spmd(MachineSpec(1, 2), body)
     assert rt.calls == []
 
 
 def test_fence_charges_and_logs():
-    def body(ctx):
+    async def body(ctx):
         ctx.fence()
 
     rt = run_spmd(MachineSpec(1, 2), body, log_calls=True)
@@ -162,7 +162,7 @@ def test_fence_charges_and_logs():
 def test_local_memcpy_charges_cycles():
     out = {}
 
-    def body(ctx):
+    async def body(ctx):
         t0 = ctx.perf.clock.now
         ctx.local_memcpy(4096)
         out[ctx.my_pe] = ctx.perf.clock.now - t0

@@ -167,11 +167,11 @@ def test_describe_schedule_lists_pending_crashes():
 # scheduler crash semantics (through run_spmd)
 # ----------------------------------------------------------------------
 
-def _independent_program(ctx):
+async def _independent_program(ctx):
     # no cross-PE communication: survivors finish even if one PE dies
     for _ in range(200):
         ctx.compute(ins=1_000, loads=200, stores=100)
-        ctx.yield_pe()
+        await ctx.yield_pe()
     return ctx.rank
 
 

@@ -7,11 +7,17 @@ from repro.sim.errors import SimulationError
 from repro.sim.scheduler import PEState
 
 
+async def idle(rank):
+    """A PE program that returns at once."""
+
+
+async def echo(rank):
+    return rank
+
+
 def test_single_pe_runs_to_completion():
     s = CoopScheduler(1)
-    ran = []
-    s.run(lambda rank: ran.append(rank))
-    assert ran == [0]
+    assert s.run(echo) == [0]
     assert s.states() == [PEState.DONE]
 
 
@@ -22,16 +28,14 @@ def test_requires_at_least_one_pe():
 
 def test_run_only_once():
     s = CoopScheduler(1)
-    s.run(lambda rank: None)
+    s.run(idle)
     with pytest.raises(SimulationError):
-        s.run(lambda rank: None)
+        s.run(idle)
 
 
 def test_all_pes_run():
     s = CoopScheduler(8)
-    ran = set()
-    s.run(lambda rank: ran.add(rank))
-    assert ran == set(range(8))
+    assert s.run(echo) == list(range(8))
 
 
 def test_min_clock_pe_runs_first():
@@ -39,9 +43,9 @@ def test_min_clock_pe_runs_first():
     s = CoopScheduler(3)
     order = []
 
-    def prog(rank):
+    async def prog(rank):
         s.clocks[rank].advance((rank + 1) * 100)
-        s.yield_pe(rank)
+        await s.yield_pe(rank)
         order.append(rank)
 
     s.run(prog)
@@ -54,12 +58,12 @@ def test_yield_returns_immediately_when_still_minimum():
     s = CoopScheduler(2)
     trace = []
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 0:
             # rank 0 stays at time 0, rank 1 jumps ahead: rank 0's yields
-            # should not hand the baton over.
+            # should not hand control over.
             for _ in range(3):
-                s.yield_pe(0)
+                await s.yield_pe(0)
                 trace.append(("yield-kept", 0))
         else:
             s.clocks[1].advance(10**6)
@@ -72,14 +76,14 @@ def test_block_with_predicate_unblocks_when_true():
     s = CoopScheduler(2)
     box = {"ready": False, "result": None}
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 0:
-            s.block(0, predicate=lambda: box["ready"], reason="waiting for data")
+            await s.block(0, predicate=lambda: box["ready"], reason="waiting for data")
             box["result"] = "got it"
         else:
             s.clocks[1].advance(50)
             box["ready"] = True
-            s.yield_pe(1)
+            await s.yield_pe(1)
 
     s.run(prog)
     assert box["result"] == "got it"
@@ -89,8 +93,8 @@ def test_block_with_wakeup_time_advances_clock():
     s = CoopScheduler(1)
     times = []
 
-    def prog(rank):
-        s.block(0, wakeup_time=500, reason="sleep")
+    async def prog(rank):
+        await s.block(0, wakeup_time=500, reason="sleep")
         times.append(s.clocks[0].now)
 
     s.run(prog)
@@ -107,9 +111,9 @@ def test_wait_until_loops_until_predicate():
     s = CoopScheduler(2)
     box = {"n": 0, "seen": None}
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 0:
-            s.wait_until(
+            await s.wait_until(
                 0,
                 predicate=lambda: box["n"] >= 3,
                 wakeup_fn=lambda: s.clocks[0].now + 10,
@@ -120,7 +124,7 @@ def test_wait_until_loops_until_predicate():
             for _ in range(3):
                 s.clocks[1].advance(25)
                 box["n"] += 1
-                s.yield_pe(1)
+                await s.yield_pe(1)
 
     s.run(prog)
     assert box["seen"] == 3
@@ -129,9 +133,9 @@ def test_wait_until_loops_until_predicate():
 def test_deadlock_detected():
     s = CoopScheduler(2)
 
-    def prog(rank):
+    async def prog(rank):
         # Both PEs wait on a predicate that can never become true.
-        s.block(rank, predicate=lambda: False, reason=f"pe{rank} stuck")
+        await s.block(rank, predicate=lambda: False, reason=f"pe{rank} stuck")
 
     with pytest.raises(PEFailure) as ei:
         s.run(prog)
@@ -142,7 +146,7 @@ def test_deadlock_detected():
 def test_pe_exception_propagates_as_pefailure():
     s = CoopScheduler(4)
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 2:
             raise ValueError("boom on pe 2")
 
@@ -158,8 +162,8 @@ def test_posted_events_fire_when_nothing_runnable():
     s = CoopScheduler(2)
     box = {}
 
-    def prog(rank):
-        s.block(rank, predicate=lambda: 1 in s.crashed, reason="await crash")
+    async def prog(rank):
+        await s.block(rank, predicate=lambda: 1 in s.crashed, reason="await crash")
         box["observed"] = (dict(s.crashed), s.clocks[0].now)
 
     s.schedule_crash(1, 1000)
@@ -175,8 +179,8 @@ def test_events_fire_in_time_order_between_pe_steps():
     s = CoopScheduler(4)
     fired = []
 
-    def prog(rank):
-        s.block(rank, predicate=lambda: len(fired) == 3, reason="await all")
+    async def prog(rank):
+        await s.block(rank, predicate=lambda: len(fired) == 3, reason="await all")
 
     for rank, t in ((3, 300), (1, 100), (2, 200)):  # scheduled out of order
         s.schedule_crash(rank, t, on_crash=lambda r, t: fired.append((t, r)))
@@ -190,11 +194,11 @@ def test_determinism_across_runs():
         s = CoopScheduler(4)
         log = []
 
-        def prog(rank):
+        async def prog(rank):
             for i in range(5):
                 s.clocks[rank].advance((rank * 7 + i * 3) % 11 + 1)
                 log.append((rank, s.clocks[rank].now))
-                s.yield_pe(rank)
+                await s.yield_pe(rank)
 
         s.run(prog)
         return log
@@ -206,10 +210,10 @@ def test_many_pes_scale():
     s = CoopScheduler(64)
     counter = {"n": 0}
 
-    def prog(rank):
+    async def prog(rank):
         for _ in range(10):
             s.clocks[rank].advance(1)
-            s.yield_pe(rank)
+            await s.yield_pe(rank)
         counter["n"] += 1
 
     s.run(prog)

@@ -5,7 +5,8 @@ Three groups:
 * edge-case semantics that must hold on the production scheduler **and**
   the linear oracle (``tests/sched_oracle.py``): tie-break validation,
   same-cycle crashes, crash-during-tie, predicate-true-with-wakeup,
-  failure attribution, thread-leak detection, deadlock report contents;
+  failure attribution, crash and failure unwinding, deadlock report
+  contents;
 * :class:`~repro.sim.scheduler.WaitChannel` epoch bookkeeping specific to
   the indexed selection (predicate evaluation is gated on notifications);
 * differential runs pinning the production scheduler against the linear
@@ -25,6 +26,10 @@ from repro.sim.scheduler import PEState, SchedulePolicy
 from tests.sched_oracle import LinearScheduler, use_scheduler
 
 CORES = {"indexed": CoopScheduler, "linear": LinearScheduler}
+
+
+async def idle(rank):
+    """A PE program that returns at once."""
 
 
 @pytest.fixture(params=sorted(CORES))
@@ -47,10 +52,10 @@ class _NonCandidatePolicy(SchedulePolicy):
 
 def test_tie_break_non_candidate_raises_named_error(core):
     s = core(3, policy=_NonCandidatePolicy())
-    # All three PEs tie at clock 0 on the initial selection, which happens
-    # on the coordinating main thread.
+    # All three PEs tie at clock 0 on the initial selection, which the
+    # scheduler loop runs before any PE does.
     with pytest.raises(PEFailure) as ei:
-        s.run(lambda rank: None)
+        s.run(idle)
     cause = ei.value.__cause__
     assert isinstance(cause, SimulationError)
     assert "not among the tied candidates" in str(cause)
@@ -60,9 +65,9 @@ def test_tie_break_non_candidate_raises_named_error(core):
 def test_main_thread_failure_not_blamed_on_pe0(core):
     s = core(2, policy=_NonCandidatePolicy())
     with pytest.raises(PEFailure) as ei:
-        s.run(lambda rank: None)
+        s.run(idle)
     # The initial selection failed before any PE ran: the failure belongs
-    # to the coordinating main thread, not to PE 0.
+    # to the scheduler loop (labelled the main thread), not to PE 0.
     assert ei.value.rank == -1
     assert "main thread" in str(ei.value)
     assert not str(ei.value).startswith("PE 0 failed")
@@ -71,7 +76,7 @@ def test_main_thread_failure_not_blamed_on_pe0(core):
 def test_pe_failure_rank_still_reported(core):
     s = core(4)
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 2:
             raise ValueError("boom")
 
@@ -87,8 +92,8 @@ def test_same_cycle_crashes_fire_in_plan_order(core):
     s = core(4)
     fired = []
 
-    def prog(rank):
-        s.block(rank, predicate=lambda: False, wakeup_time=2_000, reason="nap")
+    async def prog(rank):
+        await s.block(rank, predicate=lambda: False, wakeup_time=2_000, reason="nap")
         fired.append(("resumed", rank))
 
     for rank in (3, 1, 2):  # call order, not rank order
@@ -102,8 +107,8 @@ def test_event_batches_counted_on_indexed_core():
     s = CoopScheduler(5)
     hits = []
 
-    def prog(rank):
-        s.block(rank, predicate=lambda: len(hits) >= 4, reason="await crashes")
+    async def prog(rank):
+        await s.block(rank, predicate=lambda: len(hits) >= 4, reason="await crashes")
 
     for rank, t in ((1, 100), (2, 100), (3, 100), (4, 200)):
         s.schedule_crash(rank, t, on_crash=lambda r, t: hits.append(t))
@@ -121,9 +126,9 @@ def test_crash_of_a_finished_pe_is_a_noop(core):
     s = core(2)
     hits = []
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 1:
-            s.block(1, predicate=lambda: False, wakeup_time=900, reason="nap")
+            await s.block(1, predicate=lambda: False, wakeup_time=900, reason="nap")
 
     s.schedule_crash(0, 500, on_crash=lambda r, t: hits.append((r, t)))
     s.run(prog)  # no PECrashed: PE 0 was DONE before cycle 500
@@ -137,10 +142,10 @@ def test_crash_during_tie(core):
     s = core(4)
     done = []
 
-    def prog(rank):
+    async def prog(rank):
         for _ in range(5):
             s.clocks[rank].advance(10)
-            s.yield_pe(rank)
+            await s.yield_pe(rank)
         done.append(rank)
 
     s.schedule_crash(2, at_cycle=25)
@@ -159,8 +164,8 @@ def test_predicate_true_with_wakeup_does_not_advance_clock(core):
     s = core(1)
     seen = []
 
-    def prog(rank):
-        s.block(0, predicate=lambda: True, wakeup_time=500, reason="instant")
+    async def prog(rank):
+        await s.block(0, predicate=lambda: True, wakeup_time=500, reason="instant")
         seen.append(s.clocks[0].now)
 
     s.run(prog)
@@ -171,33 +176,12 @@ def test_pure_wakeup_still_advances_clock(core):
     s = core(1)
     seen = []
 
-    def prog(rank):
-        s.block(0, predicate=lambda: False, wakeup_time=700, reason="timer")
+    async def prog(rank):
+        await s.block(0, predicate=lambda: False, wakeup_time=700, reason="timer")
         seen.append(s.clocks[0].now)
 
     s.run(prog)
     assert seen == [700]
-
-
-def test_leaked_pe_thread_raises(core, monkeypatch):
-    """run() must not return cleanly while a PE thread is still alive."""
-    import time
-
-    from repro.sim import scheduler as sched_mod
-
-    orig = sched_mod.CoopScheduler._pe_main
-
-    def wedged(self, rank, entry):
-        orig(self, rank, entry)
-        if rank == 1:
-            time.sleep(3.0)  # simulates a teardown that never finishes
-
-    monkeypatch.setattr(sched_mod.CoopScheduler, "_pe_main", wedged)
-    s = core(2)
-    with pytest.raises(SimulationError) as ei:
-        s.run(lambda rank: None, join_timeout=0.2)
-    assert "sim-pe-1" in str(ei.value)
-    assert "failed to exit" in str(ei.value)
 
 
 def test_deadlock_report_includes_wakeups_and_pending_events(core):
@@ -224,8 +208,8 @@ def test_deadlock_report_includes_wakeups_and_pending_events(core):
 def test_deadlock_report_says_no_pending_events(core):
     s = core(1)
 
-    def prog(rank):
-        s.block(0, predicate=lambda: False, reason="stuck forever")
+    async def prog(rank):
+        await s.block(0, predicate=lambda: False, reason="stuck forever")
 
     with pytest.raises(PEFailure) as ei:
         s.run(prog)
@@ -252,18 +236,18 @@ def test_channel_gates_predicate_reevaluation():
         evals[0] += 1
         return box["ready"]
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 0:
-            s.block(0, predicate=pred, reason="channelled", channels=(ch,))
+            await s.block(0, predicate=pred, reason="channelled", channels=(ch,))
         else:
             # Plenty of handoffs that must NOT re-evaluate the predicate.
             for _ in range(20):
                 s.clocks[rank].advance(5)
-                s.yield_pe(rank)
+                await s.yield_pe(rank)
             if rank == 1:
                 box["ready"] = True
                 ch.notify()
-                s.yield_pe(1)
+                await s.yield_pe(1)
 
     s.run(prog)
     assert box["ready"]
@@ -281,15 +265,15 @@ def test_unchannelled_block_keeps_conservative_behaviour():
         evals[0] += 1
         return box["ready"]
 
-    def prog(rank):
+    async def prog(rank):
         if rank == 0:
-            s.block(0, predicate=pred, reason="unchannelled")
+            await s.block(0, predicate=pred, reason="unchannelled")
         else:
             for _ in range(5):
                 s.clocks[1].advance(5)
-                s.yield_pe(1)
+                await s.yield_pe(1)
             box["ready"] = True
-            s.yield_pe(1)
+            await s.yield_pe(1)
 
     s.run(prog)
     # Evaluated at (nearly) every handoff — the safety fallback.
@@ -303,8 +287,8 @@ def test_event_firing_dirties_channelled_waiters():
     s = CoopScheduler(2)
     ch = s.channel()  # never notified
 
-    def prog(rank):
-        s.block(rank, predicate=lambda: 1 in s.crashed, reason="via crash",
+    async def prog(rank):
+        await s.block(rank, predicate=lambda: 1 in s.crashed, reason="via crash",
                 channels=(ch,))
 
     s.schedule_crash(1, 400)
@@ -321,13 +305,13 @@ def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
     use_scheduler(monkeypatch, core)
     plan = FaultPlan.single_crash(1, 1)
 
-    def program(ctx):
+    async def program(ctx):
         if ctx.rank == 1:
             # A scheduling point before the barrier: the crash fires here,
             # so PE 1 never arrives and the waiters must detect it.
             ctx.compute(ins=100_000)
-            ctx.yield_pe()
-        ctx.shmem.barrier_all()
+            await ctx.yield_pe()
+        await ctx.shmem.barrier_all()
 
     with pytest.raises(PEFailure) as ei:
         run_spmd(program, machine=MachineSpec(nodes=1, pes_per_node=4),
@@ -414,7 +398,7 @@ def test_custom_policies_see_the_same_ties_on_both_cores(monkeypatch):
     for name, core in CORES.items():
         policy = _RecordingNonCandidate()
         with pytest.raises(PEFailure):
-            core(3, policy=policy).run(lambda rank: None)
+            core(3, policy=policy).run(idle)
         asked[name] = policy.asked
     assert asked["indexed"] == asked["linear"] == [(0, [0, 1, 2])]
 
@@ -431,10 +415,10 @@ def test_cores_agree_under_crash_plan(monkeypatch):
     def run_one(core):
         trail = []
 
-        def program(ctx):
+        async def program(ctx):
             for _ in range(100):
                 ctx.compute(ins=1_000, loads=200, stores=100)
-                ctx.yield_pe()
+                await ctx.yield_pe()
                 trail.append((ctx.rank, ctx.scheduler.now(ctx.rank)))
 
         use_scheduler(monkeypatch, core)

@@ -21,10 +21,10 @@ class Inc(Actor):
         self.arr[idx] += 1
 
 
-def program(ctx):
+async def program(ctx):
     arr = np.zeros(8, dtype=np.int64)
     a = Inc(ctx, arr)
-    with ctx.finish():
+    async with ctx.finish():
         a.start()
         for i in range(60):
             a.send(int(ctx.rng.integers(0, 8)),
