@@ -34,8 +34,8 @@ import time
 import numpy as np
 
 import repro.api as api
+from repro.core.rowstore import scatter_matrix
 from repro.core.store.archive import Archive
-from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import backfill_pyramid
 from repro.core.store.writer import ArchiveWriter
 from repro.core.viz import heatmap_svg

@@ -32,7 +32,7 @@ def main() -> None:
 
     tl = ap.timeline
     print(f"timeline: {tl.span_count()} region spans, "
-          f"{len(tl.net_events())} network events, "
+          f"{tl.net_count()} network events, "
           f"horizon {tl.end_time():,} cycles")
 
     written = ap.write_traces(outdir)

@@ -172,10 +172,8 @@ def check_store_equivalence(art: RunArtifacts) -> list[Violation]:
                 f"round-trip",
             ))
     if prof.papi_trace is not None:
-        want = sum(len(prof.papi_trace.rows(pe))
-                   for pe in range(prof.papi_trace.n_pes))
-        got = (sum(len(loaded.papi.rows(pe))
-                   for pe in range(loaded.papi.n_pes))
+        want = len(prof.papi_trace.to_columns()[0]["src"])
+        got = (len(loaded.papi.to_columns()[0]["src"])
                if loaded.papi is not None else -1)
         if got != want or (loaded.papi is not None
                            and loaded.papi.events != prof.papi_trace.events):

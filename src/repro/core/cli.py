@@ -339,7 +339,7 @@ def _render(args, source, out, emitted, say) -> int:
         path.write_text(utilization_svg(tl))
         emitted.append(path)
         say(f"timeline: {tl.span_count()} spans, "
-            f"{len(tl.net_events())} network events, "
+            f"{tl.net_count()} network events, "
             f"horizon {tl.end_time():,} cycles")
 
     if args.export_archive is not None:

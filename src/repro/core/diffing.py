@@ -29,13 +29,14 @@ from repro.core.overall import OverallProfile, parse_overall_file
 from repro.core.papi_trace import parse_papi_dir
 from repro.core.physical import PhysicalTrace, parse_physical_file
 from repro.core.query import query_trace
+from repro.core.rowstore import scatter_matrix
 from repro.core.store.archive import (
     Archive,
     Section,
     is_archive,
     load_overall,
 )
-from repro.core.store.frame import Frame, as_section, scatter_matrix
+from repro.core.store.frame import Frame, as_section
 from repro.machine.spec import MachineSpec
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.timeline import TimelineTrace
+from repro.conveyors.hooks import SEND_TYPES
+from repro.core.timeline import NET_COLUMNS, REGIONS, SPAN_COLUMNS, TimelineTrace
 from repro.machine.spec import MachineSpec
 
 
@@ -47,40 +48,45 @@ def to_chrome_trace(
             "pid": spec.node_of(pe), "tid": pe,
             "args": {"name": f"PE {pe}"},
         })
-    for span in timeline.spans():
+    spans = timeline.span_columns()
+    for pe, code, start, end, mailbox in zip(
+            *(spans[c].tolist() for c in SPAN_COLUMNS)):
         ev = {
-            "name": span.region,
+            "name": REGIONS[code],
             "cat": "region",
             "ph": "X",
-            "ts": _us(span.start, clock_ghz),
-            "dur": _us(span.duration, clock_ghz),
-            "pid": spec.node_of(span.pe),
-            "tid": span.pe,
+            "ts": _us(start, clock_ghz),
+            "dur": _us(end - start, clock_ghz),
+            "pid": spec.node_of(pe),
+            "tid": pe,
         }
-        if span.mailbox >= 0:
-            ev["args"] = {"mailbox": span.mailbox}
+        if mailbox >= 0:
+            ev["args"] = {"mailbox": mailbox}
         events.append(ev)
     flow_id = 0
-    for net in timeline.net_events():
-        ts = _us(net.time, clock_ghz)
+    net = timeline.net_columns()
+    for time, code, src, dst, nbytes in zip(
+            *(net[c].tolist() for c in NET_COLUMNS)):
+        kind = SEND_TYPES[code]
+        ts = _us(time, clock_ghz)
         events.append({
-            "name": net.kind,
+            "name": kind,
             "cat": "network",
             "ph": "i",
             "s": "t",  # thread-scoped instant
             "ts": ts,
-            "pid": spec.node_of(net.src),
-            "tid": net.src,
-            "args": {"dst": net.dst, "bytes": net.nbytes},
+            "pid": spec.node_of(src),
+            "tid": src,
+            "args": {"dst": dst, "bytes": nbytes},
         })
-        if include_flows and net.kind in ("local_send", "nonblock_send") \
-                and net.src != net.dst:
+        if include_flows and kind in ("local_send", "nonblock_send") \
+                and src != dst:
             flow_id += 1
-            common = {"cat": "network", "name": net.kind, "id": flow_id}
+            common = {"cat": "network", "name": kind, "id": flow_id}
             events.append({**common, "ph": "s", "ts": ts,
-                           "pid": spec.node_of(net.src), "tid": net.src})
+                           "pid": spec.node_of(src), "tid": src})
             events.append({**common, "ph": "f", "bp": "e", "ts": ts + 0.001,
-                           "pid": spec.node_of(net.dst), "tid": net.dst})
+                           "pid": spec.node_of(dst), "tid": dst})
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

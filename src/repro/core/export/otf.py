@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.timeline import TimelineTrace
+from repro.conveyors.hooks import SEND_TYPES
+from repro.core.timeline import NET_COLUMNS, REGIONS, TimelineTrace
 from repro.machine.spec import MachineSpec
 
-#: Function ids for region records (stable across files).
-FUNCTION_IDS = {"MAIN": 1, "PROC": 2, "FINISH": 3}
+#: Function ids for region records (stable across files): a span's
+#: region code + 1.
+FUNCTION_IDS = {name: code + 1 for code, name in enumerate(REGIONS)}
 
 
 def write_otf(
@@ -64,26 +66,26 @@ def write_otf(
             f.write(f'DEFFUNCTION {fid} "{fn}" 1\n')
     written.append(defs)
 
-    # per-PE event streams
+    # per-PE event streams: (time, order, line) records
+    records: list[list[tuple[int, int, str]]] = [[] for _ in range(spec.n_pes)]
+    net = timeline.net_columns()
+    for time, kind, src, dst, nbytes in zip(
+            *(net[c].tolist() for c in NET_COLUMNS)):
+        if 0 <= src < spec.n_pes:
+            records[src].append((time, 2, f'SEND {time} {src + 1} {dst + 1} '
+                                 f'{nbytes} "{SEND_TYPES[kind]}"'))
+    spans = timeline.span_columns()
+    bounds = timeline.span_bounds().tolist()
+    region, start, end = (spans[c].tolist() for c in ("region", "start", "end"))
     for pe in range(spec.n_pes):
-        records: list[tuple[int, int, str]] = []  # (time, order, line)
-        for s in timeline.spans(pe):
-            fid = FUNCTION_IDS.get(s.region)
-            if fid is None:
-                continue
-            records.append((s.start, 0, f"ENTER {fid} {s.start} {pe + 1}"))
-            records.append((s.end, 1, f"LEAVE {fid} {s.end} {pe + 1}"))
-        for e in timeline.net_events():
-            if e.src != pe:
-                continue
-            records.append((
-                e.time, 2,
-                f'SEND {e.time} {e.src + 1} {e.dst + 1} {e.nbytes} "{e.kind}"',
-            ))
-        records.sort()
+        for i in range(bounds[pe], bounds[pe + 1]):
+            fid = region[i] + 1
+            records[pe].append((start[i], 0, f"ENTER {fid} {start[i]} {pe + 1}"))
+            records[pe].append((end[i], 1, f"LEAVE {fid} {end[i]} {pe + 1}"))
+        records[pe].sort()
         stream = directory / f"{name}.{pe + 1}.events"
         with stream.open("w") as f:
-            for _, _, line in records:
+            for _, _, line in records[pe]:
                 f.write(line + "\n")
         written.append(stream)
     return written

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.rowstore import scatter_matrix
 from repro.core.store.archive import Archive
-from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import (
     LodError,
     Pyramid,

@@ -7,9 +7,11 @@ Conveyors aggregates anything.  File format (one file per PE)::
     PEi_send.csv:
       source node, source PE, destination node, destination PE, message size
 
-Records are aggregated in memory as (src, dst, size) → count so that
-billion-send runs don't hold billions of Python objects; writing the CSV
-expands counts back into the paper's one-line-per-send format.
+Records are aggregated in memory as ``(src, dst, size) → count`` rows of
+a folded :class:`~repro.core.rowstore.RowStore` — the columns of the
+archive's ``logical`` section — so billion-send runs don't hold billions
+of Python objects; writing the CSV expands counts back into the paper's
+one-line-per-send format.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.rowstore import (
+    RowStore, attr_array, bincount, check_pe_pairs, check_text_pes, scatter_matrix)
 from repro.machine.spec import MachineSpec
+
+#: The ``logical`` section's columns; ``(src, dst, size)`` is the key.
+COLUMNS = ("src", "dst", "size", "count")
 
 
 class LogicalTrace:
@@ -36,10 +43,7 @@ class LogicalTrace:
             raise ValueError("sample_interval must be >= 1")
         self.spec = spec
         self.sample_interval = sample_interval
-        # per source PE: {(dst, msg_size): count}
-        self._counts: list[dict[tuple[int, int], int]] = [
-            {} for _ in range(spec.n_pes)
-        ]
+        self._rows = RowStore(COLUMNS, keys=3)
         self._ticks = [0] * spec.n_pes  # sends seen per PE (pre-sampling)
 
     # ------------------------------------------------------------------
@@ -52,9 +56,7 @@ class LogicalTrace:
         self._ticks[src] = tick + 1
         if tick % self.sample_interval:
             return
-        key = (dst, msg_size)
-        c = self._counts[src]
-        c[key] = c.get(key, 0) + 1
+        self._rows.add((src, dst, msg_size, 1))
 
     def record_batch(self, src: int, dsts: np.ndarray, msg_size: int) -> None:
         """Record a batch of sends of uniform size (vectorized).
@@ -71,20 +73,14 @@ class LogicalTrace:
         self._ticks[src] = tick + n
         if k > 1:
             # positions p where (tick + p) % k == 0
-            first = (-tick) % k
-            dsts = dsts[first::k]
-            if len(dsts) == 0:
-                return
+            dsts = dsts[(-tick) % k::k]
         uniq, counts = np.unique(dsts, return_counts=True)
-        c = self._counts[src]
-        for dst, cnt in zip(uniq.tolist(), counts.tolist()):
-            key = (int(dst), msg_size)
-            c[key] = c.get(key, 0) + int(cnt)
+        same = np.full(len(uniq), src), np.full(len(uniq), msg_size)
+        self._rows.add(np.column_stack((same[0], uniq, same[1], counts)).ravel().tolist())
 
     def clear(self) -> None:
         """Drop the aggregated rows (after a streaming spill); ticks stay."""
-        for per_src in self._counts:
-            per_src.clear()
+        self._rows.clear()
 
     # ------------------------------------------------------------------
     # analysis accessors
@@ -96,31 +92,27 @@ class LogicalTrace:
 
     def matrix(self) -> np.ndarray:
         """(n_pes, n_pes) send-count matrix: row = source, column = dest."""
-        m = np.zeros((self.n_pes, self.n_pes), dtype=np.int64)
-        for src, counts in enumerate(self._counts):
-            for (dst, _size), n in counts.items():
-                m[src, dst] += n
-        return m
+        src, dst, _size, count = self._rows.table()
+        return scatter_matrix(src, dst, count, (self.n_pes, self.n_pes))
 
     def bytes_matrix(self) -> np.ndarray:
         """(n_pes, n_pes) payload-byte matrix."""
-        m = np.zeros((self.n_pes, self.n_pes), dtype=np.int64)
-        for src, counts in enumerate(self._counts):
-            for (dst, size), n in counts.items():
-                m[src, dst] += n * size
-        return m
+        src, dst, size, count = self._rows.table()
+        return scatter_matrix(src, dst, count * size, (self.n_pes, self.n_pes))
 
     def sends_per_pe(self) -> np.ndarray:
         """Total messages sent by each PE (the heatmap's last column)."""
-        return self.matrix().sum(axis=1)
+        src, _dst, _size, count = self._rows.table()
+        return bincount(src, count, self.n_pes)
 
     def recvs_per_pe(self) -> np.ndarray:
         """Total messages received by each PE (the heatmap's last row)."""
-        return self.matrix().sum(axis=0)
+        _src, dst, _size, count = self._rows.table()
+        return bincount(dst, count, self.n_pes)
 
     def total_sends(self) -> int:
         """Recorded sends (equal to actual sends when not sampling)."""
-        return int(self.matrix().sum())
+        return int(self._rows.table()[3].sum())
 
     def observed_sends(self) -> int:
         """Actual sends seen by the recorder, including unsampled ones."""
@@ -143,28 +135,12 @@ class LogicalTrace:
         Rows are the aggregated ``(src, dst, size) → count`` entries,
         sorted so the delta codec sees near-monotone sequences.
         """
-        srcs: list[int] = []
-        dsts: list[int] = []
-        sizes: list[int] = []
-        counts: list[int] = []
-        for src, per_src in enumerate(self._counts):
-            for (dst, size), n in sorted(per_src.items()):
-                srcs.append(src)
-                dsts.append(dst)
-                sizes.append(size)
-                counts.append(n)
-        columns = {
-            "src": np.asarray(srcs, dtype=np.int64),
-            "dst": np.asarray(dsts, dtype=np.int64),
-            "size": np.asarray(sizes, dtype=np.int64),
-            "count": np.asarray(counts, dtype=np.int64),
-        }
         attrs = {
             **self.spec.attrs(),
             "sample_interval": self.sample_interval,
             "ticks": list(self._ticks),
         }
-        return columns, attrs
+        return self._rows.columns(), attrs
 
     @classmethod
     def from_columns(cls, columns: dict, attrs: dict) -> "LogicalTrace":
@@ -175,27 +151,12 @@ class LogicalTrace:
         """
         spec = MachineSpec.from_attrs(attrs)
         trace = cls(spec, sample_interval=int(attrs.get("sample_interval", 1)))
-        n_pes = spec.n_pes
-        for src, dst, size, n in zip(
-            columns["src"].tolist(), columns["dst"].tolist(),
-            columns["size"].tolist(), columns["count"].tolist(),
-        ):
-            if not (0 <= src < n_pes and 0 <= dst < n_pes):
-                raise ValueError(
-                    f"archived logical row has PE pair ({src}, {dst}) out "
-                    f"of range for n_pes={n_pes}"
-                )
-            c = trace._counts[src]
-            key = (dst, size)
-            c[key] = c.get(key, 0) + n
-        ticks = attrs.get("ticks")
-        if ticks is not None:
-            trace._ticks = [int(t) for t in ticks]
-        else:
-            trace._ticks = [
-                sum(per_src.values()) * trace.sample_interval
-                for per_src in trace._counts
-            ]
+        check_pe_pairs("logical", columns, spec.n_pes)
+        trace._rows.adopt(columns)
+        trace._ticks = (
+            attr_array(attrs, "logical", "ticks", (spec.n_pes,))
+            if attrs.get("ticks") is not None
+            else trace.sends_per_pe() * trace.sample_interval).tolist()
         return trace
 
     # ------------------------------------------------------------------
@@ -206,17 +167,19 @@ class LogicalTrace:
         """Write ``PEi_send.csv`` per PE; returns the paths written."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        _src, dst, size, count = self._rows.table().tolist()
+        bounds = self._rows.bounds(self.n_pes).tolist()
+        node_of = self.spec.node_of
         paths = []
         for src in range(self.n_pes):
             path = directory / f"PE{src}_send.csv"
-            src_node = self.spec.node_of(src)
+            src_node = node_of(src)
             with path.open("w") as f:
                 f.write("# source node, source PE, destination node, "
                         "destination PE, message size\n")
-                for (dst, size), n in sorted(self._counts[src].items()):
-                    dst_node = self.spec.node_of(dst)
-                    line = f"{src_node},{src},{dst_node},{dst},{size}\n"
-                    f.write(line * n)
+                for i in range(bounds[src], bounds[src + 1]):
+                    line = f"{src_node},{src},{node_of(dst[i])},{dst[i]},{size[i]}\n"
+                    f.write(line * count[i])
             paths.append(path)
         return paths
 
@@ -253,13 +216,7 @@ def parse_logical_dir(directory: str | Path, n_pes: int,
                         f"{path}:{lineno}: malformed logical trace line: "
                         f"{line!r} (expected 5 fields, got {len(parts)})"
                     )
-                for label, pe in (("source", parts[1]),
-                                  ("destination", parts[3])):
-                    if not 0 <= pe < n_pes:
-                        raise ValueError(
-                            f"{path}:{lineno}: {label} PE {pe} out of range "
-                            f"for n_pes={n_pes}"
-                        )
+                check_text_pes(f"{path}:{lineno}", parts[1], parts[3], n_pes)
                 rows.append(tuple(parts))  # type: ignore[arg-type]
                 max_node = max(max_node, parts[0], parts[2])
     nodes = max_node + 1

@@ -49,12 +49,10 @@ class OverallProfile:
         return self.t_total - self.t_main - self.t_proc
 
     def absolute(self, pe: int) -> tuple[int, int, int]:
-        """(T_MAIN, T_COMM, T_PROC) for one PE."""
-        return (
-            int(self.t_main[pe]),
-            int(self.t_comm()[pe]),
-            int(self.t_proc[pe]),
-        )
+        """(T_MAIN, T_COMM, T_PROC) for one PE (T_COMM of this PE only:
+        per-PE loops over a profile stay linear)."""
+        main, proc = int(self.t_main[pe]), int(self.t_proc[pe])
+        return (main, int(self.t_total[pe]) - main - proc, proc)
 
     def relative(self, pe: int) -> tuple[float, float, float]:
         """(T_MAIN, T_COMM, T_PROC) / T_TOTAL for one PE."""

@@ -17,26 +17,15 @@ per-PE totals plotted in the paper's Figures 10–11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.rowstore import RowStore, attr_array, check_pe_pairs, check_text_pes
 from repro.machine.spec import MachineSpec
 
-
-@dataclass(frozen=True)
-class PAPIRow:
-    """One sampled send in the PAPI trace."""
-
-    src_node: int
-    src_pe: int
-    dst_node: int
-    dst_pe: int
-    pkt_size: int
-    mailbox: int
-    num_sends: int
-    values: tuple[int, ...]
+#: The ``papi`` section's leading columns; ``ev_0`` … follow, one per event.
+COLUMNS = ("src", "dst", "pkt_size", "mailbox", "num_sends")
 
 
 class PAPITrace:
@@ -45,10 +34,9 @@ class PAPITrace:
     def __init__(self, spec: MachineSpec, events: tuple[str, ...]) -> None:
         self.spec = spec
         self.events = tuple(events)
-        # per PE: (dst, pkt_size, mailbox, num_sends, values) tuples;
-        # PAPIRow objects are built only when rows() is read
-        self._rows: list[list[tuple]] = [[] for _ in range(spec.n_pes)]
         ne = len(self.events)
+        self._rows = RowStore(
+            COLUMNS + tuple(f"ev_{i}" for i in range(ne)), grouped=True)
         self._region_totals: dict[str, np.ndarray] = {
             "MAIN": np.zeros((spec.n_pes, ne), dtype=np.int64),
             "PROC": np.zeros((spec.n_pes, ne), dtype=np.int64),
@@ -73,15 +61,18 @@ class PAPITrace:
         values: list[int] | tuple[int, ...],
     ) -> None:
         """Record one sampled send row."""
-        self._rows[src].append(
-            (dst, pkt_size, mailbox, num_sends, tuple(map(int, values))))
+        self._rows.add((src, dst, pkt_size, mailbox, num_sends, *values))
 
-    def rows(self, pe: int) -> list[PAPIRow]:
-        """Sampled rows of ``pe`` in recording order."""
-        node_of = self.spec.node_of
-        src_node = node_of(pe)
-        return [PAPIRow(src_node, pe, node_of(dst), dst, pkt, mb, ns, vals)
-                for dst, pkt, mb, ns, vals in self._rows[pe]]
+    def rows(self, pe: int) -> np.ndarray:
+        """Sampled rows of ``pe`` in recording order: an
+        ``(n, 7 + n_events)`` int64 array in ``PEi_PAPI.csv`` column
+        order (src node, src PE, dst node, dst PE, pkt size, mailbox,
+        num sends, event values)."""
+        table = self._rows.table()
+        lo, hi = np.searchsorted(table[0], (pe, pe + 1))
+        src, dst, *rest = table[:, lo:hi]
+        ppn = self.spec.pes_per_node
+        return np.stack((src // ppn, src, dst // ppn, dst, *rest), axis=1)
 
     @property
     def region_totals(self) -> dict[str, np.ndarray]:
@@ -123,27 +114,13 @@ class PAPITrace:
         values become one column each (``ev_0`` …).  The small per-PE
         region totals travel in the attrs.
         """
-        rows = [r for pe_rows in self._rows for r in pe_rows]
-        ne = len(self.events)
-        columns = {
-            "src": np.repeat(np.arange(self.n_pes, dtype=np.int64),
-                             [len(pe_rows) for pe_rows in self._rows]),
-            "dst": np.asarray([r[0] for r in rows], dtype=np.int64),
-            "pkt_size": np.asarray([r[1] for r in rows], dtype=np.int64),
-            "mailbox": np.asarray([r[2] for r in rows], dtype=np.int64),
-            "num_sends": np.asarray([r[3] for r in rows], dtype=np.int64),
-        }
-        for i in range(ne):
-            columns[f"ev_{i}"] = np.asarray(
-                [r[4][i] for r in rows], dtype=np.int64
-            )
         attrs = {
             **self.spec.attrs(),
             "events": list(self.events),
             "main_totals": self.region_totals["MAIN"].tolist(),
             "proc_totals": self.region_totals["PROC"].tolist(),
         }
-        return columns, attrs
+        return self._rows.columns(), attrs
 
     @classmethod
     def from_columns(cls, columns: dict, attrs: dict) -> "PAPITrace":
@@ -151,23 +128,18 @@ class PAPITrace:
         spec = MachineSpec.from_attrs(attrs)
         events = tuple(str(e) for e in attrs["events"])
         trace = cls(spec, events)
-        event_cols = [columns[f"ev_{i}"].tolist() for i in range(len(events))]
-        n_pes = spec.n_pes
-        for i, (src, dst, pkt, mb, ns) in enumerate(zip(
-            columns["src"].tolist(), columns["dst"].tolist(),
-            columns["pkt_size"].tolist(), columns["mailbox"].tolist(),
-            columns["num_sends"].tolist(),
-        )):
-            if not (0 <= src < n_pes and 0 <= dst < n_pes):
-                raise ValueError(
-                    f"archived PAPI row has PE pair ({src}, {dst}) out of "
-                    f"range for n_pes={n_pes}"
-                )
-            trace.record(src, dst, pkt, mb, ns, [col[i] for col in event_cols])
+        missing = [c for c in trace._rows.names if c not in columns]
+        if missing:
+            raise ValueError(
+                f"archived papi section lacks column {missing[0]!r} for attr "
+                f"'events' {list(events)}: expected columns ev_0.."
+                f"ev_{len(events) - 1}")
+        check_pe_pairs("PAPI", columns, spec.n_pes)
+        trace._rows.adopt(columns)
         for region, key in (("MAIN", "main_totals"), ("PROC", "proc_totals")):
-            totals = attrs.get(key)
-            if totals is not None:
-                trace.region_totals[region] = np.asarray(totals, dtype=np.int64)
+            if attrs.get(key) is not None:
+                trace.region_totals[region] = attr_array(
+                    attrs, "papi", key, (spec.n_pes, len(events)))
         return trace
 
     # ------------------------------------------------------------------
@@ -185,12 +157,9 @@ class PAPITrace:
             path = directory / f"PE{pe}_PAPI.csv"
             with path.open("w") as f:
                 f.write(header)
-                for r in self.rows(pe):
-                    vals = ",".join(str(v) for v in r.values)
-                    f.write(
-                        f"{r.src_node},{r.src_pe},{r.dst_node},{r.dst_pe},"
-                        f"{r.pkt_size},{r.mailbox},{r.num_sends},{vals}\n"
-                    )
+                for row in self.rows(pe).tolist():
+                    fixed = ",".join(map(str, row[:7]))
+                    f.write(f"{fixed},{','.join(map(str, row[7:]))}\n")
             paths.append(path)
         return paths
 
@@ -256,13 +225,7 @@ def parse_papi_dir(directory: str | Path, n_pes: int) -> PAPITrace:
                         f"{expected} (7 fixed + {len(events)} events) — "
                         f"mixed-schema file?"
                     )
-                for label, val in (("source", parts[1]),
-                                   ("destination", parts[3])):
-                    if not 0 <= val < n_pes:
-                        raise ValueError(
-                            f"{path}:{lineno}: {label} PE {val} out of "
-                            f"range for n_pes={n_pes}"
-                        )
+                check_text_pes(f"{path}:{lineno}", parts[1], parts[3], n_pes)
                 rows.append(tuple(parts))
                 max_node = max(max_node, parts[0], parts[2])
         all_rows.append(rows)

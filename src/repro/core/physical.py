@@ -24,7 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.conveyors.hooks import SEND_TYPES
+from repro.core.rowstore import (
+    RowStore, bincount, check_pe_pairs, check_text_pes, scatter_matrix)
 from repro.machine.spec import MachineSpec
+
+#: The ``physical`` section's columns; ``kind`` indexes :data:`SEND_TYPES`
+#: and ``(kind, size, src, dst)`` is the key.
+COLUMNS = ("kind", "size", "src", "dst", "count")
+
+_CODE = {kind: code for code, kind in enumerate(SEND_TYPES)}
+#: Code → position of its send-type name in alphabetical order, the row
+#: order of ``physical.txt``.
+_NAME_RANK = np.argsort(np.argsort(SEND_TYPES))
 
 
 class PhysicalTrace:
@@ -43,8 +54,7 @@ class PhysicalTrace:
                 f"spec has {spec.n_pes} PEs but trace was sized for {n_pes}"
             )
         self.spec = spec
-        # (send_type, nbytes, src, dst) -> count
-        self._counts: dict[tuple[str, int, int, int], int] = {}
+        self._rows = RowStore(COLUMNS, keys=4)
 
     # ------------------------------------------------------------------
     # TraceSink interface (called from inside Conveyors)
@@ -52,50 +62,52 @@ class PhysicalTrace:
 
     def record(self, send_type: str, nbytes: int, src_pe: int, dst_pe: int, time: int) -> None:
         """Record one instrumented Conveyors operation."""
-        if send_type not in SEND_TYPES:
+        code = _CODE.get(send_type)
+        if code is None:
             raise ValueError(f"unknown physical send type {send_type!r}")
-        key = (send_type, nbytes, src_pe, dst_pe)
-        self._counts[key] = self._counts.get(key, 0) + 1
+        self._rows.add((code, nbytes, src_pe, dst_pe, 1))
 
     def clear(self) -> None:
         """Drop the aggregated rows (after a streaming spill)."""
-        self._counts.clear()
+        self._rows.clear()
 
     # ------------------------------------------------------------------
     # analysis accessors
     # ------------------------------------------------------------------
 
+    def _select(self, send_type: str | None) -> np.ndarray:
+        """The table, restricted to one send type when given."""
+        table = self._rows.table()
+        if send_type is None:
+            return table
+        return table[:, table[0] == _CODE.get(send_type, -1)]
+
     def matrix(self, send_type: str | None = None) -> np.ndarray:
         """(n_pes, n_pes) buffer-count matrix, optionally one send type."""
-        m = np.zeros((self.n_pes, self.n_pes), dtype=np.int64)
-        for (kind, _nb, src, dst), n in self._counts.items():
-            if send_type is None or kind == send_type:
-                m[src, dst] += n
-        return m
+        _kind, _size, src, dst, count = self._select(send_type)
+        return scatter_matrix(src, dst, count, (self.n_pes, self.n_pes))
 
     def bytes_matrix(self, send_type: str | None = None) -> np.ndarray:
         """(n_pes, n_pes) buffer-byte matrix, optionally one send type."""
-        m = np.zeros((self.n_pes, self.n_pes), dtype=np.int64)
-        for (kind, nb, src, dst), n in self._counts.items():
-            if send_type is None or kind == send_type:
-                m[src, dst] += n * nb
-        return m
+        _kind, size, src, dst, count = self._select(send_type)
+        return scatter_matrix(src, dst, count * size, (self.n_pes, self.n_pes))
 
     def counts_by_type(self) -> dict[str, int]:
-        """Total operations per send type."""
-        out: dict[str, int] = {}
-        for (kind, _nb, _s, _d), n in self._counts.items():
-            out[kind] = out.get(kind, 0) + n
-        return out
+        """Total operations per send type (the types present)."""
+        kind, *_, count = self._rows.table()
+        totals = bincount(kind, count, len(SEND_TYPES)).tolist()
+        return {SEND_TYPES[code]: totals[code] for code in np.unique(kind).tolist()}
 
     def sends_per_pe(self, send_type: str | None = None) -> np.ndarray:
-        return self.matrix(send_type).sum(axis=1)
+        *_, src, _dst, count = self._select(send_type)
+        return bincount(src, count, self.n_pes)
 
     def recvs_per_pe(self, send_type: str | None = None) -> np.ndarray:
-        return self.matrix(send_type).sum(axis=0)
+        *_, dst, count = self._select(send_type)
+        return bincount(dst, count, self.n_pes)
 
     def total_operations(self) -> int:
-        return sum(self._counts.values())
+        return int(self._rows.table()[4].sum())
 
     # ------------------------------------------------------------------
     # archive adapters (.aptrc columnar store)
@@ -107,21 +119,10 @@ class PhysicalTrace:
         ``kind`` is stored as an index into the ``send_types`` attr so
         the column is pure integers.
         """
-        keys = sorted(
-            ((SEND_TYPES.index(kind), nb, src, dst), n)
-            for (kind, nb, src, dst), n in self._counts.items()
-        )
-        columns = {
-            "kind": np.asarray([k[0] for k, _ in keys], dtype=np.int64),
-            "size": np.asarray([k[1] for k, _ in keys], dtype=np.int64),
-            "src": np.asarray([k[2] for k, _ in keys], dtype=np.int64),
-            "dst": np.asarray([k[3] for k, _ in keys], dtype=np.int64),
-            "count": np.asarray([n for _, n in keys], dtype=np.int64),
-        }
         attrs = {"n_pes": self.n_pes, "send_types": list(SEND_TYPES)}
         if self.spec is not None:
             attrs.update(self.spec.attrs())
-        return columns, attrs
+        return self._rows.columns(), attrs
 
     @classmethod
     def from_columns(cls, columns: dict, attrs: dict) -> "PhysicalTrace":
@@ -131,27 +132,21 @@ class PhysicalTrace:
         """
         n_pes = int(attrs["n_pes"])
         send_types = [str(s) for s in attrs.get("send_types", SEND_TYPES)]
-        spec = None
-        if "pes_per_node" in attrs and "nodes" in attrs:
-            spec = MachineSpec.from_attrs(attrs)
-        trace = cls(n_pes, spec=spec)
-        for code, nb, src, dst, n in zip(
-            columns["kind"].tolist(), columns["size"].tolist(),
-            columns["src"].tolist(), columns["dst"].tolist(),
-            columns["count"].tolist(),
-        ):
-            if not 0 <= code < len(send_types):
-                raise ValueError(
-                    f"archived physical row has send-type code {code} out "
-                    f"of range for send_types={send_types}"
-                )
-            if not (0 <= src < n_pes and 0 <= dst < n_pes):
-                raise ValueError(
-                    f"archived physical row has PE pair ({src}, {dst}) out "
-                    f"of range for n_pes={n_pes}"
-                )
-            key = (send_types[code], nb, src, dst)
-            trace._counts[key] = trace._counts.get(key, 0) + n
+        has_spec = "pes_per_node" in attrs and "nodes" in attrs
+        trace = cls(n_pes, spec=MachineSpec.from_attrs(attrs) if has_spec else None)
+        code = np.asarray(columns["kind"], dtype=np.int64)
+        bad_code = (code < 0) | (code >= len(send_types))
+        check_pe_pairs("physical", columns, n_pes, bad=bad_code)
+        if bad_code.any():
+            raise ValueError(
+                f"archived physical row has send-type code "
+                f"{code[bad_code][0]} out of range for send_types={send_types}"
+            )
+        if not set(send_types) <= set(SEND_TYPES):
+            raise ValueError(f"archived physical attr 'send_types' {send_types}"
+                             f" names a send type not in {SEND_TYPES}")
+        recode = np.array([_CODE[t] for t in send_types], dtype=np.int64)
+        trace._rows.adopt({**columns, "kind": recode[code]})
         return trace
 
     # ------------------------------------------------------------------
@@ -163,11 +158,12 @@ class PhysicalTrace:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / "physical.txt"
+        kind, size, src, dst, count = table = self._rows.table()
+        order = np.lexsort((dst, src, size, _NAME_RANK[kind]))
         with path.open("w") as f:
             f.write("# send type, buffer size, source PE, destination PE\n")
-            for (kind, nbytes, src, dst), n in sorted(self._counts.items()):
-                line = f"{kind},{nbytes},{src},{dst}\n"
-                f.write(line * n)
+            for code, nbytes, s, d, n in table[:, order].T.tolist():
+                f.write(f"{SEND_TYPES[code]},{nbytes},{s},{d}\n" * n)
         return path
 
 
@@ -210,13 +206,7 @@ def parse_physical_file(path: str | Path, n_pes: int | None = None,
                     f"{path}:{lineno}: malformed physical trace line: "
                     f"{line!r} (size and PE fields must be integers)"
                 ) from None
-            for label, pe in (("source", src), ("destination", dst)):
-                if pe < 0 or (n_pes is not None and pe >= n_pes):
-                    bound = f"n_pes={n_pes}" if n_pes is not None else "a PE index"
-                    raise ValueError(
-                        f"{path}:{lineno}: {label} PE {pe} out of range "
-                        f"for {bound}"
-                    )
+            check_text_pes(f"{path}:{lineno}", src, dst, n_pes)
             rows.append((kind, nbytes, src, dst))
             max_pe = max(max_pe, src, dst)
     if n_pes is None:

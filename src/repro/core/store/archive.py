@@ -322,37 +322,19 @@ class Archive:
 # trace loaders
 # ----------------------------------------------------------------------
 
-def load_logical(archive: Archive) -> LogicalTrace:
-    """Materialize the logical trace stored in ``archive``."""
-    section = archive.section("logical")
-    return LogicalTrace.from_columns(section.read(), section.attrs)
-
-
-def load_physical(archive: Archive) -> PhysicalTrace:
-    """Materialize the physical trace stored in ``archive``."""
-    section = archive.section("physical")
-    return PhysicalTrace.from_columns(section.read(), section.attrs)
-
-
-def load_papi(archive: Archive) -> PAPITrace:
-    """Materialize the PAPI region trace stored in ``archive``."""
-    section = archive.section("papi")
-    return PAPITrace.from_columns(section.read(), section.attrs)
-
-
-def load_overall(archive: Archive) -> OverallProfile:
-    """Materialize the overall profile stored in ``archive``."""
-    section = archive.section("overall")
-    return OverallProfile.from_columns(section.read(), section.attrs)
+def _loader(kind: str, trace_cls):
+    """The loader materializing the ``kind`` trace of an open archive."""
+    def load(archive: Archive):
+        section = archive.section(kind)
+        return trace_cls.from_columns(section.read(), section.attrs)
+    return load
 
 
 #: Trace kind → the loader materializing it from an open archive.
-LOADERS = {
-    "logical": load_logical,
-    "physical": load_physical,
-    "papi": load_papi,
-    "overall": load_overall,
-}
+LOADERS = {kind: _loader(kind, cls) for kind, cls in (
+    ("logical", LogicalTrace), ("physical", PhysicalTrace),
+    ("papi", PAPITrace), ("overall", OverallProfile))}
+load_logical, load_physical, load_papi, load_overall = LOADERS.values()
 
 
 @dataclass

@@ -29,6 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.rowstore import _bincount_exact, fold
 from repro.core.store.archive import ChunkRef, Section
 
 
@@ -160,29 +161,12 @@ class Frame:
 # vectorized aggregation helpers
 # ----------------------------------------------------------------------
 
-def _bincount_exact(indices: np.ndarray, weights: np.ndarray,
-                    length: int) -> np.ndarray | None:
-    """Weighted bincount, or None when float64 accumulation could be
-    inexact.  ``np.bincount`` sums weights in float64, which represents
-    every integer up to 2**53 — bounding each bucket by
-    ``len * max|weight|`` guarantees exactness without trusting floats.
-    ``np.add.at`` (the alternative) is an order of magnitude slower, so
-    this fast path carries the multi-million-row aggregations."""
-    if len(weights) == 0:
-        return np.zeros(length, dtype=np.int64)
-    peak = max(abs(int(weights.min())), abs(int(weights.max())))
-    if peak * len(weights) >= 2 ** 53:
-        return None
-    return np.bincount(indices, weights=weights,
-                       minlength=length).astype(np.int64)
-
-
 def group_sum(keys: np.ndarray,
               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum ``weights`` per distinct key; returns ``(unique_keys, sums)``,
     keys ascending, one for every key present whatever its sum.  Keys of
     dense-enough span take a bincount; anything else falls back to
-    sort-based grouping (``np.unique`` + ``np.add.at``)."""
+    the row store's sort-based :func:`~repro.core.rowstore.fold`."""
     keys = np.asarray(keys)
     weights = np.asarray(weights, dtype=np.int64)
     if len(keys) == 0:
@@ -198,23 +182,4 @@ def group_sum(keys: np.ndarray,
         if sums is not None:
             present = np.flatnonzero(np.bincount(shifted, minlength=span))
             return present + lo, sums[present]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inverse, weights)
-    return uniq, sums
-
-
-def scatter_matrix(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                   shape: tuple[int, int]) -> np.ndarray:
-    """Accumulate ``weights`` into a dense ``shape`` matrix at
-    ``(rows[i], cols[i])`` — duplicate coordinates sum, which is exactly
-    how streamed partial aggregates merge."""
-    weights = np.asarray(weights, dtype=np.int64)
-    flat = np.asarray(rows, dtype=np.int64) * shape[1] \
-        + np.asarray(cols, dtype=np.int64)
-    m = _bincount_exact(flat, weights, shape[0] * shape[1])
-    if m is not None:
-        return m.reshape(shape)
-    m = np.zeros(shape, dtype=np.int64)
-    np.add.at(m, (rows, cols), weights)
-    return m
+    return tuple(fold(np.stack((keys.astype(np.int64), weights)), 1))

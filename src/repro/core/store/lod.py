@@ -48,9 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.rowstore import fold, scatter_matrix
 from repro.core.store.archive import Archive, ArchiveError, load_overall
-from repro.core.store.frame import Frame, as_section, scatter_matrix
+from repro.core.store.frame import Frame, as_section
 from repro.core.store.writer import ArchiveWriter
+from repro.core.timeline import spread_spans
 
 #: Section names; unknown to pre-pyramid readers, which ignore them.
 PE_SECTION = "lod_pe"
@@ -149,33 +151,6 @@ class PyramidInfo:
 # building
 # ----------------------------------------------------------------------
 
-def _spread_spans(rows: np.ndarray, start: np.ndarray, end: np.ndarray,
-                  width: int, n_rows: int, n_buckets: int) -> np.ndarray:
-    """Cycles of every span ``[start, end)`` spread over the buckets of
-    its row: an ``(n_rows, n_buckets)`` int64 occupancy matrix.
-
-    A span's first and last bucket get its partial overlap and every
-    bucket between them ``width``, through one difference array (``+x``
-    where a run of ``x`` per bucket starts, ``-x`` one past its end)
-    and a prefix sum: O(spans + cells) however long the spans are.
-    """
-    keep = end > start
-    rows, start, end = rows[keep], start[keep], end[keep]
-    b0 = start // width
-    b1 = (end - 1) // width
-    split = b1 > b0
-    head = np.where(split, (b0 + 1) * width, end) - start
-    tail = np.where(split, end - b1 * width, 0)
-    full = np.where(split, width, 0)
-    cols = n_buckets + 1  # b1 + 1 may be one past the last bucket
-    base = rows * cols
-    diff = np.zeros(n_rows * cols, dtype=np.int64)
-    for at, value in ((b0, head), (b0 + 1, full - head),
-                      (b1, tail - full), (b1 + 1, -tail)):
-        np.add.at(diff, base + at, value)
-    return np.cumsum(diff.reshape(n_rows, cols), axis=1)[:, :n_buckets]
-
-
 def _pe_dense_to_columns(main: np.ndarray, proc: np.ndarray,
                          comm: np.ndarray) -> dict[str, np.ndarray]:
     """Sparse (bucket-major) columns from dense (n_pes, nb) arrays."""
@@ -190,49 +165,20 @@ def _pe_dense_to_columns(main: np.ndarray, proc: np.ndarray,
     }
 
 
-def _edge_group(flat: np.ndarray, counts: np.ndarray, nbytes: np.ndarray,
-                n_pes: int) -> dict[str, np.ndarray]:
-    """Group (bucket*P² + src*P + dst) keys; output sorted bucket-major."""
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    count_sums = np.bincount(inverse, weights=counts,
-                             minlength=len(uniq)).astype(np.int64)
-    byte_sums = np.bincount(inverse, weights=nbytes,
-                            minlength=len(uniq)).astype(np.int64)
-    return {
-        "bucket": uniq // (n_pes * n_pes),
-        "src": (uniq // n_pes) % n_pes,
-        "dst": uniq % n_pes,
-        "count": count_sums,
-        "bytes": byte_sums,
-    }
+def _group(cols: dict[str, np.ndarray], keys: int) -> dict[str, np.ndarray]:
+    """Rows equal on the first ``keys`` columns (bucket first) summed, in
+    key order: the trace store's fold over named columns."""
+    return dict(zip(cols, fold(np.stack(list(cols.values())), keys)))
 
 
-def _fold_pe(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One coarsening step on per-PE columns (bucket → bucket // 2)."""
-    key = cols["bucket"] // 2 * 2 ** 32 + cols["pe"]  # pes < 2**32 always
-    uniq, inverse = np.unique(key, return_inverse=True)
-    out = {"bucket": uniq // 2 ** 32, "pe": uniq % 2 ** 32}
-    for c in ("t_main", "t_proc", "t_comm"):
-        out[c] = np.bincount(inverse, weights=cols[c],
-                             minlength=len(uniq)).astype(np.int64)
-    return out
-
-
-def _fold_edge(cols: dict[str, np.ndarray], n_pes: int) -> dict[str, np.ndarray]:
-    """One coarsening step on per-edge columns."""
-    flat = (cols["bucket"] // 2) * (n_pes * n_pes) \
-        + cols["src"] * n_pes + cols["dst"]
-    return _edge_group(flat, cols["count"], cols["bytes"], n_pes)
+def _coarsen(cols: dict[str, np.ndarray], keys: int) -> dict[str, np.ndarray]:
+    """One coarsening step on level columns (bucket → bucket // 2)."""
+    return _group({**cols, "bucket": cols["bucket"] // 2}, keys)
 
 
 def _empty_pe() -> dict[str, np.ndarray]:
     z = np.zeros(0, dtype=np.int64)
     return {"bucket": z, "pe": z, "t_main": z, "t_proc": z, "t_comm": z}
-
-
-def _empty_edge() -> dict[str, np.ndarray]:
-    z = np.zeros(0, dtype=np.int64)
-    return {"bucket": z, "src": z, "dst": z, "count": z, "bytes": z}
 
 
 def build_pyramid(timeline) -> Pyramid:
@@ -251,31 +197,24 @@ def build_pyramid(timeline) -> Pyramid:
     w0 = widths[0]
     nb0 = -(-horizon // w0)
 
-    # one row per (region, pe): MAIN rows first, then PROC, then FINISH
-    pe, region, start, end = timeline.span_arrays()
-    target = np.full(len(pe), -1, dtype=np.int64)
-    for k, name in enumerate(("MAIN", "PROC", "FINISH")):
-        target[region == name] = k
-    known = target >= 0
-    occupied = _spread_spans(target[known] * n_pes + pe[known], start[known],
-                             end[known], w0, 3 * n_pes, nb0)
+    # one row per (region, pe): region codes order MAIN, PROC, FINISH
+    spans = timeline.span_columns()
+    occupied = spread_spans(spans["region"] * n_pes + spans["pe"],
+                            spans["start"], spans["end"], w0, 3 * n_pes, nb0)
     main, proc, total = occupied.reshape(3, n_pes, nb0)
     comm = np.maximum(total - main - proc, 0)
     pe0 = _pe_dense_to_columns(main, proc, comm)
 
-    times, srcs, dsts, sizes = timeline.net_arrays()
-    if len(times):
-        flat = (times // w0) * (n_pes * n_pes) + srcs * n_pes + dsts
-        edge0 = _edge_group(flat, np.ones(len(times), dtype=np.int64),
-                            sizes, n_pes)
-    else:
-        edge0 = _empty_edge()
+    net = timeline.net_columns()
+    edge0 = _group({"bucket": net["time"] // w0, "src": net["src"],
+                    "dst": net["dst"], "count": np.ones_like(net["time"]),
+                    "bytes": net["nbytes"]}, 3)
 
     pe_levels = [pe0]
     edge_levels = [edge0]
     for _ in widths[1:]:
-        pe_levels.append(_fold_pe(pe_levels[-1]))
-        edge_levels.append(_fold_edge(edge_levels[-1], n_pes))
+        pe_levels.append(_coarsen(pe_levels[-1], 2))
+        edge_levels.append(_coarsen(edge_levels[-1], 3))
     return Pyramid(horizon, n_pes, widths, True, pe_levels, edge_levels)
 
 

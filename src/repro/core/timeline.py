@@ -21,42 +21,54 @@ consumers know truncation happened).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.conveyors.hooks import SEND_TYPES
+from repro.core.rowstore import RowStore, bincount
 
-@dataclass(frozen=True)
-class Span:
-    """A closed region interval on one PE (cycles)."""
+#: Region names by the code the ``region`` column stores.
+REGIONS = ("MAIN", "PROC", "FINISH")
+MAIN, PROC, FINISH = range(3)
+SPAN_COLUMNS = ("pe", "region", "start", "end", "mailbox")
+#: ``kind`` indexes :data:`~repro.conveyors.hooks.SEND_TYPES`.
+NET_COLUMNS = ("time", "kind", "src", "dst", "nbytes")
 
-    pe: int
-    region: str  # "MAIN" | "PROC" | "FINISH"
-    start: int
-    end: int
-    mailbox: int = -1
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
+_REGION_CODE = {name: code for code, name in enumerate(REGIONS)}
+_KIND_CODE = {kind: code for code, kind in enumerate(SEND_TYPES)}
 
 
-@dataclass(frozen=True)
-class NetEvent:
-    """One instrumented Conveyors operation with its issue time."""
-
-    time: int
-    kind: str  # local_send | nonblock_send | nonblock_progress
-    src: int
-    dst: int
-    nbytes: int
+def spread_spans(rows: np.ndarray, start: np.ndarray, end: np.ndarray,
+                 width: int, n_rows: int, n_buckets: int) -> np.ndarray:
+    """Cycles of every span ``[start, end)`` (ending by ``n_buckets *
+    width``) spread over the buckets of its row: an ``(n_rows,
+    n_buckets)`` int64 occupancy matrix.  A span's first and last bucket
+    get its partial overlap and every bucket between them ``width``,
+    through one difference array (``+x`` where a run of ``x`` per bucket
+    starts, ``-x`` one past its end) and a prefix sum: O(spans + cells)
+    however long the spans are."""
+    keep = end > start
+    rows, start, end = rows[keep], start[keep], end[keep]
+    b0 = start // width
+    b1 = (end - 1) // width
+    split = b1 > b0
+    head = np.where(split, (b0 + 1) * width, end) - start
+    tail = np.where(split, end - b1 * width, 0)
+    full = np.where(split, width, 0)
+    cols = n_buckets + 1  # b1 + 1 may be one past the last bucket
+    base = rows * cols
+    diff = np.zeros(n_rows * cols, dtype=np.int64)
+    for at, value in ((b0, head), (b0 + 1, full - head),
+                      (b1, tail - full), (b1 + 1, -tail)):
+        np.add.at(diff, base + at, value)
+    return np.cumsum(diff.reshape(n_rows, cols), axis=1)[:, :n_buckets]
 
 
 class TimelineTrace:
-    """Per-PE timestamped trace of one run.
+    """Per-PE timestamped trace of one run: two int64 tables.
 
-    Recording (inside the observed run) appends plain tuples;
-    :class:`Span`/:class:`NetEvent` objects are built only when read.
+    Spans (:data:`SPAN_COLUMNS`) read PE-major in recording order, net
+    events (:data:`NET_COLUMNS`) in recording order; regions and send
+    kinds are stored as codes into :data:`REGIONS` / ``SEND_TYPES``.
     """
 
     def __init__(self, n_pes: int, max_spans_per_pe: int = 100_000) -> None:
@@ -64,8 +76,9 @@ class TimelineTrace:
             raise ValueError("max_spans_per_pe must be positive")
         self.n_pes = n_pes
         self.max_spans_per_pe = max_spans_per_pe
-        self._spans: list[list[tuple]] = [[] for _ in range(n_pes)]
-        self._net: list[tuple] = []
+        self._spans = RowStore(SPAN_COLUMNS, grouped=True)
+        self._net = RowStore(NET_COLUMNS)
+        self._kept = [0] * n_pes  # spans recorded per PE
         self.dropped_spans = 0
 
     # ------------------------------------------------------------------
@@ -77,83 +90,69 @@ class TimelineTrace:
         """Record a closed region interval."""
         if end < start:
             raise ValueError(f"span ends before it starts: [{start}, {end})")
-        bucket = self._spans[pe]
-        if len(bucket) >= self.max_spans_per_pe:
+        code = _REGION_CODE.get(region)
+        if code is None:
+            raise ValueError(f"unknown timeline region {region!r}")
+        kept = self._kept[pe]
+        if kept >= self.max_spans_per_pe:
             self.dropped_spans += 1
             return
-        bucket.append((region, start, end, mailbox))
+        self._kept[pe] = kept + 1
+        self._spans.add((pe, code, start, end, mailbox))
 
     def add_net_event(self, time: int, kind: str, src: int, dst: int,
                       nbytes: int) -> None:
         """Record one network operation."""
-        self._net.append((time, kind, src, dst, nbytes))
+        code = _KIND_CODE.get(kind)
+        if code is None:
+            raise ValueError(f"unknown network event kind {kind!r}")
+        self._net.add((time, code, src, dst, nbytes))
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
 
-    def spans(self, pe: int | None = None, region: str | None = None) -> list[Span]:
-        """Spans of one PE (or all), optionally filtered by region."""
-        pes = range(self.n_pes) if pe is None else (pe,)
-        return [Span(p, *s) for p in pes for s in self._spans[p]
-                if region is None or s[0] == region]
+    def span_columns(self) -> dict[str, np.ndarray]:
+        """Every span as :data:`SPAN_COLUMNS`, PE-major in recording order."""
+        return self._spans.columns()
 
-    def net_events(self, kind: str | None = None) -> list[NetEvent]:
-        return [NetEvent(*e) for e in self._net if kind is None or e[1] == kind]
+    def span_bounds(self) -> np.ndarray:
+        """PE ``p``'s spans are rows ``[bounds[p], bounds[p + 1])`` of
+        :meth:`span_columns`."""
+        return self._spans.bounds(self.n_pes)
+
+    def net_columns(self) -> dict[str, np.ndarray]:
+        """Every network event as :data:`NET_COLUMNS`, in recording order."""
+        return self._net.columns()
 
     def span_count(self) -> int:
-        return sum(len(b) for b in self._spans)
+        return sum(self._kept)
 
     def net_count(self) -> int:
-        return len(self._net)
-
-    def span_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(pe, region, start, end)`` of every span, PE-major in
-        recording order: int64 columns plus a str array of region names."""
-        flat = [s for bucket in self._spans for s in bucket]
-        pe = np.repeat(np.arange(self.n_pes, dtype=np.int64),
-                       [len(bucket) for bucket in self._spans])
-        return (pe, np.array([s[0] for s in flat], dtype=str),
-                np.array([s[1] for s in flat], dtype=np.int64),
-                np.array([s[2] for s in flat], dtype=np.int64))
-
-    def net_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(time, src, dst, nbytes)`` of every network event as int64
-        columns, in recording order."""
-        return tuple(np.array([e[i] for e in self._net], dtype=np.int64)
-                     for i in (0, 2, 3, 4))
+        return self._net.table().shape[1]
 
     def end_time(self) -> int:
         """Latest timestamp anywhere in the timeline."""
-        last_span = max((s[2] for b in self._spans for s in b), default=0)
-        last_net = max((e[0] for e in self._net), default=0)
-        return max(last_span, last_net)
+        return int(max(self._spans.table()[3].max(initial=0),
+                       self._net.table()[0].max(initial=0)))
 
     def region_totals(self, region: str) -> np.ndarray:
         """Total cycles per PE spent in ``region`` spans."""
-        out = np.zeros(self.n_pes, dtype=np.int64)
-        for pe, bucket in enumerate(self._spans):
-            out[pe] = sum(s[2] - s[1] for s in bucket if s[0] == region)
-        return out
+        pe, code, start, end, _ = self._spans.table()
+        mine = code == _REGION_CODE.get(region, -1)
+        return bincount(pe[mine], (end - start)[mine], self.n_pes)
 
-    def utilization(self, pe: int, bucket_cycles: int) -> np.ndarray:
-        """Fraction of each time bucket covered by MAIN+PROC spans.
+    def utilization(self, bucket_cycles: int) -> np.ndarray:
+        """``(n_pes, n_buckets)`` fraction of each time bucket covered by
+        MAIN+PROC spans, buckets up to :meth:`end_time`.
 
         A simple occupancy profile — the "CPU utilization over time" view
         that tools like Legion Prof display.
         """
         if bucket_cycles < 1:
             raise ValueError("bucket_cycles must be positive")
-        horizon = self.end_time()
-        n_buckets = max(1, -(-horizon // bucket_cycles))
-        busy = np.zeros(n_buckets, dtype=np.float64)
-        for region, start, end, _ in self._spans[pe]:
-            if region not in ("MAIN", "PROC"):
-                continue
-            b0 = start // bucket_cycles
-            b1 = end // bucket_cycles
-            for b in range(b0, min(b1, n_buckets - 1) + 1):
-                lo = max(start, b * bucket_cycles)
-                hi = min(end, (b + 1) * bucket_cycles)
-                busy[b] += max(0, hi - lo)
-        return busy / bucket_cycles
+        n_buckets = max(1, -(-self.end_time() // bucket_cycles))
+        pe, code, start, end, _ = self._spans.table()
+        busy = code != FINISH
+        return spread_spans(pe[busy], start[busy], end[busy], bucket_cycles,
+                            self.n_pes, n_buckets) / bucket_cycles

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.timeline import TimelineTrace
+from repro.core.timeline import FINISH, REGIONS, TimelineTrace
 from repro.core.viz.lodviews import (
     _LANE_GAP,
     _LANE_H,
@@ -40,24 +40,29 @@ def timeline_svg(timeline: TimelineTrace, title: str = "Execution timeline",
     def x_of(t: int) -> float:
         return _MARGIN_LEFT + plot_w * t / horizon
 
-    total_spans = timeline.span_count()
-    stride = max(1, total_spans // max_spans)
+    spans = timeline.span_columns()
+    bounds = timeline.span_bounds().tolist()
+    region, start, end = (spans[c].tolist() for c in ("region", "start", "end"))
+    stride = max(1, timeline.span_count() // max_spans)
     for pe in range(n):
         y = _MARGIN_TOP + pe * (_LANE_H + _LANE_GAP)
         cv.rect(_MARGIN_LEFT, y, plot_w, _LANE_H, fill=REGION_COLORS["COMM"],
                 opacity=0.35)
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9, anchor="end")
-        spans = [s for i, s in enumerate(timeline.spans(pe))
-                 if s.region != "FINISH" and not i % stride]
-        if spans:
-            x0 = [x_of(s.start) for s in spans]
-            cv.rects(x0, y, [max(x_of(s.end) - x, 0.6) for s, x in zip(spans, x0)],
-                     _LANE_H, [REGION_COLORS.get(s.region, "#888888") for s in spans],
-                     [f"PE{pe} {s.region}: [{s.start}, {s.end})" for s in spans])
+        # every stride-th span of the lane; FINISH spans count, not drawn
+        lane = [i for i in range(bounds[pe], bounds[pe + 1], stride)
+                if region[i] != FINISH]
+        if lane:
+            x0 = [x_of(start[i]) for i in lane]
+            cv.rects(x0, y, [max(x_of(end[i]) - x, 0.6) for i, x in zip(lane, x0)],
+                     _LANE_H, [REGION_COLORS[REGIONS[region[i]]] for i in lane],
+                     [f"PE{pe} {REGIONS[region[i]]}: [{start[i]}, {end[i]})"
+                      for i in lane])
     # network event ticks under each source lane
-    for ev in timeline.net_events():
-        y = _MARGIN_TOP + ev.src * (_LANE_H + _LANE_GAP)
-        cv.line(x_of(ev.time), y + _LANE_H, x_of(ev.time), y + _LANE_H + 3,
+    net = timeline.net_columns()
+    for time, src in zip(net["time"].tolist(), net["src"].tolist()):
+        y = _MARGIN_TOP + src * (_LANE_H + _LANE_GAP)
+        cv.line(x_of(time), y + _LANE_H, x_of(time), y + _LANE_H + 3,
                 stroke="#303030")
     _axis(cv, _MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 10, plot_w, 0, horizon)
     _legend(cv, ("MAIN", "COMM", "PROC"), faded="COMM")
@@ -73,9 +78,8 @@ def utilization_svg(timeline: TimelineTrace, buckets: int = 120,
     bucket_cycles = max(1, -(-horizon // buckets))
     n = timeline.n_pes
     rows = np.zeros((n, buckets))
-    for pe in range(n):
-        u = timeline.utilization(pe, bucket_cycles)
-        rows[pe, : min(buckets, len(u))] = u[:buckets]
+    u = timeline.utilization(bucket_cycles)[:, :buckets]
+    rows[:, :u.shape[1]] = u
     cell_w = max(4, (900 - _MARGIN_LEFT - 40) // buckets)
     height = _MARGIN_TOP + n * (_LANE_H + 2) + 50
     width = _MARGIN_LEFT + buckets * cell_w + 40

@@ -35,6 +35,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 
+from repro.core.timeline import FINISH, REGIONS, SPAN_COLUMNS
 from repro.machine.cost import CostModel
 from repro.whatif.perturb import Scales
 
@@ -395,12 +396,14 @@ def build_dag(*, n_pes: int, clocks: list[int], timeline,
                    transfers=transfers, collectives=collectives)
 
     # -- per-PE interval books -----------------------------------------
+    cols = timeline.span_columns()
+    busy = (cols["region"] != FINISH) & (cols["end"] > cols["start"])
     spans: list[list[tuple[int, int, str, int]]] = [[] for _ in range(n_pes)]
-    for pe in range(n_pes):
-        for s in timeline.spans(pe):
-            if s.region in ("MAIN", "PROC") and s.end > s.start:
-                spans[pe].append((s.start, s.end, s.region, s.mailbox))
-        spans[pe].sort()
+    for pe, code, start, end, mailbox in zip(
+            *(cols[c][busy].tolist() for c in SPAN_COLUMNS)):
+        spans[pe].append((start, end, REGIONS[code], mailbox))
+    for lane in spans:
+        lane.sort()
     wait_raw: list[list[tuple[int, int]]] = [[] for _ in range(n_pes)]
     quiet_waits: list[list[tuple[int, int]]] = [[] for _ in range(n_pes)]
     for pe, start, end, reason in recorder.waits:

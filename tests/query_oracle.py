@@ -11,6 +11,7 @@ query semantics.
 
 import operator
 
+from repro.conveyors.hooks import SEND_TYPES
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
 from repro.core.query import FieldRef, QueryError, parse
@@ -25,27 +26,32 @@ _OPS = {
 }
 
 
+def _rows(trace):
+    """The trace's aggregated rows as Python tuples, in section order."""
+    columns, _attrs = trace.to_columns()
+    return zip(*(col.tolist() for col in columns.values()))
+
+
 def _logical_rows(trace: LogicalTrace):
     spec = trace.spec
-    for src, counts in enumerate(trace._counts):
-        for (dst, size), n in counts.items():
-            yield {
-                "src": src,
-                "dst": dst,
-                "size": size,
-                "src_node": spec.node_of(src),
-                "dst_node": spec.node_of(dst),
-            }, n, n * size
+    for src, dst, size, n in _rows(trace):
+        yield {
+            "src": src,
+            "dst": dst,
+            "size": size,
+            "src_node": spec.node_of(src),
+            "dst_node": spec.node_of(dst),
+        }, n, n * size
 
 
 def _physical_rows(trace: PhysicalTrace):
     spec = trace.spec
-    for (kind, nbytes, src, dst), n in trace._counts.items():
+    for code, nbytes, src, dst, n in _rows(trace):
         row = {
             "src": src,
             "dst": dst,
             "size": nbytes,
-            "kind": kind,
+            "kind": SEND_TYPES[code],
         }
         if spec is not None:
             row["src_node"] = spec.node_of(src)

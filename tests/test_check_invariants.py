@@ -19,6 +19,7 @@ from repro.check.invariants import (
 )
 from repro.check.policies import make_schedules
 from repro.check.workloads import GeneratedWorkload, ProgramSpec
+from repro.core.logical import LogicalTrace
 from repro.machine.spec import MachineSpec
 
 
@@ -137,15 +138,13 @@ def test_store_equivalence_clean(artifacts):
 def test_store_equivalence_detects_archive_drift(artifacts):
     # record one extra logical send AFTER the archive was exported: the
     # in-memory matrix no longer matches the archived one
-    logical = artifacts.profiler.logical
-    logical.record(0, 1, 8)
+    saved = artifacts.profiler.logical
+    tampered = LogicalTrace.from_columns(*saved.to_columns())
+    tampered.record(0, 1, 8)
+    artifacts.profiler.logical = tampered
     try:
         violations = check_store_equivalence(artifacts)
         assert any("logical matrix does not" in v.detail for v in violations)
     finally:
-        # undo the tamper so the module-scoped fixture stays clean
-        key = (1, 8)
-        logical._counts[0][key] -= 1
-        if not logical._counts[0][key]:
-            del logical._counts[0][key]
-        logical._ticks[0] -= 1
+        # put the untouched trace back so the module-scoped fixture stays clean
+        artifacts.profiler.logical = saved

@@ -8,7 +8,8 @@ import pytest
 from repro.core import ActorProf, ProfileFlags
 from repro.core.export.chrome import to_chrome_trace, write_chrome_trace
 from repro.core.export.otf import FUNCTION_IDS, parse_otf_events, write_otf
-from repro.core.timeline import TimelineTrace
+from repro.conveyors.hooks import SEND_TYPES
+from repro.core.timeline import FINISH, MAIN, TimelineTrace
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
 
@@ -22,10 +23,19 @@ def test_add_and_query_spans():
     tl.add_span(0, "PROC", 120, 150, mailbox=1)
     tl.add_span(1, "MAIN", 10, 20)
     assert tl.span_count() == 3
-    assert len(tl.spans(0)) == 2
-    assert len(tl.spans(region="MAIN")) == 2
-    assert tl.spans(0, "PROC")[0].mailbox == 1
-    assert tl.spans(0, "PROC")[0].duration == 30
+    assert tl.span_bounds().tolist() == [0, 2, 3]
+    # PE-major, region codes into REGIONS (MAIN 0, PROC 1)
+    assert {k: v.tolist() for k, v in tl.span_columns().items()} == {
+        "pe": [0, 0, 1], "region": [0, 1, 0], "start": [0, 120, 10],
+        "end": [100, 150, 20], "mailbox": [-1, 1, -1]}
+
+
+def test_unknown_region_or_kind_rejected():
+    tl = TimelineTrace(1)
+    with pytest.raises(ValueError, match="region 'IDLE'"):
+        tl.add_span(0, "IDLE", 0, 1)
+    with pytest.raises(ValueError, match="kind 'teleport'"):
+        tl.add_net_event(0, "teleport", 0, 0, 8)
 
 
 def test_invalid_span_rejected():
@@ -49,8 +59,8 @@ def test_net_events_and_end_time():
     tl.add_span(0, "MAIN", 0, 100)
     tl.add_net_event(500, "local_send", 0, 1, 64)
     assert tl.end_time() == 500
-    assert len(tl.net_events("local_send")) == 1
-    assert tl.net_events("nonblock_send") == []
+    assert tl.net_count() == 1
+    assert tl.net_columns()["kind"].tolist() == [SEND_TYPES.index("local_send")]
 
 
 def test_region_totals():
@@ -66,11 +76,10 @@ def test_utilization():
     tl = TimelineTrace(1)
     tl.add_span(0, "MAIN", 0, 50)       # first bucket half busy
     tl.add_span(0, "PROC", 100, 200)    # second bucket fully busy
-    util = tl.utilization(0, 100)
-    assert util[0] == pytest.approx(0.5)
-    assert util[1] == pytest.approx(1.0)
+    util = tl.utilization(100)
+    assert util.tolist() == [[0.5, 1.0]]
     with pytest.raises(ValueError):
-        tl.utilization(0, 0)
+        tl.utilization(0)
 
 
 # ------------------------------------------------------ integrated runs
@@ -111,23 +120,23 @@ def test_runtime_produces_consistent_timeline(profiled_run):
     assert np.array_equal(tl.region_totals("MAIN"), ap.overall.t_main)
     assert np.array_equal(tl.region_totals("PROC"), ap.overall.t_proc)
     # one FINISH span per PE spanning the measured total
-    for pe in range(spec.n_pes):
-        fin = tl.spans(pe, "FINISH")
-        assert len(fin) == 1
-        assert fin[0].duration == ap.overall.t_total[pe]
+    spans = tl.span_columns()
+    fin = spans["region"] == FINISH
+    assert spans["pe"][fin].tolist() == list(range(spec.n_pes))
+    assert np.array_equal((spans["end"] - spans["start"])[fin],
+                          ap.overall.t_total)
     # network events match the physical trace operation count
-    assert len(tl.net_events()) == ap.physical.total_operations()
+    assert tl.net_count() == ap.physical.total_operations()
 
 
 def test_spans_are_non_overlapping_per_pe(profiled_run):
-    tl = profiled_run.timeline
-    for pe in range(profiled_run.world.spec.n_pes):
-        spans = sorted(
-            (s for s in tl.spans(pe) if s.region in ("MAIN", "PROC")),
-            key=lambda s: s.start,
-        )
-        for a, b in zip(spans, spans[1:]):
-            assert a.end <= b.start
+    spans = profiled_run.timeline.span_columns()
+    busy = spans["region"] != FINISH
+    pe, start, end = (spans[c][busy] for c in ("pe", "start", "end"))
+    order = np.lexsort((start, pe))
+    pe, start, end = pe[order], start[order], end[order]
+    same_pe = pe[1:] == pe[:-1]
+    assert (end[:-1][same_pe] <= start[1:][same_pe]).all()
 
 
 # --------------------------------------------------------- chrome export
@@ -150,8 +159,9 @@ def test_chrome_trace_structure(profiled_run, tmp_path):
     assert sorted(starts) == sorted(ends)
     # timestamps are µs: 2 GHz → cycles / 2000
     main0 = next(e for e in spans if e["name"] == "MAIN" and e["tid"] == 0)
-    raw = ap.timeline.spans(0, "MAIN")[0]
-    assert main0["ts"] == pytest.approx(raw.start / 2000.0)
+    spans = ap.timeline.span_columns()
+    raw = spans["start"][(spans["pe"] == 0) & (spans["region"] == MAIN)][0]
+    assert main0["ts"] == pytest.approx(raw / 2000.0)
 
     path = write_chrome_trace(ap.timeline, ap.world.spec, tmp_path / "t.json")
     loaded = json.loads(path.read_text())
@@ -187,7 +197,7 @@ def test_otf_events_roundtrip(profiled_run, tmp_path):
     evs = parse_otf_events(tmp_path / "t.1.events")
     enters = [e for e in evs if e[0] == "ENTER"]
     leaves = [e for e in evs if e[0] == "LEAVE"]
-    assert len(enters) == len(leaves) == len(ap.timeline.spans(0))
+    assert len(enters) == len(leaves) == ap.timeline.span_bounds()[1]
     # balanced per function id
     for fid in FUNCTION_IDS.values():
         assert sum(1 for e in enters if e[1] == fid) == sum(
@@ -197,8 +207,7 @@ def test_otf_events_roundtrip(profiled_run, tmp_path):
     times = [e[1] if e[0] == "SEND" else e[2] for e in evs]
     assert times == sorted(times)
     sends = [e for e in evs if e[0] == "SEND"]
-    expected = [e for e in ap.timeline.net_events() if e.src == 0]
-    assert len(sends) == len(expected)
+    assert len(sends) == (ap.timeline.net_columns()["src"] == 0).sum()
 
 
 def test_otf_parse_rejects_junk(tmp_path):

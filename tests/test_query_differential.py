@@ -79,19 +79,19 @@ def machine_specs(draw):
 def traced_runs(draw, min_rows=1, min_size=1):
     """A (logical, physical) pair over one machine, with shared routes."""
     spec = draw(machine_specs())
-    logical = LogicalTrace(spec)
-    physical = PhysicalTrace(spec.n_pes, spec=spec)
     pes = st.integers(0, spec.n_pes - 1)
     rows = draw(st.lists(
         st.tuples(pes, pes, st.integers(min_size, 64), st.integers(1, 20),
-                  st.sampled_from(SEND_TYPES)),
+                  st.integers(0, len(SEND_TYPES) - 1)),
         min_size=min_rows, max_size=40,
     ))
-    for src, dst, size, count, kind in rows:
-        key = (dst, size)
-        logical._counts[src][key] = logical._counts[src].get(key, 0) + count
-        pkey = (kind, size, src, dst)
-        physical._counts[pkey] = physical._counts.get(pkey, 0) + count
+    src, dst, size, count, kind = (np.array(c, dtype=np.int64).reshape(-1)
+                                   for c in (zip(*rows) if rows else [[]] * 5))
+    logical = LogicalTrace.from_columns(
+        {"src": src, "dst": dst, "size": size, "count": count}, spec.attrs())
+    physical = PhysicalTrace.from_columns(
+        {"kind": kind, "size": size, "src": src, "dst": dst, "count": count},
+        {"n_pes": spec.n_pes, **spec.attrs()})
     return spec, logical, physical
 
 
@@ -161,9 +161,7 @@ def test_differential_logical(tmp_path, run, data):
             export_run(tmp_path / "n.aptrc", logical=logical)),
     }
     # multi-chunk: the same routes split across row groups
-    rows = [(src, dst, size, n)
-            for src, counts in enumerate(logical._counts)
-            for (dst, size), n in sorted(counts.items())]
+    rows = list(zip(*(col.tolist() for col in logical.to_columns()[0].values())))
     if rows:
         attrs = {"nodes": spec.nodes, "pes_per_node": spec.pes_per_node,
                  "n_pes": spec.n_pes}

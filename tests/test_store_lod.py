@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from repro import ActorProf, ProfileFlags
 from repro.apps import histogram
 from repro.core.lod import DEFAULT_RES, LodView, open_lod
+from repro.core.rowstore import scatter_matrix
 from repro.core.store.archive import Archive, load_overall, load_run
-from repro.core.store.frame import scatter_matrix
 from repro.core.store.lod import (
     EDGE_SECTION,
     PE_SECTION,
@@ -32,7 +32,7 @@ from repro.core.store.lod import (
     pyramid_info,
     read_level,
 )
-from repro.core.timeline import TimelineTrace
+from repro.core.timeline import REGIONS, TimelineTrace
 from repro.machine.spec import MachineSpec
 
 from tests.test_golden_archives import GOLDEN_DIR
@@ -115,7 +115,7 @@ def _spread_span_scalar(row, start, end, width):
 
 
 @given(st.integers(1, 4), st.lists(st.tuples(
-    st.integers(0, 3), st.sampled_from(("MAIN", "PROC", "FINISH", "IDLE")),
+    st.integers(0, 3), st.sampled_from(REGIONS),
     st.integers(0, 5000), st.one_of(st.integers(0, 3), st.integers(0, 3000))),
     max_size=40))
 def test_level_zero_occupancy_matches_per_span_spreading(n_pes, spans):
@@ -125,11 +125,11 @@ def test_level_zero_occupancy_matches_per_span_spreading(n_pes, spans):
     pyramid = build_pyramid(timeline)
     width, n_buckets = pyramid.widths[0], pyramid.buckets()[0]
     want = {region: np.zeros((n_pes, n_buckets), dtype=np.int64)
-            for region in ("MAIN", "PROC", "FINISH")}
-    for span in timeline.spans():
-        if span.region in want:
-            _spread_span_scalar(want[span.region][span.pe], span.start,
-                                span.end, width)
+            for region in REGIONS}
+    cols = timeline.span_columns()
+    for pe, code, start, end in zip(*(cols[c].tolist() for c in
+                                      ("pe", "region", "start", "end"))):
+        _spread_span_scalar(want[REGIONS[code]][pe], start, end, width)
     want["COMM"] = np.maximum(want["FINISH"] - want["MAIN"] - want["PROC"], 0)
     cols = pyramid.pe_levels[0]
     for region, column in (("MAIN", "t_main"), ("PROC", "t_proc"),

@@ -31,6 +31,7 @@ from repro.core.store.writer import export_run
 from repro.core.store.archive import load_run
 from repro.machine import MachineSpec
 from tests.codec_oracle import encode_column_v1, pack_scalar, unpack_scalar
+from tests.trace_oracle import same_trace
 
 SETTINGS = settings(
     max_examples=25,
@@ -46,37 +47,39 @@ def machine_specs(draw):
     return MachineSpec(draw(st.integers(1, 3)), draw(st.integers(1, 5)))
 
 
+def _columns(names, rows) -> dict[str, np.ndarray]:
+    """Drawn rows (duplicate keys allowed: they fold) as int64 columns."""
+    return {name: np.array([row[i] for row in rows], dtype=np.int64)
+            for i, name in enumerate(names)}
+
+
 @st.composite
 def logical_traces(draw):
     spec = draw(machine_specs())
-    trace = LogicalTrace(spec, sample_interval=draw(st.integers(1, 4)))
     pes = st.integers(0, spec.n_pes - 1)
     entries = draw(st.lists(
         st.tuples(pes, pes, st.integers(1, 1024), st.integers(1, 50)),
         max_size=40,
     ))
-    for src, dst, size, count in entries:
-        key = (dst, size)
-        trace._counts[src][key] = trace._counts[src].get(key, 0) + count
-    trace._ticks = draw(st.lists(st.integers(0, 10_000),
-                                 min_size=spec.n_pes, max_size=spec.n_pes))
-    return trace
+    attrs = {**spec.attrs(), "sample_interval": draw(st.integers(1, 4)),
+             "ticks": draw(st.lists(st.integers(0, 10_000),
+                                    min_size=spec.n_pes, max_size=spec.n_pes))}
+    return LogicalTrace.from_columns(
+        _columns(("src", "dst", "size", "count"), entries), attrs)
 
 
 @st.composite
 def physical_traces(draw):
     n_pes = draw(st.integers(1, 12))
-    trace = PhysicalTrace(n_pes)
     pes = st.integers(0, n_pes - 1)
     entries = draw(st.lists(
-        st.tuples(st.sampled_from(SEND_TYPES), st.integers(1, 1 << 20),
+        st.tuples(st.integers(0, len(SEND_TYPES) - 1), st.integers(1, 1 << 20),
                   pes, pes, st.integers(1, 99)),
         max_size=40,
     ))
-    for kind, nbytes, src, dst, count in entries:
-        key = (kind, nbytes, src, dst)
-        trace._counts[key] = trace._counts.get(key, 0) + count
-    return trace
+    return PhysicalTrace.from_columns(
+        _columns(("kind", "size", "src", "dst", "count"), entries),
+        {"n_pes": n_pes})
 
 
 @st.composite
@@ -230,8 +233,7 @@ def test_big_incompressible_chunk_packs_and_big_sorted_chunk_does_not():
 def test_logical_roundtrip(tmp_path, trace):
     path = export_run(tmp_path / "l.aptrc", logical=trace)
     got = load_run(path).logical
-    assert got._counts == trace._counts
-    assert got._ticks == trace._ticks
+    assert same_trace(got, trace)
     assert got.sample_interval == trace.sample_interval
     assert got.spec == trace.spec
     assert (got.matrix() == trace.matrix()).all()
@@ -243,7 +245,7 @@ def test_logical_roundtrip(tmp_path, trace):
 def test_physical_roundtrip(tmp_path, trace):
     path = export_run(tmp_path / "p.aptrc", physical=trace)
     got = load_run(path).physical
-    assert got._counts == trace._counts
+    assert same_trace(got, trace)
     assert got.n_pes == trace.n_pes
     assert got.counts_by_type() == trace.counts_by_type()
     for kind in SEND_TYPES:
@@ -257,8 +259,9 @@ def test_papi_roundtrip(tmp_path, trace):
     got = load_run(path).papi
     assert got.events == trace.events
     assert got.spec == trace.spec
+    assert same_trace(got, trace)
     for pe in range(trace.n_pes):
-        assert got.rows(pe) == trace.rows(pe)
+        assert np.array_equal(got.rows(pe), trace.rows(pe))
     for region in ("MAIN", "PROC"):
         assert (got.region_totals[region]
                 == trace.region_totals[region]).all()
@@ -285,6 +288,6 @@ def test_combined_archive_roundtrip(tmp_path, logical, physical, overall):
     path = export_run(tmp_path / "all.aptrc", logical=logical,
                       physical=physical, overall=overall)
     traces = load_run(path)
-    assert traces.logical._counts == logical._counts
-    assert traces.physical._counts == physical._counts
+    assert same_trace(traces.logical, logical)
+    assert same_trace(traces.physical, physical)
     assert (traces.overall.t_total == overall.t_total).all()

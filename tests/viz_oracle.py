@@ -17,6 +17,7 @@ import html
 import numpy as np
 
 from repro.core.analysis import heat_with_totals
+from repro.core.timeline import REGIONS
 from repro.core.viz.lodviews import _axis, _legend
 from repro.core.viz.palette import REGION_COLORS, normalize
 from repro.core.viz.svg import Canvas, _fmt
@@ -246,6 +247,32 @@ def lod_timeline_svg(series, title="LOD timeline") -> str:
     return cv.to_string()
 
 
+def _spans(timeline, pe):
+    """``(region, start, end, mailbox)`` of one PE's spans, in order."""
+    cols = timeline.span_columns()
+    mine = cols["pe"] == pe
+    return [(REGIONS[code], start, end, mailbox) for code, start, end, mailbox
+            in zip(*(cols[c][mine].tolist()
+                     for c in ("region", "start", "end", "mailbox")))]
+
+
+def _utilization(timeline, pe, bucket_cycles):
+    """Busy fraction of each bucket, one span and one bucket at a time."""
+    horizon = timeline.end_time()
+    n_buckets = max(1, -(-horizon // bucket_cycles))
+    busy = np.zeros(n_buckets, dtype=np.float64)
+    for region, start, end, _ in _spans(timeline, pe):
+        if region not in ("MAIN", "PROC"):
+            continue
+        b0 = start // bucket_cycles
+        b1 = end // bucket_cycles
+        for b in range(b0, min(b1, n_buckets - 1) + 1):
+            lo = max(start, b * bucket_cycles)
+            hi = min(end, (b + 1) * bucket_cycles)
+            busy[b] += max(0, hi - lo)
+    return busy / bucket_cycles
+
+
 def utilization_svg(timeline, buckets=120,
                     title="PE utilization over time") -> str:
     if buckets < 1:
@@ -255,7 +282,7 @@ def utilization_svg(timeline, buckets=120,
     n = timeline.n_pes
     rows = np.zeros((n, buckets))
     for pe in range(n):
-        u = timeline.utilization(pe, bucket_cycles)
+        u = _utilization(timeline, pe, bucket_cycles)
         rows[pe, : min(buckets, len(u))] = u[:buckets]
     cell_w = max(4, (900 - _LOD_MARGIN_LEFT - 40) // buckets)
     height = _LOD_MARGIN_TOP + n * (_LANE_H + 2) + 50
@@ -296,16 +323,17 @@ def timeline_svg(timeline, title="Execution timeline", max_spans=20_000) -> str:
                 opacity=0.35)
         cv.text(_LOD_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9,
                 anchor="end")
-        for i, span in enumerate(timeline.spans(pe)):
-            if span.region == "FINISH" or i % stride:
+        for i, (region, start, end, _) in enumerate(_spans(timeline, pe)):
+            if region == "FINISH" or i % stride:
                 continue
-            x0, x1 = x_of(span.start), x_of(span.end)
+            x0, x1 = x_of(start), x_of(end)
             cv.rect(x0, y, max(x1 - x0, 0.6), _LANE_H,
-                    fill=REGION_COLORS.get(span.region, "#888888"),
-                    title=f"PE{pe} {span.region}: [{span.start}, {span.end})")
-    for ev in timeline.net_events():
-        y = _LOD_MARGIN_TOP + ev.src * (_LANE_H + _LANE_GAP)
-        cv.line(x_of(ev.time), y + _LANE_H, x_of(ev.time), y + _LANE_H + 3,
+                    fill=REGION_COLORS.get(region, "#888888"),
+                    title=f"PE{pe} {region}: [{start}, {end})")
+    net = timeline.net_columns()
+    for time, src in zip(net["time"].tolist(), net["src"].tolist()):
+        y = _LOD_MARGIN_TOP + src * (_LANE_H + _LANE_GAP)
+        cv.line(x_of(time), y + _LANE_H, x_of(time), y + _LANE_H + 3,
                 stroke="#303030")
     axis_y = _LOD_MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 10
     cv.line(_LOD_MARGIN_LEFT, axis_y, _LOD_MARGIN_LEFT + plot_w, axis_y,
