@@ -128,8 +128,9 @@ class Run:
 
         The archive records which workload/seed/schedule produced it but
         not the full generator parameters, so ``workload`` must be the
-        (reconstructible) :class:`~repro.check.workloads.Workload`; the
-        run's metadata is checked against it when present.
+        (reconstructible) :class:`~repro.check.workloads.Workload`.  An
+        archive written by ``Workload.run`` names its workload and seed;
+        a workload that differs in either is rejected.
         """
         from repro.whatif.engine import _run_whatif
 
@@ -144,6 +145,12 @@ class Run:
             raise ValueError(
                 f"workload mismatch: archive was produced by {recorded!r}, "
                 f"got {workload.name!r}"
+            )
+        seed = self.meta.get("seed")
+        if recorded is not None and seed != workload.seed:
+            raise ValueError(
+                f"seed mismatch: archive was produced with seed {seed!r}, "
+                f"got a {workload.name!r} workload with seed {workload.seed!r}"
             )
         return _run_whatif(workload, **kwargs)
 

@@ -72,7 +72,7 @@ class OutBuffer:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class InboundBuffer:
     """A delivered buffer waiting to be ingested by the receiving PE."""
 
@@ -130,12 +130,10 @@ class ReadyQueue:
 
     def take_all(self) -> list[np.ndarray]:
         """Remove and return every pending segment (batch-handler path)."""
-        out: list[np.ndarray] = []
-        if self._segments:
-            first = self._segments[0][self._cursor :]
-            if len(first):
-                out.append(first)
-            out.extend(self._segments[1:])
+        out = self._segments
+        if self._cursor:  # scalar pops consumed the head of the first
+            rest = out[0][self._cursor :]
+            out[:1] = [rest] if len(rest) else []
         self._segments = []
         self._cursor = 0
         self._count = 0

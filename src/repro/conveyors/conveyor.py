@@ -30,6 +30,7 @@ item-for-item the same as the scalar path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,10 +186,9 @@ class Conveyor:
         cfg = group.config
         self.width = HEADER_WORDS + cfg.payload_words
         self.out: dict[int, OutBuffer] = {}
-        # Per-hop queued-item counts, mirrored from the OutBuffers so flush
-        # candidates come from one vectorized compare instead of a dict walk.
-        self._out_items = np.zeros(group.n_pes, dtype=np.int64)
-        self._out_total = 0  # scalar sum of _out_items: O(1) empty probe
+        #: Hops whose buffer holds items: the flush candidates, so a flush
+        #: costs what is queued, not a scan over every PE.
+        self._queued: set[int] = set()
         self.inbound: list[InboundBuffer] = []
         # Cached min over inbound arrivals (None iff inbound is empty):
         # makes the per-advance visibility probe O(1).
@@ -242,8 +242,7 @@ class Conveyor:
             self.perf.work(ins=self.perf.cost.push_retry_ins, loads=2, branches=1)
             return False
         buf.append(dst, self.me, tuple(payload))
-        self._out_items[hop] += 1
-        self._out_total += 1
+        self._queued.add(hop)
         self.perf.work(ins=self.perf.cost.push_ins, loads=4, stores=4, branches=2)
         self.group.add_live(1)
         self.stats.pushes += 1
@@ -322,8 +321,8 @@ class Conveyor:
         Charges the same per-item cost as scalar pulls and updates the
         same statistics, so the two paths are interchangeable.
         """
+        total = len(self.ready)
         segs = self.ready.take_all()
-        total = sum(len(s) for s in segs)
         if total:
             cost = self.perf.cost
             self.perf.work(
@@ -350,7 +349,7 @@ class Conveyor:
 
         ``done=True`` (sticky) signals this endpoint will push no more.
         """
-        if done:
+        if done and not self.done_requested:
             self.done_requested = True
             self.group.mark_done(self.me)
         self.perf.work(ins=self.perf.cost.advance_poll_ins, loads=6, branches=4)
@@ -402,49 +401,40 @@ class Conveyor:
     def _route_rows(self, rows: np.ndarray) -> None:
         """Place item rows into per-hop buffers, flushing full ones.
 
-        Hop groups are always processed in ascending hop order with the
-        rows inside a group in their original relative order, so the small
-        fast paths below are trace-identical to the stable-sort path.
+        Hop groups are processed in ascending hop order with the rows
+        inside a group in their original relative order (a stable sort).
         """
         n = len(rows)
         if n == 0:
             return
-        hop_map = self._hop_lookup()
-        hops = hop_map[rows[:, COL_DST]]
-        first = int(hops[0])
-        if n == 1 or int(hops.max()) == int(hops.min()):
-            # Single destination hop (the common case for forwarded
-            # blocks): skip the sort/partition machinery entirely.
+        hops = self._hop_lookup()[rows[:, COL_DST]]
+        hop_list = hops.tolist()
+        first = hop_list[0]
+        if hop_list.count(first) == n:
+            # one next hop, the usual forwarded block: nothing to sort
             self._append_block(first, rows)
             return
-        if n <= 16:
-            # Tiny mixed block: a Python bucket loop beats the numpy
-            # argsort/diff/concatenate pipeline below.
-            hop_list = hops.tolist()
-            for hop in sorted(set(hop_list)):
-                idx = [i for i, h in enumerate(hop_list) if h == hop]
-                self._append_block(hop, rows[idx])
-            return
-        order = np.argsort(hops, kind="stable")
-        rows = rows[order]
-        hops = hops[order]
-        boundaries = np.flatnonzero(np.diff(hops)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
-        for s, e in zip(starts, ends):
-            self._append_block(int(hops[s]), rows[s:e])
+        order = hops.argsort(kind="stable")
+        rows = rows.take(order, axis=0)
+        hop_list = hops[order].tolist()
+        start = 0
+        while start < n:
+            hop = hop_list[start]
+            end = bisect_right(hop_list, hop, start)
+            self._append_block(hop, rows[start:end])
+            start = end
 
     def _append_block(self, hop: int, block: np.ndarray) -> None:
         """Append one same-hop row block to its buffer, flushing when full."""
         buf = self._buffer_for(hop)
+        n = len(block)
         off = 0
-        while off < len(block):
-            take = min(buf.space, len(block) - off)
+        while off < n:
+            take = min(buf.capacity - buf.count, n - off)
             buf.append_rows(block[off : off + take])
-            self._out_items[hop] += take
-            self._out_total += take
+            self._queued.add(hop)
             off += take
-            if buf.full:
+            if buf.count == buf.capacity:
                 self._flush_buffer(hop, buf)
 
     def _deliver(self, buf: InboundBuffer) -> None:
@@ -474,7 +464,7 @@ class Conveyor:
                     next_arrival = arrival
         self.inbound = pending
         self._min_arrival = next_arrival
-        cost = self.perf.cost
+        me = self.me
         forward_total = 0
         for buf in visible:
             if buf.duplicate:
@@ -484,20 +474,22 @@ class Conveyor:
                 self.perf.work(ins=8, loads=2, branches=2)
                 continue
             rows = buf.data
-            mask = rows[:, COL_DST] == self.me
-            n_mine = int(np.count_nonzero(mask))
+            dsts = rows[:, COL_DST]
+            n_mine = dsts.tolist().count(me)
             # the buffer's rows belong to this delivery alone, so a
             # buffer that is all mine or all in transit moves uncopied
             if n_mine == len(rows):
                 self.ready.put(rows)
                 continue
             if n_mine:
-                self.ready.put(rows[mask])
-                rows = rows[~mask]
+                mask = dsts == me
+                self.ready.put(rows.compress(mask, axis=0))
+                rows = rows.compress(~mask, axis=0)
             forward_total += len(rows)
             self._route_rows(rows)
         if forward_total:
             self.stats.forwarded += forward_total
+            cost = self.perf.cost
             self.perf.work(
                 ins=cost.route_item_ins * forward_total,
                 loads=2 * forward_total,
@@ -506,30 +498,27 @@ class Conveyor:
             )
 
     def _flush(self, partial: bool) -> None:
-        # Vectorized candidate scan: a hop qualifies when its buffer is
-        # full (== buffer_items; counts never exceed capacity) or, once
-        # partial flushing is on, non-empty.  flatnonzero yields hops
-        # ascending — the same order the dict-walk produced — so the
-        # flush_order policy sees identical input.
-        if not self._out_total:
-            return  # no queued items anywhere: skip the vector scan
-        threshold = 1 if partial else self.group.config.buffer_items
-        candidates = np.flatnonzero(self._out_items >= threshold)
-        if candidates.size == 0:
+        # A queued hop qualifies when its buffer is full or, once partial
+        # flushing is on, at all.  Candidates go ascending — the order the
+        # flush_order policy expects.
+        queued = self._queued
+        if not queued:
             return
-        hops = [int(h) for h in candidates]
+        out = self.out
+        if partial:
+            hops = sorted(queued)
+        else:
+            hops = sorted(h for h in queued if out[h].full)
+            if not hops:
+                return
         if len(hops) > 1:
-            hops = list(self.group.policy.flush_order(self.me, hops))
+            hops = self.group.policy.flush_order(self.me, hops)
         for hop in hops:
-            buf = self.out[hop]
-            if buf.empty:
-                continue
-            self._flush_buffer(hop, buf)
+            self._flush_buffer(hop, out[hop])
 
     def _flush_buffer(self, hop: int, buf: OutBuffer) -> None:
         rows = buf.take()
-        self._out_total -= int(self._out_items[hop])
-        self._out_items[hop] = 0
+        self._queued.discard(hop)
         count = len(rows)
         if count == 0:
             return
@@ -619,7 +608,7 @@ class Conveyor:
     def _endgame_progress(self) -> None:
         """Final completion: once nothing remains buffered, ensure all
         outstanding puts are globally visible and signal their targets."""
-        if not self.outstanding or self._out_total:
+        if not self.outstanding or self._queued:
             return  # nothing to complete, or items still buffered
         dests = sorted(d for d, c in self.outstanding.items() if c > 0)
         if not dests:

@@ -82,9 +82,9 @@ class LowerTriangular:
             return np.zeros(len(rows), dtype=bool)
         keys = self._edge_keys()
         q = rows * self.n_vertices + cols
-        pos = np.searchsorted(keys, q)
-        pos_clipped = np.minimum(pos, self.nnz - 1)
-        return (pos < self.nnz) & (keys[pos_clipped] == q)
+        # a query past the last key lands on position nnz; clipping it to
+        # the last key compares against a smaller key, which never matches
+        return keys.take(keys.searchsorted(q), mode="clip") == q
 
     def _edge_keys(self) -> np.ndarray:
         keys = getattr(self, "_keys", None)

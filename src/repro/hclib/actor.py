@@ -250,16 +250,14 @@ class Selector:
 
     def _drain_mailbox(self, mb: Mailbox) -> int:
         cv = mb.conveyor
-        if cv.ready_count == 0 or not mb.enabled():
+        total = cv.ready_count
+        if total == 0 or not mb.enabled():
             return 0
         ctx = self.ctx
         hooks = ctx.world.hooks
         cost = ctx.perf.cost
         if mb.process_batch is not None:
             segments = cv.pull_segments()
-            total = sum(len(s) for s in segments)
-            if total == 0:
-                return 0
             hooks.proc_enter(ctx.rank, mb.index)
             ctx.perf.work(
                 ins=cost.handler_dispatch_ins * total,

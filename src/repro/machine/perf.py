@@ -87,24 +87,28 @@ class PerfCore:
             raise ValueError("work amounts must be non-negative")
         cost = self.cost
         count = self._count
-        cycles = int(round(ins * cost.cpi)) + extra_cycles
+        cpi = cost.cpi
+        cycles = (ins if cpi == 1.0 else int(round(ins * cpi))) + extra_cycles
         if ins:
             count["PAPI_TOT_INS"] += ins
         # A zero field leaves its counters and residues exactly as they
-        # were (the residues stay in [0, 1), so adding 0.0 truncates to 0).
+        # were (the residues stay in [0, 1), so adding 0.0 truncates to 0),
+        # and a residue still below 1 holds no whole miss to take out.
         if loads:
             count["PAPI_LD_INS"] += loads
             count["PAPI_LST_INS"] += loads
             resid = self._l1_resid + loads * cost.l1_miss_rate
-            misses = int(resid)
-            self._l1_resid = resid - misses
-            if misses:
+            if resid >= 1.0:
+                misses = int(resid)
                 count["PAPI_L1_DCM"] += misses
+                resid -= misses
+            self._l1_resid = resid
             resid = self._l2_resid + loads * cost.l2_miss_rate
-            misses = int(resid)
-            self._l2_resid = resid - misses
-            if misses:
+            if resid >= 1.0:
+                misses = int(resid)
                 count["PAPI_L2_DCM"] += misses
+                resid -= misses
+            self._l2_resid = resid
             penalty = cost.load_fraction_penalty
             if penalty:
                 cycles += int(round(loads * penalty))
@@ -114,10 +118,11 @@ class PerfCore:
         if branches:
             count["PAPI_BR_INS"] += branches
             resid = self._br_resid + branches * cost.branch_misp_rate
-            misses = int(resid)
-            self._br_resid = resid - misses
-            if misses:
+            if resid >= 1.0:
+                misses = int(resid)
                 count["PAPI_BR_MSP"] += misses
+                resid -= misses
+            self._br_resid = resid
         if flops:
             count["PAPI_FP_OPS"] += flops
         if vec:

@@ -66,7 +66,9 @@ class MachineSpec:
 
     def same_node(self, a: int, b: int) -> bool:
         """True when PEs ``a`` and ``b`` share a node."""
-        return self.node_of(a) == self.node_of(b)
+        self._check_pe(a)
+        self._check_pe(b)
+        return a // self.pes_per_node == b // self.pes_per_node
 
     def node_pes(self, node: int) -> range:
         """The PEs hosted on ``node``."""

@@ -160,6 +160,18 @@ def test_run_whatif_requires_matching_workload():
             run.whatif(mismatched)
 
 
+def test_run_whatif_rejects_a_different_seed():
+    from repro.check.workloads import HistogramWorkload
+    from repro.machine.spec import MachineSpec
+
+    with api.open_run(HIST) as run:
+        assert run.meta["seed"] == 0
+        reseeded = HistogramWorkload(updates=150, table_size=32,
+                                     machine=MachineSpec(2, 2), seed=3)
+        with pytest.raises(ValueError, match=r"seed 0, got .* seed 3"):
+            run.whatif(reseeded)
+
+
 # ----------------------------------------------------------------------
 # viz
 # ----------------------------------------------------------------------

@@ -56,6 +56,31 @@ def test_triangle_send_count_is_wedge_count(graph):
         assert res.total_sends == wedges
 
 
+def test_wedges_for_rows_matches_per_row_listing(graph):
+    """The array-built wedge list is the per-row listing, in its order:
+    rows as given, then ``a`` ascending, then ``b`` ascending."""
+    from repro.apps.triangle import _wedges_for_rows
+
+    def per_row(rows):
+        js, ks = [], []
+        for i in rows:
+            ns = graph.neighbors(int(i))
+            a, b = np.triu_indices(len(ns), k=1)
+            js.extend(ns[b].tolist())
+            ks.extend(ns[a].tolist())
+        return js, ks
+
+    deg = graph.row_degrees()
+    rng = np.random.default_rng(5)
+    for rows in (np.arange(graph.n_vertices)[::-1],
+                 np.flatnonzero(deg < 2),  # no wedges at all
+                 np.empty(0, dtype=np.int64),
+                 rng.permutation(graph.n_vertices)[:40]):
+        js, ks = _wedges_for_rows(graph, rows)
+        assert js.dtype == ks.dtype == np.int64
+        assert (js.tolist(), ks.tolist()) == per_row(rows)
+
+
 def test_triangle_cyclic_more_imbalanced_than_range(graph):
     """The case study's core finding, at test scale."""
     m = MachineSpec(1, 8)

@@ -28,6 +28,7 @@ from repro.check.policies import make_schedules
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.machine.spec import MachineSpec
 from tests.archive_tools import read_footer, rewrite_footer
+from tests.conveyor_oracle import OracleConveyor, use_conveyor
 from tests.sched_oracle import LinearScheduler, use_scheduler
 from tests.trace_oracle import same_trace
 
@@ -86,6 +87,17 @@ def test_rebuild_under_linear_oracle_is_byte_identical(
     """The indexed selection and the O(n_pes) scan it replaced
     (``tests/sched_oracle.py``) schedule the case studies identically."""
     use_scheduler(monkeypatch, LinearScheduler)
+    rebuilt = _build(name, tmp_path / f"{name}.aptrc")
+    assert rebuilt.read_bytes() == (GOLDEN_DIR / f"{name}.aptrc").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_rebuild_under_conveyor_oracle_is_byte_identical(
+        name, tmp_path, monkeypatch):
+    """The hop-vector routing and the per-row router it is checked
+    against (``tests/conveyor_oracle.py``) carry the case studies
+    identically."""
+    use_conveyor(monkeypatch, OracleConveyor)
     rebuilt = _build(name, tmp_path / f"{name}.aptrc")
     assert rebuilt.read_bytes() == (GOLDEN_DIR / f"{name}.aptrc").read_bytes()
 

@@ -114,6 +114,39 @@ def test_has_edges_empty_queries_and_matrix():
     assert not empty.has_edges(np.array([3]), np.array([1]))[0]
 
 
+@st.composite
+def graphs_and_queries(draw):
+    """A lower-triangular graph (possibly empty or one edge) and queries
+    that include keys before its first edge and past its last one."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(0, n - 2)).filter(
+        lambda p: p[0] > p[1])
+    edges = draw(st.one_of(st.just([]), st.lists(pairs, min_size=1, max_size=1),
+                           st.lists(pairs, max_size=30, unique=True)))
+    key = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    queries = draw(st.lists(key, max_size=20))
+    # extremes of the key order: row 0 sorts before every stored edge and
+    # (n - 1, n - 1) after every one
+    queries += [(0, 0), (n - 1, n - 1), (n - 1, n - 2)]
+    if edges:
+        queries += [max(edges), min(edges)]
+    return n, edges, queries
+
+
+@given(graphs_and_queries())
+@settings(max_examples=200, deadline=None)
+def test_has_edges_matches_scalar_and_edge_set(case):
+    n, edges, queries = case
+    L = LowerTriangular.from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                                   n_vertices=n)
+    rows = np.array([q[0] for q in queries], dtype=np.int64)
+    cols = np.array([q[1] for q in queries], dtype=np.int64)
+    got = L.has_edges(rows, cols).tolist()
+    edge_set = set(edges)
+    assert got == [q in edge_set for q in queries]
+    assert got == [L.has_edge(r, c) for r, c in queries]
+
+
 def test_not_lower_triangular_rejected():
     with pytest.raises(ValueError):
         LowerTriangular.from_edges(np.array([[0, 1]]))
