@@ -43,8 +43,9 @@ PACK_MAX_WIDTH = 8
 #: recipe to decide whether packing the chunk is at least as small.
 PROBE_VALUES = 2048
 
-#: Lane index of each of a group's eight fields.
-_LANES = np.arange(8, dtype=np.uint64)
+#: Row ``width``: lane ``j``'s shift ``j * width``, for 16 384 fields (128 kB a row).
+SHIFT_FIELDS = 16_384
+_SHIFTS = np.outer(range(PACK_MAX_WIDTH + 1), np.arange(SHIFT_FIELDS) % 8).astype(np.uint64)
 
 #: Compression level used when zlib is applied (6 = zlib default).
 ZLIB_LEVEL = 6
@@ -184,43 +185,29 @@ def pack_fields(fields: np.ndarray, width: int) -> bytes:
     lanes = np.zeros((groups, 8), dtype=np.uint64)
     lanes.ravel()[:len(fields)] = fields
     # the fields do not overlap, so the weighted sum is their bitwise OR
-    words = lanes @ (np.uint64(1) << _LANES * np.uint64(width))
+    words = lanes @ (np.uint64(1) << _SHIFTS[width, :8])
     return words.astype("<u8", copy=False).view(np.uint8).reshape(
         groups, 8)[:, :width].tobytes()
 
 
 def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_fields`: ``count`` fields as uint64
-    (``width`` 0 stores nothing: every field is 0)."""
+    """Inverse of :func:`pack_fields`: ``count`` fields as a fresh uint64 array.
+    Each group is one little-endian word of a strided view over the
+    length-checked payload plus 8 bytes of slack, repeated, shifted, masked."""
     groups = -(-count // 8)
     if len(payload) != groups * width:
         raise CodecError(
             f"pack payload is {len(payload)} bytes, expected {groups * width} "
             f"for {count} values of {width} bits"
         )
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    words = np.zeros((groups, 8), dtype=np.uint8)
-    words[:, :width] = np.frombuffer(payload, np.uint8).reshape(groups, width)
-    lanes = words.view("<u8") >> _LANES * np.uint64(width)
-    lanes &= np.uint64((1 << width) - 1)
-    return lanes.ravel()[:count]
-
-
-def _decode_pack(payload: bytes, encoding: str, count: int) -> np.ndarray:
-    try:
-        lo, stride, width = (int(part) for part in encoding.split(":")[1:])
-    except ValueError:
-        raise CodecError(f"malformed pack encoding {encoding!r}") from None
-    if not (-(1 << 63) <= lo < 1 << 63 and 1 <= stride < 1 << 64
-            and 0 <= width <= PACK_MAX_WIDTH):
-        raise CodecError(f"pack encoding {encoding!r} out of range")
-    fields = unpack_fields(payload, width, count)
-    if stride != 1:
-        fields *= np.uint64(stride)
-    values = fields.view(np.int64)
-    values += lo  # wraps, like the encoder's subtraction
-    return values
+    if width == 8:  # one field per byte
+        return np.frombuffer(payload, np.uint8, count).astype(np.uint64)
+    words = np.ndarray((groups,), "<u8", bytes(payload) + bytes(8), strides=(width,))
+    fields = np.repeat(words, 8)[:count]
+    for at in range(0, count, SHIFT_FIELDS):
+        fields[at:at + SHIFT_FIELDS] >>= _SHIFTS[width, :count - at]
+    fields &= np.uint64((1 << width) - 1)
+    return fields
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +284,20 @@ def encode_column(
 def decode_column(payload: bytes, encoding: str, count: int) -> np.ndarray:
     """Decode a column payload back into an int64 array of ``count``."""
     if encoding.startswith("pack:"):
-        return _decode_pack(payload, encoding, count)
+        try:
+            lo, stride, width = (int(part) for part in encoding.split(":")[1:])
+        except ValueError:
+            raise CodecError(f"malformed pack encoding {encoding!r}") from None
+        if not (-(1 << 63) <= lo < 1 << 63 and 1 <= stride < 1 << 64
+                and 0 <= width <= PACK_MAX_WIDTH):
+            raise CodecError(f"pack encoding {encoding!r} out of range")
+        if width == 0 and not payload:
+            return np.full(count, lo, dtype=np.int64)
+        fields = unpack_fields(payload, width, count)
+        if stride != 1:
+            fields *= np.uint64(stride)
+        fields += np.uint64(lo % (1 << 64))  # wraps like the encoder's subtraction
+        return fields.view(np.int64)
     tokens = encoding.split("+") if encoding else []
     unknown = set(tokens) - set(TOKENS)
     if unknown:

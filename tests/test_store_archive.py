@@ -19,6 +19,7 @@ from repro.core.store.archive import (
     load_physical,
     load_run,
 )
+from repro.core.store.codec import PACK_MAX_WIDTH
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
@@ -218,6 +219,32 @@ def test_corrupt_chunk_is_an_archive_error_with_a_location(
     message = str(excinfo.value)
     assert all(part in message for part in (
         str(path), "'s'", repr(column), f"offset {entry[0]}"))
+
+
+@pytest.mark.parametrize("width, delta", [  # a width-0 chunk has no bytes
+    (w, d) for w in range(PACK_MAX_WIDTH + 1) for d in (-1, 1) if w or d > 0])
+def test_pack_chunk_one_byte_off_is_a_located_archive_error(
+        tmp_path, width, delta):
+    """Every pack width: a chunk entry one byte short or over names its
+    offset in an ``ArchiveError``, whatever the codec's kernel."""
+    rng = np.random.default_rng(width)
+    path = tmp_path / "w.aptrc"
+    with ArchiveWriter(path) as w:
+        s = w.begin_section("s", ("x", "y"))  # y: bytes after a width 0
+        for _ in range(2):
+            k = rng.integers(0, 1 << width, 43)
+            k[:2] = 0, (1 << width) - 1
+            s.write_chunk({"x": 100 + 8 * k, "y": np.arange(43) ** 3})
+    _, footer = read_footer(path)
+    entry = footer["sections"]["s"]["columns"]["x"][0]
+    assert entry[2] == (f"pack:100:8:{width}" if width else "pack:100:1:0")
+    entry[1] += delta
+    rewrite_footer(path, footer)
+    with Archive(path) as archive:
+        section = archive.section("s")
+        with pytest.raises(ArchiveError, match=f"chunk at offset {entry[0]} "
+                           "is corrupt: pack payload"):
+            section.decode_chunk("x", section.chunk_refs("x")[0])
 
 
 @pytest.mark.parametrize("mutate, match", [

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.store.codec import (
+    PACK_MAX_WIDTH,
     CodecError,
     decode_column,
     decode_uvarints,
     encode_column,
     encode_uvarints,
+    pack_fields,
     unzigzag,
     zigzag,
 )
@@ -150,6 +152,23 @@ def test_pack_decode_rejects_what_the_packer_never_writes(
         payload, encoding, match):
     with pytest.raises(CodecError, match=match):
         decode_column(payload, encoding, 8)
+
+
+@pytest.mark.parametrize("width", range(PACK_MAX_WIDTH + 1))
+def test_pack_payload_one_byte_off_is_a_codec_error_at_every_width(width):
+    """A multi-group payload one byte short or over is refused by the
+    length check, before any strided view could read past it (numpy
+    would raise ``TypeError: buffer is too small``)."""
+    count = 8 * 5 + 3
+    fields = np.random.default_rng(width).integers(0, 1 << width, count)
+    payload = pack_fields(fields.astype(np.uint64), width) if width else b""
+    encoding = f"pack:-3:5:{width}"
+    for bad in ([payload[:-1]] if payload else []) + [payload + b"\x00"]:
+        with pytest.raises(CodecError, match=f"expected {6 * width}"):
+            decode_column(bad, encoding, count)
+    # only the payload's own bytes count: junk right after it is unread
+    padded = memoryview(payload + b"\xff" * 8)[:len(payload)]
+    assert (decode_column(padded, encoding, count) == -3 + 5 * fields).all()
 
 
 def test_stride_is_the_gcd_of_the_whole_chunk_not_of_its_head():

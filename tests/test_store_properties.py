@@ -11,6 +11,7 @@ recipe it must never do worse than.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from repro.core.physical import PhysicalTrace
 from repro.core.store.codec import (
     PACK_MAX_WIDTH,
     PROBE_VALUES,
+    SHIFT_FIELDS,
     decode_column,
     encode_column,
     pack_fields,
@@ -212,6 +214,38 @@ def test_selection_is_pure_and_never_larger_than_v1(ks, stride, lo):
     else:
         assert (payload, encoding) == v1
     assert decode_column(payload, encoding, len(values)).tolist() == values
+
+
+#: Chunk lengths around every boundary of the pack decoder: empty, one
+#: group, every ``count % 8``, 2 048 and past, and one lane-shift table
+#: row (``SHIFT_FIELDS``) and past.
+ROW_GROUP_COUNTS = (0, 1, 7, 8, 9, *range(2040, 2056),
+                    SHIFT_FIELDS, SHIFT_FIELDS + 13)
+
+
+@pytest.mark.parametrize("width", range(PACK_MAX_WIDTH + 1))
+def test_pack_decode_at_row_group_sizes_matches_the_oracle(width):
+    """Every width at every row-group boundary: fields equal the
+    bit-at-a-time oracle, and ``lo + stride * k`` at the int64 extremes
+    wraps exactly as the encoder's subtraction did, returned as a fresh
+    int64 array of exactly ``count``."""
+    rng = np.random.default_rng(width)
+    for count in ROW_GROUP_COUNTS:
+        fields = rng.integers(0, 1 << width, count, dtype=np.uint64)
+        payload = pack_fields(fields, width) if width else b""
+        got = unpack_fields(payload, width, count)
+        want = unpack_scalar(payload, width, count)
+        assert got.dtype == np.uint64 and got.tolist() == want
+        assert want == fields.tolist()
+        for lo, stride in ((0, 1), (INT64_MIN, 2**64 - 1), (INT64_MAX, 3),
+                           (-1, 2**63), (INT64_MIN, 1)):
+            values = decode_column(payload, f"pack:{lo}:{stride}:{width}",
+                                   count)
+            assert values.dtype == np.int64 and len(values) == count
+            assert values.flags.c_contiguous and values.flags.writeable
+            assert values.tolist() == [
+                (lo + stride * k - INT64_MIN) % 2**64 + INT64_MIN
+                for k in want]
 
 
 def test_big_incompressible_chunk_packs_and_big_sorted_chunk_does_not():
