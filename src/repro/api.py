@@ -129,29 +129,37 @@ class Run:
         The archive records which workload/seed/schedule produced it but
         not the full generator parameters, so ``workload`` must be the
         (reconstructible) :class:`~repro.check.workloads.Workload`.  An
-        archive written by ``Workload.run`` names its workload and seed;
-        a workload that differs in either is rejected.
+        archive names its workload (``workload``, or ``app`` for
+        ``actorprof run``), seed and machine, and an ``actorprof run``
+        archive its problem size too; a workload that differs in any of
+        them is rejected, naming the first field that differs.
         """
         from repro.whatif.engine import _run_whatif
 
+        meta = self.meta
+        recorded = meta.get("workload", meta.get("app"))
         if workload is None:
             raise ValueError(
                 "whatif() needs the Workload that produced this run "
-                f"(archive meta: workload={self.meta.get('workload')!r}, "
-                f"seed={self.meta.get('seed')!r})"
+                f"(archive meta: workload={recorded!r}, "
+                f"seed={meta.get('seed')!r})"
             )
-        recorded = self.meta.get("workload")
         if recorded is not None and recorded != workload.name:
             raise ValueError(
                 f"workload mismatch: archive was produced by {recorded!r}, "
                 f"got {workload.name!r}"
             )
-        seed = self.meta.get("seed")
-        if recorded is not None and seed != workload.seed:
-            raise ValueError(
-                f"seed mismatch: archive was produced with seed {seed!r}, "
-                f"got a {workload.name!r} workload with seed {workload.seed!r}"
-            )
+        have = {"seed": workload.seed, "nodes": workload.machine.nodes,
+                "pes_per_node": workload.machine.pes_per_node}
+        if "app" in meta:
+            have.update((k, getattr(workload, k)) for k in workload.problem)
+        for field, value in have.items():
+            if field in meta and meta[field] != value:
+                raise ValueError(
+                    f"{field} mismatch: archive was produced with {field} "
+                    f"{meta[field]!r}, got a {workload.name!r} workload "
+                    f"with {field} {value!r}"
+                )
         return _run_whatif(workload, **kwargs)
 
     # -- LOD viz --------------------------------------------------------

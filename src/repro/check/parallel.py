@@ -1,4 +1,5 @@
-"""The ActorCheck run recorder: one schedule's run as plain data.
+"""One case-study run as plain data: the ActorCheck recorder and the
+``actorprof run`` worker.
 
 :func:`record_run` executes one ``(workload, schedule)`` pair, runs the
 invariant engine, and flattens everything the auditor needs into a
@@ -11,16 +12,24 @@ Both the serial (``jobs=1``) and the pooled audit paths go through
 :func:`record_run`, which is what makes ``actorprof check --jobs N``
 byte-identical to ``--jobs 1``: the per-run values are computed by one
 function, and the auditor merges them in schedule order either way.
+
+:func:`run_app_point` is the body of ``actorprof run``: a plain run calls
+it once in process and ``--sweep`` fans one call per point through
+:mod:`repro.exec`, so both write the same archive for the same arguments.
 """
 
 from __future__ import annotations
 
-import contextlib
 from pathlib import Path
 
 from repro.check.invariants import run_invariants
 from repro.check.policies import PerturbedSchedule, make_schedules
 from repro.check.workloads import Workload, workload_from_descriptor
+from repro.core.flags import ProfileFlags
+from repro.core.profiler import ActorProf
+from repro.exec.cache import file_sha256
+from repro.sim.errors import SimulationError
+from repro.sim.faults import FaultPlan
 
 
 def record_run(
@@ -38,12 +47,8 @@ def record_run(
     None).  The archive lands at ``out_dir/<tag>.aptrc`` and is listed
     under ``"artifacts"`` so the result cache can carry it.
     """
-    from repro.sim.faults import use_plan
-
-    scope = (use_plan(fault_plan) if fault_plan is not None
-             else contextlib.nullcontext())
-    with scope:
-        art = workload.run(schedule, Path(out_dir) / f"{tag}.aptrc")
+    art = workload.run(schedule, Path(out_dir) / f"{tag}.aptrc",
+                       fault_plan=fault_plan)
     violations = run_invariants(art, store_equivalence=store_equivalence)
     return {
         "schedule": schedule.index,
@@ -75,8 +80,6 @@ def run_audit_schedule(
     — exactly how the serial auditor derives it, so a worker's run is
     indistinguishable from an in-process one.
     """
-    from repro.sim.faults import FaultPlan
-
     wl = workload_from_descriptor(workload)
     if not 0 <= schedule_index < schedules:
         raise ValueError(f"schedule index {schedule_index} outside "
@@ -85,3 +88,67 @@ def run_audit_schedule(
     plan = FaultPlan.from_dict(fault_plan) if fault_plan else None
     return record_run(wl, schedule, Path(out_dir), tag,
                       store_equivalence=store_equivalence, fault_plan=plan)
+
+
+def run_app_point(
+    out_dir: Path,
+    *,
+    workload: dict,
+    fault_plan: dict | None = None,
+    archive_name: str | None = None,
+) -> dict:
+    """:mod:`repro.exec` worker: one profiled ``actorprof run``.
+
+    ``workload`` is a histogram or triangle descriptor.  A run that dies
+    under the fault plan is *salvaged* into a degraded archive when an
+    archive name was given (exit code 3), otherwise it is a plain
+    failure (exit code 1).  Returns a JSON-serializable outcome.
+    """
+    wl = workload_from_descriptor(workload)
+    plan = (FaultPlan.from_dict(fault_plan).validate(wl.machine.n_pes)
+            if fault_plan else None)
+    problem = {k: getattr(wl, k) for k in wl.problem}
+    meta: dict = {"app": wl.name, "seed": wl.seed}
+    if plan is not None:
+        meta["fault_plan"] = plan.to_dict()
+    outcome = {
+        "app": wl.name,
+        "params": {"nodes": wl.machine.nodes,
+                   "pes_per_node": wl.machine.pes_per_node, "seed": wl.seed},
+        "summary": "",
+        "exit_code": 0,
+        "error": None,
+        "archive": None,
+        "archive_sha256": None,
+        "artifacts": [],
+    }
+    # the timeline is the LOD pyramid's source (`actorprof viz` zooms
+    # what it recorded) and nothing else reads it, so it is recorded
+    # exactly when an archive will be written
+    profiler = ActorProf(ProfileFlags.all(
+        enable_timeline=archive_name is not None))
+    path = Path(out_dir) / archive_name if archive_name is not None else None
+    try:
+        art = wl.run(make_schedules(wl.seed, 1)[0], path, profiler=profiler,
+                     fault_plan=plan, meta={**meta, **problem}, lod=True)
+    except SimulationError as exc:
+        # a failed point's params and salvaged meta carry no problem
+        # size (the crash-salvage archive digest pins that meta)
+        outcome["error"] = f"{type(exc).__name__}: {str(exc).splitlines()[0]}"
+        outcome["exit_code"] = 1
+        if path is None:
+            return outcome
+        try:
+            path = profiler.salvage_archive(path, failure=exc, meta=meta,
+                                            lod=True)
+        except (ValueError, OSError) as salvage_exc:
+            outcome["error"] += f"\nsalvage failed: {salvage_exc}"
+            return outcome
+        outcome["exit_code"] = 3
+    else:
+        outcome["params"].update(problem)
+        outcome["summary"] = wl.summary.format(**art.result)
+    if path is not None:
+        outcome.update(archive=archive_name, archive_sha256=file_sha256(path),
+                       artifacts=[archive_name])
+    return outcome

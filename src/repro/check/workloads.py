@@ -35,6 +35,7 @@ from repro.hclib.actor import Selector
 from repro.hclib.world import RunResult, run_spmd
 from repro.machine.cost import CostModel
 from repro.machine.spec import MachineSpec
+from repro.sim.faults import FaultPlan, use_plan
 from repro.sim.rng import substream_rng
 
 
@@ -50,14 +51,17 @@ class RunArtifacts:
 
     workload: str
     schedule: PerturbedSchedule
-    #: sha256 over the application's own result (counts, sums, ...).
+    #: The application's own result (counts, sums, ...).
+    result: Any
+    #: sha256 over ``result``.
     result_fingerprint: str
     #: sha256 over the logical send matrix — schedule-invariant by design.
     logical_fingerprint: str
     profiler: ActorProf
     run: RunResult
-    archive_path: Path
-    archive_sha256: str
+    #: None when the run was not archived.
+    archive_path: Path | None
+    archive_sha256: str | None
     #: Handler-counted (src, dst) receipt matrix; None for workloads whose
     #: handlers do not track senders (then only aggregate checks apply).
     receipts: np.ndarray | None = None
@@ -98,6 +102,11 @@ class Workload:
     """One auditable workload.  Subclasses implement :meth:`execute`."""
 
     name: str = "workload"
+    #: The problem-size attributes, in the order a descriptor and an
+    #: ``actorprof run`` archive's meta record them.
+    problem: tuple[str, ...] = ()
+    #: The one-line result summary, formatted with the result data.
+    summary: str = ""
 
     def __init__(self, machine: MachineSpec | None = None, seed: int = 0,
                  conveyor_config: ConveyorConfig | None = None) -> None:
@@ -110,13 +119,18 @@ class Workload:
         this workload from (see :func:`workload_from_descriptor`).
 
         Parallel audits (``jobs > 1``) and the result cache both need
-        one; a workload without it can still be audited serially.
+        one; a workload without it can still be audited serially.  The
+        default describes a workload by its :attr:`problem` attributes.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not describe itself for parallel "
-            f"execution; implement descriptor() or audit with jobs=1 and "
-            f"no cache"
-        )
+        if not self.problem:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not describe itself for "
+                f"parallel execution; implement descriptor() or audit with "
+                f"jobs=1 and no cache"
+            )
+        return {"kind": self.name,
+                **{k: getattr(self, k) for k in self.problem},
+                **self._base_descriptor()}
 
     def _base_descriptor(self) -> dict:
         from dataclasses import asdict
@@ -141,34 +155,45 @@ class Workload:
         """Run once; return (result-data, run, receipts, received_per_pe)."""
         raise NotImplementedError
 
-    def run(self, schedule: PerturbedSchedule, archive_path: Path, *,
+    def run(self, schedule: PerturbedSchedule, archive_path: Path | None, *,
             profiler: ActorProf | None = None,
-            cost: CostModel | None = None) -> RunArtifacts:
+            cost: CostModel | None = None,
+            fault_plan: FaultPlan | None = None,
+            meta: dict | None = None,
+            lod: bool = False) -> RunArtifacts:
         """Execute under ``schedule``, archive the traces, fingerprint.
 
         ``profiler`` and ``cost`` default to a fresh full-flags
         :class:`ActorProf` and the stock :class:`CostModel`; the what-if
-        engine passes perturbed replacements for both.
+        engine passes perturbed replacements for both.  ``fault_plan`` is
+        the run's only plan: None runs fault-free even inside an
+        enclosing ``use_plan``.  The archive's footer ``meta`` defaults
+        to ``{workload, seed, schedule}``; ``lod`` adds the LOD pyramid;
+        ``archive_path=None`` writes nothing.
         """
         profiler = profiler or ActorProf(ProfileFlags.all())
         config = self._config_for(schedule)
-        result_data, run, receipts, received = self.execute(
-            schedule, profiler, config, cost
-        )
-        path = profiler.export_archive(archive_path, meta={
-            "workload": self.name,
-            "seed": self.seed,
-            "schedule": schedule.index,
-        })
+        with use_plan(fault_plan):
+            result_data, run, receipts, received = self.execute(
+                schedule, profiler, config, cost
+            )
+        path = digest = None
+        if archive_path is not None:
+            if meta is None:
+                meta = {"workload": self.name, "seed": self.seed,
+                        "schedule": schedule.index}
+            path = profiler.export_archive(archive_path, meta=meta, lod=lod)
+            digest = file_sha256(path)
         return RunArtifacts(
             workload=self.name,
             schedule=schedule,
+            result=result_data,
             result_fingerprint=fingerprint(result_data),
             logical_fingerprint=_logical_fingerprint(profiler),
             profiler=profiler,
             run=run,
             archive_path=path,
-            archive_sha256=file_sha256(path),
+            archive_sha256=digest,
             receipts=receipts,
             received_per_pe=received,
             group_stats=_collect_group_stats(run),
@@ -180,6 +205,8 @@ class HistogramWorkload(Workload):
     """The paper's Listing 1–2 histogram under audit."""
 
     name = "histogram"
+    problem = ("updates", "table_size")
+    summary = "histogram: {total:,} updates delivered"
 
     def __init__(self, updates: int = 400, table_size: int = 64,
                  machine: MachineSpec | None = None, seed: int = 0,
@@ -188,10 +215,6 @@ class HistogramWorkload(Workload):
                          conveyor_config=conveyor_config)
         self.updates = updates
         self.table_size = table_size
-
-    def descriptor(self) -> dict:
-        return {"kind": "histogram", "updates": self.updates,
-                "table_size": self.table_size, **self._base_descriptor()}
 
     def execute(self, schedule, profiler, config, cost=None):
         from repro.apps.histogram import histogram
@@ -212,6 +235,8 @@ class TriangleWorkload(Workload):
     """The case-study triangle counter under audit."""
 
     name = "triangle"
+    problem = ("scale", "distribution")
+    summary = "triangle: {triangles:,} triangles"
 
     def __init__(self, scale: int = 6, distribution: str = "cyclic",
                  machine: MachineSpec | None = None, seed: int = 0,
@@ -220,11 +245,6 @@ class TriangleWorkload(Workload):
                          conveyor_config=conveyor_config)
         self.scale = scale
         self.distribution = distribution
-
-    def descriptor(self) -> dict:
-        return {"kind": "triangle", "scale": self.scale,
-                "distribution": self.distribution,
-                **self._base_descriptor()}
 
     def execute(self, schedule, profiler, config, cost=None):
         from repro.apps.triangle import count_triangles
@@ -413,17 +433,7 @@ def workload_from_descriptor(data: dict) -> Workload:
     kind = data["kind"]
     machine = MachineSpec(int(data["nodes"]), int(data["pes_per_node"]))
     seed = int(data["seed"])
-    config = ConveyorConfig(**data["conveyor"])
-    if kind == "histogram":
-        return HistogramWorkload(
-            updates=int(data["updates"]), table_size=int(data["table_size"]),
-            machine=machine, seed=seed, conveyor_config=config,
-        )
-    if kind == "triangle":
-        return TriangleWorkload(
-            scale=int(data["scale"]), distribution=data["distribution"],
-            machine=machine, seed=seed, conveyor_config=config,
-        )
+    config = ConveyorConfig(**data.get("conveyor", {}))
     if kind == "generated":
         fields = dict(data["spec"])
         fields["payload_words"] = tuple(fields["payload_words"])
@@ -431,4 +441,9 @@ def workload_from_descriptor(data: dict) -> Workload:
             ProgramSpec(**fields), machine=machine, seed=seed,
             name=data.get("name"), conveyor_config=config,
         )
-    raise ValueError(f"unknown workload kind {kind!r}")
+    cls = {"histogram": HistogramWorkload,
+           "triangle": TriangleWorkload}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown workload kind {kind!r}")
+    return cls(**{k: data[k] for k in cls.problem}, machine=machine,
+               seed=seed, conveyor_config=config)

@@ -593,61 +593,50 @@ def _check_jobs(args) -> None:
         raise _BadArguments(f"--jobs must be >= 1: {args.jobs}")
 
 
-def _load_fault_plan(args):
-    """The :class:`FaultPlan` named by ``--fault-plan``, or None."""
+def _load_fault_plan(args, *, check_fit: bool = True):
+    """The :class:`FaultPlan` named by ``--fault-plan``, or None; unless
+    ``check_fit`` is off, it must fit ``--nodes`` x ``--pes-per-node``."""
     if args.fault_plan is None:
         return None
     from repro.sim.faults import FaultPlan
 
     try:
-        return FaultPlan.load(args.fault_plan)
+        plan = FaultPlan.load(args.fault_plan)
     except (ValueError, OSError) as exc:
         raise _BadArguments(f"bad fault plan: {exc}") from exc
+    try:
+        return (plan.validate(args.nodes * args.pes_per_node) if check_fit
+                else plan)
+    except ValueError as exc:
+        raise _BadArguments(
+            f"fault plan does not fit this machine: {exc}") from None
+
+
+def _descriptor(args) -> dict:
+    """The histogram/triangle descriptor keys the shared options set."""
+    return {"nodes": args.nodes, "pes_per_node": args.pes_per_node,
+            "seed": args.seed, "updates": args.updates,
+            "table_size": args.table_size, "scale": args.rmat_scale,
+            "distribution": args.distribution}
 
 
 def _workload(args, index: int = 0):
     """The auditable workload ``check``/``whatif`` were asked for
     (``index`` picks the generated program)."""
-    from repro.check import (
-        GeneratedWorkload,
-        HistogramWorkload,
-        TriangleWorkload,
-        generate_spec,
-    )
-    from repro.machine.spec import MachineSpec
+    from dataclasses import asdict
 
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    if args.workload == "histogram":
-        return HistogramWorkload(
-            updates=args.updates, table_size=args.table_size,
-            machine=spec, seed=args.seed,
-        )
-    if args.workload == "triangle":
-        return TriangleWorkload(
-            scale=args.rmat_scale, distribution=args.distribution,
-            machine=spec, seed=args.seed,
-        )
-    return GeneratedWorkload(
-        generate_spec(args.seed, index), machine=spec, seed=args.seed,
-        name=f"generated-{index}",
-    )
+    from repro.check import generate_spec, workload_from_descriptor
+
+    data = dict(_descriptor(args), kind=args.workload)
+    if args.workload == "generated":
+        data.update(spec=asdict(generate_spec(args.seed, index)),
+                    name=f"generated-{index}")
+    return workload_from_descriptor(data)
 
 
 # ----------------------------------------------------------------------
 # `actorprof run` — execute a built-in app under the profiler
 # ----------------------------------------------------------------------
-
-#: Parameters `actorprof run --sweep` may vary, with their value parsers.
-_SWEEPABLE = {
-    "seed": int,
-    "updates": int,
-    "table_size": int,
-    "scale": int,
-    "nodes": int,
-    "pes_per_node": int,
-    "distribution": str,
-}
-
 
 def _run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -670,7 +659,9 @@ def _run_parser() -> argparse.ArgumentParser:
                         metavar="PARAM=V1,V2,...",
                         help="sweep a parameter over several values "
                              "(repeatable; points are the cartesian "
-                             "product).  Sweepable: " + ", ".join(_SWEEPABLE))
+                             "product).  Sweepable: the workload options "
+                             "above bar --fault-plan, spelled with "
+                             "underscores (seed, pes_per_node, scale, ...)")
     parser.add_argument("--sweep-report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable sweep outcome "
@@ -678,20 +669,21 @@ def _run_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_sweeps(items: list[str]) -> dict[str, list]:
-    """Parse repeated ``--sweep PARAM=V1,V2,...`` into an ordered dict."""
+def _parse_sweeps(items: list[str], base: dict) -> dict[str, list]:
+    """Parse repeated ``--sweep PARAM=V1,V2,...`` into an ordered dict;
+    PARAM is a key of the ``base`` descriptor, parsed like its value."""
     sweeps: dict[str, list] = {}
     for item in items:
         name, sep, values_text = item.partition("=")
         name = name.strip().lower()
         if not sep or not values_text:
             raise ValueError(f"bad --sweep {item!r}: use PARAM=V1,V2,...")
-        if name not in _SWEEPABLE:
+        if name not in base:
             raise ValueError(f"cannot sweep {name!r}; sweepable parameters "
-                             f"are {', '.join(_SWEEPABLE)}")
+                             f"are {', '.join(base)}")
         if name in sweeps:
             raise ValueError(f"--sweep {name} given twice")
-        parse = _SWEEPABLE[name]
+        parse = type(base[name])
         try:
             values = [parse(v.strip()) for v in values_text.split(",")]
         except ValueError:
@@ -706,19 +698,14 @@ def _parse_sweeps(items: list[str]) -> dict[str, list]:
     return sweeps
 
 
-def _run_sweep(args, base: dict) -> int:
-    """Execute the cartesian sweep of ``base`` (one point's
+def _run_sweep(args, sweeps: dict[str, list], base: dict) -> int:
+    """Execute the cartesian ``sweeps`` of ``base`` (one point's
     ``run_app_point`` arguments) through the :mod:`repro.exec` engine."""
     import itertools
     import json
 
     from repro.exec import RunSpec, execute
 
-    try:
-        sweeps = _parse_sweeps(args.sweep)
-    except ValueError as exc:
-        print(f"bad sweep: {exc}", file=sys.stderr)
-        return 2
     _check_jobs(args)
     out_dir = args.export_archive  # a *directory* in sweep mode
     specs = []
@@ -726,11 +713,11 @@ def _run_sweep(args, base: dict) -> int:
     for index, combo in enumerate(itertools.product(*sweeps.values())):
         point = dict(zip(names, combo))
         tag = "-".join(f"{n}{v}" for n, v in point.items())
-        kwargs = dict(base, **point)
+        kwargs = dict(base, workload=dict(base["workload"], **point))
         if out_dir is not None:
             kwargs["archive_name"] = f"{args.app}-{tag}.aptrc"
         specs.append(RunSpec(
-            index=index, fn="repro.exec.apptask:run_app_point",
+            index=index, fn="repro.check.parallel:run_app_point",
             kwargs=kwargs, tag=tag,
         ).with_cache_key())
     print(f"sweep: {len(specs)} points "
@@ -782,32 +769,22 @@ def _run_sweep(args, base: dict) -> int:
 
 def _run_main(argv: list[str]) -> int:
     args = _run_parser().parse_args(argv)
-    plan = _load_fault_plan(args)
-    point = {
-        "app": args.app,
-        "nodes": args.nodes,
-        "pes_per_node": args.pes_per_node,
-        "updates": args.updates,
-        "table_size": args.table_size,
-        "scale": args.rmat_scale,
-        "distribution": args.distribution,
-        "seed": args.seed,
-        "fault_plan": plan.to_dict() if plan is not None else None,
-    }
-    if args.sweep:
-        # machine validation is per-point (nodes/pes_per_node may sweep)
-        return _run_sweep(args, point)
+    base = _descriptor(args)
+    try:
+        sweeps = _parse_sweeps(args.sweep, base)
+    except ValueError as exc:
+        print(f"bad sweep: {exc}", file=sys.stderr)
+        return 2
+    # a swept machine size is checked per point, by the run worker
+    plan = _load_fault_plan(
+        args, check_fit=not {"nodes", "pes_per_node"} & sweeps.keys())
+    point = {"workload": dict(base, kind=args.app),
+             "fault_plan": plan.to_dict() if plan is not None else None}
+    if sweeps:
+        return _run_sweep(args, sweeps, point)
     # a plain run is a one-point sweep executed in-process
-    from repro.exec.apptask import run_app_point
-    from repro.machine.spec import MachineSpec
+    from repro.check.parallel import run_app_point
 
-    if plan is not None:
-        try:
-            plan.validate(MachineSpec(args.nodes, args.pes_per_node).n_pes)
-        except ValueError as exc:
-            print(f"fault plan does not fit this machine: {exc}",
-                  file=sys.stderr)
-            return 2
     out = args.export_archive
     outcome = run_app_point(
         out.parent if out is not None else Path("."),

@@ -29,7 +29,7 @@ from repro.whatif.replay import (
     run_totals,
 )
 
-_WORKER_FN = "repro.whatif.task:run_whatif_point"
+_WORKER_FN = "repro.whatif.replay:run_whatif_point"
 
 #: How many critical-path transfer edges the report ranks.
 TOP_EDGES = 5

@@ -1,4 +1,10 @@
-"""Execute one workload under perturbed costs and summarize its totals."""
+"""Execute one workload under perturbed costs and summarize its totals.
+
+:func:`run_whatif_point` is the what-if engine's :mod:`repro.exec`
+worker: one replay point from JSON-serializable kwargs.  The scale
+factors are *in* the kwargs, so two points that differ only in
+``--scale`` hash to different result-cache keys.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.check.policies import make_schedules
-from repro.check.workloads import RunArtifacts, Workload
-from repro.sim.faults import FaultPlan, use_plan
+from repro.check.workloads import (
+    RunArtifacts,
+    Workload,
+    workload_from_descriptor,
+)
+from repro.sim.faults import FaultPlan
 from repro.whatif.dag import DagRecorder
 from repro.whatif.perturb import Scales, WhatifProfiler
 
@@ -44,11 +54,8 @@ def execute_point(workload: Workload, scales: Scales, *,
             workload.base_config, buffer_items=buffer_items
         )
     profiler = WhatifProfiler(scales=scales, recorder=recorder)
-    with use_plan(fault_plan):
-        return workload.run(
-            schedule, archive_path, profiler=profiler,
-            cost=scales.scaled_cost(),
-        )
+    return workload.run(schedule, archive_path, profiler=profiler,
+                        cost=scales.scaled_cost(), fault_plan=fault_plan)
 
 
 def run_totals(art: RunArtifacts) -> dict[str, int]:
@@ -67,4 +74,29 @@ def run_totals(art: RunArtifacts) -> dict[str, int]:
         "t_main": int(overall.t_main.sum()),
         "t_proc": int(overall.t_proc.sum()),
         "t_comm": int(overall.t_comm().sum()),
+    }
+
+
+def run_whatif_point(out_dir: Path, *, workload: dict, scales: dict,
+                     fault_plan: dict | None = None,
+                     tag: str = "point") -> dict:
+    """Replay one workload under one scale bundle; return its totals.
+
+    ``workload`` is a :meth:`~repro.check.workloads.Workload.descriptor`
+    dict, ``scales`` a ``{target: factor}`` mapping, ``fault_plan`` an
+    optional :meth:`FaultPlan.to_dict` payload.  The traces land in
+    ``out_dir/<tag>.aptrc``.
+    """
+    sc = Scales(scales)
+    archive = f"{tag}.aptrc"
+    art = execute_point(
+        workload_from_descriptor(workload), sc,
+        archive_path=Path(out_dir) / archive,
+        fault_plan=FaultPlan.from_dict(fault_plan) if fault_plan else None)
+    return {
+        "scales": sc.to_dict(),
+        "totals": run_totals(art),
+        "result_fingerprint": art.result_fingerprint,
+        "archive_sha256": art.archive_sha256,
+        "artifacts": [archive],
     }
