@@ -414,12 +414,13 @@ _ACTIVE_PLANS: list[FaultPlan] = []
 
 
 @contextlib.contextmanager
-def use_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
+def use_plan(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
     """Install ``plan`` as the default fault plan for nested ``run_spmd``.
 
     Every :class:`~repro.hclib.world.World` constructed inside the
     ``with`` block (without an explicit ``fault_plan``) picks it up —
     including the ones apps in :mod:`repro.apps` build internally.
+    ``None`` shadows any enclosing plan: the block runs fault-free.
     """
     _ACTIVE_PLANS.append(plan)
     try:
