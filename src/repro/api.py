@@ -9,6 +9,7 @@ path or a registry run id), every analysis verb on it::
         run.query("sends where src == 0 group by dst")
         run.diff("other.aptrc")
         run.viz("heatmap")                        # LOD-backed SVG
+        run.whatif()                              # the archived workload
         frame = run.frame("physical")
 
     api.diff("a.aptrc", "traces/", n_pes=16)      # module-level peers;
@@ -124,43 +125,46 @@ class Run:
                     label_a=label_a if label_a is not None else self.run_id)
 
     def whatif(self, workload=None, **kwargs) -> dict:
-        """Causal what-if analysis of this run's workload.
+        """Causal what-if analysis of the workload that made this run.
 
-        The archive records which workload/seed/schedule produced it but
-        not the full generator parameters, so ``workload`` must be the
-        (reconstructible) :class:`~repro.check.workloads.Workload`.  An
-        archive names its workload (``workload``, or ``app`` for
-        ``actorprof run``), seed and machine, and an ``actorprof run``
-        archive its problem size too; a workload that differs in any of
-        them is rejected, naming the first field that differs.
+        An archive written through ``Workload.run`` records the
+        workload's descriptor: with no ``workload`` it is rebuilt from
+        that, and a given one must match it key by key (the first key
+        that differs, dotted when nested, is a ``ValueError``).  Older
+        archives need the workload and check what they recorded: name
+        (``workload``, or ``app`` for ``actorprof run``), seed, machine
+        and, for ``actorprof run``, problem size.
         """
-        from repro.whatif.engine import _run_whatif
+        from repro.check.workloads import workload_from_descriptor
 
         meta = self.meta
         recorded = meta.get("workload", meta.get("app"))
-        if workload is None:
+        if isinstance(recorded, dict):
+            workload = workload or workload_from_descriptor(recorded)
+            have = workload.descriptor()
+        elif workload is None:
             raise ValueError(
                 "whatif() needs the Workload that produced this run "
                 f"(archive meta: workload={recorded!r}, "
                 f"seed={meta.get('seed')!r})"
             )
-        if recorded is not None and recorded != workload.name:
+        else:  # a pre-descriptor archive: compare what it records
+            have = {"kind": workload.name,
+                    **{k: v for k, v in workload.descriptor().items()
+                       if k in meta}}
+            recorded = {**{k: meta.get(k) for k in have},
+                        "kind": recorded or workload.name}
+        diff = _first_difference(recorded, have)
+        if diff is not None and diff[0] == "kind":
+            raise ValueError(f"workload mismatch: archive was produced by "
+                             f"{diff[1]!r}, got {diff[2]!r}")
+        if diff is not None:
+            key, was, got = diff
             raise ValueError(
-                f"workload mismatch: archive was produced by {recorded!r}, "
-                f"got {workload.name!r}"
+                f"{key} mismatch: archive was produced with {key} {was!r}, "
+                f"got a {workload.name!r} workload with {key} {got!r}"
             )
-        have = {"seed": workload.seed, "nodes": workload.machine.nodes,
-                "pes_per_node": workload.machine.pes_per_node}
-        if "app" in meta:
-            have.update((k, getattr(workload, k)) for k in workload.problem)
-        for field, value in have.items():
-            if field in meta and meta[field] != value:
-                raise ValueError(
-                    f"{field} mismatch: archive was produced with {field} "
-                    f"{meta[field]!r}, got a {workload.name!r} workload "
-                    f"with {field} {value!r}"
-                )
-        return _run_whatif(workload, **kwargs)
+        return whatif(workload, **kwargs)
 
     # -- LOD viz --------------------------------------------------------
 
@@ -194,6 +198,20 @@ class Run:
         if view == "gantt":
             return lod_gantt_svg(series, title=title)
         return lod_timeline_svg(series, title=title)
+
+
+def _first_difference(recorded: dict, have: dict):
+    """``(key, recorded value, given value)`` of the first key on which
+    two descriptors differ (dotted for nested keys), or None."""
+    for key in dict.fromkeys([*recorded, *have]):
+        was, got = recorded.get(key), have.get(key)
+        if isinstance(was, dict) and isinstance(got, dict):
+            inner = _first_difference(was, got)
+            if inner is not None:
+                return (f"{key}.{inner[0]}", *inner[1:])
+        elif was != got:
+            return key, was, got
+    return None
 
 
 def open_run(path_or_id: str | Path, *,

@@ -18,9 +18,9 @@ divergence as benign reordering or a confirmed nondeterminism bug.
   studies plus a generative random actor-program builder,
 * :mod:`~repro.check.auditor` — the differential audit loop and the
   machine-readable :class:`~repro.check.auditor.CheckReport`,
-* :mod:`~repro.check.parallel` — the per-schedule run recorder, shared
-  by the serial path and the :mod:`repro.exec` process-pool workers so
-  ``--jobs N`` verdicts are byte-identical to ``--jobs 1``.
+* :mod:`~repro.check.parallel` — the per-schedule run recorder, the one
+  :mod:`repro.exec` worker every audit runs through, inline or pooled,
+  so ``--jobs N`` verdicts are byte-identical to ``--jobs 1``.
 
 CLI: ``actorprof check <workload> --schedules K [--jobs N]`` (exit 0 =
 deterministic, 4 = confirmed nondeterminism, 5 = invariant violation,

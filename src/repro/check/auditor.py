@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.check.invariants import Violation
-from repro.check.parallel import record_run
 from repro.check.policies import PerturbedSchedule, make_schedules
 from repro.check.workloads import Workload
-from repro.exec import ResultCache, RunRecord, RunSpec, cache_key_for, execute, scratch
+from repro.exec import ResultCache, RunSpec, execute, scratch
 
 
 @dataclass(frozen=True)
@@ -198,62 +197,8 @@ def _compare_to_baseline(base: dict, other: dict, report: CheckReport,
         )
 
 
-#: Dotted path of the pooled worker (see :mod:`repro.check.parallel`).
+#: Dotted path of the audit worker (see :mod:`repro.check.parallel`).
 _WORKER_FN = "repro.check.parallel:run_audit_schedule"
-
-
-def _execute_units(
-    workload: Workload,
-    plans: list[PerturbedSchedule],
-    units: list[tuple[int, str]],
-    out_dir: Path,
-    store_equivalence: bool,
-    fault_plan,
-    jobs: int,
-    cache: ResultCache | str | Path | None,
-) -> dict[str, RunRecord]:
-    """Run every ``(schedule index, tag)`` unit; return records by tag.
-
-    ``jobs == 1`` without a cache runs inline on the live workload
-    object (no descriptor needed — custom Workload subclasses keep
-    working).  Otherwise the units become :class:`RunSpec` s for the
-    process pool; both paths produce values via
-    :func:`~repro.check.parallel.record_run`, so their records are
-    identical.
-    """
-    if jobs == 1 and cache is None:
-        records = {}
-        for i, (k, tag) in enumerate(units):
-            try:
-                value = record_run(workload, plans[k], out_dir, tag,
-                                   store_equivalence=store_equivalence,
-                                   fault_plan=fault_plan)
-                records[tag] = RunRecord(index=i, tag=tag, ok=True,
-                                         value=value)
-            except Exception as exc:
-                records[tag] = RunRecord(index=i, tag=tag, ok=False,
-                                         error=f"{type(exc).__name__}: {exc}")
-        return records
-
-    descriptor = workload.descriptor()
-    plan_dict = fault_plan.to_dict() if fault_plan is not None else None
-    specs = []
-    for i, (k, tag) in enumerate(units):
-        kwargs = {
-            "workload": descriptor,
-            "schedule_index": k,
-            "schedules": len(plans),
-            "tag": tag,
-            "store_equivalence": store_equivalence,
-            "fault_plan": plan_dict,
-        }
-        specs.append(RunSpec(
-            index=i, fn=_WORKER_FN, kwargs=kwargs, tag=tag,
-            cache_key=(cache_key_for(_WORKER_FN, kwargs)
-                       if cache is not None else None),
-        ))
-    recs = execute(specs, jobs=jobs, scratch_dir=out_dir, cache=cache)
-    return {rec.tag: rec for rec in recs}
 
 
 def audit(
@@ -291,8 +236,8 @@ def audit(
     jobs:
         Worker processes for the :mod:`repro.exec` engine.  Results are
         merged in schedule order, so any job count yields a
-        byte-identical report; ``jobs > 1`` (and any ``cache``) requires
-        the workload to implement ``descriptor()``.
+        byte-identical report.  Every audit rebuilds the workload from
+        its ``descriptor()``.
     cache:
         Optional :class:`~repro.exec.ResultCache` (or directory path):
         runs whose ``(workload, seed, schedule)`` key is already stored
@@ -317,9 +262,21 @@ def audit(
     units = [(k, f"s{k}") for k in range(schedules)]
     units += [(k, f"s{k}-replay") for k in replay_indices]
 
+    # one RunSpec per unit; execute runs them inline at jobs=1 and in
+    # workers otherwise, so the records do not depend on the job count
+    descriptor = workload.descriptor()
+    plan_dict = fault_plan.to_dict() if fault_plan is not None else None
+    specs = []
+    for i, (k, tag) in enumerate(units):
+        kwargs = {"workload": descriptor, "schedule_index": k,
+                  "schedules": schedules, "tag": tag,
+                  "store_equivalence": store_equivalence,
+                  "fault_plan": plan_dict}
+        specs.append(RunSpec(index=i, fn=_WORKER_FN, kwargs=kwargs,
+                             tag=tag).with_cache_key())
     with scratch(out_dir, "actorcheck-") as out_dir:
-        records = _execute_units(workload, plans, units, out_dir,
-                                 store_equivalence, fault_plan, jobs, cache)
+        records = {rec.tag: rec for rec in execute(
+            specs, jobs=jobs, scratch_dir=out_dir, cache=cache)}
 
     for i, (k, tag) in enumerate(units):
         rec = records[tag]

@@ -1,17 +1,13 @@
 """One case-study run as plain data: the ActorCheck recorder and the
 ``actorprof run`` worker.
 
-:func:`record_run` executes one ``(workload, schedule)`` pair, runs the
-invariant engine, and flattens everything the auditor needs into a
-JSON-serializable dict.  :func:`run_audit_schedule` is the same thing
-behind the :mod:`repro.exec` worker contract — it additionally rebuilds
-the workload from its descriptor, so it can execute in a spawned
-process.
-
-Both the serial (``jobs=1``) and the pooled audit paths go through
-:func:`record_run`, which is what makes ``actorprof check --jobs N``
+:func:`run_audit_schedule` rebuilds a workload from its descriptor,
+executes one ``(workload, schedule)`` pair, runs the invariant engine,
+and flattens everything the auditor needs into a JSON-serializable dict.
+Every audited run goes through it, inline at ``jobs=1`` and in a worker
+otherwise, which is what makes ``actorprof check --jobs N``
 byte-identical to ``--jobs 1``: the per-run values are computed by one
-function, and the auditor merges them in schedule order either way.
+function, and the auditor merges them in schedule order.
 
 :func:`run_app_point` is the body of ``actorprof run``: a plain run calls
 it once in process and ``--sweep`` fans one call per point through
@@ -23,44 +19,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.check.invariants import run_invariants
-from repro.check.policies import PerturbedSchedule, make_schedules
-from repro.check.workloads import Workload, workload_from_descriptor
+from repro.check.policies import make_schedules
+from repro.check.workloads import workload_from_descriptor
 from repro.core.flags import ProfileFlags
 from repro.core.profiler import ActorProf
 from repro.exec.cache import file_sha256
 from repro.sim.errors import SimulationError
 from repro.sim.faults import FaultPlan
-
-
-def record_run(
-    workload: Workload,
-    schedule: PerturbedSchedule,
-    out_dir: Path,
-    tag: str,
-    *,
-    store_equivalence: bool = True,
-    fault_plan=None,
-) -> dict:
-    """Run once under ``schedule``; return the flattened run record.
-
-    ``fault_plan`` is a live :class:`~repro.sim.faults.FaultPlan` (or
-    None).  The archive lands at ``out_dir/<tag>.aptrc`` and is listed
-    under ``"artifacts"`` so the result cache can carry it.
-    """
-    art = workload.run(schedule, Path(out_dir) / f"{tag}.aptrc",
-                       fault_plan=fault_plan)
-    violations = run_invariants(art, store_equivalence=store_equivalence)
-    return {
-        "schedule": schedule.index,
-        "tag": tag,
-        "description": schedule.describe(),
-        "result_fingerprint": art.result_fingerprint,
-        "logical_fingerprint": art.logical_fingerprint,
-        "archive_sha256": art.archive_sha256,
-        "violations": [{"invariant": v.invariant, "detail": v.detail}
-                       for v in violations],
-        "artifacts": [f"{tag}.aptrc"],
-    }
 
 
 def run_audit_schedule(
@@ -76,9 +41,10 @@ def run_audit_schedule(
     """:mod:`repro.exec` worker: one audited run from pure data.
 
     ``workload`` is a :meth:`~repro.check.workloads.Workload.descriptor`
-    dict; the schedule is rebuilt as ``make_schedules(seed, K)[index]``
-    — exactly how the serial auditor derives it, so a worker's run is
-    indistinguishable from an in-process one.
+    dict and ``fault_plan`` a :meth:`FaultPlan.to_dict` payload (or
+    None); the schedule is ``make_schedules(seed, K)[index]``, as the
+    auditor derives it.  The archive lands at ``out_dir/<tag>.aptrc``
+    and is listed under ``"artifacts"`` so the result cache can carry it.
     """
     wl = workload_from_descriptor(workload)
     if not 0 <= schedule_index < schedules:
@@ -86,8 +52,19 @@ def run_audit_schedule(
                          f"[0, {schedules})")
     schedule = make_schedules(wl.seed, schedules)[schedule_index]
     plan = FaultPlan.from_dict(fault_plan) if fault_plan else None
-    return record_run(wl, schedule, Path(out_dir), tag,
-                      store_equivalence=store_equivalence, fault_plan=plan)
+    art = wl.run(schedule, Path(out_dir) / f"{tag}.aptrc", fault_plan=plan)
+    violations = run_invariants(art, store_equivalence=store_equivalence)
+    return {
+        "schedule": schedule.index,
+        "tag": tag,
+        "description": schedule.describe(),
+        "result_fingerprint": art.result_fingerprint,
+        "logical_fingerprint": art.logical_fingerprint,
+        "archive_sha256": art.archive_sha256,
+        "violations": [{"invariant": v.invariant, "detail": v.detail}
+                       for v in violations],
+        "artifacts": [f"{tag}.aptrc"],
+    }
 
 
 def run_app_point(
@@ -107,10 +84,7 @@ def run_app_point(
     wl = workload_from_descriptor(workload)
     plan = (FaultPlan.from_dict(fault_plan).validate(wl.machine.n_pes)
             if fault_plan else None)
-    problem = {k: getattr(wl, k) for k in wl.problem}
-    meta: dict = {"app": wl.name, "seed": wl.seed}
-    if plan is not None:
-        meta["fault_plan"] = plan.to_dict()
+    schedule = make_schedules(wl.seed, 1)[0]
     outcome = {
         "app": wl.name,
         "params": {"nodes": wl.machine.nodes,
@@ -129,24 +103,26 @@ def run_app_point(
         enable_timeline=archive_name is not None))
     path = Path(out_dir) / archive_name if archive_name is not None else None
     try:
-        art = wl.run(make_schedules(wl.seed, 1)[0], path, profiler=profiler,
-                     fault_plan=plan, meta={**meta, **problem}, lod=True)
+        art = wl.run(schedule, path, profiler=profiler, fault_plan=plan,
+                     lod=True)
     except SimulationError as exc:
-        # a failed point's params and salvaged meta carry no problem
-        # size (the crash-salvage archive digest pins that meta)
+        # a failed point's params carry no problem size (the sweep
+        # report digest pins them); its salvaged archive has the meta a
+        # healthy run's has
         outcome["error"] = f"{type(exc).__name__}: {str(exc).splitlines()[0]}"
         outcome["exit_code"] = 1
         if path is None:
             return outcome
         try:
-            path = profiler.salvage_archive(path, failure=exc, meta=meta,
-                                            lod=True)
+            path = profiler.salvage_archive(
+                path, failure=exc, meta=wl.archive_meta(schedule, plan),
+                lod=True)
         except (ValueError, OSError) as salvage_exc:
             outcome["error"] += f"\nsalvage failed: {salvage_exc}"
             return outcome
         outcome["exit_code"] = 3
     else:
-        outcome["params"].update(problem)
+        outcome["params"].update((k, getattr(wl, k)) for k in wl.problem)
         outcome["summary"] = wl.summary.format(**art.result)
     if path is not None:
         outcome.update(archive=archive_name, archive_sha256=file_sha256(path),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -49,8 +49,6 @@ def fingerprint(data: Any) -> str:
 class RunArtifacts:
     """Everything one audited run leaves behind for the invariant engine."""
 
-    workload: str
-    schedule: PerturbedSchedule
     #: The application's own result (counts, sums, ...).
     result: Any
     #: sha256 over ``result``.
@@ -115,26 +113,24 @@ class Workload:
         self.base_config = conveyor_config or ConveyorConfig()
 
     def descriptor(self) -> dict:
-        """A JSON-serializable description a worker process can rebuild
-        this workload from (see :func:`workload_from_descriptor`).
+        """A JSON-serializable description of this workload, the one
+        identity a worker process rebuilds it from (see
+        :func:`workload_from_descriptor`) and every archive it writes
+        records.
 
-        Parallel audits (``jobs > 1``) and the result cache both need
-        one; a workload without it can still be audited serially.  The
+        Audits, the result cache and archived runs all need one.  The
         default describes a workload by its :attr:`problem` attributes.
         """
         if not self.problem:
             raise NotImplementedError(
-                f"{type(self).__name__} does not describe itself for "
-                f"parallel execution; implement descriptor() or audit with "
-                f"jobs=1 and no cache"
+                f"{type(self).__name__} does not describe itself; "
+                f"implement descriptor()"
             )
         return {"kind": self.name,
                 **{k: getattr(self, k) for k in self.problem},
                 **self._base_descriptor()}
 
     def _base_descriptor(self) -> dict:
-        from dataclasses import asdict
-
         return {
             "nodes": self.machine.nodes,
             "pes_per_node": self.machine.pes_per_node,
@@ -155,11 +151,20 @@ class Workload:
         """Run once; return (result-data, run, receipts, received_per_pe)."""
         raise NotImplementedError
 
+    def archive_meta(self, schedule: PerturbedSchedule,
+                     fault_plan: FaultPlan | None = None) -> dict:
+        """The footer ``meta`` of every archive of this workload: its
+        :meth:`descriptor`, the schedule index and, only when there is
+        one, the fault plan."""
+        meta = {"workload": self.descriptor(), "schedule": schedule.index}
+        if fault_plan is not None:
+            meta["fault_plan"] = fault_plan.to_dict()
+        return meta
+
     def run(self, schedule: PerturbedSchedule, archive_path: Path | None, *,
             profiler: ActorProf | None = None,
             cost: CostModel | None = None,
             fault_plan: FaultPlan | None = None,
-            meta: dict | None = None,
             lod: bool = False) -> RunArtifacts:
         """Execute under ``schedule``, archive the traces, fingerprint.
 
@@ -167,8 +172,8 @@ class Workload:
         :class:`ActorProf` and the stock :class:`CostModel`; the what-if
         engine passes perturbed replacements for both.  ``fault_plan`` is
         the run's only plan: None runs fault-free even inside an
-        enclosing ``use_plan``.  The archive's footer ``meta`` defaults
-        to ``{workload, seed, schedule}``; ``lod`` adds the LOD pyramid;
+        enclosing ``use_plan``.  The archive's footer carries
+        :meth:`archive_meta`; ``lod`` adds the LOD pyramid;
         ``archive_path=None`` writes nothing.
         """
         profiler = profiler or ActorProf(ProfileFlags.all())
@@ -179,14 +184,11 @@ class Workload:
             )
         path = digest = None
         if archive_path is not None:
-            if meta is None:
-                meta = {"workload": self.name, "seed": self.seed,
-                        "schedule": schedule.index}
-            path = profiler.export_archive(archive_path, meta=meta, lod=lod)
+            path = profiler.export_archive(
+                archive_path, meta=self.archive_meta(schedule, fault_plan),
+                lod=lod)
             digest = file_sha256(path)
         return RunArtifacts(
-            workload=self.name,
-            schedule=schedule,
             result=result_data,
             result_fingerprint=fingerprint(result_data),
             logical_fingerprint=_logical_fingerprint(profiler),
@@ -243,6 +245,9 @@ class TriangleWorkload(Workload):
                  conveyor_config: ConveyorConfig | None = None) -> None:
         super().__init__(machine=machine or MachineSpec(2, 2), seed=seed,
                          conveyor_config=conveyor_config)
+        if distribution not in ("cyclic", "range", "block"):
+            raise ValueError(f"distribution must be cyclic, range or block, "
+                             f"got {distribution!r}")
         self.scale = scale
         self.distribution = distribution
 
@@ -348,8 +353,6 @@ class GeneratedWorkload(Workload):
         self.name = name or "generated"
 
     def descriptor(self) -> dict:
-        from dataclasses import asdict
-
         spec = asdict(self.spec)
         spec["payload_words"] = list(spec["payload_words"])
         return {"kind": "generated", "spec": spec, "name": self.name,
@@ -421,29 +424,59 @@ class GeneratedWorkload(Workload):
         return data, run, receipts, [int(x) for x in received]
 
 
+def _checked(data: dict, where: str, shape: dict[str, Any],
+             required: tuple[str, ...] = ()) -> dict:
+    """One level of a descriptor, checked against ``shape`` (key -> a
+    value of the JSON type the key must hold): every ``required`` key
+    present, no key outside ``shape``.  Errors name the key."""
+    for key in required:
+        if key not in data:
+            raise ValueError(f"bad workload descriptor: missing key "
+                             f"{where + key!r}")
+    for key, value in data.items():
+        if key not in shape:
+            raise ValueError(f"bad workload descriptor: unknown key "
+                             f"{where + key!r}")
+        want = list if isinstance(shape[key], tuple) else type(shape[key])
+        if type(value) is not want or (want is list and any(
+                type(v) is not int for v in value)):
+            raise ValueError(f"bad workload descriptor: {where + key!r} must "
+                             f"be {want.__name__}, got {value!r}")
+    return data
+
+
 def workload_from_descriptor(data: dict) -> Workload:
     """Rebuild a workload in a worker process from its :meth:`descriptor`.
 
     The round trip must be lossless: a rebuilt workload has to produce
     byte-identical artifacts to the original, or parallel audits would
-    diverge from serial ones.
+    diverge from serial ones.  Descriptors also come back out of archive
+    footers, so a malformed one — a missing, unknown or mistyped key at
+    any level — is a ``ValueError`` naming the key; ``conveyor`` (and a
+    generated program's ``name``) may be left out for the defaults.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"not a workload descriptor: {data!r}")
     kind = data["kind"]
-    machine = MachineSpec(int(data["nodes"]), int(data["pes_per_node"]))
-    seed = int(data["seed"])
-    config = ConveyorConfig(**data.get("conveyor", {}))
-    if kind == "generated":
-        fields = dict(data["spec"])
-        fields["payload_words"] = tuple(fields["payload_words"])
-        return GeneratedWorkload(
-            ProgramSpec(**fields), machine=machine, seed=seed,
-            name=data.get("name"), conveyor_config=config,
-        )
-    cls = {"histogram": HistogramWorkload,
-           "triangle": TriangleWorkload}.get(kind)
+    cls = {"histogram": HistogramWorkload, "triangle": TriangleWorkload,
+           "generated": GeneratedWorkload}.get(str(kind))
     if cls is None:
         raise ValueError(f"unknown workload kind {kind!r}")
-    return cls(**{k: data[k] for k in cls.problem}, machine=machine,
-               seed=seed, conveyor_config=config)
+    if cls is GeneratedWorkload:
+        problem, optional = {"spec": {}}, {"name": ""}
+    else:
+        problem, optional = {k: getattr(cls(), k) for k in cls.problem}, {}
+    shape = {"kind": "", **problem, "nodes": 1, "pes_per_node": 1, "seed": 0}
+    _checked(data, "", {**shape, **optional, "conveyor": {}},
+             required=tuple(shape))
+    conveyor = data.get("conveyor", {})
+    _checked(conveyor, "conveyor.", asdict(ConveyorConfig()))
+    common = dict(machine=MachineSpec(data["nodes"], data["pes_per_node"]),
+                  seed=data["seed"], conveyor_config=ConveyorConfig(**conveyor))
+    if cls is GeneratedWorkload:
+        fields = dict(_checked(data["spec"], "spec.", asdict(ProgramSpec())))
+        if "payload_words" in fields:
+            fields["payload_words"] = tuple(fields["payload_words"])
+        return GeneratedWorkload(ProgramSpec(**fields),
+                                 name=data.get("name"), **common)
+    return cls(**{k: data[k] for k in cls.problem}, **common)

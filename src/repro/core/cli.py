@@ -60,6 +60,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -417,8 +418,11 @@ def _runs_main(argv: list[str]) -> int:
             print(f"created: {info.created}")
             if info.fingerprint:
                 print(f"sha256:  {info.fingerprint}")
-            for key in sorted(info.meta):
-                print(f"meta.{key}: {info.meta[key]}")
+            for key, value in sorted(info.meta.items()):
+                if isinstance(value, dict):  # workload, fault_plan, ...
+                    value = json.dumps(value, sort_keys=True,
+                                       separators=(",", ":"))
+                print(f"meta.{key}: {value}")
             with Archive(info.path) as archive:
                 for name in archive.sections:
                     section = archive.section(name)
@@ -612,26 +616,36 @@ def _load_fault_plan(args, *, check_fit: bool = True):
             f"fault plan does not fit this machine: {exc}") from None
 
 
-def _descriptor(args) -> dict:
-    """The histogram/triangle descriptor keys the shared options set."""
+def _options(args) -> dict:
+    """The shared workload options, by descriptor key."""
     return {"nodes": args.nodes, "pes_per_node": args.pes_per_node,
             "seed": args.seed, "updates": args.updates,
             "table_size": args.table_size, "scale": args.rmat_scale,
             "distribution": args.distribution}
 
 
+def _descriptor(options: dict, kind: str) -> dict:
+    """App ``kind``'s descriptor: the ``options`` keys it takes."""
+    from repro.check import HistogramWorkload, TriangleWorkload
+
+    cls = HistogramWorkload if kind == "histogram" else TriangleWorkload
+    keys = ("nodes", "pes_per_node", "seed", *cls.problem)
+    return {"kind": kind, **{k: options[k] for k in keys}}
+
+
 def _workload(args, index: int = 0):
     """The auditable workload ``check``/``whatif`` were asked for
     (``index`` picks the generated program)."""
-    from dataclasses import asdict
+    from repro.check import GeneratedWorkload, generate_spec
+    from repro.check.workloads import workload_from_descriptor
+    from repro.machine.spec import MachineSpec
 
-    from repro.check import generate_spec, workload_from_descriptor
-
-    data = dict(_descriptor(args), kind=args.workload)
-    if args.workload == "generated":
-        data.update(spec=asdict(generate_spec(args.seed, index)),
-                    name=f"generated-{index}")
-    return workload_from_descriptor(data)
+    if args.workload != "generated":
+        return workload_from_descriptor(
+            _descriptor(_options(args), args.workload))
+    return GeneratedWorkload(generate_spec(args.seed, index),
+                             MachineSpec(args.nodes, args.pes_per_node),
+                             args.seed, f"generated-{index}")
 
 
 # ----------------------------------------------------------------------
@@ -698,11 +712,11 @@ def _parse_sweeps(items: list[str], base: dict) -> dict[str, list]:
     return sweeps
 
 
-def _run_sweep(args, sweeps: dict[str, list], base: dict) -> int:
-    """Execute the cartesian ``sweeps`` of ``base`` (one point's
-    ``run_app_point`` arguments) through the :mod:`repro.exec` engine."""
+def _run_sweep(args, sweeps: dict[str, list], options: dict,
+               fault_plan: dict | None) -> int:
+    """Execute the cartesian ``sweeps`` of the workload ``options``
+    through the :mod:`repro.exec` engine, one ``run_app_point`` each."""
     import itertools
-    import json
 
     from repro.exec import RunSpec, execute
 
@@ -713,7 +727,8 @@ def _run_sweep(args, sweeps: dict[str, list], base: dict) -> int:
     for index, combo in enumerate(itertools.product(*sweeps.values())):
         point = dict(zip(names, combo))
         tag = "-".join(f"{n}{v}" for n, v in point.items())
-        kwargs = dict(base, workload=dict(base["workload"], **point))
+        kwargs = {"workload": _descriptor({**options, **point}, args.app),
+                  "fault_plan": fault_plan}
         if out_dir is not None:
             kwargs["archive_name"] = f"{args.app}-{tag}.aptrc"
         specs.append(RunSpec(
@@ -769,26 +784,26 @@ def _run_sweep(args, sweeps: dict[str, list], base: dict) -> int:
 
 def _run_main(argv: list[str]) -> int:
     args = _run_parser().parse_args(argv)
-    base = _descriptor(args)
+    options = _options(args)
     try:
-        sweeps = _parse_sweeps(args.sweep, base)
+        sweeps = _parse_sweeps(args.sweep, options)
     except ValueError as exc:
         print(f"bad sweep: {exc}", file=sys.stderr)
         return 2
     # a swept machine size is checked per point, by the run worker
     plan = _load_fault_plan(
         args, check_fit=not {"nodes", "pes_per_node"} & sweeps.keys())
-    point = {"workload": dict(base, kind=args.app),
-             "fault_plan": plan.to_dict() if plan is not None else None}
+    plan_dict = plan.to_dict() if plan is not None else None
     if sweeps:
-        return _run_sweep(args, sweeps, point)
+        return _run_sweep(args, sweeps, options, plan_dict)
     # a plain run is a one-point sweep executed in-process
     from repro.check.parallel import run_app_point
 
     out = args.export_archive
     outcome = run_app_point(
         out.parent if out is not None else Path("."),
-        archive_name=out.name if out is not None else None, **point)
+        workload=_descriptor(options, args.app), fault_plan=plan_dict,
+        archive_name=out.name if out is not None else None)
     if outcome["exit_code"] == 0:
         print(f"{outcome['summary']} on {args.nodes}x{args.pes_per_node} PEs "
               f"(seed {args.seed})")
@@ -851,8 +866,6 @@ def _check_parser() -> argparse.ArgumentParser:
 
 
 def _check_main(argv: list[str]) -> int:
-    import json
-
     from repro.check import audit
 
     args = _check_parser().parse_args(argv)
@@ -968,8 +981,6 @@ def _whatif_parser() -> argparse.ArgumentParser:
 
 
 def _whatif_main(argv: list[str]) -> int:
-    import json
-
     import repro.api as api
     from repro.core.report import whatif_report
     from repro.whatif import Scales, parse_sweep

@@ -112,7 +112,8 @@ class RunInfo:
         shape = ""
         if "nodes" in m and "pes_per_node" in m:
             shape = f"{m['nodes']}x{m['pes_per_node']} PEs"
-        app = m.get("app", "")
+        app = m.get("workload", m.get("app", ""))  # descriptor, or a name
+        app = app.get("kind", "") if isinstance(app, dict) else str(app)
         degraded = "[degraded]" if m.get("degraded") else ""
         finger = self.fingerprint[:12] if self.fingerprint else ""
         bits = [b for b in (app, shape, degraded, finger,

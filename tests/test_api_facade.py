@@ -14,7 +14,7 @@ from repro.core.query import query_trace
 from repro.core.store.archive import Archive
 from repro.core.store.registry import RunRegistry
 
-from tests.test_golden_archives import GOLDEN_DIR
+from tests.test_golden_archives import GOLDEN_DIR, V1_DIR
 
 HIST = GOLDEN_DIR / "histogram.aptrc"
 TRI = GOLDEN_DIR / "triangle.aptrc"
@@ -35,7 +35,7 @@ QUERIES = [
 def test_open_run_by_path():
     with api.open_run(HIST) as run:
         assert run.run_id == "histogram"
-        assert run.meta["workload"] == "histogram"
+        assert run.meta["workload"]["kind"] == "histogram"
         assert run.n_pes == 4
         assert "logical" in run.sections
 
@@ -151,9 +151,10 @@ def test_run_whatif_requires_matching_workload():
     from repro.check.workloads import TriangleWorkload
     from repro.machine.spec import MachineSpec
 
-    with api.open_run(HIST) as run:
+    with api.open_run(V1_DIR / "histogram.aptrc") as run:
         with pytest.raises(ValueError, match="workload"):
-            run.whatif()  # archives don't carry a replayable descriptor
+            run.whatif()  # v1 archives carry no replayable descriptor
+    with api.open_run(HIST) as run:
         mismatched = TriangleWorkload(scale=6, distribution="cyclic",
                                       machine=MachineSpec(2, 2), seed=0)
         with pytest.raises(ValueError, match="histogram"):
@@ -165,8 +166,8 @@ def test_run_whatif_rejects_a_different_seed():
     from repro.machine.spec import MachineSpec
 
     with api.open_run(HIST) as run:
-        assert run.meta["seed"] == 0
-        reseeded = HistogramWorkload(updates=150, table_size=32,
+        assert run.meta["workload"]["seed"] == 0
+        reseeded = HistogramWorkload(updates=200, table_size=32,
                                      machine=MachineSpec(2, 2), seed=3)
         with pytest.raises(ValueError, match=r"seed 0, got .* seed 3"):
             run.whatif(reseeded)

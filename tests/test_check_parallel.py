@@ -2,9 +2,9 @@
 
 The contract the paper's tooling depends on: ``actorprof check --jobs N``
 is *byte-identical* to ``--jobs 1`` — same JSON verdict, same archive
-fingerprints — because both paths compute per-run records with
-:func:`repro.check.parallel.record_run` and merge them in schedule
-order.  ``jobs=2`` is used throughout so the pooled path really spawns
+fingerprints — because every run's record is computed by
+:func:`repro.check.parallel.run_audit_schedule`, inline or in a worker,
+and the records are merged in schedule order.  ``jobs=2`` is used throughout so the pooled path really spawns
 workers even on small CI runners.
 """
 

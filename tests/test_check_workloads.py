@@ -117,9 +117,8 @@ def test_default_schedule_matches_bare_run(default_schedule, tmp_path):
 
     profiler = ActorProf(ProfileFlags.all())
     histogram(120, 16, machine=MachineSpec(1, 4), profiler=profiler, seed=1)
-    bare = profiler.export_archive(tmp_path / "bare.aptrc", meta={
-        "workload": "histogram", "seed": 1, "schedule": 0,
-    })
+    bare = profiler.export_archive(
+        tmp_path / "bare.aptrc", meta=wl.archive_meta(default_schedule))
     assert bare.read_bytes() == art.archive_path.read_bytes()
 
 

@@ -140,6 +140,32 @@ def test_runs_add_list_show_rm(archive, tmp_path, capsys):
     assert "no runs registered" in capsys.readouterr().out
 
 
+def test_runs_list_and_show_name_the_workload(tmp_path, capsys):
+    """``runs list`` shows the descriptor's kind; ``runs show`` prints
+    nested meta (the descriptor, the fault plan) as sorted compact JSON."""
+    import json
+
+    from repro.check import HistogramWorkload, make_schedules
+    from repro.sim.faults import FaultPlan, SlowPE
+
+    wl = HistogramWorkload(updates=60, table_size=16)
+    plan = FaultPlan(slow_pes=(SlowPE(pe=1, multiplier=2.0),))
+    wl.run(make_schedules(0, 1)[0], tmp_path / "h.aptrc", fault_plan=plan)
+    reg = str(tmp_path / "reg")
+    assert main(["runs", "add", str(tmp_path / "h.aptrc"), "--registry", reg,
+                 "--id", "slow"]) == 0
+    capsys.readouterr()
+    assert main(["runs", "list", "--registry", reg]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["slow", "histogram"]
+    assert main(["runs", "show", "slow", "--registry", reg]) == 0
+    out = capsys.readouterr().out
+    for key, value in [("workload", wl.descriptor()),
+                       ("fault_plan", plan.to_dict())]:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert f"meta.{key}: {text}\n" in out
+    assert "meta.schedule: 0\n" in out
+
+
 def test_runs_show_unknown_fails(tmp_path, capsys):
     assert main(["runs", "show", "ghost",
                  "--registry", str(tmp_path / "reg")]) == 2

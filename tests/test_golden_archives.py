@@ -110,8 +110,8 @@ def test_golden_archives_load(name):
     run = load_run(golden)
     assert run.logical is not None
     assert run.logical.total_sends() > 0
-    assert run.meta["workload"] == name
-    assert run.meta["seed"] == 0
+    assert run.meta["workload"] == GOLDEN_WORKLOADS[name]().descriptor()
+    assert run.meta["schedule"] == 0
 
 
 def _flavors(name: str) -> dict[str, Path]:
@@ -147,7 +147,9 @@ def test_v2_golden_decodes_equal_to_v1(name):
         assert packed
         for label in ("v1+stats", "v1 nostats"):
             with Archive(flavors[label]) as old:
-                assert old.meta == new.meta and old.sections == new.sections
+                # v1 meta predates the descriptor: a name and a seed
+                assert old.meta == {**new.meta, "workload": name, "seed": 0}
+                assert old.sections == new.sections
                 for s in old.sections:
                     a, b = old.section(s), new.section(s)
                     assert (a.attrs, a.rows, a.columns) \

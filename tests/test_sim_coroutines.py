@@ -200,7 +200,7 @@ def test_failure_closes_every_suspended_pe_in_rank_order():
 #: sha256 of ``actorprof run histogram --fault-plan P -o OUT`` where P is
 #: ``actorprof faults template P --crash 1:50000`` (all other defaults).
 CRASH_SALVAGE_SHA256 = (
-    "d2377bd11302481fc7d73c3578dfaec5eeb55cd1086adf7fc4899b4a0c438056")
+    "10055117fdd2cbe4e9d05f37402aa7b4826f39ea300a5043dcd30425b27c3e85")
 
 
 def test_crash_salvage_is_byte_stable_within_one_process(tmp_path, capsys):

@@ -239,9 +239,9 @@ def test_export_with_lod_is_deterministic(tmp_path):
 
 BACKFILLED = {
     "histogram":
-        "93f39877413dbd9814fccff97404f66a8b0c2c87150d807d85841817d58215d8",
+        "6c3b6f3186aef878a0f06ce56a68adcf68b75b62b448e738bed050fe05897bd5",
     "triangle":
-        "fd1c41fa2b6c4c0b96c2a2f4b8dee6d04576765428b2291e09f9fa985c0b27e0",
+        "7e0aba269c977ea1469d4f5f7c8bb922768625b5109037758d54246506d5669f",
 }
 
 

@@ -132,3 +132,16 @@ def test_describe_mentions_shape(tmp_path, archive):
     info = registry.add(archive, run_id="r")
     line = info.describe()
     assert "r" in line and "1x4 PEs" in line
+
+
+def test_describe_names_the_workload(tmp_path, archive):
+    """A descriptor's kind, a pre-descriptor name, or a hand-written
+    meta's ``app``: whichever the archive records."""
+    from tests.test_golden_archives import GOLDEN_DIR, V1_DIR
+
+    registry = RunRegistry(tmp_path / "reg")
+    lines = [registry.add(path, run_id=run_id).describe().split()
+             for run_id, path in [("new", GOLDEN_DIR / "triangle.aptrc"),
+                                  ("old", V1_DIR / "histogram.aptrc"),
+                                  ("demo", archive)]]
+    assert [line[1] for line in lines] == ["triangle", "histogram", "demo"]

@@ -5,18 +5,31 @@ arguments: the archive of a healthy ``run``, the ``--sweep-report`` of a
 two-point sweep, and the ``--out`` verdict of two audits.  Any change to
 how a case study is built, run or archived moves at least one of them.
 The rest covers what the three commands check before they run: that a
-fault plan fits the machine, and that ``Run.whatif`` is handed the
-program that made the archive.
+fault plan fits the machine, that every archive records the workload's
+descriptor, and that ``Run.whatif`` analyses the program that made the
+archive.
 """
 
 import hashlib
+import inspect
 import json
+import re
 
 import pytest
 
 import repro.api as api
-from repro.check import HistogramWorkload, TriangleWorkload, make_schedules
+from repro.check import (
+    GeneratedWorkload,
+    HistogramWorkload,
+    TriangleWorkload,
+    Workload,
+    generate_spec,
+    make_schedules,
+    workload_from_descriptor,
+)
+from repro.conveyors.conveyor import ConveyorConfig
 from repro.core.cli import main
+from repro.core.store.archive import Archive
 from repro.machine.spec import MachineSpec
 from repro.sim.faults import FaultPlan, SlowPE, use_plan
 
@@ -25,21 +38,21 @@ from repro.sim.faults import FaultPlan, SlowPE, use_plan
 PINS = {
     "run-histogram": (
         ["run", "histogram", "-o", "OUT"],
-        "2c337646b50bd21729144f6494e798957a5c541583a1f600dd7c8221b3abd188"),
+        "456afee771dca619318f5f4356bb22b66bf21e450f82912c559991727428814f"),
     "run-triangle": (
         ["run", "triangle", "-o", "OUT"],
-        "ddc52a20cc4a8e6a06730f0549e59bcb85b55911ca770192ff19ec7eff9e4c09"),
+        "552fbd37c39420b10ac87eafefe5b27d9ef07340224021cb99d1c34eed2eb77e"),
     "sweep-report": (
         ["run", "histogram", "--sweep", "seed=0,1", "-o", "DIR",
          "--sweep-report", "OUT"],
-        "ba8147757763259d87226e2d8e0b2303f6316e5d44c203206d6dab96662d6bf7"),
+        "3348975055850e129cae783764d63d6b8a1f6e72a68de2496f27a3ca4593d0c1"),
     "check-histogram": (
         ["check", "histogram", "--schedules", "3", "--out", "OUT"],
-        "2bb5f3b88358a0d7c24b07118234604b5409968720b1588671d3c6dccf2f0454"),
+        "2562ce69b7e111bc7e06de1573cf690a468a2ce16685c0bef67e32ab2b998a79"),
     "check-triangle": (
         ["check", "triangle", "--schedules", "2", "--scale", "6",
          "--out", "OUT"],
-        "eef6893b8cdd9a9e44c7a559dd0c547906f4a94277b1956d0d8b3e12808a531b"),
+        "e17632caddf2e8b39ab74958203d76f82d1a35faccd4c870bb4dfeb19750e83d"),
 }
 
 
@@ -127,13 +140,114 @@ def test_workload_run_plan_overrides_the_ambient_one(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# every archive records its workload's descriptor
+# ----------------------------------------------------------------------
+
+def test_every_writer_stamps_the_descriptor(tmp_path, capsys):
+    """run (healthy and salvaged), check and whatif archives carry
+    ``{"workload": descriptor, "schedule": k}``, plus ``fault_plan``
+    exactly when a plan was given, and no ``app`` key."""
+    assert "meta" not in inspect.signature(Workload.run).parameters
+    crash, slow = tmp_path / "crash.json", tmp_path / "slow.json"
+    FaultPlan.single_crash(pe=1, at_cycle=10).save(crash)
+    FaultPlan(slow_pes=(SlowPE(pe=1, multiplier=2.0),)).save(slow)
+    small = ["--updates", "100", "--table-size", "16"]
+    out = {name: str(tmp_path / name) for name in
+           ("run.aptrc", "salvaged.aptrc", "check", "whatif")}
+    assert main(["run", "histogram", *small, "-o", out["run.aptrc"]]) == 0
+    assert main(["run", "histogram", *small, "--fault-plan", str(crash),
+                 "-o", out["salvaged.aptrc"]]) == 3
+    assert main(["check", "histogram", *small, "--schedules", "1",
+                 "--fault-plan", str(slow), "--skip-store-check", "--quiet",
+                 "--keep-archives", out["check"]]) == 0
+    assert main(["whatif", "histogram", *small, "--quiet",
+                 "--keep-archives", out["whatif"]]) == 0
+    capsys.readouterr()
+    plans = {"run.aptrc": None, "salvaged.aptrc": crash,
+             "check/histogram/s0.aptrc": slow, "whatif/baseline.aptrc": None}
+    for name, plan in plans.items():
+        with Archive(tmp_path / name) as archive:
+            meta = archive.meta
+        assert meta["workload"] == _hist().descriptor(), name
+        assert meta["schedule"] == 0 and "app" not in meta, name
+        assert meta.get("fault_plan") == (
+            FaultPlan.load(plan).to_dict() if plan else None), name
+
+
+# ----------------------------------------------------------------------
+# a descriptor is a trust boundary: malformed ones name the bad key
+# ----------------------------------------------------------------------
+
+def _generated():
+    return GeneratedWorkload(generate_spec(0, 0), name="generated-0")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: {"kind": "histogram"}, "missing key 'updates'"),
+    (lambda: _drop(_hist().descriptor(), "nodes"), "missing key 'nodes'"),
+    (lambda: {**_hist().descriptor(), "colour": 1}, "unknown key 'colour'"),
+    (lambda: {**_hist().descriptor(), "scale": 6}, "unknown key 'scale'"),
+    (lambda: _conveyor(_hist(), colour=1), "unknown key 'conveyor.colour'"),
+    (lambda: _spec(_generated(), colour=1), "unknown key 'spec.colour'"),
+    (lambda: {**_hist().descriptor(), "nodes": "2"},
+     "'nodes' must be int, got '2'"),
+    (lambda: {**_hist().descriptor(), "seed": True},
+     "'seed' must be int, got True"),
+    (lambda: {**_tri().descriptor(), "distribution": 1},
+     "'distribution' must be str"),
+    (lambda: {**_hist().descriptor(), "conveyor": [64]},
+     "'conveyor' must be dict, got [64]"),
+    (lambda: _conveyor(_hist(), buffer_items=64.0),
+     "'conveyor.buffer_items' must be int"),
+    (lambda: _spec(_generated(), payload_words=["2"]),
+     "'spec.payload_words' must be list"),
+    (lambda: {**_tri().descriptor(), "distribution": "diagonal"},
+     "distribution must be cyclic, range or block, got 'diagonal'"),
+    (lambda: {**_hist().descriptor(), "kind": "sort"},
+     "unknown workload kind 'sort'"),
+    (lambda: {**_hist().descriptor(), "kind": ["histogram"]},
+     "unknown workload kind ['histogram']"),
+    (lambda: ["histogram"], "not a workload descriptor"),
+], ids=["empty", "no-nodes", "unknown", "other-app-key", "conveyor-unknown",
+        "spec-unknown", "str-int", "bool-int", "int-str", "conveyor-list",
+        "conveyor-float", "spec-list-of-str", "distribution", "kind",
+        "kind-list", "not-a-dict"])
+def test_malformed_descriptors_name_the_key(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        workload_from_descriptor(make())
+
+
+def _drop(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _conveyor(workload, **fields):
+    data = workload.descriptor()
+    return {**data, "conveyor": {**data["conveyor"], **fields}}
+
+
+def _spec(workload, **fields):
+    data = workload.descriptor()
+    return {**data, "spec": {**data["spec"], **fields}}
+
+
+@pytest.mark.parametrize("workload", [
+    lambda: _hist(), lambda: _tri(), _generated,
+    lambda: _hist(conveyor_config=ConveyorConfig(buffer_items=8, slots=3)),
+], ids=["histogram", "triangle", "generated", "conveyor"])
+def test_descriptor_round_trip(workload):
+    data = json.loads(json.dumps(workload().descriptor()))
+    assert workload_from_descriptor(data).descriptor() == data
+
+
+# ----------------------------------------------------------------------
 # Run.whatif checks the archive was made by the workload it is given
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def app_archives(tmp_path_factory):
-    """Small ``actorprof run`` archives: meta records ``app``, not
-    ``workload``, plus the problem size."""
+    """Small ``actorprof run`` archives; their meta records the
+    workload's descriptor."""
     d = tmp_path_factory.mktemp("app-archives")
     assert main(["run", "histogram", "--updates", "100", "--table-size",
                  "16", "-o", str(d / "h.aptrc")]) == 0
@@ -170,8 +284,12 @@ def _tri(**kw):
     ("t", lambda: _tri(distribution="cyclic"),
      "distribution mismatch: archive was produced with distribution "
      "'range', got a 'triangle' workload with distribution 'cyclic'"),
+    ("h", lambda: _hist(conveyor_config=ConveyorConfig(buffer_items=32)),
+     "conveyor.buffer_items mismatch: archive was produced with "
+     "conveyor.buffer_items 64, got a 'histogram' workload with "
+     "conveyor.buffer_items 32"),
 ], ids=["name", "seed", "nodes", "pes_per_node", "updates", "table_size",
-        "scale", "distribution"])
+        "scale", "distribution", "conveyor"])
 def test_run_whatif_rejects_a_different_program(app_archives, archive,
                                                 workload, message):
     with api.open_run(app_archives / f"{archive}.aptrc") as run:
@@ -182,3 +300,19 @@ def test_run_whatif_rejects_a_different_program(app_archives, archive,
 def test_run_whatif_accepts_the_program_that_made_the_archive(app_archives):
     with api.open_run(app_archives / "h.aptrc") as run:
         assert run.whatif(_hist())["exit_code"] == 0
+
+
+def test_run_whatif_rebuilds_the_program_that_made_the_archive(app_archives):
+    with api.open_run(app_archives / "h.aptrc") as run:
+        assert run.whatif() == api.whatif(_hist())
+
+
+def test_run_whatif_rejects_a_check_archive_of_another_size(tmp_path):
+    """A check-style archive (``Workload.run``) records the problem size
+    too: a scale-6 triangle is not the scale-5 one that made it."""
+    _tri().run(make_schedules(0, 1)[0], tmp_path / "c.aptrc")
+    with api.open_run(tmp_path / "c.aptrc") as run:
+        with pytest.raises(ValueError, match="^scale mismatch: archive was "
+                           "produced with scale 5, got a 'triangle' "
+                           "workload with scale 6"):
+            run.whatif(_tri(scale=6))
