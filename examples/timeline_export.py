@@ -7,7 +7,9 @@ exports the result as:
 * ``timeline_out/trace.json`` — Google Trace Event format
   (open in chrome://tracing or https://ui.perfetto.dev),
 * ``timeline_out/actorprof.*`` — a simplified OTF file set,
-* ``timeline_out/timeline.svg`` / ``utilization.svg`` — built-in charts.
+* ``timeline_out/timeline.svg`` / ``utilization.svg`` — the LOD
+  pyramid's per-PE gantt and machine-wide timeline, the two views
+  ``actorprof timeline_out --num-pes 16 -t`` draws from ``trace.json``.
 
 Run:  python examples/timeline_export.py
 """
@@ -16,7 +18,9 @@ from pathlib import Path
 
 from repro import ActorProf, MachineSpec, ProfileFlags
 from repro.apps.triangle import count_triangles
-from repro.core.viz.timeline_chart import timeline_svg, utilization_svg
+from repro.core.lod import LodView
+from repro.core.store.lod import build_pyramid
+from repro.core.viz.lodviews import render_view
 from repro.graphs import LowerTriangular, graph500_input
 
 
@@ -40,9 +44,12 @@ def main() -> None:
     print(f"OTF file set: {len(written['otf'])} files "
           f"({written['otf'][0]}, ...)")
 
-    (outdir / "timeline.svg").write_text(timeline_svg(tl))
+    # binned to the display's resolution, however many spans there are
+    lod = LodView.from_pyramid(build_pyramid(tl))
+    (outdir / "timeline.svg").write_text(render_view(
+        lod, "gantt", title="Execution timeline (note PE0's long PROC tail)"))
     (outdir / "utilization.svg").write_text(
-        utilization_svg(tl, title="PE utilization (note PE0's long PROC tail)"))
+        render_view(lod, "timeline", title="PE utilization over time"))
     print(f"charts: {outdir}/timeline.svg, {outdir}/utilization.svg")
 
     # the region totals in the timeline agree with the overall profile

@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.lod import DEFAULT_RES, LodView, open_lod
+from repro.core.lod import LodView, open_lod
 from repro.core.query import query_trace
 from repro.core.store.archive import Archive, is_archive
 from repro.core.store.frame import Frame
 from repro.core.store.registry import RunRegistry, default_registry_root
 
 __all__ = ["Run", "diff", "open_run", "whatif"]
-
-_VIEWS = ("gantt", "heatmap", "timeline")
 
 
 def _resolve(path_or_id: str | Path,
@@ -180,24 +178,10 @@ class Run:
         """Render one LOD-backed SVG view (``gantt``/``heatmap``/
         ``timeline``) for a viewport — O(res) work, never touching raw
         event columns when the archive carries a pyramid."""
-        from repro.core.viz.lodviews import (
-            lod_gantt_svg,
-            lod_heatmap_svg,
-            lod_timeline_svg,
-        )
+        from repro.core.viz.lodviews import render_view
 
-        if view not in _VIEWS:
-            raise ValueError(f"unknown view {view!r}; want one of {_VIEWS}")
-        lod = self.lod()
-        if res is None:
-            res = DEFAULT_RES[view]
-        title = f"{self.run_id} {view}"
-        if view == "heatmap":
-            return lod_heatmap_svg(lod.edge_window(t0, t1, res), title=title)
-        series = lod.pe_series(t0, t1, res)
-        if view == "gantt":
-            return lod_gantt_svg(series, title=title)
-        return lod_timeline_svg(series, title=title)
+        return render_view(self.lod(), view, title=f"{self.run_id} {view}",
+                           t0=t0, t1=t1, res=res)
 
 
 def _first_difference(recorded: dict, have: dict):

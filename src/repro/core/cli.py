@@ -14,11 +14,14 @@ PEs (``num_PEs``) is a required input for text trace directories.  SVG
 charts land next to the traces (or in ``--out``); text summaries print
 to stdout.
 
-A ``.aptrc`` archive (:mod:`repro.core.store`) works wherever a trace
-directory does: ``--archive`` forces that reading of the positional
-path, ``--num-pes`` becomes optional because archives are
-self-describing, and ``--export-archive PATH`` re-packs a text trace
-directory into one.
+A ``.aptrc`` archive (:mod:`repro.core.store`, recognised by its suffix
+or its magic bytes) works wherever a trace directory does:
+``--num-pes`` becomes optional because archives are self-describing,
+and ``--export-archive PATH`` re-packs a text trace directory into one.
+
+``-t`` draws the timeline of ``trace.json`` as ``actorprof viz`` draws an
+archive's: through its LOD pyramid, as the per-PE gantt
+(``timeline.svg``) and the machine-wide timeline (``utilization.svg``).
 
 Any other first word names a subcommand, each with its own ``--help``:
 
@@ -78,6 +81,11 @@ from repro.core.viz.stacked import stacked_bar_graph
 from repro.core.viz.violin import violin_svg
 
 
+#: ``-t``'s outputs: (file name, LOD view, title).
+_TIMELINE_VIEWS = (("timeline.svg", "gantt", "Execution timeline"),
+                  ("utilization.svg", "timeline", "PE utilization over time"))
+
+
 class _BadArguments(Exception):
     """An option value a shared helper rejects; :func:`main` prints the
     message and exits 2."""
@@ -116,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-p", dest="physical", action="store_true",
                         help="physical trace heatmap (physical.txt)")
     parser.add_argument("-t", dest="timeline", action="store_true",
-                        help="timeline + utilization charts (trace.json)")
+                        help="LOD gantt + machine-wide timeline of "
+                             "trace.json (timeline.svg, utilization.svg)")
     parser.add_argument("--violin", action="store_true",
                         help="also emit violin plots for -l / -p traces")
-    parser.add_argument("--archive", action="store_true",
-                        help="treat the trace path as a .aptrc archive "
-                             "(auto-detected for *.aptrc files)")
     parser.add_argument("--export-archive", type=Path, default=None,
                         metavar="PATH",
                         help="re-pack the trace directory into a single "
@@ -158,11 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         print("nothing to do: pass at least one of -l, -lp, -s, -p, -t, "
               "--query, --export-archive", file=sys.stderr)
         return 2
-    use_archive = args.archive or is_archive(args.trace_dir)
+    use_archive = is_archive(args.trace_dir)
     if use_archive:
-        if not args.trace_dir.is_file():
-            print(f"archive {args.trace_dir} does not exist", file=sys.stderr)
-            return 2
         if args.export_archive is not None:
             print("--export-archive needs a text trace directory as input",
                   file=sys.stderr)
@@ -173,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     else:
         if not args.trace_dir.is_dir():
-            print(f"trace directory {args.trace_dir} does not exist",
-                  file=sys.stderr)
+            print(f"trace directory or archive {args.trace_dir} does not "
+                  "exist", file=sys.stderr)
             return 2
         if args.num_pes is None:
             print("--num-pes is required when reading a trace directory",
@@ -325,7 +328,9 @@ def _render(args, source, out, emitted, say) -> int:
 
     if args.timeline:
         from repro.core.export import timeline_from_chrome
-        from repro.core.viz.timeline_chart import timeline_svg, utilization_svg
+        from repro.core.lod import LodView
+        from repro.core.store.lod import build_pyramid
+        from repro.core.viz.lodviews import render_view
 
         trace_json = args.trace_dir / "trace.json"
         if not trace_json.exists():
@@ -333,12 +338,11 @@ def _render(args, source, out, emitted, say) -> int:
                   file=sys.stderr)
             return 2
         tl, _spec = timeline_from_chrome(trace_json)
-        path = out / "timeline.svg"
-        path.write_text(timeline_svg(tl))
-        emitted.append(path)
-        path = out / "utilization.svg"
-        path.write_text(utilization_svg(tl))
-        emitted.append(path)
+        lod = LodView.from_pyramid(build_pyramid(tl))
+        for name, view, title in _TIMELINE_VIEWS:
+            path = out / name
+            path.write_text(render_view(lod, view, title=title))
+            emitted.append(path)
         say(f"timeline: {tl.span_count()} spans, "
             f"{tl.net_count()} network events, "
             f"horizon {tl.end_time():,} cycles")
@@ -1286,7 +1290,7 @@ def _viz_main(argv: list[str]) -> int:
     import repro.api as api
     from repro.core.lod import DEFAULT_RES, LodError
     from repro.core.store.registry import RegistryError
-    from repro.core.viz.lodviews import viz_html
+    from repro.core.viz.lodviews import VIEWS, viz_html
 
     args = _viz_parser().parse_args(argv)
     if args.res is not None and args.res < 1:
@@ -1299,8 +1303,7 @@ def _viz_main(argv: list[str]) -> int:
               "not a registered run id: backfill a copy and 'actorprof runs "
               "add' it (viz on the id works without it)", file=sys.stderr)
         return 2
-    views = list(dict.fromkeys(args.view)) or ["gantt", "heatmap",
-                                               "timeline"]
+    views = list(dict.fromkeys(args.view)) or list(VIEWS)
     try:
         path, run_id = api._resolve(args.run, args.registry)
         if args.backfill:

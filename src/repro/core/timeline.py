@@ -141,18 +141,3 @@ class TimelineTrace:
         pe, code, start, end, _ = self._spans.table()
         mine = code == _REGION_CODE.get(region, -1)
         return bincount(pe[mine], (end - start)[mine], self.n_pes)
-
-    def utilization(self, bucket_cycles: int) -> np.ndarray:
-        """``(n_pes, n_buckets)`` fraction of each time bucket covered by
-        MAIN+PROC spans, buckets up to :meth:`end_time`.
-
-        A simple occupancy profile — the "CPU utilization over time" view
-        that tools like Legion Prof display.
-        """
-        if bucket_cycles < 1:
-            raise ValueError("bucket_cycles must be positive")
-        n_buckets = max(1, -(-self.end_time() // bucket_cycles))
-        pe, code, start, end, _ = self._spans.table()
-        busy = code != FINISH
-        return spread_spans(pe[busy], start[busy], end[busy], bucket_cycles,
-                            self.n_pes, n_buckets) / bucket_cycles

@@ -10,6 +10,8 @@ one for a thousand-send run: O(viewport resolution).
   time (utilization profile).
 * :func:`lod_heatmap_svg` — the communication matrix over the
   viewport, reusing :func:`~repro.core.viz.heatmap.heatmap_svg`.
+* :func:`render_view` — one of the three by name, the only way a view
+  is drawn (``Run.viz``, ``actorprof viz``/``serve`` and ``actorprof -t``).
 * :func:`viz_html` — standalone HTML wrapping the three views, with
   pan/zoom controls that refetch from a running ``actorprof serve``.
 """
@@ -21,7 +23,7 @@ import json
 
 import numpy as np
 
-from repro.core.lod import EdgeWindow, PeSeries
+from repro.core.lod import DEFAULT_RES, EdgeWindow, LodView, PeSeries
 from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.palette import REGION_COLORS
 from repro.core.viz.svg import Canvas
@@ -32,6 +34,8 @@ from repro.core.viz.svg import Canvas
 #: an older renderer — such as the unbinned heatmaps of archives over
 #: 256 PEs — then stop being served.
 RENDERER = "blocks-256"
+
+VIEWS = ("gantt", "heatmap", "timeline")
 
 _LANE_H = 18
 _LANE_GAP = 4
@@ -55,11 +59,10 @@ def _axis(cv: Canvas, axis_y: float, plot_w: float, t0: int, t1: int) -> None:
             size=10, anchor="middle")
 
 
-def _legend(cv: Canvas, regions=_REGIONS, faded: str = "") -> None:
-    for i, region in enumerate(regions):
+def _legend(cv: Canvas) -> None:
+    for i, region in enumerate(_REGIONS):
         lx = _MARGIN_LEFT + 90 * i
-        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region],
-                opacity=0.35 if region == faded else 1.0)
+        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region])
         cv.text(lx + 14, 41, region, size=9)
 
 
@@ -163,6 +166,23 @@ def lod_heatmap_svg(window: EdgeWindow, title: str = "LOD heatmap",
         matrix,
         title=f"{title} [{vp.t0:,}..{vp.t1:,}) {unit}",
         xlabel="destination PE", ylabel="source PE")
+
+
+def render_view(lod: LodView, view: str, *, title: str,
+                t0: int | None = None, t1: int | None = None,
+                res: int | None = None) -> str:
+    """Render ``view`` (one of :data:`VIEWS`) over the viewport
+    ``[t0, t1)`` at ``res`` buckets (default :data:`DEFAULT_RES`)."""
+    if view not in VIEWS:
+        raise ValueError(f"unknown view {view!r}; want one of {VIEWS}")
+    if res is None:
+        res = DEFAULT_RES[view]
+    if view == "heatmap":
+        return lod_heatmap_svg(lod.edge_window(t0, t1, res), title=title)
+    series = lod.pe_series(t0, t1, res)
+    if view == "gantt":
+        return lod_gantt_svg(series, title=title)
+    return lod_timeline_svg(series, title=title)
 
 
 def viz_html(views: dict[str, str], *, run_label: str,

@@ -14,7 +14,7 @@ internals" (paper Table I).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Coroutine, Sequence
 
 import numpy as np
@@ -47,15 +47,7 @@ class _SelectorSlot:
         self.groups = [
             ConveyorGroup(
                 world.shmem,
-                ConveyorConfig(
-                    payload_words=w,
-                    buffer_items=config.buffer_items,
-                    slots=config.slots,
-                    topology=config.topology,
-                    self_send_bypass=config.self_send_bypass,
-                    item_header_bytes=config.item_header_bytes,
-                    buffer_header_bytes=config.buffer_header_bytes,
-                ),
+                replace(config, payload_words=w),
                 tracer=world.physical_tracer,
                 faults=world.faults,
                 policy=world.schedule_policy,

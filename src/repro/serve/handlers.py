@@ -38,8 +38,6 @@ _ENDPOINTS = [
     "GET /diff?a=RUN&b=RUN", "POST /shutdown",
 ]
 
-_VIZ_VIEWS = ("gantt", "heatmap", "timeline")
-
 
 async def handle(arbiter, request: Request, reader, writer) -> None:
     """Route one request; raises :class:`HttpError` for error replies."""
@@ -224,12 +222,13 @@ async def _viz(arbiter, request: Request, ref: str, view: str,
     ``X-Lod-Level`` (pyramid level used) and ``X-Viewport`` (snapped
     window) headers — everything a pan/zoom client needs to refine.
     """
+    from repro.core.viz.lodviews import VIEWS
     from repro.serve.artifacts import viz_key
     from repro.serve.http import response_bytes
 
-    if view not in _VIZ_VIEWS:
+    if view not in VIEWS:
         raise HttpError(
-            404, f"unknown viz view {view!r}; want one of {_VIZ_VIEWS}")
+            404, f"unknown viz view {view!r}; want one of {VIEWS}")
 
     def int_param(name: str) -> int | None:
         raw = request.params.get(name)

@@ -8,6 +8,7 @@ factors are *in* the kwargs, so two points that differ only in
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +51,7 @@ def execute_point(workload: Workload, scales: Scales, *,
     schedule = make_schedules(workload.seed, 1)[0]
     buffer_items = scales.buffer_items(workload.base_config.buffer_items)
     if buffer_items != workload.base_config.buffer_items:
+        workload = copy(workload)  # the caller's workload keeps its size
         workload.base_config = replace(
             workload.base_config, buffer_items=buffer_items
         )

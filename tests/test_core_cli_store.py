@@ -101,6 +101,19 @@ def test_archive_rejects_export_and_timeline(archive, capsys):
     assert "trace directory" in capsys.readouterr().err
 
 
+def test_suffixless_archive_is_read_by_its_magic(archive, tmp_path):
+    """An archive under any name reads as one: the CLI sniffs its magic
+    bytes, so it needs no flag and no ``--num-pes``."""
+    renamed = tmp_path / "run.bin"
+    renamed.write_bytes(archive.read_bytes())
+    for source, out in ((archive, tmp_path / "a"), (renamed, tmp_path / "b")):
+        assert main([str(source), "-l", "-s", "--out", str(out),
+                     "--quiet"]) == 0
+    for svg in ("logical_heatmap.svg", "overall_absolute.svg"):
+        assert (tmp_path / "b" / svg).read_text() \
+            == (tmp_path / "a" / svg).read_text()
+
+
 def test_directory_requires_num_pes(trace_dir, capsys):
     assert main([str(trace_dir), "-l"]) == 2
     assert "--num-pes is required" in capsys.readouterr().err

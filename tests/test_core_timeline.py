@@ -72,16 +72,6 @@ def test_region_totals():
     assert tl.region_totals("PROC").tolist() == [0, 30]
 
 
-def test_utilization():
-    tl = TimelineTrace(1)
-    tl.add_span(0, "MAIN", 0, 50)       # first bucket half busy
-    tl.add_span(0, "PROC", 100, 200)    # second bucket fully busy
-    util = tl.utilization(100)
-    assert util.tolist() == [[0.5, 1.0]]
-    with pytest.raises(ValueError):
-        tl.utilization(0)
-
-
 # ------------------------------------------------------ integrated runs
 
 

@@ -30,3 +30,12 @@ def test_example_runs(name, size_knob, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
     if name == "quickstart":
         assert (tmp_path / "quickstart_traces" / "logical_heatmap.svg").exists()
+
+
+def test_timeline_export_writes_both_views(tmp_path, monkeypatch, capsys):
+    module = load_example("timeline_export")
+    monkeypatch.chdir(tmp_path)
+    module.main()  # asserts the timeline against the overall profile
+    assert "cross-check" in capsys.readouterr().out
+    for name in ("timeline.svg", "utilization.svg", "trace.json"):
+        assert (tmp_path / "timeline_out" / name).stat().st_size > 0

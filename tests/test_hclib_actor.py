@@ -1,5 +1,7 @@
 """Integration tests for the HClib-Actor runtime (Selector/Actor/finish)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,28 @@ def test_selector_multiple_mailboxes():
     res = run_spmd(program, machine=MachineSpec(1, 4))
     assert sum(a for a, _ in res.results) == 40
     assert sum(b for _, b in res.results) == 40  # 5 msgs × payload 2 × 4 PEs
+
+
+def test_selector_mailboxes_keep_every_config_field():
+    """Each mailbox group's conveyor config is the selector's config with
+    only ``payload_words`` set per mailbox: no field is reset."""
+    config = ConveyorConfig(payload_words=9, buffer_items=7, slots=3,
+                            topology="linear", self_send_bypass=True,
+                            item_header_bytes=4, buffer_header_bytes=32)
+    rest = {f.name: getattr(config, f.name) for f in fields(config)
+            if f.name != "payload_words"}
+    default = ConveyorConfig()
+    assert all(value != getattr(default, name) for name, value in rest.items())
+
+    async def program(ctx):
+        Selector(ctx, mailboxes=2, payload_words=[1, 3],
+                 conveyor_config=config)
+        return [group.config for group in ctx.world._slots[0].groups]
+
+    for configs in run_spmd(program, machine=MachineSpec(1, 2)).results:
+        assert [c.payload_words for c in configs] == [1, 3]
+        for c in configs:
+            assert {name: getattr(c, name) for name in rest} == rest
 
 
 def test_handler_may_send_further_messages():

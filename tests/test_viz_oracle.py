@@ -2,9 +2,9 @@
 
 ``tests/viz_oracle.py`` keeps the renderers that looped over cells; the
 properties below pin ``heatmap_svg`` (≤ 256 PEs), ``lod_gantt_svg``,
-``lod_timeline_svg``, ``utilization_svg``, ``timeline_svg`` and the array
-``sequential`` to them byte for byte.  Past 256 PEs the heatmap draws block sums; the
-binning tests check what a block says against the matrix.
+``lod_timeline_svg`` and the array ``sequential`` to them byte for byte.
+Past 256 PEs the heatmap draws block sums; the binning tests check what
+a block says against the matrix.
 """
 
 import re
@@ -16,12 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lod import PeSeries, Viewport
-from repro.core.timeline import TimelineTrace
 from repro.core.viz.heatmap import MAX_CELLS, block_sum, heatmap_svg
 from repro.core.viz.lodviews import lod_gantt_svg, lod_timeline_svg
 from repro.core.viz.palette import sequential
 from repro.core.viz.svg import Canvas
-from repro.core.viz.timeline_chart import timeline_svg, utilization_svg
 from tests import viz_oracle as oracle
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -84,20 +82,6 @@ def test_lod_views_match_per_cell_oracle(series):
     assert lod_gantt_svg(series, title="g<&>") \
         == oracle.lod_gantt_svg(series, title="g<&>")
     assert lod_timeline_svg(series) == oracle.lod_timeline_svg(series)
-
-
-@SETTINGS
-@given(n_pes=st.integers(1, 6), buckets=st.integers(1, 150),
-       spans=st.lists(st.tuples(st.integers(0, 5),
-                                st.sampled_from(["MAIN", "PROC", "FINISH"]),
-                                st.integers(0, 50_000), st.integers(0, 9_000)),
-                      max_size=40))
-def test_utilization_matches_per_cell_oracle(n_pes, buckets, spans):
-    tl = TimelineTrace(n_pes)
-    for pe, region, start, length in spans:
-        tl.add_span(pe % n_pes, region, start, start + length)
-    assert utilization_svg(tl, buckets=buckets) \
-        == oracle.utilization_svg(tl, buckets=buckets)
 
 
 _EDGES = [0.0, -0.0, 1.0, -1e-300, 1e-300, -5.0, 5.0, float("nan"),
@@ -209,21 +193,3 @@ def test_block_sum_pads_the_ragged_edge():
                                         [41, 45, 24]]
     assert block_sum(np.arange(5), 2).tolist() == [1, 5, 4]
     assert block_sum(a, 1) is a
-
-
-@SETTINGS
-@given(n_pes=st.integers(1, 6), max_spans=st.integers(1, 60),
-       spans=st.lists(st.tuples(st.integers(0, 5),
-                                st.sampled_from(["MAIN", "PROC", "FINISH"]),
-                                st.integers(0, 10**9), st.integers(0, 10**6)),
-                      max_size=80),
-       events=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 5)),
-                       max_size=10))
-def test_timeline_matches_per_span_oracle(n_pes, max_spans, spans, events):
-    tl = TimelineTrace(n_pes)
-    for pe, region, start, length in spans:
-        tl.add_span(pe % n_pes, region, start, start + length)
-    for time, src in events:
-        tl.add_net_event(time, "local_send", src % n_pes, 0, 64)
-    assert timeline_svg(tl, max_spans=max_spans) \
-        == oracle.timeline_svg(tl, max_spans=max_spans)

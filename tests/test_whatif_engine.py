@@ -8,11 +8,12 @@ from repro.api import whatif
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.core.cli import main
 from repro.core.report import whatif_report
+from repro.core.store.archive import Archive
 from repro.exec import ResultCache
 from repro.machine.spec import MachineSpec
 from repro.sim.faults import CrashFault, FaultPlan, SlowPE
 from repro.whatif import Scales, parse_scale, parse_sweep
-from repro.whatif.replay import CRASH_PLAN_ERROR
+from repro.whatif.replay import CRASH_PLAN_ERROR, execute_point
 
 
 def _histogram(**kw):
@@ -113,6 +114,20 @@ def test_buffer_scale_replays_but_never_predicts():
     assert row["result_matches_baseline"] is True
     with pytest.raises(ValueError, match="replay"):
         dag_out[0].predict_times(Scales({"buffer": 0.25}))
+
+
+def test_buffer_scale_runs_a_copy_of_the_workload(tmp_path):
+    """The scaled buffer reaches the run and its archive, not the
+    caller's workload: a second point starts from the same size."""
+    workload = HistogramWorkload(updates=50, table_size=16)
+    before = workload.descriptor()
+    for name in ("a.aptrc", "b.aptrc"):
+        art = execute_point(workload, Scales({"buffer": 2.0}),
+                            archive_path=tmp_path / name)
+        with Archive(art.archive_path) as archive:
+            recorded = archive.meta["workload"]["conveyor"]["buffer_items"]
+        assert recorded == 2 * before["conveyor"]["buffer_items"]
+    assert workload.descriptor() == before
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Reference oracles for the grid views: one Python call per cell.
 
 These are the renderers :mod:`repro.core.viz` used before its grid
-views were built from arrays — ``heatmap_svg``, ``lod_gantt_svg``,
-``lod_timeline_svg``, ``utilization_svg`` and ``timeline_svg`` loop over
-cells (or spans) and call a scalar ``rect`` with a scalar ``sequential``
-color, on a canvas whose ``rect``/``to_string`` are the scalar originals
+views were built from arrays — ``heatmap_svg``, ``lod_gantt_svg`` and
+``lod_timeline_svg`` loop over cells and call a scalar ``rect`` with a
+scalar ``sequential`` color, on a canvas whose ``rect``/``to_string`` are the scalar originals
 too.  ``test_viz_oracle.py``
 pins the array renderers to them byte for byte at ≤ 256 PEs (above that
 the production heatmap bins, which these never did).  The only addition
@@ -17,7 +16,6 @@ import html
 import numpy as np
 
 from repro.core.analysis import heat_with_totals
-from repro.core.timeline import REGIONS
 from repro.core.viz.lodviews import _axis, _legend
 from repro.core.viz.palette import REGION_COLORS, normalize
 from repro.core.viz.svg import Canvas, _fmt
@@ -244,109 +242,4 @@ def lod_timeline_svg(series, title="LOD timeline") -> str:
             cv.rect(x, y, max(cell_w - 0.5, 0.4), h,
                     fill=REGION_COLORS[region], title=tip)
     _axis(cv, base_y + 10, plot_w, vp.t0, vp.t1)
-    return cv.to_string()
-
-
-def _spans(timeline, pe):
-    """``(region, start, end, mailbox)`` of one PE's spans, in order."""
-    cols = timeline.span_columns()
-    mine = cols["pe"] == pe
-    return [(REGIONS[code], start, end, mailbox) for code, start, end, mailbox
-            in zip(*(cols[c][mine].tolist()
-                     for c in ("region", "start", "end", "mailbox")))]
-
-
-def _utilization(timeline, pe, bucket_cycles):
-    """Busy fraction of each bucket, one span and one bucket at a time."""
-    horizon = timeline.end_time()
-    n_buckets = max(1, -(-horizon // bucket_cycles))
-    busy = np.zeros(n_buckets, dtype=np.float64)
-    for region, start, end, _ in _spans(timeline, pe):
-        if region not in ("MAIN", "PROC"):
-            continue
-        b0 = start // bucket_cycles
-        b1 = end // bucket_cycles
-        for b in range(b0, min(b1, n_buckets - 1) + 1):
-            lo = max(start, b * bucket_cycles)
-            hi = min(end, (b + 1) * bucket_cycles)
-            busy[b] += max(0, hi - lo)
-    return busy / bucket_cycles
-
-
-def utilization_svg(timeline, buckets=120,
-                    title="PE utilization over time") -> str:
-    if buckets < 1:
-        raise ValueError("buckets must be positive")
-    horizon = max(timeline.end_time(), 1)
-    bucket_cycles = max(1, -(-horizon // buckets))
-    n = timeline.n_pes
-    rows = np.zeros((n, buckets))
-    for pe in range(n):
-        u = _utilization(timeline, pe, bucket_cycles)
-        rows[pe, : min(buckets, len(u))] = u[:buckets]
-    cell_w = max(4, (900 - _LOD_MARGIN_LEFT - 40) // buckets)
-    height = _LOD_MARGIN_TOP + n * (_LANE_H + 2) + 50
-    width = _LOD_MARGIN_LEFT + buckets * cell_w + 40
-    cv = OracleCanvas(width, height)
-    cv.text(width / 2, 26, title, size=15, anchor="middle", bold=True)
-    norm = normalize(rows)
-    for pe in range(n):
-        y = _LOD_MARGIN_TOP + pe * (_LANE_H + 2)
-        cv.text(_LOD_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9,
-                anchor="end")
-        for b in range(buckets):
-            cv.rect(_LOD_MARGIN_LEFT + b * cell_w, y, cell_w, _LANE_H,
-                    fill=sequential(norm[pe, b]),
-                    title=f"PE{pe} bucket {b}: {rows[pe, b]:.0%} busy")
-    cv.text(_LOD_MARGIN_LEFT, height - 14,
-            f"bucket = {bucket_cycles:,} cycles; bright = busy (MAIN+PROC)",
-            size=9, fill="#606060")
-    return cv.to_string()
-
-
-def timeline_svg(timeline, title="Execution timeline", max_spans=20_000) -> str:
-    horizon = max(timeline.end_time(), 1)
-    n = timeline.n_pes
-    height = _LOD_MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 60
-    cv = OracleCanvas(_WIDTH, height)
-    cv.text(_WIDTH / 2, 26, title, size=15, anchor="middle", bold=True)
-    plot_w = _WIDTH - _LOD_MARGIN_LEFT - 30
-
-    def x_of(t):
-        return _LOD_MARGIN_LEFT + plot_w * t / horizon
-
-    total_spans = timeline.span_count()
-    stride = max(1, total_spans // max_spans)
-    for pe in range(n):
-        y = _LOD_MARGIN_TOP + pe * (_LANE_H + _LANE_GAP)
-        cv.rect(_LOD_MARGIN_LEFT, y, plot_w, _LANE_H, fill=REGION_COLORS["COMM"],
-                opacity=0.35)
-        cv.text(_LOD_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9,
-                anchor="end")
-        for i, (region, start, end, _) in enumerate(_spans(timeline, pe)):
-            if region == "FINISH" or i % stride:
-                continue
-            x0, x1 = x_of(start), x_of(end)
-            cv.rect(x0, y, max(x1 - x0, 0.6), _LANE_H,
-                    fill=REGION_COLORS.get(region, "#888888"),
-                    title=f"PE{pe} {region}: [{start}, {end})")
-    net = timeline.net_columns()
-    for time, src in zip(net["time"].tolist(), net["src"].tolist()):
-        y = _LOD_MARGIN_TOP + src * (_LANE_H + _LANE_GAP)
-        cv.line(x_of(time), y + _LANE_H, x_of(time), y + _LANE_H + 3,
-                stroke="#303030")
-    axis_y = _LOD_MARGIN_TOP + n * (_LANE_H + _LANE_GAP) + 10
-    cv.line(_LOD_MARGIN_LEFT, axis_y, _LOD_MARGIN_LEFT + plot_w, axis_y,
-            stroke="#404040")
-    for frac in (0, 0.25, 0.5, 0.75, 1.0):
-        x = _LOD_MARGIN_LEFT + plot_w * frac
-        cv.line(x, axis_y, x, axis_y + 4, stroke="#404040")
-        cv.text(x, axis_y + 16, f"{int(horizon * frac):,}", size=8, anchor="middle")
-    cv.text(_LOD_MARGIN_LEFT + plot_w / 2, axis_y + 32, "cycles (rdtsc)", size=10,
-            anchor="middle")
-    for i, region in enumerate(("MAIN", "COMM", "PROC")):
-        lx = _LOD_MARGIN_LEFT + 90 * i
-        cv.rect(lx, 32, 10, 10, fill=REGION_COLORS[region],
-                opacity=0.35 if region == "COMM" else 1.0)
-        cv.text(lx + 14, 41, region, size=9)
     return cv.to_string()
