@@ -152,19 +152,23 @@ class Workload:
         raise NotImplementedError
 
     def archive_meta(self, schedule: PerturbedSchedule,
-                     fault_plan: FaultPlan | None = None) -> dict:
+                     fault_plan: FaultPlan | None = None,
+                     scales: dict | None = None) -> dict:
         """The footer ``meta`` of every archive of this workload: its
         :meth:`descriptor`, the schedule index and, only when there is
-        one, the fault plan."""
+        one, the fault plan and the what-if scale factors."""
         meta = {"workload": self.descriptor(), "schedule": schedule.index}
         if fault_plan is not None:
             meta["fault_plan"] = fault_plan.to_dict()
+        if scales:
+            meta["scales"] = scales
         return meta
 
     def run(self, schedule: PerturbedSchedule, archive_path: Path | None, *,
             profiler: ActorProf | None = None,
             cost: CostModel | None = None,
             fault_plan: FaultPlan | None = None,
+            scales: dict | None = None,
             lod: bool = False) -> RunArtifacts:
         """Execute under ``schedule``, archive the traces, fingerprint.
 
@@ -173,7 +177,8 @@ class Workload:
         engine passes perturbed replacements for both.  ``fault_plan`` is
         the run's only plan: None runs fault-free even inside an
         enclosing ``use_plan``.  The archive's footer carries
-        :meth:`archive_meta`; ``lod`` adds the LOD pyramid;
+        :meth:`archive_meta` (with ``scales``, the non-neutral what-if
+        factors ``profiler`` and ``cost`` apply); ``lod`` adds the pyramid;
         ``archive_path=None`` writes nothing.
         """
         profiler = profiler or ActorProf(ProfileFlags.all())
@@ -185,7 +190,7 @@ class Workload:
         path = digest = None
         if archive_path is not None:
             path = profiler.export_archive(
-                archive_path, meta=self.archive_meta(schedule, fault_plan),
+                archive_path, meta=self.archive_meta(schedule, fault_plan, scales),
                 lod=lod)
             digest = file_sha256(path)
         return RunArtifacts(

@@ -306,10 +306,12 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
     (the aggregation weights), ``size`` for the ``bytes`` metric, plus
     whatever the conditions and ``group by`` name; node fields derive
     from ``src``/``dst`` and the section's ``pes_per_node`` attr.  Each
-    row group is decoded, masked, weighted and summed into the running
-    answer before the next is read: memory is one row group plus the
-    groups found, never a column.  A group exists once any matching row
-    carries its key, even when its weights sum to 0.
+    row group is decoded, masked, weighted and reduced (a masked
+    ``np.add.reduce``, or a :func:`group_sum` part) before the next is
+    read; parts merge once they hold more keys than a row group has
+    rows, and at the end, so memory is one row group plus the groups
+    found.  A group exists once any matching row carries its key, even
+    when its weights sum to 0.
 
     With ``pushdown`` (the default) the footer's per-chunk stats do two
     jobs first: row groups whose ``[min, max]`` intervals cannot satisfy
@@ -353,7 +355,10 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
         if total is not None:
             return total  # answered from footer sums: zero bytes decoded
 
-    total, grouped = 0, None  # the running answer: an int, or (keys, sums)
+    def merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
+        return group_sum(*(np.concatenate(a) for a in zip(*parts)))
+
+    total, parts, held = 0, [], 0  # the running answer: an int, or parts
     weighing = ["count", "size"] if q.metric == "bytes" else ["count"]
     names = tuple(dict.fromkeys(weighing + [stored(f)[0] for f in fields]))
     for arrays in frame.groups(*names):
@@ -361,25 +366,23 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
         weights = cols["count"]
         if q.metric == "bytes":
             weights = weights * cols["size"]
-        mask = None
+        where = True
         for compare, field, rhs in checks:
             hit = compare(values(cols, field),
                           values(cols, rhs) if isinstance(rhs, str) else rhs)
-            mask = hit if mask is None else mask & hit
+            where = hit if where is True else where & hit
         if q.group_by is None:
-            total += int((weights if mask is None else weights[mask]).sum())
-        else:
-            keys = values(cols, q.group_by)
-            if mask is not None:
-                keys, weights = keys[mask], weights[mask]
-            part = group_sum(keys, weights)
-            # O(distinct keys) per row group: few, on aggregated routes
-            grouped = part if grouped is None else group_sum(
-                *(np.concatenate(pair) for pair in zip(grouped, part)))
+            total += int(np.add.reduce(weights, where=where))
+            continue
+        parts.append(group_sum(values(cols, q.group_by), weights, where))
+        held += len(parts[-1][0])
+        if held > len(weights):  # more keys held than this row group has rows
+            parts = [merge(parts)]
+            held = len(parts[0][0])
 
     if q.group_by is None:
         return total
-    keys, sums = (a.tolist() for a in grouped) if grouped else ([], [])
+    keys, sums = (a.tolist() for a in merge(parts)) if parts else ([], [])
     if q.group_by == "kind":
         keys = [send_types[k] if 0 <= k < len(send_types) else k
                 for k in keys]

@@ -40,12 +40,13 @@ constructors merge by summing duplicate keys.
 from __future__ import annotations
 
 import json
-import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class ArchiveError(ValueError):
     """Raised when a ``.aptrc`` file is malformed or unreadable."""
 
 
-@dataclass(frozen=True)
-class ChunkRef:
+class ChunkRef(NamedTuple):
     """Location of one encoded chunk of one column.
 
     ``stats`` is the optional ``(min, max, sum)`` of the chunk's decoded
@@ -133,16 +133,17 @@ class Section:
         return table
 
     def _chunk_ref(self, entry) -> ChunkRef:
-        offset, length, count = map(operator.index, (entry[0], entry[1], entry[3]))
-        stats = (tuple(map(operator.index, entry[4]))
-                 if len(entry) > 4 else None)
+        offset, length, encoding, count, *stats = entry
+        offset, length, count = index(offset), index(length), index(count)
+        if stats:
+            low, high, total = stats[0]
+            stats = (index(low), index(high), index(total))
         if (offset < 0 or length < 0
                 or offset + length > self._archive.data_end
                 or not 0 <= count <= MAX_CHUNK_ROWS
-                or not isinstance(entry[2], str)
-                or (stats is not None and len(stats) != 3)):
+                or not isinstance(encoding, str)):
             raise ValueError(f"{entry!r} out of bounds")
-        return ChunkRef(offset, length, entry[2], count, stats)
+        return ChunkRef(offset, length, encoding, count, stats or None)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -152,9 +153,7 @@ class Section:
     @property
     def n_chunks(self) -> int:
         """Number of row groups (0 for an empty section)."""
-        for refs in self._chunks.values():
-            return len(refs)
-        return 0
+        return len(next(iter(self._chunks.values()), ()))
 
     def chunk_refs(self, name: str) -> tuple[ChunkRef, ...]:
         """The chunk index entries of one column."""

@@ -57,25 +57,17 @@ def as_section(source) -> Section:
     return MemorySection(*source.to_columns())
 
 
-def interval_may_match(lo: int, hi: int, op: str, value: int) -> bool:
-    """Can any ``x`` in ``[lo, hi]`` satisfy ``x <op> value``?
-
-    Conservative in exactly one direction: ``True`` means "cannot rule
-    the chunk out", never "every row matches".
-    """
-    if op == "==":
-        return lo <= value <= hi
-    if op == "!=":
-        return not (lo == hi == value)
-    if op == "<":
-        return lo < value
-    if op == "<=":
-        return lo <= value
-    if op == ">":
-        return hi > value
-    if op == ">=":
-        return hi >= value
-    raise ValueError(f"unknown comparison operator {op!r}")
+#: ``op`` → can any ``x`` in ``[lo, hi]`` satisfy ``x <op> value``?
+#: Conservative in exactly one direction: True means "cannot rule the
+#: chunk out", never "every row matches".
+INTERVAL_MAY_MATCH = {
+    "==": lambda lo, hi, value: lo <= value <= hi,
+    "!=": lambda lo, hi, value: not lo == hi == value,
+    "<": lambda lo, hi, value: lo < value,
+    "<=": lambda lo, hi, value: lo <= value,
+    ">": lambda lo, hi, value: hi > value,
+    ">=": lambda lo, hi, value: hi >= value,
+}
 
 
 class Frame:
@@ -113,13 +105,9 @@ class Frame:
         stats = self._stats(name)
         if stats is None:
             return False
-        for i, (lo, hi, _total) in enumerate(stats):
-            if not self.keep[i]:
-                continue
-            if divisor is not None:
-                lo, hi = lo // divisor, hi // divisor
-            if not interval_may_match(lo, hi, op, value):
-                self.keep[i] = False
+        may_match, d = INTERVAL_MAY_MATCH[op], divisor or 1
+        self.keep &= np.array([may_match(lo // d, hi // d, value)
+                               for lo, hi, _ in stats], dtype=bool)
         return True
 
     # -- row-group access ------------------------------------------------
@@ -149,9 +137,7 @@ class Frame:
         """Sum of ``count * size`` over surviving row groups, from the
         footer's ``chunk_bytes`` sums; None when the writer did not
         record them."""
-        if not self.use_stats:
-            return None
-        weighted = self._section.chunk_bytes
+        weighted = self._section.chunk_bytes if self.use_stats else None
         if weighted is None or len(weighted) != self.n_chunks:
             return None
         return int(sum(w for w, k in zip(weighted, self.keep) if k))
@@ -161,20 +147,23 @@ class Frame:
 # vectorized aggregation helpers
 # ----------------------------------------------------------------------
 
-def group_sum(keys: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``weights`` per distinct key; returns ``(unique_keys, sums)``,
-    keys ascending, one for every key present whatever its sum.  Keys of
-    dense-enough span take a bincount; anything else falls back to
-    the row store's sort-based :func:`~repro.core.rowstore.fold`."""
-    keys = np.asarray(keys)
-    weights = np.asarray(weights, dtype=np.int64)
+def group_sum(keys: np.ndarray, weights: np.ndarray,
+              where: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Sum int64 ``weights`` per distinct key over the rows ``where``
+    selects (a mask, or True for all): ``(unique_keys, sums)``, keys
+    ascending, one for every key a selected row carries whatever its sum.
+    Rows of one key (a sorted run's row group) are one masked reduce, no
+    copy, and no key when the mask selects none.  Any others are masked,
+    then take a bincount if their span is dense enough, else the row
+    store's sort-based :func:`~repro.core.rowstore.fold`."""
     if len(keys) == 0:
-        return keys[:0], weights[:0]
+        return keys, weights
     lo, hi = int(keys.min()), int(keys.max())
-    if lo == hi:  # one key: a sorted run's row group, or a lone route
+    if lo == hi and (where is True or where.any()):
         # (a copy: a view would keep the whole row group alive)
-        return keys[:1].copy(), weights.sum(keepdims=True)
+        return keys[:1].copy(), np.add.reduce(weights, where=where, keepdims=True)
+    if where is not True:  # [lo, hi] still bounds the rows it keeps
+        keys, weights = keys[where], weights[where]
     span = hi - lo + 1
     if span <= max(1 << 10, 4 * len(keys)):
         shifted = keys - lo

@@ -45,7 +45,7 @@ def execute_point(workload: Workload, scales: Scales, *,
     scales become a perturbed :class:`~repro.machine.cost.CostModel`;
     buffer scales resize the conveyor config before the run.  A neutral
     ``scales`` takes the exact same code path as a plain profiled run and
-    produces a byte-identical archive.
+    produces a byte-identical archive (any other names its factors there).
     """
     reject_crash_plans(fault_plan)
     schedule = make_schedules(workload.seed, 1)[0]
@@ -57,7 +57,8 @@ def execute_point(workload: Workload, scales: Scales, *,
         )
     profiler = WhatifProfiler(scales=scales, recorder=recorder)
     return workload.run(schedule, archive_path, profiler=profiler,
-                        cost=scales.scaled_cost(), fault_plan=fault_plan)
+                        cost=scales.scaled_cost(), fault_plan=fault_plan,
+                        scales=None if scales.neutral else scales.to_dict())
 
 
 def run_totals(art: RunArtifacts) -> dict[str, int]:

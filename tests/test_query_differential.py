@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.conveyors.hooks import SEND_TYPES
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
+import repro.core.query as query_module
 from repro.core.query import query_trace
 from repro.core.store.archive import Archive, ArchiveError
 from repro.core.store.codec import (
@@ -42,7 +43,7 @@ from repro.core.store.codec import (
     decode_uvarints,
     encode_uvarints,
 )
-from repro.core.store.frame import Frame
+from repro.core.store.frame import Frame, MemorySection, group_sum
 from repro.core.store.lod import backfill_pyramid
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
@@ -373,6 +374,80 @@ def test_corrupt_row_group_fails_inside_the_fold_with_its_location(tmp_path):
                 query_trace(section, query, pushdown=False)
             assert all(part in str(excinfo.value) for part in (
                 str(path), "'logical'", "'size'", f"offset {entry[0]}"))
+
+
+#: Row groups whose ``src`` is one value (a sorted spill's) beside mixed
+#: ones, each with queries and what they must answer.  In the first two
+#: cases every group's ``dst`` interval holds 2, so ``dst == 2`` prunes
+#: nothing and the one-key path sees groups the mask matches not at all.
+FOLD_CASES = {
+    "mask matches no row: key absent": (
+        [[(0, 1, 8, 2), (0, 3, 8, 1)], [(1, 2, 8, 1), (1, 3, 8, 4)]],
+        {"sends where dst == 2 group by src": [(1, 1)],
+         "bytes where dst == 2 group by src": [(1, 8)],
+         "sends where dst == 2": 1}),
+    "mask matches only zero weights: key present with 0": (
+        [[(0, 2, 0, 5), (0, 1, 8, 1), (0, 3, 8, 1)],
+         [(1, 2, 8, 2), (1, 3, 8, 1)],
+         [(2, 2, 8, 0), (2, 1, 8, 4), (2, 3, 8, 1)]],
+        {"bytes where dst == 2 group by src": [(1, 16), (0, 0), (2, 0)],
+         "sends where dst == 2 group by src": [(0, 5), (1, 2), (2, 0)],
+         "bytes where dst == 2": 16}),
+    "one key constant in one row group, mixed in another": (
+        [[(3, 0, 8, 1), (3, 0, 16, 2), (3, 0, 32, 1)],
+         [(1, 2, 16, 1), (3, 1, 8, 5), (2, 0, 24, 2), (3, 2, 32, 1)]],
+        {"bytes where size >= 16 group by src": [(3, 96), (2, 48), (1, 16)],
+         "sends group by src": [(3, 10), (2, 2), (1, 1)],
+         "sends where size > 8 group by dst": [(0, 5), (2, 2)]}),
+    "parts merge partway through the scan": (
+        [[(g % 3, 1 + g % 3, 8 * (1 + g % 4), 1 + g % 2),
+          (g % 3, 2, 16, 1)] for g in range(9)]
+        + [[(0, 0, 8, 1), (1, 2, 32, 1), (3, 3, 0, 2)]]
+        + [[(g % 4, 3, 24, 2), (g % 4, 1, 8, 1)] for g in range(6)],
+        {"bytes where size >= 16 group by src":
+             [(1, 272), (0, 232), (2, 152), (3, 48)],
+         "sends where dst != 0 group by src top 2": [(1, 15), (0, 13)],
+         "bytes where size >= 16": 704}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_fold_of_one_key_row_groups(tmp_path, monkeypatch, case):
+    """A one-key row group is one masked reduce, and parts merge before
+    the scan ends: every reader layout, with pushdown on and off, answers
+    what the row walk and the table above answer."""
+    groups, answers = FOLD_CASES[case]
+
+    def write(path):
+        return _logical_groups(path, groups)
+
+    flat = {name: np.array([row[i] for rows in groups for row in rows])
+            for i, name in enumerate(_COLUMNS)}
+    trace = LogicalTrace.from_columns(flat, _ATTRS)
+    paths = {"v2": write(tmp_path / "v2.aptrc"),
+             "v1+stats": as_v1(write, tmp_path / "v1.aptrc"),
+             "v1 nostats": strip_chunk_stats(
+                 as_v1(write, tmp_path / "v1n.aptrc"))}
+    calls = []
+    monkeypatch.setattr(query_module, "group_sum",
+                        lambda *a: calls.append(a) or group_sum(*a))
+    for query, answer in answers.items():
+        assert row_walk_query(trace, query) == answer, query
+        for pushdown in (True, False):
+            assert query_trace(MemorySection(flat, _ATTRS), query,
+                               pushdown=pushdown) == answer, (query, pushdown)
+            for label, path in paths.items():
+                with Archive(path) as archive:
+                    got = query_trace(archive.section("logical"), query,
+                                      pushdown=pushdown)
+                assert got == answer, (label, pushdown, query)
+    if case.startswith("parts merge"):
+        calls.clear()
+        with Archive(paths["v2"]) as archive:
+            query_trace(archive.section("logical"),
+                        "sends group by src", pushdown=False)
+        # one call per row group, one at the end, and merges between
+        assert len(calls) > len(groups) + 1
 
 
 #: What the parent of the row-group fold (whole-column scatter) made of

@@ -12,6 +12,7 @@ from repro.core.query import query_trace
 from repro.core.store.archive import (
     Archive,
     ArchiveError,
+    ChunkRef,
     is_archive,
     load_logical,
     load_overall,
@@ -20,6 +21,7 @@ from repro.core.store.archive import (
     load_run,
 )
 from repro.core.store.codec import PACK_MAX_WIDTH
+from repro.core.store.frame import MemorySection
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
@@ -253,6 +255,11 @@ def test_pack_chunk_one_byte_off_is_a_located_archive_error(
     (lambda e, end: e.__setitem__(3, 99.5), "malformed chunk entry"),
     (lambda e, end: e.__setitem__(2, None), "malformed chunk entry"),
     (lambda e, end: e.__setitem__(4, [0, 31]), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(4, "abc"), "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(4, {"min": 0, "max": 31, "sum": 9}),
+     "malformed chunk entry"),
+    (lambda e, end: e.__setitem__(4, [0, 31, 1500, 7]),
+     "malformed chunk entry"),
     (lambda e, end: e.__setitem__(0, -1), "out of bounds"),
     (lambda e, end: e.__setitem__(1, end - e[0] + 1), "out of bounds"),
     (lambda e, end: e.__setitem__(3, 2 ** 31 + 1), "out of bounds"),
@@ -315,6 +322,27 @@ def test_chunk_table_is_built_on_first_use(tmp_path):
         assert "_chunks" not in vars(section)
         assert section.n_chunks == 2
         assert "_chunks" in vars(section)
+
+
+def test_chunk_ref_is_an_immutable_value(tmp_path):
+    """A chunk table entry is a value: read-only, hashable, equal to an
+    entry with the same fields; the in-memory section's positional
+    four-field form still builds one."""
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    _, footer = read_footer(path)
+    with Archive(path) as archive:
+        refs = archive.section("s").chunk_refs("x")
+    entry = footer["sections"]["s"]["columns"]["x"][0]
+    assert refs[0] == ChunkRef(*entry[:4], tuple(entry[4]))
+    assert hash(refs[0]) == hash(ChunkRef(*entry[:4], tuple(entry[4])))
+    assert len({refs[0], refs[1], ChunkRef(*refs[0])}) == 2
+    assert refs[0] != ChunkRef(*entry[:4])  # stats are part of the value
+    with pytest.raises(AttributeError):
+        refs[0].offset = 0
+    memory = MemorySection({"src": np.arange(3), "count": np.ones(3, int)}, {})
+    assert memory.chunk_refs("src") == (ChunkRef(0, 0, "memory", 3),)
+    assert memory.chunk_refs("src")[0].stats is None
+    assert query_trace(memory, "sends") == 3
 
 
 def test_is_archive_by_suffix_and_magic(tmp_path):

@@ -130,6 +130,25 @@ def test_buffer_scale_runs_a_copy_of_the_workload(tmp_path):
     assert workload.descriptor() == before
 
 
+def test_scaled_point_archive_names_its_scales(tmp_path):
+    """A replay point's archive says which factors made it; a neutral
+    point's meta (and bytes) stay the plain run's."""
+    workload = HistogramWorkload(updates=50, table_size=16)
+    metas, digests = {}, {}
+    for label, scales in (("plain", Scales()), ("one", Scales({"proc": 1.0})),
+                          ("scaled", Scales({"proc": 0.5}))):
+        art = execute_point(workload, scales,
+                            archive_path=tmp_path / f"{label}.aptrc")
+        with Archive(art.archive_path) as archive:
+            metas[label] = archive.meta
+        digests[label] = art.archive_sha256
+    assert metas["scaled"]["scales"] == {"proc": 0.5}
+    assert {k: v for k, v in metas["scaled"].items() if k != "scales"} \
+        == metas["plain"]
+    assert "scales" not in metas["plain"] and metas["one"] == metas["plain"]
+    assert digests["one"] == digests["plain"] != digests["scaled"]
+
+
 # ----------------------------------------------------------------------
 # fault × whatif composition
 # ----------------------------------------------------------------------
