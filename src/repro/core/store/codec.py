@@ -62,7 +62,9 @@ class CodecError(ValueError):
 def zigzag(values: np.ndarray) -> np.ndarray:
     """Map signed int64 values onto unsigned ints (as uint64)."""
     v = values.astype(np.int64, copy=False)
-    return ((v << np.int64(1)) ^ (v >> np.int64(63))).astype(np.uint64)
+    z = v << 1
+    z ^= v >> 63
+    return z.view(np.uint64)
 
 
 def unzigzag(values: np.ndarray) -> np.ndarray:
@@ -75,36 +77,43 @@ def unzigzag(values: np.ndarray) -> np.ndarray:
 # varint (LEB128, unsigned)
 # ----------------------------------------------------------------------
 
-#: Value thresholds where a LEB128 varint grows by one byte: a value
-#: ``v`` takes ``1 + sum(v >= t for t in thresholds)`` bytes (max 10).
-_WIDTH_THRESHOLDS = tuple(np.uint64(1) << np.uint64(7 * k)
-                          for k in range(1, 10))
+#: Values per block of :func:`encode_uvarints`: its grid and the index
+#: array ``np.compress`` builds stay small however long the column is.
+VARINT_BLOCK = 1 << 14
 
 
 def encode_uvarints(values: np.ndarray) -> bytes:
     """Encode an array of unsigned ints as concatenated LEB128 varints.
 
-    Vectorized: byte widths come from threshold comparisons, then one
-    masked pass per byte position (≤ 10) scatters payload bytes with the
-    continuation bit.  Output is byte-identical to the per-value loop
-    ``tests/codec_oracle.py::encode_uvarints_scalar``.
+    Vectorized, :data:`VARINT_BLOCK` values at a time: an ``(n, width)``
+    uint8 grid, ``width`` the largest value's byte count, is filled one
+    byte column at a time (the low eight bits of ``v >> 7j``, the top
+    one replaced by the continuation bit ``v >> 7(j+1) != 0``) and read
+    out row-major without the bytes past each value's end — after the
+    first, a byte is part of its value exactly when it is nonzero.
+    Byte-identical to ``tests/codec_oracle.py::encode_uvarints_scalar``.
     """
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b""
-    widths = np.ones(n, dtype=np.int64)
-    for t in _WIDTH_THRESHOLDS:
-        widths += v >= t
-    starts = np.cumsum(widths) - widths
-    out = np.empty(int(starts[-1]) + int(widths[-1]), dtype=np.uint8)
-    for j in range(int(widths.max())):
-        live = widths > j
-        payload = ((v[live] >> np.uint64(7 * j)) & np.uint64(0x7F))
-        byte = payload.astype(np.uint8)
-        byte[widths[live] > j + 1] |= 0x80  # continuation bit
-        out[starts[live] + j] = byte
-    return out.tobytes()
+    width = max(1, -(-int(v.max(initial=0)).bit_length() // 7))
+    if width == 1:
+        return v.astype(np.uint8).tobytes()
+    out = np.empty(len(v) * width, dtype=np.uint8)
+    size = 0
+    for at in range(0, len(v), VARINT_BLOCK):
+        rest = v[at:at + VARINT_BLOCK]
+        grid = np.empty((len(rest), width), dtype=np.uint8)
+        for j in range(width):
+            byte = rest.astype(np.uint8)
+            rest = rest >> 7
+            byte |= (rest != 0).view(np.uint8) << 7
+            grid[:, j] = byte
+        keep = grid.astype(bool)
+        keep[:, 0] = True
+        count = np.count_nonzero(keep)
+        # np.compress, not grid[keep]: three times faster on uint8
+        np.compress(keep.ravel(), grid.ravel(), out=out[size:size + count])
+        size += count
+    return out[:size].tobytes()
 
 
 def decode_uvarints(data: bytes, count: int) -> np.ndarray:
@@ -217,24 +226,18 @@ def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
 def _encode_varint(arr: np.ndarray, delta: bool, compress: bool
                    ) -> tuple[bytes, str]:
     """The delta + zigzag + varint (+ zlib) recipe over one int64 array."""
-    tokens = []
+    encoding = "delta+varint" if delta else "varint"
     if delta and len(arr) > 1:
         work = np.empty_like(arr)
         work[0] = arr[0]
         np.subtract(arr[1:], arr[:-1], out=work[1:])
-        tokens.append("delta")
-    else:
-        work = arr
-        if delta:
-            tokens.append("delta")  # trivially true for 0/1 values
-    payload = encode_uvarints(zigzag(work))
-    tokens.append("varint")
+        arr = work
+    payload = encode_uvarints(zigzag(arr))
     if compress and len(payload) > 32:
         squeezed = zlib.compress(payload, ZLIB_LEVEL)
         if len(squeezed) < len(payload):
-            payload = squeezed
-            tokens.append("zlib")
-    return payload, "+".join(tokens)
+            return squeezed, encoding + "+zlib"
+    return payload, encoding
 
 
 def encode_column(

@@ -22,8 +22,9 @@ Levels are finest-first.  Level 0 uses a power-of-two bucket width
 ``w0`` (the smallest power of two giving at most ``base`` buckets over
 the run's horizon); level ``k`` uses ``w0 << k``.  Power-of-two widths
 make every coarser bucket the exact pairwise sum of two finer ones, so
-the whole pyramid is built with one pass over the events plus cheap
-folds — and every level's totals are identical by construction (the
+the whole pyramid is built with one pass over the events, then per level
+a pairwise sum of the dense per-PE occupancy and a sparse group-by of
+the edges — and every level's totals are identical by construction (the
 differential tests assert this against full decodes).
 
 Archives that never saw a timeline (the usual one-shot export carries
@@ -151,34 +152,16 @@ class PyramidInfo:
 # building
 # ----------------------------------------------------------------------
 
-def _pe_dense_to_columns(main: np.ndarray, proc: np.ndarray,
-                         comm: np.ndarray) -> dict[str, np.ndarray]:
-    """Sparse (bucket-major) columns from dense (n_pes, nb) arrays."""
-    occupied = (main + proc + comm).T  # (nb, n_pes): bucket-major order
-    b_idx, pe_idx = np.nonzero(occupied > 0)
-    return {
-        "bucket": b_idx.astype(np.int64),
-        "pe": pe_idx.astype(np.int64),
-        "t_main": main.T[b_idx, pe_idx],
-        "t_proc": proc.T[b_idx, pe_idx],
-        "t_comm": comm.T[b_idx, pe_idx],
-    }
-
-
-def _group(cols: dict[str, np.ndarray], keys: int) -> dict[str, np.ndarray]:
-    """Rows equal on the first ``keys`` columns (bucket first) summed, in
-    key order: the trace store's fold over named columns."""
-    return dict(zip(cols, fold(np.stack(list(cols.values())), keys)))
-
-
-def _coarsen(cols: dict[str, np.ndarray], keys: int) -> dict[str, np.ndarray]:
-    """One coarsening step on level columns (bucket → bucket // 2)."""
-    return _group({**cols, "bucket": cols["bucket"] // 2}, keys)
-
-
-def _empty_pe() -> dict[str, np.ndarray]:
-    z = np.zeros(0, dtype=np.int64)
-    return {"bucket": z, "pe": z, "t_main": z, "t_proc": z, "t_comm": z}
+def _pe_dense_to_columns(occupancy: np.ndarray) -> dict[str, np.ndarray]:
+    """Sparse (bucket-major) columns from a dense ``(3, n_pes, nb)``
+    MAIN/PROC/COMM occupancy (values >= 0): one row per busy cell."""
+    _, n_pes, nb = occupancy.shape
+    busy = np.flatnonzero(np.bitwise_or.reduce(occupancy).T)
+    bucket, pe = np.divmod(busy, n_pes)
+    main, proc, comm = np.take(occupancy.reshape(3, -1), pe * nb + bucket,
+                               axis=1)
+    return {"bucket": bucket, "pe": pe,
+            "t_main": main, "t_proc": proc, "t_comm": comm}
 
 
 def build_pyramid(timeline) -> Pyramid:
@@ -197,24 +180,37 @@ def build_pyramid(timeline) -> Pyramid:
     w0 = widths[0]
     nb0 = -(-horizon // w0)
 
-    # one row per (region, pe): region codes order MAIN, PROC, FINISH
+    # per PE: one dense row per (region, pe), region codes order MAIN,
+    # PROC, FINISH; COMM is written over FINISH in place
     spans = timeline.span_columns()
-    occupied = spread_spans(spans["region"] * n_pes + spans["pe"],
-                            spans["start"], spans["end"], w0, 3 * n_pes, nb0)
-    main, proc, total = occupied.reshape(3, n_pes, nb0)
-    comm = np.maximum(total - main - proc, 0)
-    pe0 = _pe_dense_to_columns(main, proc, comm)
-
+    occupancy = spread_spans(spans["region"] * n_pes + spans["pe"],
+                             spans["start"], spans["end"], w0, 3 * n_pes,
+                             nb0).reshape(3, n_pes, nb0)
+    main, proc, comm = occupancy
+    comm -= main
+    comm -= proc
+    np.maximum(comm, 0, out=comm)
+    # per edge: sparse (n_pes**2 x buckets does not fit at 1024 PEs), one
+    # composite key bucket << 2s | src << s | dst folded per level
+    s = max(n_pes - 1, 1).bit_length()
+    pe_bits, pair_bits = (1 << s) - 1, (1 << 2 * s) - 1
     net = timeline.net_columns()
-    edge0 = _group({"bucket": net["time"] // w0, "src": net["src"],
-                    "dst": net["dst"], "count": np.ones_like(net["time"]),
-                    "bytes": net["nbytes"]}, 3)
+    edges = np.stack(((net["time"] // w0 << (2 * s)) | (net["src"] << s)
+                      | net["dst"], np.ones_like(net["time"]), net["nbytes"]))
 
-    pe_levels = [pe0]
-    edge_levels = [edge0]
-    for _ in widths[1:]:
-        pe_levels.append(_coarsen(pe_levels[-1], 2))
-        edge_levels.append(_coarsen(edge_levels[-1], 3))
+    pe_levels, edge_levels = [], []
+    for level in range(len(widths)):
+        if level:  # pairwise bucket sums; an odd last bucket stands alone
+            odd = occupancy[..., 1::2]
+            occupancy = occupancy[..., 0::2].copy()
+            occupancy[..., :odd.shape[-1]] += odd
+            key = edges[0]
+            edges[0] = ((key >> (2 * s + 1)) << (2 * s)) | (key & pair_bits)
+        pe_levels.append(_pe_dense_to_columns(occupancy))
+        key, count, nbytes = edges = fold(edges, 1)
+        edge_levels.append({"bucket": key >> (2 * s),
+                            "src": (key >> s) & pe_bits, "dst": key & pe_bits,
+                            "count": count, "bytes": nbytes})
     return Pyramid(horizon, n_pes, widths, True, pe_levels, edge_levels)
 
 
@@ -227,15 +223,14 @@ def build_flat_pyramid(*, n_pes: int, overall=None, edges=None) -> Pyramid:
     one-shot exports that ran without a timeline.
     """
     horizon = 1
-    pe0 = _empty_pe()
+    pe0 = _pe_dense_to_columns(np.zeros((3, 0, 1), dtype=np.int64))
     if overall is not None:
         horizon = max(int(np.max(overall.t_total)), 1)
         main = np.asarray(overall.t_main, dtype=np.int64)
         proc = np.asarray(overall.t_proc, dtype=np.int64)
         comm = np.maximum(
             np.asarray(overall.t_total, dtype=np.int64) - main - proc, 0)
-        pe0 = _pe_dense_to_columns(main[:, None], proc[:, None],
-                                   comm[:, None])
+        pe0 = _pe_dense_to_columns(np.stack((main, proc, comm))[..., None])
     # one row group at a time; duplicate (src, dst) rows — other sizes or
     # kinds, streamed partial aggregates — sum into one edge
     edge_count = np.zeros((n_pes, n_pes), dtype=np.int64)

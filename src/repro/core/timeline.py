@@ -60,7 +60,7 @@ def spread_spans(rows: np.ndarray, start: np.ndarray, end: np.ndarray,
     for at, value in ((b0, head), (b0 + 1, full - head),
                       (b1, tail - full), (b1 + 1, -tail)):
         np.add.at(diff, base + at, value)
-    return np.cumsum(diff.reshape(n_rows, cols), axis=1)[:, :n_buckets]
+    return np.cumsum(diff.reshape(n_rows, cols)[:, :n_buckets], axis=1)
 
 
 class TimelineTrace:

@@ -82,18 +82,22 @@ def unpack_scalar(data: bytes, width: int, count: int) -> list[int]:
     return out
 
 
-def encode_column_v1(values) -> tuple[bytes, str]:
+def encode_column_v1(values, delta: bool = True,
+                     compress: bool = True) -> tuple[bytes, str]:
     """What every format-version-1 writer stored for a chunk: delta,
     zigzag, scalar varints, zlib when the stream is over 32 bytes and
-    shrinks."""
+    shrinks (``delta``/``compress`` drop a step; the recipe of every
+    varint chunk since)."""
     import zlib
 
     values = [int(v) for v in values]
-    deltas = values[:1] + [b - a for a, b in zip(values, values[1:])]
+    tokens = "delta+varint" if delta else "varint"
+    if delta:
+        values = values[:1] + [b - a for a, b in zip(values, values[1:])]
     payload = encode_uvarints_scalar(np.array(
-        [(d << 1) ^ (d >> 63) for d in deltas], dtype=object))
-    if len(payload) > 32:
+        [(d << 1) ^ (d >> 63) for d in values], dtype=object))
+    if compress and len(payload) > 32:
         squeezed = zlib.compress(payload, 6)
         if len(squeezed) < len(payload):
-            return squeezed, "delta+varint+zlib"
-    return payload, "delta+varint"
+            return squeezed, tokens + "+zlib"
+    return payload, tokens

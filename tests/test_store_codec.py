@@ -1,10 +1,13 @@
 """Tests for the .aptrc column codec (delta + varint + zlib)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.store.codec import (
     PACK_MAX_WIDTH,
+    VARINT_BLOCK,
     CodecError,
     decode_column,
     decode_uvarints,
@@ -14,6 +17,8 @@ from repro.core.store.codec import (
     unzigzag,
     zigzag,
 )
+
+from tests.codec_oracle import encode_uvarints_scalar
 
 
 def roundtrip(values, **kwargs):
@@ -41,6 +46,47 @@ def test_uvarint_roundtrip():
 
 def test_uvarint_small_values_take_one_byte():
     assert len(encode_uvarints(np.arange(10, dtype=np.uint64))) == 10
+
+
+#: The first and last value of every LEB128 width: ``2**(7k) - 1`` takes
+#: ``k`` bytes and ``2**(7k)`` takes ``k + 1``, k = 1..9.
+WIDTH_EDGES = [v for k in range(1, 10)
+               for v in ((1 << 7 * k) - 1, 1 << 7 * k)]
+
+
+@pytest.mark.parametrize("value", [*WIDTH_EDGES, 2**64 - 1])
+def test_uvarint_width_thresholds_match_the_scalar_encoder(value):
+    for values in ([value], [0, value, 1], [value, value - 1, value]):
+        arr = np.array(values, dtype=np.uint64)
+        assert encode_uvarints(arr) == encode_uvarints_scalar(arr)
+    width = len(encode_uvarints(np.array([value], dtype=np.uint64)))
+    assert width == max(1, -(-value.bit_length() // 7))
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [127], [2**64 - 1], list(range(128)), [127] * 1000,
+    WIDTH_EDGES, [2**64 - 1] * (VARINT_BLOCK + 1),
+    [i * 2**50 % 2**64 for i in range(2 * VARINT_BLOCK + 5)],
+], ids=["empty", "zero", "one-byte", "max", "all-one-byte", "one-byte-run",
+        "width-edges", "past-a-block", "mixed-blocks"])
+def test_uvarint_edge_arrays_match_the_scalar_encoder(values):
+    arr = np.array(values, dtype=np.uint64)
+    assert encode_uvarints(arr) == encode_uvarints_scalar(arr)
+    assert decode_uvarints(encode_uvarints(arr), len(arr)).tolist() == values
+
+
+def test_uvarint_encoder_memory_is_bounded_per_value():
+    """One million ten-byte varints: the encoder holds its output (as an
+    array, then as bytes) and one block — never ``(n, width)`` words."""
+    values = np.full(1_000_000, 2**63 + 12345, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        data = encode_uvarints(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 10 * len(values)
+    assert peak < 40 * len(values)
 
 
 def test_uvarint_truncated_stream_raises():

@@ -13,11 +13,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro import ActorProf, ProfileFlags
-from repro.apps import histogram
+from repro import ActorProf, ConveyorConfig, ProfileFlags
+from repro.apps import count_triangles, histogram
+from repro.conveyors.hooks import SEND_TYPES
 from repro.core.lod import DEFAULT_RES, LodView, open_lod
 from repro.core.rowstore import scatter_matrix
 from repro.core.store.archive import Archive, load_overall, load_run
@@ -33,8 +34,10 @@ from repro.core.store.lod import (
     read_level,
 )
 from repro.core.timeline import REGIONS, TimelineTrace
+from repro.graphs import LowerTriangular, graph500_input
 from repro.machine.spec import MachineSpec
 
+from tests.lod_oracle import build_pyramid_fold
 from tests.test_golden_archives import GOLDEN_DIR
 
 
@@ -137,6 +140,80 @@ def test_level_zero_occupancy_matches_per_span_spreading(n_pes, spans):
         got = np.zeros((n_pes, n_buckets), dtype=np.int64)
         got[cols["pe"], cols["bucket"]] = cols[column]
         np.testing.assert_array_equal(got, want[region], err_msg=region)
+
+
+#: Span and event times: anywhere up to a horizon whose level-0 width is
+#: at most 64 cycles, or on a multiple of 64 — a bucket boundary at
+#: every level whatever width the horizon picks.
+_TIMES = st.one_of(st.integers(0, 60_000), st.integers(0, 937).map(
+    lambda k: 64 * k))
+
+
+def _timeline(n_pes, spans, net):
+    timeline = TimelineTrace(n_pes)
+    for pe, region, a, b in spans:
+        timeline.add_span(pe % n_pes, region, min(a, b), max(a, b))
+    for time, kind, src, dst, nbytes in net:
+        timeline.add_net_event(time, kind, src % n_pes, dst % n_pes, nbytes)
+    return timeline
+
+
+@given(st.integers(1, 5),
+       st.lists(st.tuples(st.integers(0, 4), st.sampled_from(REGIONS),
+                          _TIMES, _TIMES), max_size=30),
+       st.lists(st.tuples(_TIMES, st.sampled_from(SEND_TYPES),
+                          st.integers(0, 4), st.integers(0, 4),
+                          st.integers(0, 4096)), max_size=30))
+# 5 level-0 buckets of 1 cycle (odd), a PE without spans, a zero-length
+# span, net events at t = 0 and at t = end_time()
+@example(3, [(0, "FINISH", 0, 5), (2, "MAIN", 1, 3), (2, "PROC", 4, 4)],
+         [(0, "local_send", 0, 2, 8), (5, "nonblock_send", 2, 0, 16)])
+# 1024 level-0 buckets of 4 cycles (even), spans ending on boundaries,
+# an event at t = end_time() = 4096 — one past the last bucket
+@example(2, [(0, "FINISH", 0, 4096), (0, "MAIN", 64, 128),
+             (1, "PROC", 4, 4092), (1, "FINISH", 0, 4096)],
+         [(0, "local_send", 1, 1, 8), (4096, "nonblock_send", 0, 1, 24),
+          (4095, "nonblock_send", 0, 1, 24)])
+# 938 level-0 buckets of 64 cycles: odd at levels 1, 2 and 4
+@example(1, [(0, "FINISH", 0, 60_000), (0, "PROC", 128, 59_968)],
+         [(60_000, "nonblock_progress", 0, 0, 0)])
+def test_pyramid_matches_the_fold_oracle_at_every_level(n_pes, spans, net):
+    """Dense pairwise per-PE sums and the composite-key edge group-by
+    give the per-level sparse folds' columns exactly, on both sides."""
+    timeline = _timeline(n_pes, spans, net)
+    got, want = build_pyramid(timeline), build_pyramid_fold(timeline)
+    assert (got.horizon, got.widths) == (want.horizon, want.widths)
+    for side in ("pe_levels", "edge_levels"):
+        for level, (g, w) in enumerate(zip(getattr(got, side),
+                                           getattr(want, side))):
+            assert list(g) == list(w)
+            for column in w:
+                assert g[column].dtype == w[column].dtype == np.int64
+                np.testing.assert_array_equal(
+                    g[column], w[column], err_msg=f"{side}[{level}].{column}")
+
+
+#: sha256 of ``export_archive(lod=True)`` after a batched triangle run on
+#: ``perlmutter_like(2, 16)`` (graph500 scale 6, edge factor 12, seed 0,
+#: timeline on): a time-resolved pyramid of 639, 320, 160, 80 and 40
+#: buckets, digest taken from the fold-built pyramid (tests/lod_oracle.py).
+TRI_BATCH_LOD_SHA256 = (
+    "f3505af319bb77f7239bc12df2608c368908b6d8b192ebbcc037398ed3c89c18")
+
+
+def test_time_resolved_pyramid_of_a_2x16_run_is_pinned(tmp_path):
+    graph = LowerTriangular.from_edges(graph500_input(6, 12, seed=0))
+    ap = ActorProf(ProfileFlags.all(enable_timeline=True,
+                                    papi_sample_interval=1))
+    count_triangles(graph, MachineSpec.perlmutter_like(2, 16), "cyclic",
+                    profiler=ap, batch=True, validate=True, seed=0,
+                    conveyor_config=ConveyorConfig(buffer_items=64))
+    path = ap.export_archive(tmp_path / "run.aptrc",
+                             meta={"app": "Triangle", "seed": 0}, lod=True)
+    with Archive(path) as archive:
+        assert pyramid_info(archive).buckets == (639, 320, 160, 80, 40)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRI_BATCH_LOD_SHA256
 
 
 def test_every_level_preserves_edge_totals(profiled):

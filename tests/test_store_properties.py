@@ -216,6 +216,38 @@ def test_selection_is_pure_and_never_larger_than_v1(ks, stride, lo):
     assert decode_column(payload, encoding, len(values)).tolist() == values
 
 
+@given(st.integers(1, 2 * PROBE_VALUES), st.integers(1, PACK_MAX_WIDTH + 1),
+       st.integers(1, 200), st.integers(0, 2**32), st.booleans(),
+       st.booleans())
+@example(PROBE_VALUES, 5, 1, 0, True, True)  # noise: packs
+@example(PROBE_VALUES, 5, 200, 0, True, True)  # runs: the recipe
+@SETTINGS
+def test_past_the_probe_a_chunk_is_the_probe_verdict_then_v1(
+        extra, bits, run, seed, delta, compress):
+    """A chunk longer than ``PROBE_VALUES`` packs exactly when packing
+    its first ``PROBE_VALUES`` values is no larger than their recipe
+    encoded on its own; otherwise it is the recipe over the whole chunk,
+    byte for byte."""
+    rng = np.random.default_rng(seed)
+    n = PROBE_VALUES + extra
+    values = np.repeat(rng.integers(0, 1 << bits, -(-n // run)), run)[:n]
+    payload, encoding = encode_column(values, delta=delta, compress=compress)
+    lo = int(values.min())
+    stride = int(np.gcd.reduce(values - lo)) or 1
+    width = int(values.max() - lo) // stride
+    probe = encode_column_v1(values[:PROBE_VALUES], delta, compress)
+    packs = (width < 1 << PACK_MAX_WIDTH
+             and PROBE_VALUES // 8 * width.bit_length() <= len(probe[0]))
+    if width == 0:
+        assert (payload, encoding) == (b"", f"pack:{lo}:1:0")
+    elif packs:
+        assert encoding == f"pack:{lo}:{stride}:{width.bit_length()}"
+    else:
+        assert (payload, encoding) == encode_column_v1(values, delta,
+                                                       compress)
+    assert decode_column(payload, encoding, n).tolist() == values.tolist()
+
+
 #: Chunk lengths around every boundary of the pack decoder: empty, one
 #: group, every ``count % 8``, 2 048 and past, and one lane-shift table
 #: row (``SHIFT_FIELDS``) and past.
