@@ -93,29 +93,6 @@ class LowerTriangular:
             self._keys = keys
         return keys
 
-    def symmetric_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected adjacency as (indptr, indices).
-
-        Expands the lower-triangular storage into both directions; each
-        row's neighbor list is sorted.  Used by BFS/PageRank/Jaccard,
-        which traverse the full neighborhoods.
-        """
-        src = np.concatenate([self.rows, self.cols])
-        dst = np.concatenate([self.cols, self.rows])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, dst
-
-    def full_degrees(self) -> np.ndarray:
-        """Undirected degree of every vertex."""
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.rows, 1)
-        np.add.at(deg, self.cols, 1)
-        return deg
-
     def to_scipy(self):
         """The matrix as ``scipy.sparse.csr_matrix`` (for references)."""
         from scipy import sparse

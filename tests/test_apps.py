@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
-    bfs,
-    count_triangles,
-    histogram,
-    index_gather,
-    jaccard,
-    pagerank,
-    permute,
-)
-from repro.apps.bfs import reference_bfs
-from repro.apps.pagerank import reference_pagerank
+from repro.apps import count_triangles, histogram, index_gather, permute
 from repro.conveyors import ConveyorConfig
 from repro.graphs import LowerTriangular, graph500_input
 from repro.machine import MachineSpec
@@ -158,79 +148,3 @@ def test_permute_scalar_equals_batch():
     for x, y in zip(a.output_per_pe, b.output_per_pe):
         assert np.array_equal(x, y)
 
-
-# ------------------------------------------------------------------ bfs
-
-
-@pytest.mark.parametrize("machine", MACHINES)
-@pytest.mark.parametrize("distribution", ["cyclic", "range"])
-def test_bfs_levels_match_reference(graph, machine, distribution):
-    res = bfs(graph, 0, machine, distribution)
-    assert np.array_equal(res.levels, reference_bfs(graph, 0))
-    assert res.n_levels >= 1
-
-
-def test_bfs_from_various_sources(graph):
-    m = MachineSpec(1, 4)
-    for src in (1, graph.n_vertices // 2, graph.n_vertices - 1):
-        res = bfs(graph, src, m)
-        assert np.array_equal(res.levels, reference_bfs(graph, src))
-
-
-def test_bfs_isolated_source():
-    # vertex 5 is isolated in this tiny graph
-    L = LowerTriangular.from_edges(np.array([[1, 0], [2, 1]]), n_vertices=6)
-    res = bfs(L, 5, MachineSpec(1, 2))
-    assert res.levels[5] == 0
-    assert (res.levels[np.arange(6) != 5] == -1).all()
-
-
-def test_bfs_bad_source(graph):
-    with pytest.raises(ValueError):
-        bfs(graph, -1, MachineSpec(1, 2))
-
-
-# ------------------------------------------------------------- pagerank
-
-
-@pytest.mark.parametrize("machine", MACHINES)
-def test_pagerank_matches_reference_exactly(graph, machine):
-    res = pagerank(graph, 3, machine)
-    assert np.array_equal(res.ranks, reference_pagerank(graph, 3))
-
-
-def test_pagerank_mass_approximately_conserved(graph):
-    res = pagerank(graph, 2, MachineSpec(1, 4))
-    # fixed-point total stays within rounding slack of 1.0
-    total = res.ranks.sum() / float(1 << 32)
-    assert total == pytest.approx(1.0, abs=0.01)
-
-
-def test_pagerank_bad_iterations(graph):
-    with pytest.raises(ValueError):
-        pagerank(graph, 0, MachineSpec(1, 2))
-
-
-# -------------------------------------------------------------- jaccard
-
-
-@pytest.mark.parametrize("machine", MACHINES)
-def test_jaccard_common_counts_validate(graph, machine):
-    res = jaccard(graph, machine)
-    assert len(res.common) == graph.nnz
-    assert (res.similarity >= 0).all() and (res.similarity <= 1).all()
-
-
-def test_jaccard_triangle_relationship(graph):
-    """Σ per-edge common neighbors == 3 × triangle count."""
-    res = jaccard(graph, MachineSpec(1, 4))
-    assert int(res.common.sum()) == 3 * graph.triangle_count_reference()
-
-
-def test_jaccard_known_small_graph():
-    # triangle 0-1-2: every edge has exactly one common neighbor;
-    # similarity = 1 / (2 + 2 - 1) = 1/3
-    L = LowerTriangular.from_edges(np.array([[1, 0], [2, 0], [2, 1]]))
-    res = jaccard(L, MachineSpec(1, 2))
-    assert res.common.tolist() == [1, 1, 1]
-    assert np.allclose(res.similarity, 1 / 3)

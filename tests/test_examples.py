@@ -39,3 +39,10 @@ def test_timeline_export_writes_both_views(tmp_path, monkeypatch, capsys):
     assert "cross-check" in capsys.readouterr().out
     for name in ("timeline.svg", "utilization.svg", "trace.json"):
         assert (tmp_path / "timeline_out" / name).stat().st_size > 0
+
+
+def test_bale_kernels_example_runs(tmp_path, monkeypatch, capsys):
+    module = load_example("bale_kernels")
+    monkeypatch.chdir(tmp_path)
+    module.main()  # every kernel validates its own result
+    assert "all five kernels validated" in capsys.readouterr().out

@@ -298,12 +298,17 @@ def test_distribution_validation():
 @settings(max_examples=30)
 @given(st.integers(2, 200), st.integers(1, 16))
 def test_cyclic_and_block_partition_property(n_rows, n_pes):
-    for dist in (CyclicDistribution(n_rows, n_pes), BlockDistribution(n_rows, n_pes)):
+    block = BlockDistribution(n_rows, n_pes)
+    for dist in (CyclicDistribution(n_rows, n_pes), block):
         owners = dist.owner_array(np.arange(n_rows))
         assert owners.min() >= 0 and owners.max() < n_pes
         counts = np.bincount(owners, minlength=n_pes)
         assert counts.max() - counts.min() <= 1  # both are balanced by rows
+        assert [dist.owner(r) for r in range(n_rows)] == owners.tolist()
         dist.check()
+    for row in (-1, n_rows):
+        with pytest.raises(ValueError, match="out of range"):
+            block.owner(row)
 
 
 @settings(max_examples=20)
@@ -315,3 +320,7 @@ def test_range_partition_property(scale, n_pes, seed):
     d.check()
     owners = d.owner_array(np.arange(L.n_vertices))
     assert (np.diff(owners) >= 0).all()
+    assert [d.owner(r) for r in range(L.n_vertices)] == owners.tolist()
+    for row in (-1, L.n_vertices):
+        with pytest.raises(ValueError, match="out of range"):
+            d.owner(row)
