@@ -65,6 +65,7 @@ benchmarks).
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -311,7 +312,8 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
     read; parts merge once they hold more keys than a row group has
     rows, and at the end, so memory is one row group plus the groups
     found.  A group exists once any matching row carries its key, even
-    when its weights sum to 0.
+    when its weights sum to 0.  A constant key chunk (``Frame.constants``)
+    gives :func:`group_sum` its bounds, so it skips the min/max pass.
 
     With ``pushdown`` (the default) the footer's per-chunk stats do two
     jobs first: row groups whose ``[min, max]`` intervals cannot satisfy
@@ -361,7 +363,9 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
     total, parts, held = 0, [], 0  # the running answer: an int, or parts
     weighing = ["count", "size"] if q.metric == "bytes" else ["count"]
     names = tuple(dict.fromkeys(weighing + [stored(f)[0] for f in fields]))
-    for arrays in frame.groups(*names):
+    key, divisor = stored(q.group_by) if q.group_by else (None, None)
+    constants = frame.constants(key) if key else itertools.repeat(None)
+    for arrays, const in zip(frame.groups(*names), constants):
         cols = dict(zip(names, arrays))
         weights = cols["count"]
         if q.metric == "bytes":
@@ -374,7 +378,8 @@ def _evaluate(section: Section, q: Query, pushdown: bool = True):
         if q.group_by is None:
             total += int(np.add.reduce(weights, where=where))
             continue
-        parts.append(group_sum(values(cols, q.group_by), weights, where))
+        bounds = None if const is None else (const // (divisor or 1),) * 2
+        parts.append(group_sum(values(cols, q.group_by), weights, where, bounds))
         held += len(parts[-1][0])
         if held > len(weights):  # more keys held than this row group has rows
             parts = [merge(parts)]

@@ -16,7 +16,7 @@ Layout::
 
 The footer JSON indexes every section and, per column, the list of
 chunks (offset, length, encoding, count, stats) its data lives in.  A reader
-therefore seeks straight to the bytes of one column of one section and
+therefore reads (by position) just the bytes of one column of one section and
 decodes nothing else — :class:`Archive` tracks exactly which columns
 have been decoded (:attr:`Archive.decoded_columns`) so tests can assert
 that laziness.
@@ -40,6 +40,7 @@ constructors merge by summing duplicate keys.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -219,25 +220,21 @@ class Archive:
     # -- index -----------------------------------------------------------
 
     def _read_footer(self) -> None:
-        f = self._file
-        f.seek(0, 2)
-        size = f.tell()
+        fd = self._file.fileno()
+        size = os.fstat(fd).st_size
         tail_len = TRAILER.size + len(TAIL_MAGIC)
         if size < len(MAGIC) + tail_len:
             raise ArchiveError(f"{self.path}: too small to be an archive")
-        f.seek(0)
-        if f.read(len(MAGIC)) != MAGIC:
+        if os.pread(fd, len(MAGIC), 0) != MAGIC:
             raise ArchiveError(f"{self.path}: bad magic (not a .aptrc file)")
-        f.seek(size - tail_len)
-        trailer = f.read(tail_len)
+        trailer = os.pread(fd, tail_len, size - tail_len)
         if trailer[TRAILER.size:] != TAIL_MAGIC:
             raise ArchiveError(f"{self.path}: truncated (missing tail magic)")
         foot_off, foot_len = TRAILER.unpack(trailer[: TRAILER.size])
         if foot_off + foot_len > size - tail_len:
             raise ArchiveError(f"{self.path}: footer index out of bounds")
-        f.seek(foot_off)
         try:
-            footer = json.loads(zlib.decompress(f.read(foot_len)))
+            footer = json.loads(zlib.decompress(os.pread(fd, foot_len, foot_off)))
         except (zlib.error, ValueError) as exc:
             raise ArchiveError(f"{self.path}: footer corrupt: {exc}") from exc
         version = footer.get("version") if isinstance(footer, dict) else None
@@ -280,8 +277,7 @@ class Archive:
             ) from None
 
     def _decode_chunk(self, section: str, column: str, ref: ChunkRef) -> np.ndarray:
-        self._file.seek(ref.offset)
-        payload = self._file.read(ref.length)
+        payload = os.pread(self._file.fileno(), ref.length, ref.offset)
         if len(payload) != ref.length:
             raise ArchiveError(
                 f"{self.path}: short read in section {section!r} "

@@ -5,7 +5,8 @@ the rule in :func:`encode_column`.  **pack** is frame-of-reference
 bit-packing — every value is ``lo + stride * k`` (``lo`` the chunk
 minimum, ``stride`` the gcd of ``values - lo``) and ``k`` is a
 fixed-width bit field — so random PE ranks, 8-byte-multiple sizes and
-small counts cost their entropy and decode with one shift and one mask.
+small counts cost their entropy and decode by one table gather or one
+shift and one mask.
 Columns with strong local structure — sorted source PEs, monotone
 cumulative counters — keep the classic columnar recipe:
 
@@ -29,6 +30,7 @@ matrices used everywhere else in the repo.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -46,6 +48,11 @@ PROBE_VALUES = 2048
 #: Row ``width``: lane ``j``'s shift ``j * width``, for 16 384 fields (128 kB a row).
 SHIFT_FIELDS = 16_384
 _SHIFTS = np.outer(range(PACK_MAX_WIDTH + 1), np.arange(SHIFT_FIELDS) % 8).astype(np.uint64)
+
+#: Width ``w`` dividing 8: row ``b`` holds the ``8 // w`` fields of byte ``b``.
+_BYTE_FIELDS = {w: (np.arange(256, dtype=np.uint64)[:, None]
+                    >> np.arange(0, 8, w, dtype=np.uint64)) & np.uint64((1 << w) - 1)
+                for w in (1, 2, 4)}
 
 #: Compression level used when zlib is applied (6 = zlib default).
 ZLIB_LEVEL = 6
@@ -200,23 +207,30 @@ def pack_fields(fields: np.ndarray, width: int) -> bytes:
 
 
 def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_fields`: ``count`` fields as a fresh uint64 array.
-    Each group is one little-endian word of a strided view over the
-    length-checked payload plus 8 bytes of slack, repeated, shifted, masked."""
-    groups = -(-count // 8)
-    if len(payload) != groups * width:
-        raise CodecError(
-            f"pack payload is {len(payload)} bytes, expected {groups * width} "
-            f"for {count} values of {width} bits"
-        )
-    if width == 8:  # one field per byte
-        return np.frombuffer(payload, np.uint8, count).astype(np.uint64)
-    words = np.ndarray((groups,), "<u8", bytes(payload) + bytes(8), strides=(width,))
-    fields = np.repeat(words, 8)[:count]
-    for at in range(0, count, SHIFT_FIELDS):
-        fields[at:at + SHIFT_FIELDS] >>= _SHIFTS[width, :count - at]
-    fields &= np.uint64((1 << width) - 1)
-    return fields
+    """Inverse of :func:`pack_fields`: ``count`` fields as a fresh uint64
+    array — the chunk ``pack:0:1:<width>`` decoded."""
+    return decode_column(payload, f"pack:0:1:{width}", count).view(np.uint64)
+
+
+@functools.lru_cache(maxsize=128)
+def pack_spec(encoding: str) -> tuple[int, int, int, np.ndarray | None]:
+    """``(lo, stride, width, table)`` of a ``pack:`` encoding, checked once
+    per distinct string (a bad one raises every time).  At widths 1, 2
+    and 4, ``table`` row ``b`` is ``lo + stride * k`` for byte ``b``'s
+    fields (read-only int64, wrapped in uint64 like the encoder's
+    subtraction); else None."""
+    try:
+        lo, stride, width = (int(part) for part in encoding.split(":")[1:])
+    except ValueError:
+        raise CodecError(f"malformed pack encoding {encoding!r}") from None
+    if not (-(1 << 63) <= lo < 1 << 63 and 1 <= stride < 1 << 64
+            and 0 <= width <= PACK_MAX_WIDTH):
+        raise CodecError(f"pack encoding {encoding!r} out of range")
+    table = _BYTE_FIELDS.get(width)
+    if table is not None:
+        table = (table * np.uint64(stride) + np.uint64(lo % (1 << 64))).view(np.int64)
+        table.flags.writeable = False
+    return lo, stride, width, table
 
 
 # ----------------------------------------------------------------------
@@ -287,19 +301,30 @@ def encode_column(
 def decode_column(payload: bytes, encoding: str, count: int) -> np.ndarray:
     """Decode a column payload back into an int64 array of ``count``."""
     if encoding.startswith("pack:"):
-        try:
-            lo, stride, width = (int(part) for part in encoding.split(":")[1:])
-        except ValueError:
-            raise CodecError(f"malformed pack encoding {encoding!r}") from None
-        if not (-(1 << 63) <= lo < 1 << 63 and 1 <= stride < 1 << 64
-                and 0 <= width <= PACK_MAX_WIDTH):
-            raise CodecError(f"pack encoding {encoding!r} out of range")
+        lo, stride, width, table = pack_spec(encoding)
         if width == 0 and not payload:
             return np.full(count, lo, dtype=np.int64)
-        fields = unpack_fields(payload, width, count)
+        groups = -(-count // 8)
+        if len(payload) != groups * width:
+            raise CodecError(
+                f"pack payload is {len(payload)} bytes, expected {groups * width} "
+                f"for {count} values of {width} bits"
+            )
+        if table is not None:  # one gather: each payload byte's values
+            return np.take(table, np.frombuffer(payload, np.uint8), axis=0).reshape(-1)[:count]
+        if width == 8:  # one field per byte
+            fields = np.frombuffer(payload, np.uint8, count).astype(np.uint64)
+        else:  # each group one little-endian word of a strided view + slack
+            words = np.ndarray((groups,), "<u8", bytes(payload) + bytes(8),
+                               strides=(width,))
+            fields = np.repeat(words, 8)[:count]
+            for at in range(0, count, SHIFT_FIELDS):
+                fields[at:at + SHIFT_FIELDS] >>= _SHIFTS[width, :count - at]
+            fields &= np.uint64((1 << width) - 1)
         if stride != 1:
             fields *= np.uint64(stride)
-        fields += np.uint64(lo % (1 << 64))  # wraps like the encoder's subtraction
+        if lo:
+            fields += np.uint64(lo % (1 << 64))  # wraps like the encoder's subtraction
         return fields.view(np.int64)
     tokens = encoding.split("+") if encoding else []
     unknown = set(tokens) - set(TOKENS)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.rowstore import _bincount_exact, fold
 from repro.core.store.archive import ChunkRef, Section
+from repro.core.store.codec import CodecError, pack_spec
 
 
 class MemorySection(Section):
@@ -123,6 +124,13 @@ class Frame:
             yield tuple(section.decode_chunk(name, column[i])
                         for name, column in zip(names, refs))
 
+    def constants(self, name: str) -> list[int | None]:
+        """Per surviving row group, the value every row of column ``name``
+        holds when its chunk is a zero-width ``pack`` with no payload (read
+        from the chunk index, not decoded), else None."""
+        refs = self._section.chunk_refs(name)
+        return [_constant(refs[i]) for i in np.flatnonzero(self.keep)]
+
     # -- stats-only aggregation ------------------------------------------
 
     def total(self, name: str) -> int | None:
@@ -143,22 +151,35 @@ class Frame:
         return int(sum(w for w, k in zip(weighted, self.keep) if k))
 
 
+def _constant(ref: ChunkRef) -> int | None:
+    if ref.length or not ref.encoding.startswith("pack:"):
+        return None
+    try:
+        lo, _, width, _ = pack_spec(ref.encoding)
+    except CodecError:  # left for the decode to raise, located
+        return None
+    return lo if width == 0 else None
+
+
 # ----------------------------------------------------------------------
 # vectorized aggregation helpers
 # ----------------------------------------------------------------------
 
 def group_sum(keys: np.ndarray, weights: np.ndarray,
-              where: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
+              where: np.ndarray | bool = True,
+              bounds: tuple[int, int] | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Sum int64 ``weights`` per distinct key over the rows ``where``
     selects (a mask, or True for all): ``(unique_keys, sums)``, keys
     ascending, one for every key a selected row carries whatever its sum.
+    ``bounds`` is the keys' ``(min, max)``, when the caller knows it.
     Rows of one key (a sorted run's row group) are one masked reduce, no
     copy, and no key when the mask selects none.  Any others are masked,
     then take a bincount if their span is dense enough, else the row
     store's sort-based :func:`~repro.core.rowstore.fold`."""
     if len(keys) == 0:
         return keys, weights
-    lo, hi = int(keys.min()), int(keys.max())
+    lo, hi = bounds if bounds is not None else (int(keys.min()), int(keys.max()))
     if lo == hi and (where is True or where.any()):
         # (a copy: a view would keep the whole row group alive)
         return keys[:1].copy(), np.add.reduce(weights, where=where, keepdims=True)

@@ -35,6 +35,7 @@ import json
 import os
 import re
 import shutil
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -170,9 +171,9 @@ class RunRegistry:
             return  # legacy layout needs no config file
         config = self.root / REGISTRY_CONFIG
         if not config.exists():
-            # per-process tmp name: two creators racing here both write
-            # the same content, and neither can steal the other's tmp
-            tmp = config.with_name(f".registry-{os.getpid()}.tmp")
+            # per-writer (process and thread) tmp name: two creators racing
+            # here both write the same content, neither steals the other's
+            tmp = config.with_name(f".registry-{os.getpid()}-{threading.get_ident()}.tmp")
             tmp.write_text(json.dumps(
                 {"version": MANIFEST_VERSION, "shards": self.shards},
                 indent=2, sort_keys=True) + "\n")
@@ -252,7 +253,7 @@ class RunRegistry:
 
     def add_dedup(self, archive_path: str | Path, run_id: str | None = None,
                   move: bool = False, dedup_identical: bool = True,
-                  ) -> tuple[RunInfo, bool]:
+                  fingerprint: str | None = None) -> tuple[RunInfo, bool]:
         """Register an archive, deduplicating byte-identical re-uploads.
 
         Returns ``(info, created)``.  With ``dedup_identical``, an
@@ -260,7 +261,8 @@ class RunRegistry:
         fingerprint* returns the existing entry (``created=False``)
         instead of raising — the idempotent-ingest contract the serve
         layer needs.  A same-id, *different*-fingerprint collision still
-        raises.
+        raises.  ``fingerprint`` is the archive's sha256, when the caller
+        already has it; otherwise the file is hashed here.
 
         The decision is made under the target shard's file lock, so two
         concurrent identical uploads register exactly one entry.
@@ -275,7 +277,7 @@ class RunRegistry:
                 meta = dict(archive.meta)
         except (OSError, ArchiveError) as exc:
             raise RegistryError(f"cannot register {archive_path}: {exc}") from exc
-        fingerprint = file_sha256(archive_path)
+        fingerprint = fingerprint or file_sha256(archive_path)
         base = _ID_RE.sub("-", run_id or archive_path.stem).strip("-") or "run"
         explicit = run_id is not None
         candidate, n = base, 1

@@ -162,10 +162,9 @@ async def _ingest(arbiter, request: Request, reader, writer) -> None:
         run_id = (request.params.get("id")
                   or request.headers.get("x-run-id")
                   or f"run-{fingerprint[:12]}")
-        info, created = _registry_call(
-            lambda: arbiter.registry.add_dedup(part, run_id=run_id,
-                                               move=True,
-                                               dedup_identical=True))
+        info, created = await asyncio.to_thread(
+            _registry_call, lambda: arbiter.registry.add_dedup(
+                part, run_id=run_id, move=True, fingerprint=fingerprint))
         part = None  # consumed by move (or deleted by dedup)
         if created:
             gate.stats.accepted += 1

@@ -450,6 +450,121 @@ def test_fold_of_one_key_row_groups(tmp_path, monkeypatch, case):
         assert len(calls) > len(groups) + 1
 
 
+_NODE_ATTRS = {"nodes": 3, "pes_per_node": 4, "n_pes": 12}
+
+#: Row groups of one ``src`` each — zero-width ``src`` chunks, whose keys
+#: the fold takes from the chunk index — beside a mixed one.  ``src`` 5
+#: comes back in a later group, so parts carry one key twice; one group
+#: weighs 0 bytes in every row, and the last is one row (every column
+#: zero-width).
+CONSTANT_KEY_GROUPS = [
+    [(5, 0, 8, 1), (5, 1, 16, 2), (5, 2, 0, 3)],
+    [(6, 2, 0, 4), (6, 2, 0, 1)],
+    [(1, 3, 24, 1), (9, 2, 16, 2), (4, 0, 8, 1)],
+    [(7, 1, 32, 2), (7, 2, 16, 1)],
+    [(5, 3, 8, 7), (5, 0, 40, 1)],
+    [(11, 1, 32, 2)],
+]
+#: Masks selecting every row, some rows, rows of zero weight and none.
+CONSTANT_KEY_CONDITIONS = {
+    "": lambda c: np.ones(len(c["src"]), dtype=bool),
+    " where size >= 16": lambda c: c["size"] >= 16,
+    " where dst == 2": lambda c: c["dst"] == 2,
+    " where size == 0": lambda c: c["size"] == 0,
+    " where size > 99": lambda c: c["size"] > 99,
+}
+
+
+def _numpy_group_answer(cols, metric, mask, key):
+    """Ranked ``(key, amount)`` pairs by plain numpy over flat columns."""
+    weights = cols["count"] * (cols["size"] if metric == "bytes" else 1)
+    keys = cols["src"] // (4 if key == "src_node" else 1)
+    present = np.unique(keys[mask])
+    amounts = [int(weights[mask & (keys == k)].sum()) for k in present]
+    return sorted(zip(present.tolist(), amounts),
+                  key=lambda kv: (-kv[1], str(kv[0])))
+
+
+def _constant_key_archive(path):
+    """``CONSTANT_KEY_GROUPS`` with every zero-width chunk's stride
+    rewritten to something other than the writer's 1 (a width-0 chunk
+    never reads it), stats and all."""
+    _write_groups(path, "logical", _COLUMNS, _NODE_ATTRS, CONSTANT_KEY_GROUPS)
+    _, footer = read_footer(path)
+    strides, rewritten = iter([3, 2 ** 63, 7, 2 ** 64 - 1] * 10), 0
+    for entries in footer["sections"]["logical"]["columns"].values():
+        for entry in entries:
+            if entry[2].startswith("pack:") and entry[2].endswith(":1:0"):
+                lo = entry[2].split(":")[1]
+                entry[2] = f"pack:{lo}:{next(strides)}:0"
+                rewritten += 1
+    assert rewritten >= 6
+    return rewrite_footer(path, footer)
+
+
+def test_constant_group_keys_match_numpy_and_the_row_walk(
+        tmp_path, monkeypatch):
+    """Group-by over row groups whose key chunk is a zero-width ``pack``
+    at strides other than 1: the keys' bounds come from the chunk index
+    (``src`` and ``src_node`` alike), and every answer equals plain
+    numpy's, the row walk's, the in-memory section's and the stat-less
+    archive's, with pushdown on and off."""
+    rows = [row for rows in CONSTANT_KEY_GROUPS for row in rows]
+    cols = {name: np.array(col) for name, col in zip(_COLUMNS, zip(*rows))}
+    trace = LogicalTrace.from_columns(cols, _NODE_ATTRS)
+    paths = {"v2": _constant_key_archive(tmp_path / "v2.aptrc"),
+             "v2 nostats": strip_chunk_stats(
+                 _constant_key_archive(tmp_path / "v2n.aptrc"))}
+    calls = []
+    monkeypatch.setattr(query_module, "group_sum",
+                        lambda *a: calls.append(a) or group_sum(*a))
+    for where, select in CONSTANT_KEY_CONDITIONS.items():
+        for metric in ("sends", "bytes"):
+            for key in ("src", "src_node"):
+                query = f"{metric}{where} group by {key}"
+                want = _numpy_group_answer(cols, metric, select(cols), key)
+                assert row_walk_query(trace, query) == want, query
+                for pushdown in (True, False):
+                    got = query_trace(MemorySection(cols, _NODE_ATTRS),
+                                      query, pushdown=pushdown)
+                    assert got == want, (query, pushdown)
+                    for label, path in paths.items():
+                        calls.clear()
+                        with Archive(path) as archive:
+                            got = query_trace(archive.section("logical"),
+                                              query, pushdown=pushdown)
+                        assert got == want, (label, query, pushdown)
+                        if not pushdown:  # every row group is folded
+                            bounds = [a[3] for a in calls if len(a) == 4]
+                            div = 4 if key == "src_node" else 1
+                            assert bounds == [
+                                None if len({r[0] for r in g}) > 1
+                                else (g[0][0] // div,) * 2
+                                for g in CONSTANT_KEY_GROUPS], query
+
+
+def test_zero_width_chunk_with_payload_bytes_still_raises(tmp_path):
+    """A zero-width ``src`` chunk the footer says has bytes is corrupt:
+    it is decoded, not taken from the index, and a grouped query fails
+    with the located ``ArchiveError``."""
+    path = _logical_groups(tmp_path / "x.aptrc", [
+        [(0, 1, 8, 1), (0, 2, 16, 1)], [(1, 1, 8, 2), (1, 3, 8, 1)]])
+    _, footer = read_footer(path)
+    entry = footer["sections"]["logical"]["columns"]["src"][0]
+    assert entry[2] == "pack:0:1:0" and entry[1] == 0
+    entry[1] = 1
+    with Archive(rewrite_footer(path, footer)) as archive:
+        section = archive.section("logical")
+        for query in ("sends group by src", "bytes where dst == 1 group by src",
+                      "sends group by src_node"):
+            for pushdown in (True, False):
+                with pytest.raises(ArchiveError) as excinfo:
+                    query_trace(section, query, pushdown=pushdown)
+                assert all(part in str(excinfo.value) for part in (
+                    "'logical'", "'src'", f"offset {entry[0]}",
+                    "expected 0")), query
+
+
 #: What the parent of the row-group fold (whole-column scatter) made of
 #: ``_scan_archive(path, 7, rows_per_group=50)``.
 CHUNKED_BACKFILL_SHA256 = (

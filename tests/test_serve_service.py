@@ -171,6 +171,37 @@ def test_duplicate_upload_dedups_by_fingerprint(server, tmp_path):
     assert stats["accepted"] == 1 and stats["deduped"] == 2
 
 
+def test_ingest_hashes_once_and_registers_off_the_loop(
+        server, tmp_path, monkeypatch):
+    """The spool's digest is the registry's fingerprint: one ``POST
+    /runs`` never rereads the upload to hash it, and registering (file
+    lock, move, shard write) runs on a worker thread, not the loop."""
+    import asyncio
+    import hashlib
+
+    import repro.exec.cache
+
+    rehashed, loops = [], []
+    monkeypatch.setattr(repro.exec.cache, "file_sha256",
+                        lambda path: rehashed.append(path) or "0" * 64)
+    add_dedup = RunRegistry.add_dedup
+
+    def spy(self, *args, **kwargs):
+        try:
+            loops.append(asyncio.get_running_loop())
+        except RuntimeError:  # no event loop runs on this thread
+            loops.append(None)
+        return add_dedup(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunRegistry, "add_dedup", spy)
+    archive = make_archive(tmp_path / "a.aptrc", seed=3)
+    pushed = server.client().push(archive, run_id="once")
+    assert pushed["created_run"]
+    assert pushed["fingerprint"] == hashlib.sha256(
+        archive.read_bytes()).hexdigest()
+    assert rehashed == [] and loops == [None]
+
+
 def test_same_id_different_bytes_conflicts(server, tmp_path):
     client = server.client()
     client.push(make_archive(tmp_path / "a.aptrc", seed=1), run_id="night")

@@ -223,6 +223,27 @@ def test_corrupt_chunk_is_an_archive_error_with_a_location(
         str(path), "'s'", repr(column), f"offset {entry[0]}"))
 
 
+def test_chunk_reads_are_positional_and_a_short_one_is_located(tmp_path):
+    """Chunks are read by offset, not through a shared file position, so
+    interleaved folds over one open archive decode what they index; a
+    file cut short under an open reader is a located ``ArchiveError``."""
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    with Archive(path) as archive:
+        section = archive.section("s")
+        want = {name: section.column(name).tolist() for name in ("x", "y")}
+        xs, ys = section.chunk_refs("x"), section.chunk_refs("y")
+        archive._file.seek(0)  # a stray position must not matter
+        got = [(section.decode_chunk("y", y), section.decode_chunk("x", x))
+               for x, y in zip(reversed(xs), reversed(ys))][::-1]
+        assert [v for _, x in got for v in x.tolist()] == want["x"]
+        assert [v for y, _ in got for v in y.tolist()] == want["y"]
+        with open(path, "r+b") as f:
+            f.truncate(ys[1].offset + 1)
+        with pytest.raises(ArchiveError, match="short read in section 's' "
+                                               "column 'y'"):
+            section.decode_chunk("y", ys[1])
+
+
 @pytest.mark.parametrize("width, delta", [  # a width-0 chunk has no bytes
     (w, d) for w in range(PACK_MAX_WIDTH + 1) for d in (-1, 1) if w or d > 0])
 def test_pack_chunk_one_byte_off_is_a_located_archive_error(

@@ -161,6 +161,43 @@ def test_file_lock_excludes_across_threads(tmp_path):
     assert counter["n"] == 800
 
 
+def test_threads_register_into_a_fresh_sharded_registry(tmp_path):
+    """Serve registers uploads from worker threads of one process: their
+    first saves into a new sharded registry each write ``registry.json``
+    through a temp file, which must be theirs alone, or one ``os.replace``
+    finds the other's temp already moved (``FileNotFoundError``)."""
+    import sys
+    import threading
+
+    archives = [make_archive(tmp_path / f"a{i}.aptrc", salt=i)
+                for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            registry = RunRegistry(tmp_path / f"reg{round_}", shards=4)
+            barrier, errors = threading.Barrier(len(archives)), []
+
+            def add(archive):
+                barrier.wait(timeout=30)
+                try:
+                    registry.add_dedup(archive, move=False)
+                except Exception as exc:  # recorded, asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=add, args=(a,))
+                       for a in archives]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            assert errors == []
+            assert len(RunRegistry(registry.root).list()) == len(archives)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_dedup_requires_matching_fingerprint(tmp_path):
     registry = RunRegistry(tmp_path / "reg", shards=2)
     a = make_archive(tmp_path / "a.aptrc", salt=1)
