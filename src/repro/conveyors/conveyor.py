@@ -359,25 +359,6 @@ class Conveyor:
             self._endgame_progress()
         return not self.group._quiescent
 
-    def has_visible_inbound(self) -> bool:
-        """True when a delivered buffer is visible at the current clock."""
-        ma = self._min_arrival
-        return ma is not None and ma <= self.perf.clock.now
-
-    def has_inbound(self) -> bool:
-        """True when any buffer is in flight to this PE (even future ones).
-
-        Drain loops must block on *this* (not on visibility): a buffer may
-        land with an arrival timestamp ahead of the receiver's clock, in
-        which case the receiver needs to wake, observe the arrival time,
-        and re-block with a timed wakeup.
-        """
-        return bool(self.inbound)
-
-    def next_arrival_time(self) -> int | None:
-        """Earliest arrival among in-flight buffers to this PE, or None."""
-        return self._min_arrival
-
     def is_complete(self) -> bool:
         """True when the whole conveyor group is quiescent."""
         return self.group._quiescent

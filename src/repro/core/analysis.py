@@ -83,10 +83,6 @@ class QuartileStats:
             mean=float(values.mean()),
         )
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def send_recv_stats(trace: LogicalTrace | PhysicalTrace) -> dict[str, QuartileStats]:
     """Quartile stats of per-PE send and recv totals (violin plot data)."""

@@ -55,9 +55,6 @@ class APIProfile:
         self.calls[call.op] = self.calls.get(call.op, 0) + 1
         self.bytes[call.op] = self.bytes.get(call.op, 0) + call.nbytes
 
-    def total_calls(self) -> int:
-        return sum(self.calls.values())
-
     def total_bytes(self) -> int:
         return sum(self.bytes.values())
 
@@ -78,11 +75,6 @@ class _ObserverProfiler:
             raise RuntimeError("profiler already attached")
         self._runtime = runtime
         runtime.register_observer(self._observe)
-
-    def detach(self) -> None:
-        if self._runtime is not None:
-            self._runtime.unregister_observer(self._observe)
-            self._runtime = None
 
     def _observe(self, call: ShmemCall) -> None:
         self.ground_truth.note(call)

@@ -87,8 +87,7 @@ _TIMELINE_VIEWS = (("timeline.svg", "gantt", "Execution timeline"),
 
 
 class _BadArguments(Exception):
-    """An option value a shared helper rejects; :func:`main` prints the
-    message and exits 2."""
+    """A usage error: :func:`main` prints the message and exits 2."""
 
 
 def _registry_options() -> argparse.ArgumentParser:
@@ -152,37 +151,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        try:
+    try:
+        if argv and argv[0] in _COMMANDS:
             return _COMMANDS[argv[0]](argv[1:])
-        except _BadArguments as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    args = build_parser().parse_args(argv)
+        return _trace_main(build_parser().parse_args(argv))
+    except _BadArguments as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+
+def _trace_main(args) -> int:
     if not (args.logical or args.papi or args.overall or args.physical
             or args.timeline or args.query or args.export_archive):
-        print("nothing to do: pass at least one of -l, -lp, -s, -p, -t, "
-              "--query, --export-archive", file=sys.stderr)
-        return 2
+        raise _BadArguments("nothing to do: pass at least one of -l, -lp, "
+                            "-s, -p, -t, --query, --export-archive")
     use_archive = is_archive(args.trace_dir)
     if use_archive:
         if args.export_archive is not None:
-            print("--export-archive needs a text trace directory as input",
-                  file=sys.stderr)
-            return 2
+            raise _BadArguments("--export-archive needs a text trace "
+                                "directory as input")
         if args.timeline:
-            print("-t needs a trace directory (trace.json is not stored "
-                  "in .aptrc archives)", file=sys.stderr)
-            return 2
+            raise _BadArguments("-t needs a trace directory (trace.json is "
+                                "not stored in .aptrc archives)")
     else:
         if not args.trace_dir.is_dir():
-            print(f"trace directory or archive {args.trace_dir} does not "
-                  "exist", file=sys.stderr)
-            return 2
+            raise _BadArguments(f"trace directory or archive "
+                                f"{args.trace_dir} does not exist")
         if args.num_pes is None:
-            print("--num-pes is required when reading a trace directory",
-                  file=sys.stderr)
-            return 2
+            raise _BadArguments("--num-pes is required when reading a trace "
+                                "directory")
     out = args.out or (args.trace_dir.parent if use_archive else args.trace_dir)
     out.mkdir(parents=True, exist_ok=True)
     emitted: list[Path] = []
@@ -193,9 +190,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.compare is not None and not (args.compare.is_dir()
                                          or is_archive(args.compare)):
-        print(f"compare target {args.compare} does not exist",
-              file=sys.stderr)
-        return 2
+        raise _BadArguments(f"compare target {args.compare} does not exist")
 
     try:
         with (Archive(args.trace_dir) if use_archive
@@ -204,8 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.num_pes = source.n_pes
             return _render(args, source, out, emitted, say)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"cannot read traces: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"cannot read traces: {exc}")
 
 
 def _render(args, source, out, emitted, say) -> int:
@@ -293,8 +287,7 @@ def _render(args, source, out, emitted, say) -> int:
                 text = compare_sides(str(args.trace_dir), str(args.compare),
                                      mine, other)
         except (FileNotFoundError, ValueError) as exc:
-            print(f"compare failed: {exc}", file=sys.stderr)
-            return 2
+            raise _BadArguments(f"compare failed: {exc}")
         print(text)
 
     if args.query:
@@ -305,9 +298,8 @@ def _render(args, source, out, emitted, say) -> int:
             target = target.strip().lower()
             expr = expr.strip()
             if target not in ("logical", "physical") or not expr:
-                print(f"bad --query {spec_text!r}: use 'logical: EXPR' or "
-                      f"'physical: EXPR'", file=sys.stderr)
-                return 2
+                raise _BadArguments(f"bad --query {spec_text!r}: use "
+                                    f"'logical: EXPR' or 'physical: EXPR'")
             try:
                 # column-pruned evaluation straight off the archive; a
                 # text directory's traces are parsed first (physical.txt
@@ -317,8 +309,7 @@ def _render(args, source, out, emitted, say) -> int:
                     else load(target), expr)
             except (QueryError, FileNotFoundError, ValueError,
                     ArchiveError) as exc:
-                print(f"query failed: {exc}", file=sys.stderr)
-                return 2
+                raise _BadArguments(f"query failed: {exc}")
             print(f"[{target}] {expr}")
             if isinstance(result, list):
                 for key, amount in result:
@@ -334,9 +325,8 @@ def _render(args, source, out, emitted, say) -> int:
 
         trace_json = args.trace_dir / "trace.json"
         if not trace_json.exists():
-            print(f"{trace_json} not found (run with enable_timeline=True)",
-                  file=sys.stderr)
-            return 2
+            raise _BadArguments(f"{trace_json} not found (run with "
+                                "enable_timeline=True)")
         tl, _spec = timeline_from_chrome(trace_json)
         lod = LodView.from_pyramid(build_pyramid(tl))
         for name, view, title in _TIMELINE_VIEWS:
@@ -354,9 +344,7 @@ def _render(args, source, out, emitted, say) -> int:
                   for kind in ("logical", "physical", "papi", "overall")
                   if kind in source}
         if not traces:
-            print(f"no traces found in {args.trace_dir} to export",
-                  file=sys.stderr)
-            return 2
+            raise _BadArguments(f"no traces found in {args.trace_dir} to export")
         path = export_run(
             args.export_archive,
             logical=traces.get("logical"),
@@ -469,8 +457,7 @@ def _runs_main(argv: list[str]) -> int:
             print(f"removed {info.run_id}")
             return 0
     except (RegistryError, ArchiveError, OSError) as exc:
-        print(f"runs {args.command} failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"runs {args.command} failed: {exc}")
     raise AssertionError(f"unhandled runs command {args.command!r}")
 
 
@@ -517,9 +504,7 @@ def _faults_main(argv: list[str]) -> int:
                 try:
                     crashes.append(CrashFault(int(pe_text), int(cycle_text)))
                 except ValueError:
-                    print(f"bad --crash {spec_text!r}: use PE:CYCLE",
-                          file=sys.stderr)
-                    return 2
+                    raise _BadArguments(f"bad --crash {spec_text!r}: use PE:CYCLE")
             edges = []
             if args.drop is not None:
                 edges.append(EdgeFault(drop=args.drop))
@@ -543,8 +528,7 @@ def _faults_main(argv: list[str]) -> int:
                 print(f"plan is valid for {args.num_pes} PEs")
             return 0
     except (ValueError, OSError) as exc:
-        print(f"faults {args.command} failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"faults {args.command} failed: {exc}")
     raise AssertionError(f"unhandled faults command {args.command!r}")
 
 
@@ -792,8 +776,7 @@ def _run_main(argv: list[str]) -> int:
     try:
         sweeps = _parse_sweeps(args.sweep, options)
     except ValueError as exc:
-        print(f"bad sweep: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"bad sweep: {exc}")
     # a swept machine size is checked per point, by the run worker
     plan = _load_fault_plan(
         args, check_fit=not {"nodes", "pes_per_node"} & sweeps.keys())
@@ -874,8 +857,7 @@ def _check_main(argv: list[str]) -> int:
 
     args = _check_parser().parse_args(argv)
     if args.schedules < 1:
-        print(f"--schedules must be >= 1: {args.schedules}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"--schedules must be >= 1: {args.schedules}")
     _check_jobs(args)
     fault_plan = _load_fault_plan(args)
     n_workloads = args.programs if args.workload == "generated" else 1
@@ -901,8 +883,7 @@ def _check_main(argv: list[str]) -> int:
             else:
                 print(report.render())
     except ValueError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"check failed: {exc}")
     # The process can only exit with one code, so `max` wins there (the
     # codes are ordered by severity: 4 < 5 < 6) — but aggregating with
     # max alone used to *hide* the other failures: a K-program audit
@@ -1003,8 +984,7 @@ def _whatif_main(argv: list[str]) -> int:
                 f"{args.candidate_factor}"
             )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _BadArguments(str(exc))
     fault_plan = _load_fault_plan(args)
     try:
         report = api.whatif(
@@ -1018,8 +998,7 @@ def _whatif_main(argv: list[str]) -> int:
             candidate_factor=args.candidate_factor,
         )
     except ValueError as exc:
-        print(f"whatif failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"whatif failed: {exc}")
     if not args.quiet:
         print(whatif_report(report))
     if args.report is not None:
@@ -1113,8 +1092,7 @@ def _serve_main(argv: list[str]) -> int:
         )
         return serve_run(config)
     except (ValueError, OSError) as exc:
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"serve failed: {exc}")
 
 
 def _push_parser() -> argparse.ArgumentParser:
@@ -1143,15 +1121,12 @@ def _push_main(argv: list[str]) -> int:
 
     args = _push_parser().parse_args(argv)
     if not args.archive.is_file():
-        print(f"archive {args.archive} does not exist", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"archive {args.archive} does not exist")
     host, _, port_text = args.server.partition(":")
     try:
         port = int(port_text) if port_text else 8750
     except ValueError:
-        print(f"bad --server {args.server!r}: use HOST:PORT",
-              file=sys.stderr)
-        return 2
+        raise _BadArguments(f"bad --server {args.server!r}: use HOST:PORT")
     client = ServeClient(host or "127.0.0.1", port)
     try:
         result = client.push(args.archive, run_id=args.id,
@@ -1161,8 +1136,7 @@ def _push_main(argv: list[str]) -> int:
               f"{args.retries} retries ({exc.message})", file=sys.stderr)
         return 4
     except (ServeError, OSError) as exc:
-        print(f"push failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"push failed: {exc}")
     verb = "deduplicated against" if result.get("deduped") else "registered as"
     print(f"pushed {args.archive} → {verb} {result['run']} "
           f"({result['size_bytes']:,} bytes, "
@@ -1200,8 +1174,7 @@ def _diff_main(argv: list[str]) -> int:
                           label_a=args.run_a, label_b=args.run_b,
                           registry=args.registry)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"diff failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"diff failed: {exc}")
     print(report)
     return 0
 
@@ -1237,8 +1210,7 @@ def _query_main(argv: list[str]) -> int:
             result = run.query(args.expr, section=args.section)
     except (QueryError, ArchiveError, RegistryError, FileNotFoundError,
             KeyError, ValueError) as exc:
-        print(f"query failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"query failed: {exc}")
     if isinstance(result, list):
         for key, amount in result:
             print(f"{key}: {amount:,}")
@@ -1294,15 +1266,14 @@ def _viz_main(argv: list[str]) -> int:
 
     args = _viz_parser().parse_args(argv)
     if args.res is not None and args.res < 1:
-        print(f"--res must be >= 1: {args.res}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"--res must be >= 1: {args.res}")
     if args.backfill and not Path(args.run).exists():
         # the registry keys dedup and artifact caches on the fingerprint
         # it recorded, so a registered archive is never rewritten
-        print("--backfill rewrites the archive file, so RUN must be a path, "
-              "not a registered run id: backfill a copy and 'actorprof runs "
-              "add' it (viz on the id works without it)", file=sys.stderr)
-        return 2
+        raise _BadArguments("--backfill rewrites the archive file, so RUN "
+                            "must be a path, not a registered run id: "
+                            "backfill a copy and 'actorprof runs add' it "
+                            "(viz on the id works without it)")
     views = list(dict.fromkeys(args.view)) or list(VIEWS)
     try:
         path, run_id = api._resolve(args.run, args.registry)
@@ -1323,8 +1294,7 @@ def _viz_main(argv: list[str]) -> int:
                         server=args.server, run_id=run_id, res=res)
     except (LodError, ArchiveError, RegistryError, FileNotFoundError,
             ValueError, OSError) as exc:
-        print(f"viz failed: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArguments(f"viz failed: {exc}")
     out = args.out or path.with_name(f"{run_id}_viz.html")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(page)

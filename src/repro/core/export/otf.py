@@ -14,8 +14,8 @@ a faithful-in-structure, human-readable subset:
   timestamp.
 
 Real OTF is a binary/zlib format with a C API; the record *semantics*
-(definitions + per-stream timestamped events) are preserved so tests can
-parse the output back.
+(definitions + per-stream timestamped events) are preserved, and
+``tests/test_core_timeline.py`` parses the output back as its oracle.
 """
 
 from __future__ import annotations
@@ -90,24 +90,3 @@ def write_otf(
         written.append(stream)
     return written
 
-
-def parse_otf_events(path: str | Path) -> list[tuple]:
-    """Parse one ``.events`` stream back into tuples (test helper).
-
-    ENTER/LEAVE → ("ENTER"/"LEAVE", function_id, time, process);
-    SEND → ("SEND", time, src, dst, nbytes, kind).
-    """
-    out: list[tuple] = []
-    for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] in ("ENTER", "LEAVE"):
-            out.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
-        elif parts[0] == "SEND":
-            kind = line.split('"')[1]
-            out.append(("SEND", int(parts[1]), int(parts[2]), int(parts[3]),
-                        int(parts[4]), kind))
-        else:
-            raise ValueError(f"unknown OTF record: {line!r}")
-    return out

@@ -81,15 +81,6 @@ class ProfileFlags:
         if self.timeline_max_spans < 1:
             raise ValueError("timeline_max_spans must be >= 1")
 
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            self.enable_trace
-            or self.enable_tcomm_profiling
-            or self.enable_trace_physical
-            or self.enable_timeline
-        )
-
     @classmethod
     def all(cls, papi_events: tuple[str, ...] = DEFAULT_PAPI_EVENTS,
             papi_sample_interval: int = 1,

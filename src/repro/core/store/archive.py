@@ -7,19 +7,21 @@ Layout::
     +----------------------------+
     | chunk payloads …           |   encoded column bytes, append-only
     +----------------------------+
-    | footer  zlib(JSON)         |   run metadata + section/column index
+    | footer zlib(JSON \\0 table) |   metadata, section index, chunk table
     +----------------------------+
     | footer offset  (u64 LE)    |
     | footer length  (u32 LE)    |
     | tail magic "APTRCEND" (8 B)|
     +----------------------------+
 
-The footer JSON indexes every section and, per column, the list of
-chunks (offset, length, encoding, count, stats) its data lives in.  A reader
-therefore reads (by position) just the bytes of one column of one section and
-decodes nothing else — :class:`Archive` tracks exactly which columns
-have been decoded (:attr:`Archive.decoded_columns`) so tests can assert
-that laziness.
+The footer JSON names every section and, per column, its chunks'
+encodings; the int64 chunk table after it holds each chunk's offset,
+length, row count and ``(min, max, sum)`` stats (format version 3;
+versions 1 and 2 kept those in the JSON too).  A reader therefore reads
+(by position) just the bytes of one column of one section and decodes
+nothing else — :class:`Archive` tracks exactly which columns have been
+decoded (:attr:`Archive.decoded_columns`) so tests can assert that
+laziness.
 
 Sections written by :func:`repro.core.store.writer.export_run`:
 
@@ -62,13 +64,16 @@ MAGIC = b"APTRC01\n"
 TAIL_MAGIC = b"APTRCEND"
 TRAILER = struct.Struct("<QI")  # footer offset, footer length
 #: Stamped by every writer; bumped whenever a file may hold something an
-#: older reader would misread (2 added ``pack`` chunks).
-FORMAT_VERSION = 2
+#: older reader would misread (2 added ``pack`` chunks, 3 the binary
+#: chunk table).
+FORMAT_VERSION = 3
 #: What this reader accepts (1: recipe chunks only, chunk stats optional).
-READABLE_VERSIONS = (1, 2)
+READABLE_VERSIONS = (1, 2, 3)
 #: Most rows a reader accepts in one chunk: no payload bytes back a
 #: constant ``pack`` chunk's count, so a tiny file could ask for any size.
 MAX_CHUNK_ROWS = 2 ** 31
+#: A chunk's ``(min, max, sum)`` when it has none: an empty interval.
+NO_STATS = (1, 0, 0)
 
 #: Conventional file suffix for trace archives.
 SUFFIX = ".aptrc"
@@ -94,6 +99,59 @@ class ChunkRef(NamedTuple):
     stats: tuple[int, int, int] | None = None
 
 
+class ChunkTable(NamedTuple):
+    """One section's chunk table, as arrays.
+
+    ``fields[c, g]`` holds the int64 ``(offset, length, count, min, max,
+    sum)`` of column ``c``'s chunk in row group ``g`` (a chunk whose min
+    exceeds its max, :data:`NO_STATS`, has no stats); ``encodings`` maps
+    each column name to its chunks' encodings, in column order; and
+    ``weights`` holds each row group's ``sum(count * size)``, or is None.
+    """
+
+    encodings: dict[str, list[str]]
+    fields: np.ndarray
+    weights: np.ndarray | None = None
+
+    @property
+    def n_chunks(self) -> int:
+        return self.fields.shape[1]
+
+    def column(self, name: str) -> np.ndarray:
+        """The ``(n_chunks, 6)`` fields of one column."""
+        return self.fields[list(self.encodings).index(name)]
+
+    def ref(self, name: str, group: int) -> ChunkRef:
+        """Column ``name``'s chunk in row group ``group``."""
+        offset, length, count, lo, hi, total = self.column(name)[group].tolist()
+        return ChunkRef(offset, length, self.encodings[name][group], count,
+                        (lo, hi, total) if lo <= hi else None)
+
+    def stats(self, name: str) -> tuple[np.ndarray, ...] | None:
+        """Per-chunk ``(min, max, sum)`` arrays of one column, or None if
+        any of its chunks has no stats."""
+        lo, hi, total = self.column(name)[:, 3:].T
+        return None if (lo > hi).any() else (lo, hi, total)
+
+    def to_bytes(self) -> bytes:
+        """The version-3 record: ``(n_columns, n_chunks, weighted)``,
+        every column's fields, then the weights when there are any."""
+        weights = self.weights
+        head = (len(self.encodings), self.n_chunks, weights is not None)
+        return b"".join(np.asarray(part, dtype="<i8").tobytes() for part in (
+            head, self.fields, () if weights is None else weights))
+
+
+def _json_entry(entry) -> tuple[str, tuple[int, ...]]:
+    """A version-1/2 footer entry ``[offset, length, encoding, count(,
+    [min, max, sum])]`` as its encoding and six int fields."""
+    offset, length, encoding, count, *stats = entry
+    lo, hi, total = stats[0] if stats else NO_STATS
+    if not isinstance(encoding, str):
+        raise TypeError(f"encoding {encoding!r} is not a string")
+    return encoding, tuple(map(index, (offset, length, count, lo, hi, total)))
+
+
 class Section:
     """Lazy view of one archive section; decodes columns on demand."""
 
@@ -101,69 +159,102 @@ class Section:
         self._archive = archive
         self.name = name
         self._index = index
+        #: This section's version-3 chunk-table record (None: in the JSON).
+        self._words: np.ndarray | None = None
         self.attrs: dict = index.get("attrs", {})
         self.rows: int = int(index.get("rows", 0))
-        raw_bytes = index.get("chunk_bytes")
-        #: Per row-group ``sum(count * size)``, when the writer stored it.
-        self.chunk_bytes: list[int] | None = (
-            [int(w) for w in raw_bytes] if raw_bytes is not None else None
-        )
         self._cache: dict[str, np.ndarray] = {}
 
     @cached_property
-    def _chunks(self) -> dict[str, list[ChunkRef]]:
-        """The chunk table, built (and checked) on first use.
+    def _chunks(self) -> ChunkTable:
+        """The chunk table, built (and checked, as arrays) on first use.
 
         Every column has the same per-chunk row counts, summing to
         :attr:`rows` — one row group spans all columns, which is what
-        makes chunk-level pruning sound — and every chunk lies inside
-        the archive's data region.
+        makes chunk-level pruning sound — every chunk lies inside the
+        archive's data region and holds at most :data:`MAX_CHUNK_ROWS`
+        rows, and there is one encoding string per chunk.  The first bad
+        entry is reported as ``[offset, length, encoding, count(,
+        stats)]``, whichever footer layout holds it.
         """
         where = f"{self._archive.path}: section {self.name!r}"
-        table, col = {}, None
+        words, encodings, col = self._words, {}, None
         try:
-            for col, entries in self._index.get("columns", {}).items():
-                table[col] = [self._chunk_ref(entry) for entry in entries]
-        except (AttributeError, TypeError, ValueError, LookupError) as exc:
+            columns = self._index.get("columns", {})
+            if words is None:  # versions 1 and 2: JSON entries
+                fields = []
+                for col, entries in columns.items():
+                    parsed = [_json_entry(entry) for entry in entries]
+                    encodings[col] = [encoding for encoding, _ in parsed]
+                    fields.append(np.array([f for _, f in parsed], np.int64))
+                col, raw = None, self._index.get("chunk_bytes")
+                weights = None if raw is None else np.array(
+                    [index(w) for w in raw], np.int64)
+            else:
+                n_columns, n, weighted = words[:3].tolist()
+                for col, names in columns.items():
+                    if not (isinstance(names, list) and len(names) == n
+                            and {*map(type, names)} <= {str}):
+                        raise ValueError(f"not one encoding string for each "
+                                         f"of its {n} chunks")
+                    encodings[col] = names
+                col, end = None, 3 + 6 * n * n_columns
+                fields = words[3:end].reshape(len(columns), n, 6)
+                weights = words[end:] if weighted else None
+        except (AttributeError, TypeError, ValueError, LookupError,
+                OverflowError) as exc:
             raise ArchiveError(f"{where} column {col!r} has a malformed "
                                f"chunk entry: {exc}") from None
-        groups = {tuple(ref.count for ref in refs) for refs in table.values()}
-        if len(groups) > 1 or any(sum(g) != self.rows for g in groups):
-            raise ArchiveError(f"{where} row groups disagree across columns "
-                               f"or with its {self.rows} rows")
-        return table
+        lengths = {len(names) for names in encodings.values()}
+        disagree = ArchiveError(f"{where} row groups disagree across columns "
+                                f"or with its {self.rows} rows")
+        if len(lengths) > 1:
+            raise disagree
+        n, end = max(lengths, default=0), self._archive.data_end
+        fields = np.reshape(fields, (len(encodings), n, 6))
+        offset, length, count = fields[..., 0], fields[..., 1], fields[..., 2]
+        # no negative field, and 0 <= length <= end - offset (so offset <= end)
+        bad = ((fields[..., :3] < 0).any(axis=-1) | (length > end - offset)
+               | (count > MAX_CHUNK_ROWS))
+        if bad.any():
+            c, g = divmod(int(bad.argmax()), n)
+            col = list(encodings)[c]
+            offset, length, count, lo, hi, total = fields[c, g].tolist()
+            entry = [offset, length, encodings[col][g], count] + (
+                [[lo, hi, total]] if lo <= hi else [])
+            raise ArchiveError(f"{where} column {col!r} has a malformed "
+                               f"chunk entry: {entry!r} out of bounds")
+        if encodings and ((count != count[0]).any() or count[0].sum() != self.rows):
+            raise disagree
+        if weights is not None and len(weights) != n:
+            weights = None
+        return ChunkTable(encodings, fields, weights)
 
-    def _chunk_ref(self, entry) -> ChunkRef:
-        offset, length, encoding, count, *stats = entry
-        offset, length, count = index(offset), index(length), index(count)
-        if stats:
-            low, high, total = stats[0]
-            stats = (index(low), index(high), index(total))
-        if (offset < 0 or length < 0
-                or offset + length > self._archive.data_end
-                or not 0 <= count <= MAX_CHUNK_ROWS
-                or not isinstance(encoding, str)):
-            raise ValueError(f"{entry!r} out of bounds")
-        return ChunkRef(offset, length, encoding, count, stats or None)
+    def _table(self, *names: str) -> ChunkTable:
+        """The chunk table, once every name is one of its columns."""
+        table = self._chunks
+        for name in names:
+            if name not in table.encodings:
+                raise ArchiveError(
+                    f"section {self.name!r} has no column {name!r} "
+                    f"(have {sorted(table.encodings)})"
+                )
+        return table
 
     @property
     def columns(self) -> tuple[str, ...]:
         """Names of the columns stored in this section."""
-        return tuple(self._chunks)
+        return tuple(self._chunks.encodings)
 
     @property
     def n_chunks(self) -> int:
         """Number of row groups (0 for an empty section)."""
-        return len(next(iter(self._chunks.values()), ()))
+        return self._chunks.n_chunks
 
     def chunk_refs(self, name: str) -> tuple[ChunkRef, ...]:
         """The chunk index entries of one column."""
-        if name not in self._chunks:
-            raise ArchiveError(
-                f"section {self.name!r} has no column {name!r} "
-                f"(have {sorted(self._chunks)})"
-            )
-        return tuple(self._chunks[name])
+        table = self._table(name)
+        return tuple(table.ref(name, g) for g in range(table.n_chunks))
 
     def decode_chunk(self, name: str, ref: ChunkRef) -> np.ndarray:
         """Read + decode one chunk of one column, uncached."""
@@ -182,7 +273,7 @@ class Section:
 
     def read(self) -> dict[str, np.ndarray]:
         """Decode every column of this section."""
-        return {name: self.column(name) for name in self._chunks}
+        return {name: self.column(name) for name in self.columns}
 
 
 class Archive:
@@ -234,7 +325,9 @@ class Archive:
         if foot_off + foot_len > size - tail_len:
             raise ArchiveError(f"{self.path}: footer index out of bounds")
         try:
-            footer = json.loads(zlib.decompress(os.pread(fd, foot_len, foot_off)))
+            head, _, table = zlib.decompress(
+                os.pread(fd, foot_len, foot_off)).partition(b"\0")
+            footer = json.loads(head)
         except (zlib.error, ValueError) as exc:
             raise ArchiveError(f"{self.path}: footer corrupt: {exc}") from exc
         version = footer.get("version") if isinstance(footer, dict) else None
@@ -246,18 +339,34 @@ class Archive:
         self.meta: dict = footer.get("meta", {})
         #: End of the chunk-payload region, i.e. the footer's file offset.
         self.data_end: int = foot_off
-        #: The footer's section index as stored — what a writer that
-        #: extends this archive must carry over unchanged.
-        self.section_index: dict = footer.get("sections", {})
         try:
             self._sections: dict[str, Section] = {
                 name: Section(self, name, idx)
-                for name, idx in self.section_index.items()
+                for name, idx in footer.get("sections", {}).items()
             }
         except (AttributeError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{self.path}: footer section index malformed: {exc}"
             ) from None
+        if version >= 3:
+            self._split_table(table)
+
+    def _split_table(self, table: bytes) -> None:
+        """Hand each section its record of the version-3 chunk table (in
+        section order), checking only that the records tile the table."""
+        words, pos = np.frombuffer(table[:len(table) // 8 * 8], "<i8"), 0
+        for section in self._sections.values():
+            n_columns, n, weighted = (words[pos:pos + 3].tolist() + [-1] * 3)[:3]
+            end = pos + 3 + n * (6 * n_columns + weighted)
+            if min(n_columns, n, weighted) < 0 or weighted > 1 or end > len(words):
+                raise ArchiveError(
+                    f"{self.path}: section {section.name!r} has a malformed "
+                    f"chunk entry: no whole chunk-table record at word {pos}")
+            section._words, pos = words[pos:end], end
+        if pos * 8 != len(table):
+            raise ArchiveError(
+                f"{self.path}: footer has a malformed chunk entry: the "
+                f"{len(table)}-byte chunk table does not end at word {pos}")
 
     @property
     def sections(self) -> tuple[str, ...]:

@@ -206,12 +206,6 @@ def pack_fields(fields: np.ndarray, width: int) -> bytes:
         groups, 8)[:, :width].tobytes()
 
 
-def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_fields`: ``count`` fields as a fresh uint64
-    array — the chunk ``pack:0:1:<width>`` decoded."""
-    return decode_column(payload, f"pack:0:1:{width}", count).view(np.uint64)
-
-
 @functools.lru_cache(maxsize=128)
 def pack_spec(encoding: str) -> tuple[int, int, int, np.ndarray | None]:
     """``(lo, stride, width, table)`` of a ``pack:`` encoding, checked once

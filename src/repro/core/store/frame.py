@@ -30,7 +30,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.rowstore import _bincount_exact, fold
-from repro.core.store.archive import ChunkRef, Section
+from repro.core.store.archive import NO_STATS, ChunkRef, ChunkTable, Section
 from repro.core.store.codec import CodecError, pack_spec
 
 
@@ -42,8 +42,9 @@ class MemorySection(Section):
     def __init__(self, columns: dict[str, np.ndarray], attrs: dict) -> None:
         rows = len(next(iter(columns.values())))
         super().__init__(None, "memory", {"attrs": attrs, "rows": rows})
-        self._chunks = {col: [ChunkRef(0, 0, "memory", rows)]
-                        for col in columns}
+        self._chunks = ChunkTable(
+            {col: ["memory"] for col in columns},
+            np.array([[[0, 0, rows, *NO_STATS]]] * len(columns), np.int64))
         self._cache.update(columns)
 
     def decode_chunk(self, name: str, ref: ChunkRef) -> np.ndarray:
@@ -58,12 +59,12 @@ def as_section(source) -> Section:
     return MemorySection(*source.to_columns())
 
 
-#: ``op`` → can any ``x`` in ``[lo, hi]`` satisfy ``x <op> value``?
-#: Conservative in exactly one direction: True means "cannot rule the
-#: chunk out", never "every row matches".
+#: ``op`` → which chunks' ``[lo, hi]`` intervals (arrays) may hold an
+#: ``x`` with ``x <op> value``.  Conservative in exactly one direction:
+#: True means "cannot rule the chunk out", never "every row matches".
 INTERVAL_MAY_MATCH = {
-    "==": lambda lo, hi, value: lo <= value <= hi,
-    "!=": lambda lo, hi, value: not lo == hi == value,
+    "==": lambda lo, hi, value: (lo <= value) & (value <= hi),
+    "!=": lambda lo, hi, value: (lo != value) | (hi != value),
     "<": lambda lo, hi, value: lo < value,
     "<=": lambda lo, hi, value: lo <= value,
     ">": lambda lo, hi, value: hi > value,
@@ -83,13 +84,12 @@ class Frame:
 
     # -- stats access ----------------------------------------------------
 
-    def _stats(self, name: str) -> list[tuple[int, int, int]] | None:
-        """Per-chunk ``(min, max, sum)`` of one column, or None if any
-        chunk predates the stats extension."""
+    def _stats(self, name: str) -> tuple[np.ndarray, ...] | None:
+        """Per-chunk ``(min, max, sum)`` arrays of one column, or None if
+        any chunk predates the stats extension."""
         if not self.use_stats:
             return None
-        stats = [ref.stats for ref in self._section.chunk_refs(name)]
-        return None if any(s is None for s in stats) else stats
+        return self._section._table(name).stats(name)
 
     # -- pruning ---------------------------------------------------------
 
@@ -106,9 +106,10 @@ class Frame:
         stats = self._stats(name)
         if stats is None:
             return False
-        may_match, d = INTERVAL_MAY_MATCH[op], divisor or 1
-        self.keep &= np.array([may_match(lo // d, hi // d, value)
-                               for lo, hi, _ in stats], dtype=bool)
+        lo, hi, _ = stats
+        if divisor:
+            lo, hi = lo // divisor, hi // divisor
+        self.keep &= INTERVAL_MAY_MATCH[op](lo, hi, value)
         return True
 
     # -- row-group access ------------------------------------------------
@@ -119,17 +120,19 @@ class Frame:
         section, so a fold costs one row group of memory however long the
         section is.  (An in-memory section yields the trace's own arrays.)"""
         section = self._section
-        refs = [section.chunk_refs(name) for name in names]
-        for i in np.flatnonzero(self.keep):
-            yield tuple(section.decode_chunk(name, column[i])
-                        for name, column in zip(names, refs))
+        table = section._table(*names)
+        for group in np.flatnonzero(self.keep).tolist():
+            yield tuple(section.decode_chunk(name, table.ref(name, group))
+                        for name in names)
 
     def constants(self, name: str) -> list[int | None]:
         """Per surviving row group, the value every row of column ``name``
         holds when its chunk is a zero-width ``pack`` with no payload (read
         from the chunk index, not decoded), else None."""
-        refs = self._section.chunk_refs(name)
-        return [_constant(refs[i]) for i in np.flatnonzero(self.keep)]
+        table, kept = self._section._table(name), np.flatnonzero(self.keep)
+        encodings, lengths = table.encodings[name], table.column(name)[kept, 1]
+        return [None if length else _constant(encodings[group])
+                for group, length in zip(kept.tolist(), lengths.tolist())]
 
     # -- stats-only aggregation ------------------------------------------
 
@@ -137,25 +140,21 @@ class Frame:
         """Sum of one column over surviving row groups, from footer stats
         alone (no payload decode); None when stats are unavailable."""
         stats = self._stats(name)
-        if stats is None:
-            return None
-        return int(sum(s[2] for s, k in zip(stats, self.keep) if k))
+        return None if stats is None else sum(stats[2][self.keep].tolist())
 
     def weighted_total(self) -> int | None:
         """Sum of ``count * size`` over surviving row groups, from the
-        footer's ``chunk_bytes`` sums; None when the writer did not
+        footer's per-row-group weights; None when the writer did not
         record them."""
-        weighted = self._section.chunk_bytes if self.use_stats else None
-        if weighted is None or len(weighted) != self.n_chunks:
-            return None
-        return int(sum(w for w, k in zip(weighted, self.keep) if k))
+        weights = self._section._chunks.weights if self.use_stats else None
+        return None if weights is None else sum(weights[self.keep].tolist())
 
 
-def _constant(ref: ChunkRef) -> int | None:
-    if ref.length or not ref.encoding.startswith("pack:"):
+def _constant(encoding: str) -> int | None:
+    if not encoding.startswith("pack:"):
         return None
     try:
-        lo, _, width, _ = pack_spec(ref.encoding)
+        lo, _, width, _ = pack_spec(encoding)
     except CodecError:  # left for the decode to raise, located
         return None
     return lo if width == 0 else None

@@ -253,7 +253,8 @@ class RunRegistry:
 
     def add_dedup(self, archive_path: str | Path, run_id: str | None = None,
                   move: bool = False, dedup_identical: bool = True,
-                  fingerprint: str | None = None) -> tuple[RunInfo, bool]:
+                  fingerprint: str | None = None,
+                  meta: dict | None = None) -> tuple[RunInfo, bool]:
         """Register an archive, deduplicating byte-identical re-uploads.
 
         Returns ``(info, created)``.  With ``dedup_identical``, an
@@ -261,8 +262,9 @@ class RunRegistry:
         fingerprint* returns the existing entry (``created=False``)
         instead of raising — the idempotent-ingest contract the serve
         layer needs.  A same-id, *different*-fingerprint collision still
-        raises.  ``fingerprint`` is the archive's sha256, when the caller
-        already has it; otherwise the file is hashed here.
+        raises.  ``fingerprint`` is the archive's sha256 and ``meta`` its
+        footer metadata, when the caller already has them; otherwise the
+        file is hashed, or opened, here.
 
         The decision is made under the target shard's file lock, so two
         concurrent identical uploads register exactly one entry.
@@ -273,8 +275,9 @@ class RunRegistry:
 
         archive_path = Path(archive_path)
         try:
-            with Archive(archive_path) as archive:
-                meta = dict(archive.meta)
+            if meta is None:
+                with Archive(archive_path) as archive:
+                    meta = dict(archive.meta)
         except (OSError, ArchiveError) as exc:
             raise RegistryError(f"cannot register {archive_path}: {exc}") from exc
         fingerprint = fingerprint or file_sha256(archive_path)

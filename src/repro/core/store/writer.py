@@ -35,6 +35,7 @@ from repro.core.store.archive import (
     TRAILER,
     Archive,
     ArchiveError,
+    ChunkTable,
 )
 from repro.core.store.codec import encode_column
 from repro.hclib.hooks import ForwardingHooks
@@ -50,7 +51,9 @@ class SectionWriter:
         self.columns = columns
         self.attrs = dict(attrs or {})
         self.rows = 0
-        self._chunks: dict[str, list[list]] = {c: [] for c in columns}
+        self._encodings: dict[str, list[str]] = {c: [] for c in columns}
+        #: Per column, each chunk's (offset, length, count, min, max, sum).
+        self._fields: dict[str, list[tuple]] = {c: [] for c in columns}
         self._chunk_bytes: list[int] = []
         self._closed = False
 
@@ -83,10 +86,10 @@ class SectionWriter:
             lo, hi = int(arr.min()), int(arr.max())
             payload, encoding = encode_column(arr, bounds=(lo, hi))
             offset = self._writer._append(payload)
+            self._encodings[name].append(encoding)
             # int64 accumulation, matching the query layer's sums
-            self._chunks[name].append(
-                [offset, len(payload), encoding, n,
-                 [lo, hi, int(arr.sum(dtype=np.int64))]])
+            self._fields[name].append(
+                (offset, len(payload), n, lo, hi, int(arr.sum(dtype=np.int64))))
         if "count" in arrays and "size" in arrays:
             weighted = arrays["count"] * arrays["size"]
             self._chunk_bytes.append(int(weighted.sum(dtype=np.int64)))
@@ -102,15 +105,11 @@ class SectionWriter:
         self._closed = True
         self._writer._finish_section(self)
 
-    def _index(self) -> dict:
-        index = {
-            "attrs": self.attrs,
-            "rows": self.rows,
-            "columns": self._chunks,
-        }
-        if self._chunk_bytes:
-            index["chunk_bytes"] = self._chunk_bytes
-        return index
+    def _table(self) -> ChunkTable:
+        n, weights = len(next(iter(self._encodings.values()), ())), self._chunk_bytes
+        fields = np.array([*self._fields.values()], np.int64)
+        return ChunkTable(self._encodings, fields.reshape(len(self.columns), n, 6),
+                          np.array(weights, np.int64) if weights else None)
 
 
 class ArchiveWriter:
@@ -122,10 +121,10 @@ class ArchiveWriter:
 
     ``extend`` starts from an open :class:`Archive` instead of an empty
     file: its data region is copied byte-for-byte (chunk offsets stay
-    valid), its metadata and section index are carried over as stored,
-    and new sections append after it; the result is stamped with the
-    current format version whatever the archive's own.  ``path`` must
-    not be the archive's own file.
+    valid), its metadata and its sections' checked chunk tables are
+    carried over, and new sections append after it; the result is
+    stamped with the current format version whatever the archive's own.
+    ``path`` must not be the archive's own file.
     """
 
     def __init__(self, path: str | Path, meta: dict | None = None,
@@ -133,9 +132,12 @@ class ArchiveWriter:
         self.path = Path(path)
         self.meta = dict(meta or {})
         self._open: dict[str, SectionWriter] = {}
-        #: Footer index entries of the finished sections, by name.
-        self._done: dict[str, dict] = {}
+        #: ``(attrs, rows, chunk table)`` of the finished sections, by name.
+        self._done: dict[str, tuple[dict, int, ChunkTable]] = {}
         self._closed = False
+        for name in extend.sections if extend is not None else ():
+            section = extend.section(name)  # checked before the output exists
+            self._done[name] = (section.attrs, section.rows, section._chunks)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("wb")
         if extend is None:
@@ -143,7 +145,6 @@ class ArchiveWriter:
             self._pos = len(MAGIC)
         else:
             self.meta = {**extend.meta, **self.meta}
-            self._done.update(extend.section_index)
             with extend.path.open("rb") as source:
                 self._file.write(source.read(extend.data_end))
             self._pos = extend.data_end
@@ -188,7 +189,8 @@ class ArchiveWriter:
 
     def _finish_section(self, section: SectionWriter) -> None:
         self._open.pop(section.name, None)
-        self._done[section.name] = section._index()
+        self._done[section.name] = (section.attrs, section.rows,
+                                    section._table())
 
     # -- finalization ----------------------------------------------------
 
@@ -201,11 +203,14 @@ class ArchiveWriter:
         footer = {
             "version": FORMAT_VERSION,
             "meta": self.meta,
-            "sections": self._done,
+            "sections": {name: {"attrs": attrs, "rows": rows,
+                                "columns": table.encodings}
+                         for name, (attrs, rows, table) in self._done.items()},
         }
-        payload = zlib.compress(
-            json.dumps(footer, separators=(",", ":")).encode("utf-8"), 6
-        )
+        payload = zlib.compress(b"\0".join([
+            json.dumps(footer, separators=(",", ":")).encode("utf-8"),
+            b"".join(table.to_bytes() for _, _, table in self._done.values()),
+        ]), 6)
         offset = self._append(payload)
         self._file.write(TRAILER.pack(offset, len(payload)))
         self._file.write(TAIL_MAGIC)

@@ -93,16 +93,6 @@ class LowerTriangular:
             self._keys = keys
         return keys
 
-    def to_scipy(self):
-        """The matrix as ``scipy.sparse.csr_matrix`` (for references)."""
-        from scipy import sparse
-
-        data = np.ones(self.nnz, dtype=np.int64)
-        return sparse.csr_matrix(
-            (data, (self.rows, self.cols)),
-            shape=(self.n_vertices, self.n_vertices),
-        )
-
     def triangle_count_reference(self) -> int:
         """Exact triangle count: Σ_{i>j>k} l_ij · l_ik · l_jk.
 

@@ -144,11 +144,13 @@ async def _ingest(arbiter, request: Request, reader, writer) -> None:
                 _run_payload(existing), deduped=True, created_run=False))
             return
 
-        # Validate before registering: a truncated/corrupt body must
-        # never enter the registry.  Degraded archives (PR-2 salvage of
-        # a crashed run) parse fine and are accepted, flagged as such.
+        # Validate before registering, chunk tables too: a corrupt body
+        # must never enter the registry.  Degraded archives (PR-2 salvage
+        # of a crashed run) parse fine and are accepted, flagged as such.
         def probe() -> dict:
             with Archive(part) as archive:
+                for name in archive.sections:
+                    archive.section(name).n_chunks  # builds + checks its table
                 return dict(archive.meta)
 
         try:
@@ -164,7 +166,8 @@ async def _ingest(arbiter, request: Request, reader, writer) -> None:
                   or f"run-{fingerprint[:12]}")
         info, created = await asyncio.to_thread(
             _registry_call, lambda: arbiter.registry.add_dedup(
-                part, run_id=run_id, move=True, fingerprint=fingerprint))
+                part, run_id=run_id, move=True, fingerprint=fingerprint,
+                meta=meta))
         part = None  # consumed by move (or deleted by dedup)
         if created:
             gate.stats.accepted += 1

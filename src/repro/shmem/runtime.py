@@ -371,20 +371,6 @@ class ShmemContext:
         self.runtime.log("shmem_atomic_fetch_add", self.rank, target_pe, arr.itemsize)
         return old
 
-    def atomic_compare_swap(self, arr: SymmetricArray, cond: int, value: int,
-                            target_pe: int, offset: int = 0) -> int:
-        """``shmem_atomic_compare_swap``: CAS returning the old value."""
-        target = arr.local(target_pe).reshape(-1)
-        old = int(target[offset])
-        if old == cond:
-            target[offset] = value
-        cycles = 2 * self.runtime.network.transfer_cycles(
-            self.rank, target_pe, arr.itemsize
-        )
-        self.perf.work(ins=20, loads=3, stores=2, branches=1, extra_cycles=cycles)
-        self.runtime.log("shmem_atomic_compare_swap", self.rank, target_pe, arr.itemsize)
-        return old
-
     async def wait_until(self, arr: SymmetricArray, offset: int, predicate) -> None:
         """``shmem_wait_until``: block until ``predicate(local_value)``.
 

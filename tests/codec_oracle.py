@@ -71,7 +71,7 @@ def pack_scalar(fields, width: int) -> bytes:
 
 
 def unpack_scalar(data: bytes, width: int, count: int) -> list[int]:
-    """Bit-at-a-time reference for ``codec.unpack_fields``."""
+    """Bit-at-a-time reference for a width-``width`` ``pack`` decode."""
     if len(data) != -(-count // 8) * width:
         raise CodecError("pack payload length mismatch")
     out = []

@@ -64,3 +64,25 @@ def use_conveyor(monkeypatch, cls) -> None:
     """Make every ``ConveyorGroup`` built during the test use ``cls`` for
     its endpoints (``monkeypatch`` is pytest's fixture)."""
     monkeypatch.setattr("repro.conveyors.conveyor.Conveyor", cls)
+
+
+# ----------------------------------------------------------------------
+# drain-loop probes: what a hand-written drain loop blocks on (the
+# runtime's selector reads ``inbound`` and ``_min_arrival`` directly)
+# ----------------------------------------------------------------------
+
+def has_visible_inbound(cv: Conveyor) -> bool:
+    """True when a delivered buffer is visible at ``cv``'s current clock."""
+    ma = cv._min_arrival
+    return ma is not None and ma <= cv.perf.clock.now
+
+
+def has_inbound(cv: Conveyor) -> bool:
+    """True when any buffer is in flight to ``cv``'s PE (even future ones).
+
+    Drain loops must block on *this* (not on visibility): a buffer may
+    land with an arrival timestamp ahead of the receiver's clock, in
+    which case the receiver needs to wake, observe the arrival time,
+    and re-block with a timed wakeup.
+    """
+    return bool(cv.inbound)

@@ -23,7 +23,12 @@ from repro.machine import MachineSpec
 from repro.shmem import ShmemRuntime
 from repro.sim import CoopScheduler
 from repro.sim.scheduler import SchedulePolicy
-from tests.conveyor_oracle import OracleConveyor, use_conveyor
+from tests.conveyor_oracle import (
+    OracleConveyor,
+    has_inbound,
+    has_visible_inbound,
+    use_conveyor,
+)
 
 OPS_PER_PE = 12
 
@@ -91,19 +96,19 @@ def replay(spec, topology, buffer_items, seed, policy=None):
             await sched.yield_pe(rank)
         while cv.advance(done=True):
             pull(rank, cv)
-            if cv.is_complete() or cv.has_visible_inbound():
+            if cv.is_complete() or has_visible_inbound(cv):
                 continue
-            arrival = cv.next_arrival_time()
+            arrival = cv._min_arrival
             if arrival is None:
                 await sched.block(
                     rank,
-                    predicate=lambda: cv.has_inbound() or cv.is_complete(),
+                    predicate=lambda: has_inbound(cv) or cv.is_complete(),
                     reason="oracle drain (idle)",
                     channels=(cv.inbox_wake, grp.wake))
             else:
                 await sched.block(
                     rank,
-                    predicate=lambda: (cv.has_visible_inbound()
+                    predicate=lambda: (has_visible_inbound(cv)
                                        or cv.is_complete()),
                     wakeup_time=arrival, reason="oracle drain",
                     channels=(cv.inbox_wake, grp.wake))

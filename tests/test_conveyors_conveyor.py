@@ -7,6 +7,7 @@ from repro.conveyors import ConveyorConfig, ConveyorGroup
 from repro.machine import MachineSpec
 from repro.shmem import ShmemRuntime
 from repro.sim import CoopScheduler, PEFailure
+from tests.conveyor_oracle import has_inbound, has_visible_inbound
 
 
 def run_conveyor(spec, config, body):
@@ -23,19 +24,19 @@ async def drain(rank, cv, sched, sink):
     while cv.advance(done=True):
         while (item := cv.pull()) is not None:
             sink.append(item)
-        if not cv.is_complete() and not cv.has_visible_inbound() and cv.ready_count == 0:
-            arrival = cv.next_arrival_time()
+        if not cv.is_complete() and not has_visible_inbound(cv) and cv.ready_count == 0:
+            arrival = cv._min_arrival
             if arrival is not None:
                 await sched.block(
                     rank,
-                    predicate=lambda: cv.has_visible_inbound() or cv.is_complete(),
+                    predicate=lambda: has_visible_inbound(cv) or cv.is_complete(),
                     wakeup_time=arrival,
                     reason="test drain (awaiting arrival)",
                 )
             else:
                 await sched.block(
                     rank,
-                    predicate=lambda: cv.has_inbound() or cv.is_complete(),
+                    predicate=lambda: has_inbound(cv) or cv.is_complete(),
                     reason="test drain (idle)",
                 )
     while (item := cv.pull()) is not None:

@@ -10,13 +10,11 @@ def test_defaults_all_off():
     assert not f.enable_trace
     assert not f.enable_tcomm_profiling
     assert not f.enable_trace_physical
-    assert not f.any_enabled
 
 
 def test_all_factory():
     f = ProfileFlags.all()
     assert f.enable_trace and f.enable_tcomm_profiling and f.enable_trace_physical
-    assert f.any_enabled
 
 
 def test_default_papi_events_are_the_papers():

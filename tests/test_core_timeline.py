@@ -1,13 +1,14 @@
 """Tests for the timeline trace and its exporters."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import ActorProf, ProfileFlags
 from repro.core.export.chrome import to_chrome_trace, write_chrome_trace
-from repro.core.export.otf import FUNCTION_IDS, parse_otf_events, write_otf
+from repro.core.export.otf import FUNCTION_IDS, write_otf
 from repro.conveyors.hooks import SEND_TYPES
 from repro.core.timeline import FINISH, MAIN, TimelineTrace
 from repro.hclib import Actor, run_spmd
@@ -179,6 +180,28 @@ def test_otf_file_set(profiled_run, tmp_path):
     assert 'DEFFUNCTION 1 "MAIN" 1' in defs
     assert defs.count("DEFPROCESS ") == spec.n_pes
     assert defs.count("DEFPROCESSGROUP") == spec.nodes
+
+
+def parse_otf_events(path) -> list[tuple]:
+    """The OTF writer's oracle: one ``.events`` stream back as tuples.
+
+    ENTER/LEAVE → ("ENTER"/"LEAVE", function_id, time, process);
+    SEND → ("SEND", time, src, dst, nbytes, kind).
+    """
+    out: list[tuple] = []
+    for line in Path(path).read_text().splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] in ("ENTER", "LEAVE"):
+            out.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
+        elif parts[0] == "SEND":
+            kind = line.split('"')[1]
+            out.append(("SEND", int(parts[1]), int(parts[2]), int(parts[3]),
+                        int(parts[4]), kind))
+        else:
+            raise ValueError(f"unknown OTF record: {line!r}")
+    return out
 
 
 def test_otf_events_roundtrip(profiled_run, tmp_path):

@@ -26,6 +26,8 @@ from repro.machine import MachineSpec
 from repro.sim import FaultPlan, use_plan
 from repro.sim.errors import SimulationError
 
+from tests.archive_tools import read_footer
+
 SPEC = MachineSpec(2, 2)
 GRAPH = case_study_graph(6)
 
@@ -169,10 +171,12 @@ def test_streaming_archiver_salvage(tmp_path):
     assert traces.logical is not None and traces.logical.total_sends() > 0
     # Spilled bytes and footer index are pinned (re-pinned for format
     # version 2 after comparing every decoded column and stat equal to
-    # the v1 pin's).
+    # the v1 pin's; the index as version 2 spelled it, which the
+    # version-3 chunk table carries entry for entry).
+    index = json.dumps(read_footer(path)[1]["sections"],
+                       sort_keys=True).encode()
     with Archive(path) as archive:
         data = path.read_bytes()[:archive.data_end]
-        index = json.dumps(archive.section_index, sort_keys=True).encode()
         headline = archive.meta["failure"]
         assert archive.meta["failure_pe"] == 1
     assert hashlib.sha256(data).hexdigest() == (

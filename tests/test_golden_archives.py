@@ -8,15 +8,16 @@ or the archive codec shows up here first.
 
 ``tests/golden/v1/`` holds the same runs as format-version-1 writers
 left them — with chunk stats and, as ``*-nostats.aptrc``, in the older
-stat-less footer layout.  No writer can produce those bytes any more;
+stat-less footer layout — and ``tests/golden/v2/`` as the last
+version-2 writer left them.  No writer can produce those bytes any more;
 they are read-only fixtures (sha256 pinned below, never regenerated) for
-the reader's compatibility matrix: a v1 file, with or without stats,
-decodes, queries, diffs and backfills exactly like its v2 twin.
+the reader's compatibility matrix: a v1 or v2 file, with or without
+stats, decodes, queries, diffs and backfills exactly like its v3 twin.
 
-Regenerate the v2 goldens (only after an intentional format/behaviour
+Regenerate the v3 goldens (only after an intentional format/behaviour
 change) with::
 
-    PYTHONPATH=src python tests/test_golden_archives.py
+    PYTHONPATH=src python -m tests.test_golden_archives
 """
 
 import hashlib
@@ -27,13 +28,14 @@ import pytest
 from repro.check.policies import make_schedules
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.machine.spec import MachineSpec
-from tests.archive_tools import read_footer, rewrite_footer
+from tests.archive_tools import read_footer, read_v3, rewrite_footer
 from tests.conveyor_oracle import OracleConveyor, use_conveyor
 from tests.sched_oracle import LinearScheduler, use_scheduler
 from tests.trace_oracle import same_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 V1_DIR = GOLDEN_DIR / "v1"
+V2_DIR = GOLDEN_DIR / "v2"
 
 #: The v1 fixtures, byte for byte as the last version-1 writer left them.
 V1_SHA256 = {
@@ -45,6 +47,14 @@ V1_SHA256 = {
         "214eb1f463181ecb893bee9642613824af1f4c2013771e4fdb5653f41949f1b5",
     "triangle-nostats.aptrc":
         "eae3d56e401d9ca18698645f9672a50985369c4146e2c46bd4e4a6613c219010",
+}
+
+#: The v2 fixtures, byte for byte as the last version-2 writer left them.
+V2_SHA256 = {
+    "histogram.aptrc":
+        "f628190325353c2607eccc70af6a438b27bbc97954d5c26a399fef86367e2b8d",
+    "triangle.aptrc":
+        "39ed77050b69127f8a6791529534081088ad9196df674b60b27b9b5ee0a0702d",
 }
 
 QUERIES = ["sends", "bytes", "sends where src == 0",
@@ -116,19 +126,55 @@ def test_golden_archives_load(name):
 
 def _flavors(name: str) -> dict[str, Path]:
     """One run in every footer layout the reader accepts."""
-    return {"v2": GOLDEN_DIR / f"{name}.aptrc",
+    return {"v3": GOLDEN_DIR / f"{name}.aptrc",
+            "v2": V2_DIR / f"{name}.aptrc",
             "v1+stats": V1_DIR / f"{name}.aptrc",
             "v1 nostats": V1_DIR / f"{name}-nostats.aptrc"}
 
 
 def _version(path: Path) -> int:
-    return read_footer(path)[1]["version"]
+    return read_v3(path)[1]["version"]
+
+
+def _same_tables(old, new) -> None:
+    """Every section of open archive ``old`` has the same attrs, rows,
+    chunk entries and decoded columns in ``new``."""
+    for s in old.sections:
+        a, b = old.section(s), new.section(s)
+        assert (a.attrs, a.rows, a.columns) == (b.attrs, b.rows, b.columns)
+        for c in a.columns:
+            assert a.chunk_refs(c) == b.chunk_refs(c), (s, c)
+            assert a.column(c).tolist() == b.column(c).tolist(), (s, c)
 
 
 def test_v1_fixtures_are_byte_untouched():
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in V1_DIR.iterdir()} == V1_SHA256
     assert {_version(p) for p in V1_DIR.iterdir()} == {1}
+
+
+def test_v2_fixtures_are_byte_untouched():
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in V2_DIR.iterdir()} == V2_SHA256
+    assert {_version(p) for p in V2_DIR.iterdir()} == {2}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_v3_golden_is_its_v2_fixture_under_a_binary_table(name, tmp_path):
+    """The v3 golden keeps the v2 fixture's data region byte for byte,
+    and its chunk table spelled back as v2 JSON entries is the v2
+    fixture's footer, byte for byte: the table carries every field."""
+    from repro.core.store.archive import Archive
+
+    v3, v2 = GOLDEN_DIR / f"{name}.aptrc", V2_DIR / f"{name}.aptrc"
+    assert _version(v3) == 3
+    data_end = read_v3(v3)[0]
+    assert v3.read_bytes()[:data_end] == v2.read_bytes()[:data_end]
+    spelled = rewrite_footer(v3, read_footer(v3)[1], out=tmp_path / "v2.aptrc")
+    assert spelled.read_bytes() == v2.read_bytes()
+    with Archive(v3) as new, Archive(v2) as old:
+        assert old.sections == new.sections
+        _same_tables(old, new)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
@@ -163,8 +209,8 @@ def test_v2_golden_decodes_equal_to_v1(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_prestats_golden_queries_match_new_format(name):
-    """v1 archives answer queries identically to v2 ones — the stat-less
-    layout via the full-decode fallback (no footer stats to use)."""
+    """v1 and v2 archives answer queries identically to v3 ones — the
+    stat-less layout via the full-decode fallback (no footer stats)."""
     from repro.core.query import query_trace
     from repro.core.store.archive import Archive
 
@@ -176,8 +222,9 @@ def test_prestats_golden_queries_match_new_format(name):
                        for ref in section.chunk_refs("count")) \
                 == (label != "v1 nostats")
             answers[label] = [query_trace(section, q) for q in QUERIES]
-    assert answers["v1+stats"] == answers["v2"]
-    assert answers["v1 nostats"] == answers["v2"]
+    assert answers["v2"] == answers["v3"]
+    assert answers["v1+stats"] == answers["v3"]
+    assert answers["v1 nostats"] == answers["v3"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
@@ -187,40 +234,58 @@ def test_prestats_golden_diffs_match_new_format(name):
 
     reports = [diff(path, path, label_a="a", label_b="b")
                for path in _flavors(name).values()]
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
-@pytest.mark.parametrize("flavor", ["", "-nostats"])
-def test_backfilled_v1_fixture_is_a_v2_file_over_the_v1_bytes(
-        flavor, tmp_path):
-    """Extending a v1 archive keeps its data region byte for byte (old
-    chunk offsets and encodings stay valid) under a version-2 footer."""
+@pytest.mark.parametrize("fixture", ["v1/histogram", "v1/histogram-nostats",
+                                     "v2/histogram", "v2/triangle"])
+def test_backfilled_old_fixture_is_a_v3_file_over_its_bytes(
+        fixture, tmp_path):
+    """Extending a v1 or v2 archive keeps its data region byte for byte
+    (old chunk offsets and encodings stay valid) under a version-3
+    footer that carries its chunk tables; the pyramid it gains decodes
+    to the v3 golden's, and backfilling the v2 fixture gives the v3
+    golden's backfill byte for byte."""
     from repro.core.store.archive import Archive, load_run
-    from repro.core.store.lod import backfill_pyramid, has_pyramid
+    from repro.core.store.lod import (
+        EDGE_SECTION,
+        PE_SECTION,
+        backfill_pyramid,
+        has_pyramid,
+    )
 
-    fixture = V1_DIR / f"histogram{flavor}.aptrc"
+    fixture = GOLDEN_DIR / f"{fixture}.aptrc"
     filled = backfill_pyramid(fixture, tmp_path / "filled.aptrc")
-    assert _version(filled) == 2
+    assert _version(filled) == 3
     with Archive(fixture) as old, Archive(filled) as new:
         assert has_pyramid(new) and not has_pyramid(old)
         assert filled.read_bytes()[:old.data_end] \
             == fixture.read_bytes()[:old.data_end]
-        for s in old.sections:
-            assert new.section_index[s] == old.section_index[s]
+        assert set(new.sections) > set(old.sections)
+        _same_tables(old, new)
     assert same_trace(load_run(filled).logical, load_run(fixture).logical)
+    twin = backfill_pyramid(GOLDEN_DIR / fixture.name.replace("-nostats", ""),
+                            tmp_path / "twin.aptrc")
+    with Archive(filled) as got, Archive(twin) as want:
+        for s in (PE_SECTION, EDGE_SECTION):
+            assert got.section(s).attrs == want.section(s).attrs
+            assert {c: v.tolist() for c, v in got.section(s).read().items()} \
+                == {c: v.tolist() for c, v in want.section(s).read().items()}
+    if fixture.parent == V2_DIR:
+        assert filled.read_bytes() == twin.read_bytes()
 
 
 def test_future_format_version_is_refused_by_name(tmp_path):
     from repro.core.store.archive import Archive, ArchiveError
 
     golden = GOLDEN_DIR / "histogram.aptrc"
-    path = rewrite_footer(golden, {**read_footer(golden)[1], "version": 3},
-                          out=tmp_path / "v3.aptrc")
-    with pytest.raises(ArchiveError, match="format version 3"):
+    path = rewrite_footer(golden, {**read_footer(golden)[1], "version": 4},
+                          out=tmp_path / "v4.aptrc")
+    with pytest.raises(ArchiveError, match="format version 4"):
         Archive(path)
 
 
-if __name__ == "__main__":  # golden regeneration entry point (v2 only)
+if __name__ == "__main__":  # golden regeneration entry point (v3 only)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN_WORKLOADS):
         path = _build(name, GOLDEN_DIR / f"{name}.aptrc")

@@ -50,6 +50,7 @@ from repro.machine.spec import MachineSpec
 
 from tests.archive_tools import (
     as_v1,
+    as_v2,
     read_footer,
     rewrite_footer,
     strip_chunk_stats,
@@ -257,7 +258,8 @@ def test_fold_is_split_invariant(tmp_path, kind, run, data):
             return _export_chunked(path, kind, tuple(columns), attrs,
                                    rows, n_chunks)
         flavors = {
-            "v2": write(tmp_path / "v2.aptrc"),
+            "v3": write(tmp_path / "v3.aptrc"),
+            "v2": as_v2(write(tmp_path / "v2.aptrc")),
             "v1+stats": as_v1(write, tmp_path / "v1.aptrc"),
             "v1 nostats": strip_chunk_stats(
                 as_v1(write, tmp_path / "v1n.aptrc")),
@@ -424,7 +426,8 @@ def test_fold_of_one_key_row_groups(tmp_path, monkeypatch, case):
     flat = {name: np.array([row[i] for rows in groups for row in rows])
             for i, name in enumerate(_COLUMNS)}
     trace = LogicalTrace.from_columns(flat, _ATTRS)
-    paths = {"v2": write(tmp_path / "v2.aptrc"),
+    paths = {"v3": write(tmp_path / "v3.aptrc"),
+             "v2": as_v2(write(tmp_path / "v2.aptrc")),
              "v1+stats": as_v1(write, tmp_path / "v1.aptrc"),
              "v1 nostats": strip_chunk_stats(
                  as_v1(write, tmp_path / "v1n.aptrc"))}
@@ -443,7 +446,7 @@ def test_fold_of_one_key_row_groups(tmp_path, monkeypatch, case):
                 assert got == answer, (label, pushdown, query)
     if case.startswith("parts merge"):
         calls.clear()
-        with Archive(paths["v2"]) as archive:
+        with Archive(paths["v3"]) as archive:
             query_trace(archive.section("logical"),
                         "sends group by src", pushdown=False)
         # one call per row group, one at the end, and merges between
@@ -512,7 +515,8 @@ def test_constant_group_keys_match_numpy_and_the_row_walk(
     rows = [row for rows in CONSTANT_KEY_GROUPS for row in rows]
     cols = {name: np.array(col) for name, col in zip(_COLUMNS, zip(*rows))}
     trace = LogicalTrace.from_columns(cols, _NODE_ATTRS)
-    paths = {"v2": _constant_key_archive(tmp_path / "v2.aptrc"),
+    paths = {"v3": _constant_key_archive(tmp_path / "v3.aptrc"),
+             "v2": as_v2(_constant_key_archive(tmp_path / "v2.aptrc")),
              "v2 nostats": strip_chunk_stats(
                  _constant_key_archive(tmp_path / "v2n.aptrc"))}
     calls = []
@@ -566,9 +570,10 @@ def test_zero_width_chunk_with_payload_bytes_still_raises(tmp_path):
 
 
 #: What the parent of the row-group fold (whole-column scatter) made of
-#: ``_scan_archive(path, 7, rows_per_group=50)``.
+#: ``_scan_archive(path, 7, rows_per_group=50)``, under the version-3
+#: footer (its version-2 spelling is the earlier pin, byte for byte).
 CHUNKED_BACKFILL_SHA256 = (
-    "a9d166cf3a9c654425748d59ecceb3a1ec2b18ca7aedebf445e50216b77d147e")
+    "e1e7da36f708e6af1d390794f8a5cfce82c4162c78fb63559a0190ecbb402d70")
 CHUNKED_DIFF_REPORT = (
     "== comparing 'a' (A) vs 'b' (B) ==\n"
     "logical: sends A=882 B=367; hottest-sender ratio 2.01x, "

@@ -9,6 +9,7 @@ real, not mocked.
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,43 @@ def test_ingest_hashes_once_and_registers_off_the_loop(
     assert pushed["fingerprint"] == hashlib.sha256(
         archive.read_bytes()).hexdigest()
     assert rehashed == [] and loops == [None]
+
+
+def test_ingest_opens_the_upload_once(server, tmp_path, monkeypatch):
+    """One ``POST /runs`` reads the spooled upload's footer once: the
+    validation probe's metadata goes to the registry with it."""
+    from repro.core.store.archive import Archive
+
+    opened, init = [], Archive.__init__
+
+    def spy(self, path):
+        opened.append(Path(path))
+        init(self, path)
+
+    monkeypatch.setattr(Archive, "__init__", spy)
+    pushed = server.client().push(make_archive(tmp_path / "a.aptrc", seed=4),
+                                  run_id="one-open")
+    assert pushed["created_run"] and pushed["meta"]["seed"] == 4
+    assert [p.parent.name for p in opened] == ["spool"]
+
+
+def test_malformed_chunk_table_upload_is_rejected(server, tmp_path):
+    """An upload whose footer parses but whose chunk table does not
+    check (here: row groups that disagree with the section's rows) is
+    the client's fault at push time, and never enters the registry."""
+    from tests.archive_tools import read_footer, rewrite_footer
+
+    client = server.client()
+    client.push(make_archive(tmp_path / "good.aptrc", seed=1), run_id="good")
+    path = make_archive(tmp_path / "bad.aptrc", seed=2)
+    _, footer = read_footer(path)
+    footer["sections"]["logical"]["rows"] += 1
+    with pytest.raises(ServeError) as excinfo:
+        client.push(rewrite_footer(path, footer), run_id="bad")
+    assert excinfo.value.status == 400
+    assert "row groups disagree" in excinfo.value.message
+    assert [run["run"] for run in client.runs()] == ["good"]
+    assert client.stats()["ingest"]["rejected_corrupt"] == 1
 
 
 def test_same_id_different_bytes_conflicts(server, tmp_path):

@@ -45,25 +45,6 @@ def test_atomic_fetch_add_returns_unique_slots():
     assert sorted(out.values()) == [0, 1, 2, 3]
 
 
-def test_atomic_compare_swap():
-    out = {}
-
-    async def body(ctx):
-        flag = ctx.malloc(1, np.int64)
-        await ctx.barrier_all()
-        old = ctx.atomic_compare_swap(flag, 0, ctx.my_pe + 10, 0)
-        out[ctx.my_pe] = old
-        await ctx.barrier_all()
-        if ctx.my_pe == 0:
-            out["final"] = int(ctx.mine(flag)[0])
-
-    run_spmd(MachineSpec(1, 3), body)
-    # exactly one PE wins the CAS (sees old == 0)
-    winners = [pe for pe in range(3) if out[pe] == 0]
-    assert len(winners) == 1
-    assert out["final"] == winners[0] + 10
-
-
 def test_wait_until_unblocks_on_remote_put():
     out = {}
 

@@ -198,9 +198,10 @@ def test_failure_closes_every_suspended_pe_in_rank_order():
 
 
 #: sha256 of ``actorprof run histogram --fault-plan P -o OUT`` where P is
-#: ``actorprof faults template P --crash 1:50000`` (all other defaults).
+#: ``actorprof faults template P --crash 1:50000`` (all other defaults;
+#: re-pinned for format version 3, whose version-2 spelling is the old pin).
 CRASH_SALVAGE_SHA256 = (
-    "10055117fdd2cbe4e9d05f37402aa7b4826f39ea300a5043dcd30425b27c3e85")
+    "d926b9efca995290edd3521257897d5d6388cbf80b0b93fd9c3f98de72fad769")
 
 
 def test_crash_salvage_is_byte_stable_within_one_process(tmp_path, capsys):

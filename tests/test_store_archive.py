@@ -26,7 +26,7 @@ from repro.core.store.writer import ArchiveWriter, export_run
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
 
-from tests.archive_tools import read_footer, rewrite_footer
+from tests.archive_tools import read_footer, read_v3, rewrite_footer
 from tests.query_oracle import row_walk_query
 from tests.trace_oracle import same_trace
 
@@ -270,6 +270,9 @@ def test_pack_chunk_one_byte_off_is_a_located_archive_error(
             section.decode_chunk("x", section.chunk_refs("x")[0])
 
 
+# read_footer spells a version-3 table as version-2 JSON entries, so the
+# footer surgery below runs on version-2 files; the v3 table's own cases
+# follow it.
 @pytest.mark.parametrize("mutate, match", [
     (lambda e, end: e.__delitem__(slice(3, None)), "malformed chunk entry"),
     (lambda e, end: e.__setitem__(0, "8"), "malformed chunk entry"),
@@ -312,6 +315,106 @@ def test_tiny_file_cannot_request_a_huge_constant_column(tmp_path):
         index["rows"], index["columns"]["x"][0][3] = rows, count
         path = rewrite_footer(tmp_path / "a.aptrc", footer,
                               out=tmp_path / f"{rows}-{count}.aptrc")
+        assert path.stat().st_size < 300
+        with Archive(path) as archive:
+            with pytest.raises(ArchiveError, match=match):
+                archive.section("s").column("x")
+
+
+#: Word of ``_two_chunk_archive``'s v3 table where column ``x``'s first
+#: chunk starts (after the ``[2 columns, 2 chunks, unweighted]`` header):
+#: its offset, length, count, min, max and sum.
+X0 = 3
+
+
+def _set(word, value):
+    def mutate(words, footer, data_end):
+        words[word] = value(words, data_end) if callable(value) else value
+        return words.tobytes()
+    return mutate
+
+
+def _encodings(edit):
+    def mutate(words, footer, data_end):
+        edit(footer["sections"]["s"]["columns"]["x"])
+        return words.tobytes()
+    return mutate
+
+
+V3_CASES = {
+    "truncated": (lambda w, f, end: w[:-1].tobytes(), "malformed chunk entry"),
+    "odd length": (lambda w, f, end: w.tobytes()[:-3], "malformed chunk entry"),
+    "trailing word": (lambda w, f, end: w.tobytes() + bytes(8),
+                      "malformed chunk entry"),
+    "column count": (_set(0, 3), "malformed chunk entry"),
+    "huge chunk count": (_set(1, 2 ** 62), "malformed chunk entry"),
+    "weighted flag": (_set(2, 2), "malformed chunk entry"),
+    "negative offset": (_set(X0, -1), "out of bounds"),
+    "past data_end": (_set(X0 + 1, lambda w, end: end - w[X0] + 1),
+                      "out of bounds"),
+    "huge count": (_set(X0 + 2, 2 ** 31 + 1), "out of bounds"),
+    "disagreeing row groups": (_set(X0 + 2, 99), "row groups disagree"),
+    "short encodings": (_encodings(lambda e: e.pop()), "malformed chunk entry"),
+    "long encodings": (_encodings(lambda e: e.append(e[0])),
+                       "malformed chunk entry"),
+    "encoding not a string": (_encodings(lambda e: e.__setitem__(0, 5)),
+                              "malformed chunk entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V3_CASES))
+def test_malformed_v3_chunk_table_is_an_archive_error(tmp_path, case):
+    """The binary table's own faults, each the per-entry reader's text: a
+    table whose records do not tile it fails at open, a bad entry on the
+    section's first use."""
+    mutate, match = V3_CASES[case]
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    data_end, footer, table = read_v3(path)
+    words = np.frombuffer(table, "<i8").copy()
+    assert footer["version"] == 3 and words[:3].tolist() == [2, 2, 0]
+    rewrite_footer(path, footer, table=mutate(words, footer, data_end))
+    with pytest.raises(ArchiveError, match=match):
+        with Archive(path) as archive:
+            archive.section("s").column("y")
+
+
+@pytest.mark.parametrize("case", ["negative offset", "past data_end",
+                                  "huge count", "disagreeing row groups"])
+def test_v3_and_v2_tables_report_a_bad_entry_alike(tmp_path, case):
+    """The same bad entry in the binary table and spelled as version-2
+    JSON gives the same message, entry and all."""
+    mutate, _ = V3_CASES[case]
+    path = _two_chunk_archive(tmp_path / "a.aptrc")
+    data_end, footer, table = read_v3(path)
+    rewrite_footer(path, footer, table=mutate(
+        np.frombuffer(table, "<i8").copy(), footer, data_end))
+    twin = rewrite_footer(path, read_footer(path)[1], out=tmp_path / "v2.aptrc")
+    messages = []
+    for p in (path, twin):
+        with Archive(p) as archive, pytest.raises(ArchiveError) as excinfo:
+            archive.section("s").column("y")
+        messages.append(str(excinfo.value).replace(str(p), "PATH"))
+    assert messages[0] == messages[1]
+
+
+def test_tiny_v3_file_cannot_request_a_huge_constant_column(tmp_path):
+    """The v3 twin of the check below: a width-0 chunk's count in the
+    binary table must agree with the section's rows and the other columns,
+    and stay under the reader's cap, before anything is allocated."""
+    with ArchiveWriter(tmp_path / "a.aptrc") as w:
+        w.add_section("s", {"x": [7, 7, 7], "y": [1, 2, 3]})
+    _, footer, table = read_v3(tmp_path / "a.aptrc")
+    words = np.frombuffer(table, "<i8").copy()
+    assert footer["sections"]["s"]["columns"]["x"] == ["pack:7:1:0"]
+    assert words[X0 + 1] == 0  # no payload bytes behind the x chunk
+    for rows, count, match in ((3, 2 ** 40, "out of bounds"),
+                               (2 ** 40, 2 ** 40, "out of bounds"),
+                               (3, 2 ** 30, "row groups disagree"),
+                               (2 ** 30, 2 ** 30, "row groups disagree")):
+        footer["sections"]["s"]["rows"], words[X0 + 2] = rows, count
+        path = rewrite_footer(tmp_path / "a.aptrc", footer,
+                              out=tmp_path / f"{rows}-{count}.aptrc",
+                              table=words.tobytes())
         assert path.stat().st_size < 300
         with Archive(path) as archive:
             with pytest.raises(ArchiveError, match=match):

@@ -196,9 +196,11 @@ def test_pyramid_matches_the_fold_oracle_at_every_level(n_pes, spans, net):
 #: sha256 of ``export_archive(lod=True)`` after a batched triangle run on
 #: ``perlmutter_like(2, 16)`` (graph500 scale 6, edge factor 12, seed 0,
 #: timeline on): a time-resolved pyramid of 639, 320, 160, 80 and 40
-#: buckets, digest taken from the fold-built pyramid (tests/lod_oracle.py).
+#: buckets, digest taken from the fold-built pyramid (tests/lod_oracle.py)
+#: and re-pinned for format version 3 (its version-2 spelling is the old
+#: pin, byte for byte).
 TRI_BATCH_LOD_SHA256 = (
-    "f3505af319bb77f7239bc12df2608c368908b6d8b192ebbcc037398ed3c89c18")
+    "6690fe72d9ef3e46f1c2b43c2754587556887669596233948a705991f5fd7dc8")
 
 
 def test_time_resolved_pyramid_of_a_2x16_run_is_pinned(tmp_path):
@@ -316,9 +318,9 @@ def test_export_with_lod_is_deterministic(tmp_path):
 
 BACKFILLED = {
     "histogram":
-        "6c3b6f3186aef878a0f06ce56a68adcf68b75b62b448e738bed050fe05897bd5",
+        "ea018e14dc1b7aaad8021b9d511b20fc5da39fc62e0255981c193670581f64c5",
     "triangle":
-        "7e0aba269c977ea1469d4f5f7c8bb922768625b5109037758d54246506d5669f",
+        "1d81d2cc9570785a4cab99afe719e012fb4de82c7fb367a96a97eb140572f236",
 }
 
 
@@ -333,8 +335,8 @@ def test_backfill_golden_is_deterministic(name, tmp_path):
     with Archive(golden) as archive:
         data = golden.read_bytes()[:archive.data_end]
     assert out_a.read_bytes().startswith(data)
-    # and the bytes are pinned (re-pinned for format version 2; the v1
-    # fixtures' backfill is in test_golden_archives.py)
+    # and the bytes are pinned (re-pinned for format versions 2 and 3;
+    # the v1 and v2 fixtures' backfill is in test_golden_archives.py)
     assert hashlib.sha256(out_a.read_bytes()).hexdigest() == BACKFILLED[name]
 
 

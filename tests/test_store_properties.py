@@ -27,13 +27,18 @@ from repro.core.store.codec import (
     decode_column,
     encode_column,
     pack_fields,
-    unpack_fields,
 )
 from repro.core.store.writer import export_run
 from repro.core.store.archive import load_run
 from repro.machine import MachineSpec
 from tests.codec_oracle import encode_column_v1, pack_scalar, unpack_scalar
 from tests.trace_oracle import same_trace
+
+def unpack_fields(payload: bytes, width: int, count: int) -> np.ndarray:
+    """The inverse of ``pack_fields``: ``count`` fields as a fresh uint64
+    array — the chunk ``pack:0:1:<width>`` decoded."""
+    return decode_column(payload, f"pack:0:1:{width}", count).view(np.uint64)
+
 
 SETTINGS = settings(
     max_examples=25,

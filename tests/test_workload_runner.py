@@ -34,25 +34,27 @@ from repro.machine.spec import MachineSpec
 from repro.sim.faults import FaultPlan, SlowPE, use_plan
 
 #: sha256 of the files each command line writes to OUT (all other
-#: arguments at their defaults).
+#: arguments at their defaults).  Re-pinned for format version 3: each
+#: archive's version-2 spelling, and each report with those archives'
+#: digests, hash to the previous pins.
 PINS = {
     "run-histogram": (
         ["run", "histogram", "-o", "OUT"],
-        "456afee771dca619318f5f4356bb22b66bf21e450f82912c559991727428814f"),
+        "568e47be2e6698a116c7ec92a2a9205a468137ba31e3f16bdfad35878661bdae"),
     "run-triangle": (
         ["run", "triangle", "-o", "OUT"],
-        "552fbd37c39420b10ac87eafefe5b27d9ef07340224021cb99d1c34eed2eb77e"),
+        "16f39a8ee4305d91b11530352e11c26ce962147afa32f3f3a275bb11e6793e00"),
     "sweep-report": (
         ["run", "histogram", "--sweep", "seed=0,1", "-o", "DIR",
          "--sweep-report", "OUT"],
-        "3348975055850e129cae783764d63d6b8a1f6e72a68de2496f27a3ca4593d0c1"),
+        "4da351e7d6cd94ea4fc09efdb915cb1ba54e62ac185a17273c79b74840fffbaf"),
     "check-histogram": (
         ["check", "histogram", "--schedules", "3", "--out", "OUT"],
-        "2562ce69b7e111bc7e06de1573cf690a468a2ce16685c0bef67e32ab2b998a79"),
+        "7daff5ebaf157855f2a0dab858801a30c6892c29c6219ef450f2c328bf2ee6eb"),
     "check-triangle": (
         ["check", "triangle", "--schedules", "2", "--scale", "6",
          "--out", "OUT"],
-        "e17632caddf2e8b39ab74958203d76f82d1a35faccd4c870bb4dfeb19750e83d"),
+        "27d48fead8d0e852033eacbabef47a212baa172469dd967705dfd699b219e25e"),
 }
 
 
