@@ -116,14 +116,6 @@ def is_lower_triangular_comm(matrix: np.ndarray, tolerance: float = 0.0) -> bool
     return upper <= tolerance * total
 
 
-def monotonic_recv_profile(matrix: np.ndarray, slack: float = 0.0) -> bool:
-    """Check the "(L) observation" corollary: total recvs decrease
-    (weakly, within ``slack`` × total) as PE index grows."""
-    recvs = np.asarray(matrix).sum(axis=0).astype(float)
-    allowed = slack * recvs.sum()
-    return bool(np.all(np.diff(recvs) <= allowed))
-
-
 @dataclass(frozen=True)
 class OverallSummary:
     """Aggregate view of the T_MAIN/T_COMM/T_PROC breakdown."""

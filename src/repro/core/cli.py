@@ -67,7 +67,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.diffing import compare_sides, open_traces
+from repro.core.diffing import open_traces
 from repro.core.report import (
     mosaic_report,
     overall_report,
@@ -131,16 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="re-pack the trace directory into a single "
                              ".aptrc binary archive at PATH")
-    parser.add_argument("--compare", type=Path, default=None,
-                        metavar="OTHER",
-                        help="compare this run (A) against another run's "
-                             "trace directory or .aptrc archive (B) for the "
-                             "selected -l / -s / -p products")
-    parser.add_argument("--query", action="append", default=[],
-                        metavar="'logical|physical: EXPR'",
-                        help="run a declarative trace query, e.g. "
-                             "\"logical: sends where src == 0 group by dst "
-                             "top 5\" (repeatable)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory for SVGs (default: trace dir)")
     parser.add_argument("--quiet", action="store_true",
@@ -162,9 +152,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _trace_main(args) -> int:
     if not (args.logical or args.papi or args.overall or args.physical
-            or args.timeline or args.query or args.export_archive):
+            or args.timeline or args.export_archive):
         raise _BadArguments("nothing to do: pass at least one of -l, -lp, "
-                            "-s, -p, -t, --query, --export-archive")
+                            "-s, -p, -t, --export-archive")
     use_archive = is_archive(args.trace_dir)
     if use_archive:
         if args.export_archive is not None:
@@ -187,10 +177,6 @@ def _trace_main(args) -> int:
     def say(text: str) -> None:
         if not args.quiet:
             print(text)
-
-    if args.compare is not None and not (args.compare.is_dir()
-                                         or is_archive(args.compare)):
-        raise _BadArguments(f"compare target {args.compare} does not exist")
 
     try:
         with (Archive(args.trace_dir) if use_archive
@@ -277,45 +263,6 @@ def _render(args, source, out, emitted, say) -> int:
         except (FileNotFoundError, ValueError, ArchiveError):
             pass  # no logical trace to infer node boundaries from
         say(physical_report(trace))
-
-    if args.compare is not None:
-        try:
-            mine = {kind: load(kind)
-                    for kind in ("logical", "overall", "physical")
-                    if getattr(args, kind)}
-            with open_traces(args.compare, args.num_pes) as other:
-                text = compare_sides(str(args.trace_dir), str(args.compare),
-                                     mine, other)
-        except (FileNotFoundError, ValueError) as exc:
-            raise _BadArguments(f"compare failed: {exc}")
-        print(text)
-
-    if args.query:
-        from repro.core.query import QueryError, query_trace
-
-        for spec_text in args.query:
-            target, _, expr = spec_text.partition(":")
-            target = target.strip().lower()
-            expr = expr.strip()
-            if target not in ("logical", "physical") or not expr:
-                raise _BadArguments(f"bad --query {spec_text!r}: use "
-                                    f"'logical: EXPR' or 'physical: EXPR'")
-            try:
-                # column-pruned evaluation straight off the archive; a
-                # text directory's traces are parsed first (physical.txt
-                # borrows the logical trace's node layout, see open_traces)
-                result = query_trace(
-                    archive.section(target) if archive is not None
-                    else load(target), expr)
-            except (QueryError, FileNotFoundError, ValueError,
-                    ArchiveError) as exc:
-                raise _BadArguments(f"query failed: {exc}")
-            print(f"[{target}] {expr}")
-            if isinstance(result, list):
-                for key, amount in result:
-                    print(f"  {key}: {amount:,}")
-            else:
-                print(f"  {result:,}")
 
     if args.timeline:
         from repro.core.export import timeline_from_chrome
@@ -1039,11 +986,6 @@ def _serve_parser() -> argparse.ArgumentParser:
                              "creation)")
     parser.add_argument("--workers", type=int, default=4,
                         help="query/diff worker pool width (default 4)")
-    parser.add_argument("--worker-mode", default="thread",
-                        choices=("thread", "process"),
-                        help="run queries inline on pool threads "
-                             "(default) or in spawned, crash-isolated "
-                             "worker processes")
     parser.add_argument("--cache-max-bytes", type=int,
                         default=256 * 1024 * 1024, metavar="N",
                         help="artifact-store LRU size cap (default "
@@ -1079,7 +1021,6 @@ def _serve_main(argv: list[str]) -> int:
             port=args.port,
             shards=args.shards,
             workers=args.workers,
-            worker_mode=args.worker_mode,
             cache_max_bytes=args.cache_max_bytes or None,
             ingest=IngestLimits(
                 max_active=args.max_active_ingests,
@@ -1187,27 +1128,35 @@ def _query_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actorprof query",
         description="evaluate one declarative trace query against a "
-                    "stored run (archive path or registered run id)",
+                    "stored run (trace directory, archive path or "
+                    "registered run id)",
         parents=[_registry_options()],
     )
-    parser.add_argument("run", help=".aptrc archive or registered run id")
+    parser.add_argument("run", help="trace directory, .aptrc archive, or "
+                                    "registered run id")
     parser.add_argument("expr", help="query text, e.g. "
                                      "'sends where src == 0 group by dst'")
     parser.add_argument("--section", default="logical",
                         choices=("logical", "physical"),
                         help="which trace section to query (default logical)")
+    parser.add_argument("--num-pes", type=int, default=None,
+                        help="PE count (required only for trace directories)")
     return parser
 
 
 def _query_main(argv: list[str]) -> int:
     import repro.api as api
-    from repro.core.query import QueryError
+    from repro.core.query import QueryError, query_trace
     from repro.core.store.registry import RegistryError
 
     args = _query_parser().parse_args(argv)
     try:
-        with api.open_run(args.run, registry=args.registry) as run:
-            result = run.query(args.expr, section=args.section)
+        if Path(args.run).is_dir():  # registered runs are archives
+            with open_traces(args.run, args.num_pes) as traces:
+                result = query_trace(traces[args.section], args.expr)
+        else:
+            with api.open_run(args.run, registry=args.registry) as run:
+                result = run.query(args.expr, section=args.section)
     except (QueryError, ArchiveError, RegistryError, FileNotFoundError,
             KeyError, ValueError) as exc:
         raise _BadArguments(f"query failed: {exc}")

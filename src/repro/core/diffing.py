@@ -3,9 +3,9 @@
 The paper's analysis is intrinsically comparative — 1D Cyclic *versus*
 1D Range, one node *versus* two.  This module turns that into tooling:
 given two runs' traces, compute the per-PE and aggregate deltas and render
-a side-by-side report.  The CLI exposes it as ``--compare OTHER_DIR`` and
-as ``actorprof diff RUN_A RUN_B``, where each run may be a paper-format
-trace directory or a ``.aptrc`` archive (:func:`repro.api.diff`).
+a side-by-side report.  The CLI exposes it as ``actorprof diff RUN_A
+RUN_B``, where each run may be a paper-format trace directory, a
+``.aptrc`` archive or a registered run id (:func:`repro.api.diff`).
 
 Every comparison rides the columnar
 :class:`~repro.core.store.frame.Frame` layer: send matrices are
@@ -263,17 +263,6 @@ def open_traces(path: str | Path, n_pes: int | None = None):
     yield _TraceDir(path, n_pes)
 
 
-def compare_sides(label_a: str, label_b: str, a: dict, b: dict) -> str:
-    """Render the report over the trace kinds both sides carry; each
-    side maps kind → trace object, archive section or overall profile."""
-    return compare_report(label_a, label_b, **{
-        kind: cls.of(a[kind], b[kind])
-        for kind, cls in (("logical", LogicalDiff), ("overall", OverallDiff),
-                          ("physical", PhysicalDiff))
-        if kind in a and kind in b
-    })
-
-
 def _diff_runs(
     path_a: str | Path,
     path_b: str | Path,
@@ -289,6 +278,12 @@ def _diff_runs(
     :meth:`repro.api.Run.diff`.
     """
     with open_traces(path_a, n_pes) as a, open_traces(path_b, n_pes) as b:
-        return compare_sides(
+        return compare_report(
             label_a if label_a is not None else str(path_a),
-            label_b if label_b is not None else str(path_b), a, b)
+            label_b if label_b is not None else str(path_b), **{
+                kind: cls.of(a[kind], b[kind])
+                for kind, cls in (("logical", LogicalDiff),
+                                  ("overall", OverallDiff),
+                                  ("physical", PhysicalDiff))
+                if kind in a and kind in b
+            })

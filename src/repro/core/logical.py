@@ -114,16 +114,9 @@ class LogicalTrace:
         """Recorded sends (equal to actual sends when not sampling)."""
         return int(self._rows.table()[3].sum())
 
-    def observed_sends(self) -> int:
-        """Actual sends seen by the recorder, including unsampled ones."""
-        return sum(self._ticks)
-
     def estimated_matrix(self) -> np.ndarray:
         """Population estimate of the send matrix under sampling."""
         return self.matrix() * self.sample_interval
-
-    def estimated_total_sends(self) -> int:
-        return int(self.estimated_matrix().sum())
 
     # ------------------------------------------------------------------
     # archive adapters (.aptrc columnar store)

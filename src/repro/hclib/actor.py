@@ -106,10 +106,6 @@ class Selector:
 
     # ------------------------------------------------------------------
 
-    @property
-    def n_mailboxes(self) -> int:
-        return len(self.mb)
-
     def start(self) -> None:
         """Activate the selector within the current finish scope."""
         if self._started:

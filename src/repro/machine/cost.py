@@ -117,10 +117,6 @@ class CostModel:
     collective_cycles_per_pe: int = 120
     """Per-participant scaling of collective cost (~log tree flattened)."""
 
-    def ins_cycles(self, ins: int) -> int:
-        """Cycles to retire ``ins`` scalar instructions."""
-        return int(round(ins * self.cpi))
-
     def memcpy_cycles(self, nbytes: int) -> int:
         """Cycles for an intra-node memcpy of ``nbytes``."""
         return self.memcpy_base_cycles + int(round(nbytes * self.memcpy_cycles_per_byte))

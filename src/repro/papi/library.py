@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.machine.counters import CounterBank
 from repro.machine.perf import PerfCore
-from repro.papi.events import PRESET_EVENTS, is_preset
 from repro.papi.eventset import EventSet
 
 
@@ -22,14 +21,3 @@ class PAPI:
         """``PAPI_create_eventset``."""
         return EventSet(self._bank)
 
-    def query_event(self, name: str) -> bool:
-        """``PAPI_query_event``: is this preset available?"""
-        return is_preset(name)
-
-    def num_counters(self) -> int:
-        """Number of preset counters the platform exposes."""
-        return len(PRESET_EVENTS)
-
-    def read_counter(self, name: str) -> int:
-        """Raw free-running value of one counter (diagnostic)."""
-        return self._bank.read(name)

@@ -8,14 +8,12 @@ workers:
   It only ever does IO-shaped work — parsing requests, spooling upload
   chunks to disk, reading manifests — so thousands of idle connections
   cost nothing.
-* **Query/diff execution** is CPU-bound and is dispatched to a bounded
-  worker pool built on the PR-4 :func:`repro.exec.execute` engine.  In
-  ``thread`` mode (default) each dispatch runs the spec inline on one
-  of ``workers`` pool threads; in ``process`` mode each spec runs in a
-  spawned, crash-isolated worker process.  Either way the spec carries
-  a content-addressed ``cache_key``, so the engine serves repeats from
-  the shared :class:`~repro.serve.artifacts.ArtifactStore` without the
-  handler doing anything.
+* **Query/diff/viz execution** is CPU-bound: each dispatch runs its
+  spec inline through :func:`repro.exec.execute` on one of ``workers``
+  long-lived pool threads.  The spec carries a content-addressed
+  ``cache_key``, so the engine serves repeats from the shared
+  :class:`~repro.serve.artifacts.ArtifactStore` without the handler
+  doing anything.
 
 Registry mutations take the sharded registry's file locks, so external
 ``actorprof runs`` invocations and a running service can share one
@@ -59,9 +57,6 @@ class ServerConfig:
     shards: int = 4
     #: Worker pool width for query/diff execution.
     workers: int = 4
-    #: ``thread`` (inline on pool threads) or ``process`` (spawned,
-    #: crash-isolated worker per dispatch — slower, sturdier).
-    worker_mode: str = "thread"
     #: Artifact-store LRU cap; ``None`` disables eviction.
     cache_max_bytes: int | None = 256 * 1024 * 1024
     ingest: IngestLimits = field(default_factory=IngestLimits)
@@ -72,10 +67,6 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         self.data_dir = Path(self.data_dir)
-        if self.worker_mode not in ("thread", "process"):
-            raise ValueError(
-                f"worker_mode must be 'thread' or 'process': "
-                f"{self.worker_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
 
@@ -108,10 +99,9 @@ class Arbiter:
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        log.info("actorprof service listening on %s:%d (%d workers, %s "
-                 "mode, %d registry shards)", self.config.host, self.port,
-                 self.config.workers, self.config.worker_mode,
-                 self.registry.shards)
+        log.info("actorprof service listening on %s:%d (%d workers, "
+                 "%d registry shards)", self.config.host, self.port,
+                 self.config.workers, self.registry.shards)
 
     async def serve_forever(self) -> None:
         """Start, then run until :meth:`request_shutdown` (or cancel)."""
@@ -141,11 +131,8 @@ class Arbiter:
         self.dispatched += 1
         spec = RunSpec(index=0, fn=fn, kwargs=kwargs, tag=tag,
                        cache_key=cache_key)
-        # process mode asks the engine for a (one-spec) spawned pool;
-        # thread mode runs the spec inline on the dispatch thread
-        jobs = 2 if self.config.worker_mode == "process" else 1
         call = functools.partial(
-            execute, [spec], jobs=jobs,
+            execute, [spec], jobs=1,
             scratch_dir=self.spool_dir / "work", cache=self.store.cache)
         loop = asyncio.get_running_loop()
         records = await loop.run_in_executor(self._pool, call)
@@ -219,7 +206,6 @@ class Arbiter:
             },
             "workers": {
                 "count": self.config.workers,
-                "mode": self.config.worker_mode,
                 "dispatched": self.dispatched,
             },
         }

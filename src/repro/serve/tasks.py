@@ -1,11 +1,10 @@
 """Worker functions the service dispatches through :mod:`repro.exec`.
 
 These follow the engine's worker contract (module-level, dotted-path
-addressable, JSON-serializable kwargs and return values) so one
-function body serves every execution mode: inline in a dispatch
-thread, or crash-isolated in a spawned worker process, with the
-artifact store's content-addressed key riding along as the spec's
-``cache_key``.  All three go through the :mod:`repro.api` facade.
+addressable, JSON-serializable kwargs and return values); the arbiter
+runs each inline on one of its pool threads, with the artifact store's
+content-addressed key riding along as the spec's ``cache_key``.  All
+three go through the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations

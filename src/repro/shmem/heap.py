@@ -90,6 +90,3 @@ class SymmetricHeap:
         arr = SymmetricArray(idx, shape, dtype, self.n_pes)
         self._allocs.append(arr)
         return arr
-
-    def n_allocations(self) -> int:
-        return len(self._allocs)

@@ -134,9 +134,6 @@ class ShmemRuntime:
         """Attach a pshmem-style call observer (sees every SHMEM call)."""
         self._observers.append(observer)
 
-    def unregister_observer(self, observer: Callable[[ShmemCall], None]) -> None:
-        self._observers.remove(observer)
-
     async def rendezvous(self, rank: int, kind: str, value: Any,
                          combine: Callable[[dict[int, Any]], Any]) -> Any:
         """Generic blocking collective.
@@ -239,16 +236,6 @@ class ShmemContext:
         """This PE's local backing of a symmetric array."""
         return arr.local(self.rank)
 
-    def ptr(self, arr: SymmetricArray, target_pe: int) -> np.ndarray | None:
-        """``shmem_ptr``: direct load/store access to a same-node PE's copy.
-
-        Returns None for PEs on other nodes, like the real API.
-        """
-        if not self.runtime.spec.same_node(self.rank, target_pe):
-            return None
-        self.perf.work(ins=6, loads=2)
-        return arr.local(target_pe)
-
     # --- RMA --------------------------------------------------------------
 
     def put(self, arr: SymmetricArray, values, target_pe: int, offset: int = 0) -> None:
@@ -323,10 +310,6 @@ class ShmemContext:
         self.perf.work(ins=10, extra_cycles=50)
         self.runtime.log("shmem_fence", self.rank, self.rank, 0)
 
-    def pending_put_count(self) -> int:
-        """Number of outstanding non-blocking puts (diagnostic)."""
-        return len(self.runtime._pending_nbi[self.rank])
-
     def put_signal(self, target_pe: int) -> int:
         """The small signalling ``shmem_put`` used after ``quiet``.
 
@@ -348,15 +331,6 @@ class ShmemContext:
         return self.perf.memcpy(nbytes)
 
     # --- atomics -------------------------------------------------------
-
-    def atomic_add(self, arr: SymmetricArray, value: int, target_pe: int,
-                   offset: int = 0) -> None:
-        """``shmem_atomic_add``: remote add without fetching."""
-        target = arr.local(target_pe).reshape(-1)
-        target[offset] += value
-        cycles = self.runtime.network.transfer_cycles(self.rank, target_pe, arr.itemsize)
-        self.perf.work(ins=15, loads=2, stores=2, extra_cycles=cycles)
-        self.runtime.log("shmem_atomic_add", self.rank, target_pe, arr.itemsize)
 
     def atomic_fetch_add(self, arr: SymmetricArray, value: int, target_pe: int,
                          offset: int = 0) -> int:

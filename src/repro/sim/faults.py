@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -158,16 +158,6 @@ class FaultPlan:
                     raise ValueError(f"edge fault {name} PE {end} out of "
                                      f"range for {n_pes} PEs")
         return self
-
-    # -- convenience constructors ---------------------------------------
-
-    @classmethod
-    def single_crash(cls, pe: int, at_cycle: int, **kwargs) -> "FaultPlan":
-        """The most common plan: one PE dies at one virtual time."""
-        return cls(crashes=(CrashFault(pe, at_cycle),), **kwargs)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # -- (de)serialization ------------------------------------------------
 

@@ -660,9 +660,3 @@ class CoopScheduler:
         if self.fault_context is not None:
             lines.append(self.fault_context())
         return "\n".join(lines)
-
-    # Debug helpers -----------------------------------------------------
-
-    def states(self) -> Sequence[PEState]:
-        """Snapshot of every PE's lifecycle state (for tests/diagnostics)."""
-        return [rec.state for rec in self._pes]

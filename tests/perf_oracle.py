@@ -87,7 +87,7 @@ class OraclePerfCore:
         self._br_resid += branches * cost.branch_misp_rate
         br = int(self._br_resid)
         self._br_resid -= br
-        cycles = cost.ins_cycles(ins) + extra_cycles
+        cycles = int(round(ins * cost.cpi)) + extra_cycles
         cycles += int(round(loads * cost.load_fraction_penalty))
         if self.rate != 1.0:
             cycles = int(round(cycles * self.rate))

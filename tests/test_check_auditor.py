@@ -10,7 +10,7 @@ import pytest
 from repro.check import HistogramWorkload, audit
 from repro.check.workloads import GeneratedWorkload, ProgramSpec
 from repro.machine.spec import MachineSpec
-from repro.sim.faults import EdgeFault, FaultPlan
+from repro.sim.faults import CrashFault, EdgeFault, FaultPlan
 
 
 def _small_histogram(seed=0):
@@ -97,7 +97,7 @@ def test_audit_rejects_zero_schedules():
 
 
 def test_audit_rejects_crash_plans():
-    plan = FaultPlan.single_crash(pe=1, at_cycle=1000)
+    plan = FaultPlan(crashes=(CrashFault(pe=1, at_cycle=1000),))
     with pytest.raises(ValueError, match="crashes cannot be audited"):
         audit(_small_histogram(), schedules=2, fault_plan=plan)
 

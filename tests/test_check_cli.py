@@ -74,10 +74,10 @@ def test_check_rejects_unknown_workload():
 
 
 def test_check_rejects_crash_fault_plan(tmp_path, capsys):
-    from repro.sim.faults import FaultPlan
+    from repro.sim.faults import CrashFault, FaultPlan
 
     plan_path = tmp_path / "crash.json"
-    FaultPlan.single_crash(pe=0, at_cycle=100).save(plan_path)
+    FaultPlan(crashes=(CrashFault(pe=0, at_cycle=100),)).save(plan_path)
     rc = main(["check", "histogram", "--schedules", "1", *SMALL,
                "--fault-plan", str(plan_path)])
     assert rc == 2

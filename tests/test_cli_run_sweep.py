@@ -87,10 +87,10 @@ def test_sweep_aggregates_failure_exit_codes(tmp_path, capsys):
     """A point that dies under a crash plan is salvaged (3) when archives
     are kept; the process exit is the max code and the report lists every
     distinct nonzero code."""
-    from repro.sim.faults import FaultPlan
+    from repro.sim.faults import CrashFault, FaultPlan
 
     plan_path = tmp_path / "crash.json"
-    FaultPlan.single_crash(pe=0, at_cycle=10).save(plan_path)
+    FaultPlan(crashes=(CrashFault(pe=0, at_cycle=10),)).save(plan_path)
     report = tmp_path / "sweep.json"
     rc = main([*BASE, "--sweep", "seed=0,1", "--fault-plan", str(plan_path),
                "-o", str(tmp_path / "archives"),

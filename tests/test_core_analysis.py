@@ -12,7 +12,6 @@ from repro.core.analysis import (
     heat_with_totals,
     imbalance_ratio,
     is_lower_triangular_comm,
-    monotonic_recv_profile,
     send_recv_stats,
 )
 from repro.core.logical import LogicalTrace
@@ -71,16 +70,6 @@ def test_is_lower_triangular_comm():
     mixed = np.tril(np.full((4, 4), 10))
     mixed[0, 1] = 1
     assert is_lower_triangular_comm(mixed, tolerance=0.05)
-
-
-def test_monotonic_recv_profile():
-    m = np.zeros((3, 3))
-    m[:, 0] = 5
-    m[:, 1] = 3
-    m[:, 2] = 1
-    assert monotonic_recv_profile(m)
-    m[:, 2] = 10
-    assert not monotonic_recv_profile(m)
 
 
 def test_overall_summary():

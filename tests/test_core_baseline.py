@@ -105,25 +105,3 @@ def test_observers_do_not_change_results():
     assert plain.run.clocks == observed.run.clocks
 
 
-def test_unregister_observer():
-    from repro.shmem import ShmemRuntime
-    from repro.sim import CoopScheduler
-
-    spec = MachineSpec(1, 2)
-    seen = []
-
-    def run(with_unregister):
-        sched = CoopScheduler(spec.n_pes)
-        rt = ShmemRuntime(sched, spec)
-        obs = seen.append
-        rt.register_observer(obs)
-        if with_unregister:
-            rt.unregister_observer(obs)
-        sched.run(lambda rank: rt.contexts[rank].barrier_all())
-
-    seen.clear()
-    run(with_unregister=False)
-    assert len(seen) == 2
-    seen.clear()
-    run(with_unregister=True)
-    assert seen == []

@@ -171,24 +171,26 @@ def test_chrome_roundtrip_preserves_timeline(tmp_path):
 
 
 def test_query_option(trace_dir, capsys):
-    rc = main([str(trace_dir), "--num-pes", "8",
-               "--query", "logical: sends group by src top 2",
-               "--query", "physical: ops where kind == local_send"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "[logical] sends group by src top 2" in out
-    assert "[physical] ops where kind == local_send" in out
+    """``actorprof query`` on a trace directory, either section."""
+    assert main(["query", str(trace_dir), "--num-pes", "8",
+                 "sends group by src top 2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(": " in line for line in lines)
+    assert main(["query", str(trace_dir), "--num-pes", "8",
+                 "--section", "physical", "ops where kind == local_send"]) == 0
+    assert int(capsys.readouterr().out.replace(",", "")) > 0
 
 
 def test_query_option_bad_target(trace_dir, capsys):
-    rc = main([str(trace_dir), "--num-pes", "8", "--query", "sends"])
-    assert rc == 2
-    assert "bad --query" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["query", str(trace_dir), "--num-pes", "8",
+              "--section", "papi", "sends"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'papi'" in capsys.readouterr().err
 
 
 def test_query_option_bad_expr(trace_dir, capsys):
-    rc = main([str(trace_dir), "--num-pes", "8",
-               "--query", "logical: frobnicate"])
+    rc = main(["query", str(trace_dir), "--num-pes", "8", "frobnicate"])
     assert rc == 2
     assert "query failed" in capsys.readouterr().err
 
@@ -223,14 +225,15 @@ def test_physical_node_hotspot_chart(trace_dir, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["-p"], ["-l", "-p"],
-    ["-l", "-p", "--query", "physical: ops group by src_node",
-     "--query", "logical: sends", "--export-archive", "OUT/run.aptrc"],
+    ["-l", "-p", "--export-archive", "OUT/run.aptrc"],
+    ["query", "--section", "physical", "ops group by src_node"],
 ])
 def test_trace_dir_files_are_parsed_once(trace_dir, tmp_path, monkeypatch,
                                          flags):
-    """However many views, queries and exports want a text directory's
+    """However many views, exports and queries want a text directory's
     traces, each kind's files are parsed once per invocation (``-p``
-    alone used to parse ``PEi_send.csv`` twice, with ``-l`` three times)."""
+    alone used to parse ``PEi_send.csv`` twice, with ``-l`` three times;
+    a physical query needs the logical trace's node layout too)."""
     from repro.core import diffing
 
     calls = []
@@ -240,11 +243,15 @@ def test_trace_dir_files_are_parsed_once(trace_dir, tmp_path, monkeypatch,
             calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(diffing, name, spy)
-    rc = main([str(trace_dir), "--num-pes", "8", "--quiet",
-               "--out", str(tmp_path)]
-              + [f.replace("OUT", str(tmp_path)) for f in flags])
-    assert rc == 0
-    assert (tmp_path / "physical_heatmap_nodes.svg").exists()
+    if flags[0] == "query":
+        argv = ["query", str(trace_dir), "--num-pes", "8", *flags[1:]]
+    else:
+        argv = [str(trace_dir), "--num-pes", "8", "--quiet",
+                "--out", str(tmp_path),
+                *(f.replace("OUT", str(tmp_path)) for f in flags)]
+    assert main(argv) == 0
+    if flags[0] != "query":
+        assert (tmp_path / "physical_heatmap_nodes.svg").exists()
     assert calls.count("parse_logical_dir") == 1
     assert len(calls) == len(set(calls))
 
@@ -296,10 +303,10 @@ def test_run_healthy_exports_archive(tmp_path, capsys):
 
 def test_run_crash_salvages_degraded_archive(tmp_path, capsys):
     from repro.core.store.archive import load_run
-    from repro.sim import FaultPlan
+    from repro.sim import CrashFault, FaultPlan
 
     plan_path = tmp_path / "crash.json"
-    FaultPlan.single_crash(1, 50_000).save(plan_path)
+    FaultPlan(crashes=(CrashFault(1, 50_000),)).save(plan_path)
     out = tmp_path / "crashed.aptrc"
     rc = main(["run", "histogram", "--updates", "500", "--table-size", "128",
                "--fault-plan", str(plan_path), "-o", str(out)])
@@ -316,10 +323,10 @@ def test_run_crash_salvages_degraded_archive(tmp_path, capsys):
 
 
 def test_run_rejects_misfit_plan(tmp_path, capsys):
-    from repro.sim import FaultPlan
+    from repro.sim import CrashFault, FaultPlan
 
     plan_path = tmp_path / "crash.json"
-    FaultPlan.single_crash(9, 1_000).save(plan_path)
+    FaultPlan(crashes=(CrashFault(9, 1_000),)).save(plan_path)
     rc = main(["run", "histogram", "--fault-plan", str(plan_path)])
     assert rc == 2
     assert "does not fit" in capsys.readouterr().err

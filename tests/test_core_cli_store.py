@@ -1,7 +1,7 @@
 """Tests for the trace-store side of the ``actorprof`` CLI.
 
 Covers ``--export-archive``, reading ``.aptrc`` archives directly,
-``actorprof runs …``, and ``actorprof diff``.
+``actorprof runs …``, ``actorprof query`` and ``actorprof diff``.
 """
 
 import numpy as np
@@ -84,14 +84,26 @@ def test_archive_charts_match_directory_charts(trace_dir, archive, tmp_path):
         assert (from_dir / svg).read_text() == (from_arch / svg).read_text()
 
 
-def test_archive_query_matches_directory_query(trace_dir, archive, capsys):
-    q = ["--query", "logical: sends where src_node != dst_node group by src",
-         "--query", "physical: bytes where kind == nonblock_send group by dst top 3"]
-    assert main([str(trace_dir), "--num-pes", "8", "--quiet", *q]) == 0
-    from_dir = capsys.readouterr().out
-    assert main([str(archive), "--quiet", *q]) == 0
-    assert capsys.readouterr().out == from_dir
-    assert "[logical]" in from_dir and "[physical]" in from_dir
+def test_archive_query_matches_directory_query(trace_dir, archive, tmp_path,
+                                               capsys):
+    """``actorprof query`` prints the same lines for a trace directory,
+    its archive and the archive's registered id, in either section."""
+    reg = str(tmp_path / "reg")
+    assert main(["runs", "add", str(archive), "--registry", reg,
+                 "--id", "demo"]) == 0
+    capsys.readouterr()
+    for section, expr in (
+            ("logical", "sends where src_node != dst_node group by src"),
+            ("physical",
+             "bytes where kind == nonblock_send group by dst top 3")):
+        outputs = []
+        for run in ([str(trace_dir), "--num-pes", "8"], [str(archive)],
+                    ["demo", "--registry", reg]):
+            assert main(["query", *run, expr, "--section", section]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2], section
+        lines = outputs[0].splitlines()
+        assert lines and all(": " in line for line in lines), section
 
 
 def test_archive_rejects_export_and_timeline(archive, capsys):
@@ -115,8 +127,9 @@ def test_suffixless_archive_is_read_by_its_magic(archive, tmp_path):
 
 
 def test_directory_requires_num_pes(trace_dir, capsys):
-    assert main([str(trace_dir), "-l"]) == 2
-    assert "--num-pes is required" in capsys.readouterr().err
+    for argv in ([str(trace_dir), "-l"], ["query", str(trace_dir), "sends"]):
+        assert main(argv) == 2
+        assert "--num-pes is required" in capsys.readouterr().err
 
 
 def test_missing_archive_errors(tmp_path, capsys):
@@ -125,8 +138,7 @@ def test_missing_archive_errors(tmp_path, capsys):
 
 
 def test_compare_against_archive(trace_dir, archive, capsys):
-    rc = main([str(trace_dir), "--num-pes", "8", "-l", "-s", "--quiet",
-               "--compare", str(archive)])
+    rc = main(["diff", str(trace_dir), str(archive), "--num-pes", "8"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "== comparing" in out

@@ -1,4 +1,4 @@
-"""Tests for the run-comparison (diffing) module and CLI --compare."""
+"""Tests for the run-comparison (diffing) module and ``actorprof diff``."""
 
 import numpy as np
 import pytest
@@ -105,8 +105,8 @@ def test_cli_compare(tmp_path, capsys):
         d = tmp_path / dist
         ap.write_traces(d)
         dirs[dist] = d
-    rc = main([str(dirs["cyclic"]), "--num-pes", "8", "-l", "-s", "-p",
-               "--compare", str(dirs["range"]), "--quiet"])
+    rc = main(["diff", str(dirs["cyclic"]), str(dirs["range"]),
+               "--num-pes", "8"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "== comparing" in out
@@ -124,6 +124,6 @@ def test_cli_compare(tmp_path, capsys):
 def test_cli_compare_missing_dir(tmp_path, capsys):
     from repro.core.cli import main
 
-    rc = main([str(tmp_path), "--num-pes", "4", "-l",
-               "--compare", str(tmp_path / "nope")])
+    rc = main(["diff", str(tmp_path), str(tmp_path / "nope"),
+               "--num-pes", "4", "--registry", str(tmp_path / "reg")])
     assert rc == 2

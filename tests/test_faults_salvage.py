@@ -23,7 +23,7 @@ from repro.core.store.writer import TraceArchiver
 from repro.experiments.casestudy import case_study_graph
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
-from repro.sim import FaultPlan, use_plan
+from repro.sim import CrashFault, FaultPlan, use_plan
 from repro.sim.errors import SimulationError
 
 from tests.archive_tools import read_footer
@@ -49,7 +49,7 @@ def crashed_triangle(crash_cycle, pe=1):
     Returns the profiler (holding the partial traces) and the failure.
     """
     ap = ActorProf(ProfileFlags.all())
-    plan = FaultPlan.single_crash(pe, crash_cycle)
+    plan = FaultPlan(crashes=(CrashFault(pe, crash_cycle),))
     with use_plan(plan):
         with pytest.raises(SimulationError) as exc_info:
             count_triangles(GRAPH, SPEC, profiler=ap, seed=0)
@@ -127,8 +127,7 @@ def test_cli_queries_and_diffs_degraded_archive(tmp_path, capsys, crash_cycle):
     healthy = ap_h.export_archive(tmp_path / "healthy.aptrc")
     ap, failure = crashed_triangle(crash_cycle)
     crashed = ap.salvage_archive(tmp_path / "crashed.aptrc", failure=failure)
-    assert cli_main([str(crashed), "--quiet", "--query",
-                     "logical: sends group by src"]) == 0
+    assert cli_main(["query", str(crashed), "sends group by src"]) == 0
     assert cli_main(["diff", str(crashed), str(healthy)]) == 0
     out = capsys.readouterr().out
     assert "comparing" in out
@@ -159,7 +158,7 @@ def test_streaming_archiver_salvage(tmp_path):
     """The streaming writer can also salvage a crashed run's spills."""
     arch = TraceArchiver(tmp_path / "stream.aptrc", spill_every=100,
                          meta={"app": "actors"})
-    with use_plan(FaultPlan.single_crash(2, 20_000)):
+    with use_plan(FaultPlan(crashes=(CrashFault(2, 20_000),))):
         with pytest.raises(SimulationError) as exc_info:
             run_spmd(_actor_program, machine=MachineSpec(2, 4),
                      profiler=arch, seed=3)
@@ -233,7 +232,7 @@ def test_both_salvage_paths_stamp_the_same_footer(tmp_path):
     through the streaming archiver wrapped around it: same stamp."""
     ap = ActorProf(ProfileFlags.all())
     arch = TraceArchiver(tmp_path / "stream.aptrc", inner=ap, spill_every=100)
-    with use_plan(FaultPlan.single_crash(2, 20_000)):
+    with use_plan(FaultPlan(crashes=(CrashFault(2, 20_000),))):
         with pytest.raises(SimulationError) as exc_info:
             run_spmd(_actor_program, machine=MachineSpec(2, 4),
                      profiler=arch, seed=3)

@@ -238,7 +238,7 @@ def test_divergent_selector_construction_rejected():
         s = Selector(ctx, mailboxes=mailboxes)
         async with ctx.finish():
             s.start()
-            for i in range(s.n_mailboxes):
+            for i in range(mailboxes):
                 s.done(i)
 
     with pytest.raises(PEFailure):

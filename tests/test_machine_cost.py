@@ -4,11 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.machine import CostModel
+from repro.machine.perf import PerfCore
+from repro.sim.clock import CycleClock
 
 
 def test_ins_cycles_scales_with_cpi():
-    cm = CostModel(cpi=2.0)
-    assert cm.ins_cycles(100) == 200
+    core = PerfCore(CycleClock(), CostModel(cpi=2.0))
+    core.work(ins=100)
+    assert core.clock.now == 200
 
 
 def test_memcpy_has_base_plus_per_byte():

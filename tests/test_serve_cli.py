@@ -66,12 +66,12 @@ def test_push_unreachable_server_fails_cleanly(tmp_path, capsys):
 def test_serve_parser_flags(tmp_path):
     args = _serve_parser().parse_args([
         "--port", "0", "--data-dir", str(tmp_path / "d"),
-        "--shards", "8", "--workers", "2", "--worker-mode", "process",
+        "--shards", "8", "--workers", "2",
         "--cache-max-bytes", "0", "--max-active-ingests", "3",
         "--retry-after", "0.5", "--allow-remote-shutdown",
     ])
     assert args.port == 0 and args.shards == 8
-    assert args.worker_mode == "process"
+    assert args.workers == 2
     assert args.cache_max_bytes == 0  # 0 → unbounded (None) in config
     assert args.allow_remote_shutdown
     assert args.registry is None

@@ -509,12 +509,38 @@ def test_keep_alive_serves_sequential_requests(server):
     assert out.count(b"200 OK") == 2
 
 
-def test_process_worker_mode_answers_queries(tmp_path):
-    config = ServerConfig(data_dir=tmp_path / "srv", port=0, workers=2,
-                          worker_mode="process", allow_shutdown=True)
-    with ServerThread(config) as server:
-        client = server.client()
-        client.push(make_archive(tmp_path / "a.aptrc"), run_id="alpha")
-        assert client.query("alpha", "sends")["result"] == 3
-        assert client.query("alpha", "sends ")["cached"] is True
-        assert client.stats()["workers"]["mode"] == "process"
+def test_failed_query_task_is_a_500_and_is_not_stored(server, tmp_path,
+                                                      monkeypatch):
+    """A query task that raises is the server's fault: a 500 naming the
+    exception, counted in ``/stats`` errors and never stored, so once
+    the task works again the same request is a miss; the server keeps
+    answering throughout."""
+    import json
+
+    import repro.serve.tasks as tasks
+
+    client = server.client()
+    client.push(make_archive(tmp_path / "a.aptrc"), run_id="alpha")
+
+    def broken(out_dir, **kwargs):
+        raise RuntimeError("worker lost its archive")
+
+    monkeypatch.setattr(tasks, "run_query_task", broken)
+    path = "/runs/alpha/query?q=sends"
+    before = client.stats()
+    for attempt in (1, 2):
+        status, headers, body = client.request("GET", path)
+        assert status == 500
+        assert "x-cache" not in headers
+        assert json.loads(body) == {
+            "error": "query failed: RuntimeError: worker lost its archive"}
+        stats = client.stats()
+        assert stats["errors"] == before["errors"] + attempt
+        assert stats["artifacts"]["stores"] == before["artifacts"]["stores"]
+
+    monkeypatch.undo()
+    status, headers, body = client.request("GET", path)
+    assert status == 200 and headers["x-cache"] == "miss"
+    assert json.loads(body)["result"] == 3
+    assert client.query("alpha", "sends")["cached"] is True
+    assert client.stats()["errors"] == before["errors"] + 2

@@ -15,21 +15,6 @@ def run_spmd(spec, body):
     return rt
 
 
-def test_atomic_add_accumulates():
-    out = {}
-
-    async def body(ctx):
-        counter = ctx.malloc(1, np.int64)
-        await ctx.barrier_all()
-        ctx.atomic_add(counter, ctx.my_pe + 1, 0)
-        await ctx.barrier_all()
-        if ctx.my_pe == 0:
-            out["total"] = int(ctx.mine(counter)[0])
-
-    run_spmd(MachineSpec(2, 2), body)
-    assert out["total"] == 1 + 2 + 3 + 4
-
-
 def test_atomic_fetch_add_returns_unique_slots():
     out = {}
 
@@ -65,7 +50,7 @@ def test_wait_until_with_atomic_signal():
     async def body(ctx):
         arrived = ctx.malloc(1, np.int64)
         await ctx.barrier_all()
-        ctx.atomic_add(arrived, 1, 0)
+        ctx.atomic_fetch_add(arrived, 1, 0)
         if ctx.my_pe == 0:
             await ctx.wait_until(arrived, 0, lambda v: v >= ctx.n_pes)
         await ctx.barrier_all()

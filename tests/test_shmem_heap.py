@@ -43,7 +43,6 @@ def test_multiple_allocations_tracked_in_order():
     a1 = heap.alloc(1, 10, np.int64)
     b1 = heap.alloc(1, (3, 3), np.float64)
     assert a0 is a1 and b0 is b1
-    assert heap.n_allocations() == 2
 
 
 def test_int_shape_normalized_to_tuple():

@@ -124,7 +124,7 @@ def test_crash_inside_the_victims_own_selection_unwinds_cleanly():
         s.run(prog)
     assert ei.value.rank == 1
     assert log == [("crash", 1), "victim unwound", "pe0 resumed"]
-    assert s.states() == [PEState.DONE, PEState.CRASHED]
+    assert [pe.state for pe in s._pes] == [PEState.DONE, PEState.CRASHED]
     assert s.clocks[1].now == 500  # the crash cycle is behind its clock
 
 
@@ -172,8 +172,8 @@ def test_crash_blocked_in_finish_drain_ends_its_finish_first():
     assert log[crash:crash + 3] == [("crash", 1), ("finish_end", 1),
                                     ("finish_start", 2)]
     assert log.count(("finish_end", 1)) == 1
-    assert world.scheduler.states() == [PEState.DONE, PEState.CRASHED,
-                                        PEState.DONE]
+    assert [pe.state for pe in world.scheduler._pes] == [
+        PEState.DONE, PEState.CRASHED, PEState.DONE]
 
 
 def test_failure_closes_every_suspended_pe_in_rank_order():

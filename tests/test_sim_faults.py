@@ -1,5 +1,7 @@
 """Tests for deterministic fault injection: plans, injector, scheduler."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hclib import run_spmd
@@ -83,11 +85,10 @@ def test_plan_rejects_unknown_keys_and_bad_files(tmp_path):
 
 
 def test_plan_helpers():
-    plan = FaultPlan.single_crash(2, 10_000)
-    assert plan.crashes == (CrashFault(2, 10_000),)
+    plan = FaultPlan(crashes=(CrashFault(2, 10_000),))
     assert not plan.empty
     assert FaultPlan().empty
-    assert plan.with_seed(9).seed == 9
+    assert replace(plan, seed=9).seed == 9
     text = FaultPlan(
         crashes=(CrashFault(1, 1000),),
         edges=(EdgeFault(drop=0.1),),
@@ -99,7 +100,8 @@ def test_plan_helpers():
 
 def test_use_plan_nesting():
     assert current_plan() is None
-    outer, inner = FaultPlan.single_crash(0, 1), FaultPlan.single_crash(1, 2)
+    outer = FaultPlan(crashes=(CrashFault(0, 1),))
+    inner = FaultPlan(crashes=(CrashFault(1, 2),))
     with use_plan(outer):
         assert current_plan() is outer
         with use_plan(inner):
@@ -151,11 +153,11 @@ def test_injector_seed_changes_schedule():
         inj = FaultInjector(plan, 2)
         return [inj.send_outcome(0, 1, i).action for i in range(64)]
 
-    assert fates(base) != fates(base.with_seed(1))
+    assert fates(base) != fates(replace(base, seed=1))
 
 
 def test_describe_schedule_lists_pending_crashes():
-    inj = FaultInjector(FaultPlan.single_crash(1, 5_000), 2)
+    inj = FaultInjector(FaultPlan(crashes=(CrashFault(1, 5_000),)), 2)
     assert "(pending) crash PE 1" in inj.describe_schedule()
     inj.note_crash(1, 5_000)
     text = inj.describe_schedule()
@@ -176,7 +178,7 @@ async def _independent_program(ctx):
 
 
 def test_crash_unwinds_one_pe_and_raises_pecrashed():
-    plan = FaultPlan.single_crash(1, 50_000)
+    plan = FaultPlan(crashes=(CrashFault(1, 50_000),))
     with pytest.raises(PECrashed) as exc_info:
         run_spmd(_independent_program, machine=MachineSpec(1, 4),
                  fault_plan=plan)
@@ -185,7 +187,7 @@ def test_crash_unwinds_one_pe_and_raises_pecrashed():
 
 
 def test_crash_records_in_scheduler_and_schedule():
-    plan = FaultPlan.single_crash(2, 10_000)
+    plan = FaultPlan(crashes=(CrashFault(2, 10_000),))
     with use_plan(plan):
         with pytest.raises(PECrashed):
             run_spmd(_independent_program, machine=MachineSpec(1, 4))
@@ -193,7 +195,7 @@ def test_crash_records_in_scheduler_and_schedule():
 
 def test_crash_past_end_of_run_never_fires():
     # the PE finishes before the crash cycle: the run is healthy
-    plan = FaultPlan.single_crash(0, 10**12)
+    plan = FaultPlan(crashes=(CrashFault(0, 10**12),))
     res = run_spmd(_independent_program, machine=MachineSpec(1, 2),
                    fault_plan=plan)
     assert res.results == [0, 1]

@@ -18,7 +18,7 @@ async def echo(rank):
 def test_single_pe_runs_to_completion():
     s = CoopScheduler(1)
     assert s.run(echo) == [0]
-    assert s.states() == [PEState.DONE]
+    assert [pe.state for pe in s._pes] == [PEState.DONE]
 
 
 def test_requires_at_least_one_pe():

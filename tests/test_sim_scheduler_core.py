@@ -21,7 +21,7 @@ from repro.check.policies import JitterPolicy, make_schedules
 from repro.machine.spec import MachineSpec
 from repro.sim import CoopScheduler, DeadlockError, PECrashed, PEFailure
 from repro.sim.errors import SimulationError
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.scheduler import PEState, SchedulePolicy
 from tests.sched_oracle import LinearScheduler, use_scheduler
 
@@ -133,7 +133,7 @@ def test_crash_of_a_finished_pe_is_a_noop(core):
     s.schedule_crash(0, 500, on_crash=lambda r, t: hits.append((r, t)))
     s.run(prog)  # no PECrashed: PE 0 was DONE before cycle 500
     assert hits == [] and s.crashed == {}
-    assert s.states() == [PEState.DONE, PEState.DONE]
+    assert [pe.state for pe in s._pes] == [PEState.DONE, PEState.DONE]
     assert s.stats.events_fired == 1
 
 
@@ -153,7 +153,7 @@ def test_crash_during_tie(core):
         s.run(prog)
     assert ei.value.rank == 2
     assert sorted(done) == [0, 1, 3]
-    states = s.states()
+    states = [pe.state for pe in s._pes]
     assert states[2] is PEState.CRASHED
     assert all(states[r] is PEState.DONE for r in (0, 1, 3))
 
@@ -294,7 +294,7 @@ def test_event_firing_dirties_channelled_waiters():
     s.schedule_crash(1, 400)
     with pytest.raises(PECrashed):
         s.run(prog)  # PE 0 finishes only if the firing re-examined it
-    assert s.states()[0] is PEState.DONE
+    assert s._pes[0].state is PEState.DONE
 
 
 def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
@@ -303,7 +303,7 @@ def test_crash_unblocks_channelled_collective_waiters(core, monkeypatch):
     from repro.hclib.world import run_spmd
 
     use_scheduler(monkeypatch, core)
-    plan = FaultPlan.single_crash(1, 1)
+    plan = FaultPlan(crashes=(CrashFault(1, 1),))
 
     async def program(ctx):
         if ctx.rank == 1:
@@ -407,7 +407,6 @@ def test_cores_agree_under_crash_plan(monkeypatch):
     """Crashes (the only scheduled futures) must produce the same degraded
     outcome on both cores — two crashes, under a jittered tie-break."""
     from repro.hclib.world import run_spmd
-    from repro.sim.faults import CrashFault
 
     plan = FaultPlan(crashes=(CrashFault(2, 50_000), CrashFault(1, 80_000)))
     machine = MachineSpec(nodes=1, pes_per_node=4)

@@ -167,7 +167,7 @@ def test_slow_pe_fault_lands_on_the_critical_path():
 
 
 def test_crashing_fault_plans_are_rejected():
-    plan = FaultPlan.single_crash(pe=1, at_cycle=500)
+    plan = FaultPlan(crashes=(CrashFault(pe=1, at_cycle=500),))
     with pytest.raises(ValueError, match="crash"):
         whatif(_histogram(), fault_plan=plan)
     try:

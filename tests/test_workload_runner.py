@@ -31,7 +31,7 @@ from repro.conveyors.conveyor import ConveyorConfig
 from repro.core.cli import main
 from repro.core.store.archive import Archive
 from repro.machine.spec import MachineSpec
-from repro.sim.faults import FaultPlan, SlowPE, use_plan
+from repro.sim.faults import CrashFault, FaultPlan, SlowPE, use_plan
 
 #: sha256 of the files each command line writes to OUT (all other
 #: arguments at their defaults).  Re-pinned for format version 3: each
@@ -136,7 +136,7 @@ def test_workload_run_plan_overrides_the_ambient_one(tmp_path):
                            machine=MachineSpec(1, 2))
     schedule = make_schedules(wl.seed, 1)[0]
     clean = wl.run(schedule, tmp_path / "clean.aptrc")
-    with use_plan(FaultPlan.single_crash(pe=1, at_cycle=10)):
+    with use_plan(FaultPlan(crashes=(CrashFault(pe=1, at_cycle=10),))):
         shadowed = wl.run(schedule, tmp_path / "shadowed.aptrc")
     assert shadowed.archive_sha256 == clean.archive_sha256
 
@@ -151,7 +151,7 @@ def test_every_writer_stamps_the_descriptor(tmp_path, capsys):
     exactly when a plan was given, and no ``app`` key."""
     assert "meta" not in inspect.signature(Workload.run).parameters
     crash, slow = tmp_path / "crash.json", tmp_path / "slow.json"
-    FaultPlan.single_crash(pe=1, at_cycle=10).save(crash)
+    FaultPlan(crashes=(CrashFault(pe=1, at_cycle=10),)).save(crash)
     FaultPlan(slow_pes=(SlowPE(pe=1, multiplier=2.0),)).save(slow)
     small = ["--updates", "100", "--table-size", "16"]
     out = {name: str(tmp_path / name) for name in
