@@ -17,7 +17,9 @@ and the decoded payload never exceeds ~2x the requested resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,11 +64,16 @@ class PeSeries:
 
 @dataclass(frozen=True)
 class EdgeWindow:
-    """Communication-matrix aggregates over a viewport."""
+    """Communication-matrix aggregates over a viewport.  ``bytes`` is
+    read on first use: the heatmap draws counts alone."""
 
     viewport: Viewport
     count: np.ndarray  # (n_pes, n_pes) int64 message counts
-    bytes: np.ndarray  # (n_pes, n_pes) int64 payload bytes
+    matrix: Callable[[str], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def bytes(self) -> np.ndarray:  # (n_pes, n_pes) int64 payload bytes
+        return self.matrix("bytes")
 
 
 class LodView:
@@ -79,7 +86,7 @@ class LodView:
 
     def __init__(self, info: PyramidInfo, reader) -> None:
         self.info = info
-        self._reader = reader  # (kind, level) -> columns dict
+        self._reader = reader  # (kind, level, names) -> columns dict
 
     # -- constructors ---------------------------------------------------
 
@@ -90,7 +97,7 @@ class LodView:
             raise LodError(
                 f"{archive.path}: no LOD pyramid sections "
                 "(backfill with `actorprof viz RUN --backfill`)")
-        return cls(info, lambda kind, level: read_level(archive, kind, level))
+        return cls(info, lambda *key: read_level(archive, *key))
 
     @classmethod
     def from_pyramid(cls, pyramid: Pyramid) -> "LodView":
@@ -105,7 +112,7 @@ class LodView:
         )
         levels = {"pe": pyramid.pe_levels, "edge": pyramid.edge_levels}
 
-        def reader(kind: str, level: int):
+        def reader(kind: str, level: int, names=None):
             return levels[kind][level]
 
         return cls(info, reader)
@@ -171,15 +178,16 @@ class LodView:
                     res: int = 16) -> EdgeWindow:
         """Communication count/bytes matrices over the viewport."""
         vp = self.viewport(t0, t1, res)
-        cols = self._reader("edge", vp.level)
-        bucket = cols["bucket"]
-        mask = (bucket >= vp.b0) & (bucket < vp.b1)
-        src, dst = cols["src"][mask], cols["dst"][mask]
-        shape = (self.n_pes, self.n_pes)
-        return EdgeWindow(
-            viewport=vp,
-            count=scatter_matrix(src, dst, cols["count"][mask], shape),
-            bytes=scatter_matrix(src, dst, cols["bytes"][mask], shape))
+
+        def matrix(weight: str) -> np.ndarray:
+            cols = self._reader("edge", vp.level,
+                                ("bucket", "src", "dst", weight))
+            bucket = cols["bucket"]
+            mask = (bucket >= vp.b0) & (bucket < vp.b1)
+            return scatter_matrix(cols["src"][mask], cols["dst"][mask],
+                                  cols[weight][mask], (self.n_pes, self.n_pes))
+
+        return EdgeWindow(viewport=vp, count=matrix("count"), matrix=matrix)
 
     def refine(self, vp: Viewport, bucket: int, res: int = 96) -> Viewport:
         """Drill down into one bucket of a prior viewport.

@@ -114,9 +114,7 @@ def _bincount_exact(indices: np.ndarray, weights: np.ndarray,
     """Weighted bincount, or None when float64 accumulation could be
     inexact.  ``np.bincount`` sums weights in float64, which represents
     every integer up to 2**53 — bounding each bucket by
-    ``len * max|weight|`` guarantees exactness without trusting floats.
-    ``np.add.at`` (the alternative) is an order of magnitude slower, so
-    this fast path carries the multi-million-row aggregations."""
+    ``len * max|weight|`` guarantees exactness without trusting floats."""
     if len(weights) == 0:
         return np.zeros(length, dtype=np.int64)
     peak = max(abs(int(weights.min())), abs(int(weights.max())))
@@ -128,12 +126,17 @@ def _bincount_exact(indices: np.ndarray, weights: np.ndarray,
 
 def bincount(indices: np.ndarray, weights: np.ndarray,
              length: int) -> np.ndarray:
-    """Exact int64 sum of ``weights`` per index in ``[0, length)``."""
-    weights = np.asarray(weights, dtype=np.int64)
-    out = _bincount_exact(indices, weights, length)
-    if out is None:
-        out = np.zeros(length, dtype=np.int64)
-        np.add.at(out, indices, weights)
+    """Exact int64 sum of ``weights`` per index in ``[0, length)`` (else a
+    ValueError): ``np.add.at`` adds in int64, and under numpy 2 it beats a
+    guarded float64 ``np.bincount`` at every size from 16 rows to 1 M."""
+    indices = np.asarray(indices)
+    if len(indices) and indices.min() < 0:  # np.add.at would wrap it
+        raise ValueError(f"bincount: index {indices.min()} is negative")
+    out = np.zeros(length, dtype=np.int64)
+    try:
+        np.add.at(out, indices, np.asarray(weights, dtype=np.int64))
+    except IndexError as exc:
+        raise ValueError(f"bincount: {exc}") from None
     return out
 
 

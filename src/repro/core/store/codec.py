@@ -279,15 +279,19 @@ def encode_column(
     # exact even when ``hi - lo`` overflows int64
     offsets = (arr - lo).view(np.uint64)
     stride = int(np.gcd.reduce(offsets[:64]))
-    if stride != 1:  # a prefix gcd of 1 is the whole chunk's
+    # a prefix gcd dividing every offset is the chunk's; for 2**k one mask says so
+    if stride != 1 and (not stride or stride & (stride - 1)
+                        or (offsets & np.uint64(stride - 1)).any()):
         stride = int(np.gcd.reduce(offsets))
     width = ((hi - lo) // stride).bit_length()
     if width > PACK_MAX_WIDTH:
         return _encode_varint(arr, delta, compress)
     probe = _encode_varint(arr[:PROBE_VALUES], delta, compress)
     if -(-min(n, PROBE_VALUES) // 8) * width <= len(probe[0]):
-        if stride != 1:
+        if stride & (stride - 1):
             offsets //= np.uint64(stride)
+        elif stride != 1:  # a power of two: divide by a shift
+            offsets >>= np.uint64(stride.bit_length() - 1)
         return pack_fields(offsets, width), f"pack:{lo}:{stride}:{width}"
     return probe if n <= PROBE_VALUES else _encode_varint(arr, delta, compress)
 

@@ -114,15 +114,20 @@ class Frame:
 
     # -- row-group access ------------------------------------------------
 
-    def groups(self, *names: str) -> Iterator[tuple[np.ndarray, ...]]:
+    def groups(self, *names: str, constant: str | None = None) -> Iterator[tuple]:
         """The named columns of one surviving row group at a time: int64
         arrays decoded for this iteration only, kept by neither frame nor
         section, so a fold costs one row group of memory however long the
-        section is.  (An in-memory section yields the trace's own arrays.)"""
+        section is.  (An in-memory section yields the trace's own arrays.)
+        Column ``constant`` is the int :meth:`constants` reads, where it
+        reads one, and is then not decoded."""
         section = self._section
         table = section._table(*names)
-        for group in np.flatnonzero(self.keep).tolist():
-            yield tuple(section.decode_chunk(name, table.ref(name, group))
+        kept = np.flatnonzero(self.keep).tolist()
+        known = self.constants(constant) if constant else [None] * len(kept)
+        for group, value in zip(kept, known):
+            yield tuple(value if value is not None and name == constant
+                        else section.decode_chunk(name, table.ref(name, group))
                         for name in names)
 
     def constants(self, name: str) -> list[int | None]:

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.rowstore import fold, scatter_matrix
+from repro.core.rowstore import bincount, fold
 from repro.core.store.archive import Archive, ArchiveError, load_overall
 from repro.core.store.frame import Frame, as_section
 from repro.core.store.writer import ArchiveWriter
@@ -232,15 +232,20 @@ def build_flat_pyramid(*, n_pes: int, overall=None, edges=None) -> Pyramid:
             np.asarray(overall.t_total, dtype=np.int64) - main - proc, 0)
         pe0 = _pe_dense_to_columns(np.stack((main, proc, comm))[..., None])
     # one row group at a time; duplicate (src, dst) rows — other sizes or
-    # kinds, streamed partial aggregates — sum into one edge
+    # kinds, streamed partial aggregates — sum into one edge.  A group of
+    # one source PE (a zero-width src chunk) folds into that PE's row.
     edge_count = np.zeros((n_pes, n_pes), dtype=np.int64)
     edge_bytes = np.zeros((n_pes, n_pes), dtype=np.int64)
     if edges is not None:
         for src, dst, count, size in Frame(as_section(edges)).groups(
-                "src", "dst", "count", "size"):
-            edge_count += scatter_matrix(src, dst, count, edge_count.shape)
-            edge_bytes += scatter_matrix(src, dst, count * size,
-                                         edge_count.shape)
+                "src", "dst", "count", "size", constant="src"):
+            if isinstance(src, int) and 0 <= src < n_pes:
+                key, into = dst, (edge_count[src], edge_bytes[src])
+            else:  # one flat index serves both weights
+                key = src * n_pes + dst
+                into = (edge_count.reshape(-1), edge_bytes.reshape(-1))
+            for out, weights in zip(into, (count, count * size)):
+                out += bincount(key, weights, len(out))
     src, dst = np.nonzero(edge_count > 0)
     edge0 = {
         "bucket": np.zeros(len(src), dtype=np.int64),
@@ -328,8 +333,10 @@ def pyramid_info(archive: Archive) -> PyramidInfo | None:
     return None
 
 
-def read_level(archive: Archive, kind: str, level: int) -> dict[str, np.ndarray]:
-    """Decode one level's columns of one pyramid side (``pe``/``edge``).
+def read_level(archive: Archive, kind: str, level: int,
+               names: tuple[str, ...] | None = None) -> dict[str, np.ndarray]:
+    """Decode one level's columns of one pyramid side (``pe``/``edge``):
+    ``names``, or all of them.
 
     Rides the :class:`Frame` chunk-stat pruning: with the one-chunk-
     per-level layout only that level's row group is decoded — per call,
@@ -344,8 +351,8 @@ def read_level(archive: Archive, kind: str, level: int) -> dict[str, np.ndarray]
     columns = PE_COLUMNS if kind == "pe" else EDGE_COLUMNS
     frame = Frame(archive.section(name))
     frame.prune("level", "==", level)
-    out = {c: np.zeros(0, dtype=np.int64) for c in columns[1:]}
-    for levels, *values in frame.groups(*columns):
+    out = {c: np.zeros(0, dtype=np.int64) for c in names or columns[1:]}
+    for levels, *values in frame.groups("level", *out):
         mask = levels == level  # a stat-less group may hold other levels
         for c, v in zip(out, values):
             out[c] = np.concatenate((out[c], v[mask]))

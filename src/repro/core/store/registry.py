@@ -351,7 +351,10 @@ class RunRegistry:
             ) from None
 
     def resolve(self, ref: str) -> RunInfo:
-        """Look up a run by exact id or unique prefix."""
+        """Look up a run by exact id (read from its own shard) or unique prefix."""
+        entry = self._load_shard(self.shard_of(ref))["runs"].get(ref)
+        if entry is not None:
+            return self._info(ref, entry)
         runs = self._all_runs()
         if ref in runs:
             return self._info(ref, runs[ref])

@@ -12,10 +12,12 @@ block's hottest pair — the SVG costs display cells, not PE pairs.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 from repro.core.viz.palette import normalize, sequential
-from repro.core.viz.svg import Canvas
+from repro.core.viz.svg import Canvas, _fmts
 
 _CELL = 22
 _GAP = 2
@@ -26,6 +28,8 @@ _MARGIN_BOTTOM = 40
 
 #: Most grid cells per axis; larger matrices are drawn as block sums.
 MAX_CELLS = 256
+
+_LEGEND_FILLS = sequential(np.arange(40) / 39).tolist()
 
 
 def _blocks(a: np.ndarray, factor: int) -> np.ndarray:
@@ -45,9 +49,9 @@ def block_sum(a: np.ndarray, factor: int) -> np.ndarray:
 def _cell_tips(matrix, grid, factor, names, noun) -> list[str]:
     """Row-major tooltips of the grid; a block's also names its hottest
     pair (the first in row-major order on ties)."""
-    tips = [f"{names[row]} → {names[col]}: {v} sends"
-            for row, values in enumerate(grid.tolist())
-            for col, v in enumerate(values)]
+    tips = [f"{row} → {col}: {v} sends"
+            for row, values in zip(names, grid.tolist())
+            for col, v in zip(names, values)]
     if factor == 1:
         return tips
     k = grid.shape[0]
@@ -94,7 +98,8 @@ def heatmap_svg(
 
     pos = np.arange(cells) * (_CELL + _GAP)
     xs, ys = _MARGIN_LEFT + pos, _MARGIN_TOP + pos
-    noun = entity if entity.isupper() else f"{entity} "
+    # tooltips are built from the k names, escaped once here
+    noun = html.escape(entity if entity.isupper() else f"{entity} ")
     names = []
     for lo in range(0, n, factor):
         hi = min(lo + factor, n) - 1
@@ -102,17 +107,21 @@ def heatmap_svg(
 
     fills = sequential(normalize(grid, log=log_scale))
     fills[grid == 0] = "#f2f2f2"
-    cv.rects(np.tile(xs[:k], k), np.repeat(ys[:k], k), _CELL, _CELL,
-             fills.ravel(), _cell_tips(matrix, grid, factor, names, noun))
+    row_x, row_y = _fmts(xs[:k]), _fmts(ys[:k])  # k distinct coordinates
+    cv.rects(row_x * k, [y for y in row_y for _ in range(k)], _CELL, _CELL,
+             fills.ravel().tolist(),
+             _cell_tips(matrix, grid, factor, names, noun), escaped=True)
     if show_totals:
         sends = block_sum(matrix.sum(axis=1), factor).tolist()
         recvs = block_sum(matrix.sum(axis=0), factor).tolist()
-        cv.rects(xs[k] + 4, ys[:k], _CELL, _CELL,
-                 sequential(normalize(sends, log=log_scale)),
-                 [f"{name} total sends: {v}" for name, v in zip(names, sends)])
-        cv.rects(xs[:k], ys[k] + 4, _CELL, _CELL,
-                 sequential(normalize(recvs, log=log_scale)),
-                 [f"{name} total recvs: {v}" for name, v in zip(names, recvs)])
+        send_fills, recv_fills = sequential(np.stack(
+            [normalize(sends, log=log_scale), normalize(recvs, log=log_scale)]))
+        cv.rects(xs[k] + 4, row_y, _CELL, _CELL, send_fills.tolist(),
+                 [f"{name} total sends: {v}" for name, v in zip(names, sends)],
+                 escaped=True)
+        cv.rects(row_x, ys[k] + 4, _CELL, _CELL, recv_fills.tolist(),
+                 [f"{name} total recvs: {v}" for name, v in zip(names, recvs)],
+                 escaped=True)
         cv.text(xs[k] + 4, ys[k] + _CELL - 4, "Σ", size=12)
 
     # axis tick labels (decimated if crowded)
@@ -128,7 +137,7 @@ def heatmap_svg(
     # color scale legend
     lx = _MARGIN_LEFT + grid_w + 24
     steps = np.arange(40)
-    cv.rects(lx, _MARGIN_TOP + (39 - steps) * 3, 14, 3, sequential(steps / 39))
+    cv.rects(lx, _MARGIN_TOP + (39 - steps) * 3, 14, 3, _LEGEND_FILLS)
     cv.text(lx + 20, _MARGIN_TOP + 8, f"{int(grid.max())}", size=9)
     cv.text(lx + 20, _MARGIN_TOP + 122, "0", size=9)
     scale_note = "log scale" if log_scale else "linear"

@@ -22,9 +22,11 @@ def _fmt(v: float) -> str:
 
 def _fmts(values) -> str | list[str]:
     """``_fmt`` of a scalar, or of every element of a sequence (each distinct
-    value is formatted once)."""
+    value is formatted once); a list of str is already formatted."""
     if isinstance(values, (int, float, np.number)):
         return _fmt(values)
+    if isinstance(values, list) and values and isinstance(values[0], str):
+        return values
     values = np.asarray(values, dtype=np.float64).ravel().tolist()
     text = {v: _fmt(v) for v in set(values)}
     return [text[v] for v in values]
@@ -38,14 +40,6 @@ def _escape_all(texts) -> list[str]:
     if len(html.escape(joined)) == len(joined):  # escaping only lengthens
         return texts
     return [html.escape(t) for t in texts]
-
-
-def _rect(x, y, w, h, fill, title, tail) -> str:
-    """The one ``<rect>`` template; every field arrives formatted."""
-    if title:
-        return (f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}" '
-                f'{tail}><title>{title}</title></rect>')
-    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}" {tail}/>'
 
 
 class Canvas:
@@ -71,32 +65,36 @@ class Canvas:
 
     def rects(self, x, y, w, h, fill="#000000", title=None, *,
               stroke: str = "none", stroke_width: float = 1.0,
-              opacity: float = 1.0) -> None:
+              opacity: float = 1.0, escaped: bool = False) -> None:
         """Many rectangles in one call, emitted in sequence order.
 
         ``x``/``y``/``w``/``h`` are numbers or equal-length sequences,
         ``fill`` a colour or a sequence of colours, ``title`` None, a
         tooltip or a sequence of tooltips (empty ones are omitted); a
-        scalar applies to every rectangle.  Element ``i`` is exactly the
-        markup ``rect()`` emits for the ``i``-th values.
+        scalar applies to every rectangle.  A list of str for a
+        coordinate is taken as already formatted, and ``escaped`` says a
+        sequence of tooltips is already escaped markup.  Element ``i`` is
+        exactly the markup ``rect()`` emits for the ``i``-th values.
         """
         if title is None or isinstance(title, str):
             title = html.escape(title) if title else ""
-        else:
+        elif not escaped:
             title = _escape_all(title)
         tail = f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"'
         if opacity != 1.0:
             tail += f' opacity="{_fmt(opacity)}"'
-        cols = (_fmts(x), _fmts(y), _fmts(w), _fmts(h), fill, title, tail)
-        n = {len(c) for c in cols if not isinstance(c, str)}
-        if not n:  # one rectangle
-            self._body.append(_rect(*cols))
-            return
+        cols = (_fmts(x), _fmts(y), _fmts(w), _fmts(h), fill, title)
+        n = {len(c) for c in cols if not isinstance(c, str)} or {1}
         if len(n) > 1:
             raise ValueError(f"rects: sequences of unequal lengths {sorted(n)}")
         n = n.pop()
-        self._body.extend(map(_rect, *(
-            repeat(c, n) if isinstance(c, str) else c for c in cols)))
+        # the one <rect> template, inline: a call per rect costs more than its text
+        self._body.extend([
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{f}" '
+            f'{tail}><title>{t}</title></rect>' if t else
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{f}" {tail}/>'
+            for x, y, w, h, f, t in zip(*(
+                repeat(c, n) if isinstance(c, str) else c for c in cols))])
 
     def line(self, x1: float, y1: float, x2: float, y2: float,
              stroke: str = "#000000", stroke_width: float = 1.0,

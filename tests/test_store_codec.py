@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.store.codec import (
     PACK_MAX_WIDTH,
@@ -14,6 +16,7 @@ from repro.core.store.codec import (
     encode_column,
     encode_uvarints,
     pack_fields,
+    pack_spec,
     unzigzag,
     zigzag,
 )
@@ -227,3 +230,40 @@ def test_stride_is_the_gcd_of_the_whole_chunk_not_of_its_head():
     assert "varint" in encoding and out[-1] == 3  # 11 bits at stride 1
     _payload, encoding, out = roundtrip([h // 16 for h in head] + [3])
     assert encoding == "pack:0:1:7" and out[-1] == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 56), three=st.booleans(),
+       lo=st.sampled_from([0, -5, -(2**63)]),
+       tail=st.sampled_from(["none", "half", "odd", "zero_head"]),
+       seed=st.integers(0, 2**16))
+@example(k=56, three=False, lo=-(2**63), tail="none", seed=0)  # 2**64 - 2**56
+@example(k=3, three=True, lo=0, tail="half", seed=1)
+@example(k=10, three=False, lo=-5, tail="zero_head", seed=2)
+def test_pack_stride_is_the_gcd_of_every_offset(k, three, lo, tail, seed):
+    """The stride a packed chunk records is ``np.gcd.reduce`` of all its
+    offsets from the minimum, whatever the 64-value prefix said: strides
+    1, 2**k and 3 * 2**k, offsets up to just under 2**64, and chunks
+    whose tail breaks the prefix gcd or whose head is all minimum."""
+    g = (3 if three else 1) << k
+    assume(g * 256 <= 2**64)
+    m = np.random.default_rng(seed).integers(0, 256, 300).tolist()
+    m[0], m[1] = 0, 255
+    offsets = [g * x for x in m]
+    if tail == "half" and g % 2 == 0:
+        offsets[150] += g // 2
+    elif tail == "odd":
+        offsets[150] += 1
+    elif tail == "zero_head":
+        offsets[:64] = [0] * 64
+    values = (np.array(offsets, dtype=np.uint64)
+              + np.uint64(lo % 2**64)).view(np.int64)
+    want = int(np.gcd.reduce(np.array(offsets, dtype=np.uint64)))
+    payload, encoding = encode_column(values)
+    assert (decode_column(payload, encoding, len(values)) == values).all()
+    if encoding.startswith("pack:"):
+        _lo, stride, width, _table = pack_spec(encoding)
+        assert (_lo, stride) == (lo, want)
+        assert width == (max(offsets) // want).bit_length()
+    else:
+        assert (max(offsets) // want).bit_length() > PACK_MAX_WIDTH

@@ -21,22 +21,27 @@ from repro.apps import count_triangles, histogram
 from repro.conveyors.hooks import SEND_TYPES
 from repro.core.lod import DEFAULT_RES, LodView, open_lod
 from repro.core.rowstore import scatter_matrix
+from repro.core.logical import LogicalTrace
 from repro.core.store.archive import Archive, load_overall, load_run
+from repro.core.store.frame import Frame
 from repro.core.store.lod import (
     EDGE_SECTION,
     PE_SECTION,
     LodError,
     backfill_pyramid,
+    build_flat_pyramid,
     build_pyramid,
     has_pyramid,
     level_widths,
     pyramid_info,
     read_level,
 )
+from repro.core.store.writer import ArchiveWriter
 from repro.core.timeline import REGIONS, TimelineTrace
 from repro.graphs import LowerTriangular, graph500_input
 from repro.machine.spec import MachineSpec
 
+from tests.archive_tools import as_v1, as_v2, strip_chunk_stats
 from tests.lod_oracle import build_pyramid_fold
 from tests.test_golden_archives import GOLDEN_DIR
 
@@ -340,6 +345,32 @@ def test_backfill_golden_is_deterministic(name, tmp_path):
     assert hashlib.sha256(out_a.read_bytes()).hexdigest() == BACKFILLED[name]
 
 
+@pytest.mark.parametrize("rows", [
+    [(2, 4, 8, 1), (2, 0, 8, 1)],    # one source, dst == n_pes
+    [(2, -1, 8, 1), (2, 0, 8, 1)],   # one source, dst < 0
+    [(7, 0, 8, 1), (7, 1, 8, 1)],    # one source, src == 7 >= n_pes
+    [(-1, 0, 8, 1), (1, 1, 8, 1)],   # many sources, src < 0
+])
+def test_backfill_refuses_a_pe_out_of_range(rows, tmp_path, capsys):
+    """An archived edge whose PE lies outside ``[0, n_pes)`` is a
+    ValueError (``viz failed``, rc 2), never a count added to another
+    PE's row or column."""
+    from repro.core.cli import main
+
+    attrs = {"nodes": 1, "pes_per_node": 4, "n_pes": 4}
+    path = tmp_path / "bad.aptrc"
+    with ArchiveWriter(path, meta=attrs) as writer:
+        section = writer.begin_section(
+            "logical", ("src", "dst", "size", "count"), attrs=attrs)
+        section.write_chunk(dict(zip(("src", "dst", "size", "count"),
+                                     zip(*rows))))
+        section.end()
+    with pytest.raises(ValueError, match="bincount"):
+        backfill_pyramid(path, tmp_path / "out.aptrc")
+    assert main(["viz", str(path), "--backfill"]) == 2
+    assert "viz failed: bincount" in capsys.readouterr().err
+
+
 def test_backfill_is_idempotent(tmp_path):
     golden = GOLDEN_DIR / "histogram.aptrc"
     path = tmp_path / "h.aptrc"
@@ -459,3 +490,52 @@ def test_flat_pyramid_is_the_same_from_traces_and_from_sections(tmp_path):
         assert read_level(a, "edge", 0)["count"].sum() > 0
     # same sections in the same order through either door
     assert exported.read_bytes() == filled.read_bytes()
+
+    # row groups of one source PE (a zero-width src chunk, folded into
+    # that PE's row) beside groups of many, with byte weights past the
+    # 2**53 float-exactness guard (the np.add.at path) in both kinds
+    big = 2 ** 50 + 1  # odd cell sums past 2**53: float64 would round them
+    groups = [
+        [(2, 0, 8, 1), (2, 3, 16, 2), (2, 0, 24, 1)],
+        [(0, 1, 8, 3), (3, 1, 8, 1), (1, 2, 40, 2)],
+        [(2, 1, big, 7), (2, 1, big, 4), (2, 3, 8, 1)],
+        [(1, 0, big, 7), (3, 2, big, 7), (1, 0, big, 2), (1, 0, 16, 1)],
+        [(0, 0, 8, 4)],
+    ]
+    attrs = {"nodes": 1, "pes_per_node": 4, "n_pes": 4}
+    columns = ("src", "dst", "size", "count")
+    want = {}
+    for src, dst, size, count in (row for rows in groups for row in rows):
+        c, b = want.get((src, dst), (0, 0))
+        want[src, dst] = (c + count, b + count * size)
+
+    def write(path):
+        with ArchiveWriter(path, meta=attrs) as writer:
+            section = writer.begin_section("logical", columns, attrs=attrs)
+            for rows in groups:
+                section.write_chunk(dict(zip(columns, zip(*rows))))
+            section.end()
+        return path
+
+    plain = write(tmp_path / "groups.aptrc")
+    with Archive(plain) as archive:
+        constants = Frame(archive.section("logical")).constants("src")
+    assert constants == [2, None, 2, None, 0]
+    flat = {c: np.array([row[i] for rows in groups for row in rows])
+            for i, c in enumerate(columns)}
+    sources = {
+        "trace": LogicalTrace.from_columns(flat, attrs),
+        "v3": plain,
+        "v2 nostats": strip_chunk_stats(as_v2(write(tmp_path / "v2.aptrc"))),
+        "v1 nostats": strip_chunk_stats(as_v1(write, tmp_path / "v1.aptrc")),
+    }
+    for label, source in sources.items():
+        if label == "trace":
+            edge0 = build_flat_pyramid(n_pes=4, edges=source).edge_levels[0]
+        else:
+            filled = backfill_pyramid(source, tmp_path / f"{label}-lod.aptrc")
+            with Archive(filled) as archive:
+                edge0 = read_level(archive, "edge", 0)
+        got = {(s, d): (c, b) for s, d, c, b in zip(*(
+            edge0[k].tolist() for k in ("src", "dst", "count", "bytes")))}
+        assert got == want, label

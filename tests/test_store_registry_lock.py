@@ -13,6 +13,7 @@ import pytest
 from repro.core.overall import OverallProfile
 from repro.core.store.registry import RegistryError, RunRegistry, file_lock
 from repro.core.store.writer import export_run
+from repro.exec.pool import _spawn_environment
 
 
 def make_archive(path, salt: int):
@@ -45,8 +46,9 @@ def test_two_processes_add_concurrently_without_lost_updates(
                     args=(root, shards, w, count, barrier, tmp_path))
         for w in range(2)
     ]
-    for p in procs:
-        p.start()
+    with _spawn_environment():  # children never re-run our __main__
+        for p in procs:
+            p.start()
     for p in procs:
         p.join(120)
         assert p.exitcode == 0
@@ -73,8 +75,9 @@ def test_concurrent_identical_uploads_register_once(tmp_path):
     procs = [ctx.Process(target=_identical_pusher,
                          args=(root, archive, barrier, out))
              for _ in range(2)]
-    for p in procs:
-        p.start()
+    with _spawn_environment():
+        for p in procs:
+            p.start()
     results = [out.get(timeout=120) for _ in procs]
     for p in procs:
         p.join(30)
@@ -103,6 +106,39 @@ def test_sharded_layout_and_operations(tmp_path):
     assert len(registry.list()) == 9
     with pytest.raises(RegistryError, match="unknown run"):
         registry.get("run-3")
+
+
+def test_resolve_reads_one_shard_for_an_exact_id(tmp_path, monkeypatch):
+    """An exact id can only live in its own shard: resolving it parses one
+    manifest.  A prefix or an unknown id reads every shard, and the
+    errors name the registry's runs as before."""
+    registry = RunRegistry(tmp_path / "reg", shards=4)
+    for i, rid in enumerate(("run-1", "run-10", "run-2", "other")):
+        registry.add(make_archive(tmp_path / f"a{i}.aptrc", salt=i), run_id=rid)
+    loads = []
+    real = RunRegistry._load_shard
+    monkeypatch.setattr(RunRegistry, "_load_shard",
+                        lambda self, shard: loads.append(shard)
+                        or real(self, shard))
+    for rid in ("run-1", "run-10", "other"):
+        loads.clear()
+        assert registry.resolve(rid).run_id == rid
+        assert loads == [registry.shard_of(rid)]
+    loads.clear()
+    assert registry.resolve("oth").run_id == "other"  # a unique prefix
+    assert len(loads) == 1 + 4
+    with pytest.raises(RegistryError) as unknown:
+        registry.resolve("nope")
+    assert str(unknown.value) == (
+        "unknown run 'nope' (have ['other', 'run-1', 'run-10', 'run-2'])")
+    with pytest.raises(RegistryError) as ambiguous:
+        registry.resolve("run-")
+    assert str(ambiguous.value) == (
+        "ambiguous run 'run-': matches ['run-1', 'run-10', 'run-2']")
+    empty = RunRegistry(tmp_path / "empty", shards=4)
+    with pytest.raises(RegistryError) as none:
+        empty.resolve("x")
+    assert str(none.value) == "unknown run 'x' (have no runs)"
 
 
 def test_shard_count_rediscovered_from_config(tmp_path):

@@ -46,11 +46,13 @@ def _matrix(n: int, kind: str, seed: int) -> np.ndarray:
        seed=st.integers(0, 2**16), log_scale=st.booleans(),
        show_totals=st.booleans(),
        title=st.sampled_from(["T", "<&\"'> heatmap", "a & b"]),
-       entity=st.sampled_from(["PE", "node"]))
+       entity=st.sampled_from(["PE", "node", "<P&E>", "r&d \"'"]))
 @example(n=MAX_CELLS, kind="sparse", seed=1, log_scale=True,
          show_totals=True, title="Fig", entity="PE")
 @example(n=21, kind="zero", seed=0, log_scale=False, show_totals=False,
          title="<&\"'>", entity="PE")
+@example(n=3, kind="sparse", seed=2, log_scale=True, show_totals=True,
+         title="T", entity="<P&E>")
 def test_heatmap_matches_per_cell_oracle(n, kind, seed, log_scale,
                                          show_totals, title, entity):
     m = _matrix(n, kind, seed)
@@ -173,6 +175,10 @@ def test_binned_node_tooltips_use_the_noun():
     assert "<title>node 0–1 → node 2–3: 4 sends; max node 0 → node 2: 1" \
         in svg
     assert "2×2 node blocks" in svg
+    escaped = heatmap_svg(np.ones((300, 300), dtype=np.int64), entity="a&b")
+    assert "<title>a&amp;b 0–1 → a&amp;b 2–3: 4 sends; max a&amp;b 0 → " \
+        "a&amp;b 2: 1</title>" in escaped
+    assert "2×2 a&amp;b blocks" in escaped
 
 
 def test_1024_pe_heatmap_is_small_and_parses():
