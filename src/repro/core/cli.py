@@ -608,9 +608,10 @@ def _run_parser() -> argparse.ArgumentParser:
                         metavar="PARAM=V1,V2,...",
                         help="sweep a parameter over several values "
                              "(repeatable; points are the cartesian "
-                             "product).  Sweepable: the workload options "
-                             "above bar --fault-plan, spelled with "
-                             "underscores (seed, pes_per_node, scale, ...)")
+                             "product).  Sweepable: the options the app "
+                             "takes, spelled with underscores: nodes, "
+                             "pes_per_node, seed, and updates, table_size "
+                             "(histogram) or scale, distribution (triangle)")
     parser.add_argument("--sweep-report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable sweep outcome "
@@ -638,21 +639,18 @@ def _parse_sweeps(items: list[str], base: dict) -> dict[str, list]:
         except ValueError:
             raise ValueError(f"bad --sweep {item!r}: {name} wants "
                              f"{parse.__name__} values") from None
-        if name == "distribution":
-            for v in values:
-                if v not in ("cyclic", "range", "block"):
-                    raise ValueError(f"bad --sweep distribution value {v!r}: "
-                                     "want cyclic, range, or block")
         sweeps[name] = values
     return sweeps
 
 
-def _run_sweep(args, sweeps: dict[str, list], options: dict,
+def _run_sweep(args, sweeps: dict[str, list], base: dict,
                fault_plan: dict | None) -> int:
-    """Execute the cartesian ``sweeps`` of the workload ``options``
-    through the :mod:`repro.exec` engine, one ``run_app_point`` each."""
+    """Execute the cartesian ``sweeps`` of the ``base`` descriptor
+    through the :mod:`repro.exec` engine, one ``run_app_point`` each;
+    every point's workload is built first, so a bad value exits 2."""
     import itertools
 
+    from repro.check.workloads import workload_from_descriptor
     from repro.exec import RunSpec, execute
 
     _check_jobs(args)
@@ -662,8 +660,11 @@ def _run_sweep(args, sweeps: dict[str, list], options: dict,
     for index, combo in enumerate(itertools.product(*sweeps.values())):
         point = dict(zip(names, combo))
         tag = "-".join(f"{n}{v}" for n, v in point.items())
-        kwargs = {"workload": _descriptor({**options, **point}, args.app),
-                  "fault_plan": fault_plan}
+        kwargs = {"workload": {**base, **point}, "fault_plan": fault_plan}
+        try:
+            workload_from_descriptor(kwargs["workload"])
+        except ValueError as exc:
+            raise _BadArguments(f"bad sweep point {tag}: {exc}") from None
         if out_dir is not None:
             kwargs["archive_name"] = f"{args.app}-{tag}.aptrc"
         specs.append(RunSpec(
@@ -719,9 +720,10 @@ def _run_sweep(args, sweeps: dict[str, list], options: dict,
 
 def _run_main(argv: list[str]) -> int:
     args = _run_parser().parse_args(argv)
-    options = _options(args)
+    base = _descriptor(_options(args), args.app)
     try:
-        sweeps = _parse_sweeps(args.sweep, options)
+        sweeps = _parse_sweeps(args.sweep, {k: v for k, v in base.items()
+                                            if k != "kind"})
     except ValueError as exc:
         raise _BadArguments(f"bad sweep: {exc}")
     # a swept machine size is checked per point, by the run worker
@@ -729,14 +731,14 @@ def _run_main(argv: list[str]) -> int:
         args, check_fit=not {"nodes", "pes_per_node"} & sweeps.keys())
     plan_dict = plan.to_dict() if plan is not None else None
     if sweeps:
-        return _run_sweep(args, sweeps, options, plan_dict)
+        return _run_sweep(args, sweeps, base, plan_dict)
     # a plain run is a one-point sweep executed in-process
     from repro.check.parallel import run_app_point
 
     out = args.export_archive
     outcome = run_app_point(
         out.parent if out is not None else Path("."),
-        workload=_descriptor(options, args.app), fault_plan=plan_dict,
+        workload=base, fault_plan=plan_dict,
         archive_name=out.name if out is not None else None)
     if outcome["exit_code"] == 0:
         print(f"{outcome['summary']} on {args.nodes}x{args.pes_per_node} PEs "

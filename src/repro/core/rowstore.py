@@ -109,21 +109,6 @@ class RowStore:
 # exact int64 reductions
 # ----------------------------------------------------------------------
 
-def _bincount_exact(indices: np.ndarray, weights: np.ndarray,
-                    length: int) -> np.ndarray | None:
-    """Weighted bincount, or None when float64 accumulation could be
-    inexact.  ``np.bincount`` sums weights in float64, which represents
-    every integer up to 2**53 — bounding each bucket by
-    ``len * max|weight|`` guarantees exactness without trusting floats."""
-    if len(weights) == 0:
-        return np.zeros(length, dtype=np.int64)
-    peak = max(abs(int(weights.min())), abs(int(weights.max())))
-    if peak * len(weights) >= 2 ** 53:
-        return None
-    return np.bincount(indices, weights=weights,
-                       minlength=length).astype(np.int64)
-
-
 def bincount(indices: np.ndarray, weights: np.ndarray,
              length: int) -> np.ndarray:
     """Exact int64 sum of ``weights`` per index in ``[0, length)`` (else a

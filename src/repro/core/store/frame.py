@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core.rowstore import _bincount_exact, fold
+from repro.core.rowstore import bincount, fold
 from repro.core.store.archive import NO_STATS, ChunkRef, ChunkTable, Section
 from repro.core.store.codec import CodecError, pack_spec
 
@@ -179,8 +179,9 @@ def group_sum(keys: np.ndarray, weights: np.ndarray,
     ``bounds`` is the keys' ``(min, max)``, when the caller knows it.
     Rows of one key (a sorted run's row group) are one masked reduce, no
     copy, and no key when the mask selects none.  Any others are masked,
-    then take a bincount if their span is dense enough, else the row
-    store's sort-based :func:`~repro.core.rowstore.fold`."""
+    then take an int64 :func:`~repro.core.rowstore.bincount` if their
+    span is dense enough, else the row store's sort-based
+    :func:`~repro.core.rowstore.fold`."""
     if len(keys) == 0:
         return keys, weights
     lo, hi = bounds if bounds is not None else (int(keys.min()), int(keys.max()))
@@ -192,8 +193,6 @@ def group_sum(keys: np.ndarray, weights: np.ndarray,
     span = hi - lo + 1
     if span <= max(1 << 10, 4 * len(keys)):
         shifted = keys - lo
-        sums = _bincount_exact(shifted, weights, span)
-        if sums is not None:
-            present = np.flatnonzero(np.bincount(shifted, minlength=span))
-            return present + lo, sums[present]
+        present = np.flatnonzero(np.bincount(shifted, minlength=span))
+        return present + lo, bincount(shifted, weights, span)[present]
     return tuple(fold(np.stack((keys.astype(np.int64), weights)), 1))

@@ -101,8 +101,9 @@ class ResultCache:
             raise ValueError(f"malformed cache key {key!r}")
         return self.root / key[:2] / key
 
-    def get(self, key: str, restore_dir: Path) -> dict | None:
-        """Return the stored value, restoring artifacts into ``restore_dir``.
+    def get(self, key: str, restore_dir: Path | None = None) -> dict | None:
+        """Return the stored value, restoring artifacts into ``restore_dir``
+        (needed only for entries that hold artifacts).
 
         Returns ``None`` (a miss) when the entry is absent, unreadable,
         or any artifact fails its sha256 check — corrupt entries are
@@ -116,15 +117,13 @@ class ResultCache:
             self.stats.bump("misses")
             return None
         try:
-            restore_dir = Path(restore_dir)
-            restore_dir.mkdir(parents=True, exist_ok=True)
             staged = []
             for art in manifest.get("artifacts", []):
                 src = entry / art["name"]
                 if file_sha256(src) != art["sha256"]:
                     raise ValueError(f"artifact {art['name']} fingerprint "
                                      f"mismatch")
-                staged.append((src, restore_dir / art["name"]))
+                staged.append((src, Path(restore_dir) / art["name"]))
             for src, dst in staged:
                 dst.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(src, dst)
@@ -139,7 +138,8 @@ class ResultCache:
         self.stats.bump("hits")
         return manifest["value"]
 
-    def put(self, key: str, value: dict, artifact_dir: Path) -> bool:
+    def put(self, key: str, value: dict,
+            artifact_dir: Path | None = None) -> bool:
         """Store ``value`` plus the artifacts it names in ``artifact_dir``.
 
         Artifact names come from ``value["artifacts"]`` (relative paths).

@@ -8,12 +8,11 @@ workers:
   It only ever does IO-shaped work — parsing requests, spooling upload
   chunks to disk, reading manifests — so thousands of idle connections
   cost nothing.
-* **Query/diff/viz execution** is CPU-bound: each dispatch runs its
-  spec inline through :func:`repro.exec.execute` on one of ``workers``
-  long-lived pool threads.  The spec carries a content-addressed
-  ``cache_key``, so the engine serves repeats from the shared
-  :class:`~repro.serve.artifacts.ArtifactStore` without the handler
-  doing anything.
+* **Query/diff/viz execution** is CPU-bound: :meth:`Arbiter.dispatch`
+  runs on one of ``workers`` long-lived pool threads and is get → call
+  → put on the size-bounded result cache under a content-addressed
+  key (:mod:`repro.serve.artifacts`), so repeats skip the task.  A task
+  that raises propagates to its handler and is never stored.
 
 Registry mutations take the sharded registry's file locks, so external
 ``actorprof runs`` invocations and a running service can share one
@@ -23,15 +22,13 @@ registry directory safely.
 from __future__ import annotations
 
 import asyncio
-import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.store.registry import RunRegistry
-from repro.exec import RunRecord, RunSpec, execute
-from repro.serve.artifacts import ArtifactStore
+from repro.exec import ResultCache
 from repro.serve.http import (
     HttpError,
     TruncatedBody,
@@ -79,8 +76,8 @@ class Arbiter:
         root = config.data_dir
         self.registry = RunRegistry(config.registry_root or root / "runs",
                                     shards=config.shards)
-        self.store = ArtifactStore(root / "artifacts",
-                                   max_bytes=config.cache_max_bytes)
+        self.cache = ResultCache(root / "artifacts",
+                                 max_bytes=config.cache_max_bytes)
         self.spool_dir = root / "spool"
         self.gate = IngestGate(limits=config.ingest)
         self.requests = 0
@@ -125,18 +122,23 @@ class Arbiter:
 
     # -- worker dispatch --------------------------------------------------
 
-    async def dispatch(self, fn: str, kwargs: dict, *, tag: str,
-                       cache_key: str | None) -> RunRecord:
-        """Run one spec on the worker pool; cache hits skip execution."""
+    def dispatch(self, task, key: str, **kwargs) -> tuple[dict, bool]:
+        """``(value, cached)``: the cached value under ``key``, or
+        ``task(**kwargs)`` stored under it.  Runs on a pool thread
+        (:meth:`submit`); an exception propagates and stores nothing."""
+        value = self.cache.get(key)
+        if value is not None:
+            return value, True
+        value = task(**kwargs)
+        self.cache.put(key, value)
+        return value, False
+
+    async def submit(self, task, key: str, **kwargs) -> tuple[dict, bool]:
+        """Await :meth:`dispatch` on the worker pool."""
         self.dispatched += 1
-        spec = RunSpec(index=0, fn=fn, kwargs=kwargs, tag=tag,
-                       cache_key=cache_key)
-        call = functools.partial(
-            execute, [spec], jobs=1,
-            scratch_dir=self.spool_dir / "work", cache=self.store.cache)
         loop = asyncio.get_running_loop()
-        records = await loop.run_in_executor(self._pool, call)
-        return records[0]
+        return await loop.run_in_executor(
+            self._pool, lambda: self.dispatch(task, key, **kwargs))
 
     # -- connection handling ----------------------------------------------
 
@@ -195,11 +197,14 @@ class Arbiter:
     # -- stats ------------------------------------------------------------
 
     def stats(self) -> dict:
+        sizes = [size for _, _, size in self.cache.entries()]  # one walk
         return {
             "requests": self.requests,
             "errors": self.errors,
             "ingest": self.gate.stats.to_dict(),
-            "artifacts": self.store.to_dict(),
+            "artifacts": {**self.cache.stats.to_dict(), "entries": len(sizes),
+                          "bytes": sum(sizes),
+                          "max_bytes": self.cache.max_bytes},
             "registry": {
                 "runs": len(self.registry.list()),
                 "shards": self.registry.shards,

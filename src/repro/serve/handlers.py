@@ -24,12 +24,15 @@ artifact store.
 from __future__ import annotations
 
 import asyncio
+import logging
 
 from repro.core.query import QueryError, normalize
 from repro.core.store.archive import Archive, ArchiveError
 from repro.core.store.registry import RegistryError, RunInfo
 from repro.serve.http import HttpError, Request, read_body, send_json
 from repro.serve.ingest import spool_upload
+
+log = logging.getLogger("repro.serve")
 
 _ENDPOINTS = [
     "GET /", "GET /healthz", "GET /stats", "GET /runs", "GET /runs/{id}",
@@ -186,7 +189,24 @@ async def _ingest(arbiter, request: Request, reader, writer) -> None:
 
 # -- query / diff ---------------------------------------------------------
 
+async def _submit(arbiter, verb: str, client_faults: tuple, task, key: str,
+                  **kwargs) -> tuple[dict, bool]:
+    """``(value, cached)`` of ``task`` through the arbiter.  A task that
+    raises is a 400 when its exception's exact type is one of
+    ``client_faults`` (the client's query or archive), else a 500 whose
+    traceback is logged."""
+    try:
+        return await arbiter.submit(task, key, **kwargs)
+    except Exception as exc:
+        status = 400 if type(exc) in client_faults else 500
+        if status == 500:
+            log.exception("%s task failed", verb)
+        raise HttpError(status, f"{verb} failed: {type(exc).__name__}: "
+                                f"{exc}") from None
+
+
 async def _query(arbiter, request: Request, ref: str, writer) -> None:
+    from repro.serve import tasks
     from repro.serve.artifacts import query_key
 
     text = request.params.get("q")
@@ -198,22 +218,14 @@ async def _query(arbiter, request: Request, ref: str, writer) -> None:
     except QueryError as exc:
         raise HttpError(400, f"bad query: {exc}") from None
     info = _registry_call(arbiter.registry.resolve, ref)
-    key = query_key(info.fingerprint, section, canonical)
-    record = await arbiter.dispatch(
-        "repro.serve.tasks:run_query_task",
-        {"archive": str(info.path), "section": section, "query": canonical},
-        tag=f"query:{info.run_id}", cache_key=key)
-    if not record.ok:
-        # worker errors carry their exception type as a prefix; query
-        # and archive-shape problems are the client's fault, not ours
-        client_fault = (record.error or "").startswith(
-            ("QueryError", "ArchiveError"))
-        raise HttpError(400 if client_fault else 500,
-                        f"query failed: {record.error}")
+    value, cached = await _submit(
+        arbiter, "query", (QueryError, ArchiveError), tasks.run_query_task,
+        query_key(info.fingerprint, section, canonical),
+        archive=str(info.path), section=section, query=canonical)
     await send_json(writer, 200, {
         "run": info.run_id, "section": section, "query": canonical,
-        "result": record.value["result"], "cached": record.cached,
-    }, headers={"X-Cache": "hit" if record.cached else "miss"})
+        "result": value["result"], "cached": cached,
+    }, headers={"X-Cache": "hit" if cached else "miss"})
 
 
 async def _viz(arbiter, request: Request, ref: str, view: str,
@@ -224,7 +236,9 @@ async def _viz(arbiter, request: Request, ref: str, view: str,
     ``X-Lod-Level`` (pyramid level used) and ``X-Viewport`` (snapped
     window) headers — everything a pan/zoom client needs to refine.
     """
+    from repro.core.store.lod import LodError
     from repro.core.viz.lodviews import VIEWS
+    from repro.serve import tasks
     from repro.serve.artifacts import viz_key
     from repro.serve.http import response_bytes
 
@@ -246,21 +260,13 @@ async def _viz(arbiter, request: Request, ref: str, view: str,
     if res is not None and res < 1:
         raise HttpError(400, "res must be a positive integer")
     info = _registry_call(arbiter.registry.resolve, ref)
-    key = viz_key(info.fingerprint, view, t0, t1, res)
-    record = await arbiter.dispatch(
-        "repro.serve.tasks:run_viz_task",
-        {"archive": str(info.path), "view": view,
-         "t0": t0, "t1": t1, "res": res},
-        tag=f"viz:{info.run_id}:{view}", cache_key=key)
-    if not record.ok:
-        client_fault = (record.error or "").startswith(
-            ("LodError", "ArchiveError", "ValueError"))
-        raise HttpError(400 if client_fault else 500,
-                        f"viz failed: {record.error}")
-    value = record.value
+    value, cached = await _submit(
+        arbiter, "viz", (LodError, ArchiveError, ValueError),
+        tasks.run_viz_task, viz_key(info.fingerprint, view, t0, t1, res),
+        archive=str(info.path), view=view, t0=t0, t1=t1, res=res)
     writer.write(response_bytes(
         200, value["svg"].encode("utf-8"), content_type="image/svg+xml",
-        headers={"X-Cache": "hit" if record.cached else "miss",
+        headers={"X-Cache": "hit" if cached else "miss",
                  "X-Lod-Level": str(value["level"]),
                  "X-Viewport": f"{value['t0']}-{value['t1']}",
                  "X-Horizon": str(value["horizon"])}))
@@ -268,6 +274,7 @@ async def _viz(arbiter, request: Request, ref: str, view: str,
 
 
 async def _diff(arbiter, request: Request, writer) -> None:
+    from repro.serve import tasks
     from repro.serve.artifacts import diff_key
 
     ref_a, ref_b = request.params.get("a"), request.params.get("b")
@@ -275,18 +282,15 @@ async def _diff(arbiter, request: Request, writer) -> None:
         raise HttpError(400, "diff endpoint needs ?a=RUN&b=RUN")
     info_a = _registry_call(arbiter.registry.resolve, ref_a)
     info_b = _registry_call(arbiter.registry.resolve, ref_b)
-    key = diff_key(info_a.fingerprint, info_b.fingerprint)
-    record = await arbiter.dispatch(
-        "repro.serve.tasks:run_diff_task",
-        {"archive_a": str(info_a.path), "archive_b": str(info_b.path),
-         "label_a": info_a.run_id, "label_b": info_b.run_id},
-        tag=f"diff:{info_a.run_id}:{info_b.run_id}", cache_key=key)
-    if not record.ok:
-        raise HttpError(500, f"diff failed: {record.error}")
+    value, cached = await _submit(
+        arbiter, "diff", (), tasks.run_diff_task,
+        diff_key(info_a.fingerprint, info_b.fingerprint),
+        archive_a=str(info_a.path), archive_b=str(info_b.path),
+        label_a=info_a.run_id, label_b=info_b.run_id)
     await send_json(writer, 200, {
         "a": info_a.run_id, "b": info_b.run_id,
-        "report": record.value["report"], "cached": record.cached,
-    }, headers={"X-Cache": "hit" if record.cached else "miss"})
+        "report": value["report"], "cached": cached,
+    }, headers={"X-Cache": "hit" if cached else "miss"})
 
 
 async def _shutdown(arbiter, request: Request, reader, writer) -> None:

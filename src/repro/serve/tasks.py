@@ -1,22 +1,18 @@
-"""Worker functions the service dispatches through :mod:`repro.exec`.
+"""The service's tasks: one query, diff or viz render each.
 
-These follow the engine's worker contract (module-level, dotted-path
-addressable, JSON-serializable kwargs and return values); the arbiter
-runs each inline on one of its pool threads, with the artifact store's
-content-addressed key riding along as the spec's ``cache_key``.  All
-three go through the :mod:`repro.api` facade.
+Plain functions of JSON-serializable keywords that return a
+JSON-serializable dict, which is what the result cache stores.
+:meth:`~repro.serve.arbiter.Arbiter.dispatch` calls them on a pool
+thread.  All three go through the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import repro.api as api
 from repro.core.store.archive import ArchiveError
 
 
-def run_query_task(out_dir: Path, *, archive: str, section: str,
-                   query: str) -> dict:
+def run_query_task(*, archive: str, section: str, query: str) -> dict:
     """Evaluate one normalized query over one archive section."""
     with api.open_run(archive) as run:
         if section not in run.sections:
@@ -29,17 +25,16 @@ def run_query_task(out_dir: Path, *, archive: str, section: str,
     return {"result": result}
 
 
-def run_diff_task(out_dir: Path, *, archive_a: str, archive_b: str,
-                  label_a: str, label_b: str) -> dict:
+def run_diff_task(*, archive_a: str, archive_b: str, label_a: str,
+                  label_b: str) -> dict:
     """Render the side-by-side diff report for two archives."""
     report = api.diff(archive_a, archive_b, label_a=label_a,
                       label_b=label_b)
     return {"report": report}
 
 
-def run_viz_task(out_dir: Path, *, archive: str, view: str,
-                 t0: int | None = None, t1: int | None = None,
-                 res: int | None = None) -> dict:
+def run_viz_task(*, archive: str, view: str, t0: int | None = None,
+                 t1: int | None = None, res: int | None = None) -> dict:
     """Render one LOD viz view over a viewport; O(res) per call.
 
     Returns the SVG text plus the snapped viewport actually rendered

@@ -8,6 +8,8 @@ from repro.core.cli import main
 
 BASE = ["run", "histogram", "--nodes", "1", "--pes-per-node", "4",
         "--updates", "100", "--table-size", "32"]
+TRIANGLE = ["run", "triangle", "--nodes", "1", "--pes-per-node", "4",
+            "--scale", "4"]
 
 
 def test_sweep_runs_cartesian_product(tmp_path, capsys):
@@ -59,14 +61,23 @@ def test_sweep_rejects_unknown_parameter(capsys):
     assert "cannot sweep 'bogus'" in capsys.readouterr().err
 
 
+def test_sweep_rejects_an_option_the_app_does_not_take(capsys):
+    # histogram has no scale: its points would all run the same workload
+    rc = main([*BASE, "--sweep", "scale=5,6"])
+    assert rc == 2
+    assert "cannot sweep 'scale'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad,fragment", [
     ("seed", "use PARAM=V1,V2"),
     ("seed=", "use PARAM=V1,V2"),
     ("seed=a,b", "int values"),
-    ("distribution=diagonal", "cyclic, range, or block"),
+    ("distribution=diagonal", "must be cyclic, range or block"),
 ])
 def test_sweep_rejects_malformed_specs(bad, fragment, capsys):
-    rc = main([*BASE, "--sweep", bad])
+    # distribution is the triangle's option; the workload checks it
+    base = TRIANGLE if bad.startswith("distribution") else BASE
+    rc = main([*base, "--sweep", bad])
     assert rc == 2
     assert fragment in capsys.readouterr().err
 

@@ -1,9 +1,11 @@
-"""Content-addressed keys + normalization behind the artifact store."""
+"""Content-addressed keys + normalization behind the result cache, and
+the arbiter's get → call → put dispatch over it."""
 
 import pytest
 
 from repro.core.query import QueryError, normalize, parse
-from repro.serve.artifacts import ArtifactStore, diff_key, query_key
+from repro.serve import Arbiter, ServerConfig
+from repro.serve.artifacts import diff_key, query_key
 
 
 def test_normalize_collapses_cosmetic_variants():
@@ -62,16 +64,32 @@ def test_diff_key_is_order_sensitive():
 
 
 def test_store_roundtrip_and_stats(tmp_path):
-    store = ArtifactStore(tmp_path / "arts", max_bytes=1 << 20)
+    arbiter = Arbiter(ServerConfig(data_dir=tmp_path, cache_max_bytes=1 << 20))
     key = query_key("f" * 64, "logical", "sends")
-    art_dir = tmp_path / "payload"
-    art_dir.mkdir()
-    (art_dir / "result.json").write_text('{"result": 3}')
-    assert store.cache.put(key, {"artifacts": ["result.json"]}, art_dir)
-    restored = store.cache.get(key, tmp_path / "restore")
-    assert restored is not None
-    payload = store.to_dict()
+    calls = []
+
+    def task(**kwargs):
+        calls.append(kwargs)
+        return {"result": 3}
+
+    assert arbiter.dispatch(task, key, query="sends") == ({"result": 3}, False)
+    assert arbiter.dispatch(task, key, query="sends") == ({"result": 3}, True)
+    assert calls == [{"query": "sends"}]
+    payload = arbiter.stats()["artifacts"]
     assert payload["entries"] == 1
     assert payload["bytes"] > 0
     assert payload["max_bytes"] == 1 << 20
     assert payload["hits"] == 1 and payload["stores"] == 1
+
+
+def test_a_task_that_raises_propagates_and_is_not_stored(tmp_path):
+    arbiter = Arbiter(ServerConfig(data_dir=tmp_path))
+    key = diff_key("a" * 64, "b" * 64)
+
+    def broken(**kwargs):
+        raise RuntimeError("lost")
+
+    with pytest.raises(RuntimeError, match="lost"):
+        arbiter.dispatch(broken, key)
+    assert arbiter.stats()["artifacts"]["entries"] == 0
+    assert arbiter.dispatch(lambda: {"report": ""}, key) == ({"report": ""}, False)

@@ -509,9 +509,10 @@ def test_keep_alive_serves_sequential_requests(server):
     assert out.count(b"200 OK") == 2
 
 
-def test_failed_query_task_is_a_500_and_is_not_stored(server, tmp_path,
+@pytest.mark.parametrize("verb", ["query", "viz", "diff"])
+def test_failed_query_task_is_a_500_and_is_not_stored(verb, server, tmp_path,
                                                       monkeypatch):
-    """A query task that raises is the server's fault: a 500 naming the
+    """A task that raises is the server's fault: a 500 naming the
     exception, counted in ``/stats`` errors and never stored, so once
     the task works again the same request is a miss; the server keeps
     answering throughout."""
@@ -521,26 +522,28 @@ def test_failed_query_task_is_a_500_and_is_not_stored(server, tmp_path,
 
     client = server.client()
     client.push(make_archive(tmp_path / "a.aptrc"), run_id="alpha")
+    client.push(make_archive(tmp_path / "b.aptrc", seed=1), run_id="beta")
 
-    def broken(out_dir, **kwargs):
+    def broken(**kwargs):
         raise RuntimeError("worker lost its archive")
 
-    monkeypatch.setattr(tasks, "run_query_task", broken)
-    path = "/runs/alpha/query?q=sends"
+    path = {"query": "/runs/alpha/query?q=sends",
+            "viz": "/runs/alpha/viz/heatmap",
+            "diff": "/diff?a=alpha&b=beta"}[verb]
+    monkeypatch.setattr(tasks, f"run_{verb}_task", broken)
     before = client.stats()
     for attempt in (1, 2):
         status, headers, body = client.request("GET", path)
         assert status == 500
         assert "x-cache" not in headers
         assert json.loads(body) == {
-            "error": "query failed: RuntimeError: worker lost its archive"}
+            "error": f"{verb} failed: RuntimeError: worker lost its archive"}
         stats = client.stats()
         assert stats["errors"] == before["errors"] + attempt
         assert stats["artifacts"]["stores"] == before["artifacts"]["stores"]
 
     monkeypatch.undo()
-    status, headers, body = client.request("GET", path)
-    assert status == 200 and headers["x-cache"] == "miss"
-    assert json.loads(body)["result"] == 3
-    assert client.query("alpha", "sends")["cached"] is True
+    for cache in ("miss", "hit"):
+        status, headers, _ = client.request("GET", path)
+        assert status == 200 and headers["x-cache"] == cache
     assert client.stats()["errors"] == before["errors"] + 2

@@ -110,6 +110,30 @@ def test_viz_error_paths(client):
     assert status == 400
 
 
+def test_viz_of_a_pyramid_missing_its_edge_section_is_a_400(
+        server, archive, tmp_path):
+    """A malformed pyramid is the client's archive at fault: the gantt
+    still renders from the PE side, the heatmap is a 400 naming the
+    LodError, and nothing is stored for it."""
+    from repro.core.store.lod import EDGE_SECTION
+    from tests.archive_tools import read_footer, rewrite_footer
+
+    _, footer = read_footer(archive)
+    del footer["sections"][EDGE_SECTION]
+    client = server.client()
+    client.push(rewrite_footer(archive, footer, out=tmp_path / "bent.aptrc"),
+                run_id="bent")
+    assert "<svg" in client.viz("bent", "gantt")[0]
+    stores = client.stats()["artifacts"]["stores"]
+    status, headers, body = client.request("GET", "/runs/bent/viz/heatmap")
+    assert status == 400 and "x-cache" not in headers
+    error = json.loads(body)["error"]
+    assert error.startswith("viz failed: LodError: ")
+    assert error.endswith("archive has no 'lod_edge' section (backfill "
+                          "with `actorprof viz RUN --backfill`)")
+    assert client.stats()["artifacts"]["stores"] == stores
+
+
 def test_viz_on_legacy_archive_falls_back_to_flat(server, tmp_path):
     """Pre-pyramid uploads still render (in-memory flat fallback)."""
     from tests.test_golden_archives import GOLDEN_DIR
