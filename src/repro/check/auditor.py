@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.check.invariants import Violation
+from repro.check.parallel import run_audit_schedule
 from repro.check.policies import PerturbedSchedule, make_schedules
 from repro.check.workloads import Workload
-from repro.exec import ResultCache, RunSpec, execute, scratch
+from repro.exec import ResultCache, execute, scratch
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,6 @@ def _compare_to_baseline(base: dict, other: dict, report: CheckReport,
         )
 
 
-#: Dotted path of the audit worker (see :mod:`repro.check.parallel`).
-_WORKER_FN = "repro.check.parallel:run_audit_schedule"
-
-
 def audit(
     workload: Workload,
     schedules: int = 8,
@@ -262,23 +259,21 @@ def audit(
     units = [(k, f"s{k}") for k in range(schedules)]
     units += [(k, f"s{k}-replay") for k in replay_indices]
 
-    # one RunSpec per unit; execute runs them inline at jobs=1 and in
+    # one point per unit; execute runs them inline at jobs=1 and in
     # workers otherwise, so the records do not depend on the job count
     descriptor = workload.descriptor()
     plan_dict = fault_plan.to_dict() if fault_plan is not None else None
-    specs = []
-    for i, (k, tag) in enumerate(units):
-        kwargs = {"workload": descriptor, "schedule_index": k,
-                  "schedules": schedules, "tag": tag,
-                  "store_equivalence": store_equivalence,
-                  "fault_plan": plan_dict}
-        specs.append(RunSpec(index=i, fn=_WORKER_FN, kwargs=kwargs,
-                             tag=tag).with_cache_key())
+    points = [(tag, {"workload": descriptor, "schedule_index": k,
+                     "schedules": schedules, "tag": tag,
+                     "store_equivalence": store_equivalence,
+                     "fault_plan": plan_dict})
+              for k, tag in units]
     with scratch(out_dir, "actorcheck-") as out_dir:
         records = {rec.tag: rec for rec in execute(
-            specs, jobs=jobs, scratch_dir=out_dir, cache=cache)}
+            run_audit_schedule, points, jobs=jobs, scratch_dir=out_dir,
+            cache=cache)}
 
-    for i, (k, tag) in enumerate(units):
+    for k, tag in units:
         rec = records[tag]
         if not rec.ok:
             report.failures.append({"schedule": k, "tag": tag,

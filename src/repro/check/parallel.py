@@ -23,7 +23,7 @@ from repro.check.policies import make_schedules
 from repro.check.workloads import workload_from_descriptor
 from repro.core.flags import ProfileFlags
 from repro.core.profiler import ActorProf
-from repro.exec.cache import file_sha256
+from repro.core.store.registry import file_sha256
 from repro.sim.errors import SimulationError
 from repro.sim.faults import FaultPlan
 

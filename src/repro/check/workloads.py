@@ -30,7 +30,7 @@ from repro.check.policies import PerturbedSchedule
 from repro.conveyors.conveyor import ConveyorConfig
 from repro.core.flags import ProfileFlags
 from repro.core.profiler import ActorProf
-from repro.exec.cache import file_sha256
+from repro.core.store.registry import file_sha256
 from repro.hclib.actor import Selector
 from repro.hclib.world import RunResult, run_spmd
 from repro.machine.cost import CostModel

@@ -650,14 +650,15 @@ def _run_sweep(args, sweeps: dict[str, list], base: dict,
     every point's workload is built first, so a bad value exits 2."""
     import itertools
 
+    from repro.check.parallel import run_app_point
     from repro.check.workloads import workload_from_descriptor
-    from repro.exec import RunSpec, execute
+    from repro.exec import execute
 
     _check_jobs(args)
     out_dir = args.export_archive  # a *directory* in sweep mode
-    specs = []
+    runs = []
     names = list(sweeps)
-    for index, combo in enumerate(itertools.product(*sweeps.values())):
+    for combo in itertools.product(*sweeps.values()):
         point = dict(zip(names, combo))
         tag = "-".join(f"{n}{v}" for n, v in point.items())
         kwargs = {"workload": {**base, **point}, "fault_plan": fault_plan}
@@ -667,15 +668,13 @@ def _run_sweep(args, sweeps: dict[str, list], base: dict,
             raise _BadArguments(f"bad sweep point {tag}: {exc}") from None
         if out_dir is not None:
             kwargs["archive_name"] = f"{args.app}-{tag}.aptrc"
-        specs.append(RunSpec(
-            index=index, fn="repro.check.parallel:run_app_point",
-            kwargs=kwargs, tag=tag,
-        ).with_cache_key())
-    print(f"sweep: {len(specs)} points "
+        runs.append((tag, kwargs))
+    print(f"sweep: {len(runs)} points "
           f"({' x '.join(f'{n}={len(v)}' for n, v in sweeps.items())}), "
           f"jobs={args.jobs}")
 
-    records = execute(specs, jobs=args.jobs, scratch_dir=out_dir)
+    records = execute(run_app_point, runs, jobs=args.jobs,
+                      scratch_dir=out_dir)
     points = []
     for rec in records:
         if rec.ok:
@@ -985,7 +984,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=4,
                         help="registry manifest shards for write "
                              "concurrency (default 4; fixed at registry "
-                             "creation)")
+                             "creation; one made by 'runs add' has 1)")
     parser.add_argument("--workers", type=int, default=4,
                         help="query/diff worker pool width (default 4)")
     parser.add_argument("--cache-max-bytes", type=int,

@@ -17,9 +17,7 @@ and the decoded payload never exceeds ~2x the requested resolution.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +62,10 @@ class PeSeries:
 
 @dataclass(frozen=True)
 class EdgeWindow:
-    """Communication-matrix aggregates over a viewport.  ``bytes`` is
-    read on first use: the heatmap draws counts alone."""
+    """Message counts between PEs over a viewport."""
 
     viewport: Viewport
     count: np.ndarray  # (n_pes, n_pes) int64 message counts
-    matrix: Callable[[str], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def bytes(self) -> np.ndarray:  # (n_pes, n_pes) int64 payload bytes
-        return self.matrix("bytes")
 
 
 class LodView:
@@ -176,18 +168,14 @@ class LodView:
 
     def edge_window(self, t0: int | None = None, t1: int | None = None,
                     res: int = 16) -> EdgeWindow:
-        """Communication count/bytes matrices over the viewport."""
+        """The message-count matrix over the viewport."""
         vp = self.viewport(t0, t1, res)
-
-        def matrix(weight: str) -> np.ndarray:
-            cols = self._reader("edge", vp.level,
-                                ("bucket", "src", "dst", weight))
-            bucket = cols["bucket"]
-            mask = (bucket >= vp.b0) & (bucket < vp.b1)
-            return scatter_matrix(cols["src"][mask], cols["dst"][mask],
-                                  cols[weight][mask], (self.n_pes, self.n_pes))
-
-        return EdgeWindow(viewport=vp, count=matrix("count"), matrix=matrix)
+        cols = self._reader("edge", vp.level, ("bucket", "src", "dst", "count"))
+        bucket = cols["bucket"]
+        mask = (bucket >= vp.b0) & (bucket < vp.b1)
+        count = scatter_matrix(cols["src"][mask], cols["dst"][mask],
+                               cols["count"][mask], (self.n_pes, self.n_pes))
+        return EdgeWindow(viewport=vp, count=count)
 
     def refine(self, vp: Viewport, bucket: int, res: int = 96) -> Viewport:
         """Drill down into one bucket of a prior viewport.

@@ -60,6 +60,15 @@ class RegistryError(ValueError):
     """Raised for unknown run ids or a corrupt registry."""
 
 
+def file_sha256(path: Path) -> str:
+    """A file's sha256: the fingerprint a registered archive carries."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 @contextmanager
 def file_lock(path: Path):
     """Hold an exclusive advisory lock on ``path`` (created if absent).
@@ -126,10 +135,10 @@ class RunRegistry:
     """A directory of ``.aptrc`` archives indexed by sharded manifests.
 
     ``shards`` picks the manifest count when the registry is *created*;
-    an existing registry's shard count is read from ``registry.json``
-    (absent for legacy single-manifest registries, which keep working
-    unchanged).  Passing a conflicting ``shards`` for an existing
-    registry raises, since re-sharding in place would strand entries.
+    an existing registry's shard count is read from ``registry.json``,
+    or is 1 for a legacy single-manifest registry (no config file).
+    Passing a conflicting ``shards`` for an existing registry raises,
+    since re-sharding in place would strand entries.
     """
 
     def __init__(self, root: str | Path, shards: int | None = None) -> None:
@@ -157,7 +166,8 @@ class RunRegistry:
     def _read_config(self) -> int | None:
         config = self.root / REGISTRY_CONFIG
         if not config.exists():
-            return None
+            # a legacy registry is one manifest and no config file
+            return 1 if (self.root / MANIFEST).exists() else None
         try:
             data = json.loads(config.read_text())
             return int(data["shards"])
@@ -269,10 +279,6 @@ class RunRegistry:
         The decision is made under the target shard's file lock, so two
         concurrent identical uploads register exactly one entry.
         """
-        # imported here: repro.exec pulls in multiprocessing, which a
-        # process that only reads the registry never needs
-        from repro.exec.cache import file_sha256
-
         archive_path = Path(archive_path)
         try:
             if meta is None:

@@ -156,15 +156,12 @@ def lod_timeline_svg(series: PeSeries, title: str = "LOD timeline") -> str:
     return cv.to_string()
 
 
-def lod_heatmap_svg(window: EdgeWindow, title: str = "LOD heatmap",
-                    use_bytes: bool = False) -> str:
-    """Communication matrix over the viewport (messages or bytes)."""
+def lod_heatmap_svg(window: EdgeWindow, title: str = "LOD heatmap") -> str:
+    """Message-count matrix over the viewport."""
     vp = window.viewport
-    matrix = window.bytes if use_bytes else window.count
-    unit = "bytes" if use_bytes else "messages"
     return heatmap_svg(
-        matrix,
-        title=f"{title} [{vp.t0:,}..{vp.t1:,}) {unit}",
+        window.count,
+        title=f"{title} [{vp.t0:,}..{vp.t1:,}) messages",
         xlabel="destination PE", ylabel="source PE")
 
 

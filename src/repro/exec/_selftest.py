@@ -1,8 +1,8 @@
 """Tiny worker functions for exercising the run engine itself.
 
-The engine resolves workers by dotted path and spawned children import
-them fresh, so test workers must live in an installed module — closures
-and test-file functions don't survive the trip.  Everything here is
+Spawned children import a worker by its module and name, so test
+workers must live in an installed module — closures and test-file
+functions don't survive the trip.  Everything here is
 deliberately trivial; the unit tests drive pools, caches, and crash
 isolation through these.
 """
@@ -41,3 +41,9 @@ def touch_and_count(out_dir: Path, *, name: str) -> dict:
     with open(path, "a") as f:
         f.write("x")
     return {"artifacts": [name], "runs": path.stat().st_size}
+
+
+def mixed(out_dir: Path, *, op: str, **kwargs) -> dict:
+    """Call ``echo``, ``boom`` or ``die`` by name: one worker function for
+    a batch whose points succeed, raise or kill their process."""
+    return {"echo": echo, "boom": boom, "die": die}[op](out_dir, **kwargs)

@@ -1,7 +1,7 @@
 """On-disk result cache for the parallel run engine.
 
-Entries are keyed by :func:`repro.exec.runspec.cache_key_for` — the
-sha256 of a spec's ``{fn, kwargs}`` — so an unchanged ``(workload,
+Entries are keyed by :func:`repro.exec.pool.cache_key_for` — the
+sha256 of a run's ``{fn, kwargs}`` — so an unchanged ``(workload,
 seed, schedule)`` triple maps to the same entry across processes and
 sessions.  An entry holds the worker's returned value plus a copy of
 every artifact file it produced, each stamped with its own sha256 (the
@@ -31,7 +31,6 @@ written by anyone else are counted at the next walk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -40,13 +39,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-def file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+from repro.core.store.registry import file_sha256
 
 
 def _tree_bytes(path: Path) -> int:

@@ -85,6 +85,8 @@ class Arbiter:
         self.dispatched = 0
         self._pool = ThreadPoolExecutor(max_workers=config.workers,
                                         thread_name_prefix="apserve")
+        #: key -> the future of the one dispatch of that key now running
+        self._inflight: dict[str, asyncio.Future] = {}
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
         self.port: int | None = None
@@ -134,11 +136,26 @@ class Arbiter:
         return value, False
 
     async def submit(self, task, key: str, **kwargs) -> tuple[dict, bool]:
-        """Await :meth:`dispatch` on the worker pool."""
+        """Await :meth:`dispatch` on the worker pool, one run per key at
+        a time (single-flight).  A request for a key whose dispatch is in
+        flight waits for it and then dispatches: it reads the stored
+        entry, or, if that run raised and stored nothing, runs the task.
+        """
         self.dispatched += 1
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, lambda: self.dispatch(task, key, **kwargs))
+
+        def call():
+            return self.dispatch(task, key, **kwargs)
+
+        while (running := self._inflight.get(key)) is not None:
+            await asyncio.wait({running})  # never cancels the other's run
+            if not running.cancelled() and running.exception() is None:
+                return await loop.run_in_executor(self._pool, call)
+        future = self._inflight[key] = loop.run_in_executor(self._pool, call)
+        # registered before any waiter's callback: the key is free again
+        # by the time a waiter wakes up
+        future.add_done_callback(lambda _: self._inflight.pop(key))
+        return await future
 
     # -- connection handling ----------------------------------------------
 

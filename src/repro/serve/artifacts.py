@@ -31,9 +31,12 @@ def query_key(fingerprint: str, section: str, canonical_query: str) -> str:
                  "section": section, "query": canonical_query})
 
 
-def diff_key(fingerprint_a: str, fingerprint_b: str) -> str:
-    """Cache key for one ordered archive-pair diff."""
-    return _key({"kind": "diff", "a": fingerprint_a, "b": fingerprint_b})
+def diff_key(fingerprint_a: str, fingerprint_b: str, label_a: str,
+             label_b: str) -> str:
+    """Cache key for one ordered archive-pair diff.  The report text
+    names both runs, so their labels are part of the key."""
+    return _key({"kind": "diff", "a": fingerprint_a, "b": fingerprint_b,
+                 "label_a": label_a, "label_b": label_b})
 
 
 def viz_key(fingerprint: str, view: str, t0: int | None, t1: int | None,

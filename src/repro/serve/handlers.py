@@ -284,7 +284,8 @@ async def _diff(arbiter, request: Request, writer) -> None:
     info_b = _registry_call(arbiter.registry.resolve, ref_b)
     value, cached = await _submit(
         arbiter, "diff", (), tasks.run_diff_task,
-        diff_key(info_a.fingerprint, info_b.fingerprint),
+        diff_key(info_a.fingerprint, info_b.fingerprint, info_a.run_id,
+                 info_b.run_id),
         archive_a=str(info_a.path), archive_b=str(info_b.path),
         label_a=info_a.run_id, label_b=info_b.run_id)
     await send_json(writer, 200, {

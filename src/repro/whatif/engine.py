@@ -18,7 +18,7 @@ import itertools
 from pathlib import Path
 
 from repro.check.workloads import Workload
-from repro.exec import ResultCache, RunSpec, execute, scratch
+from repro.exec import ResultCache, execute, scratch
 from repro.machine.cost import CostModel
 from repro.sim.faults import FaultPlan
 from repro.whatif.dag import DagRecorder, EventDag, build_dag
@@ -27,9 +27,8 @@ from repro.whatif.replay import (
     execute_point,
     reject_crash_plans,
     run_totals,
+    run_whatif_point,
 )
-
-_WORKER_FN = "repro.whatif.replay:run_whatif_point"
 
 #: How many critical-path transfer edges the report ranks.
 TOP_EDGES = 5
@@ -226,7 +225,7 @@ def _run_whatif(workload: Workload, *,
                 points.append(Scales(dict(combo)))
         descriptor = workload.descriptor()
         plan_dict = fault_plan.to_dict() if fault_plan is not None else None
-        specs = []
+        runs = []
         for i, sc in enumerate(points):
             tag = "p" + "-".join(
                 f"{t.replace(':', '_').replace('.', '_')}{f:g}"
@@ -236,15 +235,14 @@ def _run_whatif(workload: Workload, *,
                       "tag": f"{i}-{tag}"}
             if plan_dict is not None:
                 kwargs["fault_plan"] = plan_dict
-            specs.append(RunSpec(index=i, fn=_WORKER_FN, kwargs=kwargs,
-                                 tag=tag).with_cache_key())
-        records = execute(specs, jobs=jobs, scratch_dir=out_dir,
-                          cache=cache)
+            runs.append((tag, kwargs))
+        records = execute(run_whatif_point, runs, jobs=jobs,
+                          scratch_dir=out_dir, cache=cache)
 
         point_rows = []
         failures = 0
-        for spec, rec, sc in zip(specs, records, points):
-            row: dict = {"tag": spec.tag, "scales": sc.to_dict()}
+        for rec, sc in zip(records, points):
+            row: dict = {"tag": rec.tag, "scales": sc.to_dict()}
             if not rec.ok:
                 failures += 1
                 row["error"] = rec.error

@@ -58,9 +58,13 @@ def test_query_key_tracks_every_component():
 
 def test_diff_key_is_order_sensitive():
     a, b = "a" * 64, "b" * 64
-    assert diff_key(a, b) == diff_key(a, b)
-    assert diff_key(a, b) != diff_key(b, a)  # diff(a,b) != diff(b,a)
-    assert diff_key(a, b) != query_key(a, "logical", b)  # kinds don't collide
+    key = diff_key(a, b, "x", "y")
+    assert key == diff_key(a, b, "x", "y")
+    assert key != diff_key(b, a, "x", "y")  # diff(a,b) != diff(b,a)
+    assert key != query_key(a, "logical", b)  # kinds don't collide
+    # the report names both runs: other labels, other entry
+    assert key != diff_key(a, b, "x-2", "y")
+    assert key != diff_key(a, b, "x", "y-2")
 
 
 def test_store_roundtrip_and_stats(tmp_path):
@@ -84,7 +88,7 @@ def test_store_roundtrip_and_stats(tmp_path):
 
 def test_a_task_that_raises_propagates_and_is_not_stored(tmp_path):
     arbiter = Arbiter(ServerConfig(data_dir=tmp_path))
-    key = diff_key("a" * 64, "b" * 64)
+    key = diff_key("a" * 64, "b" * 64, "a", "b")
 
     def broken(**kwargs):
         raise RuntimeError("lost")

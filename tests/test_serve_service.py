@@ -180,10 +180,10 @@ def test_ingest_hashes_once_and_registers_off_the_loop(
     import asyncio
     import hashlib
 
-    import repro.exec.cache
+    import repro.core.store.registry
 
     rehashed, loops = [], []
-    monkeypatch.setattr(repro.exec.cache, "file_sha256",
+    monkeypatch.setattr(repro.core.store.registry, "file_sha256",
                         lambda path: rehashed.append(path) or "0" * 64)
     add_dedup = RunRegistry.add_dedup
 
@@ -547,3 +547,59 @@ def test_failed_query_task_is_a_500_and_is_not_stored(verb, server, tmp_path,
         status, headers, _ = client.request("GET", path)
         assert status == 200 and headers["x-cache"] == cache
     assert client.stats()["errors"] == before["errors"] + 2
+
+
+def test_cached_diff_names_the_runs_asked_for(tmp_path):
+    """One archive registered twice (``a``, ``a-2``): the diff of
+    ``a-2`` is not answered from the entry ``a``'s diff stored, whose
+    report names ``a``."""
+    registry = RunRegistry(tmp_path / "reg")
+    a = make_archive(tmp_path / "a.aptrc", seed=1)
+    registry.add(a)
+    registry.add(a)
+    registry.add(make_archive(tmp_path / "b.aptrc", seed=2))
+    assert [i.run_id for i in registry.list()] == ["a", "a-2", "b"]
+    config = ServerConfig(data_dir=tmp_path / "srv", port=0,
+                          registry_root=tmp_path / "reg", shards=1)
+    with ServerThread(config) as srv:
+        client = srv.client()
+        first = client.diff("a", "b")
+        second = client.diff("a-2", "b")
+        again = client.diff("a-2", "b")
+    assert first["report"].startswith("== comparing 'a' (A) vs 'b' (B) ==")
+    assert second["cached"] is False
+    assert second["report"].startswith(
+        "== comparing 'a-2' (A) vs 'b' (B) ==")
+    assert again["cached"] is True and again["report"] == second["report"]
+
+
+def test_concurrent_identical_misses_run_the_task_once(tmp_path,
+                                                       monkeypatch):
+    """Single-flight: while one miss of a key runs, identical requests
+    wait for it and then read its stored entry — one task run, one
+    store, N-1 hits, and every reply carries the same result."""
+    import repro.serve.tasks as tasks
+
+    n, runs, real = 4, [], tasks.run_query_task
+
+    def slow(**kwargs):
+        runs.append(kwargs)
+        time.sleep(0.3)
+        return real(**kwargs)
+
+    config = ServerConfig(data_dir=tmp_path / "srv", port=0, workers=n)
+    with ServerThread(config) as srv:
+        client = srv.client()
+        client.push(make_archive(tmp_path / "a.aptrc"), run_id="alpha")
+        monkeypatch.setattr(tasks, "run_query_task", slow)
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            replies = list(pool.map(
+                lambda _: ServeClient("127.0.0.1", srv.port).query(
+                    "alpha", "sends group by dst"), range(n)))
+        artifacts = client.stats()["artifacts"]
+
+    assert len(runs) == 1
+    assert sorted(r["cached"] for r in replies) == [False] + [True] * (n - 1)
+    assert all(r["result"] == replies[0]["result"] for r in replies)
+    assert artifacts["stores"] == artifacts["entries"] == 1
+    assert artifacts["hits"] == n - 1

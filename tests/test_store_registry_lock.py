@@ -172,6 +172,22 @@ def test_legacy_single_shard_layout_unchanged(tmp_path):
     assert RunRegistry(root).shards == 1
 
 
+def test_legacy_registry_is_one_shard_whatever_is_asked(tmp_path):
+    """A legacy registry (one manifest.json, no registry.json) has one
+    shard: asking for more raises instead of listing nothing and
+    stranding its runs behind a fresh sharded view."""
+    root = tmp_path / "reg"
+    RunRegistry(root).add(make_archive(tmp_path / "a.aptrc", salt=1),
+                          run_id="alpha")
+    with pytest.raises(RegistryError, match=r"has 1 shard\(s\); cannot "
+                                            r"reopen with shards=4"):
+        RunRegistry(root, shards=4)
+    assert not (root / "registry.json").exists()
+    reopened = RunRegistry(root, shards=1)
+    reopened.add(make_archive(tmp_path / "b.aptrc", salt=2), run_id="beta")
+    assert [i.run_id for i in RunRegistry(root).list()] == ["alpha", "beta"]
+
+
 def test_bad_shard_count_rejected(tmp_path):
     with pytest.raises(RegistryError, match="shards"):
         RunRegistry(tmp_path / "reg", shards=0)

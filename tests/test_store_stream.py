@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import ActorProf, LiveMonitor, ProfileFlags
 from repro.core.store.archive import Archive, ArchiveError, load_run
+from repro.core.store.registry import file_sha256
 from repro.core.store.writer import TraceArchiver
-from repro.exec.cache import file_sha256
 from repro.hclib import Actor, run_spmd
 from repro.machine import MachineSpec
 from repro.sim.errors import SimulationError
